@@ -83,9 +83,7 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         t2 = time.perf_counter()
         best_build = min(best_build, t1 - t0)
         best_query = min(best_query, t2 - t1)
-        nodes = engine.trie.node_count + sum(
-            t.node_count for t in engine.tries.values()
-        )
+        nodes = sum(t.node_count for t in engine.tries.values())
     return BenchRow(
         label=label,
         tokens=len(engine.order),

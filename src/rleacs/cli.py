@@ -47,8 +47,6 @@ class RunConfig:
     trials: int = 1000
     n_max: int = 500
     relaxed_names: bool = False
-    reps: int = 2
-    max_tokens: int = bench.DOUBLING_MAX
 
 
 def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
@@ -209,12 +207,12 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_bench(config: RunConfig) -> int:
-    rows = bench.doubling_sweep(config.max_tokens, seed=config.seed, reps=config.reps)
+    rows = bench.doubling_sweep(config.n_max, seed=config.seed, reps=config.trials)
     print("doubling sweep (time ratio per doubling of run count)")
     print(bench.format_table(rows))
     print()
-    total_runs = min(bench.RUN_COUNT_FIXED, config.max_tokens)
-    scale_rows = bench.runlength_sweep(total_runs, seed=config.seed, reps=config.reps)
+    total_runs = min(bench.RUN_COUNT_FIXED, config.n_max)
+    scale_rows = bench.runlength_sweep(total_runs, seed=config.seed, reps=config.trials)
     print("run-length scaling at fixed run count")
     print(bench.format_table(scale_rows, with_ratios=False))
     print()
@@ -234,6 +232,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(minimum: int):
+    """argparse type for counts and sizes; smaller values are usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_matrix)
     p_matrix.add_argument("--log-base", choices=("e", "2", "10"), default="e")
     p_matrix.add_argument("--output", choices=("phylip", "tsv"), default="phylip")
-    p_matrix.add_argument("--threads", type=int, default=1, metavar="K")
+    p_matrix.add_argument("--threads", type=_int_at_least(1), default=1, metavar="K")
     p_matrix.add_argument(
         "--relaxed-names",
         action="store_true",
@@ -274,18 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = commands.add_parser("verify", help="randomized engine-vs-oracle check")
     p_verify.add_argument("--seed", type=int, default=42, metavar="S")
-    p_verify.add_argument("--trials", type=int, default=1000, metavar="T")
-    p_verify.add_argument("--n-max", type=int, default=500, metavar="B")
+    p_verify.add_argument("--trials", type=_int_at_least(0), default=1000, metavar="T")
+    p_verify.add_argument("--n-max", type=_int_at_least(1), default=500, metavar="B")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = commands.add_parser("bench", help="scaling benchmarks")
     p_bench.add_argument("--seed", type=int, default=42, metavar="S")
     p_bench.add_argument(
-        "--trials", type=int, default=2, metavar="T", help="repetitions per measurement"
+        "--trials",
+        type=_int_at_least(1),
+        default=2,
+        metavar="T",
+        help="repetitions per measurement",
     )
     p_bench.add_argument(
         "--n-max",
-        type=int,
+        type=_int_at_least(1),
         default=bench.DOUBLING_MAX,
         metavar="B",
         help="largest run count in the doubling sweep",
@@ -306,10 +323,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         trials=getattr(args, "trials", 1000),
         n_max=getattr(args, "n_max", 500),
         relaxed_names=getattr(args, "relaxed_names", False),
-        reps=getattr(args, "trials", 2) if args.command == "bench" else 2,
-        max_tokens=getattr(args, "n_max", bench.DOUBLING_MAX)
-        if args.command == "bench"
-        else bench.DOUBLING_MAX,
     )
 
 

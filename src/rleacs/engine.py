@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from rleacs.rle import RleSeq, ensure_pair
-from rleacs.suffixes import SuffixRef, build_suffix_order, build_trie, longest_run_table
+from rleacs.suffixes import build_suffix_order, longest_run_table
 from rleacs.symbol_tries import extract_symbol_tries
 
 DEFAULT_POSITION_CAP = 1_000_000
@@ -53,7 +53,8 @@ class AcsEngine:
 
     Instances are immutable after construction and safe to query from
     multiple threads. Build one engine per ordered pair (first is the
-    sequence whose positions are scored against second).
+    sequence whose positions are scored against second). run_leaf[i - 1] is
+    the leaf, in the trie of run i's symbol, of the suffix that follows run i.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
@@ -61,9 +62,16 @@ class AcsEngine:
         self.first = first
         self.second = second
         self.order = build_suffix_order(first, second)
-        self.trie = build_trie(self.order)
         self.max_run = longest_run_table(second)
-        self.tries = extract_symbol_tries(self.trie)
+        self.tries = extract_symbol_tries(self.order)
+        # the suffix after run i starts at token i
+        self.run_leaf = [0] * first.run_count
+        tokens = self.order.tokens
+        for sub in self.tries.values():
+            for leaf, rank in zip(sub.leaves, sub.leaf_ranks):
+                t = tokens[rank]
+                if t <= first.run_count:
+                    self.run_leaf[t - 1] = leaf
 
     def run_sum(self, i: int) -> int:
         """Sum of best match lengths over the positions of the i-th run.
@@ -81,7 +89,7 @@ class AcsEngine:
         if m == 0:
             return 0
         trie = self.tries[sym]
-        w = trie.ref_to_leaf[SuffixRef(0, i + 1)]
+        w = self.run_leaf[i - 1]
         v = trie.deepest_y_ancestor(w)
         if f > m:
             return trie.weight[v] + m * f - m * (m - 1) // 2
@@ -110,7 +118,7 @@ class AcsEngine:
                 out.extend([0] * f)
                 continue
             trie = self.tries[sym]
-            w = trie.ref_to_leaf[SuffixRef(0, i + 1)]
+            w = self.run_leaf[i - 1]
             for h in range(f, 0, -1):
                 if h > m:
                     out.append(m)

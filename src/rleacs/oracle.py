@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations.
 
-Everything here works on decoded text in quadratic-or-worse time and shares no
-logic with the fast path. These are trusted baselines for testing and for the
-randomized cross-check harness, guarded by explicit size budgets so a typo in
-a caller cannot silently burn minutes.
+Everything here shares no logic with the fast path. The brute functions work
+on decoded text in quadratic-or-worse time, guarded by explicit size budgets
+so a typo in a caller cannot silently burn minutes; the suffix walkers
+(suffix_compare, suffix_lcp) step through two suffixes run by run, so they
+also reach decoded lengths no oracle could expand. These are trusted
+baselines for testing and for the randomized cross-check harness.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rleacs.rle import RleSeq, decode_ids, ensure_pair
+from rleacs.rle import RleSeq, Run, decode_ids, ensure_pair
 from rleacs.suffixes import SuffixOrder, SuffixRef
 
 
@@ -108,6 +110,71 @@ def _lcp(a: str, b: str) -> int:
     return lo
 
 
+def suffix_runs(first: RleSeq, second: RleSeq, ref: SuffixRef) -> tuple[Run, ...]:
+    """The runs of one suffix, its starting run through the sentinel."""
+    return (first, second)[ref.seq].runs[ref.run - 1 :]
+
+
+def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
+    """Three-way decoded-order comparison of two suffixes, by walking runs.
+
+    Runs are consumed in lockstep with partial remainders, so the cost is
+    linear in runs rather than decoded characters.
+    """
+    runs_a = suffix_runs(first, second, a)
+    runs_b = suffix_runs(first, second, b)
+    ia = ib = 0
+    rem_a = rem_b = 0
+    while ia < len(runs_a) and ib < len(runs_b):
+        sym_a, len_a = runs_a[ia]
+        sym_b, len_b = runs_b[ib]
+        if rem_a == 0:
+            rem_a = len_a
+        if rem_b == 0:
+            rem_b = len_b
+        if sym_a != sym_b:
+            return -1 if sym_a < sym_b else 1
+        step = min(rem_a, rem_b)
+        rem_a -= step
+        rem_b -= step
+        if rem_a == 0:
+            ia += 1
+        if rem_b == 0:
+            ib += 1
+    if ia < len(runs_a) or rem_a:
+        return 1
+    if ib < len(runs_b) or rem_b:
+        return -1
+    return 0
+
+
+def suffix_lcp(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
+    """Decoded longest-common-prefix length of two suffixes, by walking runs."""
+    runs_a = suffix_runs(first, second, a)
+    runs_b = suffix_runs(first, second, b)
+    ia = ib = 0
+    rem_a = rem_b = 0
+    common = 0
+    while ia < len(runs_a) and ib < len(runs_b):
+        sym_a, len_a = runs_a[ia]
+        sym_b, len_b = runs_b[ib]
+        if rem_a == 0:
+            rem_a = len_a
+        if rem_b == 0:
+            rem_b = len_b
+        if sym_a != sym_b:
+            break
+        step = min(rem_a, rem_b)
+        common += step
+        rem_a -= step
+        rem_b -= step
+        if rem_a == 0:
+            ia += 1
+        if rem_b == 0:
+            ib += 1
+    return common
+
+
 def brute_suffix_sort(
     first: RleSeq, second: RleSeq, budget: OracleBudget = DEFAULT_BUDGET
 ) -> SuffixOrder:
@@ -118,22 +185,21 @@ def brute_suffix_sort(
     """
     first, second = ensure_pair(first, second)
     budget.check(first.content_length, second.content_length)
-    texts = (decode_ids(first), decode_ids(second))
-    entries: list[tuple[str, SuffixRef]] = []
-    for seq_index, seq in enumerate((first, second)):
-        text = texts[seq_index]
+    entries: list[tuple[str, int]] = []
+    for seq in (first, second):
+        text = decode_ids(seq)
         pos = 0
-        for run_index, run in enumerate(seq.runs, start=1):
-            entries.append((text[pos:], SuffixRef(seq_index, run_index)))
+        for run in seq.runs:
+            entries.append((text[pos:], len(entries)))
             pos += run.length
     entries.sort(key=lambda e: e[0])
-    refs = [ref for _, ref in entries]
+    tokens = [token for _, token in entries]
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
     suffix_lengths = [len(text) for text, _ in entries]
     return SuffixOrder(
         first=first,
         second=second,
-        refs=refs,
+        tokens=tokens,
         dlcp=dlcp,
         suffix_lengths=suffix_lengths,
     )

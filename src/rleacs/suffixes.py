@@ -1,11 +1,17 @@
 """Suffix ordering of a run-length encoded pair, and the compact trie over it.
 
 Only suffixes that begin at run boundaries take part: sequence s contributes
-one suffix per run, identified by SuffixRef(s, k) for the suffix starting at
-run k (1-based, sentinel run included). All depths and lcp values here are
-decoded lengths, never run counts, so they may approach the 2^62 length bound
-and are kept as Python ints except inside the numpy sorting kernels, whose
-values (signed run lengths, dense ranks) individually fit in int64.
+one suffix per run. The two run lists are concatenated into one token string
+(token t is run t+1 of the first sequence when t < len(first.runs), else run
+t-len(first.runs)+1 of the second), and a SuffixOrder maps each rank to the
+token its suffix starts at. All depths and lcp values here are decoded
+lengths, never run counts, so they may approach the 2^62 length bound and are
+kept as Python ints except inside the numpy sorting kernels, whose values
+(signed run lengths, dense ranks) individually fit in int64.
+
+The engine reads only the suffix order: the per-symbol tries are built from
+it directly, with range-minimum queries over the lcps. The compact trie over
+all suffixes (build_trie) exists for the structural checks of the verifier.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rleacs.rle import RleSeq, Run, ensure_pair
+from rleacs.rle import RleSeq, ensure_pair
 
 
 class SuffixRef(NamedTuple):
@@ -30,50 +36,35 @@ class SuffixRef(NamedTuple):
 class SuffixOrder:
     """All run-start suffixes of a pair, sorted by decoded string order.
 
-    dlcp[k] is the decoded longest-common-prefix length of the suffixes at
-    ranks k and k+1; suffix_lengths[k] is the decoded length (sentinel
-    included) of the suffix at rank k.
+    tokens[k] is the token index of the suffix at rank k; dlcp[k] is the
+    decoded longest-common-prefix length of the suffixes at ranks k and k+1;
+    suffix_lengths[k] is the decoded length (sentinel included) of the suffix
+    at rank k.
     """
 
     first: RleSeq
     second: RleSeq
-    refs: list[SuffixRef]
+    tokens: list[int]
     dlcp: list[int]
     suffix_lengths: list[int]
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.tokens)
 
-    def runs_of(self, seq_index: int) -> tuple[Run, ...]:
-        return (self.first, self.second)[seq_index].runs
-
-    def suffix_runs(self, ref: SuffixRef) -> tuple[Run, ...]:
-        return self.runs_of(ref.seq)[ref.run - 1 :]
+    @property
+    def refs(self) -> list[SuffixRef]:
+        """The suffix at each rank as a (sequence, run) handle."""
+        nx = len(self.first.runs)
+        return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in self.tokens]
 
 
 @dataclass(frozen=True)
 class Trie:
-    """Compact trie over all run-start suffixes, leaves in suffix order.
+    """Compact trie over all run-start suffixes, leaves in suffix order."""
 
-    Node arrays are indexed by node id; rank-indexed leaf arrays carry the
-    preceding-run annotation of each suffix: the symbol and length of the run
-    just before the suffix start (sym -1 / freq 0 for each sequence's first
-    suffix, which has no preceding run).
-    """
-
-    order: SuffixOrder
     parent: list[int]
     str_depth: list[int]
-    node_depth: list[int]
-    is_leaf: list[bool]
     leaves: list[int]
-    leaf_sym: list[int]
-    leaf_freq: list[int]
-    leaf_from_second: list[bool]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
 
 
 def longest_run_table(seq: RleSeq) -> dict[int, int]:
@@ -83,66 +74,6 @@ def longest_run_table(seq: RleSeq) -> dict[int, int]:
         if length > table.get(sym, 0):
             table[sym] = length
     return table
-
-
-def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
-    """Three-way decoded-order comparison of two suffixes, by walking runs.
-
-    Runs are consumed in lockstep with partial remainders, so the cost is
-    linear in runs rather than decoded characters.
-    """
-    runs_a = (first, second)[a.seq].runs[a.run - 1 :]
-    runs_b = (first, second)[b.seq].runs[b.run - 1 :]
-    ia = ib = 0
-    rem_a = rem_b = 0
-    while ia < len(runs_a) and ib < len(runs_b):
-        sym_a, len_a = runs_a[ia]
-        sym_b, len_b = runs_b[ib]
-        if rem_a == 0:
-            rem_a = len_a
-        if rem_b == 0:
-            rem_b = len_b
-        if sym_a != sym_b:
-            return -1 if sym_a < sym_b else 1
-        step = min(rem_a, rem_b)
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ia += 1
-        if rem_b == 0:
-            ib += 1
-    if ia < len(runs_a) or rem_a:
-        return 1
-    if ib < len(runs_b) or rem_b:
-        return -1
-    return 0
-
-
-def suffix_lcp(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
-    """Decoded longest-common-prefix length of two suffixes, by walking runs."""
-    runs_a = (first, second)[a.seq].runs[a.run - 1 :]
-    runs_b = (first, second)[b.seq].runs[b.run - 1 :]
-    ia = ib = 0
-    rem_a = rem_b = 0
-    common = 0
-    while ia < len(runs_a) and ib < len(runs_b):
-        sym_a, len_a = runs_a[ia]
-        sym_b, len_b = runs_b[ib]
-        if rem_a == 0:
-            rem_a = len_a
-        if rem_b == 0:
-            rem_b = len_b
-        if sym_a != sym_b:
-            break
-        step = min(rem_a, rem_b)
-        common += step
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ia += 1
-        if rem_b == 0:
-            ib += 1
-    return common
 
 
 def _token_columns(first: RleSeq, second: RleSeq):
@@ -280,15 +211,7 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     total_first = prefix[nx]
     total_all = prefix[n]
 
-    refs = []
-    suffix_lengths = []
-    for i in order:
-        if i < nx:
-            refs.append(SuffixRef(0, i + 1))
-            suffix_lengths.append(total_first - prefix[i])
-        else:
-            refs.append(SuffixRef(1, i - nx + 1))
-            suffix_lengths.append(total_all - prefix[i])
+    suffix_lengths = [(total_first if i < nx else total_all) - prefix[i] for i in order]
 
     dlcp = []
     for r in range(n - 1):
@@ -303,7 +226,7 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     return SuffixOrder(
         first=first,
         second=second,
-        refs=refs,
+        tokens=order,
         dlcp=dlcp,
         suffix_lengths=suffix_lengths,
     )
@@ -353,45 +276,9 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
     return parent, str_depth, leaf_nodes
 
 
-def _node_depths(parent: list[int], str_depth: list[int]) -> list[int]:
-    """Nodes on the root path, root = 1; parents have strictly smaller str_depth."""
-    node_depth = [0] * len(parent)
-    for v in sorted(range(len(parent)), key=str_depth.__getitem__):
-        p = parent[v]
-        node_depth[v] = 1 if p < 0 else node_depth[p] + 1
-    return node_depth
-
-
 def build_trie(order: SuffixOrder) -> Trie:
-    """Compact trie over the ordered suffixes, with preceding-run leaf data."""
-    parent, str_depth, leaf_nodes = _sweep_compact_trie(order.suffix_lengths, order.dlcp)
-    node_depth = _node_depths(parent, str_depth)
-    is_leaf = [False] * len(parent)
-    for v in leaf_nodes:
-        is_leaf[v] = True
-    leaf_sym = []
-    leaf_freq = []
-    leaf_from_second = []
-    for ref in order.refs:
-        if ref.run >= 2:
-            prev = order.runs_of(ref.seq)[ref.run - 2]
-            leaf_sym.append(prev.sym)
-            leaf_freq.append(prev.length)
-        else:
-            leaf_sym.append(-1)
-            leaf_freq.append(0)
-        leaf_from_second.append(ref.seq == 1)
-    return Trie(
-        order=order,
-        parent=parent,
-        str_depth=str_depth,
-        node_depth=node_depth,
-        is_leaf=is_leaf,
-        leaves=leaf_nodes,
-        leaf_sym=leaf_sym,
-        leaf_freq=leaf_freq,
-        leaf_from_second=leaf_from_second,
-    )
+    """Compact trie over all the ordered suffixes."""
+    return Trie(*_sweep_compact_trie(order.suffix_lengths, order.dlcp))
 
 
 class RangeMin:
@@ -406,11 +293,6 @@ class RangeMin:
             rows.append(np.minimum(prev[: len(prev) - span], prev[span:]))
             span *= 2
         self._rows = rows
-
-    def query(self, lo: int, hi: int) -> int:
-        k = (hi - lo + 1).bit_length() - 1
-        row = self._rows[k]
-        return int(min(row[lo], row[hi - (1 << k) + 1]))
 
     def query_many(self, los: np.ndarray, his: np.ndarray) -> list[int]:
         lengths = his - los + 1

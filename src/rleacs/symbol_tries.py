@@ -1,11 +1,13 @@
 """Per-symbol tries over suffixes grouped by their preceding run's symbol.
 
-For each symbol, the annotated leaves of the main trie are re-assembled into
-a compact trie of their own. Every node carries freq, the largest length of a
-preceding second-sequence run among the leaves below it, and weight, a running
-sum that turns "sum of ancestor depths over a range of thresholds" queries
-into two node lookups. Ancestor searches climb with binary lifting, so each
-query costs O(log N).
+For each symbol, the ranks of the suffix order whose suffix follows a run of
+that symbol are assembled into a compact trie of their own, straight from the
+order: the lcp between two selected neighbors is the minimum of the order's
+lcps over the gap, answered by a sparse range-minimum table. Every node
+carries freq, the largest length of a preceding second-sequence run among the
+leaves below it, and weight, a running sum that turns "sum of ancestor depths
+over a range of thresholds" queries into two node lookups. Ancestor searches
+climb with binary lifting, so each query costs O(log N).
 """
 
 from __future__ import annotations
@@ -14,23 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rleacs.suffixes import RangeMin, SuffixRef, Trie, _sweep_compact_trie
+from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie
 
 
 @dataclass
 class SymbolTrie:
-    """Compact trie over the suffixes preceded by a run of one symbol."""
+    """Compact trie over the suffixes preceded by a run of one symbol.
 
-    sym: int
+    leaves[j] is the node of the j-th leaf in suffix order; leaf_ranks[j] is
+    its rank in the SuffixOrder, and leaf_run_len[j] the length of the run
+    before it.
+    """
+
     parent: list[int]
     str_depth: list[int]
-    is_leaf: list[bool]
     leaves: list[int]
-    leaf_refs: list[SuffixRef]
+    leaf_ranks: list[int]
     leaf_from_second: list[bool]
     leaf_run_len: list[int]
-    ref_to_leaf: dict[SuffixRef, int]
-    node_depth: list[int] = field(default_factory=list)
     freq: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
     _up: list[list[int]] = field(default_factory=list)
@@ -38,17 +41,6 @@ class SymbolTrie:
     @property
     def node_count(self) -> int:
         return len(self.parent)
-
-    def ancestor_at_depth(self, v: int, depth: int) -> int:
-        """The ancestor of v with the given node_depth (<= v's own)."""
-        delta = self.node_depth[v] - depth
-        row = 0
-        while delta:
-            if delta & 1:
-                v = self._up[row][v]
-            delta >>= 1
-            row += 1
-        return v
 
     def deepest_freq_ancestor(self, leaf: int, threshold: int) -> int | None:
         """Deepest proper ancestor of leaf with freq >= threshold, if any.
@@ -73,7 +65,7 @@ class SymbolTrie:
 
 
 def annotate(trie: SymbolTrie) -> SymbolTrie:
-    """Fill freq, weight, node_depth, and the lifting rows, in place.
+    """Fill freq, weight, and the lifting rows, in place.
 
     freq flows bottom-up as a subtree maximum over second-sequence leaf run
     lengths; weight flows top-down as weight(parent) + freq(v) * edge length.
@@ -94,6 +86,8 @@ def annotate(trie: SymbolTrie) -> SymbolTrie:
         if p >= 0 and freq[v] > freq[p]:
             freq[p] = freq[v]
 
+    # node_depth counts the nodes on the root path (root = 1); it only sizes
+    # the lifting table
     node_depth = [0] * n
     weight = [0] * n
     for v in by_depth:
@@ -113,23 +107,23 @@ def annotate(trie: SymbolTrie) -> SymbolTrie:
 
     trie.freq = freq
     trie.weight = weight
-    trie.node_depth = node_depth
     trie._up = up
     return trie
 
 
-def extract_symbol_tries(trie: Trie) -> dict[int, SymbolTrie]:
-    """Group annotated leaves by preceding-run symbol and rebuild tries.
+def extract_symbol_tries(order: SuffixOrder) -> dict[int, SymbolTrie]:
+    """Group the ranked suffixes by preceding-run symbol and build their tries.
 
-    Leaves keep their global order; the lcp between two selected neighbors is
-    the minimum of the main order's dlcp over the gap, answered by a sparse
-    range-minimum table.
+    The suffix at token t is preceded by the run at token t - 1, except the
+    two sequence starts (tokens 0 and len(first.runs)), which have none.
+    Leaves keep their global order.
     """
-    order = trie.order
+    runs = order.first.runs + order.second.runs
+    nx = len(order.first.runs)
     by_sym: dict[int, list[int]] = {}
-    for rank, sym in enumerate(trie.leaf_sym):
-        if sym >= 0:
-            by_sym.setdefault(sym, []).append(rank)
+    for rank, t in enumerate(order.tokens):
+        if t != 0 and t != nx:
+            by_sym.setdefault(runs[t - 1].sym, []).append(rank)
 
     rmq = RangeMin(order.dlcp) if order.dlcp else None
     tries: dict[int, SymbolTrie] = {}
@@ -142,20 +136,14 @@ def extract_symbol_tries(trie: Trie) -> dict[int, SymbolTrie]:
             gaps = []
         depths = [order.suffix_lengths[k] for k in ranks]
         parent, str_depth, leaf_nodes = _sweep_compact_trie(depths, gaps)
-        is_leaf = [False] * len(parent)
-        for v in leaf_nodes:
-            is_leaf[v] = True
-        leaf_refs = [order.refs[k] for k in ranks]
+        tokens = [order.tokens[k] for k in ranks]
         sub = SymbolTrie(
-            sym=sym,
             parent=parent,
             str_depth=str_depth,
-            is_leaf=is_leaf,
             leaves=leaf_nodes,
-            leaf_refs=leaf_refs,
-            leaf_from_second=[trie.leaf_from_second[k] for k in ranks],
-            leaf_run_len=[trie.leaf_freq[k] for k in ranks],
-            ref_to_leaf=dict(zip(leaf_refs, leaf_nodes)),
+            leaf_ranks=ranks,
+            leaf_from_second=[t >= nx for t in tokens],
+            leaf_run_len=[runs[t - 1].length for t in tokens],
         )
         tries[sym] = annotate(sub)
     return tries

@@ -20,9 +20,16 @@ from string import ascii_lowercase
 import numpy as np
 
 from rleacs.engine import AcsEngine, acs_self, dist_value
-from rleacs.oracle import DEFAULT_BUDGET, OracleBudget, brute_match_lengths, brute_suffix_sort
+from rleacs.oracle import (
+    DEFAULT_BUDGET,
+    OracleBudget,
+    brute_match_lengths,
+    brute_suffix_sort,
+    suffix_lcp,
+    suffix_runs,
+)
 from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, decode_ids, encode
-from rleacs.suffixes import suffix_lcp
+from rleacs.suffixes import build_trie
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -88,7 +95,6 @@ def _interval_min_mismatches(
     label: str,
     parent: list[int],
     str_depth: list[int],
-    is_leaf: list[bool],
     leaves: list[int],
     leaf_depths: list[int],
     gaps: list[int],
@@ -96,6 +102,7 @@ def _interval_min_mismatches(
     """Check str_depth of every node against the gap array it must summarize."""
     failures = []
     lo, hi = _leaf_intervals(parent, str_depth, leaves)
+    is_leaf = set(leaves)
     for rank, leaf in enumerate(leaves):
         if str_depth[leaf] != leaf_depths[rank]:
             failures.append(f"{label}: leaf {rank} str_depth {str_depth[leaf]} != {leaf_depths[rank]}")
@@ -104,7 +111,7 @@ def _interval_min_mismatches(
     spans = [
         (v, lo[v], hi[v])
         for v in range(len(parent))
-        if not is_leaf[v] and hi[v] > lo[v] and parent[v] >= 0
+        if v not in is_leaf and hi[v] > lo[v] and parent[v] >= 0
     ]
     if spans:
         arr = np.array(gaps + [max(gaps) + 1 if gaps else 1], dtype=np.int64)
@@ -162,7 +169,7 @@ def _compare(
 ) -> list[str]:
     failures: list[str] = []
     first, second = engine.first, engine.second
-    if engine.order.refs != brute_order.refs:
+    if engine.order.tokens != brute_order.tokens:
         failures.append("suffix order differs from brute sort")
     if engine.order.dlcp != brute_order.dlcp:
         failures.append("suffix lcp array differs from brute sort")
@@ -227,21 +234,22 @@ def _compare(
 def _structural_checks(engine: AcsEngine) -> list[str]:
     failures: list[str] = []
     order = engine.order
-    trie = engine.trie
+    trie = build_trie(order)
 
     failures.extend(
         _interval_min_mismatches(
             "main trie",
             trie.parent,
             trie.str_depth,
-            trie.is_leaf,
             trie.leaves,
             order.suffix_lengths,
             order.dlcp,
         )
     )
 
-    annotated = sum(1 for s in trie.leaf_sym if s >= 0)
+    refs = order.refs
+    runs = (engine.first.runs, engine.second.runs)
+    annotated = sum(1 for ref in refs if ref.run >= 2)
     extracted = sum(len(t.leaves) for t in engine.tries.values())
     if extracted != annotated:
         failures.append(f"symbol tries hold {extracted} leaves, expected {annotated}")
@@ -260,20 +268,28 @@ def _structural_checks(engine: AcsEngine) -> list[str]:
             if sub.weight[v] != expect:
                 failures.append(f"trie {sym}: weight at node {v} breaks telescoping")
                 break
+        leaf_refs = [refs[k] for k in sub.leaf_ranks]
+        preceding = [
+            (runs[ref.seq][ref.run - 2], ref.seq == 1) if ref.run >= 2 else None
+            for ref in leaf_refs
+        ]
+        annotations = [((sym, n), y) for n, y in zip(sub.leaf_run_len, sub.leaf_from_second)]
+        if preceding != annotations:
+            failures.append(f"trie {sym}: leaf annotations differ from the preceding runs")
         # gap lcps recomputed with the run walker, then interval mins
         gaps = [
             suffix_lcp(engine.first, engine.second, a, b)
-            for a, b in zip(sub.leaf_refs, sub.leaf_refs[1:])
+            for a, b in zip(leaf_refs, leaf_refs[1:])
         ]
         depths = [
-            sum(r.length for r in order.suffix_runs(ref)) for ref in sub.leaf_refs
+            sum(r.length for r in suffix_runs(engine.first, engine.second, ref))
+            for ref in leaf_refs
         ]
         failures.extend(
             _interval_min_mismatches(
                 f"trie {sym}",
                 sub.parent,
                 sub.str_depth,
-                sub.is_leaf,
                 sub.leaves,
                 depths,
                 gaps,

@@ -178,7 +178,11 @@ def test_usage_errors_exit_one(capsys):
     assert main(["nosuch"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     assert main(["dist", "x.fa", "--log-base", "7"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert main(["verify", "--trials", "-5"]) == EXIT_USAGE
+    assert main(["verify", "--n-max", "0"]) == EXIT_USAGE
+    assert main(["verify", "--n-max", "x"]) == EXIT_USAGE
+    assert main(["matrix", "x.fa", "--threads", "-2"]) == EXIT_USAGE
+    assert "--threads: expected an integer >= 1, got '-2'" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pair
-from rleacs.oracle import brute_suffix_sort
+from rleacs.oracle import brute_suffix_sort, suffix_compare, suffix_lcp, suffix_runs
 from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq, Run
 from rleacs.suffixes import (
     RangeMin,
@@ -14,9 +14,8 @@ from rleacs.suffixes import (
     build_suffix_order,
     build_trie,
     longest_run_table,
-    suffix_compare,
-    suffix_lcp,
 )
+from rleacs.symbol_tries import extract_symbol_tries
 
 
 def test_order_micro_pair():
@@ -112,23 +111,28 @@ def test_longest_run_table():
 
 def test_trie_micro_pair():
     first, second, _ = make_pair("aab", "ab")
-    trie = build_trie(build_suffix_order(first, second))
+    order = build_suffix_order(first, second)
+    trie = build_trie(order)
     assert trie.str_depth[0] == 0
     assert trie.parent[0] == -1
-    assert trie.node_depth[0] == 1
-    # the two "b..." leaves (ranks 4 and 5) hang off one node at str depth 1
+    # the two "b..." leaves (ranks 4 and 5) hang off one node at str depth 1,
+    # a child of the root
     b1, b2 = trie.leaves[4], trie.leaves[5]
     assert trie.parent[b1] == trie.parent[b2]
     assert trie.str_depth[trie.parent[b1]] == 1
-    assert trie.node_depth[trie.parent[b1]] == 2
-    # leaf annotations: preceding run of each suffix
-    a_id = first.runs[0].sym
-    b_id = first.runs[1].sym
-    assert trie.leaf_sym[4] == a_id and trie.leaf_freq[4] == 2  # X suffix "b<s1>"
-    assert trie.leaf_sym[5] == a_id and trie.leaf_freq[5] == 1  # Y suffix "b<s2>"
-    assert trie.leaf_sym[0] == b_id and trie.leaf_freq[0] == 1  # X sentinel suffix
-    assert trie.leaf_sym[2] == -1 and trie.leaf_freq[2] == 0  # whole-X suffix
-    assert trie.leaf_from_second == [False, True, False, True, False, True]
+    assert trie.parent[trie.parent[b1]] == 0
+    # leaf annotations: preceding run of each suffix, by rank
+    tries = extract_symbol_tries(order)
+    t_a = tries[first.runs[0].sym]
+    t_b = tries[first.runs[1].sym]
+    assert t_a.leaf_ranks == [4, 5]  # X suffix "b<s1>", Y suffix "b<s2>"
+    assert t_a.leaf_run_len == [2, 1]
+    assert t_a.leaf_from_second == [False, True]
+    assert t_b.leaf_ranks == [0, 1]  # X and Y sentinel suffixes
+    assert t_b.leaf_run_len == [1, 1]
+    assert t_b.leaf_from_second == [False, True]
+    # the whole-X and whole-Y suffixes (ranks 2 and 3) have no preceding run
+    assert sorted(k for t in tries.values() for k in t.leaf_ranks) == [0, 1, 4, 5]
 
 
 def _random_runny_text(rng, n, alphabet):
@@ -150,8 +154,8 @@ def test_trie_node_count_bound_random():
         order = build_suffix_order(first, second)
         trie = build_trie(order)
         n_suffixes = len(order)
-        assert sum(trie.is_leaf) == n_suffixes
-        assert trie.node_count <= 2 * n_suffixes - 1
+        assert len(set(trie.leaves)) == n_suffixes
+        assert len(trie.parent) <= 2 * n_suffixes - 1
 
 
 def _assert_order_matches_brute(x, y):
@@ -223,7 +227,7 @@ def test_order_with_huge_runs_agrees_with_run_walk():
             assert suffix_compare(first, second, a, b) == -1
             assert order.dlcp[k] == suffix_lcp(first, second, a, b)
         for k, ref in enumerate(order.refs):
-            runs = order.suffix_runs(ref)
+            runs = suffix_runs(first, second, ref)
             assert order.suffix_lengths[k] == sum(r.length for r in runs)
 
 
@@ -244,7 +248,7 @@ def test_trie_str_depth_is_interval_min(x, y):
             intervals[v] = (min(lo, rank), max(hi, rank))
             v = trie.parent[v]
     for v, (lo, hi) in intervals.items():
-        if trie.is_leaf[v]:
+        if v in trie.leaves:
             assert trie.str_depth[v] == order.suffix_lengths[lo]
         elif lo < hi:
             assert trie.str_depth[v] == min(order.dlcp[lo:hi])
@@ -254,17 +258,17 @@ def test_range_min_matches_direct_scan():
     rng = random.Random(3)
     values = [rng.randint(0, 50) for _ in range(257)]
     rmq = RangeMin(values)
+    los = [0, 5, 17, 200, 256]
+    his = [0, 9, 230, 255, 256]
     for _ in range(500):
         lo = rng.randint(0, len(values) - 1)
-        hi = rng.randint(lo, len(values) - 1)
-        assert rmq.query(lo, hi) == min(values[lo : hi + 1])
-    los = np.array([0, 5, 17, 200, 256])
-    his = np.array([0, 9, 230, 255, 256])
-    assert rmq.query_many(los, his) == [
+        los.append(lo)
+        his.append(rng.randint(lo, len(values) - 1))
+    assert rmq.query_many(np.array(los), np.array(his)) == [
         min(values[lo : hi + 1]) for lo, hi in zip(los, his)
     ]
 
 
 def test_range_min_single_element():
     rmq = RangeMin([42])
-    assert rmq.query(0, 0) == 42
+    assert rmq.query_many(np.array([0]), np.array([0])) == [42]

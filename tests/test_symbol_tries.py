@@ -5,24 +5,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_pair
-from rleacs.suffixes import SuffixRef, build_suffix_order, build_trie
+from rleacs.suffixes import SuffixRef, build_suffix_order
 from rleacs.symbol_tries import SymbolTrie, annotate, extract_symbol_tries
 
 
 def build_tries(x, y):
     first, second, alpha = make_pair(x, y)
-    trie = build_trie(build_suffix_order(first, second))
-    return extract_symbol_tries(trie), trie, alpha
+    order = build_suffix_order(first, second)
+    return extract_symbol_tries(order), order, alpha
 
 
 def test_extract_micro_pair():
-    tries, trie, alpha = build_tries("aab", "ab")
+    tries, order, alpha = build_tries("aab", "ab")
     a_id, b_id = alpha.to_id["a"], alpha.to_id["b"]
     assert set(tries) == {a_id, b_id}
 
     t_a = tries[a_id]
     # leaves: X suffix "b<s1>" (preceded by a-run of 2), Y suffix "b<s2>" (a-run of 1)
-    assert t_a.leaf_refs == [SuffixRef(0, 2), SuffixRef(1, 2)]
+    assert [order.refs[k] for k in t_a.leaf_ranks] == [SuffixRef(0, 2), SuffixRef(1, 2)]
     assert t_a.leaf_from_second == [False, True]
     assert t_a.leaf_run_len == [2, 1]
     assert t_a.node_count == 4  # root, one mid node, two leaves
@@ -32,7 +32,7 @@ def test_extract_micro_pair():
 
     t_b = tries[b_id]
     # leaves: the two sentinel suffixes, lcp 0, both directly under the root
-    assert t_b.leaf_refs == [SuffixRef(0, 3), SuffixRef(1, 3)]
+    assert [order.refs[k] for k in t_b.leaf_ranks] == [SuffixRef(0, 3), SuffixRef(1, 3)]
     assert [t_b.parent[v] for v in t_b.leaves] == [0, 0]
     assert t_b.node_count == 3
 
@@ -63,28 +63,24 @@ def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
     # freq(v1) = 5 and freq(v2) = 3
     trie = SymbolTrie(
-        sym=2,
         parent=[-1, 0, 1, 2, 2, 1],
         str_depth=[0, 2, 7, 9, 10, 4],
-        is_leaf=[False, False, False, True, True, True],
         leaves=[3, 4, 5],
-        leaf_refs=[SuffixRef(1, 2), SuffixRef(1, 3), SuffixRef(1, 4)],
+        leaf_ranks=[0, 1, 2],
         leaf_from_second=[True, True, True],
         leaf_run_len=[3, 2, 5],
-        ref_to_leaf={SuffixRef(1, 2): 3, SuffixRef(1, 3): 4, SuffixRef(1, 4): 5},
     )
     annotate(trie)
     assert trie.freq[1] == 5
     assert trie.freq[2] == 3
     assert trie.weight[1] == 10  # 5 * (2 - 0)
     assert trie.weight[2] == 25  # 10 + 3 * (7 - 2)
-    assert trie.node_depth[:3] == [1, 2, 3]
 
 
 def test_deepest_ancestor_micro():
     tries, _, alpha = build_tries("aab", "ab")
     t_a = tries[alpha.to_id["a"]]
-    leaf = t_a.ref_to_leaf[SuffixRef(0, 2)]
+    leaf = t_a.leaves[0]  # X suffix "b<s1>"
     mid = t_a.parent[leaf]
     assert t_a.deepest_freq_ancestor(leaf, 1) == mid
     assert t_a.deepest_freq_ancestor(leaf, 2) is None  # root freq is only 1
@@ -133,33 +129,16 @@ def test_searches_match_linear_walk_random():
                     assert trie.deepest_freq_ancestor(leaf, threshold) == expect
 
 
-def test_ancestor_at_depth_random():
-    rng = random.Random(23)
-    for _ in range(30):
-        x = _random_runny_text(rng, rng.randint(2, 60), "abc")
-        y = _random_runny_text(rng, rng.randint(2, 60), "abc")
-        tries, _, _ = build_tries(x, y)
-        for trie in tries.values():
-            for leaf in trie.leaves:
-                path = []
-                v = leaf
-                while v != -1:
-                    path.append(v)
-                    v = trie.parent[v]
-                for node in path:
-                    assert trie.ancestor_at_depth(leaf, trie.node_depth[node]) == node
-
-
 @given(
     st.text(alphabet="ab", min_size=1, max_size=50),
     st.text(alphabet="ab", min_size=1, max_size=50),
 )
 def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
-    trie = build_trie(build_suffix_order(first, second))
-    tries = extract_symbol_tries(trie)
+    order = build_suffix_order(first, second)
+    tries = extract_symbol_tries(order)
 
-    annotated = sum(1 for s in trie.leaf_sym if s >= 0)
+    annotated = sum(1 for ref in order.refs if ref.run >= 2)
     assert sum(len(t.leaves) for t in tries.values()) == annotated
 
     for t in tries.values():
