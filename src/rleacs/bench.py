@@ -103,9 +103,11 @@ def doubling_sweep(
     scale: int = 8,
 ) -> list[BenchRow]:
     """Time the engine at run counts 2^14, 2^15, ... up to max_tokens."""
+    if max_tokens < DOUBLING_MIN:
+        raise ValueError(f"doubling sweep needs max_tokens >= {DOUBLING_MIN}, got {max_tokens}")
     rows = []
     n = DOUBLING_MIN
-    while n <= max(max_tokens, DOUBLING_MIN):
+    while n <= max_tokens:
         first, second = synth_pair(n, scale, seed)
         rows.append(_measure(f"runs={n}", first, second, reps))
         n *= 2

@@ -302,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--n-max",
-        type=_int_at_least(1),
+        type=_int_at_least(bench.DOUBLING_MIN),
         default=bench.DOUBLING_MAX,
         metavar="B",
-        help="largest run count in the doubling sweep",
+        help=f"largest run count in the doubling sweep (at least {bench.DOUBLING_MIN})",
     )
     p_bench.set_defaults(func=cmd_bench)
     return parser

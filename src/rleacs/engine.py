@@ -49,29 +49,48 @@ class DistResult:
 
 
 class AcsEngine:
-    """Per-ordered-pair state: suffix order, tries, and the query machinery.
+    """One build per unordered pair: a suffix order and its symbol tries.
+
+    total() and run_sum(i) score the first sequence's positions against the
+    second, ACS(first, second). reverse is a view of the same build that
+    scores the second against the first: engine.reverse.total() equals
+    AcsEngine(second, first).total() without a second suffix order or a
+    second set of tries. The two directions differ only in which side's
+    leaves feed freq and weight (each trie carries both columns), the
+    max_run table, and which runs are queried.
 
     Instances are immutable after construction and safe to query from
-    multiple threads. Build one engine per ordered pair (first is the
-    sequence whose positions are scored against second). run_leaf[i - 1] is
-    the leaf, in the trie of run i's symbol, of the suffix that follows run i.
+    multiple threads. token_leaf[t] is the leaf, in the trie of the run
+    symbol at token t - 1, of the suffix that starts at token t; the suffix
+    after run i of the built pair's first sequence starts at token i, the
+    one after run j of its second at token len(first.runs) + j. order is
+    the built pair's suffix order, shared by the reverse view.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
         first, second = ensure_pair(first, second)
+        self.order = build_suffix_order(first, second)
+        self.token_leaf = [-1] * len(self.order)
+        self.tries = extract_symbol_tries(self.order, self.token_leaf)
+        self._orient(first, second, reverse=False)
+
+    def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
         self.first = first
         self.second = second
-        self.order = build_suffix_order(first, second)
         self.max_run = longest_run_table(second)
-        self.tries = extract_symbol_tries(self.order)
-        # the suffix after run i starts at token i
-        self.run_leaf = [0] * first.run_count
-        tokens = self.order.tokens
-        for sub in self.tries.values():
-            for leaf, rank in zip(sub.leaves, sub.leaf_ranks):
-                t = tokens[rank]
-                if t <= first.run_count:
-                    self.run_leaf[t - 1] = leaf
+        self._reverse = reverse
+        # token of the suffix after run i of first is _token_base + i
+        self._token_base = len(second.runs) if reverse else 0
+
+    @property
+    def reverse(self) -> AcsEngine:
+        """This build seen from the other side: ACS(second, first)."""
+        view = object.__new__(type(self))
+        view.order = self.order
+        view.token_leaf = self.token_leaf
+        view.tries = self.tries
+        view._orient(self.second, self.first, reverse=not self._reverse)
+        return view
 
     def run_sum(self, i: int) -> int:
         """Sum of best match lengths over the positions of the i-th run.
@@ -89,12 +108,14 @@ class AcsEngine:
         if m == 0:
             return 0
         trie = self.tries[sym]
-        w = self.run_leaf[i - 1]
-        v = trie.deepest_y_ancestor(w)
+        w = self.token_leaf[self._token_base + i]
+        rev = self._reverse
+        weight = trie.rev_weight if rev else trie.weight
+        v = trie.deepest_freq_ancestor(w, 1, rev)
         if f > m:
-            return trie.weight[v] + m * f - m * (m - 1) // 2
-        u = trie.deepest_freq_ancestor(w, f)
-        return trie.weight[v] - trie.weight[u] + f * trie.str_depth[u] + f * (f + 1) // 2
+            return weight[v] + m * f - m * (m - 1) // 2
+        u = trie.deepest_freq_ancestor(w, f, rev)
+        return weight[v] - weight[u] + f * trie.str_depth[u] + f * (f + 1) // 2
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""
@@ -118,22 +139,25 @@ class AcsEngine:
                 out.extend([0] * f)
                 continue
             trie = self.tries[sym]
-            w = self.run_leaf[i - 1]
+            w = self.token_leaf[self._token_base + i]
             for h in range(f, 0, -1):
                 if h > m:
                     out.append(m)
                 else:
-                    u = trie.deepest_freq_ancestor(w, h)
+                    u = trie.deepest_freq_ancestor(w, h, self._reverse)
                     out.append(h + trie.str_depth[u])
         return out
 
 
-def acs(first: RleSeq, second: RleSeq) -> AcsResult:
-    """Average over first's positions of the longest match into second."""
-    engine = AcsEngine(first, second)
+def _average(engine: AcsEngine) -> AcsResult:
     lsum = engine.total()
     x = engine.first.content_length
     return AcsResult(lsum=lsum, x=x, value=Fraction(lsum, x))
+
+
+def acs(first: RleSeq, second: RleSeq) -> AcsResult:
+    """Average over first's positions of the longest match into second."""
+    return _average(AcsEngine(first, second))
 
 
 def acs_self(length: int) -> Fraction:
@@ -167,11 +191,13 @@ def dist_value(
 
 
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
-    """Symmetric distance between two sequences.
+    """Symmetric distance between two sequences, from one engine build.
 
-    Degenerate inputs are rejected: decoded lengths below 2 make the
-    normalization meaningless, and a pair with no common symbol has average
-    match 0, which has no finite distance.
+    Both cross averages, ACS(X,Y) and ACS(Y,X), come from the same suffix
+    order and symbol tries (AcsEngine and its reverse view). Degenerate
+    inputs are rejected: decoded lengths below 2 make the normalization
+    meaningless, and a pair with no common symbol has average match 0, which
+    has no finite distance.
     """
     if log_base not in LOG_FUNCTIONS:
         raise ValueError(f"unknown log base {log_base!r}")
@@ -179,8 +205,9 @@ def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     y = second.content_length
     if x < 2 or y < 2:
         raise ValueError("sequence too short")
-    forward = acs(first, second)
-    backward = acs(second, first)
+    engine = AcsEngine(first, second)
+    forward = _average(engine)
+    backward = _average(engine.reverse)
     if forward.lsum == 0 or backward.lsum == 0:
         raise ValueError("no common substring")
     return DistResult(

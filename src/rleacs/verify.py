@@ -2,9 +2,10 @@
 
 Each trial draws a random pair (alphabet size and run-length mean rotate
 through fixed grids), then checks every layer: suffix order and lcps against
-the brute sort, match-length totals against the brute scan, per-run sums
-against per-position sums, the final run against its closed forms, distance
-axioms, and the structural invariants of the tries. The first failing check
+the brute sort, match-length totals in both directions against the brute
+scan and against a separate reverse build, per-run sums against per-position
+sums, the final run against its closed forms, distance axioms, and the
+structural invariants of the tries. The first failing check
 aborts the run and reports both inputs in the run-length text format so the
 case can be replayed.
 """
@@ -133,7 +134,11 @@ def check_pair(
     budget: OracleBudget = DEFAULT_BUDGET,
     deep: bool = True,
 ) -> list[str]:
-    """All cross-checks for one ordered pair; returns failure descriptions.
+    """All cross-checks for one pair; returns failure descriptions.
+
+    The forward direction (first scored against second) gets every check;
+    the reverse direction, answered from the same build, is checked by its
+    total against the brute scan and against engine_factory(second, first).
 
     A crash inside the engine under test is itself a finding, so engine
     exceptions are reported as failures rather than raised. Oracle budget
@@ -148,9 +153,10 @@ def check_pair(
     y_text = decode_ids(second, with_sentinel=False)
     brute_order = brute_suffix_sort(first, second, budget)
     brute_lengths = brute_match_lengths(x_text, y_text, budget)
+    brute_reverse = sum(brute_match_lengths(y_text, x_text, budget))
     try:
         return _compare(
-            engine, brute_order, brute_lengths, x_text, y_text,
+            engine, brute_order, brute_lengths, brute_reverse, x_text, y_text,
             engine_factory=engine_factory, deep=deep,
         )
     except Exception as exc:
@@ -161,6 +167,7 @@ def _compare(
     engine,
     brute_order,
     brute_lengths: list[int],
+    brute_reverse: int,
     x_text: str,
     y_text: str,
     *,
@@ -210,9 +217,14 @@ def _compare(
     if acs_xx * 2 != x_len * (x_len + 1):
         failures.append(f"self total {acs_xx} != closed form {x_len * (x_len + 1) // 2}")
 
+    back = engine.reverse.total()
+    if back != brute_reverse:
+        failures.append(f"reverse lsum {back} != brute {brute_reverse}")
+    separate = engine_factory(second, first).total()
+    if back != separate:
+        failures.append(f"reverse lsum {back} != separate reverse build {separate}")
+
     if x_len >= 2 and y_len >= 2 and lsum > 0:
-        reverse = engine_factory(second, first)
-        back = reverse.total()
         if back > 0:
             acs_xy = Fraction(lsum, x_len)
             acs_yx = Fraction(back, y_len)
@@ -255,19 +267,24 @@ def _structural_checks(engine: AcsEngine) -> list[str]:
         failures.append(f"symbol tries hold {extracted} leaves, expected {annotated}")
 
     for sym, sub in engine.tries.items():
-        for v in range(sub.node_count):
-            p = sub.parent[v]
-            if p >= 0 and sub.freq[p] < sub.freq[v]:
-                failures.append(f"trie {sym}: freq increases from node {p} to {v}")
-                break
-        for v in range(sub.node_count):
-            p = sub.parent[v]
-            expect = 0 if p < 0 else (
-                sub.weight[p] + sub.freq[v] * (sub.str_depth[v] - sub.str_depth[p])
-            )
-            if sub.weight[v] != expect:
-                failures.append(f"trie {sym}: weight at node {v} breaks telescoping")
-                break
+        columns = (("", sub.freq, sub.weight), ("rev_", sub.rev_freq, sub.rev_weight))
+        for prefix, freq, weight in columns:
+            for v in range(sub.node_count):
+                p = sub.parent[v]
+                if p >= 0 and freq[p] < freq[v]:
+                    failures.append(f"trie {sym}: {prefix}freq increases from node {p} to {v}")
+                    break
+            for v in range(sub.node_count):
+                p = sub.parent[v]
+                expect = 0 if p < 0 else (
+                    weight[p] + freq[v] * (sub.str_depth[v] - sub.str_depth[p])
+                )
+                if weight[v] != expect:
+                    failures.append(f"trie {sym}: {prefix}weight at node {v} breaks telescoping")
+                    break
+        leaf_tokens = [order.tokens[k] for k in sub.leaf_ranks]
+        if [engine.token_leaf[t] for t in leaf_tokens] != sub.leaves:
+            failures.append(f"trie {sym}: token_leaf does not point at the trie's leaves")
         leaf_refs = [refs[k] for k in sub.leaf_ranks]
         preceding = [
             (runs[ref.seq][ref.run - 2], ref.seq == 1) if ref.run >= 2 else None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rleacs.bench import DOUBLING_MIN, doubling_sweep
 from rleacs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, format_phylip, main
 
 
@@ -173,6 +174,11 @@ def test_bench_smoke(capsys):
     assert "closed form check: ok" in out
 
 
+def test_doubling_sweep_rejects_a_smaller_maximum():
+    with pytest.raises(ValueError, match=f"max_tokens >= {DOUBLING_MIN}"):
+        doubling_sweep(DOUBLING_MIN - 1)
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["acs"]) == EXIT_USAGE
     assert main(["nosuch"]) == EXIT_USAGE
@@ -182,7 +188,11 @@ def test_usage_errors_exit_one(capsys):
     assert main(["verify", "--n-max", "0"]) == EXIT_USAGE
     assert main(["verify", "--n-max", "x"]) == EXIT_USAGE
     assert main(["matrix", "x.fa", "--threads", "-2"]) == EXIT_USAGE
-    assert "--threads: expected an integer >= 1, got '-2'" in capsys.readouterr().err
+    assert main(["bench", "--n-max", "1"]) == EXIT_USAGE
+    assert main(["bench", "--n-max", "16383"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--threads: expected an integer >= 1, got '-2'" in err
+    assert "--n-max: expected an integer >= 16384, got '1'" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -14,7 +14,15 @@ from rleacs.engine import (
     dist_value,
 )
 from rleacs.oracle import brute_acs, brute_match_lengths
-from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq, Run
+from rleacs.rle import (
+    FIRST_SYMBOL_ID,
+    MAX_DECODED_LENGTH,
+    SENTINEL_FIRST,
+    SENTINEL_SECOND,
+    RleSeq,
+    Run,
+)
+from rleacs.suffixes import SuffixRef, build_suffix_order
 
 
 def engine_for(x, y):
@@ -256,3 +264,98 @@ def test_dist_axioms(x, y):
         return  # disjoint alphabets have no finite distance
     backward = dist(second, first).value
     assert abs(forward - backward) <= 1e-12
+
+
+def test_reverse_view_micro():
+    engine, first, second = engine_for("aab", "ab")
+    back = engine.reverse
+    assert (back.first, back.second) == (second, first)
+    assert back.total() == 3  # ACS(Y,X) = 3/2
+    assert [back.run_sum(1), back.run_sum(2)] == [2, 1]
+    assert back.per_position_lengths() == brute_match_lengths("ab", "aab")
+    assert back.reverse.total() == engine.total() == 4
+
+
+def _assert_tie_swaps(first, second, x_run, y_run):
+    """The X suffix at x_run and the Y suffix at y_run have equal content:
+    they are neighbors in both sentinel assignments, in swapped order."""
+    forward = build_suffix_order(first, second).refs
+    backward = build_suffix_order(second, first).refs
+    k = forward.index(SuffixRef(0, x_run))
+    assert forward[k + 1] == SuffixRef(1, y_run)
+    k = backward.index(SuffixRef(0, y_run))
+    assert backward[k + 1] == SuffixRef(1, x_run)
+
+
+@settings(max_examples=200)
+@given(
+    st.text(alphabet="abc", min_size=1, max_size=40),
+    st.text(alphabet="abc", min_size=0, max_size=20),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_reverse_from_one_build_at_sentinel_ties(x, head, cut):
+    # Y ends with a suffix of X that starts a run in both, so the X and Y
+    # suffixes from there on tie on content and only the sentinels order them
+    starts = [p for p in range(len(x)) if p == 0 or x[p] != x[p - 1]]
+    k = cut % len(starts)
+    tail = x[starts[k] :]
+    if head and head[-1] == tail[0]:
+        head += "c" if tail[0] != "c" else "a"
+    y = head + tail
+    first, second, _ = make_pair(x, y)
+    y_run = sum(1 for q in range(len(head)) if q == 0 or head[q] != head[q - 1]) + 1
+    _assert_tie_swaps(first, second, k + 1, y_run)
+
+    engine = AcsEngine(first, second)
+    back = engine.reverse.total()
+    assert back == AcsEngine(second, first).total()
+    assert back == sum(brute_match_lengths(y, x))
+    assert engine.reverse.per_position_lengths() == brute_match_lengths(y, x)
+    assert engine.total() == sum(brute_match_lengths(x, y))
+
+
+def _chain(draws, sym):
+    """Runs whose symbols step away from sym one draw at a time (no neighbor shares one)."""
+    out = []
+    for step, length in draws:
+        sym = (sym + step) % 3
+        out.append(Run(FIRST_SYMBOL_ID + sym, length))
+    return out
+
+
+def _at_bound(body, sentinel):
+    """The sequence with its first run stretched to content length 2^62 - 1."""
+    sym, length = body[0]
+    stretched = Run(sym, length + MAX_DECODED_LENGTH - 1 - sum(r.length for r in body))
+    return RleSeq("S", (stretched, *body[1:], Run(sentinel, 1)))
+
+
+run_draws = st.tuples(
+    st.integers(min_value=1, max_value=2),
+    st.one_of(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1 << 40, max_value=1 << 58),
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(run_draws, min_size=1, max_size=4),
+    st.lists(run_draws, min_size=1, max_size=4),
+    st.lists(run_draws, min_size=1, max_size=4),
+)
+def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head_draws):
+    # both sequences sit at the 2^62 bound, share their last runs, and have
+    # long runs before and inside the shared part; two-sequence totals pass int64
+    tail = _chain(tail_draws, 0)
+    start = tail[0].sym - FIRST_SYMBOL_ID
+    x_head = _chain(x_head_draws, start)[::-1]
+    y_head = _chain(y_head_draws, start)[::-1]
+    first = _at_bound(x_head + tail, SENTINEL_FIRST)
+    second = _at_bound(y_head + tail, SENTINEL_SECOND)
+    assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
+    _assert_tie_swaps(first, second, len(x_head) + 1, len(y_head) + 1)
+
+    engine = AcsEngine(first, second)
+    assert engine.reverse.total() == AcsEngine(second, first).total()

@@ -136,27 +136,33 @@ def test_searches_match_linear_walk_random():
 def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
-    tries = extract_symbol_tries(order)
+    token_leaf = [-1] * len(order)
+    tries = extract_symbol_tries(order, token_leaf)
 
     annotated = sum(1 for ref in order.refs if ref.run >= 2)
     assert sum(len(t.leaves) for t in tries.values()) == annotated
+    # the two sequence starts have no preceding run, every other token a leaf
+    nx = len(first.runs)
+    assert [t for t, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]
 
     for t in tries.values():
-        # freq never decreases toward the root
-        for v in range(t.node_count):
-            p = t.parent[v]
-            if p != -1:
-                assert t.freq[p] >= t.freq[v]
-        # weight telescopes along every root path
-        for leaf in t.leaves:
-            v = t.parent[leaf]
-            total = 0
-            path = []
-            while v != -1:
-                path.append(v)
-                v = t.parent[v]
-            for node in reversed(path):
-                p = t.parent[node]
+        assert [token_leaf[order.tokens[k]] for k in t.leaf_ranks] == t.leaves
+        for freq, weight in ((t.freq, t.weight), (t.rev_freq, t.rev_weight)):
+            # freq never decreases toward the root
+            for v in range(t.node_count):
+                p = t.parent[v]
                 if p != -1:
-                    total += t.freq[node] * (t.str_depth[node] - t.str_depth[p])
-                assert t.weight[node] == total
+                    assert freq[p] >= freq[v]
+            # weight telescopes along every root path
+            for leaf in t.leaves:
+                v = t.parent[leaf]
+                total = 0
+                path = []
+                while v != -1:
+                    path.append(v)
+                    v = t.parent[v]
+                for node in reversed(path):
+                    p = t.parent[node]
+                    if p != -1:
+                        total += freq[node] * (t.str_depth[node] - t.str_depth[p])
+                    assert weight[node] == total

@@ -39,6 +39,15 @@ class FreqAsMin(AcsEngine):
             sub.freq = [0 if b == big else b for b in best]
 
 
+class ReverseReadsForward(AcsEngine):
+    """Planted bug: the reverse direction reads the forward freq/weight columns."""
+
+    def __init__(self, first, second):
+        super().__init__(first, second)
+        for sub in self.tries.values():
+            sub.rev_freq, sub.rev_weight = sub.freq, sub.weight
+
+
 class ExplodingEngine(AcsEngine):
     def __init__(self, first, second):
         raise RuntimeError("boom")
@@ -73,6 +82,14 @@ def test_fault_injection_is_caught_and_replayable():
     seqs, _ = parse_rle_text(report.failure_record)
     assert len(seqs) == 2
     assert check_pair(seqs[0], seqs[1], engine_factory=FreqAsMin)
+    assert check_pair(seqs[0], seqs[1]) == []
+
+
+def test_reverse_column_fault_is_caught():
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward)
+    assert not report.ok
+    assert "reverse lsum" in report.failure
+    seqs, _ = parse_rle_text(report.failure_record)
     assert check_pair(seqs[0], seqs[1]) == []
 
 
