@@ -83,10 +83,10 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         t2 = time.perf_counter()
         best_build = min(best_build, t1 - t0)
         best_query = min(best_query, t2 - t1)
-        nodes = sum(t.node_count for t in engine.tries.values())
+        nodes = engine.trie.node_count
     return BenchRow(
         label=label,
-        tokens=len(engine.order),
+        tokens=len(engine.token_leaf),
         decoded=first.content_length + second.content_length,
         build_s=best_build,
         query_s=best_query,

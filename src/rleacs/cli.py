@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from rleacs import bench
@@ -312,18 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        paths=tuple(getattr(args, "paths", ()) or ()),
-        format=getattr(args, "format", "fasta"),
-        log_base=getattr(args, "log_base", "e"),
-        output=getattr(args, "output", "phylip"),
-        out=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 42),
-        trials=getattr(args, "trials", 1000),
-        n_max=getattr(args, "n_max", 500),
-        relaxed_names=getattr(args, "relaxed_names", False),
-    )
+    """The parsed flags as a RunConfig; flags a command lacks keep its defaults."""
+    parsed = vars(args)
+    values = {f.name: parsed[f.name] for f in fields(RunConfig) if f.name in parsed}
+    values["paths"] = tuple(values.get("paths", ()))
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

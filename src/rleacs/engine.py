@@ -3,8 +3,8 @@
 The engine computes, for every position p of the first sequence, the longest
 prefix of first[p:] occurring anywhere in the second sequence, without ever
 decoding. Positions are processed one run at a time: the answers within a run
-follow a closed form built from two ancestor lookups in the per-symbol trie,
-so a pair costs O(N log N) for N total runs. All accumulation is exact integer
+follow a closed form built from two ancestor lookups in the query trie, so
+a pair costs O(N log N) for N total runs. All accumulation is exact integer
 arithmetic; floats appear only in the final distance value.
 """
 
@@ -49,29 +49,27 @@ class DistResult:
 
 
 class AcsEngine:
-    """One build per unordered pair: a suffix order and its symbol tries.
+    """One build per unordered pair: the query trie of its suffix order.
 
     total() and run_sum(i) score the first sequence's positions against the
     second, ACS(first, second). reverse is a view of the same build that
     scores the second against the first: engine.reverse.total() equals
     AcsEngine(second, first).total() without a second suffix order or a
-    second set of tries. The two directions differ only in which side's
-    leaves feed freq and weight (each trie carries both columns), the
-    max_run table, and which runs are queried.
+    second trie. The two directions differ only in which side's leaves feed
+    freq and weight (the trie carries both columns), the max_run table, and
+    which runs are queried.
 
     Instances are immutable after construction and safe to query from
-    multiple threads. token_leaf[t] is the leaf, in the trie of the run
-    symbol at token t - 1, of the suffix that starts at token t; the suffix
-    after run i of the built pair's first sequence starts at token i, the
-    one after run j of its second at token len(first.runs) + j. order is
-    the built pair's suffix order, shared by the reverse view.
+    multiple threads. token_leaf[t] is the trie leaf of the suffix that
+    starts at token t; the suffix after run i of the built pair's first
+    sequence starts at token i, the one after run j of its second at token
+    len(first.runs) + j. The suffix order itself is not kept.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
         first, second = ensure_pair(first, second)
-        self.order = build_suffix_order(first, second)
-        self.token_leaf = [-1] * len(self.order)
-        self.tries = extract_symbol_tries(self.order, self.token_leaf)
+        self.token_leaf = [-1] * (len(first.runs) + len(second.runs))
+        self.trie = extract_symbol_tries(build_suffix_order(first, second), self.token_leaf)
         self._orient(first, second, reverse=False)
 
     def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
@@ -86,9 +84,8 @@ class AcsEngine:
     def reverse(self) -> AcsEngine:
         """This build seen from the other side: ACS(second, first)."""
         view = object.__new__(type(self))
-        view.order = self.order
         view.token_leaf = self.token_leaf
-        view.tries = self.tries
+        view.trie = self.trie
         view._orient(self.second, self.first, reverse=not self._reverse)
         return view
 
@@ -99,15 +96,15 @@ class AcsEngine:
         trailing copies of s, the best match at offset h is capped by m, the
         longest s-run in the second sequence: m when h > m, otherwise h plus
         the continuation depth of the deepest ancestor (of the following
-        suffix's leaf in the s-trie) still supported by a second-sequence run
-        of at least h. Summing the ancestor depths over h telescopes into two
-        weight lookups.
+        suffix's leaf, in the trie's s-block) still supported by a
+        second-sequence run of at least h. Summing the ancestor depths over h
+        telescopes into two weight lookups.
         """
         sym, f = self.first.runs[i - 1]
         m = self.max_run.get(sym, 0)
         if m == 0:
             return 0
-        trie = self.tries[sym]
+        trie = self.trie
         w = self.token_leaf[self._token_base + i]
         rev = self._reverse
         weight = trie.rev_weight if rev else trie.weight
@@ -138,7 +135,7 @@ class AcsEngine:
             if m == 0:
                 out.extend([0] * f)
                 continue
-            trie = self.tries[sym]
+            trie = self.trie
             w = self.token_leaf[self._token_base + i]
             for h in range(f, 0, -1):
                 if h > m:
@@ -193,11 +190,10 @@ def dist_value(
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     """Symmetric distance between two sequences, from one engine build.
 
-    Both cross averages, ACS(X,Y) and ACS(Y,X), come from the same suffix
-    order and symbol tries (AcsEngine and its reverse view). Degenerate
-    inputs are rejected: decoded lengths below 2 make the normalization
-    meaningless, and a pair with no common symbol has average match 0, which
-    has no finite distance.
+    Both cross averages, ACS(X,Y) and ACS(Y,X), come from the same query
+    trie (AcsEngine and its reverse view). Degenerate inputs are rejected:
+    decoded lengths below 2 make the normalization meaningless, and a pair
+    with no common symbol has average match 0, which has no finite distance.
     """
     if log_base not in LOG_FUNCTIONS:
         raise ValueError(f"unknown log base {log_base!r}")

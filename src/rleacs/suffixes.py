@@ -9,9 +9,10 @@ lengths, never run counts, so they may approach the 2^62 length bound and are
 kept as Python ints except inside the numpy sorting kernels, whose values
 (signed run lengths, dense ranks) individually fit in int64.
 
-The engine reads only the suffix order: the per-symbol tries are built from
-it directly, with range-minimum queries over the lcps. The compact trie over
-all suffixes (build_trie) exists for the structural checks of the verifier.
+The engine reads only the suffix order: its query trie is built from it
+directly, with range-minimum queries over the lcps, and the order is dropped
+once that trie exists. The compact trie over all suffixes (build_trie) exists
+for the structural checks of the verifier.
 """
 
 from __future__ import annotations
@@ -135,19 +136,14 @@ def _dense_rank(columns: list[np.ndarray]) -> np.ndarray:
 def _prefix_double(rank0: np.ndarray) -> np.ndarray:
     """Ranks of all token-string suffixes by repeated doubling from rank0."""
     n = len(rank0)
-    rank = rank0.copy()
+    rank = rank0
     step = 1
     while int(rank.max()) != n - 1:
         if step > 2 * n:
             raise AssertionError("suffix ranks failed to become distinct")
         shifted = np.full(n, -1, dtype=np.int64)
         shifted[: n - step] = rank[step:]
-        idx = np.lexsort((shifted, rank))
-        bump = np.zeros(n, dtype=np.int64)
-        bump[1:] = (rank[idx[1:]] != rank[idx[:-1]]) | (shifted[idx[1:]] != shifted[idx[:-1]])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[idx] = np.cumsum(bump)
-        rank = new_rank
+        rank = _dense_rank([rank, shifted])
         step *= 2
     return rank
 
@@ -237,18 +233,22 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
 
     One left-to-right sweep with a stack holding the rightmost root path in
     strictly increasing str_depth. A node's parent is fixed the moment it
-    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
-    root at str_depth 0.
+    leaves the stack, so popped, the order in which nodes leave it, lists
+    every node after all of its children and ends with the root. Returns
+    (parent, str_depth, leaf_nodes, popped); node 0 is the root, at
+    str_depth 0.
     """
     parent = [-1]
     str_depth = [0]
     stack = [0]
     leaf_nodes = []
+    popped = []
     for k, depth in enumerate(leaf_depths):
         cut = gaps[k - 1] if k else 0
         last = -1
         while str_depth[stack[-1]] > cut:
             node = stack.pop()
+            popped.append(node)
             if last != -1:
                 parent[last] = node
             last = node
@@ -270,15 +270,17 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
     last = -1
     while stack:
         node = stack.pop()
+        popped.append(node)
         if last != -1:
             parent[last] = node
         last = node
-    return parent, str_depth, leaf_nodes
+    return parent, str_depth, leaf_nodes, popped
 
 
 def build_trie(order: SuffixOrder) -> Trie:
     """Compact trie over all the ordered suffixes."""
-    return Trie(*_sweep_compact_trie(order.suffix_lengths, order.dlcp))
+    parent, str_depth, leaves, _ = _sweep_compact_trie(order.suffix_lengths, order.dlcp)
+    return Trie(parent, str_depth, leaves)
 
 
 class RangeMin:
@@ -294,7 +296,7 @@ class RangeMin:
             span *= 2
         self._rows = rows
 
-    def query_many(self, los: np.ndarray, his: np.ndarray) -> list[int]:
+    def query_many(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         lengths = his - los + 1
         # exact floor(log2) via the float exponent; lengths are far below 2^53
         ks = np.frexp(lengths.astype(np.float64))[1] - 1
@@ -305,4 +307,4 @@ class RangeMin:
             lo = los[mask]
             hi = his[mask]
             out[mask] = np.minimum(row[lo], row[hi - (1 << int(k)) + 1])
-        return out.tolist()
+        return out

@@ -1,15 +1,18 @@
-"""Per-symbol tries over suffixes grouped by their preceding run's symbol.
+"""One query trie over the suffixes, in blocks by their preceding run's symbol.
 
-For each symbol, the ranks of the suffix order whose suffix follows a run of
-that symbol are assembled into a compact trie of their own, straight from the
-order: the lcp between two selected neighbors is the minimum of the order's
-lcps over the gap, answered by a sparse range-minimum table. Every node
-carries freq, the largest length of a preceding second-sequence run among the
-leaves below it, and weight, a running sum that turns "sum of ancestor depths
-over a range of thresholds" queries into two node lookups. rev_freq and
-rev_weight are the same columns over the first sequence's leaves; they answer
-the reverse direction of the pair from the same tries. Ancestor searches
-climb with binary lifting, so each query costs O(log N).
+The paper answers each run of symbol c from a compact trie T_c over the
+suffixes that follow a c-run. Those tries are the root's subtrees in one
+compact trie, built here straight from the suffix order: its leaves are the
+ranks whose suffix follows a run, one contiguous block per preceding-run
+symbol, ranks ascending inside a block. The lcp between two neighbors in a
+block is the minimum of the order's lcps over the gap, answered by a sparse
+range-minimum table; between blocks it is 0. Every node carries freq, the
+largest length of a preceding second-sequence run among the leaves below it,
+and weight, a running sum that turns "sum of ancestor depths over a range of
+thresholds" queries into two node lookups. rev_freq and rev_weight are the
+same columns over the first sequence's leaves; they answer the reverse
+direction of the pair from the same trie. Ancestor searches climb with
+binary lifting, so each query costs O(log N).
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie
 
 @dataclass
 class SymbolTrie:
-    """Compact trie over the suffixes preceded by a run of one symbol.
+    """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
-    leaves[j] is the node of the j-th leaf in suffix order; leaf_ranks[j] is
-    its rank in the SuffixOrder, and leaf_run_len[j] the length of the run
+    leaves[j] is the node of the j-th leaf; the leaves of one preceding-run
+    symbol form a contiguous block, in suffix order, and the blocks follow
+    symbol order. leaf_ranks[j] is the
+    leaf's rank in the SuffixOrder, and leaf_run_len[j] the length of the run
     before it. freq/weight count the second sequence's leaves and serve
     queries from the first sequence's runs; rev_freq/rev_weight count the
     first sequence's leaves and serve the reverse direction. The reverse
-    queries need no tries of their own: swapping the two sequences' roles
+    queries need no trie of their own: swapping the two sequences' roles
     only swaps the order of an X and a Y leaf with equal decoded content,
     which are siblings, so every parent and depth stays as it is.
     """
@@ -72,24 +77,20 @@ class SymbolTrie:
         p = self.parent[v]
         return p if p >= 0 else None
 
-    def deepest_y_ancestor(self, leaf: int) -> int | None:
-        """Deepest proper ancestor with any second-sequence leaf below it."""
-        return self.deepest_freq_ancestor(leaf, 1)
 
-
-def annotate(trie: SymbolTrie) -> SymbolTrie:
+def annotate(trie: SymbolTrie, popped: list[int]) -> SymbolTrie:
     """Fill both freq/weight columns and the lifting rows, in place.
 
-    freq flows bottom-up as a subtree maximum over second-sequence leaf run
-    lengths (rev_freq over first-sequence ones); weight flows top-down as
-    weight(parent) + freq(v) * edge length. Processing nodes by str_depth
-    orders parents before children (edges have strictly positive decoded
-    length). Both columns ride on the same passes.
+    popped lists every node after all of its children, as the sweep pops
+    them. freq flows bottom-up along it as a subtree maximum over
+    second-sequence leaf run lengths (rev_freq over first-sequence ones);
+    weight flows top-down along it reversed, as weight(parent) + freq(v) *
+    edge length. Both columns ride on the same passes. popped is emptied
+    once the weights are in, so the lifting rows can reuse its memory.
     """
     parent = trie.parent
     str_depth = trie.str_depth
     n = len(parent)
-    by_depth = sorted(range(n), key=str_depth.__getitem__)
 
     freq = [0] * n
     rev_freq = [0] * n
@@ -100,7 +101,7 @@ def annotate(trie: SymbolTrie) -> SymbolTrie:
             freq[leaf] = run_len
         else:
             rev_freq[leaf] = run_len
-    for v in reversed(by_depth):
+    for v in popped:
         p = parent[v]
         if p >= 0:
             if freq[v] > freq[p]:
@@ -108,24 +109,23 @@ def annotate(trie: SymbolTrie) -> SymbolTrie:
             if rev_freq[v] > rev_freq[p]:
                 rev_freq[p] = rev_freq[v]
 
-    # node_depth counts the nodes on the root path (root = 1); it only sizes
-    # the lifting table
-    node_depth = [1] * n
     weight = [0] * n
     rev_weight = [0] * n
-    for v in by_depth:
+    for v in reversed(popped):
         p = parent[v]
         if p >= 0:
-            node_depth[v] = node_depth[p] + 1
             edge = str_depth[v] - str_depth[p]
             weight[v] = weight[p] + freq[v] * edge
             rev_weight[v] = rev_weight[p] + rev_freq[v] * edge
+    popped.clear()
 
+    # up[k][v] is the 2^k-th ancestor of v, or -1; a row is added while some
+    # node still has an ancestor twice as far up as the last row reaches
     up = [parent]
-    max_depth = max(node_depth)
-    while (1 << len(up)) < max_depth:
-        prev = up[-1]
-        up.append([prev[a] if a >= 0 else -1 for a in prev])
+    prev = parent
+    while any(prev[a] >= 0 for a in prev if a >= 0):
+        prev = [prev[a] if a >= 0 else -1 for a in prev]
+        up.append(prev)
 
     trie.freq = freq
     trie.weight = weight
@@ -135,55 +135,49 @@ def annotate(trie: SymbolTrie) -> SymbolTrie:
     return trie
 
 
-def extract_symbol_tries(
-    order: SuffixOrder, token_leaf: list[int] | None = None
-) -> dict[int, SymbolTrie]:
-    """Group the ranked suffixes by preceding-run symbol and build their tries.
+def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTrie:
+    """Build and annotate the query trie straight from the suffix order.
 
     The suffix at token t is preceded by the run at token t - 1, except the
     two sequence starts (tokens 0 and len(first.runs)), which have none.
-    Leaves keep their global order. When token_leaf is given (one slot per
-    token), token_leaf[t] is set to the leaf of token t's suffix in the trie
-    of its preceding run's symbol; the two sequence-start slots are left as
-    they were.
+    token_leaf holds one slot per token; token_leaf[t] is set to the leaf of
+    token t's suffix, and the two sequence-start slots are left as they were.
+    The order is no longer referenced once the trie's sweep starts.
     """
     runs = order.first.runs + order.second.runs
     nx = len(order.first.runs)
     tokens = order.tokens
-    by_sym: dict[int, list[int]] = {}
-    for rank, t in enumerate(tokens):
-        if t != 0 and t != nx:
-            by_sym.setdefault(runs[t - 1].sym, []).append(rank)
+    ranks = [k for k, t in enumerate(tokens) if t != 0 and t != nx]
+    # stable, so ranks stay ascending inside each symbol's block
+    ranks.sort(key=lambda k: runs[tokens[k] - 1].sym)
+    leaf_tokens = [tokens[k] for k in ranks]
+    depths = [order.suffix_lengths[k] for k in ranks]
 
-    # all neighbor lcps first, so the range-min table is freed before the
-    # tries and their annotations are built
-    rmq = RangeMin(order.dlcp) if order.dlcp else None
-    gaps: dict[int, list[int]] = {}
-    for sym, ranks in by_sym.items():
-        if len(ranks) > 1:
-            los = np.array(ranks[:-1], dtype=np.int64)
-            his = np.array(ranks[1:], dtype=np.int64) - 1
-            gaps[sym] = rmq.query_many(los, his)
-        else:
-            gaps[sym] = []
-    del rmq
+    # Neighbors in one block get the range-min of the order's lcps between
+    # them; neighbors in different blocks get 0, so each block hangs from
+    # the root as the paper's per-symbol trie would. Sharing that root is
+    # safe because a run of symbol s only asks thresholds h <= m_s, the
+    # longest s-run of the other sequence, and the leaf after that run sits
+    # in the s-block: both the block's own root and the shared root qualify,
+    # each with str_depth 0 and weight 0.
+    syms = np.array([runs[t - 1].sym for t in leaf_tokens], dtype=np.int64)
+    inner = np.flatnonzero(syms[1:] == syms[:-1])
+    rank_arr = np.array(ranks, dtype=np.int64)
+    gaps = np.zeros_like(rank_arr[1:])
+    gaps[inner] = RangeMin(order.dlcp).query_many(rank_arr[inner], rank_arr[inner + 1] - 1)
+    gaps = gaps.tolist()
+    del order, tokens
 
-    suffix_lengths = order.suffix_lengths
-    tries: dict[int, SymbolTrie] = {}
-    for sym, ranks in by_sym.items():
-        depths = [suffix_lengths[k] for k in ranks]
-        parent, str_depth, leaf_nodes = _sweep_compact_trie(depths, gaps.pop(sym))
-        leaf_tokens = [tokens[k] for k in ranks]
-        if token_leaf is not None:
-            for t, leaf in zip(leaf_tokens, leaf_nodes):
-                token_leaf[t] = leaf
-        sub = SymbolTrie(
-            parent=parent,
-            str_depth=str_depth,
-            leaves=leaf_nodes,
-            leaf_ranks=ranks,
-            leaf_from_second=[t >= nx for t in leaf_tokens],
-            leaf_run_len=[runs[t - 1].length for t in leaf_tokens],
-        )
-        tries[sym] = annotate(sub)
-    return tries
+    parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
+    del depths, gaps
+    for t, leaf in zip(leaf_tokens, leaf_nodes):
+        token_leaf[t] = leaf
+    trie = SymbolTrie(
+        parent=parent,
+        str_depth=str_depth,
+        leaves=leaf_nodes,
+        leaf_ranks=ranks,
+        leaf_from_second=[t >= nx for t in leaf_tokens],
+        leaf_run_len=[runs[t - 1].length for t in leaf_tokens],
+    )
+    return annotate(trie, popped)

@@ -30,7 +30,7 @@ from rleacs.oracle import (
     suffix_runs,
 )
 from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, decode_ids, encode
-from rleacs.suffixes import build_trie
+from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -176,11 +176,12 @@ def _compare(
 ) -> list[str]:
     failures: list[str] = []
     first, second = engine.first, engine.second
-    if engine.order.tokens != brute_order.tokens:
+    order = build_suffix_order(first, second)
+    if order.tokens != brute_order.tokens:
         failures.append("suffix order differs from brute sort")
-    if engine.order.dlcp != brute_order.dlcp:
+    if order.dlcp != brute_order.dlcp:
         failures.append("suffix lcp array differs from brute sort")
-    if engine.order.suffix_lengths != brute_order.suffix_lengths:
+    if order.suffix_lengths != brute_order.suffix_lengths:
         failures.append("suffix lengths differ from brute sort")
 
     lsum = engine.total()
@@ -239,13 +240,13 @@ def _compare(
             failures.append("self distance not zero")
 
     if deep:
-        failures.extend(_structural_checks(engine))
+        failures.extend(_structural_checks(engine, order))
     return failures
 
 
-def _structural_checks(engine: AcsEngine) -> list[str]:
+def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
+    """Invariants of the main trie and of the engine's query trie, built on order."""
     failures: list[str] = []
-    order = engine.order
     trie = build_trie(order)
 
     failures.extend(
@@ -259,59 +260,62 @@ def _structural_checks(engine: AcsEngine) -> list[str]:
         )
     )
 
+    query = engine.trie
     refs = order.refs
-    runs = (engine.first.runs, engine.second.runs)
-    annotated = sum(1 for ref in refs if ref.run >= 2)
-    extracted = sum(len(t.leaves) for t in engine.tries.values())
-    if extracted != annotated:
-        failures.append(f"symbol tries hold {extracted} leaves, expected {annotated}")
+    if sorted(query.leaf_ranks) != [k for k, ref in enumerate(refs) if ref.run >= 2]:
+        failures.append("query trie leaves are not the suffixes that follow a run")
+        return failures
 
-    for sym, sub in engine.tries.items():
-        columns = (("", sub.freq, sub.weight), ("rev_", sub.rev_freq, sub.rev_weight))
-        for prefix, freq, weight in columns:
-            for v in range(sub.node_count):
-                p = sub.parent[v]
-                if p >= 0 and freq[p] < freq[v]:
-                    failures.append(f"trie {sym}: {prefix}freq increases from node {p} to {v}")
-                    break
-            for v in range(sub.node_count):
-                p = sub.parent[v]
-                expect = 0 if p < 0 else (
-                    weight[p] + freq[v] * (sub.str_depth[v] - sub.str_depth[p])
-                )
-                if weight[v] != expect:
-                    failures.append(f"trie {sym}: {prefix}weight at node {v} breaks telescoping")
-                    break
-        leaf_tokens = [order.tokens[k] for k in sub.leaf_ranks]
-        if [engine.token_leaf[t] for t in leaf_tokens] != sub.leaves:
-            failures.append(f"trie {sym}: token_leaf does not point at the trie's leaves")
-        leaf_refs = [refs[k] for k in sub.leaf_ranks]
-        preceding = [
-            (runs[ref.seq][ref.run - 2], ref.seq == 1) if ref.run >= 2 else None
-            for ref in leaf_refs
-        ]
-        annotations = [((sym, n), y) for n, y in zip(sub.leaf_run_len, sub.leaf_from_second)]
-        if preceding != annotations:
-            failures.append(f"trie {sym}: leaf annotations differ from the preceding runs")
-        # gap lcps recomputed with the run walker, then interval mins
-        gaps = [
-            suffix_lcp(engine.first, engine.second, a, b)
-            for a, b in zip(leaf_refs, leaf_refs[1:])
-        ]
-        depths = [
-            sum(r.length for r in suffix_runs(engine.first, engine.second, ref))
-            for ref in leaf_refs
-        ]
-        failures.extend(
-            _interval_min_mismatches(
-                f"trie {sym}",
-                sub.parent,
-                sub.str_depth,
-                sub.leaves,
-                depths,
-                gaps,
+    columns = (("", query.freq, query.weight), ("rev_", query.rev_freq, query.rev_weight))
+    for prefix, freq, weight in columns:
+        for v in range(query.node_count):
+            p = query.parent[v]
+            if p >= 0 and freq[p] < freq[v]:
+                failures.append(f"query trie: {prefix}freq increases from node {p} to {v}")
+                break
+        for v in range(query.node_count):
+            p = query.parent[v]
+            expect = 0 if p < 0 else (
+                weight[p] + freq[v] * (query.str_depth[v] - query.str_depth[p])
             )
+            if weight[v] != expect:
+                failures.append(f"query trie: {prefix}weight at node {v} breaks telescoping")
+                break
+    leaf_tokens = [order.tokens[k] for k in query.leaf_ranks]
+    if [engine.token_leaf[t] for t in leaf_tokens] != query.leaves:
+        failures.append("query trie: token_leaf does not point at the trie's leaves")
+
+    runs = (engine.first.runs, engine.second.runs)
+    leaf_refs = [refs[k] for k in query.leaf_ranks]
+    preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
+    if [(r.length, ref.seq == 1) for r, ref in zip(preceding, leaf_refs)] != list(
+        zip(query.leaf_run_len, query.leaf_from_second)
+    ):
+        failures.append("query trie: leaf annotations differ from the preceding runs")
+    syms = [r.sym for r in preceding]
+    if sorted(zip(syms, query.leaf_ranks)) != list(zip(syms, query.leaf_ranks)):
+        failures.append("query trie: leaves are not in symbol blocks of ascending rank")
+
+    # gap lcps recomputed with the run walker inside a block, 0 between
+    # blocks, then interval mins
+    gaps = [
+        suffix_lcp(engine.first, engine.second, a, b) if s == t else 0
+        for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
+    ]
+    depths = [
+        sum(r.length for r in suffix_runs(engine.first, engine.second, ref))
+        for ref in leaf_refs
+    ]
+    failures.extend(
+        _interval_min_mismatches(
+            "query trie",
+            query.parent,
+            query.str_depth,
+            query.leaves,
+            depths,
+            gaps,
         )
+    )
     return failures
 
 

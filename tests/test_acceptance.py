@@ -19,6 +19,7 @@ from rleacs.cli import main
 from rleacs.engine import AcsEngine, acs, acs_self, dist, dist_value
 from rleacs.oracle import OracleBudget, brute_match_lengths, brute_suffix_sort
 from rleacs.rle import SENTINEL_SECOND, Alphabet, encode
+from rleacs.suffixes import build_suffix_order
 from rleacs.verify import ALPHABET_SIZES, RUN_LENGTH_MEANS, _structural_checks, random_text
 
 SEED = 97
@@ -63,6 +64,9 @@ def campaign() -> Campaign:
         second = encode(y_text, f"Y{trial}", alphabet, sentinel=SENTINEL_SECOND)
         result.pairs += 1
 
+        # the engine keeps no suffix order; this one is built for the checks
+        order = build_suffix_order(first, second)
+
         # criterion 1: engine vs brute oracle, timed
         t0 = time.perf_counter()
         engine = AcsEngine(first, second)
@@ -72,9 +76,9 @@ def campaign() -> Campaign:
         if lsum != sum(brute_l):
             result.lsum_failures.append(trial)
         if (
-            engine.order.refs != brute_order.refs
-            or engine.order.dlcp != brute_order.dlcp
-            or engine.order.suffix_lengths != brute_order.suffix_lengths
+            order.refs != brute_order.refs
+            or order.dlcp != brute_order.dlcp
+            or order.suffix_lengths != brute_order.suffix_lengths
         ):
             result.order_failures.append(trial)
         result.oracle_seconds += time.perf_counter() - t0
@@ -124,7 +128,7 @@ def campaign() -> Campaign:
         )
 
         # criterion 7: structural invariants of the tries
-        structural = _structural_checks(engine)
+        structural = _structural_checks(engine, order)
         if structural:
             result.structural_failures.append((trial, structural[0]))
     return result

@@ -11,6 +11,7 @@ from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq, Run
 from rleacs.suffixes import (
     RangeMin,
     SuffixRef,
+    _sweep_compact_trie,
     build_suffix_order,
     build_trie,
     longest_run_table,
@@ -121,18 +122,13 @@ def test_trie_micro_pair():
     assert trie.parent[b1] == trie.parent[b2]
     assert trie.str_depth[trie.parent[b1]] == 1
     assert trie.parent[trie.parent[b1]] == 0
-    # leaf annotations: preceding run of each suffix, by rank
-    tries = extract_symbol_tries(order)
-    t_a = tries[first.runs[0].sym]
-    t_b = tries[first.runs[1].sym]
-    assert t_a.leaf_ranks == [4, 5]  # X suffix "b<s1>", Y suffix "b<s2>"
-    assert t_a.leaf_run_len == [2, 1]
-    assert t_a.leaf_from_second == [False, True]
-    assert t_b.leaf_ranks == [0, 1]  # X and Y sentinel suffixes
-    assert t_b.leaf_run_len == [1, 1]
-    assert t_b.leaf_from_second == [False, True]
-    # the whole-X and whole-Y suffixes (ranks 2 and 3) have no preceding run
-    assert sorted(k for t in tries.values() for k in t.leaf_ranks) == [0, 1, 4, 5]
+    # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
+    # then the b-block (X and Y sentinel suffixes); the whole-X and whole-Y
+    # suffixes (ranks 2 and 3) have no preceding run
+    query = extract_symbol_tries(order, [-1] * len(order))
+    assert query.leaf_ranks == [4, 5, 0, 1]
+    assert query.leaf_run_len == [2, 1, 1, 1]
+    assert query.leaf_from_second == [False, True, False, True]
 
 
 def _random_runny_text(rng, n, alphabet):
@@ -239,6 +235,10 @@ def test_trie_str_depth_is_interval_min(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
     trie = build_trie(order)
+    *_, popped = _sweep_compact_trie(order.suffix_lengths, order.dlcp)
+    # the pop order lists every node once, after all of its children, root last
+    assert sorted(popped) == list(range(len(trie.parent))) and popped[-1] == 0
+    assert all(popped.index(trie.parent[v]) > i for i, v in enumerate(popped[:-1]))
     # leaf interval of each internal node, recovered from leaf parents upward
     intervals = {}
     for rank, leaf in enumerate(trie.leaves):
@@ -264,11 +264,11 @@ def test_range_min_matches_direct_scan():
         lo = rng.randint(0, len(values) - 1)
         los.append(lo)
         his.append(rng.randint(lo, len(values) - 1))
-    assert rmq.query_many(np.array(los), np.array(his)) == [
+    assert rmq.query_many(np.array(los), np.array(his)).tolist() == [
         min(values[lo : hi + 1]) for lo, hi in zip(los, his)
     ]
 
 
 def test_range_min_single_element():
     rmq = RangeMin([42])
-    assert rmq.query_many(np.array([0]), np.array([0])) == [42]
+    assert rmq.query_many(np.array([0]), np.array([0])).tolist() == [42]

@@ -9,54 +9,57 @@ from rleacs.suffixes import SuffixRef, build_suffix_order
 from rleacs.symbol_tries import SymbolTrie, annotate, extract_symbol_tries
 
 
-def build_tries(x, y):
+def build_query_trie(x, y):
     first, second, alpha = make_pair(x, y)
     order = build_suffix_order(first, second)
-    return extract_symbol_tries(order), order, alpha
+    return extract_symbol_tries(order, [-1] * len(order)), order, alpha
 
 
 def test_extract_micro_pair():
-    tries, order, alpha = build_tries("aab", "ab")
-    a_id, b_id = alpha.to_id["a"], alpha.to_id["b"]
-    assert set(tries) == {a_id, b_id}
-
-    t_a = tries[a_id]
-    # leaves: X suffix "b<s1>" (preceded by a-run of 2), Y suffix "b<s2>" (a-run of 1)
-    assert [order.refs[k] for k in t_a.leaf_ranks] == [SuffixRef(0, 2), SuffixRef(1, 2)]
-    assert t_a.leaf_from_second == [False, True]
-    assert t_a.leaf_run_len == [2, 1]
-    assert t_a.node_count == 4  # root, one mid node, two leaves
-    mid = t_a.parent[t_a.leaves[0]]
-    assert t_a.str_depth[mid] == 1
-    assert t_a.parent[t_a.leaves[1]] == mid
-
-    t_b = tries[b_id]
-    # leaves: the two sentinel suffixes, lcp 0, both directly under the root
-    assert [order.refs[k] for k in t_b.leaf_ranks] == [SuffixRef(0, 3), SuffixRef(1, 3)]
-    assert [t_b.parent[v] for v in t_b.leaves] == [0, 0]
-    assert t_b.node_count == 3
+    trie, order, alpha = build_query_trie("aab", "ab")
+    assert alpha.to_id["a"] < alpha.to_id["b"]
+    # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
+    # (a-run of 1); b-block: the two sentinel suffixes
+    assert [order.refs[k] for k in trie.leaf_ranks] == [
+        SuffixRef(0, 2),
+        SuffixRef(1, 2),
+        SuffixRef(0, 3),
+        SuffixRef(1, 3),
+    ]
+    assert trie.leaf_from_second == [False, True, False, True]
+    assert trie.leaf_run_len == [2, 1, 1, 1]
+    # root, the a-block's mid node and its two leaves, the two b-leaves
+    assert trie.node_count == 6
+    a_x, a_y, b_x, b_y = trie.leaves
+    mid = trie.parent[a_x]
+    assert trie.str_depth[mid] == 1
+    assert trie.parent[a_y] == mid
+    assert trie.parent[mid] == 0
+    # the sentinel suffixes share no prefix: both hang from the root
+    assert [trie.parent[b_x], trie.parent[b_y]] == [0, 0]
 
 
 def test_annotate_micro_pair():
-    tries, _, alpha = build_tries("aab", "ab")
-    t_a = tries[alpha.to_id["a"]]
-    mid = t_a.parent[t_a.leaves[0]]
-    assert t_a.freq[mid] == 1
-    assert t_a.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
-    assert t_a.freq[0] == 1
-    assert t_a.weight[0] == 0
+    trie, _, _ = build_query_trie("aab", "ab")
+    mid = trie.parent[trie.leaves[0]]
+    assert trie.freq[mid] == 1
+    assert trie.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
+    assert trie.freq[0] == 1
+    assert trie.weight[0] == 0
     # leaves: type-X leaf freq 0, type-Y leaf freq = its run length
-    assert t_a.freq[t_a.leaves[0]] == 0
-    assert t_a.freq[t_a.leaves[1]] == 1
+    assert trie.freq[trie.leaves[0]] == 0
+    assert trie.freq[trie.leaves[1]] == 1
 
 
 def test_annotate_no_second_sequence_leaves():
-    # Y contributes no b-preceded suffixes, so T_b is X-only: all freq 0
-    tries, _, alpha = build_tries("aba", "a")
-    t_b = tries[alpha.to_id["b"]]
-    assert not any(t_b.leaf_from_second)
-    assert all(f == 0 for f in t_b.freq)
-    assert all(w == 0 for w in t_b.weight)
+    # Y contributes no b-preceded suffix, so the b-block is one X leaf: freq
+    # 0 below the root, which carries the a-block's Y leaf
+    trie, _, _ = build_query_trie("aba", "a")
+    b_leaf = trie.leaves[-1]
+    assert not trie.leaf_from_second[-1]
+    assert trie.parent[b_leaf] == 0
+    assert trie.freq[b_leaf] == 0 and trie.weight[b_leaf] == 0
+    assert trie.freq[0] == 1 and trie.weight[0] == 0
 
 
 def test_annotate_chain_recurrence():
@@ -70,7 +73,7 @@ def test_annotate_chain_recurrence():
         leaf_from_second=[True, True, True],
         leaf_run_len=[3, 2, 5],
     )
-    annotate(trie)
+    annotate(trie, [3, 4, 2, 5, 1, 0])
     assert trie.freq[1] == 5
     assert trie.freq[2] == 3
     assert trie.weight[1] == 10  # 5 * (2 - 0)
@@ -78,20 +81,21 @@ def test_annotate_chain_recurrence():
 
 
 def test_deepest_ancestor_micro():
-    tries, _, alpha = build_tries("aab", "ab")
-    t_a = tries[alpha.to_id["a"]]
-    leaf = t_a.leaves[0]  # X suffix "b<s1>"
-    mid = t_a.parent[leaf]
-    assert t_a.deepest_freq_ancestor(leaf, 1) == mid
-    assert t_a.deepest_freq_ancestor(leaf, 2) is None  # root freq is only 1
-    assert t_a.deepest_y_ancestor(leaf) == mid
+    trie, _, _ = build_query_trie("aab", "ab")
+    leaf = trie.leaves[0]  # X suffix "b<s1>"
+    mid = trie.parent[leaf]
+    assert trie.deepest_freq_ancestor(leaf, 1) == mid
+    assert trie.deepest_freq_ancestor(leaf, 2) is None  # root freq is only 1
 
 
 def test_deepest_ancestor_none_without_y_leaves():
-    tries, _, alpha = build_tries("aba", "a")
-    t_b = tries[alpha.to_id["b"]]
-    leaf = t_b.leaves[0]
-    assert t_b.deepest_y_ancestor(leaf) is None
+    # the b-block has no Y leaf; at threshold 1 the climb ends at the shared
+    # root (str_depth 0, weight 0, as a b-only root would have), and above
+    # the root's freq there is no qualifying ancestor
+    trie, _, _ = build_query_trie("aba", "a")
+    leaf = trie.leaves[-1]
+    assert trie.deepest_freq_ancestor(leaf, 1) == 0
+    assert trie.deepest_freq_ancestor(leaf, 2) is None
 
 
 def _walk_up_reference(trie, leaf, threshold):
@@ -120,13 +124,12 @@ def test_searches_match_linear_walk_random():
     for _ in range(60):
         x = _random_runny_text(rng, rng.randint(2, 80), "ab")
         y = _random_runny_text(rng, rng.randint(2, 80), "ab")
-        tries, _, _ = build_tries(x, y)
-        for trie in tries.values():
-            top = max(trie.freq) + 1
-            for leaf in trie.leaves:
-                for threshold in range(1, top + 1):
-                    expect = _walk_up_reference(trie, leaf, threshold)
-                    assert trie.deepest_freq_ancestor(leaf, threshold) == expect
+        trie, _, _ = build_query_trie(x, y)
+        top = max(trie.freq) + 1
+        for leaf in trie.leaves:
+            for threshold in range(1, top + 1):
+                expect = _walk_up_reference(trie, leaf, threshold)
+                assert trie.deepest_freq_ancestor(leaf, threshold) == expect
 
 
 @given(
@@ -137,32 +140,30 @@ def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
     token_leaf = [-1] * len(order)
-    tries = extract_symbol_tries(order, token_leaf)
+    t = extract_symbol_tries(order, token_leaf)
 
-    annotated = sum(1 for ref in order.refs if ref.run >= 2)
-    assert sum(len(t.leaves) for t in tries.values()) == annotated
+    assert sorted(t.leaf_ranks) == [k for k, ref in enumerate(order.refs) if ref.run >= 2]
     # the two sequence starts have no preceding run, every other token a leaf
     nx = len(first.runs)
-    assert [t for t, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]
+    assert [tok for tok, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]
+    assert [token_leaf[order.tokens[k]] for k in t.leaf_ranks] == t.leaves
 
-    for t in tries.values():
-        assert [token_leaf[order.tokens[k]] for k in t.leaf_ranks] == t.leaves
-        for freq, weight in ((t.freq, t.weight), (t.rev_freq, t.rev_weight)):
-            # freq never decreases toward the root
-            for v in range(t.node_count):
-                p = t.parent[v]
+    for freq, weight in ((t.freq, t.weight), (t.rev_freq, t.rev_weight)):
+        # freq never decreases toward the root
+        for v in range(t.node_count):
+            p = t.parent[v]
+            if p != -1:
+                assert freq[p] >= freq[v]
+        # weight telescopes along every root path
+        for leaf in t.leaves:
+            v = t.parent[leaf]
+            total = 0
+            path = []
+            while v != -1:
+                path.append(v)
+                v = t.parent[v]
+            for node in reversed(path):
+                p = t.parent[node]
                 if p != -1:
-                    assert freq[p] >= freq[v]
-            # weight telescopes along every root path
-            for leaf in t.leaves:
-                v = t.parent[leaf]
-                total = 0
-                path = []
-                while v != -1:
-                    path.append(v)
-                    v = t.parent[v]
-                for node in reversed(path):
-                    p = t.parent[node]
-                    if p != -1:
-                        total += freq[node] * (t.str_depth[node] - t.str_depth[p])
-                    assert weight[node] == total
+                    total += freq[node] * (t.str_depth[node] - t.str_depth[p])
+                assert weight[node] == total

@@ -23,20 +23,20 @@ class FreqAsMin(AcsEngine):
     def __init__(self, first, second):
         super().__init__(first, second)
         big = 1 << 62
-        for sub in self.tries.values():
-            best = [big] * sub.node_count
-            for leaf, from2, run_len in zip(
-                sub.leaves, sub.leaf_from_second, sub.leaf_run_len
-            ):
-                if from2:
-                    best[leaf] = min(best[leaf], run_len)
-            for v in sorted(
-                range(sub.node_count), key=sub.str_depth.__getitem__, reverse=True
-            ):
-                p = sub.parent[v]
-                if p >= 0 and best[v] < big:
-                    best[p] = min(best[p], best[v])
-            sub.freq = [0 if b == big else b for b in best]
+        trie = self.trie
+        best = [big] * trie.node_count
+        for leaf, from2, run_len in zip(
+            trie.leaves, trie.leaf_from_second, trie.leaf_run_len
+        ):
+            if from2:
+                best[leaf] = min(best[leaf], run_len)
+        for v in sorted(
+            range(trie.node_count), key=trie.str_depth.__getitem__, reverse=True
+        ):
+            p = trie.parent[v]
+            if p >= 0 and best[v] < big:
+                best[p] = min(best[p], best[v])
+        trie.freq = [0 if b == big else b for b in best]
 
 
 class ReverseReadsForward(AcsEngine):
@@ -44,8 +44,7 @@ class ReverseReadsForward(AcsEngine):
 
     def __init__(self, first, second):
         super().__init__(first, second)
-        for sub in self.tries.values():
-            sub.rev_freq, sub.rev_weight = sub.freq, sub.weight
+        self.trie.rev_freq, self.trie.rev_weight = self.trie.freq, self.trie.weight
 
 
 class ExplodingEngine(AcsEngine):
