@@ -22,6 +22,7 @@ from rleacs.rle import (
     build_text_sequences,
     read_fasta_records,
     read_rle_records,
+    read_text_record,
 )
 from rleacs.verify import run_verification
 
@@ -65,7 +66,7 @@ def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
             if config.format == "fasta":
                 text_records.extend(read_fasta_records(fh))
             else:
-                text_records.append((Path(path).stem, "".join(line.strip() for line in fh)))
+                text_records.append(read_text_record(fh, Path(path).stem))
     return build_text_sequences(text_records)
 
 

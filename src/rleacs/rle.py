@@ -6,8 +6,9 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 SENTINEL_FIRST = 0
 SENTINEL_SECOND = 1
@@ -18,6 +19,10 @@ RESERVED_CHARS = ("\x00", "\x01")
 
 MAX_DECODED_LENGTH = 1 << 62
 DEFAULT_DECODE_LIMIT = 1 << 26
+
+# Stripped body lines are run-encoded in blocks of about this many characters,
+# so FASTA and raw-text ingest never hold a record's decoded text whole.
+BLOCK_CHARS = 1 << 20
 
 
 class ParseError(ValueError):
@@ -137,15 +142,39 @@ def encode(
     """
     if not text:
         raise ValueError("empty sequence")
+    codepoints, lengths = _codepoint_runs(text)
+    return _seq_from_runs(name, codepoints, lengths, alphabet, sentinel)
+
+
+def _codepoint_runs(text: str) -> tuple[list[int], list[int]]:
+    """Maximal runs of a nonempty text as (codepoints, lengths) lists of ints."""
+    if text.isascii():
+        cps = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    bounds = np.concatenate(([0], np.flatnonzero(cps[1:] != cps[:-1]) + 1, [cps.size]))
+    return cps[bounds[:-1]].tolist(), np.diff(bounds).tolist()
+
+
+def _seq_from_runs(
+    name: str,
+    codepoints: list[int],
+    lengths: list[int],
+    alphabet: Alphabet | None,
+    sentinel: int = SENTINEL_FIRST,
+) -> RleSeq:
+    """Map maximal codepoint runs onto alphabet ids (an own alphabet if None)."""
+    symbols = set(codepoints)
     for ch in RESERVED_CHARS:
-        if ch in text:
+        if ord(ch) in symbols:
             raise ValueError(f"reserved symbol {ch!r}")
     if alphabet is None:
-        alphabet = Alphabet.from_symbols(text)
+        alphabet = Alphabet.from_symbols(map(chr, symbols))
+    ids = {ord(ch): sym for ch, sym in alphabet.to_id.items()}
     try:
-        runs = [Run(alphabet.to_id[ch], sum(1 for _ in grp)) for ch, grp in groupby(text)]
+        runs = [Run(ids[cp], length) for cp, length in zip(codepoints, lengths)]
     except KeyError as exc:
-        raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        raise ValueError(f"symbol {chr(exc.args[0])!r} not in alphabet") from None
     runs.append(Run(sentinel, 1))
     return RleSeq(name=name, runs=tuple(runs))
 
@@ -244,30 +273,92 @@ def read_rle_records(stream) -> list[tuple[str, list[tuple[str, int]]]]:
     return merged_records
 
 
-def read_fasta_records(stream) -> list[tuple[str, str]]:
-    """Read FASTA records into (name, text) pairs, folding body lines."""
-    names: list[str] = []
-    bodies: list[list[str]] = []
+class TextRuns(NamedTuple):
+    """A text record as maximal runs of raw codepoints, before any alphabet."""
+
+    name: str
+    codepoints: list[int]
+    lengths: list[int]
+
+
+class _RunCollector:
+    """Maximal codepoint runs of text fed line by line, encoded a block at a time.
+
+    Lines wait until about BLOCK_CHARS characters have gathered, then the
+    joined block goes through _codepoint_runs; a run still open at the end of
+    one block merges with the first run of the next when they share a
+    codepoint.
+    """
+
+    def __init__(self) -> None:
+        self.codepoints: list[int] = []
+        self.lengths: list[int] = []
+        self._block: list[str] = []
+        self._chars = 0
+
+    def add(self, line: str) -> None:
+        self._block.append(line)
+        self._chars += len(line)
+        if self._chars >= BLOCK_CHARS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._chars:
+            return
+        codepoints, lengths = _codepoint_runs("".join(self._block))
+        self._block.clear()
+        self._chars = 0
+        if self.codepoints and self.codepoints[-1] == codepoints[0]:
+            self.lengths[-1] += lengths[0]
+            del codepoints[0], lengths[0]
+        self.codepoints += codepoints
+        self.lengths += lengths
+
+    def record(self, name: str) -> TextRuns:
+        self._flush()
+        return TextRuns(name, self.codepoints, self.lengths)
+
+
+def read_fasta_records(stream) -> list[TextRuns]:
+    """Read FASTA records as codepoint runs, folding stripped body lines.
+
+    Body lines are run-encoded a block at a time (_RunCollector), so no
+    record's decoded text is held whole.
+    """
+    records: list[TextRuns] = []
+    name = ""
+    body: _RunCollector | None = None
     for line_no, raw in enumerate(_lines(stream), 1):
         text = raw.strip()
         if not text:
             continue
         if text.startswith(">"):
+            if body is not None:
+                records.append(body.record(name))
             name = text[1:].strip()
             if not name:
                 raise ParseError("missing record name", line_no)
-            names.append(name)
-            bodies.append([])
+            body = _RunCollector()
             continue
-        if not names:
+        if body is None:
             raise ParseError("sequence data before the first header", line_no)
-        bodies[-1].append(text)
-    records = []
-    for name, body in zip(names, bodies):
-        if not body:
-            raise ValueError(f"empty record {name}")
-        records.append((name, "".join(body)))
+        body.add(text)
+    if body is not None:
+        records.append(body.record(name))
+    for record in records:
+        if not record.lengths:
+            raise ValueError(f"empty record {record.name}")
     return records
+
+
+def read_text_record(stream, name: str) -> TextRuns:
+    """Read raw text as one record: every line stripped, then concatenated."""
+    body = _RunCollector()
+    for raw in _lines(stream):
+        text = raw.strip()
+        if text:
+            body.add(text)
+    return body.record(name)
 
 
 def build_rle_sequences(
@@ -285,17 +376,22 @@ def build_rle_sequences(
 
 
 def build_text_sequences(
-    records: list[tuple[str, str]],
+    records: list[TextRuns],
     alphabet: Alphabet | None = None,
 ) -> tuple[list[RleSeq], Alphabet]:
-    """Encode (name, text) records over one shared alphabet."""
+    """Encode codepoint-run records over one shared alphabet.
+
+    The alphabet comes from the records' distinct run codepoints.
+    """
     if alphabet is None:
-        alphabet = Alphabet.for_texts(text for _, text in records)
+        alphabet = Alphabet.from_symbols(
+            map(chr, set().union(*(record.codepoints for record in records)))
+        )
     seqs = []
-    for name, text in records:
-        if not text:
+    for name, codepoints, lengths in records:
+        if not lengths:
             raise ValueError(f"empty record {name}")
-        seqs.append(encode(text, name, alphabet))
+        seqs.append(_seq_from_runs(name, codepoints, lengths, alphabet))
     return seqs, alphabet
 
 

@@ -30,9 +30,7 @@ class SymbolTrie:
 
     leaves[j] is the node of the j-th leaf; the leaves of one preceding-run
     symbol form a contiguous block, in suffix order, and the blocks follow
-    symbol order. leaf_ranks[j] is the
-    leaf's rank in the SuffixOrder, and leaf_run_len[j] the length of the run
-    before it. freq/weight count the second sequence's leaves and serve
+    symbol order. freq/weight count the second sequence's leaves and serve
     queries from the first sequence's runs; rev_freq/rev_weight count the
     first sequence's leaves and serve the reverse direction. The reverse
     queries need no trie of their own: swapping the two sequences' roles
@@ -43,9 +41,6 @@ class SymbolTrie:
     parent: list[int]
     str_depth: list[int]
     leaves: list[int]
-    leaf_ranks: list[int]
-    leaf_from_second: list[bool]
-    leaf_run_len: list[int]
     freq: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
     rev_freq: list[int] = field(default_factory=list)
@@ -78,12 +73,19 @@ class SymbolTrie:
         return p if p >= 0 else None
 
 
-def annotate(trie: SymbolTrie, popped: list[int]) -> SymbolTrie:
+def annotate(
+    trie: SymbolTrie,
+    popped: list[int],
+    leaf_from_second: list[bool],
+    leaf_run_len: list[int],
+) -> SymbolTrie:
     """Fill both freq/weight columns and the lifting rows, in place.
 
     popped lists every node after all of its children, as the sweep pops
-    them. freq flows bottom-up along it as a subtree maximum over
-    second-sequence leaf run lengths (rev_freq over first-sequence ones);
+    them. leaf_from_second[j] and leaf_run_len[j] describe the run before
+    the suffix of trie.leaves[j]: whether it belongs to the second sequence,
+    and its length. freq flows bottom-up along popped as a subtree maximum
+    over second-sequence leaf run lengths (rev_freq over first-sequence ones);
     weight flows top-down along it reversed, as weight(parent) + freq(v) *
     edge length. Both columns ride on the same passes. popped is emptied
     once the weights are in, so the lifting rows can reuse its memory.
@@ -94,9 +96,7 @@ def annotate(trie: SymbolTrie, popped: list[int]) -> SymbolTrie:
 
     freq = [0] * n
     rev_freq = [0] * n
-    for leaf, from_second, run_len in zip(
-        trie.leaves, trie.leaf_from_second, trie.leaf_run_len
-    ):
+    for leaf, from_second, run_len in zip(trie.leaves, leaf_from_second, leaf_run_len):
         if from_second:
             freq[leaf] = run_len
         else:
@@ -166,18 +166,16 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTri
     gaps = np.zeros_like(rank_arr[1:])
     gaps[inner] = RangeMin(order.dlcp).query_many(rank_arr[inner], rank_arr[inner + 1] - 1)
     gaps = gaps.tolist()
-    del order, tokens
+    del order, tokens, ranks, rank_arr, syms, inner
 
     parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
     del depths, gaps
     for t, leaf in zip(leaf_tokens, leaf_nodes):
         token_leaf[t] = leaf
-    trie = SymbolTrie(
-        parent=parent,
-        str_depth=str_depth,
-        leaves=leaf_nodes,
-        leaf_ranks=ranks,
-        leaf_from_second=[t >= nx for t in leaf_tokens],
-        leaf_run_len=[runs[t - 1].length for t in leaf_tokens],
+    trie = SymbolTrie(parent=parent, str_depth=str_depth, leaves=leaf_nodes)
+    return annotate(
+        trie,
+        popped,
+        [t >= nx for t in leaf_tokens],
+        [runs[t - 1].length for t in leaf_tokens],
     )
-    return annotate(trie, popped)

@@ -262,9 +262,16 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
 
     query = engine.trie
     refs = order.refs
-    if sorted(query.leaf_ranks) != [k for k, ref in enumerate(refs) if ref.run >= 2]:
+    token_leaf = engine.token_leaf
+    with_leaf = [k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0]
+    if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
         failures.append("query trie leaves are not the suffixes that follow a run")
         return failures
+    rank_of = {token_leaf[order.tokens[k]]: k for k in with_leaf}
+    if len(rank_of) != len(with_leaf) or sorted(rank_of) != sorted(query.leaves):
+        failures.append("query trie: token_leaf does not point at the trie's leaves")
+        return failures
+    leaf_ranks = [rank_of[v] for v in query.leaves]
 
     columns = (("", query.freq, query.weight), ("rev_", query.rev_freq, query.rev_weight))
     for prefix, freq, weight in columns:
@@ -281,19 +288,21 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
             if weight[v] != expect:
                 failures.append(f"query trie: {prefix}weight at node {v} breaks telescoping")
                 break
-    leaf_tokens = [order.tokens[k] for k in query.leaf_ranks]
-    if [engine.token_leaf[t] for t in leaf_tokens] != query.leaves:
-        failures.append("query trie: token_leaf does not point at the trie's leaves")
 
+    # what extraction annotates each leaf with: the run before its token,
+    # and whether that token is the second sequence's
     runs = (engine.first.runs, engine.second.runs)
-    leaf_refs = [refs[k] for k in query.leaf_ranks]
+    token_runs = runs[0] + runs[1]
+    nx = len(runs[0])
+    leaf_tokens = [order.tokens[k] for k in leaf_ranks]
+    leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
-    if [(r.length, ref.seq == 1) for r, ref in zip(preceding, leaf_refs)] != list(
-        zip(query.leaf_run_len, query.leaf_from_second)
-    ):
+    if [(r.length, ref.seq == 1) for r, ref in zip(preceding, leaf_refs)] != [
+        (token_runs[t - 1].length, t >= nx) for t in leaf_tokens
+    ]:
         failures.append("query trie: leaf annotations differ from the preceding runs")
     syms = [r.sym for r in preceding]
-    if sorted(zip(syms, query.leaf_ranks)) != list(zip(syms, query.leaf_ranks)):
+    if sorted(zip(syms, leaf_ranks)) != list(zip(syms, leaf_ranks)):
         failures.append("query trie: leaves are not in symbol blocks of ascending rank")
 
     # gap lcps recomputed with the run walker inside a block, 0 between

@@ -1,10 +1,14 @@
 import io
+import random
+import tracemalloc
 import warnings
+from itertools import groupby
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rleacs import rle
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     SENTINEL_FIRST,
@@ -13,13 +17,16 @@ from rleacs.rle import (
     ParseError,
     RleSeq,
     Run,
+    build_text_sequences,
     decode,
     decode_ids,
     encode,
     ensure_pair,
     parse_fasta,
     parse_rle_text,
+    read_fasta_records,
     read_rle_records,
+    read_text_record,
 )
 
 
@@ -187,7 +194,12 @@ def test_parse_fasta_errors():
         parse_fasta(">  \nAC\n")
 
 
-@given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FFF), min_size=1))
+@given(
+    st.text(
+        alphabet=st.characters(min_codepoint=32) | st.sampled_from(["\ud800", "\udfff"]),
+        min_size=1,
+    )
+)
 def test_encode_decode_round_trip(text):
     alpha = Alphabet.for_texts([text])
     seq = encode(text, "t", alpha)
@@ -212,3 +224,107 @@ def test_rle_text_format_round_trip(pairs):
         seqs, alpha = parse_rle_text(f">r\n{body}\n")
     expect = "".join(ch * n for ch, n in pairs)
     assert decode(seqs[0], alpha) == expect
+
+
+def _reference_runs(lines):
+    """groupby runs over the joined stripped lines: the ingest contract."""
+    runs = [(ord(ch), len(list(g))) for ch, g in groupby("".join(line.strip() for line in lines))]
+    return [cp for cp, _ in runs], [length for _, length in runs]
+
+
+# Symbols for body lines: ASCII, Latin-1 and BMP letters, astral-plane
+# emoji, and whitespace that strip() removes at a line's ends but that
+# stays inside a line.
+_BODY_CHARS = st.sampled_from(["a", "a", "b", "é", "ж", "😀", "𝔸", " ", "\t", "\u00a0"])
+_BODY_LINES = st.lists(st.text(alphabet=_BODY_CHARS, max_size=12), max_size=12)
+
+
+@given(
+    st.lists(_BODY_LINES, min_size=1, max_size=3),
+    st.sampled_from(["\n", "\r\n"]),
+    st.integers(min_value=1, max_value=8),
+)
+def test_streamed_runs_match_groupby_reference(bodies, newline, block_chars):
+    # tiny blocks, so runs cross both line and block boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rle, "BLOCK_CHARS", block_chars)
+        lines = [line for body in bodies for line in body]
+        text_record = read_text_record(io.StringIO(newline.join(lines) + newline), "t")
+        assert (text_record.codepoints, text_record.lengths) == _reference_runs(lines)
+
+        fasta = "".join(
+            f">r{k}{newline}" + "".join(line + newline for line in body)
+            for k, body in enumerate(bodies)
+        )
+        if all("".join(line.strip() for line in body) for body in bodies):
+            records = read_fasta_records(io.StringIO(fasta))
+            assert [r.name for r in records] == [f"r{k}" for k in range(len(bodies))]
+            for record, body in zip(records, bodies):
+                assert (record.codepoints, record.lengths) == _reference_runs(body)
+        else:
+            with pytest.raises(ValueError, match="empty record r"):
+                read_fasta_records(io.StringIO(fasta))
+
+
+def test_ingest_errors_keep_their_order():
+    # line-numbered parse errors first, in line order
+    with pytest.raises(ParseError, match="^line 1: sequence data before the first header$"):
+        parse_fasta("A\x00\n>a\n")
+    with pytest.raises(ParseError, match="^line 5: missing record name$"):
+        parse_fasta(">a\nA\x00\n>b\n\n>\nAC\n")
+    # then the first empty record, before any reserved symbol
+    with pytest.raises(ValueError, match="^empty record b$"):
+        parse_fasta(">a\nA\x00\n>b\n>c\n>d\nAC\n")
+    # then reserved symbols, \x00 ahead of \x01 wherever each occurs
+    with pytest.raises(ValueError, match=r"^reserved symbol '\\x00'$"):
+        parse_fasta(">a\nA\x01\n>b\nC\x00C\n")
+    with pytest.raises(ValueError, match=r"^reserved symbol '\\x01'$"):
+        parse_fasta(">a\nAC\n>b\nC\x01\n")
+    # raw text records: the shared alphabet's reserved check comes before
+    # the empty-record check
+    empty = read_text_record(io.StringIO(" \n\n"), "e")
+    with pytest.raises(ValueError, match=r"^reserved symbol '\\x00'$"):
+        build_text_sequences([empty, read_text_record(io.StringIO("a\x00\n"), "z")])
+    with pytest.raises(ValueError, match="^empty record e$"):
+        build_text_sequences([empty, read_text_record(io.StringIO("ab\n"), "z")])
+    # encode's own messages
+    with pytest.raises(ValueError, match="^empty sequence$"):
+        encode("", alphabet=Alphabet.from_symbols("a"))
+    with pytest.raises(ValueError, match="^symbol 'c' not in alphabet$"):
+        encode("abcd", alphabet=Alphabet.from_symbols("ab"))
+    with pytest.raises(ValueError, match=r"^reserved symbol '\\x01'$"):
+        encode("ab\x01", alphabet=Alphabet.from_symbols("ab"))
+
+
+def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):
+    # 4e6 characters in runs of about 5000; with 64 KiB blocks the parse
+    # must stay far below the decoded length, which holding a record's
+    # whole text (or a list of all its lines) would exceed
+    rng = random.Random(5)
+    length = 4_000_000
+    path = tmp_path / "long.fasta"
+    with open(path, "w", encoding="utf-8") as fh:
+        for name in ("x", "y"):
+            fh.write(f">{name}\n")
+            line: list[str] = []
+            written = 0
+            prev = ""
+            while written < length // 2:
+                ch = rng.choice([b for b in "acgt" if b != prev])
+                prev = ch
+                line.append(ch * rng.randint(1, 10_000))
+                written += len(line[-1])
+            body = "".join(line)[: length // 2]
+            fh.writelines(body[k : k + 60] + "\n" for k in range(0, len(body), 60))
+            del line, body
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rle, "BLOCK_CHARS", 1 << 16)
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                seqs, _ = parse_fasta(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sum(s.content_length for s in seqs) == length
+    assert peak < length // 8

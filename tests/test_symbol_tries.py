@@ -15,19 +15,30 @@ def build_query_trie(x, y):
     return extract_symbol_tries(order, [-1] * len(order)), order, alpha
 
 
+def leaf_ranks(trie, order, token_leaf):
+    """Suffix-order rank of each trie leaf, in leaf order."""
+    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0}
+    return [rank_of[v] for v in trie.leaves]
+
+
 def test_extract_micro_pair():
-    trie, order, alpha = build_query_trie("aab", "ab")
+    first, second, alpha = make_pair("aab", "ab")
+    order = build_suffix_order(first, second)
+    token_leaf = [-1] * len(order)
+    trie = extract_symbol_tries(order, token_leaf)
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two sentinel suffixes
-    assert [order.refs[k] for k in trie.leaf_ranks] == [
+    assert [order.refs[k] for k in leaf_ranks(trie, order, token_leaf)] == [
         SuffixRef(0, 2),
         SuffixRef(1, 2),
         SuffixRef(0, 3),
         SuffixRef(1, 3),
     ]
-    assert trie.leaf_from_second == [False, True, False, True]
-    assert trie.leaf_run_len == [2, 1, 1, 1]
+    # a leaf's freq is its preceding run's length when that run is Y's,
+    # its rev_freq when it is X's
+    assert [trie.freq[v] for v in trie.leaves] == [0, 1, 0, 1]
+    assert [trie.rev_freq[v] for v in trie.leaves] == [2, 0, 1, 0]
     # root, the a-block's mid node and its two leaves, the two b-leaves
     assert trie.node_count == 6
     a_x, a_y, b_x, b_y = trie.leaves
@@ -56,7 +67,7 @@ def test_annotate_no_second_sequence_leaves():
     # 0 below the root, which carries the a-block's Y leaf
     trie, _, _ = build_query_trie("aba", "a")
     b_leaf = trie.leaves[-1]
-    assert not trie.leaf_from_second[-1]
+    assert trie.rev_freq[b_leaf] == 1
     assert trie.parent[b_leaf] == 0
     assert trie.freq[b_leaf] == 0 and trie.weight[b_leaf] == 0
     assert trie.freq[0] == 1 and trie.weight[0] == 0
@@ -69,11 +80,8 @@ def test_annotate_chain_recurrence():
         parent=[-1, 0, 1, 2, 2, 1],
         str_depth=[0, 2, 7, 9, 10, 4],
         leaves=[3, 4, 5],
-        leaf_ranks=[0, 1, 2],
-        leaf_from_second=[True, True, True],
-        leaf_run_len=[3, 2, 5],
     )
-    annotate(trie, [3, 4, 2, 5, 1, 0])
+    annotate(trie, [3, 4, 2, 5, 1, 0], [True, True, True], [3, 2, 5])
     assert trie.freq[1] == 5
     assert trie.freq[2] == 3
     assert trie.weight[1] == 10  # 5 * (2 - 0)
@@ -142,11 +150,12 @@ def test_structural_invariants(x, y):
     token_leaf = [-1] * len(order)
     t = extract_symbol_tries(order, token_leaf)
 
-    assert sorted(t.leaf_ranks) == [k for k, ref in enumerate(order.refs) if ref.run >= 2]
+    ranks = leaf_ranks(t, order, token_leaf)
+    assert sorted(ranks) == [k for k, ref in enumerate(order.refs) if ref.run >= 2]
     # the two sequence starts have no preceding run, every other token a leaf
     nx = len(first.runs)
     assert [tok for tok, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]
-    assert [token_leaf[order.tokens[k]] for k in t.leaf_ranks] == t.leaves
+    assert sorted(leaf for leaf in token_leaf if leaf >= 0) == sorted(t.leaves)
 
     for freq, weight in ((t.freq, t.weight), (t.rev_freq, t.rev_weight)):
         # freq never decreases toward the root

@@ -25,11 +25,13 @@ class FreqAsMin(AcsEngine):
         big = 1 << 62
         trie = self.trie
         best = [big] * trie.node_count
-        for leaf, from2, run_len in zip(
-            trie.leaves, trie.leaf_from_second, trie.leaf_run_len
-        ):
-            if from2:
-                best[leaf] = min(best[leaf], run_len)
+        # the suffix at token t follows run t - 1 of the two sequences' runs;
+        # second-sequence suffixes start at token len(first.runs)
+        runs = self.first.runs + self.second.runs
+        for t in range(len(self.first.runs), len(runs)):
+            leaf = self.token_leaf[t]
+            if leaf >= 0:
+                best[leaf] = min(best[leaf], runs[t - 1].length)
         for v in sorted(
             range(trie.node_count), key=trie.str_depth.__getitem__, reverse=True
         ):
