@@ -25,7 +25,6 @@ from rleacs.rle import (
     Alphabet,
     ParseError,
     RleSeq,
-    Run,
     decode,
     encode,
     ensure_pair,
@@ -44,7 +43,6 @@ __all__ = [
     "OracleBudget",
     "ParseError",
     "RleSeq",
-    "Run",
     "VerifyReport",
     "acs",
     "acs_self",

@@ -15,13 +15,14 @@ experiments:
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from rleacs.engine import AcsEngine
-from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, FIRST_SYMBOL_ID, RleSeq, Run
+from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, FIRST_SYMBOL_ID, RleSeq
 
 DOUBLING_MIN = 1 << 14
 DOUBLING_MAX = 1 << 17
@@ -51,25 +52,26 @@ def synth_pair(
 ) -> tuple[RleSeq, RleSeq]:
     """Random pair with the given total content run count and length scale.
 
-    The same seed yields the same symbol structure at every scale; only the
-    run-length magnitudes change, which is what the decoupling experiment
-    needs.
+    Symbols step by 1 to alphabet_size - 1 (mod alphabet_size), so neighbors
+    differ, and are all drawn before any length: the same seed yields the
+    same symbol structure at every scale, and only the run-length magnitudes
+    change, which is what the decoupling experiment needs.
     """
-    rng = random.Random(seed)
-    symbols = range(FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + alphabet_size)
-
-    def runs(count: int, sentinel: int) -> RleSeq:
-        body: list[Run] = []
-        prev = -1
-        for _ in range(count):
-            sym = rng.choice([s for s in symbols if s != prev])
-            body.append(Run(sym, rng.randint(scale, 2 * scale - 1)))
-            prev = sym
-        body.append(Run(sentinel, 1))
-        return RleSeq("bench", tuple(body))
-
+    rng = np.random.default_rng(seed)
     half = max(total_runs // 2, 1)
-    return runs(half, SENTINEL_FIRST), runs(total_runs - half, SENTINEL_SECOND)
+    counts = (half, total_runs - half)
+    walks = [
+        rng.integers(alphabet_size) + np.cumsum(rng.integers(1, alphabet_size, size=count))
+        for count in counts
+    ]
+    seqs = []
+    for count, walk, sentinel in zip(counts, walks, (SENTINEL_FIRST, SENTINEL_SECOND)):
+        runs = np.empty((count + 1, 2), dtype=np.int64)
+        runs[:-1, 0] = FIRST_SYMBOL_ID + walk % alphabet_size
+        runs[:-1, 1] = rng.integers(scale, 2 * scale, size=count)
+        runs[-1] = sentinel, 1
+        seqs.append(RleSeq("bench", runs))
+    return seqs[0], seqs[1]
 
 
 def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
@@ -138,8 +140,8 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     Returns the timing row, the measured average as an exact rational, and
     the closed-form value (m(x-m) + m(m+1)/2) / x it must equal.
     """
-    first = RleSeq("giant", (Run(FIRST_SYMBOL_ID, GIANT_LONG), Run(SENTINEL_FIRST, 1)))
-    second = RleSeq("small", (Run(FIRST_SYMBOL_ID, GIANT_SHORT), Run(SENTINEL_SECOND, 1)))
+    first = RleSeq("giant", [[FIRST_SYMBOL_ID, GIANT_LONG], [SENTINEL_FIRST, 1]])
+    second = RleSeq("small", [[FIRST_SYMBOL_ID, GIANT_SHORT], [SENTINEL_SECOND, 1]])
     row = _measure("unary 1e9 vs 1e6", first, second, reps)
     x, m = GIANT_LONG, GIANT_SHORT
     expected = Fraction(m * (x - m) + m * (m + 1) // 2, x)

@@ -54,20 +54,17 @@ def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
     """Read every input path and encode all records over one shared alphabet."""
     if not config.paths:
         raise ValueError("no input files given")
-    if config.format == "rle":
-        run_records = []
-        for path in config.paths:
-            with open(path, encoding="utf-8") as fh:
-                run_records.extend(read_rle_records(fh))
-        return build_rle_sequences(run_records)
-    text_records = []
+    records = []
     for path in config.paths:
         with open(path, encoding="utf-8") as fh:
-            if config.format == "fasta":
-                text_records.extend(read_fasta_records(fh))
+            if config.format == "rle":
+                records.extend(read_rle_records(fh))
+            elif config.format == "fasta":
+                records.extend(read_fasta_records(fh))
             else:
-                text_records.append(read_text_record(fh, Path(path).stem))
-    return build_text_sequences(text_records)
+                records.append(read_text_record(fh, Path(path).stem))
+    build = build_rle_sequences if config.format == "rle" else build_text_sequences
+    return build(records)
 
 
 def _load_pair(config: RunConfig) -> tuple[RleSeq, RleSeq]:

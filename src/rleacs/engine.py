@@ -18,8 +18,6 @@ from rleacs.rle import RleSeq, ensure_pair
 from rleacs.suffixes import build_suffix_order, longest_run_table
 from rleacs.symbol_tries import extract_symbol_tries
 
-DEFAULT_POSITION_CAP = 1_000_000
-
 LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
 
 
@@ -63,7 +61,9 @@ class AcsEngine:
     multiple threads. token_leaf[t] is the trie leaf of the suffix that
     starts at token t; the suffix after run i of the built pair's first
     sequence starts at token i, the one after run j of its second at token
-    len(first.runs) + j. The suffix order itself is not kept.
+    len(first.runs) + j. is_reverse tells the views apart; leaf_after(i)
+    finds the leaf after run i of either view's first sequence. The suffix
+    order itself is not kept.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
@@ -75,10 +75,16 @@ class AcsEngine:
     def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
         self.first = first
         self.second = second
-        self.max_run = longest_run_table(second)
-        self._reverse = reverse
+        # first-sequence symbols are looked up in second's table
+        size = 1 + int(max(first.runs[:, 0].max(), second.runs[:, 0].max()))
+        self.max_run = longest_run_table(second, size)
+        self.is_reverse = reverse
         # token of the suffix after run i of first is _token_base + i
         self._token_base = len(second.runs) if reverse else 0
+
+    def leaf_after(self, i: int) -> int:
+        """The trie leaf of the suffix that follows run i of the first sequence."""
+        return self.token_leaf[self._token_base + i]
 
     @property
     def reverse(self) -> AcsEngine:
@@ -86,7 +92,7 @@ class AcsEngine:
         view = object.__new__(type(self))
         view.token_leaf = self.token_leaf
         view.trie = self.trie
-        view._orient(self.second, self.first, reverse=not self._reverse)
+        view._orient(self.second, self.first, reverse=not self.is_reverse)
         return view
 
     def run_sum(self, i: int) -> int:
@@ -100,13 +106,16 @@ class AcsEngine:
         second-sequence run of at least h. Summing the ancestor depths over h
         telescopes into two weight lookups.
         """
-        sym, f = self.first.runs[i - 1]
-        m = self.max_run.get(sym, 0)
+        sym, f = self.first.runs[i - 1].tolist()
+        return self._run_sum(i, f, int(self.max_run[sym]))
+
+    def _run_sum(self, i: int, f: int, m: int) -> int:
+        """run_sum(i) given run i's length f and m, its symbol's longest run in second."""
         if m == 0:
             return 0
         trie = self.trie
-        w = self.token_leaf[self._token_base + i]
-        rev = self._reverse
+        w = self.leaf_after(i)
+        rev = self.is_reverse
         weight = trie.rev_weight if rev else trie.weight
         v = trie.deepest_freq_ancestor(w, 1, rev)
         if f > m:
@@ -116,34 +125,11 @@ class AcsEngine:
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""
-        return sum(self.run_sum(i) for i in range(1, self.first.run_count + 1))
-
-    def per_position_lengths(self, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
-        """Best match length at every decoded position, one ancestor query each.
-
-        Costs O(x log N) for decoded length x, so it exists for validation
-        against run_sum/total rather than for production use; the cap keeps
-        accidental huge expansions from running away.
-        """
-        x = self.first.content_length
-        if x > cap:
-            raise ValueError(f"decoded length over validation cap: {x} > {cap}")
-        out: list[int] = []
-        for i in range(1, self.first.run_count + 1):
-            sym, f = self.first.runs[i - 1]
-            m = self.max_run.get(sym, 0)
-            if m == 0:
-                out.extend([0] * f)
-                continue
-            trie = self.trie
-            w = self.token_leaf[self._token_base + i]
-            for h in range(f, 0, -1):
-                if h > m:
-                    out.append(m)
-                else:
-                    u = trie.deepest_freq_ancestor(w, h, self._reverse)
-                    out.append(h + trie.str_depth[u])
-        return out
+        max_run = self.max_run.tolist()
+        return sum(
+            self._run_sum(i, f, max_run[sym])
+            for i, (sym, f) in enumerate(self.first.runs[:-1].tolist(), 1)
+        )
 
 
 def _average(engine: AcsEngine) -> AcsResult:

@@ -1,22 +1,31 @@
 """Independent brute-force reference implementations.
 
-Everything here shares no logic with the fast path. The brute functions work
-on decoded text in quadratic-or-worse time, guarded by explicit size budgets
-so a typo in a caller cannot silently burn minutes; the suffix walkers
-(suffix_compare, suffix_lcp) step through two suffixes run by run, so they
-also reach decoded lengths no oracle could expand. These are trusted
-baselines for testing and for the randomized cross-check harness.
+The brute functions work on decoded text in quadratic-or-worse time, guarded
+by explicit size budgets so a typo in a caller cannot silently burn minutes;
+the suffix walkers (suffix_compare, suffix_lcp) and run_walk_total step
+through suffixes run by run, so they also reach decoded lengths no oracle
+could expand. None of these share logic with the fast path; they are trusted
+baselines for testing and for the randomized cross-check harness. The one
+exception is per_position_lengths, which answers every position from an
+engine's own trie, as the check on the engine's per-run closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from rleacs.rle import RleSeq, Run, decode_ids, ensure_pair
-from rleacs.suffixes import SuffixOrder, SuffixRef
+from rleacs.rle import DEFAULT_DECODE_LIMIT, RleSeq, ensure_pair
+from rleacs.suffixes import SuffixOrder
+
+if TYPE_CHECKING:
+    from rleacs.engine import AcsEngine
+
+DEFAULT_POSITION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,18 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+
+def decode_ids(seq: RleSeq, with_sentinel: bool = True, limit: int = DEFAULT_DECODE_LIMIT) -> str:
+    """Decoded text with every symbol rendered as chr(internal id).
+
+    Sentinels come out as chr(0) / chr(1), so plain string comparison agrees
+    with internal id order.
+    """
+    if seq.decoded_length > limit:
+        raise ValueError(f"decode too large: {seq.decoded_length} > {limit}")
+    runs = seq.runs if with_sentinel else seq.runs[:-1]
+    return "".join(chr(sym) * length for sym, length in runs.tolist())
 
 
 def _scan_match_lengths(x_text: str, y_text: str) -> list[int]:
@@ -110,9 +131,28 @@ def _lcp(a: str, b: str) -> int:
     return lo
 
 
-def suffix_runs(first: RleSeq, second: RleSeq, ref: SuffixRef) -> tuple[Run, ...]:
-    """The runs of one suffix, its starting run through the sentinel."""
-    return (first, second)[ref.seq].runs[ref.run - 1 :]
+class SuffixRef(NamedTuple):
+    """Suffix handle: sequence index (0 or 1) and 1-based starting run."""
+
+    seq: int
+    run: int
+
+
+def suffix_refs(order: SuffixOrder) -> list[SuffixRef]:
+    """The suffix at each rank of order as a (sequence, run) handle."""
+    nx = len(order.first.runs)
+    return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in order.tokens]
+
+
+@lru_cache(maxsize=4)
+def _run_rows(seq: RleSeq) -> list[list[int]]:
+    """seq.runs as [symbol, length] lists, converted once for many walks; read only."""
+    return seq.runs.tolist()
+
+
+def suffix_runs(first: RleSeq, second: RleSeq, ref: SuffixRef) -> list[list[int]]:
+    """The [symbol, length] runs of one suffix, its starting run through the sentinel."""
+    return _run_rows((first, second)[ref.seq])[ref.run - 1 :]
 
 
 def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
@@ -175,6 +215,71 @@ def suffix_lcp(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int
     return common
 
 
+def run_walk_total(first: RleSeq, second: RleSeq) -> int:
+    """Sum over first's positions of the longest match into second, run by run.
+
+    Shares no code with the engine's tries, and its cost grows with runs,
+    not decoded length. For run i of first (symbol s, length f), let m be
+    the longest s-run of second and L_j = suffix_lcp(first after run i,
+    second after run j) for each s-run j. The position with h copies of s
+    left in run i matches h + max{L_j : len_j >= h} when h <= m, and m
+    otherwise. The sum over h takes one closed form per step between
+    distinct len_j, walked from the longest down.
+    """
+    first, second = ensure_pair(first, second)
+    y_runs = second.runs[:-1].tolist()
+    total = 0
+    for i, (s, f) in enumerate(first.runs[:-1].tolist(), 1):
+        steps = sorted(
+            (
+                (length, suffix_lcp(first, second, SuffixRef(0, i + 1), SuffixRef(1, j + 1)))
+                for j, (sym, length) in enumerate(y_runs, 1)
+                if sym == s
+            ),
+            reverse=True,
+        )
+        if not steps:
+            continue
+        m = steps[0][0]
+        total += max(f - m, 0) * m
+        best = 0
+        for k, (length, lcp) in enumerate(steps):
+            best = max(best, lcp)
+            below = steps[k + 1][0] if k + 1 < len(steps) else 0
+            # h in (below, length] matches h + best
+            lo, hi = below + 1, min(length, f)
+            if below < length and lo <= hi:
+                total += (hi - lo + 1) * best + (lo + hi) * (hi - lo + 1) // 2
+    return total
+
+
+def per_position_lengths(engine: AcsEngine, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
+    """Best match length at every decoded position of engine.first, one ancestor query each.
+
+    This drives the engine's own query trie without the per-run closed
+    forms, so it checks run_sum/total rather than replacing them. It costs
+    O(x log N) for decoded length x; the cap keeps accidental huge
+    expansions from running away.
+    """
+    x = engine.first.content_length
+    if x > cap:
+        raise ValueError(f"decoded length over validation cap: {x} > {cap}")
+    trie = engine.trie
+    rev = engine.is_reverse
+    max_run = engine.max_run.tolist()
+    out: list[int] = []
+    for i, (sym, f) in enumerate(engine.first.runs[:-1].tolist(), 1):
+        m = max_run[sym]
+        w = engine.leaf_after(i)
+        for h in range(f, 0, -1):
+            if h > m:
+                out.append(m)
+            else:
+                u = trie.deepest_freq_ancestor(w, h, rev)
+                out.append(h + trie.str_depth[u])
+    return out
+
+
 def brute_suffix_sort(
     first: RleSeq, second: RleSeq, budget: OracleBudget = DEFAULT_BUDGET
 ) -> SuffixOrder:
@@ -189,9 +294,9 @@ def brute_suffix_sort(
     for seq in (first, second):
         text = decode_ids(seq)
         pos = 0
-        for run in seq.runs:
+        for length in seq.runs[:, 1].tolist():
             entries.append((text[pos:], len(entries)))
-            pos += run.length
+            pos += length
     entries.sort(key=lambda e: e[0])
     tokens = [token for _, token in entries]
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]

@@ -1,9 +1,14 @@
-"""Run-length encoded sequences, alphabets, and the text formats that carry them."""
+"""Run-length encoded sequences, alphabets, and the text formats that carry them.
+
+A sequence's runs are one read-only (N, 2) int64 array: column 0 holds the
+symbol ids, column 1 the run lengths, and the last row is the sentinel. The
+readers produce arrays of the same shape over raw codepoints (RunRecord), so
+no layer between a file and the sort keys walks runs one at a time.
+"""
 
 from __future__ import annotations
 
 import io
-import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -13,8 +18,10 @@ import numpy as np
 SENTINEL_FIRST = 0
 SENTINEL_SECOND = 1
 FIRST_SYMBOL_ID = 2
+# one id per Unicode codepoint at most; ids index per-symbol tables
+MAX_SYMBOL_ID = FIRST_SYMBOL_ID + 0x10FFFF
 
-# External characters that would collide with the sentinel rendering of decode_ids.
+# External characters that would collide with the sentinel rendering of oracle.decode_ids.
 RESERVED_CHARS = ("\x00", "\x01")
 
 MAX_DECODED_LENGTH = 1 << 62
@@ -23,6 +30,10 @@ DEFAULT_DECODE_LIMIT = 1 << 26
 # Stripped body lines are run-encoded in blocks of about this many characters,
 # so FASTA and raw-text ingest never hold a record's decoded text whole.
 BLOCK_CHARS = 1 << 20
+
+_NO_RUNS = np.empty((0, 2), dtype=np.int64)
+# 10^k for the 19 decimal places a uint64 holds in full
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
 
 
 class ParseError(ValueError):
@@ -33,11 +44,6 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class Run(NamedTuple):
-    sym: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -71,52 +77,73 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.to_id)
 
+    def ids(self, codepoints: np.ndarray) -> np.ndarray:
+        """Symbol id of every codepoint; ValueError names the first one missing."""
+        # ids follow codepoint order, so id FIRST_SYMBOL_ID + k is known[k]
+        known = np.fromiter(map(ord, sorted(self.to_id)), dtype=np.int64, count=len(self))
+        pos = np.searchsorted(known, codepoints)
+        hit = pos < len(known)
+        hit[hit] = known[pos[hit]] == codepoints[hit]
+        if not hit.all():
+            raise ValueError(f"symbol {chr(codepoints[np.argmin(hit)])!r} not in alphabet")
+        return pos + FIRST_SYMBOL_ID
 
-@dataclass(frozen=True)
+
+def _decoded_length(name: str, lengths: np.ndarray) -> int:
+    """Exact sum of positive int64 lengths; ValueError once it passes the bound.
+
+    Partial sums up to the first one past 2^62 stay below 2^64, so unsigned
+    cumulative sums see it exactly even where a later one wraps.
+    """
+    partial = np.cumsum(lengths, dtype=np.uint64)
+    if (partial > np.uint64(MAX_DECODED_LENGTH)).any():
+        total = sum(lengths.tolist())
+        raise ValueError(f"{name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}")
+    return int(partial[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class RleSeq:
     """A named sequence stored as maximal (symbol, length) runs.
 
-    The last run is always a length-1 sentinel whose id is unique to the
-    sequence within a pair and smaller than every alphabet id. decoded_length
-    counts the sentinel.
+    runs is a read-only (N, 2) int64 array, built from any (N, 2) array-like
+    of ints: column 0 the symbol ids, column 1 the lengths. The last run is
+    always a length-1 sentinel whose id is unique to the sequence within a
+    pair and smaller than every alphabet id. decoded_length counts the
+    sentinel.
     """
 
     name: str
-    runs: tuple[Run, ...]
+    runs: np.ndarray
     decoded_length: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.runs) < 2:
+        try:
+            runs = np.array(self.runs, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{self.name}: run exceeds bound {MAX_DECODED_LENGTH}") from None
+        if runs.ndim != 2 or runs.shape[1] != 2:
+            raise ValueError(f"{self.name}: runs must be (symbol, length) rows")
+        if len(runs) < 2:
             raise ValueError(f"{self.name}: empty sequence")
-        total = 0
-        last = len(self.runs) - 1
-        prev_sym = None
-        for k, (sym, length) in enumerate(self.runs):
-            if length < 1:
-                raise ValueError(f"{self.name}: run length must be >= 1, got {length}")
-            if sym == prev_sym:
-                raise ValueError(f"{self.name}: adjacent runs share symbol id {sym}")
-            if k < last and sym < FIRST_SYMBOL_ID:
-                raise ValueError(f"{self.name}: sentinel id {sym} inside sequence body")
-            prev_sym = sym
-            total += length
-        sent = self.runs[last]
-        if sent.sym not in (SENTINEL_FIRST, SENTINEL_SECOND) or sent.length != 1:
+        syms, lengths = runs.T
+        for values, bad, message in (
+            (lengths, lengths < 1, "run length must be >= 1, got {}"),
+            (syms[1:], syms[1:] == syms[:-1], "adjacent runs share symbol id {}"),
+            (syms[:-1], syms[:-1] < FIRST_SYMBOL_ID, "sentinel id {} inside sequence body"),
+            (syms, syms > MAX_SYMBOL_ID, f"symbol id {{}} above {MAX_SYMBOL_ID}"),
+        ):
+            if bad.any():
+                raise ValueError(f"{self.name}: " + message.format(values[bad][0]))
+        if syms[-1] not in (SENTINEL_FIRST, SENTINEL_SECOND) or lengths[-1] != 1:
             raise ValueError(f"{self.name}: final run must be a length-1 sentinel")
-        if total > MAX_DECODED_LENGTH:
-            raise ValueError(
-                f"{self.name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}"
-            )
-        object.__setattr__(self, "decoded_length", total)
+        runs.flags.writeable = False
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "decoded_length", _decoded_length(self.name, lengths))
 
     @property
     def sentinel(self) -> int:
-        return self.runs[-1].sym
-
-    @property
-    def content_runs(self) -> tuple[Run, ...]:
-        """Runs without the sentinel."""
-        return self.runs[:-1]
+        return int(self.runs[-1, 0])
 
     @property
     def run_count(self) -> int:
@@ -142,60 +169,48 @@ def encode(
     """
     if not text:
         raise ValueError("empty sequence")
-    codepoints, lengths = _codepoint_runs(text)
-    return _seq_from_runs(name, codepoints, lengths, alphabet, sentinel)
+    return _seq_from_runs(name, _codepoint_runs(text), alphabet, sentinel)
 
 
-def _codepoint_runs(text: str) -> tuple[list[int], list[int]]:
-    """Maximal runs of a nonempty text as (codepoints, lengths) lists of ints."""
+def _codepoints(text: str) -> np.ndarray:
+    """The codepoints of text, one array element per character."""
     if text.isascii():
-        cps = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _codepoint_runs(text: str) -> np.ndarray:
+    """Maximal runs of a nonempty text as (codepoint, length) rows."""
+    cps = _codepoints(text)
     bounds = np.concatenate(([0], np.flatnonzero(cps[1:] != cps[:-1]) + 1, [cps.size]))
-    return cps[bounds[:-1]].tolist(), np.diff(bounds).tolist()
+    return np.column_stack((cps[bounds[:-1]], np.diff(bounds)))
 
 
 def _seq_from_runs(
     name: str,
-    codepoints: list[int],
-    lengths: list[int],
+    cp_runs: np.ndarray,
     alphabet: Alphabet | None,
     sentinel: int = SENTINEL_FIRST,
 ) -> RleSeq:
-    """Map maximal codepoint runs onto alphabet ids (an own alphabet if None)."""
-    symbols = set(codepoints)
+    """Map maximal (codepoint, length) runs onto alphabet ids (an own alphabet if None)."""
+    codepoints = cp_runs[:, 0]
     for ch in RESERVED_CHARS:
-        if ord(ch) in symbols:
+        if (codepoints == ord(ch)).any():
             raise ValueError(f"reserved symbol {ch!r}")
     if alphabet is None:
-        alphabet = Alphabet.from_symbols(map(chr, symbols))
-    ids = {ord(ch): sym for ch, sym in alphabet.to_id.items()}
-    try:
-        runs = [Run(ids[cp], length) for cp, length in zip(codepoints, lengths)]
-    except KeyError as exc:
-        raise ValueError(f"symbol {chr(exc.args[0])!r} not in alphabet") from None
-    runs.append(Run(sentinel, 1))
-    return RleSeq(name=name, runs=tuple(runs))
+        alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
+    runs = np.empty((len(cp_runs) + 1, 2), dtype=np.int64)
+    runs[:-1, 0] = alphabet.ids(codepoints)
+    runs[:-1, 1] = cp_runs[:, 1]
+    runs[-1] = sentinel, 1
+    return RleSeq(name=name, runs=runs)
 
 
 def decode(seq: RleSeq, alphabet: Alphabet, limit: int = DEFAULT_DECODE_LIMIT) -> str:
     """Inverse of encode; the sentinel is stripped."""
     if seq.content_length > limit:
         raise ValueError(f"decode too large: {seq.content_length} > {limit}")
-    return "".join(alphabet.to_char[sym] * length for sym, length in seq.content_runs)
-
-
-def decode_ids(seq: RleSeq, with_sentinel: bool = True, limit: int = DEFAULT_DECODE_LIMIT) -> str:
-    """Decoded text with every symbol rendered as chr(internal id).
-
-    Sentinels come out as chr(0) / chr(1), so plain string comparison agrees
-    with internal id order.
-    """
-    if seq.decoded_length > limit:
-        raise ValueError(f"decode too large: {seq.decoded_length} > {limit}")
-    runs = seq.runs if with_sentinel else seq.content_runs
-    return "".join(chr(sym) * length for sym, length in runs)
+    return "".join(alphabet.to_char[sym] * length for sym, length in seq.runs[:-1].tolist())
 
 
 def ensure_pair(first: RleSeq, second: RleSeq) -> tuple[RleSeq, RleSeq]:
@@ -206,10 +221,16 @@ def ensure_pair(first: RleSeq, second: RleSeq) -> tuple[RleSeq, RleSeq]:
 def _with_sentinel(seq: RleSeq, sym: int) -> RleSeq:
     if seq.sentinel == sym:
         return seq
-    return RleSeq(name=seq.name, runs=seq.runs[:-1] + (Run(sym, 1),))
+    runs = seq.runs.copy()
+    runs[-1, 0] = sym
+    return RleSeq(name=seq.name, runs=runs)
 
 
-_RUN_TOKEN = re.compile(r"([^\s0-9])([0-9]+)")
+class RunRecord(NamedTuple):
+    """A parsed record as maximal (codepoint, length) rows, before any alphabet."""
+
+    name: str
+    runs: np.ndarray
 
 
 def _lines(stream) -> Iterator[str]:
@@ -218,67 +239,77 @@ def _lines(stream) -> Iterator[str]:
     return iter(stream)
 
 
-def read_rle_records(stream) -> list[tuple[str, list[tuple[str, int]]]]:
-    """Read the run-length text format into (name, [(char, count), ...]) records.
+class _TokenCollector:
+    """Run-token body lines of one record, parsed together when it closes.
 
-    Records open with ">name"; body lines hold whitespace separated tokens of
-    one printable symbol character followed by a decimal count, e.g. "a12 b3".
-    Adjacent tokens with the same symbol are merged with a warning.
+    Whitespace separates tokens; a token is one printable symbol that is not
+    an ASCII digit, then decimal digits. All tokens are checked at once, and
+    the first bad one raises a ParseError on its line. A count is read from
+    at most its last 19 digits, in uint64, and only after its significant
+    digits are counted, so a count past the bound is rejected unconverted.
+    Adjacent tokens with one symbol merge into one run, with a warning.
     """
-    records: list[tuple[str, list[tuple[str, int]]]] = []
-    names: set[str] = set()
-    current: list[tuple[str, int]] | None = None
-    for line_no, raw in enumerate(_lines(stream), 1):
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith(">"):
-            name = text[1:].strip()
-            if not name:
-                raise ParseError("missing record name", line_no)
-            if name in names:
-                raise ParseError(f"duplicate record name {name!r}", line_no)
-            names.add(name)
-            current = []
-            records.append((name, current))
-            continue
-        if current is None:
-            raise ParseError("run data before the first record header", line_no)
-        for token in text.split():
-            match = _RUN_TOKEN.fullmatch(token)
-            if match is None:
-                raise ParseError(f"bad run token {token!r}", line_no)
-            ch, count_text = match.groups()
-            if not ch.isprintable():
-                raise ParseError(f"unprintable symbol in token {token!r}", line_no)
-            count = int(count_text)
-            if count < 1:
-                raise ParseError(f"run count must be >= 1 in token {token!r}", line_no)
-            current.append((ch, count))
-    merged_records = []
-    for name, pairs in records:
-        if not pairs:
-            raise ParseError(f"empty record {name}")
-        merged: list[tuple[str, int]] = []
-        merges = 0
-        for ch, count in pairs:
-            if merged and merged[-1][0] == ch:
-                merged[-1] = (ch, merged[-1][1] + count)
-                merges += 1
-            else:
-                merged.append((ch, count))
-        if merges:
-            warnings.warn(f"record {name}: merged {merges} adjacent equal-symbol runs")
-        merged_records.append((name, merged))
-    return merged_records
 
+    def __init__(self) -> None:
+        self._lines: list[str] = []
+        self._line_nos: list[int] = []
 
-class TextRuns(NamedTuple):
-    """A text record as maximal runs of raw codepoints, before any alphabet."""
+    def add(self, line: str, line_no: int) -> None:
+        self._lines.append(line)
+        self._line_nos.append(line_no)
 
-    name: str
-    codepoints: list[int]
-    lengths: list[int]
+    def record(self, name: str) -> RunRecord:
+        if not self._lines:
+            return RunRecord(name, _NO_RUNS)
+        text = "\n".join(self._lines)
+        cps = _codepoints(text)
+        chars, kind = np.unique(cps, return_inverse=True)
+        traits = [(chr(c).isspace(), chr(c).isprintable()) for c in chars.tolist()]
+        space, printable = np.array(traits).T
+        solid = ~space[kind]
+        digit = (cps >= ord("0")) & (cps <= ord("9"))
+        edges = np.diff(solid.astype(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1)
+
+        stray = solid & ~digit
+        stray[starts] = False
+        bad = digit[starts] | (ends - starts < 2) | np.logical_or.reduceat(stray, starts)
+        # significant digits run from a token's first nonzero digit to its end
+        nonzero = np.append(np.flatnonzero(digit & (cps != ord("0"))), cps.size)
+        sig = ends - nonzero[np.searchsorted(nonzero, starts + 1)]
+        pos = np.flatnonzero(digit)
+        token = np.searchsorted(starts, pos, side="right") - 1
+        place = ends[token] - 1 - pos
+        low = place < len(_POW10)
+        counts = np.zeros(len(starts), dtype=np.uint64)
+        values = (cps[pos[low]] - ord("0")).astype(np.uint64)
+        np.add.at(counts, token[low], values * _POW10[place[low]])
+
+        # the first failing token is reported, by the first check it fails
+        big = (sig > len(_POW10)) | (counts > np.uint64(MAX_DECODED_LENGTH))
+        checks = (
+            (bad, "bad run token {!r}"),
+            (~printable[kind[starts]], "unprintable symbol in token {!r}"),
+            (sig < 1, "run count must be >= 1 in token {!r}"),
+            (big, f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}"),
+        )
+        failed = np.logical_or.reduce([mask for mask, _ in checks])
+        if failed.any():
+            k = int(np.argmax(failed))
+            message = next(message for mask, message in checks if mask[k])
+            line = self._line_nos[text.count("\n", 0, starts[k])]
+            raise ParseError(message.format(text[starts[k] : ends[k]]), line)
+
+        syms, counts = cps[starts], counts.astype(np.int64)
+        keep = np.flatnonzero(np.concatenate(([True], syms[1:] != syms[:-1])))
+        if len(keep) < len(syms):
+            merged = len(syms) - len(keep)
+            warnings.warn(f"record {name}: merged {merged} adjacent equal-symbol runs")
+            # with the sentinel, the record must fit the bound; then no merged sum wraps
+            _decoded_length(name, np.append(counts, 1))
+            syms, counts = syms[keep], np.add.reduceat(counts, keep)
+        return RunRecord(name, np.column_stack((syms, counts)))
 
 
 class _RunCollector:
@@ -291,12 +322,11 @@ class _RunCollector:
     """
 
     def __init__(self) -> None:
-        self.codepoints: list[int] = []
-        self.lengths: list[int] = []
+        self._runs: list[np.ndarray] = []
         self._block: list[str] = []
         self._chars = 0
 
-    def add(self, line: str) -> None:
+    def add(self, line: str, line_no: int = 0) -> None:
         self._block.append(line)
         self._chars += len(line)
         if self._chars >= BLOCK_CHARS:
@@ -305,53 +335,81 @@ class _RunCollector:
     def _flush(self) -> None:
         if not self._chars:
             return
-        codepoints, lengths = _codepoint_runs("".join(self._block))
+        runs = _codepoint_runs("".join(self._block))
         self._block.clear()
         self._chars = 0
-        if self.codepoints and self.codepoints[-1] == codepoints[0]:
-            self.lengths[-1] += lengths[0]
-            del codepoints[0], lengths[0]
-        self.codepoints += codepoints
-        self.lengths += lengths
+        if self._runs and self._runs[-1][-1, 0] == runs[0, 0]:
+            self._runs[-1][-1, 1] += runs[0, 1]
+            runs = runs[1:]
+        if len(runs):
+            self._runs.append(runs)
 
-    def record(self, name: str) -> TextRuns:
+    def record(self, name: str) -> RunRecord:
         self._flush()
-        return TextRuns(name, self.codepoints, self.lengths)
+        return RunRecord(name, np.concatenate([_NO_RUNS, *self._runs]))
 
 
-def read_fasta_records(stream) -> list[TextRuns]:
+def _read_records(stream, collector, before_header: str, unique: bool) -> list[RunRecord]:
+    """Records of a format whose records open with ">name" header lines.
+
+    Each record's stripped, nonblank body lines go to its own collector
+    (_RunCollector or _TokenCollector). A collector raises its own errors
+    when its record closes, before the next header is checked, so every
+    line-numbered error comes in line order. unique rejects repeated names.
+    """
+    records: list[RunRecord] = []
+    names: set[str] = set()
+    name = ""
+    body = None
+    for line_no, raw in enumerate(_lines(stream), 1):
+        text = raw.strip()
+        if not text:
+            continue
+        if not text.startswith(">"):
+            if body is None:
+                raise ParseError(before_header, line_no)
+            body.add(text, line_no)
+            continue
+        if body is not None:
+            records.append(body.record(name))
+        name = text[1:].strip()
+        if not name:
+            raise ParseError("missing record name", line_no)
+        if unique and name in names:
+            raise ParseError(f"duplicate record name {name!r}", line_no)
+        names.add(name)
+        body = collector()
+    if body is not None:
+        records.append(body.record(name))
+    for record in records:
+        if not len(record.runs):
+            raise ParseError(f"empty record {record.name}")
+    return records
+
+
+def read_rle_records(stream) -> list[RunRecord]:
+    """Read the run-length text format into codepoint-run records.
+
+    Records open with ">name"; body lines hold whitespace separated tokens of
+    one printable symbol character followed by a decimal count, e.g. "a12 b3".
+    Names must be unique. Adjacent tokens with the same symbol are merged
+    with a warning.
+    """
+    before = "run data before the first record header"
+    return _read_records(stream, _TokenCollector, before, unique=True)
+
+
+def read_fasta_records(stream) -> list[RunRecord]:
     """Read FASTA records as codepoint runs, folding stripped body lines.
 
     Body lines are run-encoded a block at a time (_RunCollector), so no
     record's decoded text is held whole.
     """
-    records: list[TextRuns] = []
-    name = ""
-    body: _RunCollector | None = None
-    for line_no, raw in enumerate(_lines(stream), 1):
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith(">"):
-            if body is not None:
-                records.append(body.record(name))
-            name = text[1:].strip()
-            if not name:
-                raise ParseError("missing record name", line_no)
-            body = _RunCollector()
-            continue
-        if body is None:
-            raise ParseError("sequence data before the first header", line_no)
-        body.add(text)
-    if body is not None:
-        records.append(body.record(name))
-    for record in records:
-        if not record.lengths:
-            raise ValueError(f"empty record {record.name}")
-    return records
+    before = "sequence data before the first header"
+    return _read_records(stream, _RunCollector, before, unique=False)
 
 
-def read_text_record(stream, name: str) -> TextRuns:
+def read_text_record(stream, name: str) -> RunRecord:
     """Read raw text as one record: every line stripped, then concatenated."""
     body = _RunCollector()
     for raw in _lines(stream):
@@ -362,21 +420,15 @@ def read_text_record(stream, name: str) -> TextRuns:
 
 
 def build_rle_sequences(
-    records: list[tuple[str, list[tuple[str, int]]]],
+    records: list[RunRecord],
     alphabet: Alphabet | None = None,
 ) -> tuple[list[RleSeq], Alphabet]:
-    """Turn parsed run records into sentinel-terminated sequences over one alphabet."""
-    if alphabet is None:
-        alphabet = Alphabet.from_symbols(ch for _, pairs in records for ch, _ in pairs)
-    seqs = []
-    for name, pairs in records:
-        runs = tuple(Run(alphabet.to_id[ch], count) for ch, count in pairs)
-        seqs.append(RleSeq(name=name, runs=runs + (Run(SENTINEL_FIRST, 1),)))
-    return seqs, alphabet
+    """build_text_sequences for run-length records, which are codepoint runs like any other."""
+    return build_text_sequences(records, alphabet)
 
 
 def build_text_sequences(
-    records: list[TextRuns],
+    records: list[RunRecord],
     alphabet: Alphabet | None = None,
 ) -> tuple[list[RleSeq], Alphabet]:
     """Encode codepoint-run records over one shared alphabet.
@@ -384,14 +436,13 @@ def build_text_sequences(
     The alphabet comes from the records' distinct run codepoints.
     """
     if alphabet is None:
-        alphabet = Alphabet.from_symbols(
-            map(chr, set().union(*(record.codepoints for record in records)))
-        )
+        codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
+        alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
     seqs = []
-    for name, codepoints, lengths in records:
-        if not lengths:
+    for name, runs in records:
+        if not len(runs):
             raise ValueError(f"empty record {name}")
-        seqs.append(_seq_from_runs(name, codepoints, lengths, alphabet))
+        seqs.append(_seq_from_runs(name, runs, alphabet))
     return seqs, alphabet
 
 

@@ -5,9 +5,10 @@ one suffix per run. The two run lists are concatenated into one token string
 (token t is run t+1 of the first sequence when t < len(first.runs), else run
 t-len(first.runs)+1 of the second), and a SuffixOrder maps each rank to the
 token its suffix starts at. All depths and lcp values here are decoded
-lengths, never run counts, so they may approach the 2^62 length bound and are
-kept as Python ints except inside the numpy sorting kernels, whose values
-(signed run lengths, dense ranks) individually fit in int64.
+lengths, never run counts. The token key columns come straight from the int64
+run arrays, and every key and rank fits in int64; decoded lcps and suffix
+lengths stay within one sequence (at most 2^62), but prefix sums over both
+sequences reach 2^63, so those loops work on Python ints.
 
 The engine reads only the suffix order: its query trie is built from it
 directly, with range-minimum queries over the lcps, and the order is dropped
@@ -19,18 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
 from rleacs.rle import RleSeq, ensure_pair
-
-
-class SuffixRef(NamedTuple):
-    """Suffix handle: sequence index (0 or 1) and 1-based starting run."""
-
-    seq: int
-    run: int
 
 
 @dataclass(frozen=True)
@@ -52,12 +45,6 @@ class SuffixOrder:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def refs(self) -> list[SuffixRef]:
-        """The suffix at each rank as a (sequence, run) handle."""
-        nx = len(self.first.runs)
-        return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in self.tokens]
-
 
 @dataclass(frozen=True)
 class Trie:
@@ -68,17 +55,18 @@ class Trie:
     leaves: list[int]
 
 
-def longest_run_table(seq: RleSeq) -> dict[int, int]:
-    """Symbol id -> longest run of that symbol in the sequence body."""
-    table: dict[int, int] = {}
-    for sym, length in seq.content_runs:
-        if length > table.get(sym, 0):
-            table[sym] = length
+def longest_run_table(seq: RleSeq, size: int) -> np.ndarray:
+    """Longest run of each symbol id below size in the sequence body, 0 where absent.
+
+    size must exceed every id that will be looked up, not only those in seq.
+    """
+    table = np.zeros(size, dtype=np.int64)
+    np.maximum.at(table, seq.runs[:-1, 0], seq.runs[:-1, 1])
     return table
 
 
 def _token_columns(first: RleSeq, second: RleSeq):
-    """Flatten both run lists into per-token sort-key columns.
+    """Both run arrays as per-token sort-key columns.
 
     A token's key (sym, group, signed, next_sym) compares two suffixes exactly
     as their decoded strings do whenever the keys differ, given maximal runs:
@@ -92,31 +80,18 @@ def _token_columns(first: RleSeq, second: RleSeq):
     - all else equal: the following symbols get compared directly.
 
     Sentinel tokens get (sym, 0, 0, -1); their sym (0 or 1) is unique in the
-    whole token string and below every body symbol.
+    whole token string and below every body symbol. The fifth column is each
+    token's decoded length, its run length (1 for a sentinel).
     """
-    syms: list[int] = []
-    groups: list[int] = []
-    signed: list[int] = []
-    nexts: list[int] = []
-    decoded: list[int] = []
-    for seq in (first, second):
-        runs = seq.runs
-        last = len(runs) - 1
-        for k, (sym, length) in enumerate(runs):
-            if k == last:
-                syms.append(sym)
-                groups.append(0)
-                signed.append(0)
-                nexts.append(-1)
-                decoded.append(1)
-            else:
-                nxt = runs[k + 1].sym
-                group = 0 if nxt < sym else 1
-                syms.append(sym)
-                groups.append(group)
-                signed.append(length if group == 0 else -length)
-                nexts.append(nxt)
-                decoded.append(length)
+    syms, decoded = np.concatenate((first.runs, second.runs)).T
+    sentinels = [len(first.runs) - 1, len(syms) - 1]
+    nexts = np.empty_like(syms)
+    nexts[:-1] = syms[1:]
+    nexts[sentinels] = -1
+    # adjacent runs differ, so group 1 is exactly "next symbol is larger"
+    groups = (nexts > syms).astype(np.int64)
+    signed = np.where(groups == 0, decoded, -decoded)
+    signed[sentinels] = 0
     return syms, groups, signed, nexts, decoded
 
 
@@ -187,13 +162,7 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     syms, groups, signed, nexts, decoded = _token_columns(first, second)
     n = len(syms)
     nx = len(first.runs)
-    columns = [
-        np.array(syms, dtype=np.int64),
-        np.array(groups, dtype=np.int64),
-        np.array(signed, dtype=np.int64),
-        np.array(nexts, dtype=np.int64),
-    ]
-    rank0_arr = _dense_rank(columns)
+    rank0_arr = _dense_rank([syms, groups, signed, nexts])
     rank_arr = _prefix_double(rank0_arr)
     order_arr = np.argsort(rank_arr)
 
@@ -203,6 +172,7 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     klcp = _token_lcp(order, rank, rank0)
 
     # decoded prefix sums over tokens; sums can exceed int64 so stay in ints
+    syms, decoded = syms.tolist(), decoded.tolist()
     prefix = list(accumulate(decoded, initial=0))
     total_first = prefix[nx]
     total_all = prefix[n]

@@ -144,14 +144,16 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTri
     token t's suffix, and the two sequence-start slots are left as they were.
     The order is no longer referenced once the trie's sweep starts.
     """
-    runs = order.first.runs + order.second.runs
     nx = len(order.first.runs)
-    tokens = order.tokens
-    ranks = [k for k, t in enumerate(tokens) if t != 0 and t != nx]
+    runs = np.concatenate((order.first.runs, order.second.runs))
+    tokens = np.array(order.tokens)
+    ranks = np.flatnonzero((tokens != 0) & (tokens != nx))
     # stable, so ranks stay ascending inside each symbol's block
-    ranks.sort(key=lambda k: runs[tokens[k] - 1].sym)
-    leaf_tokens = [tokens[k] for k in ranks]
-    depths = [order.suffix_lengths[k] for k in ranks]
+    by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
+    ranks = ranks[by_sym]
+    leaf_tokens = tokens[ranks]
+    preceding = runs[leaf_tokens - 1]
+    depths = np.array(order.suffix_lengths)[ranks].tolist()
 
     # Neighbors in one block get the range-min of the order's lcps between
     # them; neighbors in different blocks get 0, so each block hangs from
@@ -160,22 +162,16 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTri
     # longest s-run of the other sequence, and the leaf after that run sits
     # in the s-block: both the block's own root and the shared root qualify,
     # each with str_depth 0 and weight 0.
-    syms = np.array([runs[t - 1].sym for t in leaf_tokens], dtype=np.int64)
+    syms = preceding[:, 0]
     inner = np.flatnonzero(syms[1:] == syms[:-1])
-    rank_arr = np.array(ranks, dtype=np.int64)
-    gaps = np.zeros_like(rank_arr[1:])
-    gaps[inner] = RangeMin(order.dlcp).query_many(rank_arr[inner], rank_arr[inner + 1] - 1)
+    gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
+    gaps[inner] = RangeMin(order.dlcp).query_many(ranks[inner], ranks[inner + 1] - 1)
     gaps = gaps.tolist()
-    del order, tokens, ranks, rank_arr, syms, inner
+    del order, tokens, runs, ranks, by_sym, syms, inner
 
     parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
     del depths, gaps
-    for t, leaf in zip(leaf_tokens, leaf_nodes):
+    for t, leaf in zip(leaf_tokens.tolist(), leaf_nodes):
         token_leaf[t] = leaf
     trie = SymbolTrie(parent=parent, str_depth=str_depth, leaves=leaf_nodes)
-    return annotate(
-        trie,
-        popped,
-        [t >= nx for t in leaf_tokens],
-        [runs[t - 1].length for t in leaf_tokens],
-    )
+    return annotate(trie, popped, (leaf_tokens >= nx).tolist(), preceding[:, 1].tolist())

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from string import ascii_lowercase
 
 import numpy as np
@@ -26,10 +27,12 @@ from rleacs.oracle import (
     OracleBudget,
     brute_match_lengths,
     brute_suffix_sort,
+    decode_ids,
+    per_position_lengths,
     suffix_lcp,
-    suffix_runs,
+    suffix_refs,
 )
-from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, decode_ids, encode
+from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
 
 ALPHABET_SIZES = (2, 4, 20)
@@ -73,7 +76,7 @@ def random_text(rng: random.Random, n: int, alphabet_size: int, mean_run: float)
 
 def rle_record(seq: RleSeq, alphabet: Alphabet) -> str:
     """Render one sequence in the run-length text format, for replaying."""
-    body = " ".join(f"{alphabet.to_char[sym]}{length}" for sym, length in seq.content_runs)
+    body = " ".join(f"{alphabet.to_char[sym]}{n}" for sym, n in seq.runs[:-1].tolist())
     return f">{seq.name}\n{body}"
 
 
@@ -190,23 +193,22 @@ def _compare(
     if not 0 <= lsum <= len(x_text) * len(y_text):
         failures.append(f"lsum {lsum} outside [0, x*y]")
 
-    per_position = engine.per_position_lengths(cap=max(len(x_text), 1))
+    per_position = per_position_lengths(engine, cap=max(len(x_text), 1))
     if per_position != brute_lengths:
         failures.append("per-position lengths differ from brute scan")
     if sum(per_position) != lsum:
         failures.append("per-position sum differs from per-run sum")
 
     pos = 0
-    for i in range(1, first.run_count + 1):
-        f = first.runs[i - 1].length
+    for i, f in enumerate(first.runs[:-1, 1].tolist(), 1):
         if engine.run_sum(i) != sum(per_position[pos : pos + f]):
             failures.append(f"run {i} sum does not match its positions")
             break
         pos += f
 
     last = first.run_count
-    sym, f = first.runs[last - 1]
-    m = engine.max_run.get(sym, 0)
+    sym, f = first.runs[last - 1].tolist()
+    m = int(engine.max_run[sym])
     closed = 0 if m == 0 else (f * (f + 1) // 2 if f <= m else m * f - m * (m - 1) // 2)
     if engine.run_sum(last) != closed:
         failures.append(f"final run sum {engine.run_sum(last)} != closed form {closed}")
@@ -261,7 +263,7 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     )
 
     query = engine.trie
-    refs = order.refs
+    refs = suffix_refs(order)
     token_leaf = engine.token_leaf
     with_leaf = [k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
@@ -289,32 +291,28 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
                 failures.append(f"query trie: {prefix}weight at node {v} breaks telescoping")
                 break
 
-    # what extraction annotates each leaf with: the run before its token,
-    # and whether that token is the second sequence's
-    runs = (engine.first.runs, engine.second.runs)
-    token_runs = runs[0] + runs[1]
-    nx = len(runs[0])
-    leaf_tokens = [order.tokens[k] for k in leaf_ranks]
+    # what extraction annotates each leaf with: the length of the run before
+    # its suffix, as freq after a second-sequence run, else as rev_freq
+    runs = (engine.first.runs.tolist(), engine.second.runs.tolist())
     leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
-    if [(r.length, ref.seq == 1) for r, ref in zip(preceding, leaf_refs)] != [
-        (token_runs[t - 1].length, t >= nx) for t in leaf_tokens
+    if [(query.freq[v], query.rev_freq[v]) for v in query.leaves] != [
+        (n, 0) if ref.seq == 1 else (0, n) for (_, n), ref in zip(preceding, leaf_refs)
     ]:
         failures.append("query trie: leaf annotations differ from the preceding runs")
-    syms = [r.sym for r in preceding]
+    syms = [sym for sym, _ in preceding]
     if sorted(zip(syms, leaf_ranks)) != list(zip(syms, leaf_ranks)):
         failures.append("query trie: leaves are not in symbol blocks of ascending rank")
 
     # gap lcps recomputed with the run walker inside a block, 0 between
-    # blocks, then interval mins
+    # blocks, depths as sums of the runs from the leaf's own on, then
+    # interval mins
     gaps = [
         suffix_lcp(engine.first, engine.second, a, b) if s == t else 0
         for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
     ]
-    depths = [
-        sum(r.length for r in suffix_runs(engine.first, engine.second, ref))
-        for ref in leaf_refs
-    ]
+    tails = [list(accumulate(n for _, n in reversed(seq_runs)))[::-1] for seq_runs in runs]
+    depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
     failures.extend(
         _interval_min_mismatches(
             "query trie",

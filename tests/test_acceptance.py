@@ -17,7 +17,13 @@ import pytest
 from rleacs.bench import doubling_sweep, giant_unary, runlength_sweep
 from rleacs.cli import main
 from rleacs.engine import AcsEngine, acs, acs_self, dist, dist_value
-from rleacs.oracle import OracleBudget, brute_match_lengths, brute_suffix_sort
+from rleacs.oracle import (
+    OracleBudget,
+    brute_match_lengths,
+    brute_suffix_sort,
+    per_position_lengths,
+    suffix_refs,
+)
 from rleacs.rle import SENTINEL_SECOND, Alphabet, encode
 from rleacs.suffixes import build_suffix_order
 from rleacs.verify import ALPHABET_SIZES, RUN_LENGTH_MEANS, _structural_checks, random_text
@@ -76,7 +82,7 @@ def campaign() -> Campaign:
         if lsum != sum(brute_l):
             result.lsum_failures.append(trial)
         if (
-            order.refs != brute_order.refs
+            suffix_refs(order) != suffix_refs(brute_order)
             or order.dlcp != brute_order.dlcp
             or order.suffix_lengths != brute_order.suffix_lengths
         ):
@@ -84,20 +90,20 @@ def campaign() -> Campaign:
         result.oracle_seconds += time.perf_counter() - t0
 
         # criterion 3: per-position sums vs per-run sums, exact
-        per_position = engine.per_position_lengths(cap=N_MAX)
+        per_position = per_position_lengths(engine, cap=N_MAX)
         if sum(per_position) != lsum or per_position != brute_l:
             result.position_sum_failures.append(trial)
         pos = 0
         for i in range(1, first.run_count + 1):
-            f = first.runs[i - 1].length
+            f = int(first.runs[i - 1, 1])
             if engine.run_sum(i) != sum(per_position[pos : pos + f]):
                 result.grouping_failures.append((trial, i))
                 break
             pos += f
 
         # criterion 4 (corpus half): final-run closed forms
-        sym, f = first.runs[first.run_count - 1]
-        m = engine.max_run.get(sym, 0)
+        sym, f = first.runs[first.run_count - 1].tolist()
+        m = int(engine.max_run[sym])
         if m == 0:
             expected = 0
         elif f <= m:
@@ -155,7 +161,7 @@ def test_criterion_2_worked_micro_example():
     first = encode("aab", "X", alphabet)
     second = encode("ab", "Y", alphabet, sentinel=SENTINEL_SECOND)
     engine = AcsEngine(first, second)
-    per_position = engine.per_position_lengths()
+    per_position = per_position_lengths(engine)
     run_sums = [engine.run_sum(i) for i in range(1, first.run_count + 1)]
     forward = acs(first, second).value
     backward = acs(second, first).value
@@ -199,8 +205,8 @@ def test_criterion_4_final_run_closed_forms(campaign):
         first = encode(x_text, "X", alphabet)
         second = encode(y_text, "Y", alphabet, sentinel=SENTINEL_SECOND)
         engine = AcsEngine(first, second)
-        sym, f = first.runs[first.run_count - 1]
-        m = engine.max_run.get(sym, 0)
+        sym, f = first.runs[first.run_count - 1].tolist()
+        m = int(engine.max_run[sym])
         if m == 0:
             expected = 0
         elif f <= m:

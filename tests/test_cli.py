@@ -148,6 +148,15 @@ def test_rle_format_and_line_numbered_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err and "zz9" in err
 
+    # two tokens of 2^62 - 1 merge into one run past the length bound
+    merged = tmp_path / "merged.rle"
+    token = f"a{(1 << 62) - 1}"
+    merged.write_text(f">X\n{token} {token}\n>Y\na1\n", encoding="utf-8")
+    with pytest.warns(UserWarning, match="merged 1 adjacent"):
+        assert main(["acs", str(merged), "--format", "rle"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "X: decoded length 9223372036854775807 exceeds bound" in err
+
 
 def test_text_format_uses_file_stems(tmp_path, capsys):
     left = tmp_path / "left.txt"

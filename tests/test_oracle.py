@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from conftest import make_pair
 from rleacs.oracle import (
     OracleBudget,
+    SuffixRef,
     _lcp,
     _scan_match_lengths,
     brute_acs,
     brute_match_lengths,
     brute_suffix_sort,
+    run_walk_total,
+    suffix_refs,
 )
-from rleacs.suffixes import SuffixRef
 
 
 def test_match_lengths_micro():
@@ -90,7 +92,7 @@ def test_lcp_agrees_with_character_scan(a, b):
 def test_suffix_sort_micro():
     first, second, _ = make_pair("aab", "ab")
     order = brute_suffix_sort(first, second)
-    assert order.refs == [
+    assert suffix_refs(order) == [
         SuffixRef(0, 3),  # sentinel of X
         SuffixRef(1, 3),  # sentinel of Y
         SuffixRef(0, 1),  # aab + sentinel
@@ -105,7 +107,12 @@ def test_suffix_sort_micro():
 def test_suffix_sort_single_run_pair():
     first, second, _ = make_pair("a", "a")
     order = brute_suffix_sort(first, second)
-    assert order.refs == [SuffixRef(0, 2), SuffixRef(1, 2), SuffixRef(0, 1), SuffixRef(1, 1)]
+    assert suffix_refs(order) == [
+        SuffixRef(0, 2),
+        SuffixRef(1, 2),
+        SuffixRef(0, 1),
+        SuffixRef(1, 1),
+    ]
     assert order.dlcp == [0, 0, 1]
 
 
@@ -114,7 +121,38 @@ def test_suffix_sort_equal_content_interleaves():
     order = brute_suffix_sort(first, second)
     # equal decoded suffixes differ only in the final sentinel, so each X
     # suffix sits immediately before its Y twin
-    for k in range(0, len(order.refs), 2):
-        a, b = order.refs[k], order.refs[k + 1]
+    refs = suffix_refs(order)
+    for k in range(0, len(refs), 2):
+        a, b = refs[k], refs[k + 1]
         assert (a.seq, b.seq) == (0, 1)
         assert a.run == b.run
+
+
+def test_run_walk_total_micro():
+    first, second, _ = make_pair("aab", "ab")
+    assert run_walk_total(first, second) == 4
+    assert run_walk_total(second, first) == 3
+    first, second, _ = make_pair("a" * 9, "a" * 3)
+    assert run_walk_total(first, second) == 24
+    first, second, _ = make_pair("ab", "cd")
+    assert run_walk_total(first, second) == 0
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6)),
+        min_size=1,
+        max_size=10,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_run_walk_total_matches_brute(x_pairs, y_pairs):
+    x = "".join(ch * k for ch, k in x_pairs)
+    y = "".join(ch * k for ch, k in y_pairs)
+    first, second, _ = make_pair(x, y)
+    assert run_walk_total(first, second) == sum(brute_match_lengths(x, y))
+    assert run_walk_total(second, first) == sum(brute_match_lengths(y, x))

@@ -4,22 +4,24 @@ import tracemalloc
 import warnings
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rleacs import rle
+from rleacs.oracle import decode_ids
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
+    MAX_DECODED_LENGTH,
+    MAX_SYMBOL_ID,
     SENTINEL_FIRST,
     SENTINEL_SECOND,
     Alphabet,
     ParseError,
     RleSeq,
-    Run,
     build_text_sequences,
     decode,
-    decode_ids,
     encode,
     ensure_pair,
     parse_fasta,
@@ -32,13 +34,14 @@ from rleacs.rle import (
 
 def test_encode_groups_maximal_runs():
     seq = encode("aabbbc")
-    assert seq.content_runs == (
-        Run(FIRST_SYMBOL_ID, 2),
-        Run(FIRST_SYMBOL_ID + 1, 3),
-        Run(FIRST_SYMBOL_ID + 2, 1),
-    )
+    assert seq.runs.dtype == np.int64 and seq.runs.shape == (4, 2)
+    assert seq.runs[:-1].tolist() == [
+        [FIRST_SYMBOL_ID, 2],
+        [FIRST_SYMBOL_ID + 1, 3],
+        [FIRST_SYMBOL_ID + 2, 1],
+    ]
     assert seq.sentinel == SENTINEL_FIRST
-    assert seq.runs[-1].length == 1
+    assert seq.runs[-1, 1] == 1
 
 
 def test_lengths_count_the_sentinel_once():
@@ -75,26 +78,54 @@ def test_symbol_outside_alphabet_rejected():
 
 
 def test_invalid_run_sequences_rejected():
-    sent = Run(SENTINEL_FIRST, 1)
+    sent = (SENTINEL_FIRST, 1)
     with pytest.raises(ValueError, match="empty sequence"):
-        RleSeq("s", (sent,))
+        RleSeq("s", [sent])
     with pytest.raises(ValueError, match="length must be >= 1"):
-        RleSeq("s", (Run(2, 0), sent))
+        RleSeq("s", [(2, 0), sent])
     with pytest.raises(ValueError, match="adjacent runs"):
-        RleSeq("s", (Run(2, 1), Run(2, 3), sent))
+        RleSeq("s", [(2, 1), (2, 3), sent])
     with pytest.raises(ValueError, match="sentinel id"):
-        RleSeq("s", (Run(2, 1), Run(SENTINEL_SECOND, 1), Run(3, 1), sent))
+        RleSeq("s", [(2, 1), (SENTINEL_SECOND, 1), (3, 1), sent])
     with pytest.raises(ValueError, match="length-1 sentinel"):
-        RleSeq("s", (Run(2, 1), Run(SENTINEL_FIRST, 2)))
+        RleSeq("s", [(2, 1), (SENTINEL_FIRST, 2)])
     with pytest.raises(ValueError, match="length-1 sentinel"):
-        RleSeq("s", (Run(2, 1), Run(3, 1)))
+        RleSeq("s", [(2, 1), (3, 1)])
+    with pytest.raises(ValueError, match="symbol, length"):
+        RleSeq("s", [2, 1, SENTINEL_FIRST, 1])
+    # ids index per-symbol tables, so they stay within one per codepoint
+    with pytest.raises(ValueError, match="symbol id 1099511627776 above"):
+        RleSeq("s", [(1 << 40, 1), sent])
+    RleSeq("s", [(MAX_SYMBOL_ID, 1), sent])
 
 
 def test_huge_runs_allowed_up_to_bound():
-    big = RleSeq("big", (Run(2, 10**9), Run(SENTINEL_FIRST, 1)))
+    big = RleSeq("big", [(2, 10**9), (SENTINEL_FIRST, 1)])
     assert big.content_length == 10**9
+    at_bound = RleSeq("at-bound", [(2, MAX_DECODED_LENGTH - 1), (SENTINEL_FIRST, 1)])
+    assert at_bound.decoded_length == MAX_DECODED_LENGTH
     with pytest.raises(ValueError, match="exceeds bound"):
-        RleSeq("too-big", (Run(2, 1 << 62), Run(SENTINEL_FIRST, 1)))
+        RleSeq("too-big", [(2, 1 << 62), (SENTINEL_FIRST, 1)])
+    # a length no int64 holds
+    with pytest.raises(ValueError, match="exceeds bound"):
+        RleSeq("past-int64", [(2, 1 << 63), (SENTINEL_FIRST, 1)])
+    # four runs of 2^62 sum to 2^64, which wraps to 0 in 64 bits
+    with pytest.raises(ValueError, match="decoded length 18446744073709551617 exceeds bound"):
+        RleSeq("wraps", [(2 + k % 2, 1 << 62) for k in range(4)] + [(SENTINEL_FIRST, 1)])
+
+
+def test_runs_are_read_only():
+    seq = encode("aab")
+    with pytest.raises(ValueError, match="read-only"):
+        seq.runs[0, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        seq.runs[:, 0] += 1
+    # the sequence keeps its own copy of the rows it was built from
+    rows = np.array([[2, 3], [SENTINEL_FIRST, 1]])
+    built = RleSeq("own", rows)
+    rows[0, 1] = 7
+    assert built.runs.tolist() == [[2, 3], [SENTINEL_FIRST, 1]]
+    assert built.content_length == 3
 
 
 def test_decode_round_trip():
@@ -105,7 +136,7 @@ def test_decode_round_trip():
 
 def test_decode_respects_limit():
     alpha = Alphabet.from_symbols("a")
-    seq = RleSeq("big", (Run(FIRST_SYMBOL_ID, 100), Run(SENTINEL_FIRST, 1)))
+    seq = RleSeq("big", [(FIRST_SYMBOL_ID, 100), (SENTINEL_FIRST, 1)])
     with pytest.raises(ValueError, match="decode too large"):
         decode(seq, alpha, limit=99)
 
@@ -132,7 +163,7 @@ def test_ensure_pair_fixes_sentinels():
     assert first.sentinel == SENTINEL_FIRST
     assert second.sentinel == SENTINEL_SECOND
     assert first is a
-    assert second.content_runs == b.content_runs
+    assert second.runs[:-1].tolist() == b.runs[:-1].tolist()
 
 
 def test_parse_rle_text_basic():
@@ -166,6 +197,17 @@ def test_parse_rle_text_errors_carry_line_numbers():
         parse_rle_text(">\na2\n")
     with pytest.raises(ParseError, match="empty record s"):
         parse_rle_text(">s\n")
+    # counts past the bound are refused with their line, before conversion:
+    # one too long for Python's int(), one too large for int64
+    with pytest.raises(ParseError, match="^line 3: run count exceeds bound"):
+        parse_rle_text(">s\na2\nb" + "9" * 5000 + "\n")
+    with pytest.raises(ParseError, match=f"^line 2: run count exceeds bound .*'a{1 << 63}'"):
+        parse_rle_text(f">s\nb1 a{1 << 63}\n")
+    with pytest.raises(ParseError, match="line 2: run count exceeds bound"):
+        parse_rle_text(f">s\na{MAX_DECODED_LENGTH + 1}\n")
+    # leading zeros are not significant digits
+    seqs, _ = parse_rle_text(">s\na" + "0" * 40 + "7\n")
+    assert seqs[0].content_length == 7
 
 
 def test_read_rle_records_rejects_fancy_tokens():
@@ -205,7 +247,7 @@ def test_encode_decode_round_trip(text):
     seq = encode(text, "t", alpha)
     assert decode(seq, alpha, limit=len(text)) == text
     # maximality: adjacent runs never share a symbol
-    syms = [r.sym for r in seq.content_runs]
+    syms = seq.runs[:-1, 0].tolist()
     assert all(a != b for a, b in zip(syms, syms[1:]))
     assert seq.content_length == len(text)
 
@@ -228,8 +270,7 @@ def test_rle_text_format_round_trip(pairs):
 
 def _reference_runs(lines):
     """groupby runs over the joined stripped lines: the ingest contract."""
-    runs = [(ord(ch), len(list(g))) for ch, g in groupby("".join(line.strip() for line in lines))]
-    return [cp for cp, _ in runs], [length for _, length in runs]
+    return [[ord(ch), len(list(g))] for ch, g in groupby("".join(line.strip() for line in lines))]
 
 
 # Symbols for body lines: ASCII, Latin-1 and BMP letters, astral-plane
@@ -250,7 +291,7 @@ def test_streamed_runs_match_groupby_reference(bodies, newline, block_chars):
         mp.setattr(rle, "BLOCK_CHARS", block_chars)
         lines = [line for body in bodies for line in body]
         text_record = read_text_record(io.StringIO(newline.join(lines) + newline), "t")
-        assert (text_record.codepoints, text_record.lengths) == _reference_runs(lines)
+        assert text_record.runs.tolist() == _reference_runs(lines)
 
         fasta = "".join(
             f">r{k}{newline}" + "".join(line + newline for line in body)
@@ -260,7 +301,7 @@ def test_streamed_runs_match_groupby_reference(bodies, newline, block_chars):
             records = read_fasta_records(io.StringIO(fasta))
             assert [r.name for r in records] == [f"r{k}" for k in range(len(bodies))]
             for record, body in zip(records, bodies):
-                assert (record.codepoints, record.lengths) == _reference_runs(body)
+                assert record.runs.tolist() == _reference_runs(body)
         else:
             with pytest.raises(ValueError, match="empty record r"):
                 read_fasta_records(io.StringIO(fasta))

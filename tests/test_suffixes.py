@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pair
-from rleacs.oracle import brute_suffix_sort, suffix_compare, suffix_lcp, suffix_runs
-from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq, Run
+from rleacs.oracle import (
+    SuffixRef,
+    brute_suffix_sort,
+    suffix_compare,
+    suffix_lcp,
+    suffix_refs,
+    suffix_runs,
+)
+from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq
 from rleacs.suffixes import (
     RangeMin,
-    SuffixRef,
     _sweep_compact_trie,
     build_suffix_order,
     build_trie,
@@ -22,7 +28,7 @@ from rleacs.symbol_tries import extract_symbol_tries
 def test_order_micro_pair():
     first, second, _ = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
-    assert order.refs == [
+    assert suffix_refs(order) == [
         SuffixRef(0, 3),
         SuffixRef(1, 3),
         SuffixRef(0, 1),
@@ -37,7 +43,12 @@ def test_order_micro_pair():
 def test_order_single_symbol_pair():
     first, second, _ = make_pair("a", "a")
     order = build_suffix_order(first, second)
-    assert order.refs == [SuffixRef(0, 2), SuffixRef(1, 2), SuffixRef(0, 1), SuffixRef(1, 1)]
+    assert suffix_refs(order) == [
+        SuffixRef(0, 2),
+        SuffixRef(1, 2),
+        SuffixRef(0, 1),
+        SuffixRef(1, 1),
+    ]
     assert order.dlcp == [0, 0, 1]
 
 
@@ -46,7 +57,7 @@ def test_order_counts_run_starts_only():
     first, second, _ = make_pair("aaaa", "b")
     order = build_suffix_order(first, second)
     assert len(order) == 4
-    assert sorted(order.refs) == [
+    assert sorted(suffix_refs(order)) == [
         SuffixRef(0, 1),
         SuffixRef(0, 2),
         SuffixRef(1, 1),
@@ -61,12 +72,13 @@ def test_order_matches_brute_on_kasai_equality_regression():
     first, second, _ = make_pair("ABBDBBBAD", "ABBAD")
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
-    assert fast.refs == brute.refs
+    assert suffix_refs(fast) == suffix_refs(brute)
     assert fast.dlcp == brute.dlcp
     assert fast.suffix_lengths == brute.suffix_lengths
     # the two suffixes in question: X run 2 ("BBDBBBAD...") and X run 4 ("BBBAD...")
-    k = fast.refs.index(SuffixRef(0, 4))
-    assert fast.refs[k + 1] == SuffixRef(0, 2)
+    refs = suffix_refs(fast)
+    k = refs.index(SuffixRef(0, 4))
+    assert refs[k + 1] == SuffixRef(0, 2)
     assert fast.dlcp[k] == 2
 
 
@@ -89,25 +101,23 @@ def test_compare_shorter_run_smaller_when_next_symbol_smaller():
 def test_lcp_run_walk_cases():
     first, second, _ = make_pair("aab", "ab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 1
-    a3 = RleSeq("a3", (Run(2, 3), Run(SENTINEL_FIRST, 1)))
-    a5 = RleSeq("a5", (Run(2, 5), Run(SENTINEL_SECOND, 1)))
+    a3 = RleSeq("a3", [(2, 3), (SENTINEL_FIRST, 1)])
+    a5 = RleSeq("a5", [(2, 5), (SENTINEL_SECOND, 1)])
     assert suffix_lcp(a3, a5, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
     first, second, _ = make_pair("aab", "aab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
 
 
 def test_longest_run_table():
+    # ids: a=2, b=3, x=4; the table is indexed by symbol id and covers x,
+    # which only the first sequence has
     first, second, _ = make_pair("x", "ab")
-    assert longest_run_table(second) == {
-        second.runs[0].sym: 1,
-        second.runs[1].sym: 1,
-    }
+    assert longest_run_table(second, 5).tolist() == [0, 0, 1, 1, 0]
     first, second, _ = make_pair("x", "aabbba")
-    table = longest_run_table(second)
-    a_id = second.runs[0].sym
-    b_id = second.runs[1].sym
-    assert table == {a_id: 2, b_id: 3}
-    assert table.get(first.runs[0].sym, 0) == 0
+    table = longest_run_table(second, 5)
+    a_id, b_id = second.runs[:2, 0].tolist()
+    assert (table[a_id], table[b_id]) == (2, 3)
+    assert table[first.runs[0, 0]] == 0
 
 
 def test_trie_micro_pair():
@@ -160,7 +170,7 @@ def _assert_order_matches_brute(x, y):
     first, second, _ = make_pair(x, y)
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
-    assert fast.refs == brute.refs
+    assert suffix_refs(fast) == suffix_refs(brute)
     assert fast.dlcp == brute.dlcp
     assert fast.suffix_lengths == brute.suffix_lengths
 
@@ -213,20 +223,21 @@ def test_order_with_huge_runs_agrees_with_run_walk():
                 sym = rng.choice([2, 3, 4])
                 while sym == prev:
                     sym = rng.choice([2, 3, 4])
-                runs.append(Run(sym, rng.choice([1, 2, 10**9, 10**9 + 1])))
+                runs.append((sym, rng.choice([1, 2, 10**9, 10**9 + 1])))
                 prev = sym
-            return RleSeq("s", tuple(runs) + (Run(sentinel, 1),))
+            return RleSeq("s", [*runs, (sentinel, 1)])
 
         first = random_runs(SENTINEL_FIRST)
         second = random_runs(SENTINEL_SECOND)
         order = build_suffix_order(first, second)
+        refs = suffix_refs(order)
         for k in range(len(order) - 1):
-            a, b = order.refs[k], order.refs[k + 1]
+            a, b = refs[k], refs[k + 1]
             assert suffix_compare(first, second, a, b) == -1
             assert order.dlcp[k] == suffix_lcp(first, second, a, b)
-        for k, ref in enumerate(order.refs):
+        for k, ref in enumerate(refs):
             runs = suffix_runs(first, second, ref)
-            assert order.suffix_lengths[k] == sum(r.length for r in runs)
+            assert order.suffix_lengths[k] == sum(length for _, length in runs)
 
 
 @given(

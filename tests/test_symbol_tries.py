@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_pair
-from rleacs.suffixes import SuffixRef, build_suffix_order
+from rleacs.oracle import SuffixRef, suffix_refs
+from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import SymbolTrie, annotate, extract_symbol_tries
 
 
@@ -29,7 +30,8 @@ def test_extract_micro_pair():
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two sentinel suffixes
-    assert [order.refs[k] for k in leaf_ranks(trie, order, token_leaf)] == [
+    refs = suffix_refs(order)
+    assert [refs[k] for k in leaf_ranks(trie, order, token_leaf)] == [
         SuffixRef(0, 2),
         SuffixRef(1, 2),
         SuffixRef(0, 3),
@@ -151,7 +153,7 @@ def test_structural_invariants(x, y):
     t = extract_symbol_tries(order, token_leaf)
 
     ranks = leaf_ranks(t, order, token_leaf)
-    assert sorted(ranks) == [k for k, ref in enumerate(order.refs) if ref.run >= 2]
+    assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
     # the two sequence starts have no preceding run, every other token a leaf
     nx = len(first.runs)
     assert [tok for tok, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rleacs.engine import AcsEngine
@@ -27,11 +28,11 @@ class FreqAsMin(AcsEngine):
         best = [big] * trie.node_count
         # the suffix at token t follows run t - 1 of the two sequences' runs;
         # second-sequence suffixes start at token len(first.runs)
-        runs = self.first.runs + self.second.runs
-        for t in range(len(self.first.runs), len(runs)):
+        lengths = np.concatenate((self.first.runs, self.second.runs))[:, 1].tolist()
+        for t in range(len(self.first.runs), len(lengths)):
             leaf = self.token_leaf[t]
             if leaf >= 0:
-                best[leaf] = min(best[leaf], runs[t - 1].length)
+                best[leaf] = min(best[leaf], lengths[t - 1])
         for v in sorted(
             range(trie.node_count), key=trie.str_depth.__getitem__, reverse=True
         ):
@@ -87,11 +88,18 @@ def test_fault_injection_is_caught_and_replayable():
 
 
 def test_reverse_column_fault_is_caught():
-    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward)
+    # the reverse total catches it without the structural checks ...
+    report = run_verification(
+        seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward, deep=False
+    )
     assert not report.ok
     assert "reverse lsum" in report.failure
     seqs, _ = parse_rle_text(report.failure_record)
     assert check_pair(seqs[0], seqs[1]) == []
+    # ... and the leaf annotation check catches it on the first pair
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward)
+    assert report.failure.startswith("trial 0: ")
+    assert "leaf annotations differ from the preceding runs" in report.failure
 
 
 def test_engine_crash_reported_not_raised():
@@ -126,5 +134,8 @@ def test_rle_record_round_trip():
     first, second, alphabet = make_pair("aaabba", "abbb")
     text = rle_record(first, alphabet) + "\n" + rle_record(second, alphabet)
     seqs, _ = parse_rle_text(text)
-    assert [s.content_runs for s in seqs] == [first.content_runs, second.content_runs]
+    assert [s.runs[:-1].tolist() for s in seqs] == [
+        first.runs[:-1].tolist(),
+        second.runs[:-1].tolist(),
+    ]
     assert [s.name for s in seqs] == ["X", "Y"]
