@@ -104,8 +104,10 @@ class AcsEngine:
         the continuation depth of the deepest ancestor (of the following
         suffix's leaf, in the trie's s-block) still supported by a
         second-sequence run of at least h. Summing the ancestor depths over h
-        telescopes into two weight lookups.
+        telescopes into two weight lookups. i runs from 1 to run_count.
         """
+        if not 1 <= i <= self.first.run_count:
+            raise IndexError(f"run {i} outside 1..{self.first.run_count}")
         sym, f = self.first.runs[i - 1].tolist()
         return self._run_sum(i, f, int(self.max_run[sym]))
 

@@ -141,7 +141,8 @@ class SuffixRef(NamedTuple):
 def suffix_refs(order: SuffixOrder) -> list[SuffixRef]:
     """The suffix at each rank of order as a (sequence, run) handle."""
     nx = len(order.first.runs)
-    return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in order.tokens]
+    tokens = order.tokens.tolist()
+    return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in tokens]
 
 
 @lru_cache(maxsize=4)
@@ -285,8 +286,8 @@ def brute_suffix_sort(
 ) -> SuffixOrder:
     """Sort all run-start suffixes of the decoded pair by plain string order.
 
-    Produces the same SuffixOrder shape as the fast builder so the two can be
-    compared field by field.
+    Produces the same SuffixOrder record as the fast builder, int64 arrays
+    in every field, so the two can be compared field by field.
     """
     first, second = ensure_pair(first, second)
     budget.check(first.content_length, second.content_length)
@@ -304,7 +305,7 @@ def brute_suffix_sort(
     return SuffixOrder(
         first=first,
         second=second,
-        tokens=tokens,
-        dlcp=dlcp,
-        suffix_lengths=suffix_lengths,
+        tokens=np.array(tokens, dtype=np.int64),
+        dlcp=np.array(dlcp, dtype=np.int64),
+        suffix_lengths=np.array(suffix_lengths, dtype=np.int64),
     )

@@ -6,9 +6,9 @@ one suffix per run. The two run lists are concatenated into one token string
 t-len(first.runs)+1 of the second), and a SuffixOrder maps each rank to the
 token its suffix starts at. All depths and lcp values here are decoded
 lengths, never run counts. The token key columns come straight from the int64
-run arrays, and every key and rank fits in int64; decoded lcps and suffix
-lengths stay within one sequence (at most 2^62), but prefix sums over both
-sequences reach 2^63, so those loops work on Python ints.
+run arrays, and every key and rank fits in int64. Decoded lcps and suffix
+lengths stay within one sequence (at most 2^62), so they come from one int64
+prefix sum per sequence; a prefix sum over both sequences would reach 2^63.
 
 The engine reads only the suffix order: its query trie is built from it
 directly, with range-minimum queries over the lcps, and the order is dropped
@@ -19,28 +19,27 @@ for the structural checks of the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from rleacs.rle import RleSeq, ensure_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuffixOrder:
     """All run-start suffixes of a pair, sorted by decoded string order.
 
-    tokens[k] is the token index of the suffix at rank k; dlcp[k] is the
-    decoded longest-common-prefix length of the suffixes at ranks k and k+1;
-    suffix_lengths[k] is the decoded length (sentinel included) of the suffix
-    at rank k.
+    The three fields are int64 arrays. tokens[k] is the token index of the
+    suffix at rank k; dlcp[k] is the decoded longest-common-prefix length of
+    the suffixes at ranks k and k+1; suffix_lengths[k] is the decoded length
+    (sentinel included) of the suffix at rank k.
     """
 
     first: RleSeq
     second: RleSeq
-    tokens: list[int]
-    dlcp: list[int]
-    suffix_lengths: list[int]
+    tokens: np.ndarray
+    dlcp: np.ndarray
+    suffix_lengths: np.ndarray
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -108,44 +107,45 @@ def _dense_rank(columns: list[np.ndarray]) -> np.ndarray:
     return rank
 
 
-def _prefix_double(rank0: np.ndarray) -> np.ndarray:
-    """Ranks of all token-string suffixes by repeated doubling from rank0."""
+def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
+    """Rank arrays of every doubling round over the token string's suffixes.
+
+    Round k ranks each suffix by its first 2^k token keys; round 0 is rank0
+    and the last round orders all suffixes. rounds <= ceil(log2 N) + 1, so
+    keeping them all takes O(N * rounds) memory.
+    """
     n = len(rank0)
-    rank = rank0
+    rounds = [rank0]
     step = 1
-    while int(rank.max()) != n - 1:
+    while int(rounds[-1].max()) != n - 1:
         if step > 2 * n:
             raise AssertionError("suffix ranks failed to become distinct")
         shifted = np.full(n, -1, dtype=np.int64)
-        shifted[: n - step] = rank[step:]
-        rank = _dense_rank([rank, shifted])
+        shifted[: n - step] = rounds[-1][step:]
+        rounds.append(_dense_rank([rounds[-1], shifted]))
         step *= 2
-    return rank
+    return rounds
 
 
-def _token_lcp(order: list[int], rank: list[int], rank0: list[int]) -> list[int]:
+def _token_lcp(rounds: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     """Per adjacent rank pair, the count of leading tokens with equal keys.
 
-    Kasai's sweep; equality is key equality (rank0), the same relation that
-    defines the order, which the h-carrying argument requires. Coarser
-    relations (say, equality of raw (symbol, length) pairs) would carry stale
-    h values across boundaries the order resolves by group or next-symbol.
+    Descends through the doubling rounds for all pairs at once (Manber &
+    Myers): the last round's ranks are distinct, so every lcp is below its
+    2^k, and round k adds 2^k wherever the next 2^k keys still agree.
+    Equality is key equality (rank0), the same relation that defines the
+    order. Coarser relations (say, equality of raw (symbol, length) pairs)
+    would count tokens as shared across boundaries the order resolves by
+    group or next-symbol. A shared block never spans a unique sentinel, so
+    a + h and b + h stay inside the token string.
     """
-    n = len(order)
-    klcp = [0] * (n - 1)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = order[r - 1]
-        while i + h < n and j + h < n and rank0[i + h] == rank0[j + h]:
-            h += 1
-        klcp[r - 1] = h
-        if h:
-            h -= 1
-    return klcp
+    a = order[:-1]
+    b = order[1:]
+    h = np.zeros(len(a), dtype=np.int64)
+    for k in range(len(rounds) - 2, -1, -1):
+        rank = rounds[k]
+        h += (rank[a + h] == rank[b + h]).astype(np.int64) << k
+    return h
 
 
 def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
@@ -156,45 +156,30 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     run-length prefix sums plus a min-length boundary term when the first
     key-unequal tokens still share a symbol. Unique sentinel tokens stop every
     comparison at or before a sequence boundary, so concatenating the two
-    token lists is safe.
+    token lists is safe, and a suffix and its shared prefix lie in one
+    sequence, so each sequence gets its own prefix sum.
     """
     first, second = ensure_pair(first, second)
     syms, groups, signed, nexts, decoded = _token_columns(first, second)
-    n = len(syms)
-    nx = len(first.runs)
-    rank0_arr = _dense_rank([syms, groups, signed, nexts])
-    rank_arr = _prefix_double(rank0_arr)
-    order_arr = np.argsort(rank_arr)
+    rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
+    order = np.argsort(rounds[-1])
+    t = _token_lcp(rounds, order)
+    del rounds
 
-    order = order_arr.tolist()
-    rank = rank_arr.tolist()
-    rank0 = rank0_arr.tolist()
-    klcp = _token_lcp(order, rank, rank0)
-
-    # decoded prefix sums over tokens; sums can exceed int64 so stay in ints
-    syms, decoded = syms.tolist(), decoded.tolist()
-    prefix = list(accumulate(decoded, initial=0))
-    total_first = prefix[nx]
-    total_all = prefix[n]
-
-    suffix_lengths = [(total_first if i < nx else total_all) - prefix[i] for i in order]
-
-    dlcp = []
-    for r in range(n - 1):
-        a = order[r]
-        b = order[r + 1]
-        t = klcp[r]
-        d = prefix[a + t] - prefix[a]
-        if syms[a + t] == syms[b + t]:
-            d += min(decoded[a + t], decoded[b + t])
-        dlcp.append(d)
+    ends = [np.cumsum(seq.runs[:, 1]) for seq in (first, second)]
+    start = np.concatenate(ends) - decoded
+    a = order[:-1] + t
+    b = order[1:] + t
+    dlcp = start[a] - start[order[:-1]]
+    dlcp += np.where(syms[a] == syms[b], np.minimum(decoded[a], decoded[b]), 0)
+    seq_end = np.where(order < len(first.runs), ends[0][-1], ends[1][-1])
 
     return SuffixOrder(
         first=first,
         second=second,
         tokens=order,
         dlcp=dlcp,
-        suffix_lengths=suffix_lengths,
+        suffix_lengths=seq_end - start[order],
     )
 
 
@@ -249,7 +234,9 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
 
 def build_trie(order: SuffixOrder) -> Trie:
     """Compact trie over all the ordered suffixes."""
-    parent, str_depth, leaves, _ = _sweep_compact_trie(order.suffix_lengths, order.dlcp)
+    parent, str_depth, leaves, _ = _sweep_compact_trie(
+        order.suffix_lengths.tolist(), order.dlcp.tolist()
+    )
     return Trie(parent, str_depth, leaves)
 
 

@@ -146,14 +146,14 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTri
     """
     nx = len(order.first.runs)
     runs = np.concatenate((order.first.runs, order.second.runs))
-    tokens = np.array(order.tokens)
+    tokens = order.tokens
     ranks = np.flatnonzero((tokens != 0) & (tokens != nx))
     # stable, so ranks stay ascending inside each symbol's block
     by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
     ranks = ranks[by_sym]
     leaf_tokens = tokens[ranks]
     preceding = runs[leaf_tokens - 1]
-    depths = np.array(order.suffix_lengths)[ranks].tolist()
+    depths = order.suffix_lengths[ranks].tolist()
 
     # Neighbors in one block get the range-min of the order's lcps between
     # them; neighbors in different blocks get 0, so each block hangs from

@@ -180,11 +180,11 @@ def _compare(
     failures: list[str] = []
     first, second = engine.first, engine.second
     order = build_suffix_order(first, second)
-    if order.tokens != brute_order.tokens:
+    if not np.array_equal(order.tokens, brute_order.tokens):
         failures.append("suffix order differs from brute sort")
-    if order.dlcp != brute_order.dlcp:
+    if not np.array_equal(order.dlcp, brute_order.dlcp):
         failures.append("suffix lcp array differs from brute sort")
-    if order.suffix_lengths != brute_order.suffix_lengths:
+    if not np.array_equal(order.suffix_lengths, brute_order.suffix_lengths):
         failures.append("suffix lengths differ from brute sort")
 
     lsum = engine.total()
@@ -257,19 +257,20 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
             trie.parent,
             trie.str_depth,
             trie.leaves,
-            order.suffix_lengths,
-            order.dlcp,
+            order.suffix_lengths.tolist(),
+            order.dlcp.tolist(),
         )
     )
 
     query = engine.trie
     refs = suffix_refs(order)
     token_leaf = engine.token_leaf
-    with_leaf = [k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0]
+    tokens = order.tokens.tolist()
+    with_leaf = [k for k, t in enumerate(tokens) if token_leaf[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
         failures.append("query trie leaves are not the suffixes that follow a run")
         return failures
-    rank_of = {token_leaf[order.tokens[k]]: k for k in with_leaf}
+    rank_of = {token_leaf[tokens[k]]: k for k in with_leaf}
     if len(rank_of) != len(with_leaf) or sorted(rank_of) != sorted(query.leaves):
         failures.append("query trie: token_leaf does not point at the trie's leaves")
         return failures

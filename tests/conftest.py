@@ -1,4 +1,4 @@
-from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, encode
+from rleacs.rle import MAX_DECODED_LENGTH, SENTINEL_SECOND, Alphabet, RleSeq, encode
 
 
 def make_pair(x_text: str, y_text: str, x_name: str = "X", y_name: str = "Y"):
@@ -7,3 +7,11 @@ def make_pair(x_text: str, y_text: str, x_name: str = "X", y_name: str = "Y"):
     first = encode(x_text, x_name, alphabet)
     second = encode(y_text, y_name, alphabet, sentinel=SENTINEL_SECOND)
     return first, second, alphabet
+
+
+def at_bound(body, sentinel):
+    """The sequence of (symbol, length) runs with its first run stretched to
+    content length 2^62 - 1."""
+    sym, length = body[0]
+    stretched = (sym, length + MAX_DECODED_LENGTH - 1 - sum(n for _, n in body))
+    return RleSeq("S", [stretched, *body[1:], (sentinel, 1)])

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rleacs.bench import doubling_sweep, giant_unary, runlength_sweep
@@ -83,8 +84,8 @@ def campaign() -> Campaign:
             result.lsum_failures.append(trial)
         if (
             suffix_refs(order) != suffix_refs(brute_order)
-            or order.dlcp != brute_order.dlcp
-            or order.suffix_lengths != brute_order.suffix_lengths
+            or not np.array_equal(order.dlcp, brute_order.dlcp)
+            or not np.array_equal(order.suffix_lengths, brute_order.suffix_lengths)
         ):
             result.order_failures.append(trial)
         result.oracle_seconds += time.perf_counter() - t0

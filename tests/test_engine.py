@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pair
+from conftest import at_bound, make_pair
 from rleacs.engine import (
     AcsEngine,
     acs,
@@ -41,6 +41,12 @@ def test_run_sums_micro():
     assert engine.run_sum(1) == 3
     assert engine.run_sum(2) == 1
     assert engine.total() == 4
+    # 0 and 3 would read the sentinel rows, -1 another run's sum
+    for i in (0, 3, -1):
+        with pytest.raises(IndexError):
+            engine.run_sum(i)
+        with pytest.raises(IndexError):
+            engine.reverse.run_sum(i)
 
 
 def test_acs_micro():
@@ -329,13 +335,6 @@ def _chain(draws, sym):
     return out
 
 
-def _at_bound(body, sentinel):
-    """The sequence with its first run stretched to content length 2^62 - 1."""
-    sym, length = body[0]
-    stretched = (sym, length + MAX_DECODED_LENGTH - 1 - sum(n for _, n in body))
-    return RleSeq("S", [stretched, *body[1:], (sentinel, 1)])
-
-
 run_draws = st.tuples(
     st.integers(min_value=1, max_value=2),
     st.one_of(
@@ -358,8 +357,8 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     start = tail[0][0] - FIRST_SYMBOL_ID
     x_head = _chain(x_head_draws, start)[::-1]
     y_head = _chain(y_head_draws, start)[::-1]
-    first = _at_bound(x_head + tail, SENTINEL_FIRST)
-    second = _at_bound(y_head + tail, SENTINEL_SECOND)
+    first = at_bound(x_head + tail, SENTINEL_FIRST)
+    second = at_bound(y_head + tail, SENTINEL_SECOND)
     assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
     _assert_tie_swaps(first, second, len(x_head) + 1, len(y_head) + 1)
 

@@ -100,8 +100,8 @@ def test_suffix_sort_micro():
         SuffixRef(0, 2),  # b + sentinel of X
         SuffixRef(1, 2),  # b + sentinel of Y
     ]
-    assert order.dlcp == [0, 0, 1, 0, 1]
-    assert order.suffix_lengths == [1, 1, 4, 3, 2, 2]
+    assert order.dlcp.tolist() == [0, 0, 1, 0, 1]
+    assert order.suffix_lengths.tolist() == [1, 1, 4, 3, 2, 2]
 
 
 def test_suffix_sort_single_run_pair():
@@ -113,7 +113,7 @@ def test_suffix_sort_single_run_pair():
         SuffixRef(0, 1),
         SuffixRef(1, 1),
     ]
-    assert order.dlcp == [0, 0, 1]
+    assert order.dlcp.tolist() == [0, 0, 1]
 
 
 def test_suffix_sort_equal_content_interleaves():

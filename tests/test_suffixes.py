@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pair
+from conftest import at_bound, make_pair
 from rleacs.oracle import (
     SuffixRef,
     brute_suffix_sort,
@@ -14,7 +14,7 @@ from rleacs.oracle import (
     suffix_refs,
     suffix_runs,
 )
-from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, RleSeq
+from rleacs.rle import MAX_DECODED_LENGTH, SENTINEL_FIRST, SENTINEL_SECOND, RleSeq
 from rleacs.suffixes import (
     RangeMin,
     _sweep_compact_trie,
@@ -36,8 +36,8 @@ def test_order_micro_pair():
         SuffixRef(0, 2),
         SuffixRef(1, 2),
     ]
-    assert order.dlcp == [0, 0, 1, 0, 1]
-    assert order.suffix_lengths == [1, 1, 4, 3, 2, 2]
+    assert order.dlcp.tolist() == [0, 0, 1, 0, 1]
+    assert order.suffix_lengths.tolist() == [1, 1, 4, 3, 2, 2]
 
 
 def test_order_single_symbol_pair():
@@ -49,7 +49,7 @@ def test_order_single_symbol_pair():
         SuffixRef(0, 1),
         SuffixRef(1, 1),
     ]
-    assert order.dlcp == [0, 0, 1]
+    assert order.dlcp.tolist() == [0, 0, 1]
 
 
 def test_order_counts_run_starts_only():
@@ -66,15 +66,16 @@ def test_order_counts_run_starts_only():
 
 
 def test_order_matches_brute_on_kasai_equality_regression():
-    # Adjacent same-symbol runs that differ in group and length: a coarser
-    # token-lcp equality (symbol, length) pairs would carry a stale Kasai h
-    # across this boundary and report dlcp 3 instead of 2.
+    # Adjacent same-symbol runs that differ in group and length: if the
+    # descent's round 0 compared coarser (symbol, length) pairs in place of
+    # token keys, it would count a shared token across this boundary and
+    # report dlcp 3 instead of 2.
     first, second, _ = make_pair("ABBDBBBAD", "ABBAD")
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
     assert suffix_refs(fast) == suffix_refs(brute)
-    assert fast.dlcp == brute.dlcp
-    assert fast.suffix_lengths == brute.suffix_lengths
+    assert np.array_equal(fast.dlcp, brute.dlcp)
+    assert np.array_equal(fast.suffix_lengths, brute.suffix_lengths)
     # the two suffixes in question: X run 2 ("BBDBBBAD...") and X run 4 ("BBBAD...")
     refs = suffix_refs(fast)
     k = refs.index(SuffixRef(0, 4))
@@ -171,8 +172,8 @@ def _assert_order_matches_brute(x, y):
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
     assert suffix_refs(fast) == suffix_refs(brute)
-    assert fast.dlcp == brute.dlcp
-    assert fast.suffix_lengths == brute.suffix_lengths
+    assert np.array_equal(fast.dlcp, brute.dlcp)
+    assert np.array_equal(fast.suffix_lengths, brute.suffix_lengths)
 
 
 @settings(max_examples=300)
@@ -180,6 +181,9 @@ def _assert_order_matches_brute(x, y):
     st.text(alphabet="ab", min_size=1, max_size=60),
     st.text(alphabet="ab", min_size=1, max_size=60),
 )
+# a periodic pair shares hundreds of tokens, so the lcp descent starts from
+# round 10 of 11; the random draws stop near round 6
+@example("ab" * 400, "ab" * 300 + "a")
 def test_order_matches_brute_binary_alphabet(x, y):
     _assert_order_matches_brute(x, y)
 
@@ -210,12 +214,25 @@ def test_order_matches_brute_long_runs(x_pairs, y_pairs):
     _assert_order_matches_brute(x, y)
 
 
+def _assert_order_agrees_with_run_walk(first, second):
+    order = build_suffix_order(first, second)
+    refs = suffix_refs(order)
+    for k in range(len(order) - 1):
+        a, b = refs[k], refs[k + 1]
+        assert suffix_compare(first, second, a, b) == -1
+        assert order.dlcp[k] == suffix_lcp(first, second, a, b)
+    for k, ref in enumerate(refs):
+        runs = suffix_runs(first, second, ref)
+        assert order.suffix_lengths[k] == sum(length for _, length in runs)
+
+
 def test_order_with_huge_runs_agrees_with_run_walk():
-    # decoded lengths near 10^9 per run: unreachable for the brute oracle, so
-    # validate the order pairwise with the run-walking comparator instead
+    # decoded lengths near 10^9 per run, and the same bodies stretched to
+    # content length 2^62 - 1: unreachable for the brute oracle, so validate
+    # the order pairwise with the run-walking comparator instead
     rng = random.Random(11)
     for _ in range(20):
-        def random_runs(sentinel):
+        def random_runs():
             count = rng.randint(1, 8)
             runs = []
             prev = None
@@ -225,19 +242,18 @@ def test_order_with_huge_runs_agrees_with_run_walk():
                     sym = rng.choice([2, 3, 4])
                 runs.append((sym, rng.choice([1, 2, 10**9, 10**9 + 1])))
                 prev = sym
-            return RleSeq("s", [*runs, (sentinel, 1)])
+            return runs
 
-        first = random_runs(SENTINEL_FIRST)
-        second = random_runs(SENTINEL_SECOND)
-        order = build_suffix_order(first, second)
-        refs = suffix_refs(order)
-        for k in range(len(order) - 1):
-            a, b = refs[k], refs[k + 1]
-            assert suffix_compare(first, second, a, b) == -1
-            assert order.dlcp[k] == suffix_lcp(first, second, a, b)
-        for k, ref in enumerate(refs):
-            runs = suffix_runs(first, second, ref)
-            assert order.suffix_lengths[k] == sum(length for _, length in runs)
+        x_body = random_runs()
+        y_body = random_runs()
+        _assert_order_agrees_with_run_walk(
+            RleSeq("s", [*x_body, (SENTINEL_FIRST, 1)]),
+            RleSeq("s", [*y_body, (SENTINEL_SECOND, 1)]),
+        )
+        first = at_bound(x_body, SENTINEL_FIRST)
+        second = at_bound(y_body, SENTINEL_SECOND)
+        assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
+        _assert_order_agrees_with_run_walk(first, second)
 
 
 @given(
