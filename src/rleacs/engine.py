@@ -3,9 +3,11 @@
 The engine computes, for every position p of the first sequence, the longest
 prefix of first[p:] occurring anywhere in the second sequence, without ever
 decoding. Positions are processed one run at a time: the answers within a run
-follow a closed form built from two ancestor lookups in the query trie, so
-a pair costs O(N log N) for N total runs. All accumulation is exact integer
-arithmetic; floats appear only in the final distance value.
+follow a closed form built from two ancestor lookups in the query trie.
+Every run of a direction is answered in one batch, two vectorized lifting
+climbs over all its runs, so a pair costs O(N log N) for N total runs. All
+accumulation is exact integer arithmetic, in Python ints once values leave
+the int64 trie columns; floats appear only in the final distance value.
 """
 
 from __future__ import annotations
@@ -14,11 +16,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from rleacs.rle import RleSeq, ensure_pair
 from rleacs.suffixes import build_suffix_order, longest_run_table
 from rleacs.symbol_tries import extract_symbol_tries
 
 LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
+
+# runs per block when a batch's climb results become Python ints; bounds the
+# per-run lists the gather holds at once, so the query phase stays below the
+# build's peak memory
+_GATHER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,27 +58,29 @@ class DistResult:
 class AcsEngine:
     """One build per unordered pair: the query trie of its suffix order.
 
-    total() and run_sum(i) score the first sequence's positions against the
-    second, ACS(first, second). reverse is a view of the same build that
-    scores the second against the first: engine.reverse.total() equals
-    AcsEngine(second, first).total() without a second suffix order or a
-    second trie. The two directions differ only in which side's leaves feed
-    freq and weight (the trie carries both columns), the max_run table, and
-    which runs are queried.
+    total(), run_sums() and run_sum(i) score the first sequence's positions
+    against the second, ACS(first, second). reverse is a view of the same
+    build that scores the second against the first: engine.reverse.total()
+    equals AcsEngine(second, first).total() without a second suffix order
+    or a second trie. The two directions differ only in which side's leaves
+    feed freq and weight (the trie carries both columns), the max_run table,
+    and which runs are queried.
 
     Instances are immutable after construction and safe to query from
-    multiple threads. token_leaf[t] is the trie leaf of the suffix that
-    starts at token t; the suffix after run i of the built pair's first
+    multiple threads. token_leaf is a read-only int64 array: token_leaf[t]
+    is the trie leaf of the suffix that starts at token t, -1 at the two
+    sequence starts. The suffix after run i of the built pair's first
     sequence starts at token i, the one after run j of its second at token
-    len(first.runs) + j. is_reverse tells the views apart; leaf_after(i)
-    finds the leaf after run i of either view's first sequence. The suffix
-    order itself is not kept.
+    len(first.runs) + j. is_reverse tells the views apart; run_leaves()
+    gives the leaf after each run of either view's first sequence. The
+    suffix order itself is not kept.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
         first, second = ensure_pair(first, second)
-        self.token_leaf = [-1] * (len(first.runs) + len(second.runs))
+        self.token_leaf = np.full(len(first.runs) + len(second.runs), -1, dtype=np.int64)
         self.trie = extract_symbol_tries(build_suffix_order(first, second), self.token_leaf)
+        self.token_leaf.flags.writeable = False
         self._orient(first, second, reverse=False)
 
     def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
@@ -82,9 +93,10 @@ class AcsEngine:
         # token of the suffix after run i of first is _token_base + i
         self._token_base = len(second.runs) if reverse else 0
 
-    def leaf_after(self, i: int) -> int:
-        """The trie leaf of the suffix that follows run i of the first sequence."""
-        return self.token_leaf[self._token_base + i]
+    def run_leaves(self) -> np.ndarray:
+        """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
+        start = self._token_base + 1
+        return self.token_leaf[start : start + self.first.run_count]
 
     @property
     def reverse(self) -> AcsEngine:
@@ -98,40 +110,64 @@ class AcsEngine:
     def run_sum(self, i: int) -> int:
         """Sum of best match lengths over the positions of the i-th run.
 
+        A batch of one run; see run_sums. i runs from 1 to run_count.
+        """
+        if not 1 <= i <= self.first.run_count:
+            raise IndexError(f"run {i} outside 1..{self.first.run_count}")
+        return self._sums(self.first.runs[i - 1 : i], self.run_leaves()[i - 1 : i])[0]
+
+    def run_sums(self) -> list[int]:
+        """Sum of best match lengths over the positions of each run 1..run_count.
+
         For a run of symbol s and length f whose positions have h = f..1
         trailing copies of s, the best match at offset h is capped by m, the
         longest s-run in the second sequence: m when h > m, otherwise h plus
         the continuation depth of the deepest ancestor (of the following
         suffix's leaf, in the trie's s-block) still supported by a
         second-sequence run of at least h. Summing the ancestor depths over h
-        telescopes into two weight lookups. i runs from 1 to run_count.
+        telescopes into two weight lookups, at the deepest ancestors with
+        support 1 and min(f, m).
         """
-        if not 1 <= i <= self.first.run_count:
-            raise IndexError(f"run {i} outside 1..{self.first.run_count}")
-        sym, f = self.first.runs[i - 1].tolist()
-        return self._run_sum(i, f, int(self.max_run[sym]))
+        return self._sums(self.first.runs[:-1], self.run_leaves())
 
-    def _run_sum(self, i: int, f: int, m: int) -> int:
-        """run_sum(i) given run i's length f and m, its symbol's longest run in second."""
-        if m == 0:
-            return 0
+    def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> list[int]:
+        """Exact run sums for the (symbol, length) rows of runs and their following leaves.
+
+        Both climbs run over the whole batch in int64; f, m, the node ids
+        and the depths leave numpy before any product, since f * depth
+        reaches 2^124.
+        """
         trie = self.trie
-        w = self.leaf_after(i)
         rev = self.is_reverse
+        syms = runs[:, 0]
+        lengths = runs[:, 1]
+        # with m >= 1 both thresholds are at most the root's support, so
+        # neither climb returns -1; runs with m == 0 score 0 whatever theirs return
+        vs = trie.deepest_freq_ancestor(leaves, 1, rev)
+        us = trie.deepest_freq_ancestor(leaves, np.minimum(lengths, self.max_run[syms]), rev)
+        depths = trie.str_depth[us]
         weight = trie.rev_weight if rev else trie.weight
-        v = trie.deepest_freq_ancestor(w, 1, rev)
-        if f > m:
-            return weight[v] + m * f - m * (m - 1) // 2
-        u = trie.deepest_freq_ancestor(w, f, rev)
-        return weight[v] - weight[u] + f * trie.str_depth[u] + f * (f + 1) // 2
+        # m per symbol from a short list, so runs share its int objects
+        max_run = self.max_run.tolist()
+        out = []
+        for lo in range(0, len(leaves), _GATHER_BLOCK):
+            block = slice(lo, lo + _GATHER_BLOCK)
+            for s, f, v, u, depth in zip(
+                syms[block].tolist(), lengths[block].tolist(), vs[block].tolist(),
+                us[block].tolist(), depths[block].tolist(),
+            ):
+                m = max_run[s]
+                if m == 0:
+                    out.append(0)
+                elif f > m:
+                    out.append(weight[v] + m * f - m * (m - 1) // 2)
+                else:
+                    out.append(weight[v] - weight[u] + f * depth + f * (f + 1) // 2)
+        return out
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""
-        max_run = self.max_run.tolist()
-        return sum(
-            self._run_sum(i, f, max_run[sym])
-            for i, (sym, f) in enumerate(self.first.runs[:-1].tolist(), 1)
-        )
+        return sum(self.run_sums())
 
 
 def _average(engine: AcsEngine) -> AcsResult:

@@ -258,27 +258,24 @@ def per_position_lengths(engine: AcsEngine, cap: int = DEFAULT_POSITION_CAP) -> 
     """Best match length at every decoded position of engine.first, one ancestor query each.
 
     This drives the engine's own query trie without the per-run closed
-    forms, so it checks run_sum/total rather than replacing them. It costs
+    forms, so it checks run_sum/total rather than replacing them. All
+    positions go through one batched climb, the position with h trailing
+    copies of its run's symbol s at threshold min(h, m_s). It costs
     O(x log N) for decoded length x; the cap keeps accidental huge
-    expansions from running away.
+    expansions from running away, and keeps every value inside int64.
     """
     x = engine.first.content_length
     if x > cap:
         raise ValueError(f"decoded length over validation cap: {x} > {cap}")
-    trie = engine.trie
-    rev = engine.is_reverse
-    max_run = engine.max_run.tolist()
-    out: list[int] = []
-    for i, (sym, f) in enumerate(engine.first.runs[:-1].tolist(), 1):
-        m = max_run[sym]
-        w = engine.leaf_after(i)
-        for h in range(f, 0, -1):
-            if h > m:
-                out.append(m)
-            else:
-                u = trie.deepest_freq_ancestor(w, h, rev)
-                out.append(h + trie.str_depth[u])
-    return out
+    runs = engine.first.runs[:-1]
+    f = runs[:, 1]
+    # position p of a run that starts at position start has h = f - (p - start)
+    starts = np.cumsum(f) - f
+    h = np.repeat(f + starts, f) - np.arange(x)
+    m = np.repeat(engine.max_run[runs[:, 0]], f)
+    leaves = np.repeat(engine.run_leaves(), f)
+    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), engine.is_reverse)
+    return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
 
 def brute_suffix_sort(

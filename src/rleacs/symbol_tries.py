@@ -11,8 +11,11 @@ largest length of a preceding second-sequence run among the leaves below it,
 and weight, a running sum that turns "sum of ancestor depths over a range of
 thresholds" queries into two node lookups. rev_freq and rev_weight are the
 same columns over the first sequence's leaves; they answer the reverse
-direction of the pair from the same trie. Ancestor searches climb with
-binary lifting, so each query costs O(log N).
+direction of the pair from the same trie. parent, str_depth, freq and
+rev_freq are int64 arrays; the weights reach past int64 and stay exact
+Python ints. Ancestor searches climb with binary lifting over int64 rows,
+one vectorized step per row for a whole batch of (leaf, threshold) pairs,
+so a batch of q queries costs O(q log N).
 """
 
 from __future__ import annotations
@@ -30,47 +33,67 @@ class SymbolTrie:
 
     leaves[j] is the node of the j-th leaf; the leaves of one preceding-run
     symbol form a contiguous block, in suffix order, and the blocks follow
-    symbol order. freq/weight count the second sequence's leaves and serve
-    queries from the first sequence's runs; rev_freq/rev_weight count the
-    first sequence's leaves and serve the reverse direction. The reverse
-    queries need no trie of their own: swapping the two sequences' roles
-    only swaps the order of an X and a Y leaf with equal decoded content,
-    which are siblings, so every parent and depth stays as it is.
+    symbol order. Node 0 is the root, with parent -1. freq/weight count the
+    second sequence's leaves and serve queries from the first sequence's
+    runs; rev_freq/rev_weight count the first sequence's leaves and serve the
+    reverse direction. The reverse queries need no trie of their own:
+    swapping the two sequences' roles only swaps the order of an X and a Y
+    leaf with equal decoded content, which are siblings, so every parent and
+    depth stays as it is.
+
+    The sweep hands annotate parent and str_depth as lists; after annotate,
+    parent, str_depth, freq, rev_freq and the lifting rows are int64
+    arrays, and weight/rev_weight are lists of exact Python ints.
     """
 
-    parent: list[int]
-    str_depth: list[int]
+    parent: np.ndarray
+    str_depth: np.ndarray
     leaves: list[int]
-    freq: list[int] = field(default_factory=list)
+    freq: np.ndarray | None = None
     weight: list[int] = field(default_factory=list)
-    rev_freq: list[int] = field(default_factory=list)
+    rev_freq: np.ndarray | None = None
     rev_weight: list[int] = field(default_factory=list)
-    _up: list[list[int]] = field(default_factory=list)
+    _up: list[np.ndarray] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
-    def deepest_freq_ancestor(
-        self, leaf: int, threshold: int, reverse: bool = False
-    ) -> int | None:
-        """Deepest proper ancestor of leaf with freq >= threshold, if any.
+    def deepest_freq_ancestor(self, leaves, thresholds, reverse: bool = False) -> np.ndarray:
+        """Deepest proper ancestor of each leaf with freq >= its threshold, or -1.
 
-        freq (rev_freq when reverse) never decreases toward the root, so the
-        qualifying ancestors form a prefix of the root path; the climb takes
-        the largest lifting jumps that stay strictly below the threshold,
-        then steps to the parent.
+        leaves and thresholds are int64 arrays (or broadcast against each
+        other); the result has one node per pair. freq (rev_freq when
+        reverse) never decreases toward the root, so the qualifying
+        ancestors form a prefix of the root path. The climb starts at the
+        parent, takes every lifting jump that stays strictly below the
+        threshold, from the longest down, one np.where per row, and then
+        steps to the parent; that step leaves the root as -1.
         """
         freq = self.rev_freq if reverse else self.freq
-        v = self.parent[leaf]
-        if freq[v] >= threshold:
-            return v
+        thresholds = np.asarray(thresholds, dtype=np.int64)
+        v = self.parent[np.asarray(leaves, dtype=np.int64)]
         for row in reversed(self._up):
             a = row[v]
-            if a >= 0 and freq[a] < threshold:
-                v = a
-        p = self.parent[v]
-        return p if p >= 0 else None
+            v = np.where(freq[a] < thresholds, a, v)
+        return np.where(freq[v] >= thresholds, v, self.parent[v])
+
+
+def _lifting_rows(parent: np.ndarray) -> list[np.ndarray]:
+    """up[k][v], the 2^k-th ancestor of v, clamped at the root (node 0).
+
+    The root is its own ancestor, so no row needs a mask. Rows double until
+    the next would map every node to the root and so equal the one after
+    it; it is not kept, since a climb starts at a leaf's parent, at most
+    depth - 1 steps below the root, and the kept rows' jumps sum to at
+    least that.
+    """
+    up = []
+    row = np.maximum(parent, 0)
+    while row.any():
+        up.append(row)
+        row = row[row]
+    return up
 
 
 def annotate(
@@ -87,8 +110,9 @@ def annotate(
     and its length. freq flows bottom-up along popped as a subtree maximum
     over second-sequence leaf run lengths (rev_freq over first-sequence ones);
     weight flows top-down along it reversed, as weight(parent) + freq(v) *
-    edge length. Both columns ride on the same passes. popped is emptied
-    once the weights are in, so the lifting rows can reuse its memory.
+    edge length. Both columns ride on the same passes, over Python lists;
+    then parent, str_depth, freq and rev_freq become int64 arrays, and the
+    lists and popped are released before the lifting rows are built.
     """
     parent = trie.parent
     str_depth = trie.str_depth
@@ -119,30 +143,30 @@ def annotate(
             rev_weight[v] = rev_weight[p] + rev_freq[v] * edge
     popped.clear()
 
-    # up[k][v] is the 2^k-th ancestor of v, or -1; a row is added while some
-    # node still has an ancestor twice as far up as the last row reaches
-    up = [parent]
-    prev = parent
-    while any(prev[a] >= 0 for a in prev if a >= 0):
-        prev = [prev[a] if a >= 0 else -1 for a in prev]
-        up.append(prev)
-
-    trie.freq = freq
+    # each list column is dropped as soon as its array exists, so no column
+    # is ever held twice for long
+    del parent, str_depth
+    trie.parent = np.array(trie.parent, dtype=np.int64)
+    trie.str_depth = np.array(trie.str_depth, dtype=np.int64)
+    trie.freq = np.array(freq, dtype=np.int64)
+    del freq
+    trie.rev_freq = np.array(rev_freq, dtype=np.int64)
+    del rev_freq
     trie.weight = weight
-    trie.rev_freq = rev_freq
     trie.rev_weight = rev_weight
-    trie._up = up
+    trie._up = _lifting_rows(trie.parent)
     return trie
 
 
-def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTrie:
+def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTrie:
     """Build and annotate the query trie straight from the suffix order.
 
     The suffix at token t is preceded by the run at token t - 1, except the
     two sequence starts (tokens 0 and len(first.runs)), which have none.
-    token_leaf holds one slot per token; token_leaf[t] is set to the leaf of
-    token t's suffix, and the two sequence-start slots are left as they were.
-    The order is no longer referenced once the trie's sweep starts.
+    token_leaf is an int64 array with one slot per token; token_leaf[t] is
+    set to the leaf of token t's suffix, and the two sequence-start slots
+    are left as they were. The order is no longer referenced once the
+    trie's sweep starts.
     """
     nx = len(order.first.runs)
     runs = np.concatenate((order.first.runs, order.second.runs))
@@ -171,7 +195,9 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: list[int]) -> SymbolTri
 
     parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
     del depths, gaps
-    for t, leaf in zip(leaf_tokens.tolist(), leaf_nodes):
-        token_leaf[t] = leaf
+    token_leaf[leaf_tokens] = leaf_nodes
     trie = SymbolTrie(parent=parent, str_depth=str_depth, leaves=leaf_nodes)
+    # annotate turns the trie's lists into arrays; no other reference may
+    # keep the lists alive beside them
+    del parent, str_depth
     return annotate(trie, popped, (leaf_tokens >= nx).tolist(), preceding[:, 1].tolist())

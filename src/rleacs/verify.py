@@ -199,12 +199,11 @@ def _compare(
     if sum(per_position) != lsum:
         failures.append("per-position sum differs from per-run sum")
 
-    pos = 0
-    for i, f in enumerate(first.runs[:-1, 1].tolist(), 1):
-        if engine.run_sum(i) != sum(per_position[pos : pos + f]):
+    bounds = list(accumulate(first.runs[:-1, 1].tolist(), initial=0))
+    for i, (run_sum, lo, hi) in enumerate(zip(engine.run_sums(), bounds, bounds[1:]), 1):
+        if run_sum != sum(per_position[lo:hi]):
             failures.append(f"run {i} sum does not match its positions")
             break
-        pos += f
 
     last = first.run_count
     sym, f = first.runs[last - 1].tolist()
@@ -263,8 +262,10 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     )
 
     query = engine.trie
+    parent = query.parent.tolist()
+    str_depth = query.str_depth.tolist()
     refs = suffix_refs(order)
-    token_leaf = engine.token_leaf
+    token_leaf = engine.token_leaf.tolist()
     tokens = order.tokens.tolist()
     with_leaf = [k for k, t in enumerate(tokens) if token_leaf[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
@@ -276,18 +277,19 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
         return failures
     leaf_ranks = [rank_of[v] for v in query.leaves]
 
-    columns = (("", query.freq, query.weight), ("rev_", query.rev_freq, query.rev_weight))
+    columns = (
+        ("", query.freq.tolist(), query.weight),
+        ("rev_", query.rev_freq.tolist(), query.rev_weight),
+    )
     for prefix, freq, weight in columns:
         for v in range(query.node_count):
-            p = query.parent[v]
+            p = parent[v]
             if p >= 0 and freq[p] < freq[v]:
                 failures.append(f"query trie: {prefix}freq increases from node {p} to {v}")
                 break
         for v in range(query.node_count):
-            p = query.parent[v]
-            expect = 0 if p < 0 else (
-                weight[p] + freq[v] * (query.str_depth[v] - query.str_depth[p])
-            )
+            p = parent[v]
+            expect = 0 if p < 0 else weight[p] + freq[v] * (str_depth[v] - str_depth[p])
             if weight[v] != expect:
                 failures.append(f"query trie: {prefix}weight at node {v} breaks telescoping")
                 break
@@ -297,7 +299,8 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     runs = (engine.first.runs.tolist(), engine.second.runs.tolist())
     leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
-    if [(query.freq[v], query.rev_freq[v]) for v in query.leaves] != [
+    leaves = query.leaves
+    if list(zip(query.freq[leaves].tolist(), query.rev_freq[leaves].tolist())) != [
         (n, 0) if ref.seq == 1 else (0, n) for (_, n), ref in zip(preceding, leaf_refs)
     ]:
         failures.append("query trie: leaf annotations differ from the preceding runs")
@@ -317,8 +320,8 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     failures.extend(
         _interval_min_mismatches(
             "query trie",
-            query.parent,
-            query.str_depth,
+            parent,
+            str_depth,
             query.leaves,
             depths,
             gaps,

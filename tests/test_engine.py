@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,33 @@ def test_run_sums_micro():
             engine.run_sum(i)
         with pytest.raises(IndexError):
             engine.reverse.run_sum(i)
+
+
+def test_run_leaves_follow_each_run():
+    engine, first, second = engine_for("aab", "abab")
+    # the suffix after run i of first starts at token i, after run j of
+    # second at token len(first.runs) + j
+    tokens = engine.token_leaf.tolist()
+    assert engine.run_leaves().tolist() == tokens[1 : first.run_count + 1]
+    back = engine.reverse.run_leaves().tolist()
+    assert back == tokens[len(first.runs) + 1 : len(first.runs) + 1 + second.run_count]
+    assert engine.run_leaves().dtype == np.int64
+
+
+def _batch_agrees(engine):
+    sums = engine.run_sums()
+    assert sums == [engine.run_sum(i) for i in range(1, engine.first.run_count + 1)]
+    assert sum(sums) == engine.total()
+
+
+@given(
+    st.text(alphabet="abc", min_size=1, max_size=40),
+    st.text(alphabet="abc", min_size=1, max_size=40),
+)
+def test_run_sums_batch_matches_single_runs(x, y):
+    engine, _, _ = engine_for(x, y)
+    _batch_agrees(engine)
+    _batch_agrees(engine.reverse)
 
 
 def test_acs_micro():
@@ -368,3 +396,5 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     # builds had in common would show here
     assert engine.total() == run_walk_total(first, second)
     assert engine.reverse.total() == run_walk_total(second, first)
+    _batch_agrees(engine)
+    _batch_agrees(engine.reverse)

@@ -136,9 +136,10 @@ def test_trie_micro_pair():
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y sentinel suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
-    token_leaf = [-1] * len(order)
+    token_leaf = np.full(len(order), -1, dtype=np.int64)
     query = extract_symbol_tries(order, token_leaf)
-    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0}
+    token_leaf = token_leaf.tolist()
+    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens.tolist()) if token_leaf[t] >= 0}
     assert [rank_of[v] for v in query.leaves] == [4, 5, 0, 1]
     assert [query.freq[v] for v in query.leaves] == [0, 1, 0, 1]
     assert [query.rev_freq[v] for v in query.leaves] == [2, 0, 1, 0]

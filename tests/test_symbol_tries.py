@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,22 +11,27 @@ from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import SymbolTrie, annotate, extract_symbol_tries
 
 
+def no_leaves(order):
+    return np.full(len(order), -1, dtype=np.int64)
+
+
 def build_query_trie(x, y):
     first, second, alpha = make_pair(x, y)
     order = build_suffix_order(first, second)
-    return extract_symbol_tries(order, [-1] * len(order)), order, alpha
+    return extract_symbol_tries(order, no_leaves(order)), order, alpha
 
 
 def leaf_ranks(trie, order, token_leaf):
     """Suffix-order rank of each trie leaf, in leaf order."""
-    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens) if token_leaf[t] >= 0}
+    token_leaf = token_leaf.tolist()
+    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens.tolist()) if token_leaf[t] >= 0}
     return [rank_of[v] for v in trie.leaves]
 
 
 def test_extract_micro_pair():
     first, second, alpha = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
-    token_leaf = [-1] * len(order)
+    token_leaf = no_leaves(order)
     trie = extract_symbol_tries(order, token_leaf)
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
@@ -90,12 +96,23 @@ def test_annotate_chain_recurrence():
     assert trie.weight[2] == 25  # 10 + 3 * (7 - 2)
 
 
+def test_annotate_leaves_int64_columns():
+    trie, _, _ = build_query_trie("aabba", "abab")
+    for column in (trie.parent, trie.str_depth, trie.freq, trie.rev_freq, *trie._up):
+        assert isinstance(column, np.ndarray) and column.dtype == np.int64
+        assert len(column) == trie.node_count
+    assert all(type(w) is int for w in trie.weight + trie.rev_weight)
+    # rows double until the next would map every node to the root (node 0)
+    top = trie._up[-1]
+    assert top.any() and not top[top].any()
+
+
 def test_deepest_ancestor_micro():
     trie, _, _ = build_query_trie("aab", "ab")
     leaf = trie.leaves[0]  # X suffix "b<s1>"
     mid = trie.parent[leaf]
-    assert trie.deepest_freq_ancestor(leaf, 1) == mid
-    assert trie.deepest_freq_ancestor(leaf, 2) is None  # root freq is only 1
+    # root freq is only 1, so threshold 2 has no qualifying ancestor
+    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [mid, -1]
 
 
 def test_deepest_ancestor_none_without_y_leaves():
@@ -104,18 +121,17 @@ def test_deepest_ancestor_none_without_y_leaves():
     # the root's freq there is no qualifying ancestor
     trie, _, _ = build_query_trie("aba", "a")
     leaf = trie.leaves[-1]
-    assert trie.deepest_freq_ancestor(leaf, 1) == 0
-    assert trie.deepest_freq_ancestor(leaf, 2) is None
+    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [0, -1]
 
 
-def _walk_up_reference(trie, leaf, threshold):
-    v = trie.parent[leaf]
-    answer = None
+def _walk_up_reference(parent, freq, leaf, threshold):
+    v = parent[leaf]
+    answer = -1
     while v != -1:
-        if trie.freq[v] >= threshold:
+        if freq[v] >= threshold:
             answer = v
             break  # deepest qualifying: freq is monotone, first hit wins
-        v = trie.parent[v]
+        v = parent[v]
     return answer
 
 
@@ -135,11 +151,14 @@ def test_searches_match_linear_walk_random():
         x = _random_runny_text(rng, rng.randint(2, 80), "ab")
         y = _random_runny_text(rng, rng.randint(2, 80), "ab")
         trie, _, _ = build_query_trie(x, y)
-        top = max(trie.freq) + 1
-        for leaf in trie.leaves:
-            for threshold in range(1, top + 1):
-                expect = _walk_up_reference(trie, leaf, threshold)
-                assert trie.deepest_freq_ancestor(leaf, threshold) == expect
+        parent = trie.parent.tolist()
+        for reverse, freq in ((False, trie.freq), (True, trie.rev_freq)):
+            freq = freq.tolist()
+            # thresholds run past the root's freq, where no ancestor qualifies
+            pairs = [(leaf, h) for leaf in trie.leaves for h in range(0, freq[0] + 3)]
+            leaves, thresholds = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+            got = trie.deepest_freq_ancestor(leaves, thresholds, reverse).tolist()
+            assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
 
 
 @given(
@@ -149,32 +168,34 @@ def test_searches_match_linear_walk_random():
 def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
-    token_leaf = [-1] * len(order)
+    token_leaf = no_leaves(order)
     t = extract_symbol_tries(order, token_leaf)
 
     ranks = leaf_ranks(t, order, token_leaf)
     assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
     # the two sequence starts have no preceding run, every other token a leaf
     nx = len(first.runs)
-    assert [tok for tok, leaf in enumerate(token_leaf) if leaf < 0] == [0, nx]
-    assert sorted(leaf for leaf in token_leaf if leaf >= 0) == sorted(t.leaves)
+    assert np.flatnonzero(token_leaf < 0).tolist() == [0, nx]
+    assert sorted(token_leaf[token_leaf >= 0].tolist()) == sorted(t.leaves)
 
-    for freq, weight in ((t.freq, t.weight), (t.rev_freq, t.rev_weight)):
+    parent = t.parent.tolist()
+    str_depth = t.str_depth.tolist()
+    for freq, weight in ((t.freq.tolist(), t.weight), (t.rev_freq.tolist(), t.rev_weight)):
         # freq never decreases toward the root
         for v in range(t.node_count):
-            p = t.parent[v]
+            p = parent[v]
             if p != -1:
                 assert freq[p] >= freq[v]
         # weight telescopes along every root path
         for leaf in t.leaves:
-            v = t.parent[leaf]
+            v = parent[leaf]
             total = 0
             path = []
             while v != -1:
                 path.append(v)
-                v = t.parent[v]
+                v = parent[v]
             for node in reversed(path):
-                p = t.parent[node]
+                p = parent[node]
                 if p != -1:
-                    total += freq[node] * (t.str_depth[node] - t.str_depth[p])
+                    total += freq[node] * (str_depth[node] - str_depth[p])
                 assert weight[node] == total

@@ -19,27 +19,33 @@ from conftest import make_pair
 
 
 class FreqAsMin(AcsEngine):
-    """Planted bug: subtree support computed as a minimum, not a maximum."""
+    """Planted bug: subtree support computed as a minimum, not a maximum.
+
+    The root keeps its true support, so every climb the engine asks for
+    stays defined and the fault shows as wrong answers, not as a crash.
+    """
 
     def __init__(self, first, second):
         super().__init__(first, second)
         big = 1 << 62
         trie = self.trie
+        parent = trie.parent.tolist()
+        str_depth = trie.str_depth.tolist()
+        token_leaf = self.token_leaf.tolist()
         best = [big] * trie.node_count
         # the suffix at token t follows run t - 1 of the two sequences' runs;
         # second-sequence suffixes start at token len(first.runs)
         lengths = np.concatenate((self.first.runs, self.second.runs))[:, 1].tolist()
         for t in range(len(self.first.runs), len(lengths)):
-            leaf = self.token_leaf[t]
+            leaf = token_leaf[t]
             if leaf >= 0:
                 best[leaf] = min(best[leaf], lengths[t - 1])
-        for v in sorted(
-            range(trie.node_count), key=trie.str_depth.__getitem__, reverse=True
-        ):
-            p = trie.parent[v]
+        for v in sorted(range(trie.node_count), key=str_depth.__getitem__, reverse=True):
+            p = parent[v]
             if p >= 0 and best[v] < big:
                 best[p] = min(best[p], best[v])
-        trie.freq = [0 if b == big else b for b in best]
+        best[0] = int(trie.freq[0])
+        trie.freq = np.array([0 if b == big else b for b in best], dtype=np.int64)
 
 
 class ReverseReadsForward(AcsEngine):
@@ -78,6 +84,8 @@ def test_fault_injection_is_caught_and_replayable():
     assert not report.ok
     assert report.passed < report.total
     assert report.failure_record is not None
+    # a check caught it, not a crash inside the broken engine
+    assert "raised" not in report.failure
 
     # The reported record must replay: parseable, failing under the broken
     # engine, passing under the real one.
