@@ -27,7 +27,6 @@ from rleacs.rle import (
     RleSeq,
     decode,
     encode,
-    ensure_pair,
     parse_fasta,
     parse_rle_text,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "dist",
     "dist_value",
     "encode",
-    "ensure_pair",
     "parse_fasta",
     "parse_rle_text",
     "run_verification",

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from rleacs.engine import AcsEngine
-from rleacs.rle import SENTINEL_FIRST, SENTINEL_SECOND, FIRST_SYMBOL_ID, RleSeq
+from rleacs.rle import FIRST_SYMBOL_ID, RleSeq
 
 DOUBLING_MIN = 1 << 14
 DOUBLING_MAX = 1 << 17
@@ -65,11 +65,9 @@ def synth_pair(
         for count in counts
     ]
     seqs = []
-    for count, walk, sentinel in zip(counts, walks, (SENTINEL_FIRST, SENTINEL_SECOND)):
-        runs = np.empty((count + 1, 2), dtype=np.int64)
-        runs[:-1, 0] = FIRST_SYMBOL_ID + walk % alphabet_size
-        runs[:-1, 1] = rng.integers(scale, 2 * scale, size=count)
-        runs[-1] = sentinel, 1
+    for count, walk in zip(counts, walks):
+        lengths = rng.integers(scale, 2 * scale, size=count)
+        runs = np.column_stack((FIRST_SYMBOL_ID + walk % alphabet_size, lengths))
         seqs.append(RleSeq("bench", runs))
     return seqs[0], seqs[1]
 
@@ -140,8 +138,8 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     Returns the timing row, the measured average as an exact rational, and
     the closed-form value (m(x-m) + m(m+1)/2) / x it must equal.
     """
-    first = RleSeq("giant", [[FIRST_SYMBOL_ID, GIANT_LONG], [SENTINEL_FIRST, 1]])
-    second = RleSeq("small", [[FIRST_SYMBOL_ID, GIANT_SHORT], [SENTINEL_SECOND, 1]])
+    first = RleSeq("giant", [[FIRST_SYMBOL_ID, GIANT_LONG]])
+    second = RleSeq("small", [[FIRST_SYMBOL_ID, GIANT_SHORT]])
     row = _measure("unary 1e9 vs 1e6", first, second, reps)
     x, m = GIANT_LONG, GIANT_SHORT
     expected = Fraction(m * (x - m) + m * (m + 1) // 2, x)

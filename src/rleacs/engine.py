@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rleacs.rle import RleSeq, ensure_pair
+from rleacs.rle import RleSeq
 from rleacs.suffixes import build_suffix_order, longest_run_table
 from rleacs.symbol_tries import extract_symbol_tries
 
@@ -66,19 +66,20 @@ class AcsEngine:
     feed freq and weight (the trie carries both columns), the max_run table,
     and which runs are queried.
 
-    Instances are immutable after construction and safe to query from
-    multiple threads. token_leaf is a read-only int64 array: token_leaf[t]
+    Instances keep the caller's sequences, are immutable after construction
+    and are safe to query from multiple threads. token_leaf is a read-only
+    int64 array, one slot per token of suffixes.token_string: token_leaf[t]
     is the trie leaf of the suffix that starts at token t, -1 at the two
-    sequence starts. The suffix after run i of the built pair's first
+    sequence starts. The second sequence's runs start at token
+    len(first.runs) + 1, so the suffix after run i of the built pair's first
     sequence starts at token i, the one after run j of its second at token
-    len(first.runs) + j. is_reverse tells the views apart; run_leaves()
+    len(first.runs) + 1 + j. is_reverse tells the views apart; run_leaves()
     gives the leaf after each run of either view's first sequence. The
     suffix order itself is not kept.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
-        first, second = ensure_pair(first, second)
-        self.token_leaf = np.full(len(first.runs) + len(second.runs), -1, dtype=np.int64)
+        self.token_leaf = np.full(len(first.runs) + len(second.runs) + 2, -1, dtype=np.int64)
         self.trie = extract_symbol_tries(build_suffix_order(first, second), self.token_leaf)
         self.token_leaf.flags.writeable = False
         self._orient(first, second, reverse=False)
@@ -91,7 +92,7 @@ class AcsEngine:
         self.max_run = longest_run_table(second, size)
         self.is_reverse = reverse
         # token of the suffix after run i of first is _token_base + i
-        self._token_base = len(second.runs) if reverse else 0
+        self._token_base = len(second.runs) + 1 if reverse else 0
 
     def run_leaves(self) -> np.ndarray:
         """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
@@ -128,7 +129,7 @@ class AcsEngine:
         telescopes into two weight lookups, at the deepest ancestors with
         support 1 and min(f, m).
         """
-        return self._sums(self.first.runs[:-1], self.run_leaves())
+        return self._sums(self.first.runs, self.run_leaves())
 
     def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> list[int]:
         """Exact run sums for the (symbol, length) rows of runs and their following leaves.

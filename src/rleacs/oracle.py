@@ -7,7 +7,9 @@ through suffixes run by run, so they also reach decoded lengths no oracle
 could expand. None of these share logic with the fast path; they are trusted
 baselines for testing and for the randomized cross-check harness. The one
 exception is per_position_lengths, which answers every position from an
-engine's own trie, as the check on the engine's per-run closed forms.
+engine's own trie, as the check on the engine's per-run closed forms. The
+brute sort and the walkers end each side in its own terminator: id 0 after
+the first sequence, id 1 after the second.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from rleacs.rle import DEFAULT_DECODE_LIMIT, RleSeq, ensure_pair
+from rleacs.rle import DEFAULT_DECODE_LIMIT, RleSeq
 from rleacs.suffixes import SuffixOrder
 
 if TYPE_CHECKING:
@@ -49,16 +51,15 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def decode_ids(seq: RleSeq, with_sentinel: bool = True, limit: int = DEFAULT_DECODE_LIMIT) -> str:
+def decode_ids(seq: RleSeq, limit: int = DEFAULT_DECODE_LIMIT) -> str:
     """Decoded text with every symbol rendered as chr(internal id).
 
-    Sentinels come out as chr(0) / chr(1), so plain string comparison agrees
-    with internal id order.
+    Plain string comparison then agrees with internal id order, and with
+    the terminators chr(0) and chr(1) that brute_suffix_sort appends.
     """
-    if seq.decoded_length > limit:
-        raise ValueError(f"decode too large: {seq.decoded_length} > {limit}")
-    runs = seq.runs if with_sentinel else seq.runs[:-1]
-    return "".join(chr(sym) * length for sym, length in runs.tolist())
+    if seq.content_length > limit:
+        raise ValueError(f"decode too large: {seq.content_length} > {limit}")
+    return "".join(chr(sym) * length for sym, length in seq.runs.tolist())
 
 
 def _scan_match_lengths(x_text: str, y_text: str) -> list[int]:
@@ -139,21 +140,21 @@ class SuffixRef(NamedTuple):
 
 
 def suffix_refs(order: SuffixOrder) -> list[SuffixRef]:
-    """The suffix at each rank of order as a (sequence, run) handle."""
+    """Each rank's suffix as a (sequence, run) handle; a terminator is the run after the last."""
     nx = len(order.first.runs)
     tokens = order.tokens.tolist()
-    return [SuffixRef(0, t + 1) if t < nx else SuffixRef(1, t - nx + 1) for t in tokens]
+    return [SuffixRef(0, t + 1) if t <= nx else SuffixRef(1, t - nx) for t in tokens]
 
 
 @lru_cache(maxsize=4)
-def _run_rows(seq: RleSeq) -> list[list[int]]:
-    """seq.runs as [symbol, length] lists, converted once for many walks; read only."""
-    return seq.runs.tolist()
+def _run_rows(seq: RleSeq, side: int) -> list[list[int]]:
+    """seq's [symbol, length] runs and its side's terminator, listed once; callers only read."""
+    return [*seq.runs.tolist(), [side, 1]]
 
 
 def suffix_runs(first: RleSeq, second: RleSeq, ref: SuffixRef) -> list[list[int]]:
-    """The [symbol, length] runs of one suffix, its starting run through the sentinel."""
-    return _run_rows((first, second)[ref.seq])[ref.run - 1 :]
+    """The [symbol, length] runs of one suffix, its starting run through the terminator."""
+    return _run_rows((first, second)[ref.seq], ref.seq)[ref.run - 1 :]
 
 
 def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
@@ -227,10 +228,9 @@ def run_walk_total(first: RleSeq, second: RleSeq) -> int:
     otherwise. The sum over h takes one closed form per step between
     distinct len_j, walked from the longest down.
     """
-    first, second = ensure_pair(first, second)
-    y_runs = second.runs[:-1].tolist()
+    y_runs = second.runs.tolist()
     total = 0
-    for i, (s, f) in enumerate(first.runs[:-1].tolist(), 1):
+    for i, (s, f) in enumerate(first.runs.tolist(), 1):
         steps = sorted(
             (
                 (length, suffix_lcp(first, second, SuffixRef(0, i + 1), SuffixRef(1, j + 1)))
@@ -267,7 +267,7 @@ def per_position_lengths(engine: AcsEngine, cap: int = DEFAULT_POSITION_CAP) -> 
     x = engine.first.content_length
     if x > cap:
         raise ValueError(f"decoded length over validation cap: {x} > {cap}")
-    runs = engine.first.runs[:-1]
+    runs = engine.first.runs
     f = runs[:, 1]
     # position p of a run that starts at position start has h = f - (p - start)
     starts = np.cumsum(f) - f
@@ -284,15 +284,15 @@ def brute_suffix_sort(
     """Sort all run-start suffixes of the decoded pair by plain string order.
 
     Produces the same SuffixOrder record as the fast builder, int64 arrays
-    in every field, so the two can be compared field by field.
+    in every field, so the two can be compared field by field. Each side's
+    decoded text ends in its terminator, chr(0) or chr(1).
     """
-    first, second = ensure_pair(first, second)
     budget.check(first.content_length, second.content_length)
     entries: list[tuple[str, int]] = []
-    for seq in (first, second):
-        text = decode_ids(seq)
+    for side, seq in enumerate((first, second)):
+        text = decode_ids(seq) + chr(side)
         pos = 0
-        for length in seq.runs[:, 1].tolist():
+        for length in [*seq.runs[:, 1].tolist(), 1]:
             entries.append((text[pos:], len(entries)))
             pos += length
     entries.sort(key=lambda e: e[0])

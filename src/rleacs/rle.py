@@ -1,27 +1,29 @@
 """Run-length encoded sequences, alphabets, and the text formats that carry them.
 
 A sequence's runs are one read-only (N, 2) int64 array: column 0 holds the
-symbol ids, column 1 the run lengths, and the last row is the sentinel. The
-readers produce arrays of the same shape over raw codepoints (RunRecord), so
-no layer between a file and the sort keys walks runs one at a time.
+symbol ids, column 1 the run lengths. A sequence carries no terminator; the
+suffix order appends one to each side of a pair when it builds its token
+string. The readers produce arrays of the same shape over raw codepoints
+(RunRecord), so no layer between a file and the sort keys walks runs one at
+a time.
 """
 
 from __future__ import annotations
 
 import io
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-SENTINEL_FIRST = 0
-SENTINEL_SECOND = 1
+# ids below this are left to the terminators the suffix order appends
 FIRST_SYMBOL_ID = 2
 # one id per Unicode codepoint at most; ids index per-symbol tables
 MAX_SYMBOL_ID = FIRST_SYMBOL_ID + 0x10FFFF
 
-# External characters that would collide with the sentinel rendering of oracle.decode_ids.
+# External characters that would collide with the terminators of the oracle's brute sort.
 RESERVED_CHARS = ("\x00", "\x01")
 
 MAX_DECODED_LENGTH = 1 << 62
@@ -51,8 +53,9 @@ class Alphabet:
     """Injective map between external characters and internal symbol ids.
 
     Ids start at FIRST_SYMBOL_ID and follow codepoint order, so comparing ids
-    is the same as comparing the characters they stand for. Ids 0 and 1 are
-    reserved for the two per-sequence sentinels and sort below everything.
+    is the same as comparing the characters they stand for. The ids below
+    FIRST_SYMBOL_ID are left to the terminators of the suffix order, which
+    sort below every symbol.
     """
 
     to_id: dict[str, int]
@@ -89,15 +92,16 @@ class Alphabet:
         return pos + FIRST_SYMBOL_ID
 
 
-def _decoded_length(name: str, lengths: np.ndarray) -> int:
-    """Exact sum of positive int64 lengths; ValueError once it passes the bound.
+def _content_length(name: str, lengths: np.ndarray) -> int:
+    """Exact sum of positive int64 lengths; ValueError once it reaches the bound.
 
-    Partial sums up to the first one past 2^62 stay below 2^64, so unsigned
-    cumulative sums see it exactly even where a later one wraps.
+    The bound counts the length-1 terminator the suffix order appends, as
+    does the message. Partial sums up to the first one at 2^62 stay below
+    2^64, so unsigned cumulative sums see it exactly where a later one wraps.
     """
     partial = np.cumsum(lengths, dtype=np.uint64)
-    if (partial > np.uint64(MAX_DECODED_LENGTH)).any():
-        total = sum(lengths.tolist())
+    if (partial >= np.uint64(MAX_DECODED_LENGTH)).any():
+        total = sum(lengths.tolist()) + 1
         raise ValueError(f"{name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}")
     return int(partial[-1])
 
@@ -107,69 +111,59 @@ class RleSeq:
     """A named sequence stored as maximal (symbol, length) runs.
 
     runs is a read-only (N, 2) int64 array, built from any (N, 2) array-like
-    of ints: column 0 the symbol ids, column 1 the lengths. The last run is
-    always a length-1 sentinel whose id is unique to the sequence within a
-    pair and smaller than every alphabet id. decoded_length counts the
-    sentinel.
+    of ints: column 0 the symbol ids, at least FIRST_SYMBOL_ID, column 1 the
+    lengths. Floats and strings are refused, not rounded or parsed.
+    content_length is the decoded length, below MAX_DECODED_LENGTH.
     """
 
     name: str
     runs: np.ndarray
-    decoded_length: int = field(init=False)
+    content_length: int = field(init=False)
 
     def __post_init__(self) -> None:
+        rows = self.runs
+        if not isinstance(rows, np.ndarray) or rows.dtype == np.uint64:
+            # as Python objects, so no value is rounded, parsed or wrapped
+            rows = np.array(rows, dtype=object)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"{self.name}: runs must be (symbol, length) rows")
+        if not len(rows):
+            raise ValueError(f"{self.name}: empty sequence")
+        if rows.dtype.kind not in "iu":
+            bad = next((v for v in rows.flat if not isinstance(v, numbers.Integral)), None)
+            if bad is not None:
+                raise ValueError(f"{self.name}: runs must hold integers, got {bad!r}")
         try:
-            runs = np.array(self.runs, dtype=np.int64)
+            runs = np.array(rows, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"{self.name}: run exceeds bound {MAX_DECODED_LENGTH}") from None
-        if runs.ndim != 2 or runs.shape[1] != 2:
-            raise ValueError(f"{self.name}: runs must be (symbol, length) rows")
-        if len(runs) < 2:
-            raise ValueError(f"{self.name}: empty sequence")
         syms, lengths = runs.T
         for values, bad, message in (
             (lengths, lengths < 1, "run length must be >= 1, got {}"),
             (syms[1:], syms[1:] == syms[:-1], "adjacent runs share symbol id {}"),
-            (syms[:-1], syms[:-1] < FIRST_SYMBOL_ID, "sentinel id {} inside sequence body"),
+            (syms, syms < FIRST_SYMBOL_ID, f"symbol id {{}} below {FIRST_SYMBOL_ID}"),
             (syms, syms > MAX_SYMBOL_ID, f"symbol id {{}} above {MAX_SYMBOL_ID}"),
         ):
             if bad.any():
                 raise ValueError(f"{self.name}: " + message.format(values[bad][0]))
-        if syms[-1] not in (SENTINEL_FIRST, SENTINEL_SECOND) or lengths[-1] != 1:
-            raise ValueError(f"{self.name}: final run must be a length-1 sentinel")
         runs.flags.writeable = False
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "decoded_length", _decoded_length(self.name, lengths))
-
-    @property
-    def sentinel(self) -> int:
-        return int(self.runs[-1, 0])
+        object.__setattr__(self, "content_length", _content_length(self.name, lengths))
 
     @property
     def run_count(self) -> int:
-        """Number of runs, sentinel excluded."""
-        return len(self.runs) - 1
-
-    @property
-    def content_length(self) -> int:
-        """Decoded length, sentinel excluded."""
-        return self.decoded_length - 1
+        return len(self.runs)
 
 
-def encode(
-    text: str,
-    name: str = "seq",
-    alphabet: Alphabet | None = None,
-    sentinel: int = SENTINEL_FIRST,
-) -> RleSeq:
-    """Run-length encode text and append the sentinel run.
+def encode(text: str, name: str = "seq", alphabet: Alphabet | None = None) -> RleSeq:
+    """Run-length encode text.
 
     Sequences that will be compared with each other must share one Alphabet,
     otherwise their internal ids are not mutually ordered.
     """
     if not text:
         raise ValueError("empty sequence")
-    return _seq_from_runs(name, _codepoint_runs(text), alphabet, sentinel)
+    return _seq_from_runs(name, _codepoint_runs(text), alphabet)
 
 
 def _codepoints(text: str) -> np.ndarray:
@@ -186,12 +180,7 @@ def _codepoint_runs(text: str) -> np.ndarray:
     return np.column_stack((cps[bounds[:-1]], np.diff(bounds)))
 
 
-def _seq_from_runs(
-    name: str,
-    cp_runs: np.ndarray,
-    alphabet: Alphabet | None,
-    sentinel: int = SENTINEL_FIRST,
-) -> RleSeq:
+def _seq_from_runs(name: str, cp_runs: np.ndarray, alphabet: Alphabet | None) -> RleSeq:
     """Map maximal (codepoint, length) runs onto alphabet ids (an own alphabet if None)."""
     codepoints = cp_runs[:, 0]
     for ch in RESERVED_CHARS:
@@ -199,31 +188,15 @@ def _seq_from_runs(
             raise ValueError(f"reserved symbol {ch!r}")
     if alphabet is None:
         alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
-    runs = np.empty((len(cp_runs) + 1, 2), dtype=np.int64)
-    runs[:-1, 0] = alphabet.ids(codepoints)
-    runs[:-1, 1] = cp_runs[:, 1]
-    runs[-1] = sentinel, 1
+    runs = np.column_stack((alphabet.ids(codepoints), cp_runs[:, 1]))
     return RleSeq(name=name, runs=runs)
 
 
 def decode(seq: RleSeq, alphabet: Alphabet, limit: int = DEFAULT_DECODE_LIMIT) -> str:
-    """Inverse of encode; the sentinel is stripped."""
+    """Inverse of encode."""
     if seq.content_length > limit:
         raise ValueError(f"decode too large: {seq.content_length} > {limit}")
-    return "".join(alphabet.to_char[sym] * length for sym, length in seq.runs[:-1].tolist())
-
-
-def ensure_pair(first: RleSeq, second: RleSeq) -> tuple[RleSeq, RleSeq]:
-    """Normalize a pair so the two sentinels are distinct and positional."""
-    return _with_sentinel(first, SENTINEL_FIRST), _with_sentinel(second, SENTINEL_SECOND)
-
-
-def _with_sentinel(seq: RleSeq, sym: int) -> RleSeq:
-    if seq.sentinel == sym:
-        return seq
-    runs = seq.runs.copy()
-    runs[-1, 0] = sym
-    return RleSeq(name=seq.name, runs=runs)
+    return "".join(alphabet.to_char[sym] * length for sym, length in seq.runs.tolist())
 
 
 class RunRecord(NamedTuple):
@@ -306,8 +279,8 @@ class _TokenCollector:
         if len(keep) < len(syms):
             merged = len(syms) - len(keep)
             warnings.warn(f"record {name}: merged {merged} adjacent equal-symbol runs")
-            # with the sentinel, the record must fit the bound; then no merged sum wraps
-            _decoded_length(name, np.append(counts, 1))
+            # the record must fit the bound; then no merged sum wraps
+            _content_length(name, counts)
             syms, counts = syms[keep], np.add.reduceat(counts, keep)
         return RunRecord(name, np.column_stack((syms, counts)))
 

@@ -1,12 +1,13 @@
 """Suffix ordering of a run-length encoded pair, and the compact trie over it.
 
-Only suffixes that begin at run boundaries take part: sequence s contributes
-one suffix per run. The two run lists are concatenated into one token string
-(token t is run t+1 of the first sequence when t < len(first.runs), else run
-t-len(first.runs)+1 of the second), and a SuffixOrder maps each rank to the
-token its suffix starts at. All depths and lcp values here are decoded
-lengths, never run counts. The token key columns come straight from the int64
-run arrays, and every key and rank fits in int64. Decoded lcps and suffix
+Only suffixes that begin at run boundaries take part. token_string lays the
+pair out as one token string, each sequence followed by its own terminator:
+token t is run t+1 of the first sequence when t <= len(first.runs), else run
+t-len(first.runs) of the second, a terminator counting as the run after its
+sequence's last. A SuffixOrder maps each rank to the token its suffix starts
+at. All depths and lcp values here are decoded lengths, never run counts.
+The token key columns come straight from the int64 run arrays, and every key
+and rank fits in int64. Decoded lcps and suffix
 lengths stay within one sequence (at most 2^62), so they come from one int64
 prefix sum per sequence; a prefix sum over both sequences would reach 2^63.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rleacs.rle import RleSeq, ensure_pair
+from rleacs.rle import RleSeq
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +33,7 @@ class SuffixOrder:
     The three fields are int64 arrays. tokens[k] is the token index of the
     suffix at rank k; dlcp[k] is the decoded longest-common-prefix length of
     the suffixes at ranks k and k+1; suffix_lengths[k] is the decoded length
-    (sentinel included) of the suffix at rank k.
+    (terminator included) of the suffix at rank k.
     """
 
     first: RleSeq
@@ -55,17 +56,32 @@ class Trie:
 
 
 def longest_run_table(seq: RleSeq, size: int) -> np.ndarray:
-    """Longest run of each symbol id below size in the sequence body, 0 where absent.
+    """Longest run of each symbol id below size in the sequence, 0 where absent.
 
     size must exceed every id that will be looked up, not only those in seq.
     """
     table = np.zeros(size, dtype=np.int64)
-    np.maximum.at(table, seq.runs[:-1, 0], seq.runs[:-1, 1])
+    np.maximum.at(table, seq.runs[:, 0], seq.runs[:, 1])
     return table
 
 
+def token_string(first: RleSeq, second: RleSeq) -> np.ndarray:
+    """The pair as one int64 array of (symbol, length) tokens.
+
+    The first sequence's runs and the terminator run (0, 1), then the second
+    sequence's runs and the terminator run (1, 1). Both terminator ids are
+    unique in the string and below every symbol id.
+    """
+    nx = len(first.runs)
+    tokens = np.empty((nx + len(second.runs) + 2, 2), dtype=np.int64)
+    tokens[:nx] = first.runs
+    tokens[nx + 1 : -1] = second.runs
+    tokens[[nx, -1]] = (0, 1), (1, 1)
+    return tokens
+
+
 def _token_columns(first: RleSeq, second: RleSeq):
-    """Both run arrays as per-token sort-key columns.
+    """The pair's token string as per-token sort-key columns.
 
     A token's key (sym, group, signed, next_sym) compares two suffixes exactly
     as their decoded strings do whenever the keys differ, given maximal runs:
@@ -78,19 +94,19 @@ def _token_columns(first: RleSeq, second: RleSeq):
       in group 1 (-length);
     - all else equal: the following symbols get compared directly.
 
-    Sentinel tokens get (sym, 0, 0, -1); their sym (0 or 1) is unique in the
-    whole token string and below every body symbol. The fifth column is each
-    token's decoded length, its run length (1 for a sentinel).
+    Terminator tokens get (sym, 0, 0, -1); their sym (0 or 1) is unique in
+    the whole token string and below every symbol. The fifth column is each
+    token's decoded length, its run length (1 for a terminator).
     """
-    syms, decoded = np.concatenate((first.runs, second.runs)).T
-    sentinels = [len(first.runs) - 1, len(syms) - 1]
+    syms, decoded = token_string(first, second).T
+    ends = [len(first.runs), len(syms) - 1]
     nexts = np.empty_like(syms)
     nexts[:-1] = syms[1:]
-    nexts[sentinels] = -1
+    nexts[ends] = -1
     # adjacent runs differ, so group 1 is exactly "next symbol is larger"
     groups = (nexts > syms).astype(np.int64)
     signed = np.where(groups == 0, decoded, -decoded)
-    signed[sentinels] = 0
+    signed[ends] = 0
     return syms, groups, signed, nexts, decoded
 
 
@@ -136,7 +152,7 @@ def _token_lcp(rounds: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     Equality is key equality (rank0), the same relation that defines the
     order. Coarser relations (say, equality of raw (symbol, length) pairs)
     would count tokens as shared across boundaries the order resolves by
-    group or next-symbol. A shared block never spans a unique sentinel, so
+    group or next-symbol. A shared block never spans a unique terminator, so
     a + h and b + h stay inside the token string.
     """
     a = order[:-1]
@@ -154,25 +170,26 @@ def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
     Tokens are ranked by their sort keys, the token string is suffix-sorted by
     prefix doubling, and token-level lcps are converted to decoded lengths via
     run-length prefix sums plus a min-length boundary term when the first
-    key-unequal tokens still share a symbol. Unique sentinel tokens stop every
-    comparison at or before a sequence boundary, so concatenating the two
-    token lists is safe, and a suffix and its shared prefix lie in one
+    key-unequal tokens still share a symbol. Unique terminator tokens stop
+    every comparison at or before a sequence boundary, so one token string
+    holds the pair safely, and a suffix and its shared prefix lie in one
     sequence, so each sequence gets its own prefix sum.
     """
-    first, second = ensure_pair(first, second)
     syms, groups, signed, nexts, decoded = _token_columns(first, second)
     rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
     order = np.argsort(rounds[-1])
     t = _token_lcp(rounds, order)
     del rounds
 
-    ends = [np.cumsum(seq.runs[:, 1]) for seq in (first, second)]
-    start = np.concatenate(ends) - decoded
+    # the first sequence with its terminator is tokens [0, nx)
+    nx = len(first.runs) + 1
+    ends = np.concatenate((np.cumsum(decoded[:nx]), np.cumsum(decoded[nx:])))
+    start = ends - decoded
     a = order[:-1] + t
     b = order[1:] + t
     dlcp = start[a] - start[order[:-1]]
     dlcp += np.where(syms[a] == syms[b], np.minimum(decoded[a], decoded[b]), 0)
-    seq_end = np.where(order < len(first.runs), ends[0][-1], ends[1][-1])
+    seq_end = np.where(order < nx, ends[nx - 1], ends[-1])
 
     return SuffixOrder(
         first=first,

@@ -3,8 +3,10 @@
 The paper answers each run of symbol c from a compact trie T_c over the
 suffixes that follow a c-run. Those tries are the root's subtrees in one
 compact trie, built here straight from the suffix order: its leaves are the
-ranks whose suffix follows a run, one contiguous block per preceding-run
-symbol, ranks ascending inside a block. The lcp between two neighbors in a
+ranks whose suffix follows a run (every token of the pair's token string but
+the two sequence starts, so a terminator's suffix follows its sequence's
+last run), one contiguous block per preceding-run symbol, ranks ascending
+inside a block. The lcp between two neighbors in a
 block is the minimum of the order's lcps over the gap, answered by a sparse
 range-minimum table; between blocks it is 0. Every node carries freq, the
 largest length of a preceding second-sequence run among the leaves below it,
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie
+from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie, token_string
 
 
 @dataclass
@@ -161,17 +163,17 @@ def annotate(
 def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTrie:
     """Build and annotate the query trie straight from the suffix order.
 
-    The suffix at token t is preceded by the run at token t - 1, except the
-    two sequence starts (tokens 0 and len(first.runs)), which have none.
-    token_leaf is an int64 array with one slot per token; token_leaf[t] is
-    set to the leaf of token t's suffix, and the two sequence-start slots
-    are left as they were. The order is no longer referenced once the
-    trie's sweep starts.
+    The suffix at token t of token_string(order.first, order.second) is
+    preceded by the run at token t - 1, except the two sequence starts
+    (tokens 0 and len(first.runs) + 1), which have none. token_leaf is an
+    int64 array with one slot per token; token_leaf[t] is set to the leaf of
+    token t's suffix, and the two sequence-start slots are left as they
+    were. The order is no longer referenced once the trie's sweep starts.
     """
     nx = len(order.first.runs)
-    runs = np.concatenate((order.first.runs, order.second.runs))
+    runs = token_string(order.first, order.second)
     tokens = order.tokens
-    ranks = np.flatnonzero((tokens != 0) & (tokens != nx))
+    ranks = np.flatnonzero((tokens != 0) & (tokens != nx + 1))
     # stable, so ranks stay ascending inside each symbol's block
     by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
     ranks = ranks[by_sym]
@@ -200,4 +202,4 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTr
     # annotate turns the trie's lists into arrays; no other reference may
     # keep the lists alive beside them
     del parent, str_depth
-    return annotate(trie, popped, (leaf_tokens >= nx).tolist(), preceding[:, 1].tolist())
+    return annotate(trie, popped, (leaf_tokens > nx).tolist(), preceding[:, 1].tolist())

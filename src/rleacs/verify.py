@@ -32,7 +32,7 @@ from rleacs.oracle import (
     suffix_lcp,
     suffix_refs,
 )
-from rleacs.rle import SENTINEL_SECOND, Alphabet, RleSeq, encode
+from rleacs.rle import Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
 
 ALPHABET_SIZES = (2, 4, 20)
@@ -76,7 +76,7 @@ def random_text(rng: random.Random, n: int, alphabet_size: int, mean_run: float)
 
 def rle_record(seq: RleSeq, alphabet: Alphabet) -> str:
     """Render one sequence in the run-length text format, for replaying."""
-    body = " ".join(f"{alphabet.to_char[sym]}{n}" for sym, n in seq.runs[:-1].tolist())
+    body = " ".join(f"{alphabet.to_char[sym]}{n}" for sym, n in seq.runs.tolist())
     return f">{seq.name}\n{body}"
 
 
@@ -152,8 +152,8 @@ def check_pair(
     except Exception as exc:
         return [f"engine build raised {type(exc).__name__}: {exc}"]
     first, second = engine.first, engine.second
-    x_text = decode_ids(first, with_sentinel=False)
-    y_text = decode_ids(second, with_sentinel=False)
+    x_text = decode_ids(first)
+    y_text = decode_ids(second)
     brute_order = brute_suffix_sort(first, second, budget)
     brute_lengths = brute_match_lengths(x_text, y_text, budget)
     brute_reverse = sum(brute_match_lengths(y_text, x_text, budget))
@@ -199,7 +199,7 @@ def _compare(
     if sum(per_position) != lsum:
         failures.append("per-position sum differs from per-run sum")
 
-    bounds = list(accumulate(first.runs[:-1, 1].tolist(), initial=0))
+    bounds = list(accumulate(first.runs[:, 1].tolist(), initial=0))
     for i, (run_sum, lo, hi) in enumerate(zip(engine.run_sums(), bounds, bounds[1:]), 1):
         if run_sum != sum(per_position[lo:hi]):
             failures.append(f"run {i} sum does not match its positions")
@@ -309,13 +309,13 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
         failures.append("query trie: leaves are not in symbol blocks of ascending rank")
 
     # gap lcps recomputed with the run walker inside a block, 0 between
-    # blocks, depths as sums of the runs from the leaf's own on, then
-    # interval mins
+    # blocks, depths as sums of the runs from the leaf's own on (a suffix
+    # ends in its length-1 terminator), then interval mins
     gaps = [
         suffix_lcp(engine.first, engine.second, a, b) if s == t else 0
         for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
     ]
-    tails = [list(accumulate(n for _, n in reversed(seq_runs)))[::-1] for seq_runs in runs]
+    tails = [list(accumulate((n for _, n in seq_runs[::-1]), initial=1))[::-1] for seq_runs in runs]
     depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
     failures.extend(
         _interval_min_mismatches(
@@ -349,7 +349,7 @@ def run_verification(
         y_text = random_text(rng, rng.randint(1, n_max), alphabet_size, mean_run)
         alphabet = Alphabet.for_texts([x_text, y_text])
         first = encode(x_text, f"X{trial}", alphabet)
-        second = encode(y_text, f"Y{trial}", alphabet, sentinel=SENTINEL_SECOND)
+        second = encode(y_text, f"Y{trial}", alphabet)
         failures = check_pair(
             first, second, engine_factory=engine_factory, budget=budget, deep=deep
         )

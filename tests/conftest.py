@@ -1,17 +1,17 @@
-from rleacs.rle import MAX_DECODED_LENGTH, SENTINEL_SECOND, Alphabet, RleSeq, encode
+from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 
 
 def make_pair(x_text: str, y_text: str, x_name: str = "X", y_name: str = "Y"):
-    """Encode two texts over one shared alphabet, with distinct sentinels."""
+    """Encode two texts over one shared alphabet."""
     alphabet = Alphabet.for_texts([x_text, y_text])
     first = encode(x_text, x_name, alphabet)
-    second = encode(y_text, y_name, alphabet, sentinel=SENTINEL_SECOND)
+    second = encode(y_text, y_name, alphabet)
     return first, second, alphabet
 
 
-def at_bound(body, sentinel):
+def at_bound(body):
     """The sequence of (symbol, length) runs with its first run stretched to
     content length 2^62 - 1."""
     sym, length = body[0]
     stretched = (sym, length + MAX_DECODED_LENGTH - 1 - sum(n for _, n in body))
-    return RleSeq("S", [stretched, *body[1:], (sentinel, 1)])
+    return RleSeq("S", [stretched, *body[1:]])

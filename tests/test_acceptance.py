@@ -25,7 +25,7 @@ from rleacs.oracle import (
     per_position_lengths,
     suffix_refs,
 )
-from rleacs.rle import SENTINEL_SECOND, Alphabet, encode
+from rleacs.rle import Alphabet, encode
 from rleacs.suffixes import build_suffix_order
 from rleacs.verify import ALPHABET_SIZES, RUN_LENGTH_MEANS, _structural_checks, random_text
 
@@ -68,7 +68,7 @@ def campaign() -> Campaign:
         y_text = random_text(rng, rng.randint(1, N_MAX), sigma, mean)
         alphabet = Alphabet.for_texts([x_text, y_text])
         first = encode(x_text, f"X{trial}", alphabet)
-        second = encode(y_text, f"Y{trial}", alphabet, sentinel=SENTINEL_SECOND)
+        second = encode(y_text, f"Y{trial}", alphabet)
         result.pairs += 1
 
         # the engine keeps no suffix order; this one is built for the checks
@@ -160,7 +160,7 @@ def test_criterion_1_oracle_equivalence(campaign):
 def test_criterion_2_worked_micro_example():
     alphabet = Alphabet.for_texts(["aab", "ab"])
     first = encode("aab", "X", alphabet)
-    second = encode("ab", "Y", alphabet, sentinel=SENTINEL_SECOND)
+    second = encode("ab", "Y", alphabet)
     engine = AcsEngine(first, second)
     per_position = per_position_lengths(engine)
     run_sums = [engine.run_sum(i) for i in range(1, first.run_count + 1)]
@@ -204,7 +204,7 @@ def test_criterion_4_final_run_closed_forms(campaign):
         y_text = random_text(rng, rng.randint(1, 300), sigma, mean)
         alphabet = Alphabet.for_texts([x_text, y_text])
         first = encode(x_text, "X", alphabet)
-        second = encode(y_text, "Y", alphabet, sentinel=SENTINEL_SECOND)
+        second = encode(y_text, "Y", alphabet)
         engine = AcsEngine(first, second)
         sym, f = first.runs[first.run_count - 1].tolist()
         m = int(engine.max_run[sym])

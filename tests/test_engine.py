@@ -25,11 +25,10 @@ from rleacs.oracle import (
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
-    SENTINEL_FIRST,
-    SENTINEL_SECOND,
     RleSeq,
 )
 from rleacs.suffixes import build_suffix_order
+from rleacs.verify import check_pair
 
 
 def engine_for(x, y):
@@ -42,7 +41,7 @@ def test_run_sums_micro():
     assert engine.run_sum(1) == 3
     assert engine.run_sum(2) == 1
     assert engine.total() == 4
-    # 0 and 3 would read the sentinel rows, -1 another run's sum
+    # 0 and 3 are outside the runs, -1 would read another run's sum
     for i in (0, 3, -1):
         with pytest.raises(IndexError):
             engine.run_sum(i)
@@ -52,12 +51,14 @@ def test_run_sums_micro():
 
 def test_run_leaves_follow_each_run():
     engine, first, second = engine_for("aab", "abab")
-    # the suffix after run i of first starts at token i, after run j of
-    # second at token len(first.runs) + j
+    # the suffix after run i of first starts at token i; the first
+    # sequence's terminator takes token len(first.runs), so the suffix after
+    # run j of second starts at token len(first.runs) + 1 + j
     tokens = engine.token_leaf.tolist()
+    assert len(tokens) == len(first.runs) + len(second.runs) + 2
     assert engine.run_leaves().tolist() == tokens[1 : first.run_count + 1]
     back = engine.reverse.run_leaves().tolist()
-    assert back == tokens[len(first.runs) + 1 : len(first.runs) + 1 + second.run_count]
+    assert back == tokens[len(first.runs) + 2 : len(first.runs) + 2 + second.run_count]
     assert engine.run_leaves().dtype == np.int64
 
 
@@ -97,8 +98,8 @@ def test_acs_unary_closed_form():
 
 def test_acs_giant_unary_runs():
     x_len, m = 10**9, 10**6
-    first = RleSeq("X", [(2, x_len), (SENTINEL_FIRST, 1)])
-    second = RleSeq("Y", [(2, m), (SENTINEL_SECOND, 1)])
+    first = RleSeq("X", [(2, x_len)])
+    second = RleSeq("Y", [(2, m)])
     result = acs(first, second)
     assert result.lsum == m * (x_len - m) + m * (m + 1) // 2
     assert result.lsum == 999500000500000
@@ -121,6 +122,23 @@ def test_engine_self_pair_matches_closed_form():
     for text in ("ab", "aab", "mississippi", "aaaa"):
         first, second, _ = make_pair(text, text)
         assert acs(first, second).value == acs_self(len(text))
+
+
+def test_engine_keeps_the_callers_sequences():
+    first, second, _ = make_pair("aab", "abab")
+    engine = AcsEngine(first, second)
+    assert engine.first is first and engine.second is second
+    assert engine.reverse.first is second and engine.reverse.second is first
+    # one object on both sides: the token string still ends each side in its
+    # own terminator, and so do the oracle's walkers
+    for text in ("a", "aab", "mississippi", "aaaa"):
+        seq, _, _ = make_pair(text, "a")
+        same = AcsEngine(seq, seq)
+        assert same.first is same.second is seq
+        x = seq.content_length
+        assert same.total() == same.reverse.total() == x * (x + 1) // 2
+        assert run_walk_total(seq, seq) == x * (x + 1) // 2
+        assert check_pair(seq, seq) == []
 
 
 def test_per_position_micro():
@@ -318,7 +336,7 @@ def test_reverse_view_micro():
 
 def _assert_tie_swaps(first, second, x_run, y_run):
     """The X suffix at x_run and the Y suffix at y_run have equal content:
-    they are neighbors in both sentinel assignments, in swapped order."""
+    they are neighbors in both terminator assignments, in swapped order."""
     forward = suffix_refs(build_suffix_order(first, second))
     backward = suffix_refs(build_suffix_order(second, first))
     k = forward.index(SuffixRef(0, x_run))
@@ -335,7 +353,7 @@ def _assert_tie_swaps(first, second, x_run, y_run):
 )
 def test_reverse_from_one_build_at_sentinel_ties(x, head, cut):
     # Y ends with a suffix of X that starts a run in both, so the X and Y
-    # suffixes from there on tie on content and only the sentinels order them
+    # suffixes from there on tie on content and only the terminators order them
     starts = [p for p in range(len(x)) if p == 0 or x[p] != x[p - 1]]
     k = cut % len(starts)
     tail = x[starts[k] :]
@@ -385,8 +403,8 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     start = tail[0][0] - FIRST_SYMBOL_ID
     x_head = _chain(x_head_draws, start)[::-1]
     y_head = _chain(y_head_draws, start)[::-1]
-    first = at_bound(x_head + tail, SENTINEL_FIRST)
-    second = at_bound(y_head + tail, SENTINEL_SECOND)
+    first = at_bound(x_head + tail)
+    second = at_bound(y_head + tail)
     assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
     _assert_tie_swaps(first, second, len(x_head) + 1, len(y_head) + 1)
 

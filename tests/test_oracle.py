@@ -93,12 +93,12 @@ def test_suffix_sort_micro():
     first, second, _ = make_pair("aab", "ab")
     order = brute_suffix_sort(first, second)
     assert suffix_refs(order) == [
-        SuffixRef(0, 3),  # sentinel of X
-        SuffixRef(1, 3),  # sentinel of Y
-        SuffixRef(0, 1),  # aab + sentinel
-        SuffixRef(1, 1),  # ab + sentinel
-        SuffixRef(0, 2),  # b + sentinel of X
-        SuffixRef(1, 2),  # b + sentinel of Y
+        SuffixRef(0, 3),  # terminator of X
+        SuffixRef(1, 3),  # terminator of Y
+        SuffixRef(0, 1),  # aab + terminator
+        SuffixRef(1, 1),  # ab + terminator
+        SuffixRef(0, 2),  # b + terminator of X
+        SuffixRef(1, 2),  # b + terminator of Y
     ]
     assert order.dlcp.tolist() == [0, 0, 1, 0, 1]
     assert order.suffix_lengths.tolist() == [1, 1, 4, 3, 2, 2]
@@ -119,7 +119,7 @@ def test_suffix_sort_single_run_pair():
 def test_suffix_sort_equal_content_interleaves():
     first, second, _ = make_pair("abab", "abab")
     order = brute_suffix_sort(first, second)
-    # equal decoded suffixes differ only in the final sentinel, so each X
+    # equal decoded suffixes differ only in the final terminator, so each X
     # suffix sits immediately before its Y twin
     refs = suffix_refs(order)
     for k in range(0, len(refs), 2):

@@ -15,15 +15,12 @@ from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
     MAX_SYMBOL_ID,
-    SENTINEL_FIRST,
-    SENTINEL_SECOND,
     Alphabet,
     ParseError,
     RleSeq,
     build_text_sequences,
     decode,
     encode,
-    ensure_pair,
     parse_fasta,
     parse_rle_text,
     read_fasta_records,
@@ -34,22 +31,21 @@ from rleacs.rle import (
 
 def test_encode_groups_maximal_runs():
     seq = encode("aabbbc")
-    assert seq.runs.dtype == np.int64 and seq.runs.shape == (4, 2)
-    assert seq.runs[:-1].tolist() == [
+    assert seq.runs.dtype == np.int64 and seq.runs.shape == (3, 2)
+    assert seq.runs.tolist() == [
         [FIRST_SYMBOL_ID, 2],
         [FIRST_SYMBOL_ID + 1, 3],
         [FIRST_SYMBOL_ID + 2, 1],
     ]
-    assert seq.sentinel == SENTINEL_FIRST
-    assert seq.runs[-1, 1] == 1
 
 
-def test_lengths_count_the_sentinel_once():
+def test_lengths_count_the_runs_only():
     seq = encode("aabbbc")
     assert seq.content_length == 6
-    assert seq.decoded_length == 7
     assert seq.run_count == 3
-    assert len(seq.runs) == 4
+    assert len(seq.runs) == 3
+    for gone in ("decoded_length", "sentinel"):
+        assert not hasattr(seq, gone)
 
 
 def test_alphabet_ids_follow_character_order():
@@ -78,40 +74,47 @@ def test_symbol_outside_alphabet_rejected():
 
 
 def test_invalid_run_sequences_rejected():
-    sent = (SENTINEL_FIRST, 1)
     with pytest.raises(ValueError, match="empty sequence"):
-        RleSeq("s", [sent])
+        RleSeq("s", np.empty((0, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="length must be >= 1"):
-        RleSeq("s", [(2, 0), sent])
+        RleSeq("s", [(2, 0)])
     with pytest.raises(ValueError, match="adjacent runs"):
-        RleSeq("s", [(2, 1), (2, 3), sent])
-    with pytest.raises(ValueError, match="sentinel id"):
-        RleSeq("s", [(2, 1), (SENTINEL_SECOND, 1), (3, 1), sent])
-    with pytest.raises(ValueError, match="length-1 sentinel"):
-        RleSeq("s", [(2, 1), (SENTINEL_FIRST, 2)])
-    with pytest.raises(ValueError, match="length-1 sentinel"):
-        RleSeq("s", [(2, 1), (3, 1)])
+        RleSeq("s", [(2, 1), (2, 3)])
     with pytest.raises(ValueError, match="symbol, length"):
-        RleSeq("s", [2, 1, SENTINEL_FIRST, 1])
+        RleSeq("s", [2, 1, 3, 1])
+    # ids below FIRST_SYMBOL_ID belong to the suffix order's terminators
+    for low in (-1, 0, 1):
+        for runs in ([(low, 1), (3, 1)], [(2, 1), (low, 1), (3, 1)], [(2, 1), (low, 1)]):
+            with pytest.raises(ValueError, match=rf"^s: symbol id {low} below 2$"):
+                RleSeq("s", runs)
     # ids index per-symbol tables, so they stay within one per codepoint
     with pytest.raises(ValueError, match="symbol id 1099511627776 above"):
-        RleSeq("s", [(1 << 40, 1), sent])
-    RleSeq("s", [(MAX_SYMBOL_ID, 1), sent])
+        RleSeq("s", [(1 << 40, 1)])
+    RleSeq("s", [(MAX_SYMBOL_ID, 1)])
+    RleSeq("s", [(FIRST_SYMBOL_ID, 1)])
+    # rows must be integers: no rounding, truncating or parsing
+    for runs in ([(2, 2.5), (3, 1)], [(2.9, 1)], [("3", 1)], np.array([[2.0, 1.0]])):
+        with pytest.raises(ValueError, match="^x: runs must hold integers"):
+            RleSeq("x", runs)
+    assert RleSeq("x", [(np.int32(2), np.uint8(1))]).runs.tolist() == [[2, 1]]
 
 
 def test_huge_runs_allowed_up_to_bound():
-    big = RleSeq("big", [(2, 10**9), (SENTINEL_FIRST, 1)])
+    big = RleSeq("big", [(2, 10**9)])
     assert big.content_length == 10**9
-    at_bound = RleSeq("at-bound", [(2, MAX_DECODED_LENGTH - 1), (SENTINEL_FIRST, 1)])
-    assert at_bound.decoded_length == MAX_DECODED_LENGTH
-    with pytest.raises(ValueError, match="exceeds bound"):
-        RleSeq("too-big", [(2, 1 << 62), (SENTINEL_FIRST, 1)])
+    # the bound counts the terminator the suffix order appends
+    at_bound = RleSeq("at-bound", [(2, MAX_DECODED_LENGTH - 2), (3, 1)])
+    assert at_bound.content_length == MAX_DECODED_LENGTH - 1
+    message = f"too-big: decoded length {MAX_DECODED_LENGTH + 1} exceeds bound {MAX_DECODED_LENGTH}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RleSeq("too-big", [(2, MAX_DECODED_LENGTH - 1), (3, 1)])
     # a length no int64 holds
-    with pytest.raises(ValueError, match="exceeds bound"):
-        RleSeq("past-int64", [(2, 1 << 63), (SENTINEL_FIRST, 1)])
+    for runs in ([(2, 1 << 63)], np.array([[2, 1 << 63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^past-int64: run exceeds bound 4611686018427387904$"):
+            RleSeq("past-int64", runs)
     # four runs of 2^62 sum to 2^64, which wraps to 0 in 64 bits
     with pytest.raises(ValueError, match="decoded length 18446744073709551617 exceeds bound"):
-        RleSeq("wraps", [(2 + k % 2, 1 << 62) for k in range(4)] + [(SENTINEL_FIRST, 1)])
+        RleSeq("wraps", [(2 + k % 2, 1 << 62) for k in range(4)])
 
 
 def test_runs_are_read_only():
@@ -121,10 +124,10 @@ def test_runs_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         seq.runs[:, 0] += 1
     # the sequence keeps its own copy of the rows it was built from
-    rows = np.array([[2, 3], [SENTINEL_FIRST, 1]])
+    rows = np.array([[2, 3]])
     built = RleSeq("own", rows)
     rows[0, 1] = 7
-    assert built.runs.tolist() == [[2, 3], [SENTINEL_FIRST, 1]]
+    assert built.runs.tolist() == [[2, 3]]
     assert built.content_length == 3
 
 
@@ -136,16 +139,17 @@ def test_decode_round_trip():
 
 def test_decode_respects_limit():
     alpha = Alphabet.from_symbols("a")
-    seq = RleSeq("big", [(FIRST_SYMBOL_ID, 100), (SENTINEL_FIRST, 1)])
+    seq = RleSeq("big", [(FIRST_SYMBOL_ID, 100)])
     with pytest.raises(ValueError, match="decode too large"):
         decode(seq, alpha, limit=99)
 
 
 def test_decode_ids_orders_like_internal_ids():
     first, second, _ = make_pair_texts("ab", "b")
-    assert decode_ids(first) == chr(2) * 1 + chr(3) * 1 + chr(0)
-    assert decode_ids(second) == chr(3) + chr(1)
-    assert decode_ids(first, with_sentinel=False) == chr(2) + chr(3)
+    assert decode_ids(first) == chr(2) + chr(3)
+    assert decode_ids(second) == chr(3)
+    # the terminators, chr(0) and chr(1), sort below every symbol
+    assert decode_ids(first) + chr(0) < decode_ids(first) + chr(2)
 
 
 def make_pair_texts(x_text, y_text):
@@ -154,25 +158,12 @@ def make_pair_texts(x_text, y_text):
     return make_pair(x_text, y_text)
 
 
-def test_ensure_pair_fixes_sentinels():
-    alpha = Alphabet.for_texts(["aa", "ab"])
-    a = encode("aa", "a", alpha)
-    b = encode("ab", "b", alpha)
-    assert a.sentinel == b.sentinel == SENTINEL_FIRST
-    first, second = ensure_pair(a, b)
-    assert first.sentinel == SENTINEL_FIRST
-    assert second.sentinel == SENTINEL_SECOND
-    assert first is a
-    assert second.runs[:-1].tolist() == b.runs[:-1].tolist()
-
-
 def test_parse_rle_text_basic():
     seqs, alpha = parse_rle_text(">one\na2 b3\nc1\n>two\nb1 a1\n")
     assert [s.name for s in seqs] == ["one", "two"]
     one, two = seqs
     assert decode(one, alpha) == "aabbbc"
     assert decode(two, alpha) == "ba"
-    assert one.sentinel == SENTINEL_FIRST
 
 
 def test_parse_rle_text_merges_adjacent_equal_runs():
@@ -182,6 +173,15 @@ def test_parse_rle_text_merges_adjacent_equal_runs():
     assert any("merged" in str(w.message) for w in caught)
     assert decode(seqs[0], alpha) == "aaaaab"
     assert seqs[0].run_count == 2
+    # a merged record meets the bound of any sequence: content 2^62 - 1 at most
+    edge = MAX_DECODED_LENGTH - 2
+    message = f"^s: decoded length {MAX_DECODED_LENGTH + 1} exceeds bound {MAX_DECODED_LENGTH}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (seq,), _ = parse_rle_text(f">s\na{edge} a1\n")
+        assert seq.content_length == MAX_DECODED_LENGTH - 1
+        with pytest.raises(ValueError, match=message):
+            parse_rle_text(f">s\na{edge} a2\n")
 
 
 def test_parse_rle_text_errors_carry_line_numbers():
@@ -247,7 +247,7 @@ def test_encode_decode_round_trip(text):
     seq = encode(text, "t", alpha)
     assert decode(seq, alpha, limit=len(text)) == text
     # maximality: adjacent runs never share a symbol
-    syms = seq.runs[:-1, 0].tolist()
+    syms = seq.runs[:, 0].tolist()
     assert all(a != b for a, b in zip(syms, syms[1:]))
     assert seq.content_length == len(text)
 

@@ -14,7 +14,7 @@ from rleacs.oracle import (
     suffix_refs,
     suffix_runs,
 )
-from rleacs.rle import MAX_DECODED_LENGTH, SENTINEL_FIRST, SENTINEL_SECOND, RleSeq
+from rleacs.rle import MAX_DECODED_LENGTH, RleSeq
 from rleacs.suffixes import (
     RangeMin,
     _sweep_compact_trie,
@@ -87,7 +87,7 @@ def test_compare_decoded_order_cases():
     first, second, _ = make_pair("aab", "ab")
     # "aab<s>" < "ab<s>" by the decoded character at position 2
     assert suffix_compare(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == -1
-    # "b<s1>" < "b<s2>" by sentinel order
+    # "b<s1>" < "b<s2>" by terminator order
     assert suffix_compare(first, second, SuffixRef(0, 2), SuffixRef(1, 2)) == -1
     assert suffix_compare(first, second, SuffixRef(1, 1), SuffixRef(0, 1)) == 1
     assert suffix_compare(first, second, SuffixRef(0, 1), SuffixRef(0, 1)) == 0
@@ -102,8 +102,8 @@ def test_compare_shorter_run_smaller_when_next_symbol_smaller():
 def test_lcp_run_walk_cases():
     first, second, _ = make_pair("aab", "ab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 1
-    a3 = RleSeq("a3", [(2, 3), (SENTINEL_FIRST, 1)])
-    a5 = RleSeq("a5", [(2, 5), (SENTINEL_SECOND, 1)])
+    a3 = RleSeq("a3", [(2, 3)])
+    a5 = RleSeq("a5", [(2, 5)])
     assert suffix_lcp(a3, a5, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
     first, second, _ = make_pair("aab", "aab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
@@ -134,7 +134,7 @@ def test_trie_micro_pair():
     assert trie.str_depth[trie.parent[b1]] == 1
     assert trie.parent[trie.parent[b1]] == 0
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
-    # then the b-block (X and Y sentinel suffixes); the whole-X and whole-Y
+    # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
     token_leaf = np.full(len(order), -1, dtype=np.int64)
     query = extract_symbol_tries(order, token_leaf)
@@ -248,11 +248,11 @@ def test_order_with_huge_runs_agrees_with_run_walk():
         x_body = random_runs()
         y_body = random_runs()
         _assert_order_agrees_with_run_walk(
-            RleSeq("s", [*x_body, (SENTINEL_FIRST, 1)]),
-            RleSeq("s", [*y_body, (SENTINEL_SECOND, 1)]),
+            RleSeq("s", x_body),
+            RleSeq("s", y_body),
         )
-        first = at_bound(x_body, SENTINEL_FIRST)
-        second = at_bound(y_body, SENTINEL_SECOND)
+        first = at_bound(x_body)
+        second = at_bound(y_body)
         assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
         _assert_order_agrees_with_run_walk(first, second)
 

@@ -35,7 +35,7 @@ def test_extract_micro_pair():
     trie = extract_symbol_tries(order, token_leaf)
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
-    # (a-run of 1); b-block: the two sentinel suffixes
+    # (a-run of 1); b-block: the two terminator suffixes
     refs = suffix_refs(order)
     assert [refs[k] for k in leaf_ranks(trie, order, token_leaf)] == [
         SuffixRef(0, 2),
@@ -54,7 +54,7 @@ def test_extract_micro_pair():
     assert trie.str_depth[mid] == 1
     assert trie.parent[a_y] == mid
     assert trie.parent[mid] == 0
-    # the sentinel suffixes share no prefix: both hang from the root
+    # the terminator suffixes share no prefix: both hang from the root
     assert [trie.parent[b_x], trie.parent[b_y]] == [0, 0]
 
 
@@ -175,7 +175,7 @@ def test_structural_invariants(x, y):
     assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
     # the two sequence starts have no preceding run, every other token a leaf
     nx = len(first.runs)
-    assert np.flatnonzero(token_leaf < 0).tolist() == [0, nx]
+    assert np.flatnonzero(token_leaf < 0).tolist() == [0, nx + 1]
     assert sorted(token_leaf[token_leaf >= 0].tolist()) == sorted(t.leaves)
 
     parent = t.parent.tolist()

@@ -7,6 +7,7 @@ import pytest
 
 from rleacs.engine import AcsEngine
 from rleacs.rle import parse_rle_text
+from rleacs.suffixes import token_string
 from rleacs.verify import (
     check_pair,
     geometric,
@@ -33,10 +34,10 @@ class FreqAsMin(AcsEngine):
         str_depth = trie.str_depth.tolist()
         token_leaf = self.token_leaf.tolist()
         best = [big] * trie.node_count
-        # the suffix at token t follows run t - 1 of the two sequences' runs;
-        # second-sequence suffixes start at token len(first.runs)
-        lengths = np.concatenate((self.first.runs, self.second.runs))[:, 1].tolist()
-        for t in range(len(self.first.runs), len(lengths)):
+        # the suffix at token t follows token t - 1 of the pair's token
+        # string; second-sequence suffixes start at token len(first.runs) + 1
+        lengths = token_string(self.first, self.second)[:, 1].tolist()
+        for t in range(len(self.first.runs) + 1, len(lengths)):
             leaf = token_leaf[t]
             if leaf >= 0:
                 best[leaf] = min(best[leaf], lengths[t - 1])
@@ -142,8 +143,5 @@ def test_rle_record_round_trip():
     first, second, alphabet = make_pair("aaabba", "abbb")
     text = rle_record(first, alphabet) + "\n" + rle_record(second, alphabet)
     seqs, _ = parse_rle_text(text)
-    assert [s.runs[:-1].tolist() for s in seqs] == [
-        first.runs[:-1].tolist(),
-        second.runs[:-1].tolist(),
-    ]
+    assert [s.runs.tolist() for s in seqs] == [first.runs.tolist(), second.runs.tolist()]
     assert [s.name for s in seqs] == ["X", "Y"]
