@@ -86,7 +86,7 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         nodes = engine.trie.node_count
     return BenchRow(
         label=label,
-        tokens=len(engine.token_leaf),
+        tokens=len(first.runs) + len(second.runs) + 2,
         decoded=first.content_length + second.content_length,
         build_s=best_build,
         query_s=best_query,

@@ -24,11 +24,6 @@ from rleacs.symbol_tries import extract_symbol_tries
 
 LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
 
-# runs per block when a batch's climb results become Python ints; bounds the
-# per-run lists the gather holds at once, so the query phase stays below the
-# build's peak memory
-_GATHER_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class AcsResult:
@@ -67,21 +62,14 @@ class AcsEngine:
     and which runs are queried.
 
     Instances keep the caller's sequences, are immutable after construction
-    and are safe to query from multiple threads. token_leaf is a read-only
-    int64 array, one slot per token of suffixes.token_string: token_leaf[t]
-    is the trie leaf of the suffix that starts at token t, -1 at the two
-    sequence starts. The second sequence's runs start at token
-    len(first.runs) + 1, so the suffix after run i of the built pair's first
-    sequence starts at token i, the one after run j of its second at token
-    len(first.runs) + 1 + j. is_reverse tells the views apart; run_leaves()
+    (the trie is a frozen record of read-only arrays) and are safe to query
+    from multiple threads. is_reverse tells the views apart; run_leaves()
     gives the leaf after each run of either view's first sequence. The
     suffix order itself is not kept.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
-        self.token_leaf = np.full(len(first.runs) + len(second.runs) + 2, -1, dtype=np.int64)
-        self.trie = extract_symbol_tries(build_suffix_order(first, second), self.token_leaf)
-        self.token_leaf.flags.writeable = False
+        self.trie = extract_symbol_tries(build_suffix_order(first, second))
         self._orient(first, second, reverse=False)
 
     def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
@@ -91,19 +79,15 @@ class AcsEngine:
         size = 1 + int(max(first.runs[:, 0].max(), second.runs[:, 0].max()))
         self.max_run = longest_run_table(second, size)
         self.is_reverse = reverse
-        # token of the suffix after run i of first is _token_base + i
-        self._token_base = len(second.runs) + 1 if reverse else 0
 
     def run_leaves(self) -> np.ndarray:
         """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
-        start = self._token_base + 1
-        return self.token_leaf[start : start + self.first.run_count]
+        return self.trie.second_leaves if self.is_reverse else self.trie.first_leaves
 
     @property
     def reverse(self) -> AcsEngine:
         """This build seen from the other side: ACS(second, first)."""
         view = object.__new__(type(self))
-        view.token_leaf = self.token_leaf
         view.trie = self.trie
         view._orient(self.second, self.first, reverse=not self.is_reverse)
         return view
@@ -129,42 +113,33 @@ class AcsEngine:
         telescopes into two weight lookups, at the deepest ancestors with
         support 1 and min(f, m).
         """
-        return self._sums(self.first.runs, self.run_leaves())
+        return self._sums(self.first.runs, self.run_leaves()).tolist()
 
-    def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> list[int]:
-        """Exact run sums for the (symbol, length) rows of runs and their following leaves.
+    def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+        """Exact run sums, as an object array, for the (symbol, length) rows of runs.
 
-        Both climbs run over the whole batch in int64; f, m, the node ids
-        and the depths leave numpy before any product, since f * depth
-        reaches 2^124.
+        leaves holds the leaf after each run. With g = min(f, m) and v, u the
+        deepest ancestors with support 1 and g, every run sums to
+        weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
+        For f <= m that is the telescoped sum itself. For f > m every node on
+        u's root path below the root has freq m (the s-block holds no longer
+        support), so weight[u] = m * depth[u] and the form reduces to
+        weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
+        s-block, and the root, has weight 0. Both climbs run in int64, and so
+        does depth[u] + f - g, which stays below 2^63; the rest is object
+        arithmetic in exact Python ints, since the products reach 2^124.
         """
         trie = self.trie
         rev = self.is_reverse
-        syms = runs[:, 0]
         lengths = runs[:, 1]
-        # with m >= 1 both thresholds are at most the root's support, so
-        # neither climb returns -1; runs with m == 0 score 0 whatever theirs return
-        vs = trie.deepest_freq_ancestor(leaves, 1, rev)
-        us = trie.deepest_freq_ancestor(leaves, np.minimum(lengths, self.max_run[syms]), rev)
-        depths = trie.str_depth[us]
+        g = np.minimum(lengths, self.max_run[runs[:, 0]])
+        # the root's support is at least 1, so neither climb returns -1
+        v = trie.deepest_freq_ancestor(leaves, 1, rev)
+        u = trie.deepest_freq_ancestor(leaves, g, rev)
         weight = trie.rev_weight if rev else trie.weight
-        # m per symbol from a short list, so runs share its int objects
-        max_run = self.max_run.tolist()
-        out = []
-        for lo in range(0, len(leaves), _GATHER_BLOCK):
-            block = slice(lo, lo + _GATHER_BLOCK)
-            for s, f, v, u, depth in zip(
-                syms[block].tolist(), lengths[block].tolist(), vs[block].tolist(),
-                us[block].tolist(), depths[block].tolist(),
-            ):
-                m = max_run[s]
-                if m == 0:
-                    out.append(0)
-                elif f > m:
-                    out.append(weight[v] + m * f - m * (m - 1) // 2)
-                else:
-                    out.append(weight[v] - weight[u] + f * depth + f * (f + 1) // 2)
-        return out
+        rest = (trie.str_depth[u] + lengths - g).astype(object)
+        g = g.astype(object)
+        return weight[v] - weight[u] + g * (2 * rest + g + 1) // 2
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""

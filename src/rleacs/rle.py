@@ -23,9 +23,6 @@ FIRST_SYMBOL_ID = 2
 # one id per Unicode codepoint at most; ids index per-symbol tables
 MAX_SYMBOL_ID = FIRST_SYMBOL_ID + 0x10FFFF
 
-# External characters that would collide with the terminators of the oracle's brute sort.
-RESERVED_CHARS = ("\x00", "\x01")
-
 MAX_DECODED_LENGTH = 1 << 62
 DEFAULT_DECODE_LIMIT = 1 << 26
 
@@ -64,9 +61,6 @@ class Alphabet:
     @classmethod
     def from_symbols(cls, symbols: Iterable[str]) -> "Alphabet":
         ordered = sorted(set(symbols))
-        for ch in RESERVED_CHARS:
-            if ch in ordered:
-                raise ValueError(f"reserved symbol {ch!r}")
         to_id = {ch: FIRST_SYMBOL_ID + k for k, ch in enumerate(ordered)}
         return cls(to_id=to_id, to_char={v: k for k, v in to_id.items()})
 
@@ -183,9 +177,6 @@ def _codepoint_runs(text: str) -> np.ndarray:
 def _seq_from_runs(name: str, cp_runs: np.ndarray, alphabet: Alphabet | None) -> RleSeq:
     """Map maximal (codepoint, length) runs onto alphabet ids (an own alphabet if None)."""
     codepoints = cp_runs[:, 0]
-    for ch in RESERVED_CHARS:
-        if (codepoints == ord(ch)).any():
-            raise ValueError(f"reserved symbol {ch!r}")
     if alphabet is None:
         alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
     runs = np.column_stack((alphabet.ids(codepoints), cp_runs[:, 1]))

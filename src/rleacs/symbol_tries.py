@@ -6,56 +6,62 @@ compact trie, built here straight from the suffix order: its leaves are the
 ranks whose suffix follows a run (every token of the pair's token string but
 the two sequence starts, so a terminator's suffix follows its sequence's
 last run), one contiguous block per preceding-run symbol, ranks ascending
-inside a block. The lcp between two neighbors in a
-block is the minimum of the order's lcps over the gap, answered by a sparse
-range-minimum table; between blocks it is 0. Every node carries freq, the
-largest length of a preceding second-sequence run among the leaves below it,
-and weight, a running sum that turns "sum of ancestor depths over a range of
-thresholds" queries into two node lookups. rev_freq and rev_weight are the
-same columns over the first sequence's leaves; they answer the reverse
-direction of the pair from the same trie. parent, str_depth, freq and
-rev_freq are int64 arrays; the weights reach past int64 and stay exact
-Python ints. Ancestor searches climb with binary lifting over int64 rows,
-one vectorized step per row for a whole batch of (leaf, threshold) pairs,
-so a batch of q queries costs O(q log N).
+inside a block. The lcp between two neighbors in a block is the minimum of
+the order's lcps over the gap, answered by a sparse range-minimum table;
+between blocks it is 0. Every node carries freq, the largest length of a
+preceding second-sequence run among the leaves below it, and weight, a
+running sum that turns "sum of ancestor depths over a range of thresholds"
+queries into two node lookups. rev_freq and rev_weight are the same columns
+over the first sequence's leaves; they answer the reverse direction of the
+pair from the same trie.
+
+extract_symbol_tries returns the trie whole, as one frozen record of
+read-only arrays: int64 columns, int64 lifting rows, the leaf after each run
+of either sequence, and the weights as object arrays of exact Python ints,
+since they reach past int64. Ancestor searches climb with binary lifting,
+one vectorized step per row for a whole batch of (leaf, threshold) pairs, so
+a batch of q queries costs O(q log N).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie, token_string
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SymbolTrie:
     """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
-    leaves[j] is the node of the j-th leaf; the leaves of one preceding-run
-    symbol form a contiguous block, in suffix order, and the blocks follow
-    symbol order. Node 0 is the root, with parent -1. freq/weight count the
-    second sequence's leaves and serve queries from the first sequence's
-    runs; rev_freq/rev_weight count the first sequence's leaves and serve the
+    Node 0 is the root, with parent -1. first_leaves[i] is the leaf of the
+    suffix after run i + 1 of the first sequence, second_leaves[j] the one
+    after run j + 1 of the second. Leaf ids ascend in leaf order: the leaves
+    of one preceding-run symbol form a contiguous block, in suffix order,
+    and the blocks follow symbol order. freq/weight count the second
+    sequence's leaves and serve queries from the first sequence's runs;
+    rev_freq/rev_weight count the first sequence's leaves and serve the
     reverse direction. The reverse queries need no trie of their own:
     swapping the two sequences' roles only swaps the order of an X and a Y
     leaf with equal decoded content, which are siblings, so every parent and
-    depth stays as it is.
+    depth stays as it is. up[k] maps each node to its 2^k-th ancestor.
 
-    The sweep hands annotate parent and str_depth as lists; after annotate,
-    parent, str_depth, freq, rev_freq and the lifting rows are int64
-    arrays, and weight/rev_weight are lists of exact Python ints.
+    Every array is read-only; parent, str_depth, freq, rev_freq, the rows of
+    up and the leaf arrays are int64, weight and rev_weight object arrays of
+    Python ints.
     """
 
     parent: np.ndarray
     str_depth: np.ndarray
-    leaves: list[int]
-    freq: np.ndarray | None = None
-    weight: list[int] = field(default_factory=list)
-    rev_freq: np.ndarray | None = None
-    rev_weight: list[int] = field(default_factory=list)
-    _up: list[np.ndarray] = field(default_factory=list)
+    freq: np.ndarray
+    weight: np.ndarray
+    rev_freq: np.ndarray
+    rev_weight: np.ndarray
+    up: tuple[np.ndarray, ...]
+    first_leaves: np.ndarray
+    second_leaves: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -75,13 +81,19 @@ class SymbolTrie:
         freq = self.rev_freq if reverse else self.freq
         thresholds = np.asarray(thresholds, dtype=np.int64)
         v = self.parent[np.asarray(leaves, dtype=np.int64)]
-        for row in reversed(self._up):
+        for row in reversed(self.up):
             a = row[v]
             v = np.where(freq[a] < thresholds, a, v)
         return np.where(freq[v] >= thresholds, v, self.parent[v])
 
 
-def _lifting_rows(parent: np.ndarray) -> list[np.ndarray]:
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     """up[k][v], the 2^k-th ancestor of v, clamped at the root (node 0).
 
     The root is its own ancestor, so no row needs a mask. Rows double until
@@ -93,40 +105,29 @@ def _lifting_rows(parent: np.ndarray) -> list[np.ndarray]:
     up = []
     row = np.maximum(parent, 0)
     while row.any():
+        row.flags.writeable = False
         up.append(row)
         row = row[row]
-    return up
+    return tuple(up)
 
 
 def annotate(
-    trie: SymbolTrie,
+    parent: list[int],
+    str_depth: list[int],
     popped: list[int],
-    leaf_from_second: list[bool],
-    leaf_run_len: list[int],
-) -> SymbolTrie:
-    """Fill both freq/weight columns and the lifting rows, in place.
+    freq: list[int],
+    rev_freq: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complete both freq columns in place and return both weight columns.
 
-    popped lists every node after all of its children, as the sweep pops
-    them. leaf_from_second[j] and leaf_run_len[j] describe the run before
-    the suffix of trie.leaves[j]: whether it belongs to the second sequence,
-    and its length. freq flows bottom-up along popped as a subtree maximum
-    over second-sequence leaf run lengths (rev_freq over first-sequence ones);
+    The lists are the sweep's: popped lists every node after all of its
+    children. freq and rev_freq come in holding each leaf's preceding run
+    length, in the column of that run's sequence (second, first), and 0
+    elsewhere. freq flows bottom-up along popped as a subtree maximum;
     weight flows top-down along it reversed, as weight(parent) + freq(v) *
-    edge length. Both columns ride on the same passes, over Python lists;
-    then parent, str_depth, freq and rev_freq become int64 arrays, and the
-    lists and popped are released before the lifting rows are built.
+    edge length, and is returned as a read-only object array. popped is
+    emptied.
     """
-    parent = trie.parent
-    str_depth = trie.str_depth
-    n = len(parent)
-
-    freq = [0] * n
-    rev_freq = [0] * n
-    for leaf, from_second, run_len in zip(trie.leaves, leaf_from_second, leaf_run_len):
-        if from_second:
-            freq[leaf] = run_len
-        else:
-            rev_freq[leaf] = run_len
     for v in popped:
         p = parent[v]
         if p >= 0:
@@ -135,6 +136,7 @@ def annotate(
             if rev_freq[v] > rev_freq[p]:
                 rev_freq[p] = rev_freq[v]
 
+    n = len(parent)
     weight = [0] * n
     rev_weight = [0] * n
     for v in reversed(popped):
@@ -144,41 +146,28 @@ def annotate(
             weight[v] = weight[p] + freq[v] * edge
             rev_weight[v] = rev_weight[p] + rev_freq[v] * edge
     popped.clear()
-
-    # each list column is dropped as soon as its array exists, so no column
-    # is ever held twice for long
-    del parent, str_depth
-    trie.parent = np.array(trie.parent, dtype=np.int64)
-    trie.str_depth = np.array(trie.str_depth, dtype=np.int64)
-    trie.freq = np.array(freq, dtype=np.int64)
-    del freq
-    trie.rev_freq = np.array(rev_freq, dtype=np.int64)
-    del rev_freq
-    trie.weight = weight
-    trie.rev_weight = rev_weight
-    trie._up = _lifting_rows(trie.parent)
-    return trie
+    # one list at a time, each dropped as soon as its array exists
+    weight = _frozen(weight, object)
+    return weight, _frozen(rev_weight, object)
 
 
-def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTrie:
+def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
     """Build and annotate the query trie straight from the suffix order.
 
     The suffix at token t of token_string(order.first, order.second) is
     preceded by the run at token t - 1, except the two sequence starts
-    (tokens 0 and len(first.runs) + 1), which have none. token_leaf is an
-    int64 array with one slot per token; token_leaf[t] is set to the leaf of
-    token t's suffix, and the two sequence-start slots are left as they
-    were. The order is no longer referenced once the trie's sweep starts.
+    (tokens 0 and len(first.runs) + 1), which have none. The order is no
+    longer referenced once the trie's sweep starts.
     """
-    nx = len(order.first.runs)
-    runs = token_string(order.first, order.second)
+    first, second = order.first, order.second
+    nx = len(first.runs)
+    runs = token_string(first, second)
     tokens = order.tokens
     ranks = np.flatnonzero((tokens != 0) & (tokens != nx + 1))
     # stable, so ranks stay ascending inside each symbol's block
     by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
     ranks = ranks[by_sym]
     leaf_tokens = tokens[ranks]
-    preceding = runs[leaf_tokens - 1]
     depths = order.suffix_lengths[ranks].tolist()
 
     # Neighbors in one block get the range-min of the order's lcps between
@@ -188,7 +177,7 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTr
     # longest s-run of the other sequence, and the leaf after that run sits
     # in the s-block: both the block's own root and the shared root qualify,
     # each with str_depth 0 and weight 0.
-    syms = preceding[:, 0]
+    syms = runs[leaf_tokens - 1, 0]
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = RangeMin(order.dlcp).query_many(ranks[inner], ranks[inner + 1] - 1)
@@ -197,9 +186,38 @@ def extract_symbol_tries(order: SuffixOrder, token_leaf: np.ndarray) -> SymbolTr
 
     parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
     del depths, gaps
-    token_leaf[leaf_tokens] = leaf_nodes
-    trie = SymbolTrie(parent=parent, str_depth=str_depth, leaves=leaf_nodes)
-    # annotate turns the trie's lists into arrays; no other reference may
-    # keep the lists alive beside them
-    del parent, str_depth
-    return annotate(trie, popped, (leaf_tokens > nx).tolist(), preceding[:, 1].tolist())
+    # token t's leaf; the two sequence-start slots stay unset and unread
+    leaf_at = np.empty(nx + len(second.runs) + 2, dtype=np.int64)
+    leaf_at[leaf_tokens] = leaf_nodes
+    leaf_at.flags.writeable = False
+    first_leaves = leaf_at[1 : nx + 1]
+    second_leaves = leaf_at[nx + 2 :]
+    del leaf_tokens, leaf_nodes, leaf_at
+
+    # each leaf starts at the length of the run before it, in its own side's column
+    n = len(parent)
+    freq = np.zeros(n, dtype=np.int64)
+    freq[second_leaves] = second.runs[:, 1]
+    freq = freq.tolist()
+    rev_freq = np.zeros(n, dtype=np.int64)
+    rev_freq[first_leaves] = first.runs[:, 1]
+    rev_freq = rev_freq.tolist()
+    weight, rev_weight = annotate(parent, str_depth, popped, freq, rev_freq)
+
+    # each list is dropped as soon as its array exists, so no column is
+    # ever held twice for long
+    parent = _frozen(parent)
+    str_depth = _frozen(str_depth)
+    freq = _frozen(freq)
+    rev_freq = _frozen(rev_freq)
+    return SymbolTrie(
+        parent=parent,
+        str_depth=str_depth,
+        freq=freq,
+        weight=weight,
+        rev_freq=rev_freq,
+        rev_weight=rev_weight,
+        up=_lifting_rows(parent),
+        first_leaves=first_leaves,
+        second_leaves=second_leaves,
+    )

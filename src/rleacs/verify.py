@@ -265,17 +265,20 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     parent = query.parent.tolist()
     str_depth = query.str_depth.tolist()
     refs = suffix_refs(order)
-    token_leaf = engine.token_leaf.tolist()
+    # the suffix after run i of the built pair's first sequence starts at
+    # token i, the one after run j of its second at token len(first.runs) + 1 + j
+    leaf_at = [-1, *query.first_leaves.tolist(), -1, *query.second_leaves.tolist()]
     tokens = order.tokens.tolist()
-    with_leaf = [k for k, t in enumerate(tokens) if token_leaf[t] >= 0]
+    with_leaf = [k for k, t in enumerate(tokens) if leaf_at[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
         failures.append("query trie leaves are not the suffixes that follow a run")
         return failures
-    rank_of = {token_leaf[tokens[k]]: k for k in with_leaf}
-    if len(rank_of) != len(with_leaf) or sorted(rank_of) != sorted(query.leaves):
-        failures.append("query trie: token_leaf does not point at the trie's leaves")
+    rank_of = {leaf_at[tokens[k]]: k for k in with_leaf}
+    leaves = sorted(set(range(query.node_count)) - set(parent))
+    if len(rank_of) != len(with_leaf) or sorted(rank_of) != leaves:
+        failures.append("query trie: run leaves are not the trie's leaves")
         return failures
-    leaf_ranks = [rank_of[v] for v in query.leaves]
+    leaf_ranks = [rank_of[v] for v in leaves]
 
     columns = (
         ("", query.freq.tolist(), query.weight),
@@ -299,7 +302,6 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     runs = (engine.first.runs.tolist(), engine.second.runs.tolist())
     leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
-    leaves = query.leaves
     if list(zip(query.freq[leaves].tolist(), query.rev_freq[leaves].tolist())) != [
         (n, 0) if ref.seq == 1 else (0, n) for (_, n), ref in zip(preceding, leaf_refs)
     ]:
@@ -322,7 +324,7 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
             "query trie",
             parent,
             str_depth,
-            query.leaves,
+            leaves,
             depths,
             gaps,
         )

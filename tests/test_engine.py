@@ -27,7 +27,7 @@ from rleacs.rle import (
     MAX_DECODED_LENGTH,
     RleSeq,
 )
-from rleacs.suffixes import build_suffix_order
+from rleacs.suffixes import build_suffix_order, token_string
 from rleacs.verify import check_pair
 
 
@@ -51,15 +51,26 @@ def test_run_sums_micro():
 
 def test_run_leaves_follow_each_run():
     engine, first, second = engine_for("aab", "abab")
-    # the suffix after run i of first starts at token i; the first
-    # sequence's terminator takes token len(first.runs), so the suffix after
-    # run j of second starts at token len(first.runs) + 1 + j
-    tokens = engine.token_leaf.tolist()
-    assert len(tokens) == len(first.runs) + len(second.runs) + 2
-    assert engine.run_leaves().tolist() == tokens[1 : first.run_count + 1]
-    back = engine.reverse.run_leaves().tolist()
-    assert back == tokens[len(first.runs) + 2 : len(first.runs) + 2 + second.run_count]
-    assert engine.run_leaves().dtype == np.int64
+    # the token string holds every run and the two terminators; all its
+    # suffixes but the two sequence starts follow a run and have a leaf
+    assert len(token_string(first, second)) == len(first.runs) + len(second.runs) + 2
+    forward = engine.run_leaves()
+    back = engine.reverse.run_leaves()
+    assert (len(forward), len(back)) == (first.run_count, second.run_count)
+    assert forward.dtype == back.dtype == np.int64
+    # every leaf follows exactly one run
+    leaves = np.concatenate((forward, back)).tolist()
+    assert len(set(leaves)) == len(leaves)
+    # each leaf's depth is the decoded length of the suffix after its run,
+    # terminator included ("b$", "$" and "bab$", "ab$", "b$", "$"), and its
+    # run's length sits in its own side's freq column
+    trie = engine.trie
+    assert trie.str_depth[forward].tolist() == [2, 1]
+    assert trie.str_depth[back].tolist() == [4, 3, 2, 1]
+    assert trie.rev_freq[forward].tolist() == first.runs[:, 1].tolist()
+    assert trie.freq[back].tolist() == second.runs[:, 1].tolist()
+    assert not trie.freq[forward].any() and not trie.rev_freq[back].any()
+    assert engine.reverse.reverse.run_leaves() is forward
 
 
 def _batch_agrees(engine):

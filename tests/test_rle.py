@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rleacs import rle
-from rleacs.oracle import decode_ids
+from rleacs.engine import acs, dist
+from rleacs.oracle import brute_acs, decode_ids
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
@@ -60,11 +61,19 @@ def test_empty_text_rejected():
         encode("")
 
 
-def test_reserved_characters_rejected():
-    with pytest.raises(ValueError, match="reserved symbol"):
-        encode("a\x00b")
-    with pytest.raises(ValueError, match="reserved symbol"):
-        Alphabet.from_symbols(["a", "\x01"])
+def test_terminator_codepoints_are_ordinary_symbols():
+    # \x00 and \x01 get ids from FIRST_SYMBOL_ID up like any character, so
+    # they never meet the terminators the suffix order appends
+    x = "\x00\x00a\x01\x01\x01a\x00"
+    y = "a\x01\x00\x00a\x01"
+    seqs, alphabet = parse_fasta(io.StringIO(f">x\n{x}\n>y\n{y}\n"))
+    assert alphabet.to_id["\x00"] == FIRST_SYMBOL_ID
+    assert [decode(seq, alphabet) for seq in seqs] == [x, y]
+    assert encode(x, alphabet=alphabet).runs.tolist() == seqs[0].runs.tolist()
+    assert acs(seqs[0], seqs[1]).value == brute_acs(x, y)
+    assert acs(seqs[1], seqs[0]).value == brute_acs(y, x)
+    result = dist(seqs[0], seqs[1])
+    assert (result.acs_xy, result.acs_yx) == (brute_acs(x, y), brute_acs(y, x))
 
 
 def test_symbol_outside_alphabet_rejected():
@@ -313,19 +322,11 @@ def test_ingest_errors_keep_their_order():
         parse_fasta("A\x00\n>a\n")
     with pytest.raises(ParseError, match="^line 5: missing record name$"):
         parse_fasta(">a\nA\x00\n>b\n\n>\nAC\n")
-    # then the first empty record, before any reserved symbol
+    # then the first empty record
     with pytest.raises(ValueError, match="^empty record b$"):
         parse_fasta(">a\nA\x00\n>b\n>c\n>d\nAC\n")
-    # then reserved symbols, \x00 ahead of \x01 wherever each occurs
-    with pytest.raises(ValueError, match=r"^reserved symbol '\\x00'$"):
-        parse_fasta(">a\nA\x01\n>b\nC\x00C\n")
-    with pytest.raises(ValueError, match=r"^reserved symbol '\\x01'$"):
-        parse_fasta(">a\nAC\n>b\nC\x01\n")
-    # raw text records: the shared alphabet's reserved check comes before
-    # the empty-record check
+    # raw text records: the first empty record
     empty = read_text_record(io.StringIO(" \n\n"), "e")
-    with pytest.raises(ValueError, match=r"^reserved symbol '\\x00'$"):
-        build_text_sequences([empty, read_text_record(io.StringIO("a\x00\n"), "z")])
     with pytest.raises(ValueError, match="^empty record e$"):
         build_text_sequences([empty, read_text_record(io.StringIO("ab\n"), "z")])
     # encode's own messages
@@ -333,8 +334,6 @@ def test_ingest_errors_keep_their_order():
         encode("", alphabet=Alphabet.from_symbols("a"))
     with pytest.raises(ValueError, match="^symbol 'c' not in alphabet$"):
         encode("abcd", alphabet=Alphabet.from_symbols("ab"))
-    with pytest.raises(ValueError, match=r"^reserved symbol '\\x01'$"):
-        encode("ab\x01", alphabet=Alphabet.from_symbols("ab"))
 
 
 def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):

@@ -136,13 +136,13 @@ def test_trie_micro_pair():
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
-    token_leaf = np.full(len(order), -1, dtype=np.int64)
-    query = extract_symbol_tries(order, token_leaf)
-    token_leaf = token_leaf.tolist()
-    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens.tolist()) if token_leaf[t] >= 0}
-    assert [rank_of[v] for v in query.leaves] == [4, 5, 0, 1]
-    assert [query.freq[v] for v in query.leaves] == [0, 1, 0, 1]
-    assert [query.rev_freq[v] for v in query.leaves] == [2, 0, 1, 0]
+    query = extract_symbol_tries(order)
+    leaf_at = [-1, *query.first_leaves.tolist(), -1, *query.second_leaves.tolist()]
+    rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
+    leaves = np.sort(np.concatenate((query.first_leaves, query.second_leaves))).tolist()
+    assert [rank_of[v] for v in leaves] == [4, 5, 0, 1]
+    assert [query.freq[v] for v in leaves] == [0, 1, 0, 1]
+    assert [query.rev_freq[v] for v in leaves] == [2, 0, 1, 0]
 
 
 def _random_runny_text(rng, n, alphabet):

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,38 +9,44 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_pair
+from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
 from rleacs.suffixes import build_suffix_order
-from rleacs.symbol_tries import SymbolTrie, annotate, extract_symbol_tries
-
-
-def no_leaves(order):
-    return np.full(len(order), -1, dtype=np.int64)
+from rleacs.symbol_tries import annotate, extract_symbol_tries
 
 
 def build_query_trie(x, y):
     first, second, alpha = make_pair(x, y)
     order = build_suffix_order(first, second)
-    return extract_symbol_tries(order, no_leaves(order)), order, alpha
+    return extract_symbol_tries(order), order, alpha
 
 
-def leaf_ranks(trie, order, token_leaf):
+def trie_leaves(trie):
+    """Every leaf, in leaf order: leaf ids ascend in block order."""
+    return np.sort(np.concatenate((trie.first_leaves, trie.second_leaves))).tolist()
+
+
+def token_leaves(trie):
+    """The leaf of the suffix at each token, -1 at the two sequence starts."""
+    return [-1, *trie.first_leaves.tolist(), -1, *trie.second_leaves.tolist()]
+
+
+def leaf_ranks(trie, order):
     """Suffix-order rank of each trie leaf, in leaf order."""
-    token_leaf = token_leaf.tolist()
-    rank_of = {token_leaf[t]: k for k, t in enumerate(order.tokens.tolist()) if token_leaf[t] >= 0}
-    return [rank_of[v] for v in trie.leaves]
+    leaf_at = token_leaves(trie)
+    rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
+    return [rank_of[v] for v in trie_leaves(trie)]
 
 
 def test_extract_micro_pair():
     first, second, alpha = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
-    token_leaf = no_leaves(order)
-    trie = extract_symbol_tries(order, token_leaf)
+    trie = extract_symbol_tries(order)
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two terminator suffixes
     refs = suffix_refs(order)
-    assert [refs[k] for k in leaf_ranks(trie, order, token_leaf)] == [
+    assert [refs[k] for k in leaf_ranks(trie, order)] == [
         SuffixRef(0, 2),
         SuffixRef(1, 2),
         SuffixRef(0, 3),
@@ -45,11 +54,12 @@ def test_extract_micro_pair():
     ]
     # a leaf's freq is its preceding run's length when that run is Y's,
     # its rev_freq when it is X's
-    assert [trie.freq[v] for v in trie.leaves] == [0, 1, 0, 1]
-    assert [trie.rev_freq[v] for v in trie.leaves] == [2, 0, 1, 0]
+    leaves = trie_leaves(trie)
+    assert [trie.freq[v] for v in leaves] == [0, 1, 0, 1]
+    assert [trie.rev_freq[v] for v in leaves] == [2, 0, 1, 0]
     # root, the a-block's mid node and its two leaves, the two b-leaves
     assert trie.node_count == 6
-    a_x, a_y, b_x, b_y = trie.leaves
+    a_x, a_y, b_x, b_y = leaves
     mid = trie.parent[a_x]
     assert trie.str_depth[mid] == 1
     assert trie.parent[a_y] == mid
@@ -60,21 +70,22 @@ def test_extract_micro_pair():
 
 def test_annotate_micro_pair():
     trie, _, _ = build_query_trie("aab", "ab")
-    mid = trie.parent[trie.leaves[0]]
+    leaves = trie_leaves(trie)
+    mid = trie.parent[leaves[0]]
     assert trie.freq[mid] == 1
     assert trie.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
     assert trie.freq[0] == 1
     assert trie.weight[0] == 0
     # leaves: type-X leaf freq 0, type-Y leaf freq = its run length
-    assert trie.freq[trie.leaves[0]] == 0
-    assert trie.freq[trie.leaves[1]] == 1
+    assert trie.freq[leaves[0]] == 0
+    assert trie.freq[leaves[1]] == 1
 
 
 def test_annotate_no_second_sequence_leaves():
     # Y contributes no b-preceded suffix, so the b-block is one X leaf: freq
     # 0 below the root, which carries the a-block's Y leaf
     trie, _, _ = build_query_trie("aba", "a")
-    b_leaf = trie.leaves[-1]
+    b_leaf = trie_leaves(trie)[-1]
     assert trie.rev_freq[b_leaf] == 1
     assert trie.parent[b_leaf] == 0
     assert trie.freq[b_leaf] == 0 and trie.weight[b_leaf] == 0
@@ -83,33 +94,83 @@ def test_annotate_no_second_sequence_leaves():
 
 def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
-    # freq(v1) = 5 and freq(v2) = 3
-    trie = SymbolTrie(
-        parent=[-1, 0, 1, 2, 2, 1],
-        str_depth=[0, 2, 7, 9, 10, 4],
-        leaves=[3, 4, 5],
+    # freq(v1) = 5 and freq(v2) = 3; the three leaves follow second-sequence
+    # runs of lengths 3, 2 and 5
+    freq = [0, 0, 0, 3, 2, 5]
+    rev_freq = [0] * 6
+    popped = [3, 4, 2, 5, 1, 0]
+    weight, rev_weight = annotate(
+        [-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, freq, rev_freq
     )
-    annotate(trie, [3, 4, 2, 5, 1, 0], [True, True, True], [3, 2, 5])
-    assert trie.freq[1] == 5
-    assert trie.freq[2] == 3
-    assert trie.weight[1] == 10  # 5 * (2 - 0)
-    assert trie.weight[2] == 25  # 10 + 3 * (7 - 2)
+    assert freq[1] == 5
+    assert freq[2] == 3
+    assert weight[1] == 10  # 5 * (2 - 0)
+    assert weight[2] == 25  # 10 + 3 * (7 - 2)
+    assert rev_freq == [0] * 6 and rev_weight.tolist() == [0] * 6
+    assert popped == []
 
 
 def test_annotate_leaves_int64_columns():
     trie, _, _ = build_query_trie("aabba", "abab")
-    for column in (trie.parent, trie.str_depth, trie.freq, trie.rev_freq, *trie._up):
+    for column in (trie.parent, trie.str_depth, trie.freq, trie.rev_freq, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
         assert len(column) == trie.node_count
-    assert all(type(w) is int for w in trie.weight + trie.rev_weight)
+    for column in (trie.weight, trie.rev_weight):
+        assert column.dtype == object and len(column) == trie.node_count
+        assert all(type(w) is int for w in column)
+    for column in (trie.first_leaves, trie.second_leaves):
+        assert column.dtype == np.int64
     # rows double until the next would map every node to the root (node 0)
-    top = trie._up[-1]
+    top = trie.up[-1]
     assert top.any() and not top[top].any()
+
+
+def test_trie_is_immutable():
+    trie, _, _ = build_query_trie("aabba", "abab")
+    columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name != "up"]
+    for column in [*columns, *trie.up]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 7
+    for f in dataclasses.fields(trie):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trie, f.name, getattr(trie, f.name))
+
+
+def test_concurrent_directions_match_serial_totals():
+    # the forward and reverse views share one trie; threads that total them
+    # at once, switching every few microseconds, must see the serial totals
+    rng = random.Random(23)
+    x = _random_runny_text(rng, 3000, "abcd")
+    y = _random_runny_text(rng, 3000, "abcd")
+    first, second, _ = make_pair(x, y)
+    engine = AcsEngine(first, second)
+    views = [engine, engine.reverse] * 2
+    serial = [view.total() for view in views]
+    got = [[] for _ in views]
+    start = threading.Barrier(len(views))
+
+    def work(k):
+        start.wait()
+        for _ in range(10):
+            got[k].append(views[k].total())
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(views))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[total] * 10 for total in serial]
 
 
 def test_deepest_ancestor_micro():
     trie, _, _ = build_query_trie("aab", "ab")
-    leaf = trie.leaves[0]  # X suffix "b<s1>"
+    leaf = trie_leaves(trie)[0]  # X suffix "b<s1>"
     mid = trie.parent[leaf]
     # root freq is only 1, so threshold 2 has no qualifying ancestor
     assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [mid, -1]
@@ -120,7 +181,7 @@ def test_deepest_ancestor_none_without_y_leaves():
     # root (str_depth 0, weight 0, as a b-only root would have), and above
     # the root's freq there is no qualifying ancestor
     trie, _, _ = build_query_trie("aba", "a")
-    leaf = trie.leaves[-1]
+    leaf = trie_leaves(trie)[-1]
     assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [0, -1]
 
 
@@ -155,7 +216,7 @@ def test_searches_match_linear_walk_random():
         for reverse, freq in ((False, trie.freq), (True, trie.rev_freq)):
             freq = freq.tolist()
             # thresholds run past the root's freq, where no ancestor qualifies
-            pairs = [(leaf, h) for leaf in trie.leaves for h in range(0, freq[0] + 3)]
+            pairs = [(leaf, h) for leaf in trie_leaves(trie) for h in range(0, freq[0] + 3)]
             leaves, thresholds = (np.array(column, dtype=np.int64) for column in zip(*pairs))
             got = trie.deepest_freq_ancestor(leaves, thresholds, reverse).tolist()
             assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
@@ -168,15 +229,17 @@ def test_searches_match_linear_walk_random():
 def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
-    token_leaf = no_leaves(order)
-    t = extract_symbol_tries(order, token_leaf)
+    t = extract_symbol_tries(order)
 
-    ranks = leaf_ranks(t, order, token_leaf)
+    ranks = leaf_ranks(t, order)
     assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
-    # the two sequence starts have no preceding run, every other token a leaf
-    nx = len(first.runs)
-    assert np.flatnonzero(token_leaf < 0).tolist() == [0, nx + 1]
-    assert sorted(token_leaf[token_leaf >= 0].tolist()) == sorted(t.leaves)
+    # the two sequence starts have no preceding run, every run a leaf after it
+    assert len(t.first_leaves) == len(first.runs)
+    assert len(t.second_leaves) == len(second.runs)
+    # the run leaves are distinct and are exactly the trie's childless nodes
+    leaves = trie_leaves(t)
+    assert len(set(leaves)) == len(leaves)
+    assert leaves == sorted(set(range(t.node_count)) - set(t.parent.tolist()))
 
     parent = t.parent.tolist()
     str_depth = t.str_depth.tolist()
@@ -187,7 +250,7 @@ def test_structural_invariants(x, y):
             if p != -1:
                 assert freq[p] >= freq[v]
         # weight telescopes along every root path
-        for leaf in t.leaves:
+        for leaf in leaves:
             v = parent[leaf]
             total = 0
             path = []

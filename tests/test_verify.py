@@ -1,5 +1,6 @@
 """The randomized harness must pass on the real engine and catch planted bugs."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from rleacs.engine import AcsEngine
 from rleacs.rle import parse_rle_text
-from rleacs.suffixes import token_string
 from rleacs.verify import (
     check_pair,
     geometric,
@@ -32,21 +32,17 @@ class FreqAsMin(AcsEngine):
         trie = self.trie
         parent = trie.parent.tolist()
         str_depth = trie.str_depth.tolist()
-        token_leaf = self.token_leaf.tolist()
         best = [big] * trie.node_count
-        # the suffix at token t follows token t - 1 of the pair's token
-        # string; second-sequence suffixes start at token len(first.runs) + 1
-        lengths = token_string(self.first, self.second)[:, 1].tolist()
-        for t in range(len(self.first.runs) + 1, len(lengths)):
-            leaf = token_leaf[t]
-            if leaf >= 0:
-                best[leaf] = min(best[leaf], lengths[t - 1])
+        # each second-sequence leaf starts at the length of the run before it
+        for leaf, length in zip(trie.second_leaves.tolist(), self.second.runs[:, 1].tolist()):
+            best[leaf] = min(best[leaf], length)
         for v in sorted(range(trie.node_count), key=str_depth.__getitem__, reverse=True):
             p = parent[v]
             if p >= 0 and best[v] < big:
                 best[p] = min(best[p], best[v])
         best[0] = int(trie.freq[0])
-        trie.freq = np.array([0 if b == big else b for b in best], dtype=np.int64)
+        freq = np.array([0 if b == big else b for b in best], dtype=np.int64)
+        self.trie = dataclasses.replace(trie, freq=freq)
 
 
 class ReverseReadsForward(AcsEngine):
@@ -54,7 +50,8 @@ class ReverseReadsForward(AcsEngine):
 
     def __init__(self, first, second):
         super().__init__(first, second)
-        self.trie.rev_freq, self.trie.rev_weight = self.trie.freq, self.trie.weight
+        trie = self.trie
+        self.trie = dataclasses.replace(trie, rev_freq=trie.freq, rev_weight=trie.weight)
 
 
 class ExplodingEngine(AcsEngine):
