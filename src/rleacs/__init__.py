@@ -2,8 +2,8 @@
 
 The public surface in one place: sequence codec (`encode`, `decode`,
 `RleSeq`, `Alphabet`, the file parsers), the fast engine (`AcsEngine`,
-`acs`, `dist`), the brute-force oracle used for cross-validation, and the
-randomized verification entry point.
+`acs`, `dist`, `dist_matrix`), the brute-force oracle used for
+cross-validation, and the randomized verification entry point.
 """
 
 from rleacs.engine import (
@@ -13,6 +13,7 @@ from rleacs.engine import (
     acs,
     acs_self,
     dist,
+    dist_matrix,
     dist_value,
 )
 from rleacs.oracle import (
@@ -51,6 +52,7 @@ __all__ = [
     "check_pair",
     "decode",
     "dist",
+    "dist_matrix",
     "dist_value",
     "encode",
     "parse_fasta",

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from rleacs import bench
-from rleacs.engine import acs, dist
+from rleacs.engine import acs, dist, dist_matrix
 from rleacs.rle import (
     Alphabet,
     ParseError,
@@ -123,29 +122,6 @@ def cmd_dist(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _distance_grid(seqs: list[RleSeq], config: RunConfig) -> list[list[float]]:
-    """All pairwise distances, each unordered pair computed exactly once."""
-    k = len(seqs)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def compute(pair: tuple[int, int]) -> float:
-        i, j = pair
-        try:
-            return dist(seqs[i], seqs[j], config.log_base).value
-        except ValueError as exc:
-            raise ValueError(f"pair {seqs[i].name}/{seqs[j].name}: {exc}") from exc
-
-    if config.threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            values = list(pool.map(compute, pairs))
-    else:
-        values = [compute(p) for p in pairs]
-    grid = [[0.0] * k for _ in range(k)]
-    for (i, j), value in zip(pairs, values):
-        grid[i][j] = grid[j][i] = value
-    return grid
-
-
 def format_phylip(names: list[str], grid: list[list[float]], relaxed: bool) -> str:
     """PHYLIP square matrix: count line, 10-column name field, 6 decimals."""
     lines = [str(len(names))]
@@ -180,7 +156,7 @@ def cmd_matrix(config: RunConfig) -> int:
                     f"name longer than {PHYLIP_NAME_WIDTH} characters for "
                     f"phylip output: {name} (pass --relaxed-names to allow)"
                 )
-    grid = _distance_grid(seqs, config)
+    grid = dist_matrix(seqs, config.log_base, config.threads)
     if config.output == "phylip":
         text = format_phylip(names, grid, config.relaxed_names)
     else:

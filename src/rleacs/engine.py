@@ -1,28 +1,34 @@
-"""Average common substring measure and distance over run-length encoded pairs.
+"""Average common substring measure and distance over run-length encoded sequences.
 
 The engine computes, for every position p of the first sequence, the longest
 prefix of first[p:] occurring anywhere in the second sequence, without ever
-decoding. Positions are processed one run at a time: the answers within a run
-follow a closed form built from two ancestor lookups in the query trie.
-Every run of a direction is answered in one batch, two vectorized lifting
-climbs over all its runs, so a pair costs O(N log N) for N total runs. All
-accumulation is exact integer arithmetic, in Python ints once values leave
-the int64 trie columns; floats appear only in the final distance value.
+decoding, from one query trie over a family that holds both (the pair for
+acs and dist, every record for dist_matrix) and the second's column of it.
+Positions are processed one run at a time: the answers within a run follow
+a closed form built from two ancestor lookups. Every run of a direction is
+answered in one batch, two vectorized lifting climbs, so a family of N total
+runs costs O(N log N) per column. All accumulation is exact integer
+arithmetic, in Python ints once values leave the int64 trie columns; floats
+appear only in the final distance value.
 """
 
 from __future__ import annotations
 
-import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from rleacs.rle import RleSeq
 from rleacs.suffixes import build_suffix_order, longest_run_table
-from rleacs.symbol_tries import extract_symbol_tries
+from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tries
 
-LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
+# natural, binary and common logs in the current decimal context
+LOG_FUNCTIONS = {"e": Decimal.ln, "2": lambda v: v.ln() / Decimal(2).ln(), "10": Decimal.log10}
+DIST_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -51,46 +57,43 @@ class DistResult:
 
 
 class AcsEngine:
-    """One build per unordered pair: the query trie of its suffix order.
+    """ACS(first, second) from a query trie over a family that holds both.
 
-    total(), run_sums() and run_sum(i) score the first sequence's positions
-    against the second, ACS(first, second). reverse is a view of the same
-    build that scores the second against the first: engine.reverse.total()
-    equals AcsEngine(second, first).total() without a second suffix order
-    or a second trie. The two directions differ only in which side's leaves
-    feed freq and weight (the trie carries both columns), the max_run table,
-    and which runs are queried.
-
-    Instances keep the caller's sequences, are immutable after construction
-    (the trie is a frozen record of read-only arrays) and are safe to query
-    from multiple threads. is_reverse tells the views apart; run_leaves()
-    gives the leaf after each run of either view's first sequence. The
-    suffix order itself is not kept.
+    AcsEngine(first, second) builds the pair's own trie (k = 2) and keeps no
+    suffix order. total(), run_sums() and run_sum(r) score first against
+    second from the trie and second's column. reverse is the same trie with
+    first's column: no second suffix order or trie, but one more annotation
+    on each access, so callers should hold it. Instances keep the caller's
+    sequences, are immutable after construction (trie and column are frozen
+    records of read-only arrays) and are safe to query from multiple threads.
     """
 
     def __init__(self, first: RleSeq, second: RleSeq) -> None:
-        self.trie = extract_symbol_tries(build_suffix_order(first, second))
-        self._orient(first, second, reverse=False)
+        seqs = (first, second)
+        trie = extract_symbol_tries(build_suffix_order(*seqs))
+        self._bind(trie, seqs, 0, 1, annotate(trie, trie.leaves[1], second.runs[:, 1]))
 
-    def _orient(self, first: RleSeq, second: RleSeq, reverse: bool) -> None:
-        self.first = first
-        self.second = second
-        # first-sequence symbols are looked up in second's table
-        size = 1 + int(max(first.runs[:, 0].max(), second.runs[:, 0].max()))
-        self.max_run = longest_run_table(second, size)
-        self.is_reverse = reverse
+    def _bind(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
+        self.trie = trie
+        self.seqs = seqs
+        self.first = seqs[i]
+        self.second = seqs[j]
+        self._pair = (i, j)
+        self.column = column
+        # first's symbols are looked up in second's table
+        size = 1 + max(int(seq.runs[:, 0].max()) for seq in seqs)
+        self.max_run = longest_run_table(self.second, size)
 
     def run_leaves(self) -> np.ndarray:
         """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
-        return self.trie.second_leaves if self.is_reverse else self.trie.first_leaves
+        return self.trie.leaves[self._pair[0]]
 
     @property
     def reverse(self) -> AcsEngine:
-        """This build seen from the other side: ACS(second, first)."""
-        view = object.__new__(type(self))
-        view.trie = self.trie
-        view._orient(self.second, self.first, reverse=not self.is_reverse)
-        return view
+        """The same trie seen from the other side: ACS(second, first)."""
+        i, j = self._pair
+        column = annotate(self.trie, self.run_leaves(), self.first.runs[:, 1])
+        return Direction(self.trie, self.seqs, j, i, column)
 
     def run_sum(self, i: int) -> int:
         """Sum of best match lengths over the positions of the i-th run.
@@ -129,21 +132,27 @@ class AcsEngine:
         does depth[u] + f - g, which stays below 2^63; the rest is object
         arithmetic in exact Python ints, since the products reach 2^124.
         """
-        trie = self.trie
-        rev = self.is_reverse
+        trie, column = self.trie, self.column
         lengths = runs[:, 1]
         g = np.minimum(lengths, self.max_run[runs[:, 0]])
-        # the root's support is at least 1, so neither climb returns -1
-        v = trie.deepest_freq_ancestor(leaves, 1, rev)
-        u = trie.deepest_freq_ancestor(leaves, g, rev)
-        weight = trie.rev_weight if rev else trie.weight
+        # the root's support is the column's longest run, at least 1 and at
+        # least g, so neither climb returns -1
+        v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
+        u = trie.deepest_freq_ancestor(leaves, g, column.freq)
         rest = (trie.str_depth[u] + lengths - g).astype(object)
         g = g.astype(object)
-        return weight[v] - weight[u] + g * (2 * rest + g + 1) // 2
+        return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""
         return sum(self.run_sums())
+
+
+class Direction(AcsEngine):
+    """ACS(seqs[i], seqs[j]), i != j, over an existing trie over seqs and seqs[j]'s column."""
+
+    def __init__(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
+        self._bind(trie, seqs, i, j, column)
 
 
 def _average(engine: AcsEngine) -> AcsResult:
@@ -177,14 +186,23 @@ def dist_value(
 ) -> float:
     """Distance from the two cross average-match values and the two lengths.
 
-    Each direction is normalized as log(other length) / average, and the two
-    self-match baselines are subtracted; swapping the arguments permutes the
-    two addends of each bracket, so the result is bit-identical under swap.
+    Evaluated as 1/2 * [log(y) * (1/acs_xy - 1/acs_yy) + log(x) * (1/acs_yx -
+    1/acs_xx)], with acs_xx = (x + 1)/2 and acs_yy = (y + 1)/2. Each
+    reciprocal difference is an exact Fraction, so similar sequences lose
+    nothing to cancellation, and equal averages give exactly 0. Float logs
+    would still be off by an ulp, so the bracket is taken to DIST_DIGITS
+    decimal digits and rounded to a float once. Swapping the arguments swaps
+    the two addends of an exactly rounded sum, so the result is
+    bit-identical under swap.
     """
     log = LOG_FUNCTIONS[log_base]
-    cross = log(y_len) / acs_xy + log(x_len) / acs_yx
-    base = log(x_len) / acs_self(x_len) + log(y_len) / acs_self(y_len)
-    return 0.5 * cross - 0.5 * base
+    gap_y = 1 / acs_xy - 1 / acs_self(y_len)
+    gap_x = 1 / acs_yx - 1 / acs_self(x_len)
+    with localcontext() as ctx:
+        ctx.prec = DIST_DIGITS
+        term_y = log(Decimal(y_len)) * gap_y.numerator / gap_y.denominator
+        term_x = log(Decimal(x_len)) * gap_x.numerator / gap_x.denominator
+        return float((term_y + term_x) / 2)
 
 
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
@@ -197,20 +215,52 @@ def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     """
     if log_base not in LOG_FUNCTIONS:
         raise ValueError(f"unknown log base {log_base!r}")
+    engine = AcsEngine(first, second)
+    return _distance(first, second, engine.total(), engine.reverse.total(), log_base)
+
+
+def _distance(first: RleSeq, second: RleSeq, lsum_xy: int, lsum_yx: int, log_base: str) -> DistResult:
     x = first.content_length
     y = second.content_length
     if x < 2 or y < 2:
         raise ValueError("sequence too short")
-    engine = AcsEngine(first, second)
-    forward = _average(engine)
-    backward = _average(engine.reverse)
-    if forward.lsum == 0 or backward.lsum == 0:
+    if lsum_xy == 0 or lsum_yx == 0:
         raise ValueError("no common substring")
+    acs_xy = Fraction(lsum_xy, x)
+    acs_yx = Fraction(lsum_yx, y)
     return DistResult(
-        value=dist_value(x, y, forward.value, backward.value, log_base),
+        value=dist_value(x, y, acs_xy, acs_yx, log_base),
         log_base=log_base,
-        acs_xy=forward.value,
-        acs_yx=backward.value,
+        acs_xy=acs_xy,
+        acs_yx=acs_yx,
         acs_xx=acs_self(x),
         acs_yy=acs_self(y),
     )
+
+
+def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> list[list[float]]:
+    """All pairwise distances from one query trie over the whole family.
+
+    Each sequence's column is annotated once, answers every other sequence,
+    and is dropped; threads workers take the columns, so at most that many
+    are alive at once. A failing pair raises ValueError naming it; with
+    several, the first in row order, whatever the thread count.
+    """
+    seqs = tuple(seqs)
+    trie = extract_symbol_tries(build_suffix_order(*seqs))
+
+    def against(j: int) -> list[int]:
+        column = annotate(trie, trie.leaves[j], seqs[j].runs[:, 1])
+        # not for i == j: a run's self-match needs its own leaf, which no climb visits
+        return [Direction(trie, seqs, i, j, column).total() if i != j else 0 for i in range(len(seqs))]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        totals = list(pool.map(against, range(len(seqs))))
+    grid = [[0.0] * len(seqs) for _ in seqs]
+    for i, j in combinations(range(len(seqs)), 2):
+        try:
+            value = _distance(seqs[i], seqs[j], totals[j][i], totals[i][j], log_base).value
+        except ValueError as exc:
+            raise ValueError(f"pair {seqs[i].name}/{seqs[j].name}: {exc}") from exc
+        grid[i][j] = grid[j][i] = value
+    return grid

@@ -9,12 +9,14 @@ baselines for testing and for the randomized cross-check harness. The one
 exception is per_position_lengths, which answers every position from an
 engine's own trie, as the check on the engine's per-run closed forms. The
 brute sort and the walkers end each side in its own terminator: id 0 after
-the first sequence, id 1 after the second.
+the first sequence, id 1 after the second. reference_dist evaluates the
+distance's definition, four addends, to 80 decimal digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -22,12 +24,13 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from rleacs.rle import DEFAULT_DECODE_LIMIT, RleSeq
-from rleacs.suffixes import SuffixOrder
+from rleacs.suffixes import SuffixOrder, token_bounds
 
 if TYPE_CHECKING:
     from rleacs.engine import AcsEngine
 
 DEFAULT_POSITION_CAP = 1_000_000
+REFERENCE_DIGITS = 80
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,28 @@ def brute_acs(x_text: str, y_text: str, budget: OracleBudget = DEFAULT_BUDGET) -
     return Fraction(sum(lengths), len(lengths))
 
 
+def reference_dist(
+    x_len: int, y_len: int, acs_xy: Fraction, acs_yx: Fraction, log_base: str = "e"
+) -> tuple[Decimal, Decimal]:
+    """The distance as its four-addend definition at REFERENCE_DIGITS digits.
+
+    Returns the value and half the sum of the addends' absolute values, the
+    scale a correctly evaluated float's error is measured against.
+    """
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        lx, ly = Decimal(x_len).ln(), Decimal(y_len).ln()
+        if log_base != "e":
+            lx, ly = (v / Decimal(int(log_base)).ln() for v in (lx, ly))
+        terms = [
+            ly * acs_xy.denominator / acs_xy.numerator,
+            lx * acs_yx.denominator / acs_yx.numerator,
+            -lx * 2 / (x_len + 1),
+            -ly * 2 / (y_len + 1),
+        ]
+        return sum(terms) / 2, sum(map(abs, terms)) / 2
+
+
 def _lcp(a: str, b: str) -> int:
     """Longest common prefix length via doubling probes and slice equality.
 
@@ -133,7 +158,7 @@ def _lcp(a: str, b: str) -> int:
 
 
 class SuffixRef(NamedTuple):
-    """Suffix handle: sequence index (0 or 1) and 1-based starting run."""
+    """Suffix handle: sequence index in the family and 1-based starting run."""
 
     seq: int
     run: int
@@ -141,9 +166,10 @@ class SuffixRef(NamedTuple):
 
 def suffix_refs(order: SuffixOrder) -> list[SuffixRef]:
     """Each rank's suffix as a (sequence, run) handle; a terminator is the run after the last."""
-    nx = len(order.first.runs)
-    tokens = order.tokens.tolist()
-    return [SuffixRef(0, t + 1) if t <= nx else SuffixRef(1, t - nx) for t in tokens]
+    bounds = token_bounds(order.seqs)
+    seq = np.searchsorted(bounds, order.tokens, side="right") - 1
+    run = order.tokens - bounds[seq] + 1
+    return [SuffixRef(j, r) for j, r in zip(seq.tolist(), run.tolist())]
 
 
 @lru_cache(maxsize=4)
@@ -274,7 +300,7 @@ def per_position_lengths(engine: AcsEngine, cap: int = DEFAULT_POSITION_CAP) -> 
     h = np.repeat(f + starts, f) - np.arange(x)
     m = np.repeat(engine.max_run[runs[:, 0]], f)
     leaves = np.repeat(engine.run_leaves(), f)
-    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), engine.is_reverse)
+    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), engine.column.freq)
     return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
 
@@ -300,8 +326,7 @@ def brute_suffix_sort(
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
     suffix_lengths = [len(text) for text, _ in entries]
     return SuffixOrder(
-        first=first,
-        second=second,
+        seqs=(first, second),
         tokens=np.array(tokens, dtype=np.int64),
         dlcp=np.array(dlcp, dtype=np.int64),
         suffix_lengths=np.array(suffix_lengths, dtype=np.int64),

@@ -1,15 +1,15 @@
-"""Suffix ordering of a run-length encoded pair, and the compact trie over it.
+"""Suffix ordering of a family of run-length encoded sequences, and the compact trie over it.
 
 Only suffixes that begin at run boundaries take part. token_string lays the
-pair out as one token string, each sequence followed by its own terminator:
-token t is run t+1 of the first sequence when t <= len(first.runs), else run
-t-len(first.runs) of the second, a terminator counting as the run after its
-sequence's last. A SuffixOrder maps each rank to the token its suffix starts
-at. All depths and lcp values here are decoded lengths, never run counts.
-The token key columns come straight from the int64 run arrays, and every key
-and rank fits in int64. Decoded lcps and suffix
-lengths stay within one sequence (at most 2^62), so they come from one int64
-prefix sum per sequence; a prefix sum over both sequences would reach 2^63.
+k sequences out as one token string, each followed by its own terminator:
+sequence j's runs, then the terminator run (j + 2 - k, 1), so a pair (k = 2)
+ends in ids 0 and 1. A terminator counts as the run after its sequence's
+last. A SuffixOrder maps each rank to the token its suffix starts at. All
+depths and lcp values here are decoded lengths, never run counts. The token
+key columns come straight from the int64 run arrays, and every key and rank
+fits in int64. Decoded lcps and suffix lengths stay within one sequence (at
+most 2^62), so they come from one int64 prefix sum per sequence; a prefix
+sum over two sequences could already reach 2^63.
 
 The engine reads only the suffix order: its query trie is built from it
 directly, with range-minimum queries over the lcps, and the order is dropped
@@ -28,16 +28,15 @@ from rleacs.rle import RleSeq
 
 @dataclass(frozen=True, eq=False)
 class SuffixOrder:
-    """All run-start suffixes of a pair, sorted by decoded string order.
+    """All run-start suffixes of a family of sequences, sorted by decoded string order.
 
-    The three fields are int64 arrays. tokens[k] is the token index of the
+    The three array fields are int64. tokens[k] is the token index of the
     suffix at rank k; dlcp[k] is the decoded longest-common-prefix length of
     the suffixes at ranks k and k+1; suffix_lengths[k] is the decoded length
     (terminator included) of the suffix at rank k.
     """
 
-    first: RleSeq
-    second: RleSeq
+    seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
     dlcp: np.ndarray
     suffix_lengths: np.ndarray
@@ -65,23 +64,23 @@ def longest_run_table(seq: RleSeq, size: int) -> np.ndarray:
     return table
 
 
-def token_string(first: RleSeq, second: RleSeq) -> np.ndarray:
-    """The pair as one int64 array of (symbol, length) tokens.
+def token_string(*seqs: RleSeq) -> np.ndarray:
+    """The k sequences as one int64 array of (symbol, length) tokens.
 
-    The first sequence's runs and the terminator run (0, 1), then the second
-    sequence's runs and the terminator run (1, 1). Both terminator ids are
-    unique in the string and below every symbol id.
+    Sequence j's runs, then its terminator run (j + 2 - k, 1), for j = 0..k-1.
+    The terminator ids are unique in the string and below every symbol id.
     """
-    nx = len(first.runs)
-    tokens = np.empty((nx + len(second.runs) + 2, 2), dtype=np.int64)
-    tokens[:nx] = first.runs
-    tokens[nx + 1 : -1] = second.runs
-    tokens[[nx, -1]] = (0, 1), (1, 1)
-    return tokens
+    k = len(seqs)
+    return np.concatenate([np.vstack((seq.runs, (j + 2 - k, 1))) for j, seq in enumerate(seqs)])
 
 
-def _token_columns(first: RleSeq, second: RleSeq):
-    """The pair's token string as per-token sort-key columns.
+def token_bounds(seqs) -> np.ndarray:
+    """The token index where each sequence starts, then one past the last: k + 1 indices."""
+    return np.cumsum([0] + [len(seq.runs) + 1 for seq in seqs])
+
+
+def _token_columns(seqs):
+    """The family's token string as per-token sort-key columns.
 
     A token's key (sym, group, signed, next_sym) compares two suffixes exactly
     as their decoded strings do whenever the keys differ, given maximal runs:
@@ -94,12 +93,12 @@ def _token_columns(first: RleSeq, second: RleSeq):
       in group 1 (-length);
     - all else equal: the following symbols get compared directly.
 
-    Terminator tokens get (sym, 0, 0, -1); their sym (0 or 1) is unique in
-    the whole token string and below every symbol. The fifth column is each
+    Terminator tokens get signed 0 and next_sym -1; their sym is unique in
+    the token string, so it alone orders them. The fifth column is each
     token's decoded length, its run length (1 for a terminator).
     """
-    syms, decoded = token_string(first, second).T
-    ends = [len(first.runs), len(syms) - 1]
+    syms, decoded = token_string(*seqs).T
+    ends = token_bounds(seqs)[1:] - 1
     nexts = np.empty_like(syms)
     nexts[:-1] = syms[1:]
     nexts[ends] = -1
@@ -164,39 +163,37 @@ def _token_lcp(rounds: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return h
 
 
-def build_suffix_order(first: RleSeq, second: RleSeq) -> SuffixOrder:
-    """Sort all run-start suffixes of the pair into decoded order.
+def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
+    """Sort all run-start suffixes of the sequences into decoded order.
 
     Tokens are ranked by their sort keys, the token string is suffix-sorted by
     prefix doubling, and token-level lcps are converted to decoded lengths via
     run-length prefix sums plus a min-length boundary term when the first
     key-unequal tokens still share a symbol. Unique terminator tokens stop
     every comparison at or before a sequence boundary, so one token string
-    holds the pair safely, and a suffix and its shared prefix lie in one
-    sequence, so each sequence gets its own prefix sum.
+    holds all the sequences safely, and a suffix and its shared prefix lie in
+    one sequence, so each sequence gets its own prefix sum.
     """
-    syms, groups, signed, nexts, decoded = _token_columns(first, second)
+    syms, groups, signed, nexts, decoded = _token_columns(seqs)
     rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
     order = np.argsort(rounds[-1])
     t = _token_lcp(rounds, order)
     del rounds
 
-    # the first sequence with its terminator is tokens [0, nx)
-    nx = len(first.runs) + 1
-    ends = np.concatenate((np.cumsum(decoded[:nx]), np.cumsum(decoded[nx:])))
+    bounds = token_bounds(seqs)
+    ends = np.concatenate([np.cumsum(part) for part in np.split(decoded, bounds[1:-1])])
     start = ends - decoded
     a = order[:-1] + t
     b = order[1:] + t
     dlcp = start[a] - start[order[:-1]]
     dlcp += np.where(syms[a] == syms[b], np.minimum(decoded[a], decoded[b]), 0)
-    seq_end = np.where(order < nx, ends[nx - 1], ends[-1])
+    seq_end = np.repeat(ends[bounds[1:] - 1], np.diff(bounds))
 
     return SuffixOrder(
-        first=first,
-        second=second,
+        seqs=seqs,
         tokens=order,
         dlcp=dlcp,
-        suffix_lengths=seq_end - start[order],
+        suffix_lengths=seq_end[order] - start[order],
     )
 
 

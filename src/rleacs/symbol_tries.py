@@ -2,25 +2,24 @@
 
 The paper answers each run of symbol c from a compact trie T_c over the
 suffixes that follow a c-run. Those tries are the root's subtrees in one
-compact trie, built here straight from the suffix order: its leaves are the
-ranks whose suffix follows a run (every token of the pair's token string but
-the two sequence starts, so a terminator's suffix follows its sequence's
-last run), one contiguous block per preceding-run symbol, ranks ascending
-inside a block. The lcp between two neighbors in a block is the minimum of
-the order's lcps over the gap, answered by a sparse range-minimum table;
-between blocks it is 0. Every node carries freq, the largest length of a
-preceding second-sequence run among the leaves below it, and weight, a
-running sum that turns "sum of ancestor depths over a range of thresholds"
-queries into two node lookups. rev_freq and rev_weight are the same columns
-over the first sequence's leaves; they answer the reverse direction of the
-pair from the same trie.
+compact trie, built here straight from the suffix order of a family of k
+sequences: its leaves are the ranks whose suffix follows a run (every token
+of the family's token string but the k sequence starts, so a terminator's
+suffix follows its sequence's last run), one contiguous block per
+preceding-run symbol, ranks ascending inside a block. The lcp between two
+neighbors in a block is the minimum of the order's lcps over the gap,
+answered by a sparse range-minimum table; between blocks it is 0.
 
-extract_symbol_tries returns the trie whole, as one frozen record of
-read-only arrays: int64 columns, int64 lifting rows, the leaf after each run
-of either sequence, and the weights as object arrays of exact Python ints,
-since they reach past int64. Ancestor searches climb with binary lifting,
-one vectorized step per row for a whole batch of (leaf, threshold) pairs, so
-a batch of q queries costs O(q log N).
+extract_symbol_tries returns the trie's shape whole, as one frozen record of
+read-only int64 arrays: parent, depth, lifting rows, a top-down node order
+and the leaf after each run of each sequence. The answers against sequence
+j need one column, built by annotate: freq, the largest length of a
+preceding sequence-j run among the leaves below each node, and weight, a
+running sum that turns "sum of ancestor depths over a range of thresholds"
+queries into two node lookups. The weights reach past int64, so they are an
+object array of exact Python ints. Ancestor searches climb with binary
+lifting, one vectorized step per row for a whole batch of (leaf, threshold)
+pairs, so a batch of q queries costs O(q log N).
 """
 
 from __future__ import annotations
@@ -29,62 +28,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rleacs.suffixes import RangeMin, SuffixOrder, _sweep_compact_trie, token_string
+from rleacs.suffixes import (
+    RangeMin,
+    SuffixOrder,
+    _sweep_compact_trie,
+    token_bounds,
+    token_string,
+)
+
+WEIGHT_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolTrie:
     """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
-    Node 0 is the root, with parent -1. first_leaves[i] is the leaf of the
-    suffix after run i + 1 of the first sequence, second_leaves[j] the one
-    after run j + 1 of the second. Leaf ids ascend in leaf order: the leaves
-    of one preceding-run symbol form a contiguous block, in suffix order,
-    and the blocks follow symbol order. freq/weight count the second
-    sequence's leaves and serve queries from the first sequence's runs;
-    rev_freq/rev_weight count the first sequence's leaves and serve the
-    reverse direction. The reverse queries need no trie of their own:
-    swapping the two sequences' roles only swaps the order of an X and a Y
-    leaf with equal decoded content, which are siblings, so every parent and
-    depth stays as it is. up[k] maps each node to its 2^k-th ancestor.
-
-    Every array is read-only; parent, str_depth, freq, rev_freq, the rows of
-    up and the leaf arrays are int64, weight and rev_weight object arrays of
-    Python ints.
+    Node 0 is the root, with parent -1. leaves[j][i] is the leaf of the
+    suffix after run i + 1 of sequence j. Leaf ids ascend in leaf order: the
+    leaves of one preceding-run symbol form a contiguous block, in suffix
+    order, and the blocks follow symbol order. up[k] maps each node to its
+    2^k-th ancestor; topdown lists every node after its parent, root first.
+    Every array is read-only int64. One shape serves every sequence's
+    column: swapping which sequence is queried only swaps the order of
+    leaves with equal decoded content, which are siblings, so every parent
+    and depth stays as it is.
     """
 
     parent: np.ndarray
     str_depth: np.ndarray
-    freq: np.ndarray
-    weight: np.ndarray
-    rev_freq: np.ndarray
-    rev_weight: np.ndarray
     up: tuple[np.ndarray, ...]
-    first_leaves: np.ndarray
-    second_leaves: np.ndarray
+    topdown: np.ndarray
+    leaves: tuple[np.ndarray, ...]
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
-    def deepest_freq_ancestor(self, leaves, thresholds, reverse: bool = False) -> np.ndarray:
+    def deepest_freq_ancestor(self, leaves, thresholds, freq: np.ndarray) -> np.ndarray:
         """Deepest proper ancestor of each leaf with freq >= its threshold, or -1.
 
         leaves and thresholds are int64 arrays (or broadcast against each
-        other); the result has one node per pair. freq (rev_freq when
-        reverse) never decreases toward the root, so the qualifying
-        ancestors form a prefix of the root path. The climb starts at the
-        parent, takes every lifting jump that stays strictly below the
-        threshold, from the longest down, one np.where per row, and then
-        steps to the parent; that step leaves the root as -1.
+        other); the result has one node per pair. freq, a column's, never
+        decreases toward the root, so the qualifying ancestors form a prefix
+        of the root path. The climb starts at the parent, takes every
+        lifting jump that stays strictly below the threshold, from the
+        longest down, one np.where per row, and then steps to the parent;
+        that step leaves the root as -1.
         """
-        freq = self.rev_freq if reverse else self.freq
         thresholds = np.asarray(thresholds, dtype=np.int64)
         v = self.parent[np.asarray(leaves, dtype=np.int64)]
         for row in reversed(self.up):
             a = row[v]
             v = np.where(freq[a] < thresholds, a, v)
         return np.where(freq[v] >= thresholds, v, self.parent[v])
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One sequence's annotation of a SymbolTrie (see annotate): read-only int64 freq, object weight."""
+
+    freq: np.ndarray
+    weight: np.ndarray
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -111,59 +115,54 @@ def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(up)
 
 
-def annotate(
-    parent: list[int],
-    str_depth: list[int],
-    popped: list[int],
-    freq: list[int],
-    rev_freq: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complete both freq columns in place and return both weight columns.
+def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Column:
+    """The column of one sequence: leaves[i] starts at lengths[i], the rest at 0.
 
-    The lists are the sweep's: popped lists every node after all of its
-    children. freq and rev_freq come in holding each leaf's preceding run
-    length, in the column of that run's sequence (second, first), and 0
-    elsewhere. freq flows bottom-up along popped as a subtree maximum;
-    weight flows top-down along it reversed, as weight(parent) + freq(v) *
-    edge length, and is returned as a read-only object array. popped is
-    emptied.
+    freq[v] is the largest length of a run of the sequence whose following
+    suffix's leaf lies below v, and weight[v] is weight[parent] + freq[v] *
+    (str_depth[v] - str_depth[parent]), 0 at the root. freq becomes that
+    subtree maximum by one np.maximum.at per lifting row: after row k every
+    node holds the maximum over its descendants fewer than 2^(k+1) levels
+    down. The kept rows stop one short of the all-root row, so a leaf
+    exactly 2^rows levels below the root never reaches it; the root, an
+    ancestor of every node, takes the column's maximum instead. Run lengths
+    are below 2^62, so freq stays int64. weight flows top-down in exact
+    Python ints.
     """
-    for v in popped:
-        p = parent[v]
-        if p >= 0:
-            if freq[v] > freq[p]:
-                freq[p] = freq[v]
-            if rev_freq[v] > rev_freq[p]:
-                rev_freq[p] = rev_freq[v]
+    freq = np.zeros(trie.node_count, dtype=np.int64)
+    freq[leaves] = lengths
+    for row in trie.up:
+        np.maximum.at(freq, row, freq)
+    freq[0] = freq.max()
 
-    n = len(parent)
-    weight = [0] * n
-    rev_weight = [0] * n
-    for v in reversed(popped):
-        p = parent[v]
-        if p >= 0:
-            edge = str_depth[v] - str_depth[p]
-            weight[v] = weight[p] + freq[v] * edge
-            rev_weight[v] = rev_weight[p] + rev_freq[v] * edge
-    popped.clear()
-    # one list at a time, each dropped as soon as its array exists
-    weight = _frozen(weight, object)
-    return weight, _frozen(rev_weight, object)
+    # sums[k] is the weight of topdown[k]; a chunk of nodes at a time keeps
+    # few of the step products alive at once
+    slot = np.empty(trie.node_count, dtype=np.int64)
+    slot[trie.topdown] = np.arange(trie.node_count)
+    sums = [0]
+    for start in range(1, trie.node_count, WEIGHT_CHUNK):
+        nodes = trie.topdown[start : start + WEIGHT_CHUNK]
+        parents = trie.parent[nodes]
+        steps = freq[nodes].astype(object) * (trie.str_depth[nodes] - trie.str_depth[parents])
+        for p, step in zip(slot[parents].tolist(), steps):
+            sums.append(sums[p] + step)
+    weight = np.array(sums, dtype=object)[slot]
+    freq.flags.writeable = False
+    weight.flags.writeable = False
+    return Column(freq, weight)
 
 
 def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
-    """Build and annotate the query trie straight from the suffix order.
+    """Build the query trie's shape straight from the suffix order.
 
-    The suffix at token t of token_string(order.first, order.second) is
-    preceded by the run at token t - 1, except the two sequence starts
-    (tokens 0 and len(first.runs) + 1), which have none. The order is no
-    longer referenced once the trie's sweep starts.
+    The suffix at token t of token_string(*order.seqs) is preceded by the
+    run at token t - 1, except the k sequence starts, which have none. The
+    order is no longer referenced once the trie's sweep starts.
     """
-    first, second = order.first, order.second
-    nx = len(first.runs)
-    runs = token_string(first, second)
+    runs = token_string(*order.seqs)
+    bounds = token_bounds(order.seqs)
     tokens = order.tokens
-    ranks = np.flatnonzero((tokens != 0) & (tokens != nx + 1))
+    ranks = np.flatnonzero(~np.isin(tokens, bounds[:-1]))
     # stable, so ranks stay ascending inside each symbol's block
     by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
     ranks = ranks[by_sym]
@@ -174,7 +173,7 @@ def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
     # them; neighbors in different blocks get 0, so each block hangs from
     # the root as the paper's per-symbol trie would. Sharing that root is
     # safe because a run of symbol s only asks thresholds h <= m_s, the
-    # longest s-run of the other sequence, and the leaf after that run sits
+    # longest s-run of the column's sequence, and the leaf after that run sits
     # in the s-block: both the block's own root and the shared root qualify,
     # each with str_depth 0 and weight 0.
     syms = runs[leaf_tokens - 1, 0]
@@ -182,42 +181,19 @@ def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = RangeMin(order.dlcp).query_many(ranks[inner], ranks[inner + 1] - 1)
     gaps = gaps.tolist()
-    del order, tokens, runs, ranks, by_sym, syms, inner
+    del order, tokens, ranks, by_sym, syms, inner
 
     parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
     del depths, gaps
-    # token t's leaf; the two sequence-start slots stay unset and unread
-    leaf_at = np.empty(nx + len(second.runs) + 2, dtype=np.int64)
+    # token t's leaf; the sequence-start slots stay unset and unread
+    leaf_at = np.empty(len(runs), dtype=np.int64)
     leaf_at[leaf_tokens] = leaf_nodes
     leaf_at.flags.writeable = False
-    first_leaves = leaf_at[1 : nx + 1]
-    second_leaves = leaf_at[nx + 2 :]
-    del leaf_tokens, leaf_nodes, leaf_at
-
-    # each leaf starts at the length of the run before it, in its own side's column
-    n = len(parent)
-    freq = np.zeros(n, dtype=np.int64)
-    freq[second_leaves] = second.runs[:, 1]
-    freq = freq.tolist()
-    rev_freq = np.zeros(n, dtype=np.int64)
-    rev_freq[first_leaves] = first.runs[:, 1]
-    rev_freq = rev_freq.tolist()
-    weight, rev_weight = annotate(parent, str_depth, popped, freq, rev_freq)
-
-    # each list is dropped as soon as its array exists, so no column is
-    # ever held twice for long
     parent = _frozen(parent)
-    str_depth = _frozen(str_depth)
-    freq = _frozen(freq)
-    rev_freq = _frozen(rev_freq)
     return SymbolTrie(
         parent=parent,
-        str_depth=str_depth,
-        freq=freq,
-        weight=weight,
-        rev_freq=rev_freq,
-        rev_weight=rev_weight,
+        str_depth=_frozen(str_depth),
         up=_lifting_rows(parent),
-        first_leaves=first_leaves,
-        second_leaves=second_leaves,
+        topdown=_frozen(popped[::-1]),
+        leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
     )

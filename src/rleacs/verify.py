@@ -4,10 +4,14 @@ Each trial draws a random pair (alphabet size and run-length mean rotate
 through fixed grids), then checks every layer: suffix order and lcps against
 the brute sort, match-length totals in both directions against the brute
 scan and against a separate reverse build, per-run sums against per-position
-sums, the final run against its closed forms, distance axioms, and the
-structural invariants of the tries. The first failing check
-aborts the run and reports both inputs in the run-length text format so the
-case can be replayed.
+sums, the final run against its closed forms, distance axioms and the
+decimal reference distance, and the structural invariants of the tries.
+Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
+stream of its own, holding a repeated record and one that lacks a symbol
+another has, and checks every ordered pair's total from the one family
+build against the brute scan, and every column's invariants. The first
+failing check aborts the run and reports its inputs in the run-length text
+format so the case can be replayed.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from string import ascii_lowercase
 
 import numpy as np
 
-from rleacs.engine import AcsEngine, acs_self, dist_value
+from rleacs.engine import AcsEngine, Direction, acs_self, dist_value
 from rleacs.oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -29,14 +34,17 @@ from rleacs.oracle import (
     brute_suffix_sort,
     decode_ids,
     per_position_lengths,
+    reference_dist,
     suffix_lcp,
     suffix_refs,
 )
 from rleacs.rle import Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
+from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tries
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
+FAMILY_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -234,6 +242,9 @@ def _compare(
             backward = dist_value(y_len, x_len, acs_yx, acs_xy)
             if abs(forward - backward) > 1e-12:
                 failures.append("distance not symmetric")
+            ref, scale = reference_dist(x_len, y_len, acs_xy, acs_yx)
+            if abs(Decimal(forward) - ref) > scale * Decimal(2) ** -52:
+                failures.append(f"distance {forward!r} off the decimal reference {ref:.20e}")
         self_value = Fraction(acs_xx, x_len)
         if self_value != acs_self(x_len):
             failures.append("engine self average differs from closed form")
@@ -242,6 +253,30 @@ def _compare(
 
     if deep:
         failures.extend(_structural_checks(engine, order))
+    return failures
+
+
+def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -> list[str]:
+    """freq never decreases toward the root, weight telescopes, and each leaf
+    holds the length of the run before it if that run is sequence j's, else 0."""
+    failures = []
+    parent = trie.parent.tolist()
+    str_depth = trie.str_depth.tolist()
+    freq = column.freq.tolist()
+    for v, p in enumerate(parent):
+        if p >= 0 and freq[p] < freq[v]:
+            failures.append(f"{label}freq increases from node {p} to {v}")
+            break
+    for v, p in enumerate(parent):
+        expect = 0 if p < 0 else column.weight[p] + freq[v] * (str_depth[v] - str_depth[p])
+        if column.weight[v] != expect:
+            failures.append(f"{label}weight at node {v} breaks telescoping")
+            break
+    leaves = np.concatenate(trie.leaves)
+    expect = np.zeros(trie.node_count, dtype=np.int64)
+    expect[trie.leaves[j]] = runs[:, 1]
+    if not np.array_equal(column.freq[leaves], expect[leaves]):
+        failures.append(f"{label}leaf annotations differ from the preceding runs")
     return failures
 
 
@@ -265,9 +300,8 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     parent = query.parent.tolist()
     str_depth = query.str_depth.tolist()
     refs = suffix_refs(order)
-    # the suffix after run i of the built pair's first sequence starts at
-    # token i, the one after run j of its second at token len(first.runs) + 1 + j
-    leaf_at = [-1, *query.first_leaves.tolist(), -1, *query.second_leaves.tolist()]
+    # the suffix after run i of sequence j starts at the token after it
+    leaf_at = [v for leaves in query.leaves for v in (-1, *leaves.tolist())]
     tokens = order.tokens.tolist()
     with_leaf = [k for k, t in enumerate(tokens) if leaf_at[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
@@ -280,32 +314,14 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
         return failures
     leaf_ranks = [rank_of[v] for v in leaves]
 
-    columns = (
-        ("", query.freq.tolist(), query.weight),
-        ("rev_", query.rev_freq.tolist(), query.rev_weight),
-    )
-    for prefix, freq, weight in columns:
-        for v in range(query.node_count):
-            p = parent[v]
-            if p >= 0 and freq[p] < freq[v]:
-                failures.append(f"query trie: {prefix}freq increases from node {p} to {v}")
-                break
-        for v in range(query.node_count):
-            p = parent[v]
-            expect = 0 if p < 0 else weight[p] + freq[v] * (str_depth[v] - str_depth[p])
-            if weight[v] != expect:
-                failures.append(f"query trie: {prefix}weight at node {v} breaks telescoping")
-                break
+    # the forward column counts the second sequence's runs, the reverse one the first's
+    seq_runs = (engine.first.runs, engine.second.runs)
+    for j, prefix, column in ((1, "", engine.column), (0, "reverse ", engine.reverse.column)):
+        failures.extend(_column_checks(f"query trie: {prefix}", query, column, j, seq_runs[j]))
 
-    # what extraction annotates each leaf with: the length of the run before
-    # its suffix, as freq after a second-sequence run, else as rev_freq
-    runs = (engine.first.runs.tolist(), engine.second.runs.tolist())
+    runs = tuple(r.tolist() for r in seq_runs)
     leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
-    if list(zip(query.freq[leaves].tolist(), query.rev_freq[leaves].tolist())) != [
-        (n, 0) if ref.seq == 1 else (0, n) for (_, n), ref in zip(preceding, leaf_refs)
-    ]:
-        failures.append("query trie: leaf annotations differ from the preceding runs")
     syms = [sym for sym, _ in preceding]
     if sorted(zip(syms, leaf_ranks)) != list(zip(syms, leaf_ranks)):
         failures.append("query trie: leaves are not in symbol blocks of ascending rank")
@@ -317,7 +333,7 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
         suffix_lcp(engine.first, engine.second, a, b) if s == t else 0
         for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
     ]
-    tails = [list(accumulate((n for _, n in seq_runs[::-1]), initial=1))[::-1] for seq_runs in runs]
+    tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
     depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
     failures.extend(
         _interval_min_mismatches(
@@ -332,6 +348,50 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     return failures
 
 
+def check_family(
+    seqs: list[RleSeq], *, budget: OracleBudget = DEFAULT_BUDGET, deep: bool = True
+) -> list[str]:
+    """Every ordered pair's total from one query trie over the family, against the brute scan.
+
+    Each sequence's column is annotated as dist_matrix annotates it and, with
+    deep, checked on its own: freq monotone, weight telescoping, leaves
+    holding that sequence's preceding runs. Engine exceptions are failures.
+    """
+    seqs = tuple(seqs)
+    texts = [decode_ids(seq) for seq in seqs]
+    failures: list[str] = []
+    try:
+        trie = extract_symbol_tries(build_suffix_order(*seqs))
+        for j, seq in enumerate(seqs):
+            column = annotate(trie, trie.leaves[j], seq.runs[:, 1])
+            if deep:
+                failures.extend(_column_checks(f"family column {j}: ", trie, column, j, seq.runs))
+            for i in range(len(seqs)):
+                if i == j:
+                    continue
+                total = Direction(trie, seqs, i, j, column).total()
+                brute = sum(brute_match_lengths(texts[i], texts[j], budget))
+                if total != brute:
+                    failures.append(f"family total {i}->{j} {total} != brute {brute}")
+    except Exception as exc:
+        return [f"family engine raised {type(exc).__name__}: {exc}"]
+    return failures
+
+
+def random_family(rng: random.Random, n_max: int, alphabet_size: int, mean_run: float) -> list[str]:
+    """3 to 5 texts: a repeated one, and one that lacks a symbol the first text has."""
+
+    def draw() -> str:
+        return random_text(rng, rng.randint(1, n_max), alphabet_size, mean_run)
+
+    texts = [draw() for _ in range(rng.randint(1, 3))]
+    missing = texts[0][0]
+    texts.append(draw().replace(missing, "b" if missing == "a" else "a"))
+    texts.append(rng.choice(texts))
+    rng.shuffle(texts)
+    return texts
+
+
 def run_verification(
     seed: int = 42,
     trials: int = 100,
@@ -340,8 +400,13 @@ def run_verification(
     engine_factory=AcsEngine,
     deep: bool = True,
 ) -> VerifyReport:
-    """Run seeded random trials; stop at the first failing pair."""
+    """Run seeded random trials; stop at the first failing pair or family.
+
+    Families come from their own stream, so the pairs of a seed do not
+    depend on them; their records are at most a quarter of n_max long.
+    """
     rng = random.Random(seed)
+    family_rng = random.Random(f"family:{seed}")
     cap = max(n_max, DEFAULT_BUDGET.max_len)
     budget = OracleBudget(max_len=cap, max_pair_product=cap * cap)
     for trial in range(trials):
@@ -352,11 +417,17 @@ def run_verification(
         alphabet = Alphabet.for_texts([x_text, y_text])
         first = encode(x_text, f"X{trial}", alphabet)
         second = encode(y_text, f"Y{trial}", alphabet)
+        seqs = [first, second]
         failures = check_pair(
             first, second, engine_factory=engine_factory, budget=budget, deep=deep
         )
+        if not failures and trial % FAMILY_EVERY == FAMILY_EVERY - 1:
+            texts = random_family(family_rng, max(n_max // 4, 1), alphabet_size, mean_run)
+            alphabet = Alphabet.for_texts(texts)
+            seqs = [encode(text, f"F{trial}.{j}", alphabet) for j, text in enumerate(texts)]
+            failures = [f"family: {f}" for f in check_family(seqs, budget=budget, deep=deep)]
         if failures:
-            record = rle_record(first, alphabet) + "\n" + rle_record(second, alphabet)
+            record = "\n".join(rle_record(seq, alphabet) for seq in seqs)
             return VerifyReport(
                 passed=trial,
                 total=trials,

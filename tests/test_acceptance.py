@@ -173,7 +173,7 @@ def test_criterion_2_worked_micro_example():
         and forward == Fraction(4, 3)
         and backward == Fraction(3, 2)
         and abs(value - 0.120432) <= 1e-6
-        and abs(value - 0.12043215657900697) <= 1e-12
+        and abs(value - 0.12043215657900687) <= 1e-12
     )
     _report(
         2,

@@ -63,13 +63,13 @@ def test_dist_report_full_precision(pair_fasta, capsys):
     out = capsys.readouterr().out
     assert "ACS(X,Y) = 4/3" in out
     assert "ACS(Y,X) = 3/2" in out
-    assert "Dist = 0.12043215657900697 (log base e)" in out
+    assert "Dist = 0.12043215657900687 (log base e)" in out
 
 
 def test_dist_log_base_flag(pair_fasta, capsys):
     assert main(["dist", pair_fasta, "--log-base", "2"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "Dist = 0.17374687506009645 (log base 2)" in out
+    assert "Dist = 0.17374687506009634 (log base 2)" in out
 
 
 def test_wrong_sequence_count_is_data_error(trio_fasta, capsys):
@@ -134,6 +134,28 @@ def test_matrix_failing_pair_is_named(tmp_path, capsys):
     assert main(["matrix", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "pair one/two" in err
+
+
+@pytest.mark.parametrize(
+    "records, first_failure",
+    [
+        # p/q share no symbol; r is one character, so p/r and later pairs fail too
+        (("aab", "ccdd", "a", "abc"), "pair p/q: no common substring"),
+        (("aab", "a", "ccdd", "abc"), "pair p/q: sequence too short"),
+        # the first failure in row order comes after a good pair and before
+        # a too-short one
+        (("ab", "ba", "cd", "c", "abc"), "pair p/r: no common substring"),
+    ],
+)
+def test_matrix_reports_the_first_failing_pair_in_row_order(tmp_path, capsys, records, first_failure):
+    path = tmp_path / "mixed.fa"
+    names = "pqrst"
+    path.write_text("".join(f">{n}\n{text}\n" for n, text in zip(names, records)), encoding="utf-8")
+    runs = []
+    for threads in ("1", "2", "4"):
+        code = main(["matrix", str(path), "--threads", threads])
+        runs.append((code, *capsys.readouterr()))
+    assert runs == [(EXIT_DATA, "", f"error: {first_failure}\n")] * 3
 
 
 def test_rle_format_and_line_numbered_errors(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from rleacs.engine import (
     acs,
     acs_self,
     dist,
+    dist_matrix,
     dist_value,
 )
 from rleacs.oracle import (
@@ -19,13 +21,16 @@ from rleacs.oracle import (
     brute_acs,
     brute_match_lengths,
     per_position_lengths,
+    reference_dist,
     run_walk_total,
     suffix_refs,
 )
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
+    Alphabet,
     RleSeq,
+    encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
 from rleacs.verify import check_pair
@@ -65,11 +70,12 @@ def test_run_leaves_follow_each_run():
     # terminator included ("b$", "$" and "bab$", "ab$", "b$", "$"), and its
     # run's length sits in its own side's freq column
     trie = engine.trie
+    freq, rev_freq = engine.column.freq, engine.reverse.column.freq
     assert trie.str_depth[forward].tolist() == [2, 1]
     assert trie.str_depth[back].tolist() == [4, 3, 2, 1]
-    assert trie.rev_freq[forward].tolist() == first.runs[:, 1].tolist()
-    assert trie.freq[back].tolist() == second.runs[:, 1].tolist()
-    assert not trie.freq[forward].any() and not trie.rev_freq[back].any()
+    assert rev_freq[forward].tolist() == first.runs[:, 1].tolist()
+    assert freq[back].tolist() == second.runs[:, 1].tolist()
+    assert not freq[forward].any() and not rev_freq[back].any()
     assert engine.reverse.reverse.run_leaves() is forward
 
 
@@ -187,7 +193,7 @@ def test_dist_micro_frozen():
     assert result.acs_yx == Fraction(3, 2)
     assert result.acs_xx == 2
     assert result.acs_yy == Fraction(3, 2)
-    assert result.value == pytest.approx(0.12043215657900697, abs=1e-9)
+    assert result.value == pytest.approx(0.12043215657900687, abs=1e-9)
 
 
 def test_dist_log_bases():
@@ -225,6 +231,28 @@ def test_dist_rejects_degenerate_inputs():
         dist(first, second)
 
 
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=30), min_size=2, max_size=5))
+def test_dist_matrix_matches_pair_distances(texts):
+    # one family trie, one column per record, against one pair build per cell
+    alphabet = Alphabet.for_texts(texts)
+    seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+    expect = [[0.0] * len(seqs) for _ in seqs]
+    first_error = None
+    for i in range(len(seqs)):
+        for j in range(i + 1, len(seqs)):
+            try:
+                expect[i][j] = expect[j][i] = dist(seqs[i], seqs[j]).value
+            except ValueError as exc:
+                first_error = first_error or f"pair s{i}/s{j}: {exc}"
+    for threads in (1, 2):
+        if first_error is None:
+            assert dist_matrix(seqs, threads=threads) == expect
+        else:
+            with pytest.raises(ValueError) as caught:
+                dist_matrix(seqs, threads=threads)
+            assert str(caught.value) == first_error
+
+
 def test_dist_value_formula_layer():
     value = dist_value(3, 2, Fraction(4, 3), Fraction(3, 2), "e")
     expect = 0.5 * (math.log(2) / (4 / 3) + math.log(3) / 1.5) - 0.5 * (
@@ -232,6 +260,47 @@ def test_dist_value_formula_layer():
     )
     assert value == pytest.approx(expect, abs=1e-12)
     assert dist_value(2, 3, Fraction(3, 2), Fraction(4, 3), "e") == value
+
+
+def _assert_near_reference(x, y, acs_xy, acs_yx, log_base="e"):
+    value = dist_value(x, y, acs_xy, acs_yx, log_base)
+    ref, scale = reference_dist(x, y, acs_xy, acs_yx, log_base)
+    assert abs(Decimal(value) - ref) <= scale * Decimal(2) ** -52
+    assert dist_value(y, x, acs_yx, acs_xy, log_base) == value
+    return value, ref
+
+
+lengths = st.integers(min_value=2, max_value=MAX_DECODED_LENGTH - 1)
+
+
+@settings(max_examples=300)
+@given(
+    lengths,
+    lengths,
+    st.integers(min_value=-(1 << 20), max_value=1 << 20),
+    st.integers(min_value=-(1 << 20), max_value=1 << 20),
+    st.sampled_from(["e", "2", "10"]),
+)
+def test_dist_value_matches_decimal_reference(x, y, dx, dy, log_base):
+    # lsums near the self totals x(y+1)/2 and y(x+1)/2: the four addends
+    # nearly cancel, as they do for similar sequences
+    lsum_xy = min(max(x * (y + 1) // 2 + dx, 1), x * y)
+    lsum_yx = min(max(y * (x + 1) // 2 + dy, 1), x * y)
+    _assert_near_reference(x, y, Fraction(lsum_xy, x), Fraction(lsum_yx, y), log_base)
+
+
+@pytest.mark.parametrize("run", [10**6, 1 << 61])
+def test_dist_value_of_similar_long_sequences(run):
+    # X = a^L b a^5 and Y = a^L b^2 a^5 differ in one character; the
+    # distance is tiny next to its addends (1.75e-34 at L = 2^61)
+    first = RleSeq("X", [(2, run), (3, 1), (2, 5)])
+    second = RleSeq("Y", [(2, run), (3, 2), (2, 5)])
+    result = dist(first, second)
+    value, ref = _assert_near_reference(
+        first.content_length, second.content_length, result.acs_xy, result.acs_yx
+    )
+    assert result.value == value
+    assert abs(Decimal(value) - ref) <= abs(ref) * Decimal(2) ** -53
 
 
 def test_last_run_closed_forms():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -14,15 +15,17 @@ from rleacs.oracle import (
     suffix_refs,
     suffix_runs,
 )
-from rleacs.rle import MAX_DECODED_LENGTH, RleSeq
+from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 from rleacs.suffixes import (
     RangeMin,
     _sweep_compact_trie,
     build_suffix_order,
     build_trie,
     longest_run_table,
+    token_bounds,
+    token_string,
 )
-from rleacs.symbol_tries import extract_symbol_tries
+from rleacs.symbol_tries import annotate, extract_symbol_tries
 
 
 def test_order_micro_pair():
@@ -137,12 +140,15 @@ def test_trie_micro_pair():
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
     query = extract_symbol_tries(order)
-    leaf_at = [-1, *query.first_leaves.tolist(), -1, *query.second_leaves.tolist()]
+    first_leaves, second_leaves = query.leaves
+    leaf_at = [-1, *first_leaves.tolist(), -1, *second_leaves.tolist()]
     rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
-    leaves = np.sort(np.concatenate((query.first_leaves, query.second_leaves))).tolist()
+    leaves = np.sort(np.concatenate(query.leaves)).tolist()
     assert [rank_of[v] for v in leaves] == [4, 5, 0, 1]
-    assert [query.freq[v] for v in leaves] == [0, 1, 0, 1]
-    assert [query.rev_freq[v] for v in leaves] == [2, 0, 1, 0]
+    freq = annotate(query, second_leaves, second.runs[:, 1]).freq
+    rev_freq = annotate(query, first_leaves, first.runs[:, 1]).freq
+    assert [freq[v] for v in leaves] == [0, 1, 0, 1]
+    assert [rev_freq[v] for v in leaves] == [2, 0, 1, 0]
 
 
 def _random_runny_text(rng, n, alphabet):
@@ -213,6 +219,40 @@ def test_order_matches_brute_long_runs(x_pairs, y_pairs):
     x = "".join(ch * k for ch, k in x_pairs)
     y = "".join(ch * k for ch, k in y_pairs)
     _assert_order_matches_brute(x, y)
+
+
+def _brute_family_order(seqs):
+    """Decoded sort of a family's run-start suffixes: symbol id s renders as
+    chr(s + k) and sequence j's terminator as chr(j), below every symbol."""
+    k = len(seqs)
+    entries = []
+    for j, seq in enumerate(seqs):
+        text = "".join(chr(sym + k) * n for sym, n in seq.runs.tolist()) + chr(j)
+        pos = 0
+        for n in [*seq.runs[:, 1].tolist(), 1]:
+            entries.append((text[pos:], len(entries)))
+            pos += n
+    entries.sort()
+    texts = [text for text, _ in entries]
+    dlcp = [len(os.path.commonprefix(pair)) for pair in zip(texts, texts[1:])]
+    return [token for _, token in entries], dlcp, [len(text) for text in texts]
+
+
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=25), min_size=1, max_size=5))
+# repeated records tie on content and differ only in their terminators
+@example(["ab", "cab", "ab", "b", "ab"])
+def test_family_order_matches_decoded_sort(texts):
+    alphabet = Alphabet.for_texts(texts)
+    seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+    order = build_suffix_order(*seqs)
+    tokens, dlcp, lengths = _brute_family_order(seqs)
+    assert order.tokens.tolist() == tokens
+    assert order.dlcp.tolist() == dlcp
+    assert order.suffix_lengths.tolist() == lengths
+    # the terminators are j + 2 - k: a pair keeps ids 0 and 1
+    k = len(seqs)
+    ends = token_bounds(seqs)[1:] - 1
+    assert token_string(*seqs)[ends].tolist() == [[j + 2 - k, 1] for j in range(k)]
 
 
 def _assert_order_agrees_with_run_walk(first, second):

@@ -12,7 +12,7 @@ from conftest import make_pair
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
 from rleacs.suffixes import build_suffix_order
-from rleacs.symbol_tries import annotate, extract_symbol_tries
+from rleacs.symbol_tries import SymbolTrie, _lifting_rows, annotate, extract_symbol_tries
 
 
 def build_query_trie(x, y):
@@ -21,14 +21,22 @@ def build_query_trie(x, y):
     return extract_symbol_tries(order), order, alpha
 
 
+def pair_columns(trie, order):
+    """The pair's two columns: (second's, first's), the forward and reverse ones."""
+    first, second = (
+        annotate(trie, leaves, seq.runs[:, 1]) for leaves, seq in zip(trie.leaves, order.seqs)
+    )
+    return second, first
+
+
 def trie_leaves(trie):
     """Every leaf, in leaf order: leaf ids ascend in block order."""
-    return np.sort(np.concatenate((trie.first_leaves, trie.second_leaves))).tolist()
+    return np.sort(np.concatenate(trie.leaves)).tolist()
 
 
 def token_leaves(trie):
-    """The leaf of the suffix at each token, -1 at the two sequence starts."""
-    return [-1, *trie.first_leaves.tolist(), -1, *trie.second_leaves.tolist()]
+    """The leaf of the suffix at each token, -1 at the sequence starts."""
+    return [v for leaves in trie.leaves for v in (-1, *leaves.tolist())]
 
 
 def leaf_ranks(trie, order):
@@ -55,8 +63,9 @@ def test_extract_micro_pair():
     # a leaf's freq is its preceding run's length when that run is Y's,
     # its rev_freq when it is X's
     leaves = trie_leaves(trie)
-    assert [trie.freq[v] for v in leaves] == [0, 1, 0, 1]
-    assert [trie.rev_freq[v] for v in leaves] == [2, 0, 1, 0]
+    forward, reverse = pair_columns(trie, order)
+    assert [forward.freq[v] for v in leaves] == [0, 1, 0, 1]
+    assert [reverse.freq[v] for v in leaves] == [2, 0, 1, 0]
     # root, the a-block's mid node and its two leaves, the two b-leaves
     assert trie.node_count == 6
     a_x, a_y, b_x, b_y = leaves
@@ -69,56 +78,89 @@ def test_extract_micro_pair():
 
 
 def test_annotate_micro_pair():
-    trie, _, _ = build_query_trie("aab", "ab")
+    trie, order, _ = build_query_trie("aab", "ab")
+    column, _ = pair_columns(trie, order)
     leaves = trie_leaves(trie)
     mid = trie.parent[leaves[0]]
-    assert trie.freq[mid] == 1
-    assert trie.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
-    assert trie.freq[0] == 1
-    assert trie.weight[0] == 0
+    assert column.freq[mid] == 1
+    assert column.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
+    assert column.freq[0] == 1
+    assert column.weight[0] == 0
     # leaves: type-X leaf freq 0, type-Y leaf freq = its run length
-    assert trie.freq[leaves[0]] == 0
-    assert trie.freq[leaves[1]] == 1
+    assert column.freq[leaves[0]] == 0
+    assert column.freq[leaves[1]] == 1
 
 
 def test_annotate_no_second_sequence_leaves():
     # Y contributes no b-preceded suffix, so the b-block is one X leaf: freq
     # 0 below the root, which carries the a-block's Y leaf
-    trie, _, _ = build_query_trie("aba", "a")
+    trie, order, _ = build_query_trie("aba", "a")
+    column, reverse = pair_columns(trie, order)
     b_leaf = trie_leaves(trie)[-1]
-    assert trie.rev_freq[b_leaf] == 1
+    assert reverse.freq[b_leaf] == 1
     assert trie.parent[b_leaf] == 0
-    assert trie.freq[b_leaf] == 0 and trie.weight[b_leaf] == 0
-    assert trie.freq[0] == 1 and trie.weight[0] == 0
+    assert column.freq[b_leaf] == 0 and column.weight[b_leaf] == 0
+    assert column.freq[0] == 1 and column.weight[0] == 0
+
+
+def hand_trie(parent, str_depth, popped, leaves):
+    """A SymbolTrie from a parent array, depths and a children-first node order."""
+    parent = np.array(parent, dtype=np.int64)
+    return SymbolTrie(
+        parent=parent,
+        str_depth=np.array(str_depth, dtype=np.int64),
+        up=_lifting_rows(parent),
+        topdown=np.array(popped[::-1], dtype=np.int64),
+        leaves=(np.array(leaves, dtype=np.int64),),
+    )
 
 
 def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
     # freq(v1) = 5 and freq(v2) = 3; the three leaves follow second-sequence
     # runs of lengths 3, 2 and 5
-    freq = [0, 0, 0, 3, 2, 5]
-    rev_freq = [0] * 6
     popped = [3, 4, 2, 5, 1, 0]
-    weight, rev_weight = annotate(
-        [-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, freq, rev_freq
-    )
+    trie = hand_trie([-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, [3, 4, 5])
+    column = annotate(trie, trie.leaves[0], np.array([3, 2, 5]))
+    freq, weight = column.freq, column.weight
     assert freq[1] == 5
     assert freq[2] == 3
     assert weight[1] == 10  # 5 * (2 - 0)
     assert weight[2] == 25  # 10 + 3 * (7 - 2)
-    assert rev_freq == [0] * 6 and rev_weight.tolist() == [0] * 6
-    assert popped == []
+    empty = np.array([], dtype=np.int64)
+    rev = annotate(trie, empty, empty)
+    assert rev.freq.tolist() == [0] * 6 and rev.weight.tolist() == [0] * 6
+    # annotation reads the trie and leaves it as it was
+    assert trie.topdown.tolist() == popped[::-1]
+
+
+def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
+    # the leaf 4 sits 4 = 2^2 levels below the root, and the two kept lifting
+    # rows reach 3 levels: without the root's own step it would keep only
+    # the shallow leaf's 1, and a climb from that leaf at threshold 5 would
+    # fall off the root
+    trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 3, 2, 1, 5, 0], [4, 5])
+    assert len(trie.up) == 2
+    column = annotate(trie, trie.leaves[0], np.array([5, 1]))
+    assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
+    assert column.weight.tolist() == [0, 5, 10, 15, 20, 1]
+    assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
+    # the same chain with nothing beside it, as first found
+    chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4])
+    assert annotate(chain, chain.leaves[0], np.array([5])).freq.tolist() == [5] * 5
 
 
 def test_annotate_leaves_int64_columns():
-    trie, _, _ = build_query_trie("aabba", "abab")
-    for column in (trie.parent, trie.str_depth, trie.freq, trie.rev_freq, *trie.up):
+    trie, order, _ = build_query_trie("aabba", "abab")
+    columns = pair_columns(trie, order)
+    freqs = [column.freq for column in columns]
+    for column in (trie.parent, trie.str_depth, trie.topdown, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
         assert len(column) == trie.node_count
-    for column in (trie.weight, trie.rev_weight):
+    for column in (column.weight for column in columns):
         assert column.dtype == object and len(column) == trie.node_count
         assert all(type(w) is int for w in column)
-    for column in (trie.first_leaves, trie.second_leaves):
+    for column in trie.leaves:
         assert column.dtype == np.int64
     # rows double until the next would map every node to the root (node 0)
     top = trie.up[-1]
@@ -126,14 +168,21 @@ def test_annotate_leaves_int64_columns():
 
 
 def test_trie_is_immutable():
-    trie, _, _ = build_query_trie("aabba", "abab")
-    columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name != "up"]
-    for column in [*columns, *trie.up]:
+    trie, order, _ = build_query_trie("aabba", "abab")
+    rows = ("up", "leaves")
+    columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
+    annotations = pair_columns(trie, order)
+    for column in [*columns, *trie.up, *trie.leaves]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 7
-    for f in dataclasses.fields(trie):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(trie, f.name, getattr(trie, f.name))
+    for column in annotations:
+        for array in (column.freq, column.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+    for record in (trie, *annotations):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
 
 
 def test_concurrent_directions_match_serial_totals():
@@ -169,20 +218,22 @@ def test_concurrent_directions_match_serial_totals():
 
 
 def test_deepest_ancestor_micro():
-    trie, _, _ = build_query_trie("aab", "ab")
+    trie, order, _ = build_query_trie("aab", "ab")
+    column, _ = pair_columns(trie, order)
     leaf = trie_leaves(trie)[0]  # X suffix "b<s1>"
     mid = trie.parent[leaf]
     # root freq is only 1, so threshold 2 has no qualifying ancestor
-    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [mid, -1]
+    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2], column.freq).tolist() == [mid, -1]
 
 
 def test_deepest_ancestor_none_without_y_leaves():
     # the b-block has no Y leaf; at threshold 1 the climb ends at the shared
     # root (str_depth 0, weight 0, as a b-only root would have), and above
     # the root's freq there is no qualifying ancestor
-    trie, _, _ = build_query_trie("aba", "a")
+    trie, order, _ = build_query_trie("aba", "a")
+    column, _ = pair_columns(trie, order)
     leaf = trie_leaves(trie)[-1]
-    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2]).tolist() == [0, -1]
+    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2], column.freq).tolist() == [0, -1]
 
 
 def _walk_up_reference(parent, freq, leaf, threshold):
@@ -211,14 +262,14 @@ def test_searches_match_linear_walk_random():
     for _ in range(60):
         x = _random_runny_text(rng, rng.randint(2, 80), "ab")
         y = _random_runny_text(rng, rng.randint(2, 80), "ab")
-        trie, _, _ = build_query_trie(x, y)
+        trie, order, _ = build_query_trie(x, y)
         parent = trie.parent.tolist()
-        for reverse, freq in ((False, trie.freq), (True, trie.rev_freq)):
-            freq = freq.tolist()
+        for column in pair_columns(trie, order):
+            freq = column.freq.tolist()
             # thresholds run past the root's freq, where no ancestor qualifies
             pairs = [(leaf, h) for leaf in trie_leaves(trie) for h in range(0, freq[0] + 3)]
-            leaves, thresholds = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-            got = trie.deepest_freq_ancestor(leaves, thresholds, reverse).tolist()
+            leaves, thresholds = (np.array(values, dtype=np.int64) for values in zip(*pairs))
+            got = trie.deepest_freq_ancestor(leaves, thresholds, column.freq).tolist()
             assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
 
 
@@ -234,8 +285,7 @@ def test_structural_invariants(x, y):
     ranks = leaf_ranks(t, order)
     assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
     # the two sequence starts have no preceding run, every run a leaf after it
-    assert len(t.first_leaves) == len(first.runs)
-    assert len(t.second_leaves) == len(second.runs)
+    assert [len(leaves) for leaves in t.leaves] == [len(first.runs), len(second.runs)]
     # the run leaves are distinct and are exactly the trie's childless nodes
     leaves = trie_leaves(t)
     assert len(set(leaves)) == len(leaves)
@@ -243,7 +293,8 @@ def test_structural_invariants(x, y):
 
     parent = t.parent.tolist()
     str_depth = t.str_depth.tolist()
-    for freq, weight in ((t.freq.tolist(), t.weight), (t.rev_freq.tolist(), t.rev_weight)):
+    for column in pair_columns(t, order):
+        freq, weight = column.freq.tolist(), column.weight
         # freq never decreases toward the root
         for v in range(t.node_count):
             p = parent[v]

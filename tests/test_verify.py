@@ -6,11 +6,16 @@ import random
 import numpy as np
 import pytest
 
+import rleacs.verify
 from rleacs.engine import AcsEngine
 from rleacs.rle import parse_rle_text
+from rleacs.symbol_tries import Column, annotate
 from rleacs.verify import (
+    FAMILY_EVERY,
+    check_family,
     check_pair,
     geometric,
+    random_family,
     random_text,
     rle_record,
     run_verification,
@@ -34,24 +39,47 @@ class FreqAsMin(AcsEngine):
         str_depth = trie.str_depth.tolist()
         best = [big] * trie.node_count
         # each second-sequence leaf starts at the length of the run before it
-        for leaf, length in zip(trie.second_leaves.tolist(), self.second.runs[:, 1].tolist()):
+        for leaf, length in zip(trie.leaves[1].tolist(), self.second.runs[:, 1].tolist()):
             best[leaf] = min(best[leaf], length)
         for v in sorted(range(trie.node_count), key=str_depth.__getitem__, reverse=True):
             p = parent[v]
             if p >= 0 and best[v] < big:
                 best[p] = min(best[p], best[v])
-        best[0] = int(trie.freq[0])
+        best[0] = int(self.column.freq[0])
         freq = np.array([0 if b == big else b for b in best], dtype=np.int64)
-        self.trie = dataclasses.replace(trie, freq=freq)
+        self.column = dataclasses.replace(self.column, freq=freq)
 
 
 class ReverseReadsForward(AcsEngine):
-    """Planted bug: the reverse direction reads the forward freq/weight columns."""
+    """Planted bug: the reverse direction reads the forward freq/weight column."""
 
-    def __init__(self, first, second):
-        super().__init__(first, second)
-        trie = self.trie
-        self.trie = dataclasses.replace(trie, rev_freq=trie.freq, rev_weight=trie.weight)
+    @property
+    def reverse(self):
+        view = super().reverse
+        view.column = self.column
+        return view
+
+
+def column_as_min(trie, leaves, lengths):
+    """Planted bug: a family column whose support is a subtree minimum.
+
+    Weights are built from it as annotate would, and the root keeps the
+    column's true support, so every climb stays defined.
+    """
+    true_root = int(annotate(trie, leaves, lengths).freq[0])
+    big = 1 << 62
+    best = np.full(trie.node_count, big, dtype=np.int64)
+    best[leaves] = lengths
+    for v in trie.topdown[:0:-1].tolist():
+        p = trie.parent[v]
+        best[p] = min(best[p], best[v])
+    best[best == big] = 0
+    best[0] = true_root
+    weight = [0] * trie.node_count
+    for v in trie.topdown[1:].tolist():
+        p = trie.parent[v]
+        weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
+    return Column(best, np.array(weight, dtype=object))
 
 
 class ExplodingEngine(AcsEngine):
@@ -106,6 +134,35 @@ def test_reverse_column_fault_is_caught():
     report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward)
     assert report.failure.startswith("trial 0: ")
     assert "leaf annotations differ from the preceding runs" in report.failure
+
+
+def test_family_column_fault_is_caught_and_replayable(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(rleacs.verify, "annotate", column_as_min)
+        shallow = run_verification(seed=5, trials=50, n_max=60, deep=False)
+        report = run_verification(seed=5, trials=50, n_max=60)
+        seqs, _ = parse_rle_text(report.failure_record)
+        replayed = check_family(seqs)
+    # the pair checks build their own engines and stay clean; the family
+    # totals catch the column, and so do the column checks, on the same trial
+    assert not shallow.ok and not report.ok
+    assert shallow.passed == report.passed
+    assert (report.passed + 1) % FAMILY_EVERY == 0
+    assert "family: family total" in shallow.failure and "raised" not in shallow.failure
+    assert "family: family column" in report.failure
+    assert 3 <= len(seqs) <= 5 and replayed
+    assert check_family(seqs) == []
+
+
+def test_families_hold_a_repeat_and_a_missing_symbol():
+    rng = random.Random(4)
+    for size in (2, 4, 20):
+        for _ in range(30):
+            texts = random_family(rng, 40, size, 4.0)
+            assert 3 <= len(texts) <= 5
+            assert len(set(texts)) < len(texts)
+            symbols = [set(text) for text in texts]
+            assert any(other - mine for mine in symbols for other in symbols)
 
 
 def test_engine_crash_reported_not_raised():
