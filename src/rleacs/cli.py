@@ -172,6 +172,7 @@ def cmd_verify(config: RunConfig) -> int:
     report = run_verification(seed=config.seed, trials=config.trials, n_max=config.n_max)
     if report.ok:
         print(f"{report.passed}/{report.total} ok")
+        print(report.coverage, file=sys.stderr)
         return EXIT_OK
     print(f"{report.passed}/{report.total} ok before first failure", file=sys.stderr)
     print(report.failure, file=sys.stderr)

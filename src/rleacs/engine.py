@@ -6,10 +6,12 @@ decoding, from one query trie over a family that holds both (the pair for
 acs and dist, every record for dist_matrix) and the second's column of it.
 Positions are processed one run at a time: the answers within a run follow
 a closed form built from two ancestor lookups. Every run of a direction is
-answered in one batch, two vectorized lifting climbs, so a family of N total
-runs costs O(N log N) per column. All accumulation is exact integer
-arithmetic, in Python ints once values leave the int64 trie columns; floats
-appear only in the final distance value.
+answered in one batch, two vectorized lifting climbs, and dist_matrix
+answers every other record against a column in one such batch, so a family
+of N total runs costs O(N log N) per column. All accumulation is exact
+integer arithmetic: in int64 while the family's decoded length proves it
+exact (see SymbolTrie.int64), in Python ints past that bound; floats appear
+only in the final distance value.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ class AcsEngine:
     on each access, so callers should hold it. Instances keep the caller's
     sequences, are immutable after construction (trie and column are frozen
     records of read-only arrays) and are safe to query from multiple threads.
+    _exact builds on the exact-int path whatever the pair's length, so the
+    two paths can be compared.
     """
 
-    def __init__(self, first: RleSeq, second: RleSeq) -> None:
+    def __init__(self, first: RleSeq, second: RleSeq, *, _exact: bool = False) -> None:
         seqs = (first, second)
-        trie = extract_symbol_tries(build_suffix_order(*seqs))
+        trie = extract_symbol_tries(build_suffix_order(*seqs), _exact=_exact)
         self._bind(trie, seqs, 0, 1, annotate(trie, trie.leaves[1], second.runs[:, 1]))
 
     def _bind(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
@@ -80,9 +84,7 @@ class AcsEngine:
         self.second = seqs[j]
         self._pair = (i, j)
         self.column = column
-        # first's symbols are looked up in second's table
-        size = 1 + max(int(seq.runs[:, 0].max()) for seq in seqs)
-        self.max_run = longest_run_table(self.second, size)
+        self.max_run = _max_run(seqs, j)
 
     def run_leaves(self) -> np.ndarray:
         """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
@@ -102,7 +104,7 @@ class AcsEngine:
         """
         if not 1 <= i <= self.first.run_count:
             raise IndexError(f"run {i} outside 1..{self.first.run_count}")
-        return self._sums(self.first.runs[i - 1 : i], self.run_leaves()[i - 1 : i])[0]
+        return int(self._sums(self.first.runs[i - 1 : i], self.run_leaves()[i - 1 : i])[0])
 
     def run_sums(self) -> list[int]:
         """Sum of best match lengths over the positions of each run 1..run_count.
@@ -119,33 +121,11 @@ class AcsEngine:
         return self._sums(self.first.runs, self.run_leaves()).tolist()
 
     def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-        """Exact run sums, as an object array, for the (symbol, length) rows of runs.
-
-        leaves holds the leaf after each run. With g = min(f, m) and v, u the
-        deepest ancestors with support 1 and g, every run sums to
-        weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
-        For f <= m that is the telescoped sum itself. For f > m every node on
-        u's root path below the root has freq m (the s-block holds no longer
-        support), so weight[u] = m * depth[u] and the form reduces to
-        weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
-        s-block, and the root, has weight 0. Both climbs run in int64, and so
-        does depth[u] + f - g, which stays below 2^63; the rest is object
-        arithmetic in exact Python ints, since the products reach 2^124.
-        """
-        trie, column = self.trie, self.column
-        lengths = runs[:, 1]
-        g = np.minimum(lengths, self.max_run[runs[:, 0]])
-        # the root's support is the column's longest run, at least 1 and at
-        # least g, so neither climb returns -1
-        v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
-        u = trie.deepest_freq_ancestor(leaves, g, column.freq)
-        rest = (trie.str_depth[u] + lengths - g).astype(object)
-        g = g.astype(object)
-        return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
+        return _closed_form(self.trie, self.column, self.max_run, runs, leaves)
 
     def total(self) -> int:
         """Sum of best match lengths over every position of the first sequence."""
-        return sum(self.run_sums())
+        return int(self._sums(self.first.runs, self.run_leaves()).sum())
 
 
 class Direction(AcsEngine):
@@ -153,6 +133,64 @@ class Direction(AcsEngine):
 
     def __init__(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
         self._bind(trie, seqs, i, j, column)
+
+
+def _max_run(seqs: tuple[RleSeq, ...], j: int) -> np.ndarray:
+    """Longest run of seqs[j] for every symbol id of the family, 0 where absent."""
+    size = 1 + max(int(seq.runs[:, 0].max()) for seq in seqs)
+    return longest_run_table(seqs[j], size)
+
+
+def _closed_form(
+    trie: SymbolTrie, column: Column, max_run: np.ndarray, runs: np.ndarray, leaves: np.ndarray
+) -> np.ndarray:
+    """Exact run sums, in the column's weight dtype, for the (symbol, length) rows of runs.
+
+    leaves holds the leaf after each run, and max_run the longest run of
+    the column's sequence per symbol. With g = min(f, m) and v, u the
+    deepest ancestors with support 1 and g, every run sums to
+    weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
+    For f <= m that is the telescoped sum itself. For f > m every node on
+    u's root path below the root has freq m (the s-block holds no longer
+    support), so weight[u] = m * depth[u] and the form reduces to
+    weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
+    s-block, and the root, has weight 0. Both climbs run in int64, and so
+    does depth[u] + f - g, which stays below 2^63. The rest runs in the
+    weights' dtype: int64 within the trie's bound, which keeps every
+    product below 2^62, else object arithmetic in exact Python ints, since
+    the products reach 2^124.
+    """
+    lengths = runs[:, 1]
+    g = np.minimum(lengths, max_run[runs[:, 0]])
+    # the root's support is the column's longest run, at least 1 and at
+    # least g, so neither climb returns -1
+    v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
+    u = trie.deepest_freq_ancestor(leaves, g, column.freq)
+    dtype = column.weight.dtype
+    rest = (trie.str_depth[u] + lengths - g).astype(dtype, copy=False)
+    g = g.astype(dtype, copy=False)
+    return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
+
+
+def column_totals(trie: SymbolTrie, seqs: tuple[RleSeq, ...], j: int, column: Column) -> list[int]:
+    """Total of every sequence of the family against seqs[j], from its column; 0 at j.
+
+    The runs of all the other sequences are answered in one batch, one
+    _closed_form call, and cut back into one exact sum per sequence. seqs[j]
+    itself is left out: a run's self-match needs its own leaf, which no
+    climb visits.
+    """
+    others = [i for i in range(len(seqs)) if i != j]
+    totals = [0] * len(seqs)
+    if not others:
+        return totals
+    runs = np.concatenate([seqs[i].runs for i in others])
+    leaves = np.concatenate([trie.leaves[i] for i in others])
+    sums = _closed_form(trie, column, _max_run(seqs, j), runs, leaves)
+    cuts = np.cumsum([seqs[i].run_count for i in others[:-1]], dtype=np.int64)
+    for i, part in zip(others, np.split(sums, cuts)):
+        totals[i] = int(part.sum())
+    return totals
 
 
 def _average(engine: AcsEngine) -> AcsResult:
@@ -241,18 +279,16 @@ def _distance(first: RleSeq, second: RleSeq, lsum_xy: int, lsum_yx: int, log_bas
 def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> list[list[float]]:
     """All pairwise distances from one query trie over the whole family.
 
-    Each sequence's column is annotated once, answers every other sequence,
-    and is dropped; threads workers take the columns, so at most that many
-    are alive at once. A failing pair raises ValueError naming it; with
+    Each sequence's column is annotated once, answers every other sequence
+    in one batch (column_totals), and is dropped; threads workers take the
+    columns, so at most that many are alive at once. A failing pair raises ValueError naming it; with
     several, the first in row order, whatever the thread count.
     """
     seqs = tuple(seqs)
     trie = extract_symbol_tries(build_suffix_order(*seqs))
 
     def against(j: int) -> list[int]:
-        column = annotate(trie, trie.leaves[j], seqs[j].runs[:, 1])
-        # not for i == j: a run's self-match needs its own leaf, which no climb visits
-        return [Direction(trie, seqs, i, j, column).total() if i != j else 0 for i in range(len(seqs))]
+        return column_totals(trie, seqs, j, annotate(trie, trie.leaves[j], seqs[j].runs[:, 1]))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         totals = list(pool.map(against, range(len(seqs))))

@@ -16,10 +16,16 @@ and the leaf after each run of each sequence. The answers against sequence
 j need one column, built by annotate: freq, the largest length of a
 preceding sequence-j run among the leaves below each node, and weight, a
 running sum that turns "sum of ancestor depths over a range of thresholds"
-queries into two node lookups. The weights reach past int64, so they are an
-object array of exact Python ints. Ancestor searches climb with binary
-lifting, one vectorized step per row for a whole batch of (leaf, threshold)
-pairs, so a batch of q queries costs O(q log N).
+queries into two node lookups. Ancestor searches climb with binary lifting,
+one vectorized step per row for a whole batch of (leaf, threshold) pairs, so
+a batch of q queries costs O(q log N).
+
+The arithmetic is chosen once per build, from the family's decoded length L,
+every record's content plus its terminator. While L <= INT64_LENGTH_BOUND =
+2^30, every weight, closed-form product and run total stays below 4L^2 <=
+2^62 (see SymbolTrie.int64), so weights are int64, summed up each root path
+by pointer doubling over the lifting rows. Past it, a weight reaches 2^124,
+so weights are an object array of exact Python ints, summed top-down.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from rleacs.suffixes import (
 )
 
 WEIGHT_CHUNK = 1 << 13
+INT64_LENGTH_BOUND = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +59,17 @@ class SymbolTrie:
     column: swapping which sequence is queried only swaps the order of
     leaves with equal decoded content, which are siblings, so every parent
     and depth stays as it is.
+
+    int64 holds when the family's decoded length L is at most
+    INT64_LENGTH_BOUND; its columns' weights, and the run sums answered from
+    them, are then int64, and exact Python ints otherwise. The bound keeps
+    int64 exact. With f a run's length, d the depth of the leaf after it
+    and m any longest run, m < L and f + d <= L, since the run and its
+    suffix lie in one record. So a weight is at most m * d < L^2; the
+    closed-form product g * (2 * (depth[u] + f - g) + g + 1), with g <= f
+    and depth[u] <= d, is at most L * (3L + 1) <= 4L^2; and the totals of
+    all records against one sum to at most the sum of their length
+    products, below L^2. At L = 2^30 all of them are at most 2^62.
     """
 
     parent: np.ndarray
@@ -59,6 +77,7 @@ class SymbolTrie:
     up: tuple[np.ndarray, ...]
     topdown: np.ndarray
     leaves: tuple[np.ndarray, ...]
+    int64: bool
 
     @property
     def node_count(self) -> int:
@@ -85,7 +104,8 @@ class SymbolTrie:
 
 @dataclass(frozen=True, eq=False)
 class Column:
-    """One sequence's annotation of a SymbolTrie (see annotate): read-only int64 freq, object weight."""
+    """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
+    freq, and weight in int64 or, past the trie's int64 bound, object dtype."""
 
     freq: np.ndarray
     weight: np.ndarray
@@ -126,14 +146,27 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Colum
     down. The kept rows stop one short of the all-root row, so a leaf
     exactly 2^rows levels below the root never reaches it; the root, an
     ancestor of every node, takes the column's maximum instead. Run lengths
-    are below 2^62, so freq stays int64. weight flows top-down in exact
-    Python ints.
+    are below 2^62, so freq stays int64.
+
+    Within the trie's int64 bound, weight is the sum of each node's step
+    freq * (str_depth - str_depth[parent]) over its root path, by pointer
+    doubling: after row k every node holds its steps over the 2^(k+1) nodes
+    up from it, and the root's step is 0, so clamping at the root adds
+    nothing, and rows that reach every node's depth give the whole path.
+    Past the bound, weight flows top-down in exact Python ints.
     """
     freq = np.zeros(trie.node_count, dtype=np.int64)
     freq[leaves] = lengths
     for row in trie.up:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
+    freq.flags.writeable = False
+    if trie.int64:
+        weight = freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
+        for row in trie.up:
+            weight += weight[row]
+        weight.flags.writeable = False
+        return Column(freq, weight)
 
     # sums[k] is the weight of topdown[k]; a chunk of nodes at a time keeps
     # few of the step products alive at once
@@ -147,18 +180,20 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Colum
         for p, step in zip(slot[parents].tolist(), steps):
             sums.append(sums[p] + step)
     weight = np.array(sums, dtype=object)[slot]
-    freq.flags.writeable = False
     weight.flags.writeable = False
     return Column(freq, weight)
 
 
-def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
+def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolTrie:
     """Build the query trie's shape straight from the suffix order.
 
     The suffix at token t of token_string(*order.seqs) is preceded by the
     run at token t - 1, except the k sequence starts, which have none. The
-    order is no longer referenced once the trie's sweep starts.
+    order is no longer referenced once the trie's sweep starts. _exact
+    takes the exact-int path whatever the length, so the two can be
+    compared.
     """
+    length = sum(seq.content_length + 1 for seq in order.seqs)
     runs = token_string(*order.seqs)
     bounds = token_bounds(order.seqs)
     tokens = order.tokens
@@ -196,4 +231,5 @@ def extract_symbol_tries(order: SuffixOrder) -> SymbolTrie:
         up=_lifting_rows(parent),
         topdown=_frozen(popped[::-1]),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
+        int64=length <= INT64_LENGTH_BOUND and not _exact,
     )

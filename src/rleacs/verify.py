@@ -9,15 +9,20 @@ decimal reference distance, and the structural invariants of the tries.
 Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
 another has, and checks every ordered pair's total from the one family
-build against the brute scan, and every column's invariants. The first
-failing check aborts the run and reports its inputs in the run-length text
-format so the case can be replayed.
+build against the brute scan, and every column's invariants. Every pair and
+family build is also rebuilt on the exact-int path, and its columns and
+totals compared with the int64 ones; the family's first two records, each
+with its longest run STRETCH longer, give one more pair past the int64
+bound, whose totals are checked against the run walker. The first failing
+check aborts the run and reports its inputs in the run-length text format
+so the case can be replayed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -26,7 +31,7 @@ from string import ascii_lowercase
 
 import numpy as np
 
-from rleacs.engine import AcsEngine, Direction, acs_self, dist_value
+from rleacs.engine import AcsEngine, acs_self, column_totals, dist_value
 from rleacs.oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -35,6 +40,7 @@ from rleacs.oracle import (
     decode_ids,
     per_position_lengths,
     reference_dist,
+    run_walk_total,
     suffix_lcp,
     suffix_refs,
 )
@@ -45,18 +51,40 @@ from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tri
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
 FAMILY_EVERY = 4
+STRETCH = 1 << 60
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Trials passed, the first failure, and what the checks covered.
+
+    int64_builds counts the pair and family builds that took the int64 path,
+    each matched against an exact-int rebuild; exact_builds those past the
+    bound. runs_over_m and runs_without_m count the runs of the checked pair
+    directions with f > m > 0 and with m == 0, m the other sequence's
+    longest run of their symbol.
+    """
+
     passed: int
     total: int
     failure: str | None = None
     failure_record: str | None = None
+    int64_builds: int = 0
+    exact_builds: int = 0
+    runs_over_m: int = 0
+    runs_without_m: int = 0
 
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+    @property
+    def coverage(self) -> str:
+        return (
+            f"builds: {self.int64_builds} int64, each matched by an exact rebuild, "
+            f"{self.exact_builds} exact; runs: {self.runs_over_m} with f > m > 0, "
+            f"{self.runs_without_m} with m == 0"
+        )
 
 
 def geometric(rng: random.Random, mean: float) -> int:
@@ -71,6 +99,9 @@ def geometric(rng: random.Random, mean: float) -> int:
 def random_text(rng: random.Random, n: int, alphabet_size: int, mean_run: float) -> str:
     """Random text of length n with geometric run lengths, runs kept maximal."""
     symbols = ascii_lowercase[:alphabet_size]
+    if alphabet_size == 1:
+        # every later run would repeat the first's symbol
+        return symbols * n
     out: list[str] = []
     prev = None
     while len(out) < n:
@@ -144,12 +175,16 @@ def check_pair(
     engine_factory=AcsEngine,
     budget: OracleBudget = DEFAULT_BUDGET,
     deep: bool = True,
+    coverage: Counter | None = None,
 ) -> list[str]:
     """All cross-checks for one pair; returns failure descriptions.
 
     The forward direction (first scored against second) gets every check;
     the reverse direction, answered from the same build, is checked by its
     total against the brute scan and against engine_factory(second, first).
+    Both directions' totals, and with deep their columns and run sums, are
+    matched against an exact-int rebuild. coverage, if given, counts the
+    build's path and the run cases (see VerifyReport).
 
     A crash inside the engine under test is itself a finding, so engine
     exceptions are reported as failures rather than raised. Oracle budget
@@ -169,6 +204,7 @@ def check_pair(
         return _compare(
             engine, brute_order, brute_lengths, brute_reverse, x_text, y_text,
             engine_factory=engine_factory, deep=deep,
+            coverage=Counter() if coverage is None else coverage,
         )
     except Exception as exc:
         return [f"engine query raised {type(exc).__name__}: {exc}"]
@@ -184,6 +220,7 @@ def _compare(
     *,
     engine_factory,
     deep: bool,
+    coverage: Counter,
 ) -> list[str]:
     failures: list[str] = []
     first, second = engine.first, engine.second
@@ -227,7 +264,8 @@ def _compare(
     if acs_xx * 2 != x_len * (x_len + 1):
         failures.append(f"self total {acs_xx} != closed form {x_len * (x_len + 1) // 2}")
 
-    back = engine.reverse.total()
+    back_view = engine.reverse
+    back = back_view.total()
     if back != brute_reverse:
         failures.append(f"reverse lsum {back} != brute {brute_reverse}")
     separate = engine_factory(second, first).total()
@@ -251,8 +289,37 @@ def _compare(
         elif abs(dist_value(x_len, x_len, self_value, self_value)) > 1e-12:
             failures.append("self distance not zero")
 
+    coverage[_path(engine.trie)] += 1
+    for view in (engine, back_view):
+        m = view.max_run[view.first.runs[:, 0]]
+        coverage["runs_over_m"] += int(((view.first.runs[:, 1] > m) & (m > 0)).sum())
+        coverage["runs_without_m"] += int((m == 0).sum())
+    failures.extend(_exact_checks(engine, back_view, deep))
     if deep:
         failures.extend(_structural_checks(engine, order))
+    return failures
+
+
+def _path(trie: SymbolTrie) -> str:
+    return "int64_builds" if trie.int64 else "exact_builds"
+
+
+def _same_column(a: Column, b: Column) -> bool:
+    return a.freq.tolist() == b.freq.tolist() and a.weight.tolist() == b.weight.tolist()
+
+
+def _exact_checks(engine: AcsEngine, back: AcsEngine, deep: bool) -> list[str]:
+    """Both directions' totals, and with deep their columns and run sums,
+    against an exact-int rebuild of the pair."""
+    failures = []
+    exact = AcsEngine(engine.first, engine.second, _exact=True)
+    for prefix, view, rebuilt in (("", engine, exact), ("reverse ", back, exact.reverse)):
+        if view.total() != rebuilt.total():
+            failures.append(f"{prefix}total differs from the exact path's")
+        if deep and not _same_column(view.column, rebuilt.column):
+            failures.append(f"{prefix}column differs from the exact path's")
+        if deep and view.run_sums() != rebuilt.run_sums():
+            failures.append(f"{prefix}run sums differ from the exact path's")
     return failures
 
 
@@ -349,27 +416,42 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
 
 
 def check_family(
-    seqs: list[RleSeq], *, budget: OracleBudget = DEFAULT_BUDGET, deep: bool = True
+    seqs: list[RleSeq],
+    *,
+    budget: OracleBudget = DEFAULT_BUDGET,
+    deep: bool = True,
+    coverage: Counter | None = None,
 ) -> list[str]:
     """Every ordered pair's total from one query trie over the family, against the brute scan.
 
-    Each sequence's column is annotated as dist_matrix annotates it and, with
-    deep, checked on its own: freq monotone, weight telescoping, leaves
-    holding that sequence's preceding runs. Engine exceptions are failures.
+    Each sequence's column is annotated and answered as dist_matrix does
+    it and, with deep, checked on its own: freq monotone, weight
+    telescoping, leaves holding that sequence's preceding runs. Totals, and
+    with deep columns, are matched against an exact-int rebuild. Engine
+    exceptions are failures.
     """
     seqs = tuple(seqs)
     texts = [decode_ids(seq) for seq in seqs]
     failures: list[str] = []
     try:
-        trie = extract_symbol_tries(build_suffix_order(*seqs))
+        order = build_suffix_order(*seqs)
+        trie = extract_symbol_tries(order)
+        exact = extract_symbol_tries(order, _exact=True)
+        if coverage is not None:
+            coverage[_path(trie)] += 1
         for j, seq in enumerate(seqs):
             column = annotate(trie, trie.leaves[j], seq.runs[:, 1])
+            exact_column = annotate(exact, exact.leaves[j], seq.runs[:, 1])
             if deep:
                 failures.extend(_column_checks(f"family column {j}: ", trie, column, j, seq.runs))
-            for i in range(len(seqs)):
+            if deep and not _same_column(column, exact_column):
+                failures.append(f"family column {j} differs from the exact path's")
+            totals = column_totals(trie, seqs, j, column)
+            if totals != column_totals(exact, seqs, j, exact_column):
+                failures.append(f"family totals against {j} differ from the exact path's")
+            for i, total in enumerate(totals):
                 if i == j:
                     continue
-                total = Direction(trie, seqs, i, j, column).total()
                 brute = sum(brute_match_lengths(texts[i], texts[j], budget))
                 if total != brute:
                     failures.append(f"family total {i}->{j} {total} != brute {brute}")
@@ -392,6 +474,36 @@ def random_family(rng: random.Random, n_max: int, alphabet_size: int, mean_run: 
     return texts
 
 
+def stretched(seq: RleSeq) -> RleSeq:
+    """seq with its longest run STRETCH longer."""
+    runs = seq.runs.copy()
+    runs[runs[:, 1].argmax(), 1] += STRETCH
+    return RleSeq(seq.name, runs)
+
+
+def check_run_walk(
+    first: RleSeq, second: RleSeq, *, engine_factory=AcsEngine, coverage: Counter | None = None
+) -> list[str]:
+    """Both totals of one build against oracle.run_walk_total, which never decodes.
+
+    For pairs too long for the brute scan, such as those past the int64
+    bound. Engine exceptions are failures.
+    """
+    try:
+        engine = engine_factory(first, second)
+        totals = (engine.total(), engine.reverse.total())
+    except Exception as exc:
+        return [f"engine raised {type(exc).__name__}: {exc}"]
+    if coverage is not None:
+        coverage[_path(engine.trie)] += 1
+    walks = (run_walk_total(first, second), run_walk_total(second, first))
+    return [
+        f"{prefix}lsum {got} != run walk {want}"
+        for prefix, got, want in zip(("", "reverse "), totals, walks)
+        if got != want
+    ]
+
+
 def run_verification(
     seed: int = 42,
     trials: int = 100,
@@ -403,8 +515,10 @@ def run_verification(
     """Run seeded random trials; stop at the first failing pair or family.
 
     Families come from their own stream, so the pairs of a seed do not
-    depend on them; their records are at most a quarter of n_max long.
+    depend on them; their records are at most a quarter of n_max long, and
+    the first two, stretched, are the trial's pair past the int64 bound.
     """
+    coverage: Counter = Counter()
     rng = random.Random(seed)
     family_rng = random.Random(f"family:{seed}")
     cap = max(n_max, DEFAULT_BUDGET.max_len)
@@ -419,13 +533,23 @@ def run_verification(
         second = encode(y_text, f"Y{trial}", alphabet)
         seqs = [first, second]
         failures = check_pair(
-            first, second, engine_factory=engine_factory, budget=budget, deep=deep
+            first, second, engine_factory=engine_factory, budget=budget, deep=deep,
+            coverage=coverage,
         )
         if not failures and trial % FAMILY_EVERY == FAMILY_EVERY - 1:
             texts = random_family(family_rng, max(n_max // 4, 1), alphabet_size, mean_run)
             alphabet = Alphabet.for_texts(texts)
             seqs = [encode(text, f"F{trial}.{j}", alphabet) for j, text in enumerate(texts)]
-            failures = [f"family: {f}" for f in check_family(seqs, budget=budget, deep=deep)]
+            failures = [
+                f"family: {f}"
+                for f in check_family(seqs, budget=budget, deep=deep, coverage=coverage)
+            ]
+            if not failures:
+                seqs = [stretched(seq) for seq in seqs[:2]]
+                failures = [
+                    f"stretched pair: {f}"
+                    for f in check_run_walk(*seqs, engine_factory=engine_factory, coverage=coverage)
+                ]
         if failures:
             record = "\n".join(rle_record(seq, alphabet) for seq in seqs)
             return VerifyReport(
@@ -433,5 +557,6 @@ def run_verification(
                 total=trials,
                 failure=f"trial {trial}: " + "; ".join(failures),
                 failure_record=record,
+                **coverage,
             )
-    return VerifyReport(passed=trials, total=trials)
+    return VerifyReport(passed=trials, total=trials, **coverage)

@@ -197,6 +197,13 @@ def test_verify_command(capsys):
     assert capsys.readouterr().out.strip() == "0/0 ok"
 
 
+def test_verify_reports_coverage_on_stderr(capsys):
+    assert main(["verify", "--trials", "4", "--n-max", "60", "--seed", "5"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "4/4 ok\n"
+    assert captured.err.startswith("builds: 5 int64, each matched by an exact rebuild, 1 exact; ")
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "--n-max", "16384", "--trials", "1"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from conftest import at_bound, make_pair
 from rleacs.engine import (
     AcsEngine,
+    Direction,
     acs,
     acs_self,
+    column_totals,
     dist,
     dist_matrix,
     dist_value,
@@ -33,6 +35,7 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
+from rleacs.symbol_tries import INT64_LENGTH_BOUND, annotate, extract_symbol_tries
 from rleacs.verify import check_pair
 
 
@@ -496,3 +499,90 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     assert engine.reverse.total() == run_walk_total(second, first)
     _batch_agrees(engine)
     _batch_agrees(engine.reverse)
+
+
+def _path_of(engine):
+    """The engine's arithmetic path, checked against both of its columns' dtypes."""
+    dtype = np.int64 if engine.trie.int64 else object
+    assert engine.column.weight.dtype == engine.reverse.column.weight.dtype == dtype
+    return engine.trie.int64
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_unary_pair_at_the_int64_edge(edge):
+    # the family's decoded length, both records and their terminators, sits
+    # one below, at and one above the bound
+    short = 5
+    length = INT64_LENGTH_BOUND + edge
+    long = length - 2 - short
+    first = RleSeq("X", [[FIRST_SYMBOL_ID, long]])
+    second = RleSeq("Y", [[FIRST_SYMBOL_ID, short]])
+    engine = AcsEngine(first, second)
+    assert _path_of(engine) == (edge <= 0)
+    assert engine.total() == short * (short + 1) // 2 + (long - short) * short
+    assert engine.reverse.total() == short * (short + 1) // 2
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_two_symbol_pair_at_the_int64_edge(edge):
+    a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
+    body = [[b, 3], [a, 2], [b, 1], [a, 9], [b, 2]]
+    second = RleSeq("Y", [[a, 4], [b, 2], [a, 7], [b, 5], [a, 1 << 20], [b, 3]])
+    rest = sum(n for _, n in body) + second.content_length + 2
+    first = RleSeq("X", [[a, INT64_LENGTH_BOUND + edge - rest], *body])
+    assert first.content_length + second.content_length + 2 == INT64_LENGTH_BOUND + edge
+    engine = AcsEngine(first, second)
+    assert _path_of(engine) == (edge <= 0)
+    assert engine.total() == run_walk_total(first, second)
+    assert engine.reverse.total() == run_walk_total(second, first)
+    _batch_agrees(engine)
+    _batch_agrees(engine.reverse)
+
+
+def test_family_past_the_int64_edge_matches_its_int64_pairs():
+    # every pair of the family fits int64, the family one above the bound
+    # does not: the matrix's exact columns give the pairs' int64 distances
+    a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
+    third = INT64_LENGTH_BOUND // 3
+    seqs = [
+        RleSeq("s0", [[a, third], [b, 2], [a, 3]]),
+        RleSeq("s1", [[b, 1], [a, third - 4], [b, 3]]),
+        RleSeq("s2", [[a, 7], [b, 5]]),
+    ]
+    rest = INT64_LENGTH_BOUND + 1 - sum(seq.content_length + 1 for seq in seqs)
+    seqs[2] = RleSeq("s2", [[a, 7 + rest], [b, 5]])
+    assert sum(seq.content_length + 1 for seq in seqs) == INT64_LENGTH_BOUND + 1
+    trie = extract_symbol_tries(build_suffix_order(*seqs))
+    assert not trie.int64
+    expect = [[0.0] * 3 for _ in seqs]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert _path_of(AcsEngine(seqs[i], seqs[j]))
+            expect[i][j] = expect[j][i] = dist(seqs[i], seqs[j]).value
+    assert dist_matrix(seqs) == expect
+
+
+@settings(max_examples=60)
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=40), min_size=2, max_size=5))
+def test_int64_and_exact_paths_agree_on_families(texts):
+    # one order, built into a trie on each path: the same columns, the same
+    # batched totals and the same run sums, value for value
+    alphabet = Alphabet.for_texts(texts)
+    seqs = tuple(encode(text, f"s{j}", alphabet) for j, text in enumerate(texts))
+    order = build_suffix_order(*seqs)
+    trie = extract_symbol_tries(order)
+    exact = extract_symbol_tries(order, _exact=True)
+    assert trie.int64 and not exact.int64
+    for j, seq in enumerate(seqs):
+        column = annotate(trie, trie.leaves[j], seq.runs[:, 1])
+        exact_column = annotate(exact, exact.leaves[j], seq.runs[:, 1])
+        assert column.weight.dtype == np.int64 and exact_column.weight.dtype == object
+        assert column.freq.tolist() == exact_column.freq.tolist()
+        assert column.weight.tolist() == exact_column.weight.tolist()
+        totals = column_totals(trie, seqs, j, column)
+        assert totals == column_totals(exact, seqs, j, exact_column)
+        for i in range(len(seqs)):
+            if i != j:
+                sums = Direction(trie, seqs, i, j, column).run_sums()
+                assert sums == Direction(exact, seqs, i, j, exact_column).run_sums()
+                assert sum(sums) == totals[i]

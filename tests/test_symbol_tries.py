@@ -103,7 +103,7 @@ def test_annotate_no_second_sequence_leaves():
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
-def hand_trie(parent, str_depth, popped, leaves):
+def hand_trie(parent, str_depth, popped, leaves, int64=True):
     """A SymbolTrie from a parent array, depths and a children-first node order."""
     parent = np.array(parent, dtype=np.int64)
     return SymbolTrie(
@@ -112,6 +112,7 @@ def hand_trie(parent, str_depth, popped, leaves):
         up=_lifting_rows(parent),
         topdown=np.array(popped[::-1], dtype=np.int64),
         leaves=(np.array(leaves, dtype=np.int64),),
+        int64=int64,
     )
 
 
@@ -119,19 +120,21 @@ def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
     # freq(v1) = 5 and freq(v2) = 3; the three leaves follow second-sequence
     # runs of lengths 3, 2 and 5
+    # on both arithmetic paths
     popped = [3, 4, 2, 5, 1, 0]
-    trie = hand_trie([-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, [3, 4, 5])
-    column = annotate(trie, trie.leaves[0], np.array([3, 2, 5]))
-    freq, weight = column.freq, column.weight
-    assert freq[1] == 5
-    assert freq[2] == 3
-    assert weight[1] == 10  # 5 * (2 - 0)
-    assert weight[2] == 25  # 10 + 3 * (7 - 2)
-    empty = np.array([], dtype=np.int64)
-    rev = annotate(trie, empty, empty)
-    assert rev.freq.tolist() == [0] * 6 and rev.weight.tolist() == [0] * 6
-    # annotation reads the trie and leaves it as it was
-    assert trie.topdown.tolist() == popped[::-1]
+    for int64 in (True, False):
+        trie = hand_trie([-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, [3, 4, 5], int64)
+        column = annotate(trie, trie.leaves[0], np.array([3, 2, 5]))
+        freq, weight = column.freq, column.weight
+        assert freq[1] == 5
+        assert freq[2] == 3
+        assert weight[1] == 10  # 5 * (2 - 0)
+        assert weight[2] == 25  # 10 + 3 * (7 - 2)
+        empty = np.array([], dtype=np.int64)
+        rev = annotate(trie, empty, empty)
+        assert rev.freq.tolist() == [0] * 6 and rev.weight.tolist() == [0] * 6
+        # annotation reads the trie and leaves it as it was
+        assert trie.topdown.tolist() == popped[::-1]
 
 
 def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
@@ -139,27 +142,38 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     # rows reach 3 levels: without the root's own step it would keep only
     # the shallow leaf's 1, and a climb from that leaf at threshold 5 would
     # fall off the root
-    trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 3, 2, 1, 5, 0], [4, 5])
-    assert len(trie.up) == 2
-    column = annotate(trie, trie.leaves[0], np.array([5, 1]))
-    assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
-    assert column.weight.tolist() == [0, 5, 10, 15, 20, 1]
-    assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
-    # the same chain with nothing beside it, as first found
-    chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4])
-    assert annotate(chain, chain.leaves[0], np.array([5])).freq.tolist() == [5] * 5
+    # the int64 weights' pointer doubling takes the same two rows
+    for int64 in (True, False):
+        trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 3, 2, 1, 5, 0], [4, 5], int64)
+        assert len(trie.up) == 2
+        column = annotate(trie, trie.leaves[0], np.array([5, 1]))
+        assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
+        assert column.weight.tolist() == [0, 5, 10, 15, 20, 1]
+        assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
+        # the same chain with nothing beside it, as first found
+        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4], int64)
+        assert annotate(chain, chain.leaves[0], np.array([5])).freq.tolist() == [5] * 5
 
 
 def test_annotate_leaves_int64_columns():
     trie, order, _ = build_query_trie("aabba", "abab")
+    # the exact path, forced, on the same order: the same shape, weights in Python ints
+    exact = extract_symbol_tries(order, _exact=True)
+    assert trie.int64 and not exact.int64
     columns = pair_columns(trie, order)
-    freqs = [column.freq for column in columns]
+    exact_columns = pair_columns(exact, order)
+    freqs = [column.freq for column in (*columns, *exact_columns)]
     for column in (trie.parent, trie.str_depth, trie.topdown, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
         assert len(column) == trie.node_count
     for column in (column.weight for column in columns):
+        assert column.dtype == np.int64 and len(column) == trie.node_count
+    for column in (column.weight for column in exact_columns):
         assert column.dtype == object and len(column) == trie.node_count
         assert all(type(w) is int for w in column)
+    for int64, exact_column in zip(columns, exact_columns):
+        assert int64.freq.tolist() == exact_column.freq.tolist()
+        assert int64.weight.tolist() == exact_column.weight.tolist()
     for column in trie.leaves:
         assert column.dtype == np.int64
     # rows double until the next would map every node to the root (node 0)
@@ -169,7 +183,7 @@ def test_annotate_leaves_int64_columns():
 
 def test_trie_is_immutable():
     trie, order, _ = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves")
+    rows = ("up", "leaves", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
     for column in [*columns, *trie.up, *trie.leaves]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from rleacs.rle import parse_rle_text
 from rleacs.symbol_tries import Column, annotate
 from rleacs.verify import (
     FAMILY_EVERY,
+    STRETCH,
     check_family,
     check_pair,
+    check_run_walk,
     geometric,
     random_family,
     random_text,
     rle_record,
     run_verification,
+    stretched,
 )
 
 from conftest import make_pair
@@ -80,6 +84,22 @@ def column_as_min(trie, leaves, lengths):
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
     return Column(best, np.array(weight, dtype=object))
+
+
+class ShortDoubling(AcsEngine):
+    """Planted bug: int64 weights summed without the last lifting row.
+
+    Nodes deeper than that row's reach miss the top of their root path,
+    which only the exact-path rebuild sees directly.
+    """
+
+    def __init__(self, first, second):
+        super().__init__(first, second)
+        trie, freq = self.trie, self.column.freq
+        weight = freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
+        for row in trie.up[:-1]:
+            weight += weight[row]
+        self.column = dataclasses.replace(self.column, weight=weight)
 
 
 class ExplodingEngine(AcsEngine):
@@ -152,6 +172,49 @@ def test_family_column_fault_is_caught_and_replayable(monkeypatch):
     assert "family: family column" in report.failure
     assert 3 <= len(seqs) <= 5 and replayed
     assert check_family(seqs) == []
+
+
+def test_int64_fault_is_caught_by_the_exact_path():
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ShortDoubling)
+    assert not report.ok
+    assert "column differs from the exact path's" in report.failure
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert check_pair(seqs[0], seqs[1]) == []
+
+
+def test_report_counts_both_paths_and_run_cases():
+    trials = 2 * FAMILY_EVERY
+    report = run_verification(seed=3, trials=trials, n_max=60)
+    assert report.ok
+    # every pair and family build on the int64 path, one stretched pair per family exact
+    assert report.int64_builds == trials + 2
+    assert report.exact_builds == 2
+    assert report.runs_over_m > 0 and report.runs_without_m > 0
+    assert "2 exact" in report.coverage
+
+
+def test_stretched_pairs_pass_the_run_walk():
+    rng = random.Random(8)
+    for size in (2, 4):
+        first, second, _ = make_pair(random_text(rng, 30, size, 2.0), random_text(rng, 30, size, 2.0))
+        first, second = stretched(first), stretched(second)
+        assert first.runs[:, 1].max() > STRETCH and second.runs[:, 1].max() > STRETCH
+        assert check_run_walk(first, second) == []
+
+
+def test_random_text_of_one_symbol_returns():
+    # every later draw would repeat the first run's symbol: it must not loop
+    def hang(signum, frame):
+        raise TimeoutError("random_text did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        text = random_text(random.Random(0), 10, 1, 1.5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert text == "a" * 10
 
 
 def test_families_hold_a_repeat_and_a_missing_symbol():
