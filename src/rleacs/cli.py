@@ -55,7 +55,8 @@ def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
         raise ValueError("no input files given")
     records = []
     for path in config.paths:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which is not input
+        with open(path, encoding="utf-8-sig") as fh:
             if config.format == "rle":
                 records.extend(read_rle_records(fh))
             elif config.format == "fasta":

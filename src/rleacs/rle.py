@@ -5,7 +5,8 @@ symbol ids, column 1 the run lengths. A sequence carries no terminator; the
 suffix order appends one to each side of a pair when it builds its token
 string. The readers produce arrays of the same shape over raw codepoints
 (RunRecord), so no layer between a file and the sort keys walks runs one at
-a time.
+a time. They read every input in blocks of whole lines (BLOCK_CHARS), parse
+each body piece between headers at once, and merge a record's pieces once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,9 +27,9 @@ MAX_SYMBOL_ID = FIRST_SYMBOL_ID + 0x10FFFF
 MAX_DECODED_LENGTH = 1 << 62
 DEFAULT_DECODE_LIMIT = 1 << 26
 
-# Stripped body lines are run-encoded in blocks of about this many characters,
-# so FASTA and raw-text ingest never hold a record's decoded text whole.
-BLOCK_CHARS = 1 << 20
+# Input is read in blocks of whole lines of about this many characters, so
+# ingest never holds a record's decoded text whole.
+BLOCK_CHARS = 1 << 17
 
 _NO_RUNS = np.empty((0, 2), dtype=np.int64)
 # 10^k for the 19 decimal places a uint64 holds in full
@@ -197,156 +198,134 @@ class RunRecord(NamedTuple):
     runs: np.ndarray
 
 
-def _lines(stream) -> Iterator[str]:
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    return iter(stream)
+def _text_runs(piece: str, line: int) -> np.ndarray:
+    """Maximal codepoint runs of a body piece's lines, concatenated."""
+    return _codepoint_runs(piece.replace("\n", ""))
 
 
-class _TokenCollector:
-    """Run-token body lines of one record, parsed together when it closes.
+def _token_runs(piece: str, line: int) -> np.ndarray:
+    """The (symbol, count) runs of a body piece's run tokens, all checked at once.
 
     Whitespace separates tokens; a token is one printable symbol that is not
-    an ASCII digit, then decimal digits. All tokens are checked at once, and
-    the first bad one raises a ParseError on its line. A count is read from
-    at most its last 19 digits, in uint64, and only after its significant
-    digits are counted, so a count past the bound is rejected unconverted.
-    Adjacent tokens with one symbol merge into one run, with a warning.
+    an ASCII digit, then decimal digits. The first bad token raises a
+    ParseError on its line: line plus the newlines before it. A count is read
+    from at most its last 19 digits, in uint64, and only after its
+    significant digits are counted, so a count past the bound is rejected
+    unconverted.
     """
+    cps = _codepoints(piece)
+    chars, kind = np.unique(cps, return_inverse=True)
+    traits = [(chr(c).isspace(), chr(c).isprintable()) for c in chars.tolist()]
+    space, printable = np.array(traits).T
+    solid = ~space[kind]
+    digit = (cps >= ord("0")) & (cps <= ord("9"))
+    edges = np.diff(solid.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
 
-    def __init__(self) -> None:
-        self._lines: list[str] = []
-        self._line_nos: list[int] = []
+    stray = solid & ~digit
+    stray[starts] = False
+    bad = digit[starts] | (ends - starts < 2) | np.logical_or.reduceat(stray, starts)
+    # significant digits run from a token's first nonzero digit to its end
+    nonzero = np.append(np.flatnonzero(digit & (cps != ord("0"))), cps.size)
+    sig = ends - nonzero[np.searchsorted(nonzero, starts + 1)]
+    pos = np.flatnonzero(digit)
+    token = np.searchsorted(starts, pos, side="right") - 1
+    place = ends[token] - 1 - pos
+    low = place < len(_POW10)
+    counts = np.zeros(len(starts), dtype=np.uint64)
+    values = (cps[pos[low]] - ord("0")).astype(np.uint64)
+    np.add.at(counts, token[low], values * _POW10[place[low]])
 
-    def add(self, line: str, line_no: int) -> None:
-        self._lines.append(line)
-        self._line_nos.append(line_no)
+    # the first failing token is reported, by the first check it fails
+    big = (sig > len(_POW10)) | (counts > np.uint64(MAX_DECODED_LENGTH))
+    checks = (
+        (bad, "bad run token {!r}"),
+        (~printable[kind[starts]], "unprintable symbol in token {!r}"),
+        (sig < 1, "run count must be >= 1 in token {!r}"),
+        (big, f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        message = next(message for mask, message in checks if mask[k])
+        line += piece.count("\n", 0, starts[k])
+        raise ParseError(message.format(piece[starts[k] : ends[k]]), line)
+    return np.column_stack((cps[starts], counts.astype(np.int64)))
 
-    def record(self, name: str) -> RunRecord:
-        if not self._lines:
-            return RunRecord(name, _NO_RUNS)
-        text = "\n".join(self._lines)
-        cps = _codepoints(text)
-        chars, kind = np.unique(cps, return_inverse=True)
-        traits = [(chr(c).isspace(), chr(c).isprintable()) for c in chars.tolist()]
-        space, printable = np.array(traits).T
-        solid = ~space[kind]
-        digit = (cps >= ord("0")) & (cps <= ord("9"))
-        edges = np.diff(solid.astype(np.int8), prepend=0, append=0)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
 
-        stray = solid & ~digit
-        stray[starts] = False
-        bad = digit[starts] | (ends - starts < 2) | np.logical_or.reduceat(stray, starts)
-        # significant digits run from a token's first nonzero digit to its end
-        nonzero = np.append(np.flatnonzero(digit & (cps != ord("0"))), cps.size)
-        sig = ends - nonzero[np.searchsorted(nonzero, starts + 1)]
-        pos = np.flatnonzero(digit)
-        token = np.searchsorted(starts, pos, side="right") - 1
-        place = ends[token] - 1 - pos
-        low = place < len(_POW10)
-        counts = np.zeros(len(starts), dtype=np.uint64)
-        values = (cps[pos[low]] - ord("0")).astype(np.uint64)
-        np.add.at(counts, token[low], values * _POW10[place[low]])
+def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
+    """One record from its pieces' runs, equal neighbouring runs merged.
 
-        # the first failing token is reported, by the first check it fails
-        big = (sig > len(_POW10)) | (counts > np.uint64(MAX_DECODED_LENGTH))
-        checks = (
-            (bad, "bad run token {!r}"),
-            (~printable[kind[starts]], "unprintable symbol in token {!r}"),
-            (sig < 1, "run count must be >= 1 in token {!r}"),
-            (big, f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}"),
-        )
-        failed = np.logical_or.reduce([mask for mask, _ in checks])
-        if failed.any():
-            k = int(np.argmax(failed))
-            message = next(message for mask, message in checks if mask[k])
-            line = self._line_nos[text.count("\n", 0, starts[k])]
-            raise ParseError(message.format(text[starts[k] : ends[k]]), line)
-
-        syms, counts = cps[starts], counts.astype(np.int64)
-        keep = np.flatnonzero(np.concatenate(([True], syms[1:] != syms[:-1])))
-        if len(keep) < len(syms):
-            merged = len(syms) - len(keep)
+    Text runs meet across line and block breaks and merge silently. Run
+    tokens with one symbol merge with a warning, once the record is checked
+    against the bound; then no merged sum wraps.
+    """
+    runs = np.concatenate([_NO_RUNS, *pieces])
+    keep = np.flatnonzero(np.diff(runs[:, 0], prepend=-1))
+    if len(keep) < len(runs):
+        if tokens:
+            merged = len(runs) - len(keep)
             warnings.warn(f"record {name}: merged {merged} adjacent equal-symbol runs")
-            # the record must fit the bound; then no merged sum wraps
-            _content_length(name, counts)
-            syms, counts = syms[keep], np.add.reduceat(counts, keep)
-        return RunRecord(name, np.column_stack((syms, counts)))
+            _content_length(name, runs[:, 1])
+        runs = np.column_stack((runs[keep, 0], np.add.reduceat(runs[:, 1], keep)))
+    return RunRecord(name, runs)
 
 
-class _RunCollector:
-    """Maximal codepoint runs of text fed line by line, encoded a block at a time.
-
-    Lines wait until about BLOCK_CHARS characters have gathered, then the
-    joined block goes through _codepoint_runs; a run still open at the end of
-    one block merges with the first run of the next when they share a
-    codepoint.
-    """
-
-    def __init__(self) -> None:
-        self._runs: list[np.ndarray] = []
-        self._block: list[str] = []
-        self._chars = 0
-
-    def add(self, line: str, line_no: int = 0) -> None:
-        self._block.append(line)
-        self._chars += len(line)
-        if self._chars >= BLOCK_CHARS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._chars:
-            return
-        runs = _codepoint_runs("".join(self._block))
-        self._block.clear()
-        self._chars = 0
-        if self._runs and self._runs[-1][-1, 0] == runs[0, 0]:
-            self._runs[-1][-1, 1] += runs[0, 1]
-            runs = runs[1:]
-        if len(runs):
-            self._runs.append(runs)
-
-    def record(self, name: str) -> RunRecord:
-        self._flush()
-        return RunRecord(name, np.concatenate([_NO_RUNS, *self._runs]))
-
-
-def _read_records(stream, collector, before_header: str, unique: bool) -> list[RunRecord]:
+def _read_records(
+    stream, tokens: bool, before_header: str = "", unique: bool = False, name: str | None = None
+) -> list[RunRecord]:
     """Records of a format whose records open with ">name" header lines.
 
-    Each record's stripped, nonblank body lines go to its own collector
-    (_RunCollector or _TokenCollector). A collector raises its own errors
-    when its record closes, before the next header is checked, so every
-    line-numbered error comes in line order. unique rejects repeated names.
+    The input is read in blocks of whole lines, about BLOCK_CHARS characters
+    each. Every line is stripped and put after a "\n", so a header is a
+    "\n>" and a position's line number is the lines before its piece plus
+    the newlines before it. Each body piece between headers becomes runs at
+    once (_token_runs if tokens, else _text_runs), so a record's first bad
+    token raises before the next header is checked and every line-numbered
+    error comes in line order; a record closes through _merge. unique
+    rejects repeated names; empty records are refused last. With name given
+    no line is a header: the whole input is that record's body, and it may
+    be empty.
     """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    body_runs = _token_runs if tokens else _text_runs
+    headed = name is None
     records: list[RunRecord] = []
     names: set[str] = set()
-    name = ""
-    body = None
-    for line_no, raw in enumerate(_lines(stream), 1):
-        text = raw.strip()
-        if not text:
-            continue
-        if not text.startswith(">"):
-            if body is None:
-                raise ParseError(before_header, line_no)
-            body.add(text, line_no)
-            continue
-        if body is not None:
-            records.append(body.record(name))
-        name = text[1:].strip()
-        if not name:
-            raise ParseError("missing record name", line_no)
-        if unique and name in names:
-            raise ParseError(f"duplicate record name {name!r}", line_no)
-        names.add(name)
-        body = collector()
-    if body is not None:
-        records.append(body.record(name))
+    pieces: list[np.ndarray] | None = None if headed else []
+    line = 0  # lines before the current piece
+    while lines := stream.readlines(BLOCK_CHARS):
+        block = "\n".join(["", *map(str.strip, lines)])
+        del lines
+        parts = block.split("\n>") if headed else [block]
+        del block
+        for k, body in enumerate(parts):
+            if k:
+                line += 1
+                if pieces is not None:
+                    records.append(_merge(name, pieces, tokens))
+                head = body.partition("\n")[0]
+                body = body[len(head) :]
+                name = head.strip()
+                if not name:
+                    raise ParseError("missing record name", line)
+                if unique and name in names:
+                    raise ParseError(f"duplicate record name {name!r}", line)
+                names.add(name)
+                pieces = []
+            newlines = body.count("\n")
+            if len(body) > newlines:
+                if pieces is None:
+                    raise ParseError(before_header, line + len(body) - len(body.lstrip("\n")))
+                pieces.append(body_runs(body, line))
+            line += newlines
+        del parts, body  # so no block outlives its turn
+    if pieces is not None:
+        records.append(_merge(name, pieces, tokens))
     for record in records:
-        if not len(record.runs):
+        if headed and not len(record.runs):
             raise ParseError(f"empty record {record.name}")
     return records
 
@@ -360,27 +339,21 @@ def read_rle_records(stream) -> list[RunRecord]:
     with a warning.
     """
     before = "run data before the first record header"
-    return _read_records(stream, _TokenCollector, before, unique=True)
+    return _read_records(stream, True, before, unique=True)
 
 
 def read_fasta_records(stream) -> list[RunRecord]:
     """Read FASTA records as codepoint runs, folding stripped body lines.
 
-    Body lines are run-encoded a block at a time (_RunCollector), so no
-    record's decoded text is held whole.
+    Body lines are run-encoded a block at a time, so no record's decoded
+    text is held whole.
     """
-    before = "sequence data before the first header"
-    return _read_records(stream, _RunCollector, before, unique=False)
+    return _read_records(stream, False, "sequence data before the first header")
 
 
 def read_text_record(stream, name: str) -> RunRecord:
     """Read raw text as one record: every line stripped, then concatenated."""
-    body = _RunCollector()
-    for raw in _lines(stream):
-        text = raw.strip()
-        if text:
-            body.add(text)
-    return body.record(name)
+    return _read_records(stream, False, name=name)[0]
 
 
 def build_rle_sequences(

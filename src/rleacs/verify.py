@@ -62,7 +62,8 @@ class VerifyReport:
     each matched against an exact-int rebuild; exact_builds those past the
     bound. runs_over_m and runs_without_m count the runs of the checked pair
     directions with f > m > 0 and with m == 0, m the other sequence's
-    longest run of their symbol.
+    longest run of their symbol. pairs_without_dist counts the pairs whose
+    distance checks were skipped: a side shorter than 2, or a zero total.
     """
 
     passed: int
@@ -73,6 +74,7 @@ class VerifyReport:
     exact_builds: int = 0
     runs_over_m: int = 0
     runs_without_m: int = 0
+    pairs_without_dist: int = 0
 
     @property
     def ok(self) -> bool:
@@ -83,7 +85,8 @@ class VerifyReport:
         return (
             f"builds: {self.int64_builds} int64, each matched by an exact rebuild, "
             f"{self.exact_builds} exact; runs: {self.runs_over_m} with f > m > 0, "
-            f"{self.runs_without_m} with m == 0"
+            f"{self.runs_without_m} with m == 0; distance: {self.pairs_without_dist} "
+            "pairs skipped (a side shorter than 2 or a zero total)"
         )
 
 
@@ -272,7 +275,8 @@ def _compare(
     if back != separate:
         failures.append(f"reverse lsum {back} != separate reverse build {separate}")
 
-    if x_len >= 2 and y_len >= 2 and lsum > 0:
+    measured = x_len >= 2 and y_len >= 2 and lsum > 0
+    if measured:
         if back > 0:
             acs_xy = Fraction(lsum, x_len)
             acs_yx = Fraction(back, y_len)
@@ -290,6 +294,7 @@ def _compare(
             failures.append("self distance not zero")
 
     coverage[_path(engine.trie)] += 1
+    coverage["pairs_without_dist"] += int(not (measured and back > 0))
     for view in (engine, back_view):
         m = view.max_run[view.first.runs[:, 0]]
         coverage["runs_over_m"] += int(((view.first.runs[:, 1] > m) & (m > 0)).sum())

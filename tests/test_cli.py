@@ -190,6 +190,31 @@ def test_text_format_uses_file_stems(tmp_path, capsys):
     assert "X: left" in out and "Y: right" in out and "ACS = 4/3" in out
 
 
+@pytest.mark.parametrize(
+    "fmt, files",
+    [
+        ("fasta", {"pair.fa": ">X\naab\n>Y\nab\n"}),
+        ("rle", {"pair.rle": ">X\na2 b1\n>Y\na1 b1\n"}),
+        ("text", {"X.txt": "aab\n", "Y.txt": "ab\n"}),
+    ],
+)
+def test_leading_byte_order_mark_is_not_input(tmp_path, capsys, fmt, files):
+    paths = []
+    for name, text in files.items():
+        path = tmp_path / name
+        # utf-8-sig writes the mark before the text
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        paths.append(str(path))
+    assert main(["acs", *paths, "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "X: X (runs=2, length=3)",
+        "Y: Y (runs=2, length=2)",
+        "N: 4",
+        "ACS = 4/3 ≈ 1.333333",
+    ]
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--trials", "6", "--n-max", "60", "--seed", "5"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "6/6 ok"
@@ -202,6 +227,7 @@ def test_verify_reports_coverage_on_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == "4/4 ok\n"
     assert captured.err.startswith("builds: 5 int64, each matched by an exact rebuild, 1 exact; ")
+    assert captured.err.endswith("; distance: 0 pairs skipped (a side shorter than 2 or a zero total)\n")
 
 
 def test_bench_smoke(capsys):

@@ -316,6 +316,66 @@ def test_streamed_runs_match_groupby_reference(bodies, newline, block_chars):
                 read_fasta_records(io.StringIO(fasta))
 
 
+@pytest.mark.parametrize("block_chars", range(1, 9))
+def test_rle_line_numbers_and_merges_across_blocks(block_chars, monkeypatch):
+    # "b1 c1 d1 a2" is longer than any of these blocks, so "a2" and "a3"
+    # sit in different blocks, and record r spans several
+    monkeypatch.setattr(rle, "BLOCK_CHARS", block_chars)
+    lines = [">r", "b1 c1 d1 a2", "", "a3 b1", "  c2\t", ">s", "b2 a1", "c1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = read_rle_records("\n".join(lines) + "\n")
+    assert [str(w.message) for w in caught] == ["record r: merged 1 adjacent equal-symbol runs"]
+    a, b, c, d = map(ord, "abcd")
+    assert [(r.name, r.runs.tolist()) for r in records] == [
+        ("r", [[b, 1], [c, 1], [d, 1], [a, 5], [b, 1], [c, 2]]),
+        ("s", [[b, 2], [a, 1], [c, 1]]),
+    ]
+    # a bad token on line k of either record reports line k (record r warns
+    # of its merge when it closes before a bad token of record s)
+    for k in range(2, len(lines) + 2):
+        text = "\n".join([*lines[: k - 1], "a1 zz9", *lines[k - 1 :]]) + "\n"
+        with warnings.catch_warnings(), pytest.raises(ParseError) as caught:
+            warnings.simplefilter("ignore")
+            read_rle_records(text)
+        assert (str(caught.value), caught.value.line) == (f"line {k}: bad run token 'zz9'", k)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("block_chars", [*range(1, 9), 1 << 20])
+def test_blank_lines_indented_headers_and_crlf_keep_records_and_lines(
+    block_chars, newline, monkeypatch
+):
+    monkeypatch.setattr(rle, "BLOCK_CHARS", block_chars)
+
+    def text(*lines):
+        return newline.join(lines) + newline
+
+    head = ["", " \t", "\u3000"]  # blank and whitespace-only lines
+    fasta = read_fasta_records(text(*head, " >a", "AA C ", "", "\t>b x", "C"))
+    A, C, space = ord("A"), ord("C"), ord(" ")
+    assert [(r.name, r.runs.tolist()) for r in fasta] == [
+        ("a", [[A, 2], [space, 1], [C, 1]]),
+        ("b x", [[C, 1]]),
+    ]
+    runs = read_rle_records(text(*head, " >a", " a2 b1", "", "\t>b", "b3"))
+    assert [(r.name, r.runs.tolist()) for r in runs] == [
+        ("a", [[ord("a"), 2], [ord("b"), 1]]),
+        ("b", [[ord("b"), 3]]),
+    ]
+    raw = read_text_record(text(*head, " >a", "AA C ", ""), "t")
+    assert raw.runs.tolist() == [[ord(">"), 1], [ord("a"), 1], [A, 2], [space, 1], [C, 1]]
+    # line numbers count the blank lines
+    with pytest.raises(ParseError, match="^line 4: sequence data before the first header$"):
+        read_fasta_records(text(*head, "AC", ">a", "C"))
+    with pytest.raises(ParseError, match="^line 7: missing record name$"):
+        read_fasta_records(text(*head, " >a", "AC", "", " > "))
+    with pytest.raises(ParseError, match="^line 4: run data before the first record header$"):
+        read_rle_records(text(*head, "a1", ">a", "a1"))
+    with pytest.raises(ParseError, match="^line 6: bad run token 'b'$"):
+        read_rle_records(text(*head, " >a", "a1", "a2 b"))
+
+
 def test_ingest_errors_keep_their_order():
     # line-numbered parse errors first, in line order
     with pytest.raises(ParseError, match="^line 1: sequence data before the first header$"):
@@ -336,13 +396,9 @@ def test_ingest_errors_keep_their_order():
         encode("abcd", alphabet=Alphabet.from_symbols("ab"))
 
 
-def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):
-    # 4e6 characters in runs of about 5000; with 64 KiB blocks the parse
-    # must stay far below the decoded length, which holding a record's
-    # whole text (or a list of all its lines) would exceed
+def _write_long_runs_fasta(path, length):
+    """Records x and y of length // 2 characters each, in runs of about 5000."""
     rng = random.Random(5)
-    length = 4_000_000
-    path = tmp_path / "long.fasta"
     with open(path, "w", encoding="utf-8") as fh:
         for name in ("x", "y"):
             fh.write(f">{name}\n")
@@ -357,6 +413,15 @@ def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):
             body = "".join(line)[: length // 2]
             fh.writelines(body[k : k + 60] + "\n" for k in range(0, len(body), 60))
             del line, body
+
+
+def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):
+    # 4e6 characters in runs of about 5000; with 64 KiB blocks the parse
+    # must stay far below the decoded length, which holding a record's
+    # whole text (or a list of all its lines) would exceed
+    length = 4_000_000
+    path = tmp_path / "long.fasta"
+    _write_long_runs_fasta(path, length)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rle, "BLOCK_CHARS", 1 << 16)
         tracemalloc.start()
@@ -367,4 +432,22 @@ def test_fasta_ingest_memory_is_bounded_by_the_block(tmp_path):
         finally:
             tracemalloc.stop()
     assert sum(s.content_length for s in seqs) == length
+    assert peak < length // 8
+
+
+def test_text_ingest_memory_is_bounded_by_the_block(tmp_path):
+    # the same input read as raw text: one record, headers included
+    length = 4_000_000
+    path = tmp_path / "long.fasta"
+    _write_long_runs_fasta(path, length)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rle, "BLOCK_CHARS", 1 << 16)
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                seqs, _ = build_text_sequences([read_text_record(fh, "t")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert seqs[0].content_length == length + len(">x>y")
     assert peak < length // 8

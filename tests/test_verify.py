@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ def test_report_counts_both_paths_and_run_cases():
     assert report.exact_builds == 2
     assert report.runs_over_m > 0 and report.runs_without_m > 0
     assert "2 exact" in report.coverage
+    assert report.pairs_without_dist == 1
+    assert report.coverage.endswith("distance: 1 pairs skipped (a side shorter than 2 or a zero total)")
+
+
+def test_coverage_counts_pairs_whose_distance_was_skipped():
+    coverage = Counter()
+    for x_text, y_text in (("aab", "ba"), ("a", "ab"), ("aa", "bb"), ("ab", "b")):
+        first, second, _ = make_pair(x_text, y_text)
+        assert check_pair(first, second, coverage=coverage) == []
+    # "a" and "b" are shorter than 2; "aa" and "bb" share no symbol, so both totals are 0
+    assert coverage["pairs_without_dist"] == 3
 
 
 def test_stretched_pairs_pass_the_run_walk():
