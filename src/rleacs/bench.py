@@ -78,8 +78,9 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
         engine = AcsEngine(first, second)
+        column = engine.column(1)
         t1 = time.perf_counter()
-        lsum = engine.total()
+        lsum = engine.total(0, column)
         t2 = time.perf_counter()
         best_build = min(best_build, t1 - t0)
         best_query = min(best_query, t2 - t1)

@@ -83,6 +83,7 @@ def _pair_header(first: RleSeq, second: RleSeq) -> list[str]:
 
 
 def _write_out(config: RunConfig, text: str) -> None:
+    """Write --out's file; callers do it before printing, so a failed write prints nothing."""
     if config.out:
         Path(config.out).write_text(text, encoding="utf-8")
 
@@ -90,9 +91,6 @@ def _write_out(config: RunConfig, text: str) -> None:
 def cmd_acs(config: RunConfig) -> int:
     first, second = _load_pair(config)
     result = acs(first, second)
-    for line in _pair_header(first, second):
-        print(line)
-    print(f"ACS = {result.lsum}/{result.x} ≈ {result.as_float:.6f}")
     header = "x\ty\truns_x\truns_y\tlength_x\tlength_y\tlsum\tacs\tacs_decimal"
     row = (
         f"{first.name}\t{second.name}\t{first.run_count}\t{second.run_count}"
@@ -100,19 +98,15 @@ def cmd_acs(config: RunConfig) -> int:
         f"\t{result.lsum}\t{result.lsum}/{result.x}\t{result.as_float!r}"
     )
     _write_out(config, f"{header}\n{row}\n")
+    for line in _pair_header(first, second):
+        print(line)
+    print(f"ACS = {result.lsum}/{result.x} ≈ {result.as_float:.6f}")
     return EXIT_OK
 
 
 def cmd_dist(config: RunConfig) -> int:
     first, second = _load_pair(config)
     result = dist(first, second, config.log_base)
-    for line in _pair_header(first, second):
-        print(line)
-    print(f"ACS(X,Y) = {result.acs_xy}")
-    print(f"ACS(Y,X) = {result.acs_yx}")
-    print(f"ACS(X,X) = {result.acs_xx}")
-    print(f"ACS(Y,Y) = {result.acs_yy}")
-    print(f"Dist = {result.value!r} (log base {result.log_base})")
     header = "x\ty\tlog_base\tacs_xy\tacs_yx\tacs_xx\tacs_yy\tdist"
     row = (
         f"{first.name}\t{second.name}\t{result.log_base}"
@@ -120,6 +114,13 @@ def cmd_dist(config: RunConfig) -> int:
         f"\t{result.value!r}"
     )
     _write_out(config, f"{header}\n{row}\n")
+    for line in _pair_header(first, second):
+        print(line)
+    print(f"ACS(X,Y) = {result.acs_xy}")
+    print(f"ACS(Y,X) = {result.acs_yx}")
+    print(f"ACS(X,X) = {result.acs_xx}")
+    print(f"ACS(Y,Y) = {result.acs_yy}")
+    print(f"Dist = {result.value!r} (log base {result.log_base})")
     return EXIT_OK
 
 

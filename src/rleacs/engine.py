@@ -1,17 +1,17 @@
 """Average common substring measure and distance over run-length encoded sequences.
 
-The engine computes, for every position p of the first sequence, the longest
-prefix of first[p:] occurring anywhere in the second sequence, without ever
-decoding, from one query trie over a family that holds both (the pair for
-acs and dist, every record for dist_matrix) and the second's column of it.
-Positions are processed one run at a time: the answers within a run follow
-a closed form built from two ancestor lookups. Every run of a direction is
-answered in one batch, two vectorized lifting climbs, and dist_matrix
-answers every other record against a column in one such batch, so a family
-of N total runs costs O(N log N) per column. All accumulation is exact
-integer arithmetic: in int64 while the family's decoded length proves it
-exact (see SymbolTrie.int64), in Python ints past that bound; floats appear
-only in the final distance value.
+The engine computes, for every position p of a sequence X, the longest
+prefix of X[p:] occurring anywhere in a sequence Y, without ever decoding,
+from one query trie over a family that holds both (the pair for acs and
+dist, every record for dist_matrix) and Y's column of it. Positions are
+processed one run at a time: the answers within a run follow a closed form
+built from two ancestor lookups. Every run of X is answered in one batch,
+two vectorized lifting climbs, and dist_matrix answers every other record
+against a column in one such batch, so a family of N total runs costs
+O(N log N) per column. All accumulation is exact integer arithmetic: in
+int64 while the family's decoded length proves it exact (see
+SymbolTrie.int64), in Python ints past that bound; floats appear only in
+the final distance value.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from rleacs.rle import RleSeq
-from rleacs.suffixes import build_suffix_order, longest_run_table
+from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tries
 
 # natural, binary and common logs in the current decimal context
@@ -59,96 +59,72 @@ class DistResult:
 
 
 class AcsEngine:
-    """ACS(first, second) from a query trie over a family that holds both.
+    """Every ACS between the sequences of a family, from one query trie over them.
 
-    AcsEngine(first, second) builds the pair's own trie (k = 2) and keeps no
-    suffix order. total(), run_sums() and run_sum(r) score first against
-    second from the trie and second's column. reverse is the same trie with
-    first's column: no second suffix order or trie, but one more annotation
-    on each access, so callers should hold it. Instances keep the caller's
-    sequences, are immutable after construction (trie and column are frozen
-    records of read-only arrays) and are safe to query from multiple threads.
-    _exact builds on the exact-int path whatever the pair's length, so the
-    two paths can be compared.
+    AcsEngine(*seqs) builds the family's trie once and keeps no suffix
+    order; a pair is the family of k = 2. column(j) annotates seqs[j]'s
+    column, which holds all that a query against seqs[j] reads. total(i,
+    column) and run_sums(i, column) score seqs[i] against the column's
+    sequence, and totals(j, column) scores every other sequence against
+    seqs[j] in one batch. A column answers every sequence but its own: a
+    run's self-match needs its own leaf, which no climb visits. Instances
+    keep the caller's sequences, are immutable after construction (the trie
+    and every column are frozen records of read-only arrays) and are safe
+    to query from multiple threads. _exact builds on the exact-int path
+    whatever the family's length, so the two paths can be compared.
     """
 
-    def __init__(self, first: RleSeq, second: RleSeq, *, _exact: bool = False) -> None:
-        seqs = (first, second)
-        trie = extract_symbol_tries(build_suffix_order(*seqs), _exact=_exact)
-        self._bind(trie, seqs, 0, 1, annotate(trie, trie.leaves[1], second.runs[:, 1]))
-
-    def _bind(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
-        self.trie = trie
+    def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
         self.seqs = seqs
-        self.first = seqs[i]
-        self.second = seqs[j]
-        self._pair = (i, j)
-        self.column = column
-        self.max_run = _max_run(seqs, j)
+        self.trie = extract_symbol_tries(build_suffix_order(*seqs), _exact=_exact)
 
-    def run_leaves(self) -> np.ndarray:
-        """The trie leaf of the suffix after each run 1..run_count of the first sequence."""
-        return self.trie.leaves[self._pair[0]]
+    def column(self, j: int) -> Column:
+        """The column of seqs[j], annotated afresh on each call."""
+        return annotate(self.trie, self.trie.leaves[j], self.seqs[j].runs)
 
-    @property
-    def reverse(self) -> AcsEngine:
-        """The same trie seen from the other side: ACS(second, first)."""
-        i, j = self._pair
-        column = annotate(self.trie, self.run_leaves(), self.first.runs[:, 1])
-        return Direction(self.trie, self.seqs, j, i, column)
-
-    def run_sum(self, i: int) -> int:
-        """Sum of best match lengths over the positions of the i-th run.
-
-        A batch of one run; see run_sums. i runs from 1 to run_count.
-        """
-        if not 1 <= i <= self.first.run_count:
-            raise IndexError(f"run {i} outside 1..{self.first.run_count}")
-        return int(self._sums(self.first.runs[i - 1 : i], self.run_leaves()[i - 1 : i])[0])
-
-    def run_sums(self) -> list[int]:
-        """Sum of best match lengths over the positions of each run 1..run_count.
+    def run_sums(self, i: int, column: Column) -> list[int]:
+        """Sum of best match lengths over the positions of each run of seqs[i].
 
         For a run of symbol s and length f whose positions have h = f..1
         trailing copies of s, the best match at offset h is capped by m, the
-        longest s-run in the second sequence: m when h > m, otherwise h plus
-        the continuation depth of the deepest ancestor (of the following
-        suffix's leaf, in the trie's s-block) still supported by a
-        second-sequence run of at least h. Summing the ancestor depths over h
-        telescopes into two weight lookups, at the deepest ancestors with
-        support 1 and min(f, m).
+        column's longest s-run: m when h > m, otherwise h plus the
+        continuation depth of the deepest ancestor (of the following
+        suffix's leaf, in the trie's s-block) still supported by a run of
+        the column's sequence of at least h. Summing the ancestor depths
+        over h telescopes into two weight lookups, at the deepest ancestors
+        with support 1 and min(f, m).
         """
-        return self._sums(self.first.runs, self.run_leaves()).tolist()
+        return _closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]).tolist()
 
-    def _sums(self, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-        return _closed_form(self.trie, self.column, self.max_run, runs, leaves)
+    def total(self, i: int, column: Column) -> int:
+        """Sum of best match lengths over every position of seqs[i]."""
+        return int(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]).sum())
 
-    def total(self) -> int:
-        """Sum of best match lengths over every position of the first sequence."""
-        return int(self._sums(self.first.runs, self.run_leaves()).sum())
+    def totals(self, j: int, column: Column) -> list[int]:
+        """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
+
+        The runs of all the other sequences are answered in one batch, one
+        _closed_form call, and cut back into one exact sum per sequence.
+        """
+        others = [i for i in range(len(self.seqs)) if i != j]
+        totals = [0] * len(self.seqs)
+        if not others:
+            return totals
+        runs = np.concatenate([self.seqs[i].runs for i in others])
+        leaves = np.concatenate([self.trie.leaves[i] for i in others])
+        sums = _closed_form(self.trie, column, runs, leaves)
+        cuts = np.cumsum([self.seqs[i].run_count for i in others[:-1]], dtype=np.int64)
+        for i, part in zip(others, np.split(sums, cuts)):
+            totals[i] = int(part.sum())
+        return totals
 
 
-class Direction(AcsEngine):
-    """ACS(seqs[i], seqs[j]), i != j, over an existing trie over seqs and seqs[j]'s column."""
-
-    def __init__(self, trie: SymbolTrie, seqs: tuple[RleSeq, ...], i: int, j: int, column: Column) -> None:
-        self._bind(trie, seqs, i, j, column)
-
-
-def _max_run(seqs: tuple[RleSeq, ...], j: int) -> np.ndarray:
-    """Longest run of seqs[j] for every symbol id of the family, 0 where absent."""
-    size = 1 + max(int(seq.runs[:, 0].max()) for seq in seqs)
-    return longest_run_table(seqs[j], size)
-
-
-def _closed_form(
-    trie: SymbolTrie, column: Column, max_run: np.ndarray, runs: np.ndarray, leaves: np.ndarray
-) -> np.ndarray:
+def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
     """Exact run sums, in the column's weight dtype, for the (symbol, length) rows of runs.
 
-    leaves holds the leaf after each run, and max_run the longest run of
-    the column's sequence per symbol. With g = min(f, m) and v, u the
-    deepest ancestors with support 1 and g, every run sums to
+    leaves holds the leaf after each run. With m the column's longest run
+    of the run's symbol, g = min(f, m) and v, u the deepest ancestors with
+    support 1 and g, every run sums to
     weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
     For f <= m that is the telescoped sum itself. For f > m every node on
     u's root path below the root has freq m (the s-block holds no longer
@@ -161,7 +137,7 @@ def _closed_form(
     the products reach 2^124.
     """
     lengths = runs[:, 1]
-    g = np.minimum(lengths, max_run[runs[:, 0]])
+    g = np.minimum(lengths, column.max_run[runs[:, 0]])
     # the root's support is the column's longest run, at least 1 and at
     # least g, so neither climb returns -1
     v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
@@ -172,36 +148,12 @@ def _closed_form(
     return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
 
 
-def column_totals(trie: SymbolTrie, seqs: tuple[RleSeq, ...], j: int, column: Column) -> list[int]:
-    """Total of every sequence of the family against seqs[j], from its column; 0 at j.
-
-    The runs of all the other sequences are answered in one batch, one
-    _closed_form call, and cut back into one exact sum per sequence. seqs[j]
-    itself is left out: a run's self-match needs its own leaf, which no
-    climb visits.
-    """
-    others = [i for i in range(len(seqs)) if i != j]
-    totals = [0] * len(seqs)
-    if not others:
-        return totals
-    runs = np.concatenate([seqs[i].runs for i in others])
-    leaves = np.concatenate([trie.leaves[i] for i in others])
-    sums = _closed_form(trie, column, _max_run(seqs, j), runs, leaves)
-    cuts = np.cumsum([seqs[i].run_count for i in others[:-1]], dtype=np.int64)
-    for i, part in zip(others, np.split(sums, cuts)):
-        totals[i] = int(part.sum())
-    return totals
-
-
-def _average(engine: AcsEngine) -> AcsResult:
-    lsum = engine.total()
-    x = engine.first.content_length
-    return AcsResult(lsum=lsum, x=x, value=Fraction(lsum, x))
-
-
 def acs(first: RleSeq, second: RleSeq) -> AcsResult:
     """Average over first's positions of the longest match into second."""
-    return _average(AcsEngine(first, second))
+    engine = AcsEngine(first, second)
+    lsum = engine.total(0, engine.column(1))
+    x = first.content_length
+    return AcsResult(lsum=lsum, x=x, value=Fraction(lsum, x))
 
 
 def acs_self(length: int) -> Fraction:
@@ -246,15 +198,16 @@ def dist_value(
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     """Symmetric distance between two sequences, from one engine build.
 
-    Both cross averages, ACS(X,Y) and ACS(Y,X), come from the same query
-    trie (AcsEngine and its reverse view). Degenerate inputs are rejected:
+    Both cross averages, ACS(X,Y) and ACS(Y,X), come from the pair's one
+    query trie, one column each. Degenerate inputs are rejected:
     decoded lengths below 2 make the normalization meaningless, and a pair
     with no common symbol has average match 0, which has no finite distance.
     """
     if log_base not in LOG_FUNCTIONS:
         raise ValueError(f"unknown log base {log_base!r}")
     engine = AcsEngine(first, second)
-    return _distance(first, second, engine.total(), engine.reverse.total(), log_base)
+    lsum_xy = engine.total(0, engine.column(1))
+    return _distance(first, second, lsum_xy, engine.total(1, engine.column(0)), log_base)
 
 
 def _distance(first: RleSeq, second: RleSeq, lsum_xy: int, lsum_yx: int, log_base: str) -> DistResult:
@@ -280,15 +233,15 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
     """All pairwise distances from one query trie over the whole family.
 
     Each sequence's column is annotated once, answers every other sequence
-    in one batch (column_totals), and is dropped; threads workers take the
-    columns, so at most that many are alive at once. A failing pair raises ValueError naming it; with
-    several, the first in row order, whatever the thread count.
+    in one batch (AcsEngine.totals), and is dropped; threads workers take
+    the columns, so at most that many are alive at once. A failing pair
+    raises ValueError naming it; with several, the first in row order,
+    whatever the thread count.
     """
-    seqs = tuple(seqs)
-    trie = extract_symbol_tries(build_suffix_order(*seqs))
+    engine = AcsEngine(*seqs)
 
     def against(j: int) -> list[int]:
-        return column_totals(trie, seqs, j, annotate(trie, trie.leaves[j], seqs[j].runs[:, 1]))
+        return engine.totals(j, engine.column(j))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         totals = list(pool.map(against, range(len(seqs))))

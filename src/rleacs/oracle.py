@@ -28,6 +28,7 @@ from rleacs.suffixes import SuffixOrder, token_bounds
 
 if TYPE_CHECKING:
     from rleacs.engine import AcsEngine
+    from rleacs.symbol_tries import Column
 
 DEFAULT_POSITION_CAP = 1_000_000
 REFERENCE_DIGITS = 80
@@ -280,27 +281,30 @@ def run_walk_total(first: RleSeq, second: RleSeq) -> int:
     return total
 
 
-def per_position_lengths(engine: AcsEngine, cap: int = DEFAULT_POSITION_CAP) -> list[int]:
-    """Best match length at every decoded position of engine.first, one ancestor query each.
+def per_position_lengths(
+    engine: AcsEngine, i: int, column: Column, cap: int = DEFAULT_POSITION_CAP
+) -> list[int]:
+    """Best match length at every decoded position of engine.seqs[i] against column's sequence.
 
     This drives the engine's own query trie without the per-run closed
-    forms, so it checks run_sum/total rather than replacing them. All
-    positions go through one batched climb, the position with h trailing
-    copies of its run's symbol s at threshold min(h, m_s). It costs
-    O(x log N) for decoded length x; the cap keeps accidental huge
-    expansions from running away, and keeps every value inside int64.
+    forms, one ancestor query per position, so it checks run_sums/total
+    rather than replacing them. All positions go through one batched climb,
+    the position with h trailing copies of its run's symbol s at threshold
+    min(h, m_s). It costs O(x log N) for decoded length x; the cap keeps
+    accidental huge expansions from running away, and keeps every value
+    inside int64.
     """
-    x = engine.first.content_length
+    seq = engine.seqs[i]
+    x = seq.content_length
     if x > cap:
         raise ValueError(f"decoded length over validation cap: {x} > {cap}")
-    runs = engine.first.runs
-    f = runs[:, 1]
+    f = seq.runs[:, 1]
     # position p of a run that starts at position start has h = f - (p - start)
     starts = np.cumsum(f) - f
     h = np.repeat(f + starts, f) - np.arange(x)
-    m = np.repeat(engine.max_run[runs[:, 0]], f)
-    leaves = np.repeat(engine.run_leaves(), f)
-    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), engine.column.freq)
+    m = np.repeat(column.max_run[seq.runs[:, 0]], f)
+    leaves = np.repeat(engine.trie.leaves[i], f)
+    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), column.freq)
     return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
 

@@ -54,16 +54,6 @@ class Trie:
     leaves: list[int]
 
 
-def longest_run_table(seq: RleSeq, size: int) -> np.ndarray:
-    """Longest run of each symbol id below size in the sequence, 0 where absent.
-
-    size must exceed every id that will be looked up, not only those in seq.
-    """
-    table = np.zeros(size, dtype=np.int64)
-    np.maximum.at(table, seq.runs[:, 0], seq.runs[:, 1])
-    return table
-
-
 def token_string(*seqs: RleSeq) -> np.ndarray:
     """The k sequences as one int64 array of (symbol, length) tokens.
 

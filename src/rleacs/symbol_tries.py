@@ -14,11 +14,12 @@ extract_symbol_tries returns the trie's shape whole, as one frozen record of
 read-only int64 arrays: parent, depth, lifting rows, a top-down node order
 and the leaf after each run of each sequence. The answers against sequence
 j need one column, built by annotate: freq, the largest length of a
-preceding sequence-j run among the leaves below each node, and weight, a
+preceding sequence-j run among the leaves below each node; weight, a
 running sum that turns "sum of ancestor depths over a range of thresholds"
-queries into two node lookups. Ancestor searches climb with binary lifting,
-one vectorized step per row for a whole batch of (leaf, threshold) pairs, so
-a batch of q queries costs O(q log N).
+queries into two node lookups; and max_run, sequence j's longest run of
+each symbol. Ancestor searches climb with binary lifting, one vectorized
+step per row for a whole batch of (leaf, threshold) pairs, so a batch of q
+queries costs O(q log N).
 
 The arithmetic is chosen once per build, from the family's decoded length L,
 every record's content plus its terminator. While L <= INT64_LENGTH_BOUND =
@@ -55,10 +56,11 @@ class SymbolTrie:
     leaves of one preceding-run symbol form a contiguous block, in suffix
     order, and the blocks follow symbol order. up[k] maps each node to its
     2^k-th ancestor; topdown lists every node after its parent, root first.
-    Every array is read-only int64. One shape serves every sequence's
-    column: swapping which sequence is queried only swaps the order of
-    leaves with equal decoded content, which are siblings, so every parent
-    and depth stays as it is.
+    Every array is read-only int64. symbols is one more than the family's
+    largest symbol id. One shape serves every sequence's column: swapping
+    which sequence is queried only swaps the order of leaves with equal
+    decoded content, which are siblings, so every parent and depth stays as
+    it is.
 
     int64 holds when the family's decoded length L is at most
     INT64_LENGTH_BOUND; its columns' weights, and the run sums answered from
@@ -77,6 +79,7 @@ class SymbolTrie:
     up: tuple[np.ndarray, ...]
     topdown: np.ndarray
     leaves: tuple[np.ndarray, ...]
+    symbols: int
     int64: bool
 
     @property
@@ -105,10 +108,12 @@ class SymbolTrie:
 @dataclass(frozen=True, eq=False)
 class Column:
     """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
-    freq, and weight in int64 or, past the trie's int64 bound, object dtype."""
+    freq per node and max_run per symbol id, and weight per node in int64
+    or, past the trie's int64 bound, object dtype."""
 
     freq: np.ndarray
     weight: np.ndarray
+    max_run: np.ndarray
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -135,9 +140,10 @@ def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(up)
 
 
-def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Column:
-    """The column of one sequence: leaves[i] starts at lengths[i], the rest at 0.
+def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
+    """The column of one sequence from its (symbol, length) runs and the leaf after each.
 
+    max_run[s] is the sequence's longest run of symbol s, 0 where absent.
     freq[v] is the largest length of a run of the sequence whose following
     suffix's leaf lies below v, and weight[v] is weight[parent] + freq[v] *
     (str_depth[v] - str_depth[parent]), 0 at the root. freq becomes that
@@ -155,8 +161,11 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Colum
     nothing, and rows that reach every node's depth give the whole path.
     Past the bound, weight flows top-down in exact Python ints.
     """
+    max_run = np.zeros(trie.symbols, dtype=np.int64)
+    np.maximum.at(max_run, runs[:, 0], runs[:, 1])
+    max_run.flags.writeable = False
     freq = np.zeros(trie.node_count, dtype=np.int64)
-    freq[leaves] = lengths
+    freq[leaves] = runs[:, 1]
     for row in trie.up:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
@@ -166,7 +175,7 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Colum
         for row in trie.up:
             weight += weight[row]
         weight.flags.writeable = False
-        return Column(freq, weight)
+        return Column(freq, weight, max_run)
 
     # sums[k] is the weight of topdown[k]; a chunk of nodes at a time keeps
     # few of the step products alive at once
@@ -181,7 +190,7 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, lengths: np.ndarray) -> Colum
             sums.append(sums[p] + step)
     weight = np.array(sums, dtype=object)[slot]
     weight.flags.writeable = False
-    return Column(freq, weight)
+    return Column(freq, weight, max_run)
 
 
 def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolTrie:
@@ -231,5 +240,6 @@ def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolT
         up=_lifting_rows(parent),
         topdown=_frozen(popped[::-1]),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
+        symbols=int(runs[:, 0].max()) + 1,
         int64=length <= INT64_LENGTH_BOUND and not _exact,
     )

@@ -5,11 +5,12 @@ through fixed grids), then checks every layer: suffix order and lcps against
 the brute sort, match-length totals in both directions against the brute
 scan and against a separate reverse build, per-run sums against per-position
 sums, the final run against its closed forms, distance axioms and the
-decimal reference distance, and the structural invariants of the tries.
+decimal reference distance (or, for a pair without a distance, its refusal
+by dist and dist_matrix), and the structural invariants of the tries.
 Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
-another has, and checks every ordered pair's total from the one family
-build against the brute scan, and every column's invariants. Every pair and
+another has, and checks every ordered pair's total and run sums from the
+one family build against the brute scan, and every column's invariants. Every pair and
 family build is also rebuilt on the exact-int path, and its columns and
 totals compared with the int64 ones; the family's first two records, each
 with its longest run STRETCH longer, give one more pair past the int64
@@ -31,7 +32,7 @@ from string import ascii_lowercase
 
 import numpy as np
 
-from rleacs.engine import AcsEngine, acs_self, column_totals, dist_value
+from rleacs.engine import AcsEngine, acs_self, dist, dist_matrix, dist_value
 from rleacs.oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -46,7 +47,7 @@ from rleacs.oracle import (
 )
 from rleacs.rle import Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
-from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tries
+from rleacs.symbol_tries import Column, SymbolTrie
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -62,8 +63,9 @@ class VerifyReport:
     each matched against an exact-int rebuild; exact_builds those past the
     bound. runs_over_m and runs_without_m count the runs of the checked pair
     directions with f > m > 0 and with m == 0, m the other sequence's
-    longest run of their symbol. pairs_without_dist counts the pairs whose
-    distance checks were skipped: a side shorter than 2, or a zero total.
+    longest run of their symbol. refusals counts the pairs without a
+    distance (a side shorter than 2, or no common symbol) whose refusal by
+    dist and dist_matrix was checked; every other pair's distance is.
     """
 
     passed: int
@@ -74,7 +76,7 @@ class VerifyReport:
     exact_builds: int = 0
     runs_over_m: int = 0
     runs_without_m: int = 0
-    pairs_without_dist: int = 0
+    refusals: int = 0
 
     @property
     def ok(self) -> bool:
@@ -85,8 +87,8 @@ class VerifyReport:
         return (
             f"builds: {self.int64_builds} int64, each matched by an exact rebuild, "
             f"{self.exact_builds} exact; runs: {self.runs_over_m} with f > m > 0, "
-            f"{self.runs_without_m} with m == 0; distance: {self.pairs_without_dist} "
-            "pairs skipped (a side shorter than 2 or a zero total)"
+            f"{self.runs_without_m} with m == 0; distance: {self.refusals} "
+            "refusals checked (a side shorter than 2 or no common substring)"
         )
 
 
@@ -184,10 +186,12 @@ def check_pair(
 
     The forward direction (first scored against second) gets every check;
     the reverse direction, answered from the same build, is checked by its
-    total against the brute scan and against engine_factory(second, first).
-    Both directions' totals, and with deep their columns and run sums, are
-    matched against an exact-int rebuild. coverage, if given, counts the
-    build's path and the run cases (see VerifyReport).
+    total and run sums against the brute scan and by its total against
+    engine_factory(second, first). Both columns' totals, and with deep the
+    columns themselves, are matched against an exact-int rebuild. A pair
+    without a distance must be refused by dist and dist_matrix with the
+    reason. coverage, if given, counts the build's path, the run cases and
+    the refusals (see VerifyReport).
 
     A crash inside the engine under test is itself a finding, so engine
     exceptions are reported as failures rather than raised. Oracle budget
@@ -197,15 +201,15 @@ def check_pair(
         engine = engine_factory(first, second)
     except Exception as exc:
         return [f"engine build raised {type(exc).__name__}: {exc}"]
-    first, second = engine.first, engine.second
+    first, second = engine.seqs
     x_text = decode_ids(first)
     y_text = decode_ids(second)
     brute_order = brute_suffix_sort(first, second, budget)
     brute_lengths = brute_match_lengths(x_text, y_text, budget)
-    brute_reverse = sum(brute_match_lengths(y_text, x_text, budget))
+    brute_back = brute_match_lengths(y_text, x_text, budget)
     try:
         return _compare(
-            engine, brute_order, brute_lengths, brute_reverse, x_text, y_text,
+            engine, brute_order, brute_lengths, brute_back,
             engine_factory=engine_factory, deep=deep,
             coverage=Counter() if coverage is None else coverage,
         )
@@ -217,16 +221,16 @@ def _compare(
     engine,
     brute_order,
     brute_lengths: list[int],
-    brute_reverse: int,
-    x_text: str,
-    y_text: str,
+    brute_back: list[int],
     *,
     engine_factory,
     deep: bool,
     coverage: Counter,
 ) -> list[str]:
     failures: list[str] = []
-    first, second = engine.first, engine.second
+    first, second = engine.seqs
+    x_len = first.content_length
+    y_len = second.content_length
     order = build_suffix_order(first, second)
     if not np.array_equal(order.tokens, brute_order.tokens):
         failures.append("suffix order differs from brute sort")
@@ -235,73 +239,97 @@ def _compare(
     if not np.array_equal(order.suffix_lengths, brute_order.suffix_lengths):
         failures.append("suffix lengths differ from brute sort")
 
-    lsum = engine.total()
+    # columns[j] answers the other sequence against sequence j
+    columns = (engine.column(0), engine.column(1))
+    lsum = engine.total(0, columns[1])
     if lsum != sum(brute_lengths):
         failures.append(f"lsum {lsum} != brute {sum(brute_lengths)}")
-    if not 0 <= lsum <= len(x_text) * len(y_text):
+    if not 0 <= lsum <= x_len * y_len:
         failures.append(f"lsum {lsum} outside [0, x*y]")
 
-    per_position = per_position_lengths(engine, cap=max(len(x_text), 1))
+    per_position = per_position_lengths(engine, 0, columns[1], cap=x_len)
     if per_position != brute_lengths:
         failures.append("per-position lengths differ from brute scan")
     if sum(per_position) != lsum:
         failures.append("per-position sum differs from per-run sum")
+    run_sums = engine.run_sums(0, columns[1])
+    if run_sums != _by_run(per_position, first):
+        failures.append("run sums do not match their positions")
 
-    bounds = list(accumulate(first.runs[:, 1].tolist(), initial=0))
-    for i, (run_sum, lo, hi) in enumerate(zip(engine.run_sums(), bounds, bounds[1:]), 1):
-        if run_sum != sum(per_position[lo:hi]):
-            failures.append(f"run {i} sum does not match its positions")
-            break
-
-    last = first.run_count
-    sym, f = first.runs[last - 1].tolist()
-    m = int(engine.max_run[sym])
+    sym, f = first.runs[-1].tolist()
+    m = int(columns[1].max_run[sym])
     closed = 0 if m == 0 else (f * (f + 1) // 2 if f <= m else m * f - m * (m - 1) // 2)
-    if engine.run_sum(last) != closed:
-        failures.append(f"final run sum {engine.run_sum(last)} != closed form {closed}")
+    if run_sums[-1] != closed:
+        failures.append(f"final run sum {run_sums[-1]} != closed form {closed}")
 
-    self_engine = engine_factory(first, first)
-    x_len = first.content_length
-    y_len = second.content_length
-    acs_xx = self_engine.total()
-    if acs_xx * 2 != x_len * (x_len + 1):
+    itself = engine_factory(first, first)
+    acs_xx = itself.total(0, itself.column(1))
+    self_value = Fraction(acs_xx, x_len)
+    if self_value != acs_self(x_len):
         failures.append(f"self total {acs_xx} != closed form {x_len * (x_len + 1) // 2}")
+    elif abs(dist_value(x_len, x_len, self_value, self_value)) > 1e-12:
+        failures.append("self distance not zero")
 
-    back_view = engine.reverse
-    back = back_view.total()
-    if back != brute_reverse:
-        failures.append(f"reverse lsum {back} != brute {brute_reverse}")
-    separate = engine_factory(second, first).total()
+    back = engine.total(1, columns[0])
+    if back != sum(brute_back):
+        failures.append(f"reverse lsum {back} != brute {sum(brute_back)}")
+    if engine.run_sums(1, columns[0]) != _by_run(brute_back, second):
+        failures.append("reverse run sums do not match the brute positions")
+    swapped = engine_factory(second, first)
+    separate = swapped.total(0, swapped.column(1))
     if back != separate:
         failures.append(f"reverse lsum {back} != separate reverse build {separate}")
 
-    measured = x_len >= 2 and y_len >= 2 and lsum > 0
-    if measured:
-        if back > 0:
-            acs_xy = Fraction(lsum, x_len)
-            acs_yx = Fraction(back, y_len)
-            forward = dist_value(x_len, y_len, acs_xy, acs_yx)
-            backward = dist_value(y_len, x_len, acs_yx, acs_xy)
-            if abs(forward - backward) > 1e-12:
-                failures.append("distance not symmetric")
-            ref, scale = reference_dist(x_len, y_len, acs_xy, acs_yx)
-            if abs(Decimal(forward) - ref) > scale * Decimal(2) ** -52:
-                failures.append(f"distance {forward!r} off the decimal reference {ref:.20e}")
-        self_value = Fraction(acs_xx, x_len)
-        if self_value != acs_self(x_len):
-            failures.append("engine self average differs from closed form")
-        elif abs(dist_value(x_len, x_len, self_value, self_value)) > 1e-12:
-            failures.append("self distance not zero")
+    if x_len < 2 or y_len < 2 or lsum == 0 or back == 0:
+        failures.extend(_refusal_checks(first, second))
+        coverage["refusals"] += 1
+    else:
+        acs_xy = Fraction(lsum, x_len)
+        acs_yx = Fraction(back, y_len)
+        forward = dist_value(x_len, y_len, acs_xy, acs_yx)
+        backward = dist_value(y_len, x_len, acs_yx, acs_xy)
+        if abs(forward - backward) > 1e-12:
+            failures.append("distance not symmetric")
+        ref, scale = reference_dist(x_len, y_len, acs_xy, acs_yx)
+        if abs(Decimal(forward) - ref) > scale * Decimal(2) ** -52:
+            failures.append(f"distance {forward!r} off the decimal reference {ref:.20e}")
 
     coverage[_path(engine.trie)] += 1
-    coverage["pairs_without_dist"] += int(not (measured and back > 0))
-    for view in (engine, back_view):
-        m = view.max_run[view.first.runs[:, 0]]
-        coverage["runs_over_m"] += int(((view.first.runs[:, 1] > m) & (m > 0)).sum())
+    for i, seq in enumerate(engine.seqs):
+        m = columns[1 - i].max_run[seq.runs[:, 0]]
+        coverage["runs_over_m"] += int(((seq.runs[:, 1] > m) & (m > 0)).sum())
         coverage["runs_without_m"] += int((m == 0).sum())
-    failures.extend(_exact_checks(engine, back_view, deep))
+    exact = AcsEngine(first, second, _exact=True)
+    for j, column in enumerate(columns):
+        failures.extend(_exact_checks("pair", engine, exact, j, column, deep))
     if deep:
-        failures.extend(_structural_checks(engine, order))
+        failures.extend(_structural_checks(engine, columns, order))
+    return failures
+
+
+def _by_run(lengths: list[int], seq: RleSeq) -> list[int]:
+    """Per-position lengths of seq summed over each of its runs."""
+    bounds = list(accumulate(seq.runs[:, 1].tolist(), initial=0))
+    return [sum(lengths[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _refusal_checks(first: RleSeq, second: RleSeq) -> list[str]:
+    """dist and dist_matrix refuse a pair without a distance, with its reason."""
+    short = min(first.content_length, second.content_length) < 2
+    reason = "sequence too short" if short else "no common substring"
+    failures = []
+    named = f"pair {first.name}/{second.name}: {reason}"
+    for label, call, expect in (
+        ("dist", lambda: dist(first, second), reason),
+        ("dist_matrix", lambda: dist_matrix([first, second]), named),
+    ):
+        try:
+            call()
+        except ValueError as exc:
+            if str(exc) != expect:
+                failures.append(f"{label} refused with {str(exc)!r}, not {expect!r}")
+        else:
+            failures.append(f"{label} gave a distance, not {expect!r}")
     return failures
 
 
@@ -309,22 +337,17 @@ def _path(trie: SymbolTrie) -> str:
     return "int64_builds" if trie.int64 else "exact_builds"
 
 
-def _same_column(a: Column, b: Column) -> bool:
-    return a.freq.tolist() == b.freq.tolist() and a.weight.tolist() == b.weight.tolist()
-
-
-def _exact_checks(engine: AcsEngine, back: AcsEngine, deep: bool) -> list[str]:
-    """Both directions' totals, and with deep their columns and run sums,
-    against an exact-int rebuild of the pair."""
+def _exact_checks(
+    label: str, engine: AcsEngine, exact: AcsEngine, j: int, column: Column, deep: bool
+) -> list[str]:
+    """The totals against seqs[j], and with deep its column, against the exact-int rebuild's."""
     failures = []
-    exact = AcsEngine(engine.first, engine.second, _exact=True)
-    for prefix, view, rebuilt in (("", engine, exact), ("reverse ", back, exact.reverse)):
-        if view.total() != rebuilt.total():
-            failures.append(f"{prefix}total differs from the exact path's")
-        if deep and not _same_column(view.column, rebuilt.column):
-            failures.append(f"{prefix}column differs from the exact path's")
-        if deep and view.run_sums() != rebuilt.run_sums():
-            failures.append(f"{prefix}run sums differ from the exact path's")
+    rebuilt = exact.column(j)
+    fields = ("freq", "weight", "max_run")
+    if deep and any(getattr(column, f).tolist() != getattr(rebuilt, f).tolist() for f in fields):
+        failures.append(f"{label} column {j} differs from the exact path's")
+    if engine.totals(j, column) != exact.totals(j, rebuilt):
+        failures.append(f"{label} totals against {j} differ from the exact path's")
     return failures
 
 
@@ -352,8 +375,11 @@ def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -
     return failures
 
 
-def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
-    """Invariants of the main trie and of the engine's query trie, built on order."""
+def _structural_checks(
+    engine: AcsEngine, columns: tuple[Column, Column], order: SuffixOrder
+) -> list[str]:
+    """Invariants of the main trie and of the pair engine's query trie and two
+    columns, all built on order."""
     failures: list[str] = []
     trie = build_trie(order)
 
@@ -387,9 +413,9 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     leaf_ranks = [rank_of[v] for v in leaves]
 
     # the forward column counts the second sequence's runs, the reverse one the first's
-    seq_runs = (engine.first.runs, engine.second.runs)
-    for j, prefix, column in ((1, "", engine.column), (0, "reverse ", engine.reverse.column)):
-        failures.extend(_column_checks(f"query trie: {prefix}", query, column, j, seq_runs[j]))
+    seq_runs = tuple(seq.runs for seq in engine.seqs)
+    for j, prefix in ((1, ""), (0, "reverse ")):
+        failures.extend(_column_checks(f"query trie: {prefix}", query, columns[j], j, seq_runs[j]))
 
     runs = tuple(r.tolist() for r in seq_runs)
     leaf_refs = [refs[k] for k in leaf_ranks]
@@ -402,7 +428,7 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
     # blocks, depths as sums of the runs from the leaf's own on (a suffix
     # ends in its length-1 terminator), then interval mins
     gaps = [
-        suffix_lcp(engine.first, engine.second, a, b) if s == t else 0
+        suffix_lcp(*engine.seqs, a, b) if s == t else 0
         for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
     ]
     tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
@@ -423,43 +449,41 @@ def _structural_checks(engine: AcsEngine, order: SuffixOrder) -> list[str]:
 def check_family(
     seqs: list[RleSeq],
     *,
+    engine_factory=AcsEngine,
     budget: OracleBudget = DEFAULT_BUDGET,
     deep: bool = True,
     coverage: Counter | None = None,
 ) -> list[str]:
-    """Every ordered pair's total from one query trie over the family, against the brute scan.
+    """Every ordered pair from one engine over the family, against the brute scan.
 
     Each sequence's column is annotated and answered as dist_matrix does
-    it and, with deep, checked on its own: freq monotone, weight
-    telescoping, leaves holding that sequence's preceding runs. Totals, and
-    with deep columns, are matched against an exact-int rebuild. Engine
-    exceptions are failures.
+    it, and every other sequence's total and run sums are matched against
+    the brute per-position lengths. With deep, each column is also checked
+    on its own: freq monotone, weight telescoping, leaves holding that
+    sequence's preceding runs. Totals, and with deep columns, are matched
+    against an exact-int rebuild. Engine exceptions are failures.
     """
     seqs = tuple(seqs)
     texts = [decode_ids(seq) for seq in seqs]
     failures: list[str] = []
     try:
-        order = build_suffix_order(*seqs)
-        trie = extract_symbol_tries(order)
-        exact = extract_symbol_tries(order, _exact=True)
+        engine = engine_factory(*seqs)
+        exact = AcsEngine(*seqs, _exact=True)
         if coverage is not None:
-            coverage[_path(trie)] += 1
+            coverage[_path(engine.trie)] += 1
         for j, seq in enumerate(seqs):
-            column = annotate(trie, trie.leaves[j], seq.runs[:, 1])
-            exact_column = annotate(exact, exact.leaves[j], seq.runs[:, 1])
+            column = engine.column(j)
             if deep:
-                failures.extend(_column_checks(f"family column {j}: ", trie, column, j, seq.runs))
-            if deep and not _same_column(column, exact_column):
-                failures.append(f"family column {j} differs from the exact path's")
-            totals = column_totals(trie, seqs, j, column)
-            if totals != column_totals(exact, seqs, j, exact_column):
-                failures.append(f"family totals against {j} differ from the exact path's")
-            for i, total in enumerate(totals):
+                failures.extend(_column_checks(f"family column {j}: ", engine.trie, column, j, seq.runs))
+            failures.extend(_exact_checks("family", engine, exact, j, column, deep))
+            for i, total in enumerate(engine.totals(j, column)):
                 if i == j:
                     continue
-                brute = sum(brute_match_lengths(texts[i], texts[j], budget))
-                if total != brute:
-                    failures.append(f"family total {i}->{j} {total} != brute {brute}")
+                lengths = brute_match_lengths(texts[i], texts[j], budget)
+                if total != sum(lengths):
+                    failures.append(f"family total {i}->{j} {total} != brute {sum(lengths)}")
+                if engine.run_sums(i, column) != _by_run(lengths, seqs[i]):
+                    failures.append(f"family run sums {i}->{j} differ from the brute positions")
     except Exception as exc:
         return [f"family engine raised {type(exc).__name__}: {exc}"]
     return failures
@@ -496,7 +520,7 @@ def check_run_walk(
     """
     try:
         engine = engine_factory(first, second)
-        totals = (engine.total(), engine.reverse.total())
+        totals = (engine.total(0, engine.column(1)), engine.total(1, engine.column(0)))
     except Exception as exc:
         return [f"engine raised {type(exc).__name__}: {exc}"]
     if coverage is not None:
@@ -547,7 +571,9 @@ def run_verification(
             seqs = [encode(text, f"F{trial}.{j}", alphabet) for j, text in enumerate(texts)]
             failures = [
                 f"family: {f}"
-                for f in check_family(seqs, budget=budget, deep=deep, coverage=coverage)
+                for f in check_family(
+                    seqs, engine_factory=engine_factory, budget=budget, deep=deep, coverage=coverage
+                )
             ]
             if not failures:
                 seqs = [stretched(seq) for seq in seqs[:2]]

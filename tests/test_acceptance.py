@@ -77,7 +77,8 @@ def campaign() -> Campaign:
         # criterion 1: engine vs brute oracle, timed
         t0 = time.perf_counter()
         engine = AcsEngine(first, second)
-        lsum = engine.total()
+        columns = (engine.column(0), engine.column(1))
+        lsum = engine.total(0, columns[1])
         brute_order = brute_suffix_sort(first, second, BUDGET)
         brute_l = brute_match_lengths(x_text, y_text, BUDGET)
         if lsum != sum(brute_l):
@@ -91,20 +92,21 @@ def campaign() -> Campaign:
         result.oracle_seconds += time.perf_counter() - t0
 
         # criterion 3: per-position sums vs per-run sums, exact
-        per_position = per_position_lengths(engine, cap=N_MAX)
+        per_position = per_position_lengths(engine, 0, columns[1], cap=N_MAX)
         if sum(per_position) != lsum or per_position != brute_l:
             result.position_sum_failures.append(trial)
+        run_sums = engine.run_sums(0, columns[1])
         pos = 0
-        for i in range(1, first.run_count + 1):
-            f = int(first.runs[i - 1, 1])
-            if engine.run_sum(i) != sum(per_position[pos : pos + f]):
-                result.grouping_failures.append((trial, i))
+        for i in range(first.run_count):
+            f = int(first.runs[i, 1])
+            if run_sums[i] != sum(per_position[pos : pos + f]):
+                result.grouping_failures.append((trial, i + 1))
                 break
             pos += f
 
         # criterion 4 (corpus half): final-run closed forms
-        sym, f = first.runs[first.run_count - 1].tolist()
-        m = int(engine.max_run[sym])
+        sym, f = first.runs[-1].tolist()
+        m = int(columns[1].max_run[sym])
         if m == 0:
             expected = 0
         elif f <= m:
@@ -113,20 +115,22 @@ def campaign() -> Campaign:
         else:
             expected = m * f - m * (m - 1) // 2
             result.closed_high_hits += 1
-        if engine.run_sum(first.run_count) != expected:
+        if run_sums[-1] != expected:
             result.closed_form_failures.append(trial)
 
         # criterion 6: distance axioms from exact averages
         x_len, y_len = first.content_length, second.content_length
         if x_len >= 2 and y_len >= 2 and lsum > 0:
-            back = AcsEngine(second, first).total()
+            swapped = AcsEngine(second, first)
+            back = swapped.total(0, swapped.column(1))
             if back > 0:
                 acs_xy = Fraction(lsum, x_len)
                 acs_yx = Fraction(back, y_len)
                 forward = dist_value(x_len, y_len, acs_xy, acs_yx)
                 backward = dist_value(y_len, x_len, acs_yx, acs_xy)
                 result.max_asymmetry = max(result.max_asymmetry, abs(forward - backward))
-        self_total = AcsEngine(first, first).total()
+        itself = AcsEngine(first, first)
+        self_total = itself.total(0, itself.column(1))
         self_avg = Fraction(self_total, x_len)
         if self_avg != acs_self(x_len):
             result.axiom_failures.append((trial, "self average"))
@@ -135,7 +139,7 @@ def campaign() -> Campaign:
         )
 
         # criterion 7: structural invariants of the tries
-        structural = _structural_checks(engine, order)
+        structural = _structural_checks(engine, columns, order)
         if structural:
             result.structural_failures.append((trial, structural[0]))
     return result
@@ -162,8 +166,8 @@ def test_criterion_2_worked_micro_example():
     first = encode("aab", "X", alphabet)
     second = encode("ab", "Y", alphabet)
     engine = AcsEngine(first, second)
-    per_position = per_position_lengths(engine)
-    run_sums = [engine.run_sum(i) for i in range(1, first.run_count + 1)]
+    per_position = per_position_lengths(engine, 0, engine.column(1))
+    run_sums = engine.run_sums(0, engine.column(1))
     forward = acs(first, second).value
     backward = acs(second, first).value
     value = dist(first, second, "e").value
@@ -206,8 +210,9 @@ def test_criterion_4_final_run_closed_forms(campaign):
         first = encode(x_text, "X", alphabet)
         second = encode(y_text, "Y", alphabet)
         engine = AcsEngine(first, second)
-        sym, f = first.runs[first.run_count - 1].tolist()
-        m = int(engine.max_run[sym])
+        column = engine.column(1)
+        sym, f = first.runs[-1].tolist()
+        m = int(column.max_run[sym])
         if m == 0:
             expected = 0
         elif f <= m:
@@ -216,7 +221,7 @@ def test_criterion_4_final_run_closed_forms(campaign):
         else:
             expected = m * f - m * (m - 1) // 2
             high_hits += 1
-        if engine.run_sum(first.run_count) != expected:
+        if engine.run_sums(0, column)[-1] != expected:
             extra_failures.append(trial)
     ok = (
         not extra_failures

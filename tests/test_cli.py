@@ -58,6 +58,16 @@ def test_acs_out_tsv(pair_fasta, tmp_path, capsys):
     assert lines[1].split("\t")[:8] == ["X", "Y", "2", "2", "3", "2", "4", "4/3"]
 
 
+@pytest.mark.parametrize("command", ["acs", "dist", "matrix"])
+def test_failed_out_write_prints_no_report(pair_fasta, tmp_path, capsys, command):
+    # a directory cannot be written as a file: exit 2 with the error on
+    # stderr, and no report on stdout
+    assert main([command, pair_fasta, "--out", str(tmp_path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_dist_report_full_precision(pair_fasta, capsys):
     assert main(["dist", pair_fasta]) == EXIT_OK
     out = capsys.readouterr().out
@@ -227,7 +237,9 @@ def test_verify_reports_coverage_on_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == "4/4 ok\n"
     assert captured.err.startswith("builds: 5 int64, each matched by an exact rebuild, 1 exact; ")
-    assert captured.err.endswith("; distance: 0 pairs skipped (a side shorter than 2 or a zero total)\n")
+    assert captured.err.endswith(
+        "; distance: 0 refusals checked (a side shorter than 2 or no common substring)\n"
+    )
 
 
 def test_bench_smoke(capsys):

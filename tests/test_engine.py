@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from conftest import at_bound, make_pair
 from rleacs.engine import (
     AcsEngine,
-    Direction,
+    _closed_form,
     acs,
     acs_self,
-    column_totals,
     dist,
     dist_matrix,
     dist_value,
@@ -35,7 +34,7 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
-from rleacs.symbol_tries import INT64_LENGTH_BOUND, annotate, extract_symbol_tries
+from rleacs.symbol_tries import INT64_LENGTH_BOUND, extract_symbol_tries
 from rleacs.verify import check_pair
 
 
@@ -44,17 +43,27 @@ def engine_for(x, y):
     return AcsEngine(first, second), first, second
 
 
+def pair_totals(engine):
+    """ACS(X,Y) and ACS(Y,X) totals of a pair's engine, one column each."""
+    return engine.total(0, engine.column(1)), engine.total(1, engine.column(0))
+
+
+def forward_positions(engine, **kwargs):
+    return per_position_lengths(engine, 0, engine.column(1), **kwargs)
+
+
 def test_run_sums_micro():
     engine, _, _ = engine_for("aab", "ab")
-    assert engine.run_sum(1) == 3
-    assert engine.run_sum(2) == 1
-    assert engine.total() == 4
-    # 0 and 3 are outside the runs, -1 would read another run's sum
-    for i in (0, 3, -1):
+    column = engine.column(1)
+    assert engine.run_sums(0, column) == [3, 1]
+    assert engine.total(0, column) == 4
+    assert engine.run_sums(1, engine.column(0)) == [2, 1]
+    # 2 and -3 name no sequence of the pair
+    for i in (2, -3):
         with pytest.raises(IndexError):
-            engine.run_sum(i)
+            engine.run_sums(i, column)
         with pytest.raises(IndexError):
-            engine.reverse.run_sum(i)
+            engine.column(i)
 
 
 def test_run_leaves_follow_each_run():
@@ -62,8 +71,7 @@ def test_run_leaves_follow_each_run():
     # the token string holds every run and the two terminators; all its
     # suffixes but the two sequence starts follow a run and have a leaf
     assert len(token_string(first, second)) == len(first.runs) + len(second.runs) + 2
-    forward = engine.run_leaves()
-    back = engine.reverse.run_leaves()
+    forward, back = engine.trie.leaves
     assert (len(forward), len(back)) == (first.run_count, second.run_count)
     assert forward.dtype == back.dtype == np.int64
     # every leaf follows exactly one run
@@ -73,19 +81,26 @@ def test_run_leaves_follow_each_run():
     # terminator included ("b$", "$" and "bab$", "ab$", "b$", "$"), and its
     # run's length sits in its own side's freq column
     trie = engine.trie
-    freq, rev_freq = engine.column.freq, engine.reverse.column.freq
+    freq, rev_freq = engine.column(1).freq, engine.column(0).freq
     assert trie.str_depth[forward].tolist() == [2, 1]
     assert trie.str_depth[back].tolist() == [4, 3, 2, 1]
     assert rev_freq[forward].tolist() == first.runs[:, 1].tolist()
     assert freq[back].tolist() == second.runs[:, 1].tolist()
     assert not freq[forward].any() and not rev_freq[back].any()
-    assert engine.reverse.reverse.run_leaves() is forward
 
 
-def _batch_agrees(engine):
-    sums = engine.run_sums()
-    assert sums == [engine.run_sum(i) for i in range(1, engine.first.run_count + 1)]
-    assert sum(sums) == engine.total()
+def _batch_agrees(engine, i, j):
+    """run_sums of seqs[i] against seqs[j]'s column equal batches of one run,
+    and add up to total and to the column's batched totals."""
+    column = engine.column(j)
+    sums = engine.run_sums(i, column)
+    runs, leaves = engine.seqs[i].runs, engine.trie.leaves[i]
+    singles = [
+        int(_closed_form(engine.trie, column, runs[k : k + 1], leaves[k : k + 1])[0])
+        for k in range(len(runs))
+    ]
+    assert sums == singles
+    assert sum(sums) == engine.total(i, column) == engine.totals(j, column)[i]
 
 
 @given(
@@ -94,8 +109,8 @@ def _batch_agrees(engine):
 )
 def test_run_sums_batch_matches_single_runs(x, y):
     engine, _, _ = engine_for(x, y)
-    _batch_agrees(engine)
-    _batch_agrees(engine.reverse)
+    _batch_agrees(engine, 0, 1)
+    _batch_agrees(engine, 1, 0)
 
 
 def test_acs_micro():
@@ -147,36 +162,35 @@ def test_engine_self_pair_matches_closed_form():
 def test_engine_keeps_the_callers_sequences():
     first, second, _ = make_pair("aab", "abab")
     engine = AcsEngine(first, second)
-    assert engine.first is first and engine.second is second
-    assert engine.reverse.first is second and engine.reverse.second is first
+    assert engine.seqs[0] is first and engine.seqs[1] is second
     # one object on both sides: the token string still ends each side in its
     # own terminator, and so do the oracle's walkers
     for text in ("a", "aab", "mississippi", "aaaa"):
         seq, _, _ = make_pair(text, "a")
         same = AcsEngine(seq, seq)
-        assert same.first is same.second is seq
+        assert same.seqs[0] is same.seqs[1] is seq
         x = seq.content_length
-        assert same.total() == same.reverse.total() == x * (x + 1) // 2
+        assert pair_totals(same) == (x * (x + 1) // 2,) * 2
         assert run_walk_total(seq, seq) == x * (x + 1) // 2
         assert check_pair(seq, seq) == []
 
 
 def test_per_position_micro():
     engine, _, _ = engine_for("aab", "ab")
-    assert per_position_lengths(engine) == [1, 2, 1]
+    assert forward_positions(engine) == [1, 2, 1]
     engine, _, _ = engine_for("ab", "aab")
-    assert per_position_lengths(engine) == [2, 1]
+    assert forward_positions(engine) == [2, 1]
 
 
 def test_per_position_unary():
     engine, _, _ = engine_for("a" * 9, "a" * 3)
-    assert per_position_lengths(engine) == [3, 3, 3, 3, 3, 3, 3, 2, 1]
+    assert forward_positions(engine) == [3, 3, 3, 3, 3, 3, 3, 2, 1]
 
 
 def test_per_position_absent_symbol():
     # Y holds a single b: the bb run caps at maxRun 1, the a runs at 0
     engine, _, _ = engine_for("aabba", "b")
-    lengths = per_position_lengths(engine)
+    lengths = forward_positions(engine)
     assert lengths == brute_match_lengths("aabba", "b")
     assert lengths == [0, 0, 1, 1, 0]
 
@@ -184,8 +198,8 @@ def test_per_position_absent_symbol():
 def test_per_position_cap():
     engine, _, _ = engine_for("aaaa", "aa")
     with pytest.raises(ValueError, match="over validation cap"):
-        per_position_lengths(engine, cap=3)
-    assert per_position_lengths(engine, cap=4) == [2, 2, 2, 1]
+        forward_positions(engine, cap=3)
+    assert forward_positions(engine, cap=4) == [2, 2, 2, 1]
 
 
 def test_dist_micro_frozen():
@@ -310,15 +324,15 @@ def test_last_run_closed_forms():
     # the final run's sum must match the simple formulas in both branches
     for x, y in (("ba", "aaa"), ("baaaa", "aa"), ("abbb", "cb")):
         engine, first, second = engine_for(x, y)
-        last = first.run_count
-        sym, f = first.runs[last - 1].tolist()
-        m = int(engine.max_run[sym])
+        sym, f = first.runs[-1].tolist()
+        column = engine.column(1)
+        m = int(column.max_run[sym])
         expect = (
             0
             if m == 0
             else (f * (f + 1) // 2 if f <= m else m * f - m * (m - 1) // 2)
         )
-        assert engine.run_sum(last) == expect
+        assert engine.run_sums(0, column)[-1] == expect
 
 
 text_pairs = (
@@ -331,7 +345,7 @@ text_pairs = (
 @given(*text_pairs)
 def test_total_matches_brute(x, y):
     engine, _, _ = engine_for(x, y)
-    assert engine.total() == sum(brute_match_lengths(x, y))
+    assert pair_totals(engine)[0] == sum(brute_match_lengths(x, y))
 
 
 @given(
@@ -359,23 +373,24 @@ def test_total_matches_brute_long_runs(x_pairs, y_pairs):
     x = "".join(ch * k for ch, k in x_pairs)
     y = "".join(ch * k for ch, k in y_pairs)
     engine, _, _ = engine_for(x, y)
-    assert engine.total() == sum(brute_match_lengths(x, y))
+    assert pair_totals(engine)[0] == sum(brute_match_lengths(x, y))
 
 
 @given(*text_pairs)
 def test_per_position_matches_brute(x, y):
     engine, _, _ = engine_for(x, y)
-    assert per_position_lengths(engine) == brute_match_lengths(x, y)
+    assert forward_positions(engine) == brute_match_lengths(x, y)
 
 
 @given(*text_pairs)
 def test_per_run_grouping(x, y):
     engine, first, _ = engine_for(x, y)
-    lengths = per_position_lengths(engine)
+    lengths = forward_positions(engine)
+    sums = engine.run_sums(0, engine.column(1))
     pos = 0
-    for i in range(1, first.run_count + 1):
-        f = int(first.runs[i - 1, 1])
-        assert engine.run_sum(i) == sum(lengths[pos : pos + f])
+    for i in range(first.run_count):
+        f = int(first.runs[i, 1])
+        assert sums[i] == sum(lengths[pos : pos + f])
         pos += f
     assert pos == len(lengths)
 
@@ -388,7 +403,7 @@ def test_per_run_grouping(x, y):
 def test_appending_to_second_never_lowers_total(x, y, extra):
     base, _, _ = engine_for(x, y)
     grown, _, _ = engine_for(x, y + extra)
-    assert grown.total() >= base.total()
+    assert pair_totals(grown)[0] >= pair_totals(base)[0]
 
 
 @given(
@@ -409,12 +424,12 @@ def test_dist_axioms(x, y):
 
 def test_reverse_view_micro():
     engine, first, second = engine_for("aab", "ab")
-    back = engine.reverse
-    assert (back.first, back.second) == (second, first)
-    assert back.total() == 3  # ACS(Y,X) = 3/2
-    assert [back.run_sum(1), back.run_sum(2)] == [2, 1]
-    assert per_position_lengths(back) == brute_match_lengths("ab", "aab")
-    assert back.reverse.total() == engine.total() == 4
+    back = engine.column(0)
+    assert engine.total(1, back) == 3  # ACS(Y,X) = 3/2
+    assert engine.run_sums(1, back) == [2, 1]
+    assert per_position_lengths(engine, 1, back) == brute_match_lengths("ab", "aab")
+    assert engine.totals(0, back) == [0, 3]
+    assert engine.total(0, engine.column(1)) == 4
 
 
 def _assert_tie_swaps(first, second, x_run, y_run):
@@ -448,11 +463,11 @@ def test_reverse_from_one_build_at_sentinel_ties(x, head, cut):
     _assert_tie_swaps(first, second, k + 1, y_run)
 
     engine = AcsEngine(first, second)
-    back = engine.reverse.total()
-    assert back == AcsEngine(second, first).total()
+    total, back = pair_totals(engine)
+    assert back == pair_totals(AcsEngine(second, first))[0]
     assert back == sum(brute_match_lengths(y, x))
-    assert per_position_lengths(engine.reverse) == brute_match_lengths(y, x)
-    assert engine.total() == sum(brute_match_lengths(x, y))
+    assert per_position_lengths(engine, 1, engine.column(0)) == brute_match_lengths(y, x)
+    assert total == sum(brute_match_lengths(x, y))
 
 
 def _chain(draws, sym):
@@ -492,19 +507,20 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     _assert_tie_swaps(first, second, len(x_head) + 1, len(y_head) + 1)
 
     engine = AcsEngine(first, second)
-    assert engine.reverse.total() == AcsEngine(second, first).total()
+    total, back = pair_totals(engine)
+    assert back == pair_totals(AcsEngine(second, first))[0]
     # the run walker shares no kernel with the engine, so an overflow both
     # builds had in common would show here
-    assert engine.total() == run_walk_total(first, second)
-    assert engine.reverse.total() == run_walk_total(second, first)
-    _batch_agrees(engine)
-    _batch_agrees(engine.reverse)
+    assert total == run_walk_total(first, second)
+    assert back == run_walk_total(second, first)
+    _batch_agrees(engine, 0, 1)
+    _batch_agrees(engine, 1, 0)
 
 
 def _path_of(engine):
     """The engine's arithmetic path, checked against both of its columns' dtypes."""
     dtype = np.int64 if engine.trie.int64 else object
-    assert engine.column.weight.dtype == engine.reverse.column.weight.dtype == dtype
+    assert engine.column(0).weight.dtype == engine.column(1).weight.dtype == dtype
     return engine.trie.int64
 
 
@@ -519,8 +535,10 @@ def test_unary_pair_at_the_int64_edge(edge):
     second = RleSeq("Y", [[FIRST_SYMBOL_ID, short]])
     engine = AcsEngine(first, second)
     assert _path_of(engine) == (edge <= 0)
-    assert engine.total() == short * (short + 1) // 2 + (long - short) * short
-    assert engine.reverse.total() == short * (short + 1) // 2
+    assert pair_totals(engine) == (
+        short * (short + 1) // 2 + (long - short) * short,
+        short * (short + 1) // 2,
+    )
 
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])
@@ -533,10 +551,9 @@ def test_two_symbol_pair_at_the_int64_edge(edge):
     assert first.content_length + second.content_length + 2 == INT64_LENGTH_BOUND + edge
     engine = AcsEngine(first, second)
     assert _path_of(engine) == (edge <= 0)
-    assert engine.total() == run_walk_total(first, second)
-    assert engine.reverse.total() == run_walk_total(second, first)
-    _batch_agrees(engine)
-    _batch_agrees(engine.reverse)
+    assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
+    _batch_agrees(engine, 0, 1)
+    _batch_agrees(engine, 1, 0)
 
 
 def test_family_past_the_int64_edge_matches_its_int64_pairs():
@@ -565,24 +582,23 @@ def test_family_past_the_int64_edge_matches_its_int64_pairs():
 @settings(max_examples=60)
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=40), min_size=2, max_size=5))
 def test_int64_and_exact_paths_agree_on_families(texts):
-    # one order, built into a trie on each path: the same columns, the same
-    # batched totals and the same run sums, value for value
+    # one family, built on each path: the same columns, the same batched
+    # totals and the same run sums, value for value
     alphabet = Alphabet.for_texts(texts)
     seqs = tuple(encode(text, f"s{j}", alphabet) for j, text in enumerate(texts))
-    order = build_suffix_order(*seqs)
-    trie = extract_symbol_tries(order)
-    exact = extract_symbol_tries(order, _exact=True)
-    assert trie.int64 and not exact.int64
-    for j, seq in enumerate(seqs):
-        column = annotate(trie, trie.leaves[j], seq.runs[:, 1])
-        exact_column = annotate(exact, exact.leaves[j], seq.runs[:, 1])
+    engine = AcsEngine(*seqs)
+    exact = AcsEngine(*seqs, _exact=True)
+    assert engine.trie.int64 and not exact.trie.int64
+    for j in range(len(seqs)):
+        column, exact_column = engine.column(j), exact.column(j)
         assert column.weight.dtype == np.int64 and exact_column.weight.dtype == object
         assert column.freq.tolist() == exact_column.freq.tolist()
         assert column.weight.tolist() == exact_column.weight.tolist()
-        totals = column_totals(trie, seqs, j, column)
-        assert totals == column_totals(exact, seqs, j, exact_column)
+        assert column.max_run.tolist() == exact_column.max_run.tolist()
+        totals = engine.totals(j, column)
+        assert totals == exact.totals(j, exact_column)
         for i in range(len(seqs)):
             if i != j:
-                sums = Direction(trie, seqs, i, j, column).run_sums()
-                assert sums == Direction(exact, seqs, i, j, exact_column).run_sums()
-                assert sum(sums) == totals[i]
+                sums = engine.run_sums(i, column)
+                assert sums == exact.run_sums(i, exact_column)
+                assert sum(sums) == totals[i] == engine.total(i, column)

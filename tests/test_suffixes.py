@@ -21,7 +21,6 @@ from rleacs.suffixes import (
     _sweep_compact_trie,
     build_suffix_order,
     build_trie,
-    longest_run_table,
     token_bounds,
     token_string,
 )
@@ -113,12 +112,15 @@ def test_lcp_run_walk_cases():
 
 
 def test_longest_run_table():
-    # ids: a=2, b=3, x=4; the table is indexed by symbol id and covers x,
-    # which only the first sequence has
+    # ids: a=2, b=3, x=4; a column's table is indexed by symbol id and
+    # covers x, which only the first sequence has
     first, second, _ = make_pair("x", "ab")
-    assert longest_run_table(second, 5).tolist() == [0, 0, 1, 1, 0]
+    trie = extract_symbol_tries(build_suffix_order(first, second))
+    assert trie.symbols == 5
+    assert annotate(trie, trie.leaves[1], second.runs).max_run.tolist() == [0, 0, 1, 1, 0]
     first, second, _ = make_pair("x", "aabbba")
-    table = longest_run_table(second, 5)
+    trie = extract_symbol_tries(build_suffix_order(first, second))
+    table = annotate(trie, trie.leaves[1], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
     assert (table[a_id], table[b_id]) == (2, 3)
     assert table[first.runs[0, 0]] == 0
@@ -145,8 +147,8 @@ def test_trie_micro_pair():
     rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
     leaves = np.sort(np.concatenate(query.leaves)).tolist()
     assert [rank_of[v] for v in leaves] == [4, 5, 0, 1]
-    freq = annotate(query, second_leaves, second.runs[:, 1]).freq
-    rev_freq = annotate(query, first_leaves, first.runs[:, 1]).freq
+    freq = annotate(query, second_leaves, second.runs).freq
+    rev_freq = annotate(query, first_leaves, first.runs).freq
     assert [freq[v] for v in leaves] == [0, 1, 0, 1]
     assert [rev_freq[v] for v in leaves] == [2, 0, 1, 0]
 

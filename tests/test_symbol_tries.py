@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_pair
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
+from rleacs.rle import FIRST_SYMBOL_ID
 from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import SymbolTrie, _lifting_rows, annotate, extract_symbol_tries
 
@@ -24,7 +25,7 @@ def build_query_trie(x, y):
 def pair_columns(trie, order):
     """The pair's two columns: (second's, first's), the forward and reverse ones."""
     first, second = (
-        annotate(trie, leaves, seq.runs[:, 1]) for leaves, seq in zip(trie.leaves, order.seqs)
+        annotate(trie, leaves, seq.runs) for leaves, seq in zip(trie.leaves, order.seqs)
     )
     return second, first
 
@@ -104,7 +105,7 @@ def test_annotate_no_second_sequence_leaves():
 
 
 def hand_trie(parent, str_depth, popped, leaves, int64=True):
-    """A SymbolTrie from a parent array, depths and a children-first node order."""
+    """A one-symbol SymbolTrie from a parent array, depths and a children-first node order."""
     parent = np.array(parent, dtype=np.int64)
     return SymbolTrie(
         parent=parent,
@@ -112,8 +113,14 @@ def hand_trie(parent, str_depth, popped, leaves, int64=True):
         up=_lifting_rows(parent),
         topdown=np.array(popped[::-1], dtype=np.int64),
         leaves=(np.array(leaves, dtype=np.int64),),
+        symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
     )
+
+
+def runs_of(lengths):
+    """(symbol, length) rows of hand_trie's one symbol."""
+    return np.array([(FIRST_SYMBOL_ID, n) for n in lengths], dtype=np.int64).reshape(-1, 2)
 
 
 def test_annotate_chain_recurrence():
@@ -124,15 +131,16 @@ def test_annotate_chain_recurrence():
     popped = [3, 4, 2, 5, 1, 0]
     for int64 in (True, False):
         trie = hand_trie([-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, [3, 4, 5], int64)
-        column = annotate(trie, trie.leaves[0], np.array([3, 2, 5]))
+        column = annotate(trie, trie.leaves[0], runs_of([3, 2, 5]))
         freq, weight = column.freq, column.weight
         assert freq[1] == 5
         assert freq[2] == 3
         assert weight[1] == 10  # 5 * (2 - 0)
         assert weight[2] == 25  # 10 + 3 * (7 - 2)
-        empty = np.array([], dtype=np.int64)
-        rev = annotate(trie, empty, empty)
+        assert column.max_run.tolist() == [0, 0, 5]
+        rev = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
         assert rev.freq.tolist() == [0] * 6 and rev.weight.tolist() == [0] * 6
+        assert rev.max_run.tolist() == [0, 0, 0]
         # annotation reads the trie and leaves it as it was
         assert trie.topdown.tolist() == popped[::-1]
 
@@ -146,13 +154,13 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     for int64 in (True, False):
         trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 3, 2, 1, 5, 0], [4, 5], int64)
         assert len(trie.up) == 2
-        column = annotate(trie, trie.leaves[0], np.array([5, 1]))
+        column = annotate(trie, trie.leaves[0], runs_of([5, 1]))
         assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
         assert column.weight.tolist() == [0, 5, 10, 15, 20, 1]
         assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
         # the same chain with nothing beside it, as first found
         chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4], int64)
-        assert annotate(chain, chain.leaves[0], np.array([5])).freq.tolist() == [5] * 5
+        assert annotate(chain, chain.leaves[0], runs_of([5])).freq.tolist() == [5] * 5
 
 
 def test_annotate_leaves_int64_columns():
@@ -174,6 +182,8 @@ def test_annotate_leaves_int64_columns():
     for int64, exact_column in zip(columns, exact_columns):
         assert int64.freq.tolist() == exact_column.freq.tolist()
         assert int64.weight.tolist() == exact_column.weight.tolist()
+        assert int64.max_run.tolist() == exact_column.max_run.tolist()
+        assert int64.max_run.dtype == np.int64 and len(int64.max_run) == trie.symbols
     for column in trie.leaves:
         assert column.dtype == np.int64
     # rows double until the next would map every node to the root (node 0)
@@ -183,14 +193,14 @@ def test_annotate_leaves_int64_columns():
 
 def test_trie_is_immutable():
     trie, order, _ = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves", "int64")
+    rows = ("up", "leaves", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
     for column in [*columns, *trie.up, *trie.leaves]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 7
     for column in annotations:
-        for array in (column.freq, column.weight):
+        for array in (column.freq, column.weight, column.max_run):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
     for record in (trie, *annotations):
@@ -200,22 +210,22 @@ def test_trie_is_immutable():
 
 
 def test_concurrent_directions_match_serial_totals():
-    # the forward and reverse views share one trie; threads that total them
-    # at once, switching every few microseconds, must see the serial totals
+    # the forward and reverse directions share one trie; threads that total
+    # them at once, switching every few microseconds, must see the serial totals
     rng = random.Random(23)
     x = _random_runny_text(rng, 3000, "abcd")
     y = _random_runny_text(rng, 3000, "abcd")
     first, second, _ = make_pair(x, y)
     engine = AcsEngine(first, second)
-    views = [engine, engine.reverse] * 2
-    serial = [view.total() for view in views]
+    views = [(0, engine.column(1)), (1, engine.column(0))] * 2
+    serial = [engine.total(*view) for view in views]
     got = [[] for _ in views]
     start = threading.Barrier(len(views))
 
     def work(k):
         start.wait()
         for _ in range(10):
-            got[k].append(views[k].total())
+            got[k].append(engine.total(*views[k]))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(len(views))]
     interval = sys.getswitchinterval()

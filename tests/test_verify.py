@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import signal
 from collections import Counter
 
@@ -10,8 +11,8 @@ import pytest
 
 import rleacs.verify
 from rleacs.engine import AcsEngine
-from rleacs.rle import parse_rle_text
-from rleacs.symbol_tries import Column, annotate
+from rleacs.rle import Alphabet, encode, parse_rle_text
+from rleacs.symbol_tries import annotate
 from rleacs.verify import (
     FAMILY_EVERY,
     STRETCH,
@@ -29,62 +30,42 @@ from rleacs.verify import (
 from conftest import make_pair
 
 
-class FreqAsMin(AcsEngine):
-    """Planted bug: subtree support computed as a minimum, not a maximum.
-
-    The root keeps its true support, so every climb the engine asks for
-    stays defined and the fault shows as wrong answers, not as a crash.
-    """
-
-    def __init__(self, first, second):
-        super().__init__(first, second)
-        big = 1 << 62
-        trie = self.trie
-        parent = trie.parent.tolist()
-        str_depth = trie.str_depth.tolist()
-        best = [big] * trie.node_count
-        # each second-sequence leaf starts at the length of the run before it
-        for leaf, length in zip(trie.leaves[1].tolist(), self.second.runs[:, 1].tolist()):
-            best[leaf] = min(best[leaf], length)
-        for v in sorted(range(trie.node_count), key=str_depth.__getitem__, reverse=True):
-            p = parent[v]
-            if p >= 0 and best[v] < big:
-                best[p] = min(best[p], best[v])
-        best[0] = int(self.column.freq[0])
-        freq = np.array([0 if b == big else b for b in best], dtype=np.int64)
-        self.column = dataclasses.replace(self.column, freq=freq)
-
-
-class ReverseReadsForward(AcsEngine):
-    """Planted bug: the reverse direction reads the forward freq/weight column."""
-
-    @property
-    def reverse(self):
-        view = super().reverse
-        view.column = self.column
-        return view
-
-
-def column_as_min(trie, leaves, lengths):
-    """Planted bug: a family column whose support is a subtree minimum.
+def column_as_min(trie, leaves, runs):
+    """A column whose support is a subtree minimum, not a maximum.
 
     Weights are built from it as annotate would, and the root keeps the
-    column's true support, so every climb stays defined.
+    column's true support, so every climb stays defined and the fault shows
+    as wrong answers, not as a crash.
     """
-    true_root = int(annotate(trie, leaves, lengths).freq[0])
+    true = annotate(trie, leaves, runs)
     big = 1 << 62
     best = np.full(trie.node_count, big, dtype=np.int64)
-    best[leaves] = lengths
+    best[leaves] = runs[:, 1]
     for v in trie.topdown[:0:-1].tolist():
         p = trie.parent[v]
         best[p] = min(best[p], best[v])
     best[best == big] = 0
-    best[0] = true_root
+    best[0] = true.freq[0]
     weight = [0] * trie.node_count
     for v in trie.topdown[1:].tolist():
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
-    return Column(best, np.array(weight, dtype=object))
+    return dataclasses.replace(true, freq=best, weight=np.array(weight, dtype=object))
+
+
+class FreqAsMin(AcsEngine):
+    """Planted bug: every column's support is a subtree minimum (column_as_min)."""
+
+    def column(self, j):
+        return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+
+
+class ReverseReadsForward(AcsEngine):
+    """Planted bug: every column is the last sequence's, so a pair's reverse
+    direction reads the forward column."""
+
+    def column(self, j):
+        return super().column(len(self.seqs) - 1)
 
 
 class ShortDoubling(AcsEngine):
@@ -94,18 +75,30 @@ class ShortDoubling(AcsEngine):
     which only the exact-path rebuild sees directly.
     """
 
-    def __init__(self, first, second):
-        super().__init__(first, second)
-        trie, freq = self.trie, self.column.freq
-        weight = freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
+    def column(self, j):
+        column = super().column(j)
+        trie = self.trie
+        weight = column.freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
         for row in trie.up[:-1]:
             weight += weight[row]
-        self.column = dataclasses.replace(self.column, weight=weight)
+        return dataclasses.replace(column, weight=weight)
+
+
+class RunSumsReversed(AcsEngine):
+    """Planted bug: run sums come back in reverse run order; every total stays right."""
+
+    def run_sums(self, i, column):
+        return super().run_sums(i, column)[::-1]
 
 
 class ExplodingEngine(AcsEngine):
-    def __init__(self, first, second):
+    def __init__(self, *seqs):
         raise RuntimeError("boom")
+
+
+def _family(texts):
+    alphabet = Alphabet.for_texts(texts)
+    return [encode(text, f"F.{j}", alphabet) for j, text in enumerate(texts)], alphabet
 
 
 def test_clean_run_passes():
@@ -157,28 +150,40 @@ def test_reverse_column_fault_is_caught():
     assert "leaf annotations differ from the preceding runs" in report.failure
 
 
-def test_family_column_fault_is_caught_and_replayable(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(rleacs.verify, "annotate", column_as_min)
-        shallow = run_verification(seed=5, trials=50, n_max=60, deep=False)
-        report = run_verification(seed=5, trials=50, n_max=60)
-        seqs, _ = parse_rle_text(report.failure_record)
-        replayed = check_family(seqs)
-    # the pair checks build their own engines and stay clean; the family
-    # totals catch the column, and so do the column checks, on the same trial
-    assert not shallow.ok and not report.ok
-    assert shallow.passed == report.passed
-    assert (report.passed + 1) % FAMILY_EVERY == 0
-    assert "family: family total" in shallow.failure and "raised" not in shallow.failure
-    assert "family: family column" in report.failure
-    assert 3 <= len(seqs) <= 5 and replayed
+def test_family_column_fault_is_caught_and_replayable():
+    # the pair fault's factory reaches families too: without the column
+    # checks the family totals catch it, and with them the column checks do
+    rng = random.Random(5)
+    for _ in range(20):
+        seqs, alphabet = _family(random_family(rng, 15, 4, 4.0))
+        shallow = check_family(seqs, engine_factory=FreqAsMin, deep=False)
+        if shallow:
+            break
+    assert any(f.startswith("family total") for f in shallow)
+    assert not any("raised" in f for f in shallow)
+    record = "\n".join(rle_record(seq, alphabet) for seq in seqs)
+    replayed, _ = parse_rle_text(record)
+    assert 3 <= len(replayed) <= 5
+    assert any(f.startswith("family column") for f in check_family(replayed, engine_factory=FreqAsMin))
+    assert check_family(replayed) == []
+
+
+def test_family_run_sums_are_checked_by_position():
+    # every total is right, so only the per-run sums against the brute
+    # positions can catch it, in families and in pairs
+    seqs, _ = _family(["aabab", "abbba", "aaab"])
+    failures = check_family(seqs, engine_factory=RunSumsReversed, deep=False)
+    assert failures and all(f.startswith("family run sums") for f in failures)
     assert check_family(seqs) == []
+    assert "run sums do not match their positions" in check_pair(
+        seqs[0], seqs[1], engine_factory=RunSumsReversed, deep=False
+    )
 
 
 def test_int64_fault_is_caught_by_the_exact_path():
     report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ShortDoubling)
     assert not report.ok
-    assert "column differs from the exact path's" in report.failure
+    assert re.search(r"pair column [01] differs from the exact path's", report.failure)
     seqs, _ = parse_rle_text(report.failure_record)
     assert check_pair(seqs[0], seqs[1]) == []
 
@@ -192,17 +197,37 @@ def test_report_counts_both_paths_and_run_cases():
     assert report.exact_builds == 2
     assert report.runs_over_m > 0 and report.runs_without_m > 0
     assert "2 exact" in report.coverage
-    assert report.pairs_without_dist == 1
-    assert report.coverage.endswith("distance: 1 pairs skipped (a side shorter than 2 or a zero total)")
+    assert report.refusals == 1
+    assert report.coverage.endswith(
+        "distance: 1 refusals checked (a side shorter than 2 or no common substring)"
+    )
 
 
-def test_coverage_counts_pairs_whose_distance_was_skipped():
+def test_coverage_counts_pairs_whose_refusal_was_checked():
     coverage = Counter()
     for x_text, y_text in (("aab", "ba"), ("a", "ab"), ("aa", "bb"), ("ab", "b")):
         first, second, _ = make_pair(x_text, y_text)
         assert check_pair(first, second, coverage=coverage) == []
     # "a" and "b" are shorter than 2; "aa" and "bb" share no symbol, so both totals are 0
-    assert coverage["pairs_without_dist"] == 3
+    assert coverage["refusals"] == 3
+
+
+def test_refusal_checks_catch_a_wrong_refusal(monkeypatch):
+    short = make_pair("a", "ab")[:2]
+    disjoint = make_pair("aa", "bb")[:2]
+
+    def unnamed(seqs, *args):
+        raise ValueError("no common substring")
+
+    monkeypatch.setattr(rleacs.verify, "dist_matrix", unnamed)
+    assert check_pair(*disjoint) == [
+        "dist_matrix refused with 'no common substring', not 'pair X/Y: no common substring'"
+    ]
+    assert check_pair(*short) == [
+        "dist_matrix refused with 'no common substring', not 'pair X/Y: sequence too short'"
+    ]
+    monkeypatch.setattr(rleacs.verify, "dist", lambda first, second: None)
+    assert "dist gave a distance, not 'sequence too short'" in check_pair(*short)
 
 
 def test_stretched_pairs_pass_the_run_walk():
