@@ -60,6 +60,15 @@ class FreqAsMin(AcsEngine):
         return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
 
 
+class FamilyMin(AcsEngine):
+    """Planted bug: column_as_min in families of 3 or more; every pair's engine is right."""
+
+    def column(self, j):
+        if len(self.seqs) > 2:
+            return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+        return super().column(j)
+
+
 class ReverseReadsForward(AcsEngine):
     """Planted bug: every column is the last sequence's, so a pair's reverse
     direction reads the forward column."""
@@ -151,21 +160,21 @@ def test_reverse_column_fault_is_caught():
 
 
 def test_family_column_fault_is_caught_and_replayable():
-    # the pair fault's factory reaches families too: without the column
-    # checks the family totals catch it, and with them the column checks do
-    rng = random.Random(5)
-    for _ in range(20):
-        seqs, alphabet = _family(random_family(rng, 15, 4, 4.0))
-        shallow = check_family(seqs, engine_factory=FreqAsMin, deep=False)
-        if shallow:
-            break
-    assert any(f.startswith("family total") for f in shallow)
-    assert not any("raised" in f for f in shallow)
-    record = "\n".join(rle_record(seq, alphabet) for seq in seqs)
-    replayed, _ = parse_rle_text(record)
-    assert 3 <= len(replayed) <= 5
-    assert any(f.startswith("family column") for f in check_family(replayed, engine_factory=FreqAsMin))
-    assert check_family(replayed) == []
+    shallow = run_verification(seed=5, trials=50, n_max=60, engine_factory=FamilyMin, deep=False)
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=FamilyMin)
+    seqs, _ = parse_rle_text(report.failure_record)
+    # every pair's engine is right; the family totals catch the column, and
+    # so do the column checks, on the same family trial
+    assert not shallow.ok and not report.ok
+    assert shallow.passed == report.passed
+    assert (report.passed + 1) % FAMILY_EVERY == 0
+    assert re.search(r"family: family total \d+->\d+", shallow.failure)
+    assert "raised" not in shallow.failure
+    assert "family: family column" in report.failure
+    # the record is the family's, and it replays
+    assert 3 <= len(seqs) <= 5
+    assert check_family(seqs, engine_factory=FamilyMin)
+    assert check_family(seqs) == []
 
 
 def test_family_run_sums_are_checked_by_position():
