@@ -2,13 +2,16 @@
 
 Sequences are built directly at the token level, so the decoded length can be
 pushed far past anything that could be materialized (run lengths up to 10^9)
-while the engine's work stays proportional to the number of runs. Three
+while the engine's work stays proportional to the number of runs. Four
 experiments:
 
 * a doubling sweep over the total run count, reporting the time ratio per
   doubling (the envelope for an n log n build is ~2.2 at these sizes);
 * a fixed-run-count sweep that scales every run length by orders of
   magnitude, which must leave the runtime essentially unchanged;
+* adversarial inputs for the suffix order, periodic runs and Fibonacci run
+  lengths, whose prefix doubling takes many more rounds than a random
+  pair's;
 * one giant unary pair whose exact total has a closed form, as an
   end-to-end sanity anchor at decoded length 10^9.
 """
@@ -72,6 +75,40 @@ def synth_pair(
     return seqs[0], seqs[1]
 
 
+def periodic_pair(total_runs: int, scale: int = 8) -> tuple[RleSeq, RleSeq]:
+    """Two symbols alternating, every run scale long, total_runs runs split over a pair.
+
+    Every run-start suffix of one sequence is a prefix of the longer ones up
+    to its terminator, so prefix doubling takes about log2(total_runs)
+    rounds, and the query trie is one deep chain per symbol.
+    """
+    syms = FIRST_SYMBOL_ID + np.arange(total_runs) % 2
+    return _split_pair(np.column_stack((syms, np.full(total_runs, scale))))
+
+
+def fibonacci_pair(total_runs: int, scale: int = 8) -> tuple[RleSeq, RleSeq]:
+    """Two symbols alternating, run lengths scale or 2 * scale along the Fibonacci word.
+
+    The Fibonacci word (0 -> 01, 1 -> 0) holds repeats as long as a fixed
+    share of itself without being periodic, so its suffixes share long
+    prefixes everywhere: prefix doubling takes about log2(total_runs)
+    rounds, while the query trie stays shallow.
+    """
+    shorter, word = np.zeros(1, dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    while len(word) < total_runs:
+        shorter, word = word, np.concatenate((word, shorter))
+    syms = FIRST_SYMBOL_ID + np.arange(total_runs) % 2
+    return _split_pair(np.column_stack((syms, scale * (1 + word[:total_runs]))))
+
+
+def _split_pair(runs: np.ndarray) -> tuple[RleSeq, RleSeq]:
+    half = max(len(runs) // 2, 1)
+    return RleSeq("bench", runs[:half]), RleSeq("bench", runs[half:])
+
+
+ADVERSARIAL = {"periodic": periodic_pair, "fibonacci": fibonacci_pair}
+
+
 def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
     best_build = best_query = float("inf")
     nodes = lsum = 0
@@ -130,6 +167,14 @@ def runlength_sweep(
             reps,
         )
         for scale in scales
+    ]
+
+
+def adversarial_rows(total_runs: int = DOUBLING_MIN, *, reps: int = 2) -> list[BenchRow]:
+    """One row per ADVERSARIAL generator at total_runs runs."""
+    return [
+        _measure(f"{name} runs={total_runs}", *make(total_runs), reps)
+        for name, make in ADVERSARIAL.items()
     ]
 
 

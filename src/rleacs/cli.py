@@ -193,6 +193,9 @@ def cmd_bench(config: RunConfig) -> int:
     print("run-length scaling at fixed run count")
     print(bench.format_table(scale_rows, with_ratios=False))
     print()
+    print("adversarial inputs for the suffix order")
+    print(bench.format_table(bench.adversarial_rows(reps=config.trials), with_ratios=False))
+    print()
     row, got, want = bench.giant_unary()
     print("giant unary pair (decoded 10^9 vs 10^6)")
     print(bench.format_table([row], with_ratios=False))

@@ -10,8 +10,9 @@ two vectorized lifting climbs, and dist_matrix answers every other record
 against a column in one such batch, so a family of N total runs costs
 O(N log N) per column. All accumulation is exact integer arithmetic: in
 int64 while the family's decoded length proves it exact (see
-SymbolTrie.int64), in Python ints past that bound; floats appear only in
-the final distance value.
+SymbolTrie.int64), in two int64 limbs past that bound, composed into Python
+ints only for the sums handed out; floats appear only in the final distance
+value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,16 @@ import numpy as np
 
 from rleacs.rle import RleSeq
 from rleacs.suffixes import build_suffix_order
-from rleacs.symbol_tries import Column, SymbolTrie, annotate, extract_symbol_tries
+from rleacs.symbol_tries import (
+    Column,
+    SymbolTrie,
+    annotate,
+    exact_ints,
+    exact_total,
+    extract_symbol_tries,
+    limb_carry,
+    limb_product,
+)
 
 # natural, binary and common logs in the current decimal context
 LOG_FUNCTIONS = {"e": Decimal.ln, "2": lambda v: v.ln() / Decimal(2).ln(), "10": Decimal.log10}
@@ -70,8 +80,8 @@ class AcsEngine:
     run's self-match needs its own leaf, which no climb visits. Instances
     keep the caller's sequences, are immutable after construction (the trie
     and every column are frozen records of read-only arrays) and are safe
-    to query from multiple threads. _exact builds on the exact-int path
-    whatever the family's length, so the two paths can be compared.
+    to query from multiple threads. _exact builds on the limb path whatever
+    the family's length, so the two paths can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
@@ -94,11 +104,11 @@ class AcsEngine:
         over h telescopes into two weight lookups, at the deepest ancestors
         with support 1 and min(f, m).
         """
-        return _closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]).tolist()
+        return exact_ints(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]))
 
     def total(self, i: int, column: Column) -> int:
         """Sum of best match lengths over every position of seqs[i]."""
-        return int(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]).sum())
+        return exact_total(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]))
 
     def totals(self, j: int, column: Column) -> list[int]:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
@@ -114,13 +124,13 @@ class AcsEngine:
         leaves = np.concatenate([self.trie.leaves[i] for i in others])
         sums = _closed_form(self.trie, column, runs, leaves)
         cuts = np.cumsum([self.seqs[i].run_count for i in others[:-1]], dtype=np.int64)
-        for i, part in zip(others, np.split(sums, cuts)):
-            totals[i] = int(part.sum())
+        for i, part in zip(others, np.split(sums, cuts, axis=-1)):
+            totals[i] = exact_total(part)
         return totals
 
 
 def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Exact run sums, in the column's weight dtype, for the (symbol, length) rows of runs.
+    """Exact run sums, in the column's weight layout, for the (symbol, length) rows of runs.
 
     leaves holds the leaf after each run. With m the column's longest run
     of the run's symbol, g = min(f, m) and v, u the deepest ancestors with
@@ -131,10 +141,13 @@ def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.
     support), so weight[u] = m * depth[u] and the form reduces to
     weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
     s-block, and the root, has weight 0. Both climbs run in int64, and so
-    does depth[u] + f - g, which stays below 2^63. The rest runs in the
-    weights' dtype: int64 within the trie's bound, which keeps every
-    product below 2^62, else object arithmetic in exact Python ints, since
-    the products reach 2^124.
+    does depth[u] + f - g, which stays below 2^63. Within the trie's int64
+    bound the rest is int64 too, every product below 2^62. Past it the
+    sums are limbs, a (2, len(runs)) array: the same value as
+    weight[v] - weight[u] + g * depth[u] + g * (f - g) + g * (g + 1) / 2,
+    with g * (g + 1) / 2 the product of its two halves (whichever of g and
+    g + 1 is even, halved, times the other) and a limb_carry after each
+    addition.
     """
     lengths = runs[:, 1]
     g = np.minimum(lengths, column.max_run[runs[:, 0]])
@@ -142,10 +155,16 @@ def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.
     # least g, so neither climb returns -1
     v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
     u = trie.deepest_freq_ancestor(leaves, g, column.freq)
-    dtype = column.weight.dtype
-    rest = (trie.str_depth[u] + lengths - g).astype(dtype, copy=False)
-    g = g.astype(dtype, copy=False)
-    return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
+    if trie.int64:
+        rest = trie.str_depth[u] + lengths - g
+        return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
+    (v_hi, v_lo), (u_hi, u_lo) = column.weight[:, v], column.weight[:, u]
+    hi, lo = limb_carry(v_hi - u_hi, v_lo - u_lo)
+    odd = g & 1
+    for a, b in ((g, trie.str_depth[u]), (g, lengths - g), (g >> (1 - odd), (g + 1) >> odd)):
+        p_hi, p_lo = limb_product(a, b)
+        hi, lo = limb_carry(hi + p_hi, lo + p_lo)
+    return np.stack((hi, lo))
 
 
 def acs(first: RleSeq, second: RleSeq) -> AcsResult:

@@ -116,8 +116,14 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
     """Rank arrays of every doubling round over the token string's suffixes.
 
     Round k ranks each suffix by its first 2^k token keys; round 0 is rank0
-    and the last round orders all suffixes. rounds <= ceil(log2 N) + 1, so
-    keeping them all takes O(N * rounds) memory.
+    and the last round orders all suffixes. Each later round ranks by one
+    int64 key, rank * (n + 1) + shifted + 1, where shifted is the rank 2^(k-1)
+    tokens on, or -1 past the end: with rank < n and shifted + 1 <= n, the
+    key is below n * (n + 1) < 2^63 for any n below 3 * 10^9, and it orders
+    as the pair (rank, shifted) does, so one argsort and a bump where the
+    sorted key changes give the pair's dense ranks (Manber & Myers).
+    rounds <= ceil(log2 N) + 1, so keeping them all takes O(N * rounds)
+    memory.
     """
     n = len(rank0)
     rounds = [rank0]
@@ -125,9 +131,15 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
     while int(rounds[-1].max()) != n - 1:
         if step > 2 * n:
             raise AssertionError("suffix ranks failed to become distinct")
-        shifted = np.full(n, -1, dtype=np.int64)
-        shifted[: n - step] = rounds[-1][step:]
-        rounds.append(_dense_rank([rounds[-1], shifted]))
+        key = rounds[-1] * (n + 1)
+        key[: n - step] += rounds[-1][step:] + 1
+        idx = np.argsort(key)
+        sorted_key = key[idx]
+        bump = np.zeros(n, dtype=np.int64)
+        bump[1:] = sorted_key[1:] != sorted_key[:-1]
+        rank = np.empty(n, dtype=np.int64)
+        rank[idx] = np.cumsum(bump)
+        rounds.append(rank)
         step *= 2
     return rounds
 
@@ -191,23 +203,19 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
     """Build a compact trie from ordered leaf depths and between-leaf lcps.
 
     One left-to-right sweep with a stack holding the rightmost root path in
-    strictly increasing str_depth. A node's parent is fixed the moment it
-    leaves the stack, so popped, the order in which nodes leave it, lists
-    every node after all of its children and ends with the root. Returns
-    (parent, str_depth, leaf_nodes, popped); node 0 is the root, at
-    str_depth 0.
+    strictly increasing str_depth; a node's parent is fixed the moment it
+    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
+    root, at str_depth 0.
     """
     parent = [-1]
     str_depth = [0]
     stack = [0]
     leaf_nodes = []
-    popped = []
     for k, depth in enumerate(leaf_depths):
         cut = gaps[k - 1] if k else 0
         last = -1
         while str_depth[stack[-1]] > cut:
             node = stack.pop()
-            popped.append(node)
             if last != -1:
                 parent[last] = node
             last = node
@@ -229,16 +237,15 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
     last = -1
     while stack:
         node = stack.pop()
-        popped.append(node)
         if last != -1:
             parent[last] = node
         last = node
-    return parent, str_depth, leaf_nodes, popped
+    return parent, str_depth, leaf_nodes
 
 
 def build_trie(order: SuffixOrder) -> Trie:
     """Compact trie over all the ordered suffixes."""
-    parent, str_depth, leaves, _ = _sweep_compact_trie(
+    parent, str_depth, leaves = _sweep_compact_trie(
         order.suffix_lengths.tolist(), order.dlcp.tolist()
     )
     return Trie(parent, str_depth, leaves)

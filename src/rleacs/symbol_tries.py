@@ -11,22 +11,23 @@ neighbors in a block is the minimum of the order's lcps over the gap,
 answered by a sparse range-minimum table; between blocks it is 0.
 
 extract_symbol_tries returns the trie's shape whole, as one frozen record of
-read-only int64 arrays: parent, depth, lifting rows, a top-down node order
-and the leaf after each run of each sequence. The answers against sequence
-j need one column, built by annotate: freq, the largest length of a
-preceding sequence-j run among the leaves below each node; weight, a
-running sum that turns "sum of ancestor depths over a range of thresholds"
-queries into two node lookups; and max_run, sequence j's longest run of
-each symbol. Ancestor searches climb with binary lifting, one vectorized
-step per row for a whole batch of (leaf, threshold) pairs, so a batch of q
-queries costs O(q log N).
+read-only int64 arrays: parent, depth, lifting rows and the leaf after each
+run of each sequence. The answers against sequence j need one column, built
+by annotate: freq, the largest length of a preceding sequence-j run among
+the leaves below each node; weight, a running sum that turns "sum of
+ancestor depths over a range of thresholds" queries into two node lookups;
+and max_run, sequence j's longest run of each symbol. Ancestor searches
+climb with binary lifting, one vectorized step per row for a whole batch of
+(leaf, threshold) pairs, so a batch of q queries costs O(q log N).
 
 The arithmetic is chosen once per build, from the family's decoded length L,
 every record's content plus its terminator. While L <= INT64_LENGTH_BOUND =
 2^30, every weight, closed-form product and run total stays below 4L^2 <=
 2^62 (see SymbolTrie.int64), so weights are int64, summed up each root path
 by pointer doubling over the lifting rows. Past it, a weight reaches 2^124,
-so weights are an object array of exact Python ints, summed top-down.
+so each weight is two int64 limbs, hi * 2^62 + lo with 0 <= lo < 2^62,
+summed by the same pointer doubling with a carry after every addition
+(limb_product, limb_carry). Every step stays a numpy array expression.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ from rleacs.suffixes import (
     token_string,
 )
 
-WEIGHT_CHUNK = 1 << 13
 INT64_LENGTH_BOUND = 1 << 30
+LIMB_BITS = 62
+LIMB_MASK = (1 << LIMB_BITS) - 1
+HALF_BITS = 31
+HALF_MASK = (1 << HALF_BITS) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +59,15 @@ class SymbolTrie:
     suffix after run i + 1 of sequence j. Leaf ids ascend in leaf order: the
     leaves of one preceding-run symbol form a contiguous block, in suffix
     order, and the blocks follow symbol order. up[k] maps each node to its
-    2^k-th ancestor; topdown lists every node after its parent, root first.
-    Every array is read-only int64. symbols is one more than the family's
-    largest symbol id. One shape serves every sequence's column: swapping
-    which sequence is queried only swaps the order of leaves with equal
-    decoded content, which are siblings, so every parent and depth stays as
-    it is.
+    2^k-th ancestor. Every array is read-only int64. symbols is one more
+    than the family's largest symbol id. One shape serves every sequence's
+    column: swapping which sequence is queried only swaps the order of
+    leaves with equal decoded content, which are siblings, so every parent
+    and depth stays as it is.
 
     int64 holds when the family's decoded length L is at most
     INT64_LENGTH_BOUND; its columns' weights, and the run sums answered from
-    them, are then int64, and exact Python ints otherwise. The bound keeps
+    them, are then int64, and two int64 limbs otherwise. The bound keeps
     int64 exact. With f a run's length, d the depth of the leaf after it
     and m any longest run, m < L and f + d <= L, since the run and its
     suffix lie in one record. So a weight is at most m * d < L^2; the
@@ -72,12 +75,18 @@ class SymbolTrie:
     and depth[u] <= d, is at most L * (3L + 1) <= 4L^2; and the totals of
     all records against one sum to at most the sum of their length
     products, below L^2. At L = 2^30 all of them are at most 2^62.
+
+    Past the bound, lengths and depths are still at most 2^62, so a weight
+    is below 2^124 and its hi limb below 2^62; so is every partial sum of
+    the doubling and every partial sum of a run's closed form, whose terms
+    are all non-negative but the one weight subtracted. The limb sum of two
+    such values is then below 2^63 before its carry, and so is every
+    intermediate of limb_product.
     """
 
     parent: np.ndarray
     str_depth: np.ndarray
     up: tuple[np.ndarray, ...]
-    topdown: np.ndarray
     leaves: tuple[np.ndarray, ...]
     symbols: int
     int64: bool
@@ -109,15 +118,16 @@ class SymbolTrie:
 class Column:
     """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
     freq per node and max_run per symbol id, and weight per node in int64
-    or, past the trie's int64 bound, object dtype."""
+    or, past the trie's int64 bound, as a (2, node_count) int64 array of
+    limbs, rows hi and lo, weight = hi * 2^62 + lo (exact_ints reads them)."""
 
     freq: np.ndarray
     weight: np.ndarray
     max_run: np.ndarray
 
 
-def _frozen(values, dtype=np.int64) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
     array.flags.writeable = False
     return array
 
@@ -140,6 +150,59 @@ def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(up)
 
 
+def limb_carry(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with lo brought into [0, 2^62) and its excess moved into hi.
+
+    lo may be any int64: the arithmetic shift rounds toward minus infinity,
+    so a negative lo borrows from hi.
+    """
+    return hi + (lo >> LIMB_BITS), lo & LIMB_MASK
+
+
+def limb_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as limbs (hi, lo), for int64 arrays with entries in [0, 2^62].
+
+    Each factor splits into 31-bit halves, a = a1 * 2^31 + a0 with a1 <= 2^31.
+    The middle sum a1 * b0 + a0 * b1 is below 2^63; its low 31 bits, shifted
+    up, join a0 * b0 in lo (below 2^63 before the carry), and its high bits
+    join a1 * b1 (at most 2^62) in hi.
+    """
+    a1, a0 = a >> HALF_BITS, a & HALF_MASK
+    b1, b0 = b >> HALF_BITS, b & HALF_MASK
+    mid = a1 * b0 + a0 * b1
+    return limb_carry(a1 * b1 + (mid >> HALF_BITS), a0 * b0 + ((mid & HALF_MASK) << HALF_BITS))
+
+
+def exact_total(values: np.ndarray) -> int:
+    """The exact sum of an int64 array whose sum fits int64, or of a (2, n) limb array.
+
+    The limbs are summed in int64 as hi, and lo's high and low 31-bit
+    pieces, then composed in Python ints: each piece sum stays below 2^63
+    while n < 2^32, and hi's sum is below 2^62 while the total is below
+    2^124.
+    """
+    if values.ndim == 1:
+        return int(values.sum())
+    hi, lo = values
+    return (
+        (int(hi.sum()) << LIMB_BITS)
+        + (int((lo >> HALF_BITS).sum()) << HALF_BITS)
+        + int((lo & HALF_MASK).sum())
+    )
+
+
+def exact_ints(values: np.ndarray) -> list[int]:
+    """Each entry of an int64 array, or each column of a (2, n) limb array, as a Python int.
+
+    This is how run sums, and a column's weights in verify and the tests,
+    are read by value whatever the arithmetic path.
+    """
+    if values.ndim == 1:
+        return values.tolist()
+    hi, lo = values.tolist()
+    return [(h << LIMB_BITS) + l for h, l in zip(hi, lo)]
+
+
 def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     """The column of one sequence from its (symbol, length) runs and the leaf after each.
 
@@ -154,12 +217,13 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     ancestor of every node, takes the column's maximum instead. Run lengths
     are below 2^62, so freq stays int64.
 
-    Within the trie's int64 bound, weight is the sum of each node's step
-    freq * (str_depth - str_depth[parent]) over its root path, by pointer
-    doubling: after row k every node holds its steps over the 2^(k+1) nodes
-    up from it, and the root's step is 0, so clamping at the root adds
-    nothing, and rows that reach every node's depth give the whole path.
-    Past the bound, weight flows top-down in exact Python ints.
+    weight is the sum of each node's step freq * (str_depth -
+    str_depth[parent]) over its root path, by pointer doubling: after row k
+    every node holds its steps over the 2^(k+1) nodes up from it, and the
+    root's step is 0, so clamping at the root adds nothing, and rows that
+    reach every node's depth give the whole path. Within the trie's int64
+    bound the steps and sums are int64; past it they are limbs, each step a
+    limb_product and each addition followed by a limb_carry.
     """
     max_run = np.zeros(trie.symbols, dtype=np.int64)
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
@@ -170,25 +234,16 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
     freq.flags.writeable = False
+    step = trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)]
     if trie.int64:
-        weight = freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
+        weight = freq * step
         for row in trie.up:
             weight += weight[row]
-        weight.flags.writeable = False
-        return Column(freq, weight, max_run)
-
-    # sums[k] is the weight of topdown[k]; a chunk of nodes at a time keeps
-    # few of the step products alive at once
-    slot = np.empty(trie.node_count, dtype=np.int64)
-    slot[trie.topdown] = np.arange(trie.node_count)
-    sums = [0]
-    for start in range(1, trie.node_count, WEIGHT_CHUNK):
-        nodes = trie.topdown[start : start + WEIGHT_CHUNK]
-        parents = trie.parent[nodes]
-        steps = freq[nodes].astype(object) * (trie.str_depth[nodes] - trie.str_depth[parents])
-        for p, step in zip(slot[parents].tolist(), steps):
-            sums.append(sums[p] + step)
-    weight = np.array(sums, dtype=object)[slot]
+    else:
+        hi, lo = limb_product(freq, step)
+        for row in trie.up:
+            hi, lo = limb_carry(hi + hi[row], lo + lo[row])
+        weight = np.stack((hi, lo))
     weight.flags.writeable = False
     return Column(freq, weight, max_run)
 
@@ -199,8 +254,7 @@ def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolT
     The suffix at token t of token_string(*order.seqs) is preceded by the
     run at token t - 1, except the k sequence starts, which have none. The
     order is no longer referenced once the trie's sweep starts. _exact
-    takes the exact-int path whatever the length, so the two can be
-    compared.
+    takes the limb path whatever the length, so the two can be compared.
     """
     length = sum(seq.content_length + 1 for seq in order.seqs)
     runs = token_string(*order.seqs)
@@ -227,7 +281,7 @@ def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolT
     gaps = gaps.tolist()
     del order, tokens, ranks, by_sym, syms, inner
 
-    parent, str_depth, leaf_nodes, popped = _sweep_compact_trie(depths, gaps)
+    parent, str_depth, leaf_nodes = _sweep_compact_trie(depths, gaps)
     del depths, gaps
     # token t's leaf; the sequence-start slots stay unset and unread
     leaf_at = np.empty(len(runs), dtype=np.int64)
@@ -238,7 +292,6 @@ def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolT
         parent=parent,
         str_depth=_frozen(str_depth),
         up=_lifting_rows(parent),
-        topdown=_frozen(popped[::-1]),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
         symbols=int(runs[:, 0].max()) + 1,
         int64=length <= INT64_LENGTH_BOUND and not _exact,

@@ -11,7 +11,7 @@ Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
 another has, and checks every ordered pair's total and run sums from the
 one family build against the brute scan, and every column's invariants. Every pair and
-family build is also rebuilt on the exact-int path, and its columns and
+family build is also rebuilt on the exact limb path, and its columns and
 totals compared with the int64 ones; the family's first two records, each
 with its longest run STRETCH longer, give one more pair past the int64
 bound, whose totals are checked against the run walker. The first failing
@@ -47,7 +47,7 @@ from rleacs.oracle import (
 )
 from rleacs.rle import Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
-from rleacs.symbol_tries import Column, SymbolTrie
+from rleacs.symbol_tries import Column, SymbolTrie, exact_ints
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -60,7 +60,7 @@ class VerifyReport:
     """Trials passed, the first failure, and what the checks covered.
 
     int64_builds counts the pair and family builds that took the int64 path,
-    each matched against an exact-int rebuild; exact_builds those past the
+    each matched against an exact limb rebuild; exact_builds those past the
     bound. runs_over_m and runs_without_m count the runs of the checked pair
     directions with f > m > 0 and with m == 0, m the other sequence's
     longest run of their symbol. refusals counts the pairs without a
@@ -188,7 +188,7 @@ def check_pair(
     the reverse direction, answered from the same build, is checked by its
     total and run sums against the brute scan and by its total against
     engine_factory(second, first). Both columns' totals, and with deep the
-    columns themselves, are matched against an exact-int rebuild. A pair
+    columns themselves, are matched against an exact limb rebuild. A pair
     without a distance must be refused by dist and dist_matrix with the
     reason. coverage, if given, counts the build's path, the run cases and
     the refusals (see VerifyReport).
@@ -340,11 +340,18 @@ def _path(trie: SymbolTrie) -> str:
 def _exact_checks(
     label: str, engine: AcsEngine, exact: AcsEngine, j: int, column: Column, deep: bool
 ) -> list[str]:
-    """The totals against seqs[j], and with deep its column, against the exact-int rebuild's."""
+    """The totals against seqs[j], and with deep its column, against the limb rebuild's.
+
+    The weights are compared by value, through exact_ints, since the two
+    paths lay them out differently.
+    """
     failures = []
     rebuilt = exact.column(j)
-    fields = ("freq", "weight", "max_run")
-    if deep and any(getattr(column, f).tolist() != getattr(rebuilt, f).tolist() for f in fields):
+    if deep and (
+        column.freq.tolist() != rebuilt.freq.tolist()
+        or exact_ints(column.weight) != exact_ints(rebuilt.weight)
+        or column.max_run.tolist() != rebuilt.max_run.tolist()
+    ):
         failures.append(f"{label} column {j} differs from the exact path's")
     if engine.totals(j, column) != exact.totals(j, rebuilt):
         failures.append(f"{label} totals against {j} differ from the exact path's")
@@ -358,13 +365,14 @@ def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -
     parent = trie.parent.tolist()
     str_depth = trie.str_depth.tolist()
     freq = column.freq.tolist()
+    weight = exact_ints(column.weight)
     for v, p in enumerate(parent):
         if p >= 0 and freq[p] < freq[v]:
             failures.append(f"{label}freq increases from node {p} to {v}")
             break
     for v, p in enumerate(parent):
-        expect = 0 if p < 0 else column.weight[p] + freq[v] * (str_depth[v] - str_depth[p])
-        if column.weight[v] != expect:
+        expect = 0 if p < 0 else weight[p] + freq[v] * (str_depth[v] - str_depth[p])
+        if weight[v] != expect:
             failures.append(f"{label}weight at node {v} breaks telescoping")
             break
     leaves = np.concatenate(trie.leaves)
@@ -461,7 +469,7 @@ def check_family(
     the brute per-position lengths. With deep, each column is also checked
     on its own: freq monotone, weight telescoping, leaves holding that
     sequence's preceding runs. Totals, and with deep columns, are matched
-    against an exact-int rebuild. Engine exceptions are failures.
+    against an exact limb rebuild. Engine exceptions are failures.
     """
     seqs = tuple(seqs)
     texts = [decode_ids(seq) for seq in seqs]

@@ -247,6 +247,7 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "doubling sweep" in out
     assert "run-length scaling" in out
+    assert "periodic runs=16384" in out and "fibonacci runs=16384" in out
     assert "closed form check: ok" in out
 
 

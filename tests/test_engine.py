@@ -34,7 +34,7 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
-from rleacs.symbol_tries import INT64_LENGTH_BOUND, extract_symbol_tries
+from rleacs.symbol_tries import INT64_LENGTH_BOUND, exact_ints, extract_symbol_tries
 from rleacs.verify import check_pair
 
 
@@ -96,7 +96,7 @@ def _batch_agrees(engine, i, j):
     sums = engine.run_sums(i, column)
     runs, leaves = engine.seqs[i].runs, engine.trie.leaves[i]
     singles = [
-        int(_closed_form(engine.trie, column, runs[k : k + 1], leaves[k : k + 1])[0])
+        exact_ints(_closed_form(engine.trie, column, runs[k : k + 1], leaves[k : k + 1]))[0]
         for k in range(len(runs))
     ]
     assert sums == singles
@@ -517,11 +517,42 @@ def test_reverse_from_one_build_at_length_bound(tail_draws, x_head_draws, y_head
     _batch_agrees(engine, 1, 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_limb_path_matches_the_run_walk_with_large_runs(seed):
+    # runs drawn from a few lengths near 2^53 repeat, so suffixes share long
+    # prefixes, and the second sequence lacks the longest, so many of the
+    # first's runs have f > m: every term of those runs' closed form fills
+    # both limbs, and a lost carry shows as a total off by a multiple of 2^62
+    count = 200
+    rng = np.random.default_rng(seed)
+    pool = np.sort(rng.integers(1 << 52, 1 << 53, size=3))
+
+    def draw(lengths):
+        syms = FIRST_SYMBOL_ID + np.cumsum(rng.integers(1, 3, size=count)) % 3
+        return RleSeq("s", np.column_stack((syms, rng.choice(lengths, size=count))))
+
+    first, second = draw(pool), draw(pool[:2])
+    engine = AcsEngine(first, second)
+    assert not _path_of(engine)
+    assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
+    _batch_agrees(engine, 0, 1)
+    _batch_agrees(engine, 1, 0)
+
+
 def _path_of(engine):
-    """The engine's arithmetic path, checked against both of its columns' dtypes."""
-    dtype = np.int64 if engine.trie.int64 else object
-    assert engine.column(0).weight.dtype == engine.column(1).weight.dtype == dtype
-    return engine.trie.int64
+    """The engine's arithmetic path, checked against both of its columns' weight layouts
+    (one int64 per node, or two int64 limbs per node past the bound) and
+    their values, telescoped in Python ints from the root down."""
+    trie = engine.trie
+    shape = (trie.node_count,) if trie.int64 else (2, trie.node_count)
+    parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
+    for column in (engine.column(0), engine.column(1)):
+        assert column.weight.dtype == np.int64 and column.weight.shape == shape
+        expect = [0] * trie.node_count
+        for v in np.argsort(trie.str_depth, kind="stable")[1:].tolist():
+            expect[v] = expect[parent[v]] + int(column.freq[v]) * (depth[v] - depth[parent[v]])
+        assert exact_ints(column.weight) == expect
+    return trie.int64
 
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])
@@ -591,9 +622,10 @@ def test_int64_and_exact_paths_agree_on_families(texts):
     assert engine.trie.int64 and not exact.trie.int64
     for j in range(len(seqs)):
         column, exact_column = engine.column(j), exact.column(j)
-        assert column.weight.dtype == np.int64 and exact_column.weight.dtype == object
+        assert column.weight.shape == (engine.trie.node_count,)
+        assert exact_column.weight.shape == (2, engine.trie.node_count)
         assert column.freq.tolist() == exact_column.freq.tolist()
-        assert column.weight.tolist() == exact_column.weight.tolist()
+        assert column.weight.tolist() == exact_ints(exact_column.weight)
         assert column.max_run.tolist() == exact_column.max_run.tolist()
         totals = engine.totals(j, column)
         assert totals == exact.totals(j, exact_column)

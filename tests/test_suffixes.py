@@ -15,10 +15,13 @@ from rleacs.oracle import (
     suffix_refs,
     suffix_runs,
 )
+from rleacs.bench import fibonacci_pair, periodic_pair
 from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 from rleacs.suffixes import (
     RangeMin,
-    _sweep_compact_trie,
+    _dense_rank,
+    _prefix_double,
+    _token_columns,
     build_suffix_order,
     build_trie,
     token_bounds,
@@ -307,10 +310,6 @@ def test_trie_str_depth_is_interval_min(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
     trie = build_trie(order)
-    *_, popped = _sweep_compact_trie(order.suffix_lengths, order.dlcp)
-    # the pop order lists every node once, after all of its children, root last
-    assert sorted(popped) == list(range(len(trie.parent))) and popped[-1] == 0
-    assert all(popped.index(trie.parent[v]) > i for i, v in enumerate(popped[:-1]))
     # leaf interval of each internal node, recovered from leaf parents upward
     intervals = {}
     for rank, leaf in enumerate(trie.leaves):
@@ -324,6 +323,27 @@ def test_trie_str_depth_is_interval_min(x, y):
             assert trie.str_depth[v] == order.suffix_lengths[lo]
         elif lo < hi:
             assert trie.str_depth[v] == min(order.dlcp[lo:hi])
+
+
+@pytest.mark.parametrize("make", [periodic_pair, fibonacci_pair])
+def test_doubling_on_adversarial_pairs(make):
+    # small sizes against the brute sort of the decoded suffixes
+    for total_runs in (2, 3, 5, 8, 13, 34):
+        first, second = make(total_runs, 3)
+        order = build_suffix_order(first, second)
+        brute = brute_suffix_sort(first, second)
+        assert np.array_equal(order.tokens, brute.tokens)
+        assert np.array_equal(order.dlcp, brute.dlcp)
+        assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
+    # every one-key round against the two-key dense rank it replaces
+    seqs = make(1 << 12)
+    syms, groups, signed, nexts, _ = _token_columns(seqs)
+    rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
+    assert len(rounds) >= 12
+    for k, (rank, after) in enumerate(zip(rounds, rounds[1:])):
+        shifted = np.full(len(rank), -1, dtype=np.int64)
+        shifted[: len(rank) - (1 << k)] = rank[1 << k :]
+        assert np.array_equal(after, _dense_rank([rank, shifted]))
 
 
 def test_range_min_matches_direct_scan():

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_pair
@@ -13,7 +13,18 @@ from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
 from rleacs.rle import FIRST_SYMBOL_ID
 from rleacs.suffixes import build_suffix_order
-from rleacs.symbol_tries import SymbolTrie, _lifting_rows, annotate, extract_symbol_tries
+from rleacs.symbol_tries import (
+    LIMB_BITS,
+    LIMB_MASK,
+    SymbolTrie,
+    _lifting_rows,
+    annotate,
+    exact_ints,
+    exact_total,
+    extract_symbol_tries,
+    limb_carry,
+    limb_product,
+)
 
 
 def build_query_trie(x, y):
@@ -104,14 +115,13 @@ def test_annotate_no_second_sequence_leaves():
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
-def hand_trie(parent, str_depth, popped, leaves, int64=True):
-    """A one-symbol SymbolTrie from a parent array, depths and a children-first node order."""
+def hand_trie(parent, str_depth, leaves, int64=True):
+    """A one-symbol SymbolTrie from a parent array and depths."""
     parent = np.array(parent, dtype=np.int64)
     return SymbolTrie(
         parent=parent,
         str_depth=np.array(str_depth, dtype=np.int64),
         up=_lifting_rows(parent),
-        topdown=np.array(popped[::-1], dtype=np.int64),
         leaves=(np.array(leaves, dtype=np.int64),),
         symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
@@ -128,21 +138,21 @@ def test_annotate_chain_recurrence():
     # freq(v1) = 5 and freq(v2) = 3; the three leaves follow second-sequence
     # runs of lengths 3, 2 and 5
     # on both arithmetic paths
-    popped = [3, 4, 2, 5, 1, 0]
+    parent, str_depth = [-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4]
     for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4], popped, [3, 4, 5], int64)
+        trie = hand_trie(parent, str_depth, [3, 4, 5], int64)
         column = annotate(trie, trie.leaves[0], runs_of([3, 2, 5]))
-        freq, weight = column.freq, column.weight
+        freq, weight = column.freq, exact_ints(column.weight)
         assert freq[1] == 5
         assert freq[2] == 3
         assert weight[1] == 10  # 5 * (2 - 0)
         assert weight[2] == 25  # 10 + 3 * (7 - 2)
         assert column.max_run.tolist() == [0, 0, 5]
         rev = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
-        assert rev.freq.tolist() == [0] * 6 and rev.weight.tolist() == [0] * 6
+        assert rev.freq.tolist() == [0] * 6 and exact_ints(rev.weight) == [0] * 6
         assert rev.max_run.tolist() == [0, 0, 0]
         # annotation reads the trie and leaves it as it was
-        assert trie.topdown.tolist() == popped[::-1]
+        assert trie.parent.tolist() == parent and trie.str_depth.tolist() == str_depth
 
 
 def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
@@ -152,36 +162,37 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     # fall off the root
     # the int64 weights' pointer doubling takes the same two rows
     for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 3, 2, 1, 5, 0], [4, 5], int64)
+        trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 5], int64)
         assert len(trie.up) == 2
         column = annotate(trie, trie.leaves[0], runs_of([5, 1]))
         assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
-        assert column.weight.tolist() == [0, 5, 10, 15, 20, 1]
+        assert exact_ints(column.weight) == [0, 5, 10, 15, 20, 1]
         assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
         # the same chain with nothing beside it, as first found
-        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4], int64)
+        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], int64)
         assert annotate(chain, chain.leaves[0], runs_of([5])).freq.tolist() == [5] * 5
 
 
 def test_annotate_leaves_int64_columns():
     trie, order, _ = build_query_trie("aabba", "abab")
-    # the exact path, forced, on the same order: the same shape, weights in Python ints
+    # the limb path, forced, on the same order: the same shape, weights in two int64 limbs
     exact = extract_symbol_tries(order, _exact=True)
     assert trie.int64 and not exact.int64
     columns = pair_columns(trie, order)
     exact_columns = pair_columns(exact, order)
     freqs = [column.freq for column in (*columns, *exact_columns)]
-    for column in (trie.parent, trie.str_depth, trie.topdown, *freqs, *trie.up):
+    for column in (trie.parent, trie.str_depth, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
         assert len(column) == trie.node_count
     for column in (column.weight for column in columns):
-        assert column.dtype == np.int64 and len(column) == trie.node_count
+        assert column.dtype == np.int64 and column.shape == (trie.node_count,)
     for column in (column.weight for column in exact_columns):
-        assert column.dtype == object and len(column) == trie.node_count
-        assert all(type(w) is int for w in column)
+        assert column.dtype == np.int64 and column.shape == (2, trie.node_count)
+        hi, lo = column
+        assert (hi >= 0).all() and (lo >= 0).all() and (lo < 1 << LIMB_BITS).all()
     for int64, exact_column in zip(columns, exact_columns):
         assert int64.freq.tolist() == exact_column.freq.tolist()
-        assert int64.weight.tolist() == exact_column.weight.tolist()
+        assert exact_ints(int64.weight) == int64.weight.tolist() == exact_ints(exact_column.weight)
         assert int64.max_run.tolist() == exact_column.max_run.tolist()
         assert int64.max_run.dtype == np.int64 and len(int64.max_run) == trie.symbols
     for column in trie.leaves:
@@ -189,6 +200,45 @@ def test_annotate_leaves_int64_columns():
     # rows double until the next would map every node to the root (node 0)
     top = trie.up[-1]
     assert top.any() and not top[top].any()
+
+
+LIMB_EDGES = (0, 1, (1 << 31) - 1, 1 << 31, (1 << 62) - 1, 1 << 62)
+limb_factors = st.lists(
+    st.one_of(st.sampled_from(LIMB_EDGES), st.integers(0, 1 << 62)), min_size=1, max_size=40
+)
+
+
+@given(limb_factors, limb_factors)
+@example(list(LIMB_EDGES), list(LIMB_EDGES))
+@example(list(LIMB_EDGES), list(reversed(LIMB_EDGES)))
+def test_limb_product_matches_python_ints(a, b):
+    a, b = a[: len(b)], b[: len(a)]
+    hi, lo = limb_product(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert exact_ints(np.stack((hi, lo))) == [x * y for x, y in zip(a, b)]
+    assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
+    # exact_total holds while the total stays below 2^124, as every run total does
+    products = [x * y for x, y in zip(a, b)]
+    k = max(k for k in range(len(products) + 1) if sum(products[:k]) < 1 << 124)
+    assert exact_total(np.stack((hi[:k], lo[:k]))) == sum(products[:k])
+
+
+@given(limb_factors, limb_factors, limb_factors, limb_factors)
+@example(*[list(LIMB_EDGES)] * 4)
+def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
+    # normalized limbs, hi below 2^62 and lo below 2^62, summed and subtracted
+    # as _closed_form and annotate do, with one carry after each
+    n = min(map(len, (a_hi, a_lo, b_hi, b_lo)))
+    a = [(h & LIMB_MASK, l & LIMB_MASK) for h, l in zip(a_hi[:n], a_lo[:n])]
+    b = [(h & LIMB_MASK, l & LIMB_MASK) for h, l in zip(b_hi[:n], b_lo[:n])]
+    (ah, al), (bh, bl) = (np.array(x, dtype=np.int64).T for x in (a, b))
+    value = [(h << LIMB_BITS) + l for h, l in a]
+    other = [(h << LIMB_BITS) + l for h, l in b]
+    added = np.stack(limb_carry(ah + bh, al + bl))
+    assert exact_ints(added) == [x + y for x, y in zip(value, other)]
+    taken = np.stack(limb_carry(ah - bh, al - bl))
+    assert exact_ints(taken) == [x - y for x, y in zip(value, other)]
+    for hi, lo in (added, taken):
+        assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
 
 
 def test_trie_is_immutable():

@@ -35,22 +35,25 @@ def column_as_min(trie, leaves, runs):
 
     Weights are built from it as annotate would, and the root keeps the
     column's true support, so every climb stays defined and the fault shows
-    as wrong answers, not as a crash.
+    as wrong answers, not as a crash. A parent is strictly shallower than
+    its children, so nodes by str_depth go parents first. Every engine it
+    serves is on the int64 path, so the weights are int64.
     """
     true = annotate(trie, leaves, runs)
     big = 1 << 62
     best = np.full(trie.node_count, big, dtype=np.int64)
     best[leaves] = runs[:, 1]
-    for v in trie.topdown[:0:-1].tolist():
+    by_depth = np.argsort(trie.str_depth, kind="stable").tolist()
+    for v in by_depth[:0:-1]:
         p = trie.parent[v]
         best[p] = min(best[p], best[v])
     best[best == big] = 0
     best[0] = true.freq[0]
     weight = [0] * trie.node_count
-    for v in trie.topdown[1:].tolist():
+    for v in by_depth[1:]:
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
-    return dataclasses.replace(true, freq=best, weight=np.array(weight, dtype=object))
+    return dataclasses.replace(true, freq=best, weight=np.array(weight, dtype=np.int64))
 
 
 class FreqAsMin(AcsEngine):
