@@ -140,16 +140,24 @@ def doubling_sweep(
     reps: int = 2,
     scale: int = 8,
 ) -> list[BenchRow]:
-    """Time the engine at run counts 2^14, 2^15, ... up to max_tokens."""
+    """Time the engine at run counts 2^14, 2^15, ... up to max_tokens.
+
+    Each row is the best of reps repetitions on one input. The repetitions
+    go round all the sizes in turn, so a stretch of slower host speed
+    reaches every row alike rather than the rows it happens to overlap.
+    """
     if max_tokens < DOUBLING_MIN:
         raise ValueError(f"doubling sweep needs max_tokens >= {DOUBLING_MIN}, got {max_tokens}")
-    rows = []
+    pairs = {}
     n = DOUBLING_MIN
     while n <= max_tokens:
-        first, second = synth_pair(n, scale, seed)
-        rows.append(_measure(f"runs={n}", first, second, reps))
+        pairs[n] = synth_pair(n, scale, seed)
         n *= 2
-    return rows
+    turns = [
+        [_measure(f"runs={n}", *pair, 1) for n, pair in pairs.items()]
+        for _ in range(max(reps, 1))
+    ]
+    return [min(rows, key=lambda row: row.total_s) for rows in zip(*turns)]
 
 
 def runlength_sweep(

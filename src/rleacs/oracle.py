@@ -165,7 +165,7 @@ class SuffixRef(NamedTuple):
     run: int
 
 
-def suffix_refs(order: SuffixOrder) -> list[SuffixRef]:
+def suffix_refs(order: SuffixOrder | BruteOrder) -> list[SuffixRef]:
     """Each rank's suffix as a (sequence, run) handle; a terminator is the run after the last."""
     bounds = token_bounds(order.seqs)
     seq = np.searchsorted(bounds, order.tokens, side="right") - 1
@@ -308,14 +308,22 @@ def per_position_lengths(
     return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
 
+@dataclass(frozen=True, eq=False)
+class BruteOrder:
+    """The brute sort's order, its int64 arrays named as SuffixOrder's so the two compare."""
+
+    seqs: tuple[RleSeq, ...]
+    tokens: np.ndarray
+    dlcp: np.ndarray
+    suffix_lengths: np.ndarray
+
+
 def brute_suffix_sort(
     first: RleSeq, second: RleSeq, budget: OracleBudget = DEFAULT_BUDGET
-) -> SuffixOrder:
+) -> BruteOrder:
     """Sort all run-start suffixes of the decoded pair by plain string order.
 
-    Produces the same SuffixOrder record as the fast builder, int64 arrays
-    in every field, so the two can be compared field by field. Each side's
-    decoded text ends in its terminator, chr(0) or chr(1).
+    Each side's decoded text ends in its terminator, chr(0) or chr(1).
     """
     budget.check(first.content_length, second.content_length)
     entries: list[tuple[str, int]] = []
@@ -329,7 +337,7 @@ def brute_suffix_sort(
     tokens = [token for _, token in entries]
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
     suffix_lengths = [len(text) for text, _ in entries]
-    return SuffixOrder(
+    return BruteOrder(
         seqs=(first, second),
         tokens=np.array(tokens, dtype=np.int64),
         dlcp=np.array(dlcp, dtype=np.int64),

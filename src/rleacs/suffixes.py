@@ -1,4 +1,4 @@
-"""Suffix ordering of a family of run-length encoded sequences, and the compact trie over it.
+"""Suffix ordering of a family of run-length encoded sequences, and the lcp of any two suffixes.
 
 Only suffixes that begin at run boundaries take part. token_string lays the
 k sequences out as one token string, each followed by its own terminator:
@@ -11,15 +11,18 @@ fits in int64. Decoded lcps and suffix lengths stay within one sequence (at
 most 2^62), so they come from one int64 prefix sum per sequence; a prefix
 sum over two sequences could already reach 2^63.
 
-The engine reads only the suffix order: its query trie is built from it
-directly, with range-minimum queries over the lcps, and the order is dropped
-once that trie exists. The compact trie over all suffixes (build_trie) exists
-for the structural checks of the verifier.
+The engine builds its query trie straight from the order and drops the
+order once that trie exists. The trie's gaps are the lcps of the leaf pairs
+it needs, taken by SuffixOrder.lcp from the doubling rounds the sort already
+made. The lcp of every pair of rank neighbors (SuffixOrder.dlcp) is built
+only when read, by verify and the tests, and so is the compact trie over all
+suffixes (verify.build_trie).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,28 +33,56 @@ from rleacs.rle import RleSeq
 class SuffixOrder:
     """All run-start suffixes of a family of sequences, sorted by decoded string order.
 
-    The three array fields are int64. tokens[k] is the token index of the
-    suffix at rank k; dlcp[k] is the decoded longest-common-prefix length of
-    the suffixes at ranks k and k+1; suffix_lengths[k] is the decoded length
-    (terminator included) of the suffix at rank k.
+    tokens[k] is the token index of the suffix at rank k and
+    suffix_lengths[k] its decoded length (terminator included). The rest
+    serves lcp: syms[t] and run_lengths[t] are token t's symbol and run
+    length (1 for a terminator), starts[t] its decoded offset inside its
+    sequence, and rounds the rank arrays of every doubling round
+    (_prefix_double). rounds are int32 below 2^31 tokens; every other array
+    is int64.
     """
 
     seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
-    dlcp: np.ndarray
     suffix_lengths: np.ndarray
+    syms: np.ndarray
+    run_lengths: np.ndarray
+    starts: np.ndarray
+    rounds: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return len(self.tokens)
 
+    def lcp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Decoded lcp of the suffixes at tokens a[i] and b[i], for int64 arrays with a != b.
 
-@dataclass(frozen=True)
-class Trie:
-    """Compact trie over all run-start suffixes, leaves in suffix order."""
+        h counts the leading tokens with equal keys, by one descent through
+        the doubling rounds for all pairs at once (Manber & Myers): the last
+        round's ranks are distinct, so every count is below its 2^k, and
+        round k adds 2^k wherever the next 2^k keys still agree. Equality is
+        key equality (rank0), the relation that orders the suffixes; a
+        coarser one, such as equal (symbol, length), would share tokens
+        across boundaries the order resolves by group or next symbol. A
+        unique terminator ends every shared block, so a + h and b + h stay
+        in the sequences of a and b. The decoded lcp is the shared tokens'
+        length plus the shorter run where tokens a + h and b + h still share
+        a symbol.
+        """
+        h = np.zeros(len(a), dtype=np.int64)
+        for k in range(len(self.rounds) - 2, -1, -1):
+            rank = self.rounds[k]
+            h += (rank[a + h] == rank[b + h]).astype(np.int64) << k
+        a_end = a + h
+        b_end = b + h
+        same = self.syms[a_end] == self.syms[b_end]
+        shorter = np.minimum(self.run_lengths[a_end], self.run_lengths[b_end])
+        return self.starts[a_end] - self.starts[a] + np.where(same, shorter, 0)
 
-    parent: list[int]
-    str_depth: list[int]
-    leaves: list[int]
+    @cached_property
+    def dlcp(self) -> np.ndarray:
+        """dlcp[k], the lcp of the suffixes at ranks k and k + 1, built on first
+        read; only verify and the tests read it."""
+        return self.lcp(self.tokens[:-1], self.tokens[1:])
 
 
 def token_string(*seqs: RleSeq) -> np.ndarray:
@@ -122,157 +153,53 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
     key is below n * (n + 1) < 2^63 for any n below 3 * 10^9, and it orders
     as the pair (rank, shifted) does, so one argsort and a bump where the
     sorted key changes give the pair's dense ranks (Manber & Myers).
-    rounds <= ceil(log2 N) + 1, so keeping them all takes O(N * rounds)
-    memory.
+    rounds <= ceil(log2 N) + 1, so keeping them all, as SuffixOrder does,
+    takes O(N * rounds) memory; ranks are below n, so below 2^31 tokens they
+    are kept as int32, half that.
     """
     n = len(rank0)
-    rounds = [rank0]
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rounds = [rank0.astype(dtype)]
     step = 1
     while int(rounds[-1].max()) != n - 1:
         if step > 2 * n:
             raise AssertionError("suffix ranks failed to become distinct")
-        key = rounds[-1] * (n + 1)
+        key = rounds[-1].astype(np.int64) * (n + 1)
         key[: n - step] += rounds[-1][step:] + 1
         idx = np.argsort(key)
         sorted_key = key[idx]
         bump = np.zeros(n, dtype=np.int64)
         bump[1:] = sorted_key[1:] != sorted_key[:-1]
-        rank = np.empty(n, dtype=np.int64)
+        rank = np.empty(n, dtype=dtype)
         rank[idx] = np.cumsum(bump)
         rounds.append(rank)
         step *= 2
     return rounds
 
 
-def _token_lcp(rounds: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Per adjacent rank pair, the count of leading tokens with equal keys.
-
-    Descends through the doubling rounds for all pairs at once (Manber &
-    Myers): the last round's ranks are distinct, so every lcp is below its
-    2^k, and round k adds 2^k wherever the next 2^k keys still agree.
-    Equality is key equality (rank0), the same relation that defines the
-    order. Coarser relations (say, equality of raw (symbol, length) pairs)
-    would count tokens as shared across boundaries the order resolves by
-    group or next-symbol. A shared block never spans a unique terminator, so
-    a + h and b + h stay inside the token string.
-    """
-    a = order[:-1]
-    b = order[1:]
-    h = np.zeros(len(a), dtype=np.int64)
-    for k in range(len(rounds) - 2, -1, -1):
-        rank = rounds[k]
-        h += (rank[a + h] == rank[b + h]).astype(np.int64) << k
-    return h
-
-
 def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     """Sort all run-start suffixes of the sequences into decoded order.
 
-    Tokens are ranked by their sort keys, the token string is suffix-sorted by
-    prefix doubling, and token-level lcps are converted to decoded lengths via
-    run-length prefix sums plus a min-length boundary term when the first
-    key-unequal tokens still share a symbol. Unique terminator tokens stop
-    every comparison at or before a sequence boundary, so one token string
-    holds all the sequences safely, and a suffix and its shared prefix lie in
-    one sequence, so each sequence gets its own prefix sum.
+    Tokens are ranked by their sort keys and the token string is
+    suffix-sorted by prefix doubling, whose rounds the order keeps for lcp.
+    Unique terminator tokens stop every comparison at or before a sequence
+    boundary, so one token string holds all the sequences safely, and a
+    suffix and its shared prefix lie in one sequence, so each sequence gets
+    its own prefix sum of run lengths (starts). No lcp is computed here.
     """
     syms, groups, signed, nexts, decoded = _token_columns(seqs)
     rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
     order = np.argsort(rounds[-1])
-    t = _token_lcp(rounds, order)
-    del rounds
-
     bounds = token_bounds(seqs)
     ends = np.concatenate([np.cumsum(part) for part in np.split(decoded, bounds[1:-1])])
-    start = ends - decoded
-    a = order[:-1] + t
-    b = order[1:] + t
-    dlcp = start[a] - start[order[:-1]]
-    dlcp += np.where(syms[a] == syms[b], np.minimum(decoded[a], decoded[b]), 0)
+    starts = ends - decoded
     seq_end = np.repeat(ends[bounds[1:] - 1], np.diff(bounds))
-
     return SuffixOrder(
         seqs=seqs,
         tokens=order,
-        dlcp=dlcp,
-        suffix_lengths=seq_end[order] - start[order],
+        suffix_lengths=seq_end[order] - starts[order],
+        syms=syms,
+        run_lengths=decoded,
+        starts=starts,
+        rounds=tuple(rounds),
     )
-
-
-def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
-    """Build a compact trie from ordered leaf depths and between-leaf lcps.
-
-    One left-to-right sweep with a stack holding the rightmost root path in
-    strictly increasing str_depth; a node's parent is fixed the moment it
-    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
-    root, at str_depth 0.
-    """
-    parent = [-1]
-    str_depth = [0]
-    stack = [0]
-    leaf_nodes = []
-    for k, depth in enumerate(leaf_depths):
-        cut = gaps[k - 1] if k else 0
-        last = -1
-        while str_depth[stack[-1]] > cut:
-            node = stack.pop()
-            if last != -1:
-                parent[last] = node
-            last = node
-        top = stack[-1]
-        if last != -1:
-            if str_depth[top] == cut:
-                parent[last] = top
-            else:
-                mid = len(parent)
-                parent.append(-1)
-                str_depth.append(cut)
-                parent[last] = mid
-                stack.append(mid)
-        leaf = len(parent)
-        parent.append(-1)
-        str_depth.append(depth)
-        leaf_nodes.append(leaf)
-        stack.append(leaf)
-    last = -1
-    while stack:
-        node = stack.pop()
-        if last != -1:
-            parent[last] = node
-        last = node
-    return parent, str_depth, leaf_nodes
-
-
-def build_trie(order: SuffixOrder) -> Trie:
-    """Compact trie over all the ordered suffixes."""
-    parent, str_depth, leaves = _sweep_compact_trie(
-        order.suffix_lengths.tolist(), order.dlcp.tolist()
-    )
-    return Trie(parent, str_depth, leaves)
-
-
-class RangeMin:
-    """Immutable range-minimum index over an int array, inclusive bounds."""
-
-    def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=np.int64)
-        rows = [arr]
-        span = 1
-        while 2 * span <= len(arr):
-            prev = rows[-1]
-            rows.append(np.minimum(prev[: len(prev) - span], prev[span:]))
-            span *= 2
-        self._rows = rows
-
-    def query_many(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        lengths = his - los + 1
-        # exact floor(log2) via the float exponent; lengths are far below 2^53
-        ks = np.frexp(lengths.astype(np.float64))[1] - 1
-        out = np.empty(len(los), dtype=np.int64)
-        for k in np.unique(ks):
-            row = self._rows[k]
-            mask = ks == k
-            lo = los[mask]
-            hi = his[mask]
-            out[mask] = np.minimum(row[lo], row[hi - (1 << int(k)) + 1])
-        return out

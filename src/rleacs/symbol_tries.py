@@ -7,8 +7,9 @@ sequences: its leaves are the ranks whose suffix follows a run (every token
 of the family's token string but the k sequence starts, so a terminator's
 suffix follows its sequence's last run), one contiguous block per
 preceding-run symbol, ranks ascending inside a block. The lcp between two
-neighbors in a block is the minimum of the order's lcps over the gap,
-answered by a sparse range-minimum table; between blocks it is 0.
+neighbors in a block is the lcp of their two suffixes, one descent through
+the suffix sort's doubling rounds for all of them (SuffixOrder.lcp); between
+blocks it is 0. No lcp of rank neighbors is built on this path.
 
 extract_symbol_tries returns the trie's shape whole, as one frozen record of
 read-only int64 arrays: parent, depth, lifting rows and the leaf after each
@@ -36,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rleacs.suffixes import (
-    RangeMin,
-    SuffixOrder,
-    _sweep_compact_trie,
-    token_bounds,
-    token_string,
-)
+from rleacs.suffixes import SuffixOrder, token_bounds
 
 INT64_LENGTH_BOUND = 1 << 30
 LIMB_BITS = 62
@@ -248,51 +243,95 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     return Column(freq, weight, max_run)
 
 
+def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
+    """Build a compact trie from ordered leaf depths and between-leaf lcps.
+
+    One left-to-right sweep with a stack holding the rightmost root path in
+    strictly increasing str_depth; a node's parent is fixed the moment it
+    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
+    root, at str_depth 0.
+    """
+    parent = [-1]
+    str_depth = [0]
+    stack = [0]
+    leaf_nodes = []
+    for k, depth in enumerate(leaf_depths):
+        cut = gaps[k - 1] if k else 0
+        last = -1
+        while str_depth[stack[-1]] > cut:
+            node = stack.pop()
+            if last != -1:
+                parent[last] = node
+            last = node
+        top = stack[-1]
+        if last != -1:
+            if str_depth[top] == cut:
+                parent[last] = top
+            else:
+                mid = len(parent)
+                parent.append(-1)
+                str_depth.append(cut)
+                parent[last] = mid
+                stack.append(mid)
+        leaf = len(parent)
+        parent.append(-1)
+        str_depth.append(depth)
+        leaf_nodes.append(leaf)
+        stack.append(leaf)
+    last = -1
+    while stack:
+        node = stack.pop()
+        if last != -1:
+            parent[last] = node
+        last = node
+    return parent, str_depth, leaf_nodes
+
+
 def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolTrie:
     """Build the query trie's shape straight from the suffix order.
 
     The suffix at token t of token_string(*order.seqs) is preceded by the
-    run at token t - 1, except the k sequence starts, which have none. The
-    order is no longer referenced once the trie's sweep starts. _exact
-    takes the limb path whatever the length, so the two can be compared.
+    run at token t - 1, except the k sequence starts, which have none.
+    _exact takes the limb path whatever the length, so the two can be
+    compared.
     """
     length = sum(seq.content_length + 1 for seq in order.seqs)
-    runs = token_string(*order.seqs)
     bounds = token_bounds(order.seqs)
     tokens = order.tokens
     ranks = np.flatnonzero(~np.isin(tokens, bounds[:-1]))
     # stable, so ranks stay ascending inside each symbol's block
-    by_sym = np.argsort(runs[tokens[ranks] - 1, 0], kind="stable")
-    ranks = ranks[by_sym]
+    ranks = ranks[np.argsort(order.syms[tokens[ranks] - 1], kind="stable")]
     leaf_tokens = tokens[ranks]
     depths = order.suffix_lengths[ranks].tolist()
 
-    # Neighbors in one block get the range-min of the order's lcps between
-    # them; neighbors in different blocks get 0, so each block hangs from
-    # the root as the paper's per-symbol trie would. Sharing that root is
-    # safe because a run of symbol s only asks thresholds h <= m_s, the
-    # longest s-run of the column's sequence, and the leaf after that run sits
-    # in the s-block: both the block's own root and the shared root qualify,
-    # each with str_depth 0 and weight 0.
-    syms = runs[leaf_tokens - 1, 0]
+    # Neighbors in one block get the lcp of their two suffixes; neighbors in
+    # different blocks get 0, so each block hangs from the root as the
+    # paper's per-symbol trie would. Sharing that root is safe because a run
+    # of symbol s only asks thresholds h <= m_s, the longest s-run of the
+    # column's sequence, and the leaf after that run sits in the s-block:
+    # both the block's own root and the shared root qualify, each with
+    # str_depth 0 and weight 0.
+    syms = order.syms[leaf_tokens - 1]
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
-    gaps[inner] = RangeMin(order.dlcp).query_many(ranks[inner], ranks[inner + 1] - 1)
+    gaps[inner] = order.lcp(leaf_tokens[inner], leaf_tokens[inner + 1])
     gaps = gaps.tolist()
-    del order, tokens, ranks, by_sym, syms, inner
+    del ranks, syms, inner
 
     parent, str_depth, leaf_nodes = _sweep_compact_trie(depths, gaps)
-    del depths, gaps
     # token t's leaf; the sequence-start slots stay unset and unread
-    leaf_at = np.empty(len(runs), dtype=np.int64)
+    leaf_at = np.empty(len(order.syms), dtype=np.int64)
     leaf_at[leaf_tokens] = leaf_nodes
     leaf_at.flags.writeable = False
-    parent = _frozen(parent)
+    # the sweep's lists, and the ints they share with depths and gaps, are
+    # freed before the lifting rows get built
+    parent, str_depth = _frozen(parent), _frozen(str_depth)
+    del depths, gaps, leaf_nodes
     return SymbolTrie(
         parent=parent,
-        str_depth=_frozen(str_depth),
+        str_depth=str_depth,
         up=_lifting_rows(parent),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
-        symbols=int(runs[:, 0].max()) + 1,
+        symbols=int(order.syms.max()) + 1,
         int64=length <= INT64_LENGTH_BOUND and not _exact,
     )

@@ -46,13 +46,27 @@ from rleacs.oracle import (
     suffix_refs,
 )
 from rleacs.rle import Alphabet, RleSeq, encode
-from rleacs.suffixes import SuffixOrder, build_suffix_order, build_trie
-from rleacs.symbol_tries import Column, SymbolTrie, exact_ints
+from rleacs.suffixes import SuffixOrder, build_suffix_order
+from rleacs.symbol_tries import Column, SymbolTrie, _sweep_compact_trie, exact_ints
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
 FAMILY_EVERY = 4
 STRETCH = 1 << 60
+
+
+@dataclass(frozen=True)
+class Trie:
+    """Compact trie over all run-start suffixes, leaves in suffix order."""
+
+    parent: list[int]
+    str_depth: list[int]
+    leaves: list[int]
+
+
+def build_trie(order: SuffixOrder) -> Trie:
+    """Compact trie over all the ordered suffixes, from their neighbor lcps."""
+    return Trie(*_sweep_compact_trie(order.suffix_lengths.tolist(), order.dlcp.tolist()))
 
 
 @dataclass(frozen=True)

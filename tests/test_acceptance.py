@@ -239,7 +239,7 @@ def test_criterion_4_final_run_closed_forms(campaign):
 
 
 def test_criterion_5_compressed_size_scaling():
-    rows = doubling_sweep(1 << 17, seed=SEED, reps=2)
+    rows = doubling_sweep(1 << 17, seed=SEED, reps=7)
     ratios = [
         b.total_s / a.total_s if a.total_s > 0 else float("inf")
         for a, b in zip(rows, rows[1:])

@@ -18,16 +18,15 @@ from rleacs.oracle import (
 from rleacs.bench import fibonacci_pair, periodic_pair
 from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 from rleacs.suffixes import (
-    RangeMin,
     _dense_rank,
     _prefix_double,
     _token_columns,
     build_suffix_order,
-    build_trie,
     token_bounds,
     token_string,
 )
 from rleacs.symbol_tries import annotate, extract_symbol_tries
+from rleacs.verify import build_trie, random_text
 
 
 def test_order_micro_pair():
@@ -346,21 +345,78 @@ def test_doubling_on_adversarial_pairs(make):
         assert np.array_equal(after, _dense_rank([rank, shifted]))
 
 
-def test_range_min_matches_direct_scan():
-    rng = random.Random(3)
-    values = [rng.randint(0, 50) for _ in range(257)]
-    rmq = RangeMin(values)
-    los = [0, 5, 17, 200, 256]
-    his = [0, 9, 230, 255, 256]
-    for _ in range(500):
-        lo = rng.randint(0, len(values) - 1)
-        los.append(lo)
-        his.append(rng.randint(lo, len(values) - 1))
-    assert rmq.query_many(np.array(los), np.array(his)).tolist() == [
-        min(values[lo : hi + 1]) for lo, hi in zip(los, his)
+def _block_neighbor_ranks(order):
+    """Rank pairs (lo, hi) of the query trie's neighbor leaves in one block.
+
+    The leaves are the ranks whose suffix follows a run (every token but the
+    sequence starts), stably sorted by that run's symbol, so ranks ascend
+    inside each block; a pair is two consecutive leaves of one block.
+    """
+    syms = token_string(*order.seqs)[:, 0].tolist()
+    starts = set(token_bounds(order.seqs)[:-1].tolist())
+    tokens = order.tokens.tolist()
+    leaves = sorted(
+        (k for k, t in enumerate(tokens) if t not in starts),
+        key=lambda k: syms[tokens[k] - 1],
+    )
+    return [
+        (lo, hi)
+        for lo, hi in zip(leaves, leaves[1:])
+        if syms[tokens[lo] - 1] == syms[tokens[hi] - 1]
     ]
 
 
-def test_range_min_single_element():
-    rmq = RangeMin([42])
-    assert rmq.query_many(np.array([0]), np.array([0])).tolist() == [42]
+def _assert_block_gaps_are_interval_mins(seqs):
+    """Check every in-block gap against the neighbor lcps; returns how many."""
+    order = build_suffix_order(*seqs)
+    # the neighbor lcps the law reads are the decoded sort's
+    assert order.dlcp.tolist() == _brute_family_order(seqs)[1]
+    pairs = np.array(_block_neighbor_ranks(order), dtype=np.int64).reshape(-1, 2)
+    gaps = order.lcp(order.tokens[pairs[:, 0]], order.tokens[pairs[:, 1]]).tolist()
+    assert gaps == [int(order.dlcp[lo:hi].min()) for lo, hi in pairs.tolist()]
+    return len(pairs)
+
+
+def test_block_gaps_are_interval_mins_random_families():
+    # each in-block gap the query trie takes from order.lcp is the min of
+    # the neighbor lcps over the ranks between its two leaves
+    rng = random.Random(23)
+    pairs_seen = 0
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        size = rng.randint(1, 3)
+        texts = [random_text(rng, rng.randint(1, 40), size, 2.0) for _ in range(k)]
+        alphabet = Alphabet.for_texts(texts)
+        seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+        pairs_seen += _assert_block_gaps_are_interval_mins(seqs)
+    assert pairs_seen > 1000
+
+
+@pytest.mark.parametrize("make", [periodic_pair, fibonacci_pair])
+def test_block_gaps_are_interval_mins_adversarial(make):
+    for total_runs in (2, 3, 5, 8, 13, 34, 89):
+        _assert_block_gaps_are_interval_mins(make(total_runs, 3))
+
+
+def test_lcp_of_any_two_suffixes_matches_run_walk():
+    # arbitrary rank pairs, mostly far apart, with ordinary and huge runs
+    rng = random.Random(29)
+    for trial in range(60):
+        if trial % 3 == 2:
+            # runs of 1 or 2 and near 10^9 over three symbols, first runs
+            # stretched to content length 2^62 - 1
+            first, second = (
+                at_bound([(sym, rng.choice([1, 2, 10**9, 10**9 + 1])) for sym in syms])
+                for syms in ([2, 3, 2, 4], [3, 2, 4, 2, 3])
+            )
+        else:
+            x = _random_runny_text(rng, rng.randint(1, 50), "ab")
+            y = _random_runny_text(rng, rng.randint(1, 50), "abc")
+            first, second, _ = make_pair(x, y)
+        order = build_suffix_order(first, second)
+        refs = suffix_refs(order)
+        n = len(order)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(min(40, n * (n - 1)))]
+        a, b = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        got = order.lcp(order.tokens[a], order.tokens[b]).tolist()
+        assert got == [suffix_lcp(first, second, refs[i], refs[j]) for i, j in pairs]

@@ -89,6 +89,16 @@ def test_extract_micro_pair():
     assert [trie.parent[b_x], trie.parent[b_y]] == [0, 0]
 
 
+def test_extract_builds_no_neighbor_lcps():
+    # the trie's gaps come from order.lcp; dlcp is built only when read
+    first, second, _ = make_pair("abaab", "bab")
+    order = build_suffix_order(first, second)
+    extract_symbol_tries(order)
+    assert "dlcp" not in vars(order)
+    assert order.dlcp.tolist() == [0, 0, 1, 2, 0, 1, 1, 2]
+    assert "dlcp" in vars(order)
+
+
 def test_annotate_micro_pair():
     trie, order, _ = build_query_trie("aab", "ab")
     column, _ = pair_columns(trie, order)

@@ -12,7 +12,8 @@ import pytest
 import rleacs.verify
 from rleacs.engine import AcsEngine
 from rleacs.rle import Alphabet, encode, parse_rle_text
-from rleacs.symbol_tries import annotate
+from rleacs.suffixes import SuffixOrder, build_suffix_order
+from rleacs.symbol_tries import annotate, extract_symbol_tries
 from rleacs.verify import (
     FAMILY_EVERY,
     STRETCH,
@@ -103,6 +104,29 @@ class RunSumsReversed(AcsEngine):
         return super().run_sums(i, column)[::-1]
 
 
+class FirstGapDeeper(SuffixOrder):
+    """A suffix order whose lcp reads the first pair asked one too deep."""
+
+    def lcp(self, a, b):
+        gaps = super().lcp(a, b)
+        gaps[:1] += 1
+        return gaps
+
+
+class GapOffByOne(AcsEngine):
+    """Planted bug: the query trie's first in-block gap is one too deep.
+
+    extract_symbol_tries asks lcp for its in-block gaps only, so the first
+    leaf pair of the lowest block with two leaves gets a wrong branch depth.
+    """
+
+    def __init__(self, *seqs, _exact=False):
+        self.seqs = seqs
+        order = build_suffix_order(*seqs)
+        fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(order)}
+        self.trie = extract_symbol_tries(FirstGapDeeper(**fields), _exact=_exact)
+
+
 class ExplodingEngine(AcsEngine):
     def __init__(self, *seqs):
         raise RuntimeError("boom")
@@ -178,6 +202,19 @@ def test_family_column_fault_is_caught_and_replayable():
     assert 3 <= len(seqs) <= 5
     assert check_family(seqs, engine_factory=FamilyMin)
     assert check_family(seqs) == []
+
+
+def test_block_gap_fault_is_caught_and_replayable():
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=GapOffByOne)
+    assert not report.ok
+    assert "raised" not in report.failure
+    # the deep structural check names the branch node the gap made too deep
+    assert re.search(r"query trie: node \d+ str_depth \d+ != interval min", report.failure)
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert len(seqs) == 2
+    failures = check_pair(seqs[0], seqs[1], engine_factory=GapOffByOne)
+    assert any(f.startswith("query trie: node ") for f in failures)
+    assert check_pair(seqs[0], seqs[1]) == []
 
 
 def test_family_run_sums_are_checked_by_position():
