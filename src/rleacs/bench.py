@@ -133,6 +133,20 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
     )
 
 
+def _round_robin(pairs: dict[str, tuple[RleSeq, RleSeq]], reps: int) -> list[BenchRow]:
+    """One row per labelled pair, each the best of reps repetitions on it.
+
+    The repetitions go round all the pairs in turn, so a stretch of slower
+    host speed reaches every row alike rather than the rows it happens to
+    overlap.
+    """
+    turns = [
+        [_measure(label, *pair, 1) for label, pair in pairs.items()]
+        for _ in range(max(reps, 1))
+    ]
+    return [min(rows, key=lambda row: row.total_s) for rows in zip(*turns)]
+
+
 def doubling_sweep(
     max_tokens: int = DOUBLING_MAX,
     *,
@@ -140,24 +154,15 @@ def doubling_sweep(
     reps: int = 2,
     scale: int = 8,
 ) -> list[BenchRow]:
-    """Time the engine at run counts 2^14, 2^15, ... up to max_tokens.
-
-    Each row is the best of reps repetitions on one input. The repetitions
-    go round all the sizes in turn, so a stretch of slower host speed
-    reaches every row alike rather than the rows it happens to overlap.
-    """
+    """Time the engine at run counts 2^14, 2^15, ... up to max_tokens (_round_robin)."""
     if max_tokens < DOUBLING_MIN:
         raise ValueError(f"doubling sweep needs max_tokens >= {DOUBLING_MIN}, got {max_tokens}")
     pairs = {}
     n = DOUBLING_MIN
     while n <= max_tokens:
-        pairs[n] = synth_pair(n, scale, seed)
+        pairs[f"runs={n}"] = synth_pair(n, scale, seed)
         n *= 2
-    turns = [
-        [_measure(f"runs={n}", *pair, 1) for n, pair in pairs.items()]
-        for _ in range(max(reps, 1))
-    ]
-    return [min(rows, key=lambda row: row.total_s) for rows in zip(*turns)]
+    return _round_robin(pairs, reps)
 
 
 def runlength_sweep(
@@ -167,15 +172,11 @@ def runlength_sweep(
     seed: int = 42,
     reps: int = 2,
 ) -> list[BenchRow]:
-    """Fixed run count, run lengths scaled from 10 up to 10^6."""
-    return [
-        _measure(
-            f"runs={total_runs} scale={scale}",
-            *synth_pair(total_runs, scale, seed),
-            reps,
-        )
-        for scale in scales
-    ]
+    """Fixed run count, run lengths scaled from 10 up to 10^6 (_round_robin)."""
+    pairs = {
+        f"runs={total_runs} scale={scale}": synth_pair(total_runs, scale, seed) for scale in scales
+    }
+    return _round_robin(pairs, reps)
 
 
 def adversarial_rows(total_runs: int = DOUBLING_MIN, *, reps: int = 2) -> list[BenchRow]:

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,7 @@ from rleacs.symbol_tries import (
     exact_ints,
     exact_total,
     extract_symbol_tries,
+    leaf_blocks,
     limb_carry,
     limb_product,
 )
@@ -86,7 +88,8 @@ class AcsEngine:
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
         self.seqs = seqs
-        self.trie = extract_symbol_tries(build_suffix_order(*seqs), _exact=_exact)
+        # the order, rounds and all, is freed once leaf_blocks has read it
+        self.trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)), _exact=_exact)
 
     def column(self, j: int) -> Column:
         """The column of seqs[j], annotated afresh on each call."""
@@ -204,14 +207,22 @@ def dist_value(
     the two addends of an exactly rounded sum, so the result is
     bit-identical under swap.
     """
-    log = LOG_FUNCTIONS[log_base]
     gap_y = 1 / acs_xy - 1 / acs_self(y_len)
     gap_x = 1 / acs_yx - 1 / acs_self(x_len)
     with localcontext() as ctx:
         ctx.prec = DIST_DIGITS
-        term_y = log(Decimal(y_len)) * gap_y.numerator / gap_y.denominator
-        term_x = log(Decimal(x_len)) * gap_x.numerator / gap_x.denominator
+        term_y = _log(log_base, y_len) * gap_y.numerator / gap_y.denominator
+        term_x = _log(log_base, x_len) * gap_x.numerator / gap_x.denominator
         return float((term_y + term_x) / 2)
+
+
+@lru_cache(maxsize=1 << 12)
+def _log(log_base: str, length: int) -> Decimal:
+    """The log of a sequence length at DIST_DIGITS digits, once per (base, length):
+    a matrix of k records takes k of them, not k(k - 1)."""
+    with localcontext() as ctx:
+        ctx.prec = DIST_DIGITS
+        return LOG_FUNCTIONS[log_base](Decimal(length))
 
 
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:

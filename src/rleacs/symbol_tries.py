@@ -11,6 +11,17 @@ neighbors in a block is the lcp of their two suffixes, one descent through
 the suffix sort's doubling rounds for all of them (SuffixOrder.lcp); between
 blocks it is 0. No lcp of rank neighbors is built on this path.
 
+The build takes two steps. leaf_blocks reads from the order only what the
+trie needs (leaf tokens, depths, gaps, token bounds, symbol count and
+decoded length), so the order and its rounds can be freed before any node
+array exists. extract_symbol_tries then builds parent and str_depth as
+int64 arrays straight from the depths and gaps: every gap finds its
+previous gap <= it and its next gap < it by JUMP_ROUNDS of pointer jumping,
+then a binary descent over a sparse table of minima for the searches still
+open. An internal node is a run of equal gaps with no smaller gap between
+them; its parent, and a leaf's, follow from the nearest smaller gaps. The
+worst case is O(m log m) for m leaves, with no Python loop over nodes.
+
 extract_symbol_tries returns the trie's shape whole, as one frozen record of
 read-only int64 arrays: parent, depth, lifting rows and the leaf after each
 run of each sequence. The answers against sequence j need one column, built
@@ -28,7 +39,8 @@ every record's content plus its terminator. While L <= INT64_LENGTH_BOUND =
 by pointer doubling over the lifting rows. Past it, a weight reaches 2^124,
 so each weight is two int64 limbs, hi * 2^62 + lo with 0 <= lo < 2^62,
 summed by the same pointer doubling with a carry after every addition
-(limb_product, limb_carry). Every step stays a numpy array expression.
+(limb_product, limb_carry), unless the column's weights all stay below
+2^63 (see annotate). Every step stays a numpy array expression.
 """
 
 from __future__ import annotations
@@ -44,16 +56,23 @@ LIMB_BITS = 62
 LIMB_MASK = (1 << LIMB_BITS) - 1
 HALF_BITS = 31
 HALF_MASK = (1 << HALF_BITS) - 1
+# rounds of pointer jumping before the trie build's open nearest-smaller
+# searches fall back on the sparse-table descent
+JUMP_ROUNDS = 4
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolTrie:
     """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
-    Node 0 is the root, with parent -1. leaves[j][i] is the leaf of the
-    suffix after run i + 1 of sequence j. Leaf ids ascend in leaf order: the
-    leaves of one preceding-run symbol form a contiguous block, in suffix
-    order, and the blocks follow symbol order. up[k] maps each node to its
+    Node 0 is the root, with parent -1; the internal nodes follow, numbered
+    in the order of the first gap each owns, and the leaves come last.
+    leaves[j][i] is the leaf of the suffix after run i + 1 of sequence j.
+    Leaf ids ascend in leaf order: the leaves of one preceding-run symbol
+    form a contiguous block, in suffix order, and the blocks follow symbol
+    order. The build (extract_symbol_tries) takes O(m log m) time at worst
+    for m leaves, when the nearest-smaller searches outrun pointer jumping
+    and fall back on the sparse-table descent. up[k] maps each node to its
     2^k-th ancestor. Every array is read-only int64. symbols is one more
     than the family's largest symbol id. One shape serves every sequence's
     column: swapping which sequence is queried only swaps the order of
@@ -77,6 +96,10 @@ class SymbolTrie:
     are all non-negative but the one weight subtracted. The limb sum of two
     such values is then below 2^63 before its carry, and so is every
     intermediate of limb_product.
+
+    limb_sums marks a trie built with _exact: annotate then sums its
+    weights on limbs whatever their size, so that the int64 build of a
+    family can be checked against the limb arithmetic.
     """
 
     parent: np.ndarray
@@ -85,6 +108,7 @@ class SymbolTrie:
     leaves: tuple[np.ndarray, ...]
     symbols: int
     int64: bool
+    limb_sums: bool = False
 
     @property
     def node_count(self) -> int:
@@ -121,12 +145,6 @@ class Column:
     max_run: np.ndarray
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.array(values, dtype=np.int64)
-    array.flags.writeable = False
-    return array
-
-
 def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     """up[k][v], the 2^k-th ancestor of v, clamped at the root (node 0).
 
@@ -139,6 +157,8 @@ def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     up = []
     row = np.maximum(parent, 0)
     while row.any():
+        if len(up) == len(parent).bit_length():
+            raise AssertionError("parent pointers do not all lead to the root")
         row.flags.writeable = False
         up.append(row)
         row = row[row]
@@ -216,9 +236,13 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     str_depth[parent]) over its root path, by pointer doubling: after row k
     every node holds its steps over the 2^(k+1) nodes up from it, and the
     root's step is 0, so clamping at the root adds nothing, and rows that
-    reach every node's depth give the whole path. Within the trie's int64
-    bound the steps and sums are int64; past it they are limbs, each step a
-    limb_product and each addition followed by a limb_carry.
+    reach every node's depth give the whole path. Every step and partial
+    sum is at most the column's longest run (freq at the root) times the
+    deepest str_depth. While that is below 2^63 they are summed in int64,
+    and on a trie past its int64 bound split into limbs once, which gives
+    the same limbs; within the bound it is below 2^60. Otherwise, and on a
+    limb_sums trie, each step is a limb_product and each addition is
+    followed by a limb_carry.
     """
     max_run = np.zeros(trie.symbols, dtype=np.int64)
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
@@ -230,10 +254,12 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     freq[0] = freq.max()
     freq.flags.writeable = False
     step = trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)]
-    if trie.int64:
+    if not trie.limb_sums and int(freq[0]) * int(trie.str_depth.max()) < 1 << 63:
         weight = freq * step
         for row in trie.up:
             weight += weight[row]
+        if not trie.int64:
+            weight = np.stack((weight >> LIMB_BITS, weight & LIMB_MASK))
     else:
         hi, lo = limb_product(freq, step)
         for row in trie.up:
@@ -243,66 +269,46 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     return Column(freq, weight, max_run)
 
 
-def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
-    """Build a compact trie from ordered leaf depths and between-leaf lcps.
+@dataclass(frozen=True, eq=False)
+class LeafBlocks:
+    """All the query trie's build reads of a suffix order (see leaf_blocks).
 
-    One left-to-right sweep with a stack holding the rightmost root path in
-    strictly increasing str_depth; a node's parent is fixed the moment it
-    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
-    root, at str_depth 0.
+    tokens[k] is the token whose suffix is leaf k, in leaf order, depths[k]
+    that suffix's decoded length, and gaps[k] the lcp of leaves k and k + 1,
+    0 between blocks; every array is int64. bounds are the family's
+    token_bounds, symbols is one more than its largest symbol id, and length
+    its decoded length, every record's content plus its terminator.
     """
-    parent = [-1]
-    str_depth = [0]
-    stack = [0]
-    leaf_nodes = []
-    for k, depth in enumerate(leaf_depths):
-        cut = gaps[k - 1] if k else 0
-        last = -1
-        while str_depth[stack[-1]] > cut:
-            node = stack.pop()
-            if last != -1:
-                parent[last] = node
-            last = node
-        top = stack[-1]
-        if last != -1:
-            if str_depth[top] == cut:
-                parent[last] = top
-            else:
-                mid = len(parent)
-                parent.append(-1)
-                str_depth.append(cut)
-                parent[last] = mid
-                stack.append(mid)
-        leaf = len(parent)
-        parent.append(-1)
-        str_depth.append(depth)
-        leaf_nodes.append(leaf)
-        stack.append(leaf)
-    last = -1
-    while stack:
-        node = stack.pop()
-        if last != -1:
-            parent[last] = node
-        last = node
-    return parent, str_depth, leaf_nodes
+
+    tokens: np.ndarray
+    depths: np.ndarray
+    gaps: np.ndarray
+    bounds: np.ndarray
+    symbols: int
+    length: int
 
 
-def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolTrie:
-    """Build the query trie's shape straight from the suffix order.
+def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
+    """The query trie's leaves, in blocks by preceding-run symbol, and their gaps.
 
     The suffix at token t of token_string(*order.seqs) is preceded by the
-    run at token t - 1, except the k sequence starts, which have none.
-    _exact takes the limb path whatever the length, so the two can be
-    compared.
+    run at token t - 1, except the k sequence starts, which have none. The
+    record keeps nothing of the order, so the order, rounds and all, can be
+    dropped before the trie's arrays are built.
     """
-    length = sum(seq.content_length + 1 for seq in order.seqs)
     bounds = token_bounds(order.seqs)
     tokens = order.tokens
-    ranks = np.flatnonzero(~np.isin(tokens, bounds[:-1]))
+    is_start = np.zeros(len(tokens), dtype=bool)
+    is_start[bounds[:-1]] = True
+    ranks = np.flatnonzero(~is_start[tokens])
+    keys = order.syms[tokens[ranks] - 1]
+    if keys.max(initial=0) < 1 << 16:
+        # a stable argsort of 16-bit keys is a radix sort
+        keys = keys.astype(np.uint16)
     # stable, so ranks stay ascending inside each symbol's block
-    ranks = ranks[np.argsort(order.syms[tokens[ranks] - 1], kind="stable")]
+    by_symbol = np.argsort(keys, kind="stable")
+    ranks = ranks[by_symbol]
     leaf_tokens = tokens[ranks]
-    depths = order.suffix_lengths[ranks].tolist()
 
     # Neighbors in one block get the lcp of their two suffixes; neighbors in
     # different blocks get 0, so each block hangs from the root as the
@@ -311,27 +317,136 @@ def extract_symbol_tries(order: SuffixOrder, *, _exact: bool = False) -> SymbolT
     # column's sequence, and the leaf after that run sits in the s-block:
     # both the block's own root and the shared root qualify, each with
     # str_depth 0 and weight 0.
-    syms = order.syms[leaf_tokens - 1]
+    syms = keys[by_symbol]
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = order.lcp(leaf_tokens[inner], leaf_tokens[inner + 1])
-    gaps = gaps.tolist()
-    del ranks, syms, inner
+    return LeafBlocks(
+        tokens=leaf_tokens,
+        depths=order.suffix_lengths[ranks],
+        gaps=gaps,
+        bounds=bounds,
+        symbols=int(order.syms.max()) + 1,
+        length=sum(seq.content_length + 1 for seq in order.seqs),
+    )
 
-    parent, str_depth, leaf_nodes = _sweep_compact_trie(depths, gaps)
+
+def _min_rows(gaps: np.ndarray) -> list[np.ndarray]:
+    """rows[k][s] = min(gaps[s : s + 2^k]) for every 2^k <= len(gaps).
+
+    They are int32, half the memory, when every gap fits.
+    """
+    rows = [gaps.astype(np.int32) if gaps.max(initial=0) <= np.iinfo(np.int32).max else gaps]
+    width = 1
+    while 2 * width <= len(gaps):
+        rows.append(np.minimum(rows[-1][:-width], rows[-1][width:]))
+        width *= 2
+    return rows
+
+
+def _descend(rows: list[np.ndarray], near: np.ndarray, values: np.ndarray, beyond, step: int):
+    """The nearest gap not beyond each of values, from pointers at gaps beyond them.
+
+    Every gap from near up to the searched one is beyond it. From the top
+    row down, near moves by step * 2^k wherever the next 2^k gaps, by their
+    minimum, are all beyond; the answer is one step past where it stops.
+    The rows reach 2^len(rows) - 1 gaps, more than any search needs.
+    """
+    near = near.copy()
+    for k in range(len(rows) - 1, -1, -1):
+        row, width = rows[k], 1 << k
+        start = near + 1 if step > 0 else near - width
+        fits = start < len(row) if step > 0 else start >= 0
+        take = fits & beyond(row[np.clip(start, 0, len(row) - 1)], values)
+        near += take * (step * width)
+    return near + step
+
+
+def _nearest(values: np.ndarray, rows: list[np.ndarray], beyond, step: int) -> np.ndarray:
+    """Each gap's nearest gap not beyond it, looking left for step -1 and right for 1.
+
+    values are the gaps and then -1, which stands past both ends, so a
+    search that meets no such gap returns -1 or len(gaps). JUMP_ROUNDS of
+    pointer jumping settle most searches: every gap strictly between a gap
+    and its pointer is beyond it, and while the pointer's own gap is too,
+    the pointer takes that gap's pointer. Each round reads and moves only
+    the open searches; those still open then descend over rows.
+    """
+    gaps = values[:-1]
+    near = np.arange(step, len(gaps) + step, dtype=np.int64)
+    open_ = np.flatnonzero(beyond(values[near], gaps))
+    for _ in range(JUMP_ROUNDS):
+        near[open_] = near[near[open_]]
+        open_ = open_[beyond(values[near[open_]], gaps[open_])]
+    near[open_] = _descend(rows, near[open_], gaps[open_], beyond, step)
+    return near
+
+
+def _compact_trie(depths: np.ndarray, gaps: np.ndarray):
+    """The compact trie over leaves in order, from their depths and the gaps between them.
+
+    Returns int64 arrays (parent, str_depth, leaf_nodes). Node 0 is the
+    root; the internal nodes follow, in the order of their first gaps; the
+    leaves come last, in leaf order. Each leaf is deeper than both its gaps.
+
+    An internal node at depth v > 0 owns the gaps of value v with no
+    smaller gap between them, and is represented by the first, whose
+    previous gap <= v is smaller; depth-0 gaps, and both ends, are the
+    root. Its parent is the node of the deeper of its nearest smaller gaps
+    on either side, and a leaf's is the node of the deeper of its two
+    neighbor gaps (the left on a tie, the same node). The nearest gaps come
+    from JUMP_ROUNDS of pointer jumping, then a descent over a sparse table
+    of minima for any still open, so the build is O(m log m) for m leaves
+    at worst; the periodic pair sends nearly every next-smaller search to
+    the descent.
+    """
+    n = len(gaps)
+    # both ends read values[n] = -1, the left one as index -1
+    values = np.append(gaps, -1)
+    rows = _min_rows(gaps)
+    prev = _nearest(values, rows, np.greater, -1)  # the previous gap <= each
+    after = _nearest(values, rows, np.greater_equal, 1)  # the next gap < each
+    del rows
+
+    root = gaps == 0
+    first = ~root & (values[prev] != gaps)
+    ends = first | root
+    # every other gap of a node links to the equal gap before it
+    link = np.where(ends, np.arange(n, dtype=np.int64), prev)
+    while not ends[link].all():
+        link = link[link]
+    node = np.append(np.where(root, 0, np.cumsum(first, dtype=np.int64)[link]), 0)
+
+    internal = np.flatnonzero(first)
+    left, right = prev[internal], after[internal]
+    up = np.where(values[left] >= values[right], node[left], node[right])
+    # leaf k lies between gaps k - 1 and k; leaf 0 has only gap 0's node
+    leaf_up = np.where(values[:-1] >= values[1:], node[:-1], node[1:])
+    parent = np.concatenate(([-1], up, node[:1], leaf_up))
+    str_depth = np.concatenate(([0], gaps[internal], depths))
+    return parent, str_depth, np.arange(len(internal) + 1, len(parent), dtype=np.int64)
+
+
+def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolTrie:
+    """Build the query trie's shape from the leaves and gaps of leaf_blocks.
+
+    _exact takes the limb path whatever the length, annotate's weight sums
+    included (limb_sums), so the two can be compared.
+    """
+    parent, str_depth, leaf_nodes = _compact_trie(blocks.depths, blocks.gaps)
+    parent.flags.writeable = False
+    str_depth.flags.writeable = False
+    bounds = blocks.bounds
     # token t's leaf; the sequence-start slots stay unset and unread
-    leaf_at = np.empty(len(order.syms), dtype=np.int64)
-    leaf_at[leaf_tokens] = leaf_nodes
+    leaf_at = np.empty(bounds[-1], dtype=np.int64)
+    leaf_at[blocks.tokens] = leaf_nodes
     leaf_at.flags.writeable = False
-    # the sweep's lists, and the ints they share with depths and gaps, are
-    # freed before the lifting rows get built
-    parent, str_depth = _frozen(parent), _frozen(str_depth)
-    del depths, gaps, leaf_nodes
     return SymbolTrie(
         parent=parent,
         str_depth=str_depth,
         up=_lifting_rows(parent),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
-        symbols=int(order.syms.max()) + 1,
-        int64=length <= INT64_LENGTH_BOUND and not _exact,
+        symbols=blocks.symbols,
+        int64=blocks.length <= INT64_LENGTH_BOUND and not _exact,
+        limb_sums=_exact,
     )

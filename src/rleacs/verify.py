@@ -6,7 +6,9 @@ the brute sort, match-length totals in both directions against the brute
 scan and against a separate reverse build, per-run sums against per-position
 sums, the final run against its closed forms, distance axioms and the
 decimal reference distance (or, for a pair without a distance, its refusal
-by dist and dist_matrix), and the structural invariants of the tries.
+by dist and dist_matrix), the structural invariants of the tries, and the
+query trie against the stack sweep's trie (_sweep_compact_trie) over the
+same leaves and gaps, node for node.
 Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
 another has, and checks every ordered pair's total and run sums from the
@@ -47,7 +49,7 @@ from rleacs.oracle import (
 )
 from rleacs.rle import Alphabet, RleSeq, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order
-from rleacs.symbol_tries import Column, SymbolTrie, _sweep_compact_trie, exact_ints
+from rleacs.symbol_tries import Column, SymbolTrie, exact_ints, leaf_blocks
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -62,6 +64,51 @@ class Trie:
     parent: list[int]
     str_depth: list[int]
     leaves: list[int]
+
+
+def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
+    """Build a compact trie from ordered leaf depths and between-leaf lcps.
+
+    One left-to-right sweep with a stack holding the rightmost root path in
+    strictly increasing str_depth; a node's parent is fixed the moment it
+    leaves the stack. Returns (parent, str_depth, leaf_nodes); node 0 is the
+    root, at str_depth 0. The reference for the engine's array build
+    (symbol_tries._compact_trie).
+    """
+    parent = [-1]
+    str_depth = [0]
+    stack = [0]
+    leaf_nodes = []
+    for k, depth in enumerate(leaf_depths):
+        cut = gaps[k - 1] if k else 0
+        last = -1
+        while str_depth[stack[-1]] > cut:
+            node = stack.pop()
+            if last != -1:
+                parent[last] = node
+            last = node
+        top = stack[-1]
+        if last != -1:
+            if str_depth[top] == cut:
+                parent[last] = top
+            else:
+                mid = len(parent)
+                parent.append(-1)
+                str_depth.append(cut)
+                parent[last] = mid
+                stack.append(mid)
+        leaf = len(parent)
+        parent.append(-1)
+        str_depth.append(depth)
+        leaf_nodes.append(leaf)
+        stack.append(leaf)
+    last = -1
+    while stack:
+        node = stack.pop()
+        if last != -1:
+            parent[last] = node
+        last = node
+    return parent, str_depth, leaf_nodes
 
 
 def build_trie(order: SuffixOrder) -> Trie:
@@ -151,6 +198,35 @@ def _leaf_intervals(parent: list[int], str_depth: list[int], leaves: list[int]):
             lo[p] = min(lo[p], lo[v])
             hi[p] = max(hi[p], hi[v])
     return lo, hi
+
+
+def _keyed_shape(parent: list[int], str_depth: list[int], leaves: list[int]) -> dict:
+    """Each node's (first leaf, last leaf, str_depth) mapped to its parent's, None at the root.
+
+    leaves lists the leaf nodes in leaf order, so the keys do not depend on
+    how either build numbers its nodes.
+    """
+    lo, hi = _leaf_intervals(parent, str_depth, leaves)
+    keys = list(zip(lo, hi, str_depth))
+    return {keys[v]: keys[p] if p >= 0 else None for v, p in enumerate(parent)}
+
+
+def _sweep_mismatches(label: str, parent, str_depth, leaves, blocks) -> list[str]:
+    """The trie against the sweep's from the same leaf depths and gaps, node for node."""
+    reference = _sweep_compact_trie(blocks.depths.tolist(), blocks.gaps.tolist())
+    if len(parent) != len(reference[0]):
+        return [f"{label}: {len(parent)} nodes, the sweep's trie {len(reference[0])}"]
+    want = _keyed_shape(*reference)
+    got = _keyed_shape(parent, str_depth, leaves)
+    # equal counts, so a key two nodes share leaves one of the sweep's missing
+    wrong = [key for key in sorted(want) if got.get(key, ()) != want[key]]
+    if wrong:
+        key = wrong[0]
+        return [
+            f"{label}: {len(wrong)} nodes differ from the sweep's trie, first {key} "
+            f"under {got.get(key, 'no such node')}, not {want[key]}"
+        ]
+    return []
 
 
 def _interval_min_mismatches(
@@ -401,7 +477,8 @@ def _structural_checks(
     engine: AcsEngine, columns: tuple[Column, Column], order: SuffixOrder
 ) -> list[str]:
     """Invariants of the main trie and of the pair engine's query trie and two
-    columns, all built on order."""
+    columns, all built on order; the query trie must also be the sweep's over
+    the same leaves and gaps."""
     failures: list[str] = []
     trie = build_trie(order)
 
@@ -422,6 +499,10 @@ def _structural_checks(
     refs = suffix_refs(order)
     # the suffix after run i of sequence j starts at the token after it
     leaf_at = [v for leaves in query.leaves for v in (-1, *leaves.tolist())]
+    # the sweep, from the same leaves and gaps, gives the same trie
+    blocks = leaf_blocks(order)
+    in_order = [leaf_at[t] for t in blocks.tokens.tolist()]
+    failures.extend(_sweep_mismatches("query trie", parent, str_depth, in_order, blocks))
     tokens = order.tokens.tolist()
     with_leaf = [k for k, t in enumerate(tokens) if leaf_at[t] >= 0]
     if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:

@@ -34,7 +34,7 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
-from rleacs.symbol_tries import INT64_LENGTH_BOUND, exact_ints, extract_symbol_tries
+from rleacs.symbol_tries import INT64_LENGTH_BOUND, exact_ints, extract_symbol_tries, leaf_blocks
 from rleacs.verify import check_pair
 
 
@@ -600,7 +600,7 @@ def test_family_past_the_int64_edge_matches_its_int64_pairs():
     rest = INT64_LENGTH_BOUND + 1 - sum(seq.content_length + 1 for seq in seqs)
     seqs[2] = RleSeq("s2", [[a, 7 + rest], [b, 5]])
     assert sum(seq.content_length + 1 for seq in seqs) == INT64_LENGTH_BOUND + 1
-    trie = extract_symbol_tries(build_suffix_order(*seqs))
+    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)))
     assert not trie.int64
     expect = [[0.0] * 3 for _ in seqs]
     for i in range(3):

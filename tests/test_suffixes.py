@@ -25,7 +25,7 @@ from rleacs.suffixes import (
     token_bounds,
     token_string,
 )
-from rleacs.symbol_tries import annotate, extract_symbol_tries
+from rleacs.symbol_tries import annotate, extract_symbol_tries, leaf_blocks
 from rleacs.verify import build_trie, random_text
 
 
@@ -117,11 +117,11 @@ def test_longest_run_table():
     # ids: a=2, b=3, x=4; a column's table is indexed by symbol id and
     # covers x, which only the first sequence has
     first, second, _ = make_pair("x", "ab")
-    trie = extract_symbol_tries(build_suffix_order(first, second))
+    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
     assert trie.symbols == 5
     assert annotate(trie, trie.leaves[1], second.runs).max_run.tolist() == [0, 0, 1, 1, 0]
     first, second, _ = make_pair("x", "aabbba")
-    trie = extract_symbol_tries(build_suffix_order(first, second))
+    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
     table = annotate(trie, trie.leaves[1], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
     assert (table[a_id], table[b_id]) == (2, 3)
@@ -143,7 +143,7 @@ def test_trie_micro_pair():
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
-    query = extract_symbol_tries(order)
+    query = extract_symbol_tries(leaf_blocks(order))
     first_leaves, second_leaves = query.leaves
     leaf_at = [-1, *first_leaves.tolist(), -1, *second_leaves.tolist()]
     rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}

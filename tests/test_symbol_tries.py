@@ -2,6 +2,8 @@ import dataclasses
 import random
 import sys
 import threading
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,28 +11,33 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_pair
+from rleacs import bench, symbol_tries
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
 from rleacs.rle import FIRST_SYMBOL_ID
 from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import (
+    JUMP_ROUNDS,
     LIMB_BITS,
     LIMB_MASK,
     SymbolTrie,
+    _compact_trie,
     _lifting_rows,
     annotate,
     exact_ints,
     exact_total,
     extract_symbol_tries,
+    leaf_blocks,
     limb_carry,
     limb_product,
 )
+from rleacs.verify import _keyed_shape, _sweep_compact_trie, _sweep_mismatches
 
 
 def build_query_trie(x, y):
     first, second, alpha = make_pair(x, y)
     order = build_suffix_order(first, second)
-    return extract_symbol_tries(order), order, alpha
+    return extract_symbol_tries(leaf_blocks(order)), order, alpha
 
 
 def pair_columns(trie, order):
@@ -61,7 +68,7 @@ def leaf_ranks(trie, order):
 def test_extract_micro_pair():
     first, second, alpha = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
-    trie = extract_symbol_tries(order)
+    trie = extract_symbol_tries(leaf_blocks(order))
     assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two terminator suffixes
@@ -90,10 +97,11 @@ def test_extract_micro_pair():
 
 
 def test_extract_builds_no_neighbor_lcps():
-    # the trie's gaps come from order.lcp; dlcp is built only when read
+    # the trie's gaps come from order.lcp; dlcp is built only when read, and
+    # the build reads nothing else of the order
     first, second, _ = make_pair("abaab", "bab")
     order = build_suffix_order(first, second)
-    extract_symbol_tries(order)
+    extract_symbol_tries(leaf_blocks(order))
     assert "dlcp" not in vars(order)
     assert order.dlcp.tolist() == [0, 0, 1, 2, 0, 1, 1, 2]
     assert "dlcp" in vars(order)
@@ -183,10 +191,24 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
         assert annotate(chain, chain.leaves[0], runs_of([5])).freq.tolist() == [5] * 5
 
 
+@pytest.mark.parametrize("run", [3, 4])
+def test_limb_column_weights_either_side_of_2_63(run):
+    # the column's longest run times the deepest str_depth is below 2^63 for
+    # run 3, so the weights are summed in int64 and split into limbs once,
+    # and past it for run 4, so they are summed as limbs; both pass 2^62
+    deep = (1 << 61) + 3
+    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], int64=False)
+    column = annotate(trie, trie.leaves[0], runs_of([run, 1]))
+    assert column.weight.shape == (2, trie.node_count)
+    hi, lo = column.weight
+    assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
+    assert exact_ints(column.weight) == [0, run << 61, (run << 61) + 3 * run, (run << 61) + 3]
+
+
 def test_annotate_leaves_int64_columns():
     trie, order, _ = build_query_trie("aabba", "abab")
     # the limb path, forced, on the same order: the same shape, weights in two int64 limbs
-    exact = extract_symbol_tries(order, _exact=True)
+    exact = extract_symbol_tries(leaf_blocks(order), _exact=True)
     assert trie.int64 and not exact.int64
     columns = pair_columns(trie, order)
     exact_columns = pair_columns(exact, order)
@@ -253,7 +275,7 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 def test_trie_is_immutable():
     trie, order, _ = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves", "symbols", "int64")
+    rows = ("up", "leaves", "symbols", "int64", "limb_sums")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
     for column in [*columns, *trie.up, *trie.leaves]:
@@ -364,7 +386,7 @@ def test_searches_match_linear_walk_random():
 def test_structural_invariants(x, y):
     first, second, _ = make_pair(x, y)
     order = build_suffix_order(first, second)
-    t = extract_symbol_tries(order)
+    t = extract_symbol_tries(leaf_blocks(order))
 
     ranks = leaf_ranks(t, order)
     assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
@@ -397,3 +419,73 @@ def test_structural_invariants(x, y):
                 if p != -1:
                     total += freq[node] * (str_depth[node] - str_depth[p])
                 assert weight[node] == total
+
+
+def assert_sweep_shape(depths, gaps):
+    """The array build over these leaves and gaps is the sweep's trie, node for node."""
+    parent, str_depth, leaves = _compact_trie(
+        np.array(depths, dtype=np.int64), np.array(gaps, dtype=np.int64)
+    )
+    assert parent.dtype == str_depth.dtype == leaves.dtype == np.int64
+    # the root first, the leaves last and in leaf order
+    assert parent[0] == -1 and str_depth[0] == 0
+    assert leaves.tolist() == list(range(len(parent) - len(depths), len(parent)))
+    reference = _sweep_compact_trie(depths, gaps)
+    assert len(parent) == len(reference[0])
+    assert _keyed_shape(parent.tolist(), str_depth.tolist(), leaves.tolist()) == _keyed_shape(
+        *reference
+    )
+
+
+@st.composite
+def leaves_over(draw, gaps):
+    """(depths, gaps): the drawn gaps, each leaf deeper than both of its gaps."""
+    gaps = draw(gaps)
+    edges = [0, *gaps, 0]
+    extra = draw(st.lists(st.integers(0, 3), min_size=len(edges) - 1, max_size=len(edges) - 1))
+    return [max(a, b) + 1 + e for a, b, e in zip(edges, edges[1:], extra)], gaps
+
+
+gap_value = st.one_of(st.integers(0, 9), st.integers(0, 1 << 61))
+steps = st.lists(st.integers(1, 4), max_size=60)
+rising = st.tuples(st.integers(0, 5), steps).map(lambda t: list(accumulate(t[1], initial=t[0]))[1:])
+
+
+@given(
+    st.one_of(
+        leaves_over(st.tuples(gap_value, st.integers(0, 60)).map(lambda t: [t[0]] * t[1])),
+        leaves_over(rising),
+        leaves_over(rising.map(lambda gaps: gaps[::-1])),
+        # zero gaps between blocks, and at either end when a block is empty
+        leaves_over(
+            st.lists(st.lists(st.integers(1, 4), max_size=8), min_size=1, max_size=6).map(
+                lambda blocks: [g for block in blocks for g in (0, *block)][1:]
+            )
+        ),
+        leaves_over(st.lists(st.integers(0, 6), max_size=80)),
+    )
+)
+@example(([5], []))
+@example(([3, 3], [2]))
+@example(([1, 1], [0]))
+def test_array_build_matches_the_sweep(leaves):
+    assert_sweep_shape(*leaves)
+
+
+@given(leaves_over(st.integers(JUMP_ROUNDS + 2, 80).map(lambda n: list(range(1, n + 1)) + [0])))
+def test_array_build_falls_back_to_the_descent(leaves):
+    # the final 0's previous gap <= it is one step nearer per jumping round,
+    # so JUMP_ROUNDS cannot reach it and the sparse-table descent must
+    with mock.patch.object(symbol_tries, "_descend", wraps=symbol_tries._descend) as descend:
+        assert_sweep_shape(*leaves)
+    assert any(len(call.args[1]) for call in descend.call_args_list)
+
+
+@pytest.mark.parametrize("make", [bench.periodic_pair, bench.fibonacci_pair])
+def test_array_build_matches_the_sweep_on_adversarial_pairs(make):
+    blocks = leaf_blocks(build_suffix_order(*make(1 << 14)))
+    trie = extract_symbol_tries(blocks)
+    leaf_at = token_leaves(trie)
+    in_order = [leaf_at[t] for t in blocks.tokens.tolist()]
+    parent, str_depth = trie.parent.tolist(), trie.str_depth.tolist()
+    assert _sweep_mismatches("trie", parent, str_depth, in_order, blocks) == []

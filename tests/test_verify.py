@@ -5,15 +5,23 @@ import random
 import re
 import signal
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rleacs.verify
+from rleacs import symbol_tries
 from rleacs.engine import AcsEngine
 from rleacs.rle import Alphabet, encode, parse_rle_text
 from rleacs.suffixes import SuffixOrder, build_suffix_order
-from rleacs.symbol_tries import annotate, extract_symbol_tries
+from rleacs.symbol_tries import (
+    _lifting_rows,
+    annotate,
+    extract_symbol_tries,
+    leaf_blocks,
+    limb_product,
+)
 from rleacs.verify import (
     FAMILY_EVERY,
     STRETCH,
@@ -116,7 +124,7 @@ class FirstGapDeeper(SuffixOrder):
 class GapOffByOne(AcsEngine):
     """Planted bug: the query trie's first in-block gap is one too deep.
 
-    extract_symbol_tries asks lcp for its in-block gaps only, so the first
+    leaf_blocks asks lcp for its in-block gaps only, so the first
     leaf pair of the lowest block with two leaves gets a wrong branch depth.
     """
 
@@ -124,7 +132,48 @@ class GapOffByOne(AcsEngine):
         self.seqs = seqs
         order = build_suffix_order(*seqs)
         fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(order)}
-        self.trie = extract_symbol_tries(FirstGapDeeper(**fields), _exact=_exact)
+        self.trie = extract_symbol_tries(leaf_blocks(FirstGapDeeper(**fields)), _exact=_exact)
+
+
+class ShallowerGapLeaf(AcsEngine):
+    """Planted bug: each leaf hangs from the node of its shallower neighbor gap.
+
+    A gap's node is the deepest common ancestor of the two leaves beside
+    it, and the gaps past either end are the root's.
+    """
+
+    def __init__(self, *seqs, _exact=False):
+        super().__init__(*seqs, _exact=_exact)
+        parent = self.trie.parent.tolist()
+        str_depth = self.trie.str_depth.tolist()
+        leaves = np.sort(np.concatenate(self.trie.leaves)).tolist()
+
+        def path(v):
+            while v >= 0:
+                yield v
+                v = parent[v]
+
+        def meet(a, b):
+            above = set(path(a))
+            return next(v for v in path(b) if v in above)
+
+        gaps = [0, *(meet(a, b) for a, b in zip(leaves, leaves[1:])), 0]
+        for k, leaf in enumerate(leaves):
+            parent[leaf] = min(gaps[k], gaps[k + 1], key=str_depth.__getitem__)
+        parent = np.array(parent, dtype=np.int64)
+        self.trie = dataclasses.replace(self.trie, parent=parent, up=_lifting_rows(parent))
+
+
+class JumpOneShort(AcsEngine):
+    """Planted bug: the trie build's pointer jumping stops one round early, and
+    the nearest-smaller searches it leaves open get no descent."""
+
+    def __init__(self, *seqs, _exact=False):
+        with (
+            mock.patch.object(symbol_tries, "JUMP_ROUNDS", symbol_tries.JUMP_ROUNDS - 1),
+            mock.patch.object(symbol_tries, "_descend", lambda rows, near, *rest: near),
+        ):
+            super().__init__(*seqs, _exact=_exact)
 
 
 class ExplodingEngine(AcsEngine):
@@ -217,6 +266,28 @@ def test_block_gap_fault_is_caught_and_replayable():
     assert check_pair(seqs[0], seqs[1]) == []
 
 
+def test_leaf_on_its_shallower_gap_is_caught_by_the_sweep_and_replayable():
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ShallowerGapLeaf)
+    assert not report.ok
+    assert "raised" not in report.failure
+    assert re.search(r"query trie: \d+ nodes differ from the sweep's trie", report.failure)
+    seqs, _ = parse_rle_text(report.failure_record)
+    failures = check_pair(seqs[0], seqs[1], engine_factory=ShallowerGapLeaf)
+    assert any("differ from the sweep's trie" in f for f in failures)
+    assert check_pair(seqs[0], seqs[1]) == []
+
+
+def test_short_pointer_jumping_is_caught_and_replayable():
+    # the unresolved searches give some nodes a deeper parent, and the cycle
+    # that makes stops the build before any query
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=JumpOneShort)
+    assert not report.ok
+    assert "parent pointers do not all lead to the root" in report.failure
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert check_pair(seqs[0], seqs[1], engine_factory=JumpOneShort)
+    assert check_pair(seqs[0], seqs[1]) == []
+
+
 def test_family_run_sums_are_checked_by_position():
     # every total is right, so only the per-run sums against the brute
     # positions can catch it, in families and in pairs
@@ -234,6 +305,20 @@ def test_int64_fault_is_caught_by_the_exact_path():
     assert not report.ok
     assert re.search(r"pair column [01] differs from the exact path's", report.failure)
     seqs, _ = parse_rle_text(report.failure_record)
+    assert check_pair(seqs[0], seqs[1]) == []
+
+
+def test_limb_weight_fault_is_caught_by_the_exact_path(monkeypatch):
+    # annotate's limb loop takes each step's limbs the wrong way round; the
+    # engine's closed form keeps its own limb_product, so only the columns
+    # of the exact rebuild, which sums its weights on limbs, go wrong
+    monkeypatch.setattr(symbol_tries, "limb_product", lambda a, b: limb_product(a, b)[::-1])
+    report = run_verification(seed=5, trials=50, n_max=60)
+    assert not report.ok
+    assert re.search(r"pair column [01] differs from the exact path's", report.failure)
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert check_pair(seqs[0], seqs[1])
+    monkeypatch.undo()
     assert check_pair(seqs[0], seqs[1]) == []
 
 
