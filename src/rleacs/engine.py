@@ -9,7 +9,7 @@ built from two ancestor lookups. Every run of X is answered in one batch,
 two vectorized lifting climbs, and dist_matrix answers every other record
 against a column in one such batch, so a family of N total runs costs
 O(N log N) per column. All accumulation is exact integer arithmetic: in
-int64 while the family's decoded length proves it exact (see
+int64 while the family's longest run and longest record prove it exact (see
 SymbolTrie.int64), in two int64 limbs past that bound, composed into Python
 ints only for the sums handed out; floats appear only in the final distance
 value.
@@ -83,7 +83,7 @@ class AcsEngine:
     keep the caller's sequences, are immutable after construction (the trie
     and every column are frozen records of read-only arrays) and are safe
     to query from multiple threads. _exact builds on the limb path whatever
-    the family's length, so the two paths can be compared.
+    the family's runs, so the two paths can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:

@@ -32,15 +32,13 @@ and max_run, sequence j's longest run of each symbol. Ancestor searches
 climb with binary lifting, one vectorized step per row for a whole batch of
 (leaf, threshold) pairs, so a batch of q queries costs O(q log N).
 
-The arithmetic is chosen once per build, from the family's decoded length L,
-every record's content plus its terminator. While L <= INT64_LENGTH_BOUND =
-2^30, every weight, closed-form product and run total stays below 4L^2 <=
-2^62 (see SymbolTrie.int64), so weights are int64, summed up each root path
+The arithmetic is chosen once per build, from the runs: while 4 * M * D <=
+2^62, with M the family's longest run and D its longest record's decoded
+length plus 1 (see SymbolTrie), weights are int64, summed up each root path
 by pointer doubling over the lifting rows. Past it, a weight reaches 2^124,
 so each weight is two int64 limbs, hi * 2^62 + lo with 0 <= lo < 2^62,
 summed by the same pointer doubling with a carry after every addition
-(limb_product, limb_carry), unless the column's weights all stay below
-2^63 (see annotate). Every step stays a numpy array expression.
+(limb_product, limb_carry). Every step stays a numpy array expression.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import numpy as np
 
 from rleacs.suffixes import SuffixOrder, token_bounds
 
-INT64_LENGTH_BOUND = 1 << 30
 LIMB_BITS = 62
 LIMB_MASK = (1 << LIMB_BITS) - 1
 HALF_BITS = 31
@@ -79,27 +76,25 @@ class SymbolTrie:
     leaves with equal decoded content, which are siblings, so every parent
     and depth stays as it is.
 
-    int64 holds when the family's decoded length L is at most
-    INT64_LENGTH_BOUND; its columns' weights, and the run sums answered from
-    them, are then int64, and two int64 limbs otherwise. The bound keeps
-    int64 exact. With f a run's length, d the depth of the leaf after it
-    and m any longest run, m < L and f + d <= L, since the run and its
-    suffix lie in one record. So a weight is at most m * d < L^2; the
-    closed-form product g * (2 * (depth[u] + f - g) + g + 1), with g <= f
-    and depth[u] <= d, is at most L * (3L + 1) <= 4L^2; and the totals of
-    all records against one sum to at most the sum of their length
-    products, below L^2. At L = 2^30 all of them are at most 2^62.
+    int64 holds when 4 * M * D <= 2^62, with M the family's longest run and
+    D its longest record's decoded length plus 1; its columns' weights, and
+    the run sums answered from them, are then int64, and two int64 limbs
+    otherwise. With f a run's length and d the depth of the leaf after it,
+    f + d <= D, since a run and the suffix after it lie in one record. A
+    weight sums freq <= M times steps that add up to str_depth <= D, so it,
+    and every partial sum of its doubling, is at most M * D; the closed-form
+    product g * (2 * (depth[u] + f - g) + g + 1), with g <= f and depth[u]
+    <= d, is at most M * (2D + 1) <= 4 * M * D; and a run sum, f matches of
+    at most D each, is at most M * D. A record's total can still pass 2^63,
+    so exact_total sums it by 31-bit pieces.
 
     Past the bound, lengths and depths are still at most 2^62, so a weight
     is below 2^124 and its hi limb below 2^62; so is every partial sum of
     the doubling and every partial sum of a run's closed form, whose terms
     are all non-negative but the one weight subtracted. The limb sum of two
     such values is then below 2^63 before its carry, and so is every
-    intermediate of limb_product.
-
-    limb_sums marks a trie built with _exact: annotate then sums its
-    weights on limbs whatever their size, so that the int64 build of a
-    family can be checked against the limb arithmetic.
+    intermediate of limb_product. A trie built with _exact is a limb trie
+    whatever its runs, so that the two paths can be compared.
     """
 
     parent: np.ndarray
@@ -108,7 +103,6 @@ class SymbolTrie:
     leaves: tuple[np.ndarray, ...]
     symbols: int
     int64: bool
-    limb_sums: bool = False
 
     @property
     def node_count(self) -> int:
@@ -189,16 +183,14 @@ def limb_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_total(values: np.ndarray) -> int:
-    """The exact sum of an int64 array whose sum fits int64, or of a (2, n) limb array.
+    """The exact sum of a (2, n) limb array, or of an int64 array as its lo row.
 
-    The limbs are summed in int64 as hi, and lo's high and low 31-bit
-    pieces, then composed in Python ints: each piece sum stays below 2^63
-    while n < 2^32, and hi's sum is below 2^62 while the total is below
-    2^124.
+    hi, and lo's high and low 31-bit pieces, are summed in int64, then
+    composed in Python ints: each piece sum stays below 2^63 while n < 2^32
+    and lo is in [0, 2^62], so an int64 array's total may pass 2^63, and
+    hi's sum is below 2^62 while the total is below 2^124.
     """
-    if values.ndim == 1:
-        return int(values.sum())
-    hi, lo = values
+    hi, lo = values if values.ndim == 2 else (values[:0], values)
     return (
         (int(hi.sum()) << LIMB_BITS)
         + (int((lo >> HALF_BITS).sum()) << HALF_BITS)
@@ -236,13 +228,10 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     str_depth[parent]) over its root path, by pointer doubling: after row k
     every node holds its steps over the 2^(k+1) nodes up from it, and the
     root's step is 0, so clamping at the root adds nothing, and rows that
-    reach every node's depth give the whole path. Every step and partial
-    sum is at most the column's longest run (freq at the root) times the
-    deepest str_depth. While that is below 2^63 they are summed in int64,
-    and on a trie past its int64 bound split into limbs once, which gives
-    the same limbs; within the bound it is below 2^60. Otherwise, and on a
-    limb_sums trie, each step is a limb_product and each addition is
-    followed by a limb_carry.
+    reach every node's depth give the whole path. On an int64 trie every
+    step and partial sum is at most M * D <= 2^60 (see SymbolTrie) and
+    they are summed in int64; on a limb trie, _exact ones included, each
+    step is a limb_product and each addition is followed by a limb_carry.
     """
     max_run = np.zeros(trie.symbols, dtype=np.int64)
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
@@ -254,12 +243,10 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     freq[0] = freq.max()
     freq.flags.writeable = False
     step = trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)]
-    if not trie.limb_sums and int(freq[0]) * int(trie.str_depth.max()) < 1 << 63:
+    if trie.int64:
         weight = freq * step
         for row in trie.up:
             weight += weight[row]
-        if not trie.int64:
-            weight = np.stack((weight >> LIMB_BITS, weight & LIMB_MASK))
     else:
         hi, lo = limb_product(freq, step)
         for row in trie.up:
@@ -276,8 +263,8 @@ class LeafBlocks:
     tokens[k] is the token whose suffix is leaf k, in leaf order, depths[k]
     that suffix's decoded length, and gaps[k] the lcp of leaves k and k + 1,
     0 between blocks; every array is int64. bounds are the family's
-    token_bounds, symbols is one more than its largest symbol id, and length
-    its decoded length, every record's content plus its terminator.
+    token_bounds, symbols is one more than its largest symbol id, and int64
+    whether its runs keep int64 exact (4 * M * D <= 2^62, see SymbolTrie).
     """
 
     tokens: np.ndarray
@@ -285,7 +272,7 @@ class LeafBlocks:
     gaps: np.ndarray
     bounds: np.ndarray
     symbols: int
-    length: int
+    int64: bool
 
 
 def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
@@ -321,13 +308,16 @@ def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = order.lcp(leaf_tokens[inner], leaf_tokens[inner + 1])
+    # M and D of the int64 bound (see SymbolTrie)
+    longest_run = max(int(seq.runs[:, 1].max()) for seq in order.seqs)
+    longest_record = max(seq.content_length for seq in order.seqs) + 1
     return LeafBlocks(
         tokens=leaf_tokens,
         depths=order.suffix_lengths[ranks],
         gaps=gaps,
         bounds=bounds,
         symbols=int(order.syms.max()) + 1,
-        length=sum(seq.content_length + 1 for seq in order.seqs),
+        int64=4 * longest_run * longest_record <= 1 << 62,
     )
 
 
@@ -430,8 +420,8 @@ def _compact_trie(depths: np.ndarray, gaps: np.ndarray):
 def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolTrie:
     """Build the query trie's shape from the leaves and gaps of leaf_blocks.
 
-    _exact takes the limb path whatever the length, annotate's weight sums
-    included (limb_sums), so the two can be compared.
+    _exact takes the limb path whatever the runs, annotate's weight sums
+    included, so the two can be compared.
     """
     parent, str_depth, leaf_nodes = _compact_trie(blocks.depths, blocks.gaps)
     parent.flags.writeable = False
@@ -447,6 +437,5 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
         up=_lifting_rows(parent),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
         symbols=blocks.symbols,
-        int64=blocks.length <= INT64_LENGTH_BOUND and not _exact,
-        limb_sums=_exact,
+        int64=blocks.int64 and not _exact,
     )

@@ -16,9 +16,9 @@ one family build against the brute scan, and every column's invariants. Every pa
 family build is also rebuilt on the exact limb path, and its columns and
 totals compared with the int64 ones; the family's first two records, each
 with its longest run STRETCH longer, give one more pair past the int64
-bound, whose totals are checked against the run walker. The first failing
-check aborts the run and reports its inputs in the run-length text format
-so the case can be replayed.
+bound (4 * M * D > 2^62, see SymbolTrie), whose totals are checked against
+the run walker. The first failing check aborts the run and reports its
+inputs in the run-length text format so the case can be replayed.
 """
 
 from __future__ import annotations

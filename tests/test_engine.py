@@ -34,7 +34,7 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import build_suffix_order, token_string
-from rleacs.symbol_tries import INT64_LENGTH_BOUND, exact_ints, extract_symbol_tries, leaf_blocks
+from rleacs.symbol_tries import exact_ints, extract_symbol_tries, leaf_blocks
 from rleacs.verify import check_pair
 
 
@@ -557,11 +557,11 @@ def _path_of(engine):
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_unary_pair_at_the_int64_edge(edge):
-    # the family's decoded length, both records and their terminators, sits
-    # one below, at and one above the bound
+    # a unary pair's longest record is its longest run, so D = M + 1: at
+    # edge 0, D = 2^30 and M * D = 2^60 - 2^30, the largest that fits
+    # 4 * M * D <= 2^62; D one shorter takes int64 too and one longer limbs
     short = 5
-    length = INT64_LENGTH_BOUND + edge
-    long = length - 2 - short
+    long = (1 << 30) - 1 + edge
     first = RleSeq("X", [[FIRST_SYMBOL_ID, long]])
     second = RleSeq("Y", [[FIRST_SYMBOL_ID, short]])
     engine = AcsEngine(first, second)
@@ -574,12 +574,15 @@ def test_unary_pair_at_the_int64_edge(edge):
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_two_symbol_pair_at_the_int64_edge(edge):
+    # M = 2^29 and D = 2^31 + edge: M * D = 2^60 at edge 0, so 4 * M * D
+    # is exactly 2^62 and int64; D one shorter takes int64 and one longer limbs
     a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
-    body = [[b, 3], [a, 2], [b, 1], [a, 9], [b, 2]]
+    top = 1 << 29
+    body = [[a, top], [b, 3], [a, top], [b, 2], [a, top], [b, 1], [a, 9], [b, 2]]
     second = RleSeq("Y", [[a, 4], [b, 2], [a, 7], [b, 5], [a, 1 << 20], [b, 3]])
-    rest = sum(n for _, n in body) + second.content_length + 2
-    first = RleSeq("X", [[a, INT64_LENGTH_BOUND + edge - rest], *body])
-    assert first.content_length + second.content_length + 2 == INT64_LENGTH_BOUND + edge
+    first = RleSeq("X", [*body, [a, (1 << 31) - 1 + edge - sum(n for _, n in body)]])
+    assert max(int(seq.runs[:, 1].max()) for seq in (first, second)) == top
+    assert first.content_length + 1 == (1 << 31) + edge
     engine = AcsEngine(first, second)
     assert _path_of(engine) == (edge <= 0)
     assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
@@ -587,27 +590,47 @@ def test_two_symbol_pair_at_the_int64_edge(edge):
     _batch_agrees(engine, 1, 0)
 
 
-def test_family_past_the_int64_edge_matches_its_int64_pairs():
-    # every pair of the family fits int64, the family one above the bound
-    # does not: the matrix's exact columns give the pairs' int64 distances
+def test_limb_family_with_int64_pairs_matches_pairwise_dist():
+    # s0 holds the longest run, M = 2^29, and s1 the longest record, D =
+    # 2^32: the family, and the pair s0/s1, are past 4 * M * D <= 2^62, while
+    # the pairs with s2 take int64; the matrix's limb columns give the
+    # distances that each pair's own build gives
     a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
-    third = INT64_LENGTH_BOUND // 3
+    step = 1 << 27
+    s1_runs = [[b if k % 2 else a, step] for k in range(32)]
+    s1_runs[-1][1] -= 1
     seqs = [
-        RleSeq("s0", [[a, third], [b, 2], [a, 3]]),
-        RleSeq("s1", [[b, 1], [a, third - 4], [b, 3]]),
+        RleSeq("s0", [[a, 1 << 29], [b, 2], [a, 3]]),
+        RleSeq("s1", s1_runs),
         RleSeq("s2", [[a, 7], [b, 5]]),
     ]
-    rest = INT64_LENGTH_BOUND + 1 - sum(seq.content_length + 1 for seq in seqs)
-    seqs[2] = RleSeq("s2", [[a, 7 + rest], [b, 5]])
-    assert sum(seq.content_length + 1 for seq in seqs) == INT64_LENGTH_BOUND + 1
+    assert seqs[1].content_length + 1 == 1 << 32
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)))
     assert not trie.int64
     expect = [[0.0] * 3 for _ in seqs]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert _path_of(AcsEngine(seqs[i], seqs[j]))
+            assert _path_of(AcsEngine(seqs[i], seqs[j])) == (j == 2)
             expect[i][j] = expect[j][i] = dist(seqs[i], seqs[j]).value
     assert dist_matrix(seqs) == expect
+
+
+def test_int64_pair_totals_past_2_63():
+    # 60 alternating runs of 2^27 and the same less 5 at the end: 4 * M * D
+    # is about 2^61.9, so the pair takes int64, yet each total, a sum of
+    # int64 run sums, is about 3.2 * 10^19 and passes 2^63
+    a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
+    runs = [[b if k % 2 else a, 1 << 27] for k in range(60)]
+    first = RleSeq("X", runs)
+    runs[-1][1] -= 5
+    second = RleSeq("Y", runs)
+    engine = AcsEngine(first, second)
+    assert engine.trie.int64
+    totals = pair_totals(engine)
+    assert totals == (run_walk_total(first, second), run_walk_total(second, first))
+    assert min(totals) > 1 << 63
+    _batch_agrees(engine, 0, 1)
+    _batch_agrees(engine, 1, 0)
 
 
 @settings(max_examples=60)

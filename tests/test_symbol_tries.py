@@ -193,9 +193,9 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
 
 @pytest.mark.parametrize("run", [3, 4])
 def test_limb_column_weights_either_side_of_2_63(run):
-    # the column's longest run times the deepest str_depth is below 2^63 for
-    # run 3, so the weights are summed in int64 and split into limbs once,
-    # and past it for run 4, so they are summed as limbs; both pass 2^62
+    # a limb trie sums its weights in annotate's limb loop whatever their
+    # size; both columns' weights pass 2^62, and for run 4 the column's
+    # longest run times the deepest str_depth passes 2^63 as well
     deep = (1 << 61) + 3
     trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], int64=False)
     column = annotate(trie, trie.leaves[0], runs_of([run, 1]))
@@ -275,7 +275,7 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 def test_trie_is_immutable():
     trie, order, _ = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves", "symbols", "int64", "limb_sums")
+    rows = ("up", "leaves", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
     for column in [*columns, *trie.up, *trie.leaves]:
