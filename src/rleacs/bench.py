@@ -14,10 +14,14 @@ experiments:
   pair's;
 * one giant unary pair whose exact total has a closed form, as an
   end-to-end sanity anchor at decoded length 10^9.
+
+One more row times the layer before them all: reading a long-run FASTA
+text, the one step whose work follows the decoded length.
 """
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from rleacs.engine import AcsEngine
-from rleacs.rle import FIRST_SYMBOL_ID, RleSeq
+from rleacs.rle import FIRST_SYMBOL_ID, RleSeq, read_fasta_records
 
 DOUBLING_MIN = 1 << 14
 DOUBLING_MAX = 1 << 17
@@ -33,6 +37,12 @@ RUN_COUNT_FIXED = 100_000
 RUN_SCALES = (10, 1_000_000)
 GIANT_LONG = 10**9
 GIANT_SHORT = 10**6
+# the ingest row: records of this many characters over acgt, in runs of
+# about INGEST_MEAN_RUN, FASTA_WIDTH to a line
+INGEST_RECORDS = 2
+INGEST_LENGTH = 10**6
+INGEST_MEAN_RUN = 5000
+FASTA_WIDTH = 60
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,68 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     x, m = GIANT_LONG, GIANT_SHORT
     expected = Fraction(m * (x - m) + m * (m + 1) // 2, x)
     return row, Fraction(row.lsum, x), expected
+
+
+@dataclass(frozen=True)
+class IngestRow:
+    label: str
+    chars: int
+    runs: int
+    read_s: float
+
+    @property
+    def chars_per_s(self) -> float:
+        return self.chars / self.read_s
+
+
+def long_run_fasta(seed: int) -> str:
+    """FASTA text of INGEST_RECORDS records of INGEST_LENGTH characters over acgt.
+
+    Run lengths are uniform in [1, 2 * INGEST_MEAN_RUN), neighbouring runs
+    differ, and the last run drawn is stretched if the runs fall short; each
+    record is cut at INGEST_LENGTH and written FASTA_WIDTH characters to a
+    line.
+    """
+    rng = np.random.default_rng(seed)
+    bases = np.frombuffer(b"acgt", dtype=np.uint8)
+    count = INGEST_LENGTH // INGEST_MEAN_RUN + 1
+    full = INGEST_LENGTH // FASTA_WIDTH * FASTA_WIDTH
+    parts = []
+    for k in range(INGEST_RECORDS):
+        lengths = rng.integers(1, 2 * INGEST_MEAN_RUN, size=count)
+        lengths[-1] += max(INGEST_LENGTH - int(lengths.sum()), 0)
+        syms = bases[np.cumsum(rng.integers(1, len(bases), size=count)) % len(bases)]
+        body = np.repeat(syms, lengths)[:INGEST_LENGTH]
+        lines = np.full((full // FASTA_WIDTH, FASTA_WIDTH + 1), ord("\n"), dtype=np.uint8)
+        lines[:, :-1] = body[:full].reshape(-1, FASTA_WIDTH)
+        tail = body[full:].tobytes().decode("ascii")
+        parts.append(f">r{k}\n" + lines.tobytes().decode("ascii") + (tail + "\n" if tail else ""))
+    return "".join(parts)
+
+
+def ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
+    """Best of reps reads of long_run_fasta(seed) by read_fasta_records, from memory."""
+    text = long_run_fasta(seed)
+    best = float("inf")
+    runs = 0
+    for _ in range(max(reps, 1)):
+        stream = io.StringIO(text)
+        t0 = time.perf_counter()
+        records = read_fasta_records(stream)
+        best = min(best, time.perf_counter() - t0)
+        runs = sum(len(record.runs) for record in records)
+    label = f"fasta {INGEST_RECORDS}x{INGEST_LENGTH} run~{INGEST_MEAN_RUN}"
+    return IngestRow(label, chars=len(text), runs=runs, read_s=best)
+
+
+def format_ingest(row: IngestRow) -> str:
+    """Plain text table of the ingest row."""
+    return "\n".join(
+        [
+            f"{'label':<28} {'chars':>9} {'runs':>14} {'read_s':>9} {'chars_per_s':>11}",
+            f"{row.label:<28} {row.chars:>9} {row.runs:>14} {row.read_s:>9.4f} {row.chars_per_s:>11.3g}",
+        ]
+    )
 
 
 def ratios(rows: list[BenchRow]) -> list[float]:

@@ -196,6 +196,9 @@ def cmd_bench(config: RunConfig) -> int:
     print("adversarial inputs for the suffix order")
     print(bench.format_table(bench.adversarial_rows(reps=config.trials), with_ratios=False))
     print()
+    print("fasta ingest (read_fasta_records from memory)")
+    print(bench.format_ingest(bench.ingest_row(config.seed, reps=config.trials)))
+    print()
     row, got, want = bench.giant_unary()
     print("giant unary pair (decoded 10^9 vs 10^6)")
     print(bench.format_table([row], with_ratios=False))

@@ -34,6 +34,7 @@ from rleacs.symbol_tries import (
     annotate,
     exact_ints,
     exact_total,
+    exact_totals,
     extract_symbol_tries,
     leaf_blocks,
     limb_carry,
@@ -117,7 +118,7 @@ class AcsEngine:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
 
         The runs of all the other sequences are answered in one batch, one
-        _closed_form call, and cut back into one exact sum per sequence.
+        _closed_form call, and summed per sequence in one pass (exact_totals).
         """
         others = [i for i in range(len(self.seqs)) if i != j]
         totals = [0] * len(self.seqs)
@@ -126,9 +127,9 @@ class AcsEngine:
         runs = np.concatenate([self.seqs[i].runs for i in others])
         leaves = np.concatenate([self.trie.leaves[i] for i in others])
         sums = _closed_form(self.trie, column, runs, leaves)
-        cuts = np.cumsum([self.seqs[i].run_count for i in others[:-1]], dtype=np.int64)
-        for i, part in zip(others, np.split(sums, cuts, axis=-1)):
-            totals[i] = exact_total(part)
+        starts = np.cumsum([0] + [self.seqs[i].run_count for i in others[:-1]])
+        for i, total in zip(others, exact_totals(sums, starts)):
+            totals[i] = total
         return totals
 
 

@@ -5,8 +5,10 @@ symbol ids, column 1 the run lengths. A sequence carries no terminator; the
 suffix order appends one to each side of a pair when it builds its token
 string. The readers produce arrays of the same shape over raw codepoints
 (RunRecord), so no layer between a file and the sort keys walks runs one at
-a time. They read every input in blocks of whole lines (BLOCK_CHARS), parse
-each body piece between headers at once, and merge a record's pieces once.
+a time. They read every input in blocks of whole lines (BLOCK_CHARS) and
+run-encode each block once, straight from its raw codepoints; line
+stripping, headers and line numbers are then decided on the block's runs,
+and a record's pieces are merged once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ DEFAULT_DECODE_LIMIT = 1 << 26
 BLOCK_CHARS = 1 << 17
 
 _NO_RUNS = np.empty((0, 2), dtype=np.int64)
+# str.isspace of every codepoint up to U+3000, the largest for which it
+# holds, and one last entry, False, for every codepoint above
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B)]] = True
+_SPACE[[0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
 # 10^k for the 19 decimal places a uint64 holds in full
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 
@@ -168,10 +175,29 @@ def _codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
+def _is_space(codepoints: np.ndarray) -> np.ndarray:
+    """str.isspace of each codepoint of an integer array."""
+    if codepoints.dtype != np.uint8:
+        codepoints = np.minimum(codepoints, len(_SPACE) - 1)
+    return _SPACE[codepoints]
+
+
+def _fresh(values: np.ndarray) -> np.ndarray:
+    """True at the first entry and at every entry that differs from the one before."""
+    fresh = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return fresh
+
+
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """Where each maximal run of a nonempty array starts, then its length."""
+    return np.append(np.flatnonzero(_fresh(values)), len(values))
+
+
 def _codepoint_runs(text: str) -> np.ndarray:
     """Maximal runs of a nonempty text as (codepoint, length) rows."""
     cps = _codepoints(text)
-    bounds = np.concatenate(([0], np.flatnonzero(cps[1:] != cps[:-1]) + 1, [cps.size]))
+    bounds = _run_bounds(cps)
     return np.column_stack((cps[bounds[:-1]], np.diff(bounds)))
 
 
@@ -198,26 +224,19 @@ class RunRecord(NamedTuple):
     runs: np.ndarray
 
 
-def _text_runs(piece: str, line: int) -> np.ndarray:
-    """Maximal codepoint runs of a body piece's lines, concatenated."""
-    return _codepoint_runs(piece.replace("\n", ""))
-
-
 def _token_runs(piece: str, line: int) -> np.ndarray:
     """The (symbol, count) runs of a body piece's run tokens, all checked at once.
 
-    Whitespace separates tokens; a token is one printable symbol that is not
-    an ASCII digit, then decimal digits. The first bad token raises a
-    ParseError on its line: line plus the newlines before it. A count is read
+    Whitespace (str.isspace) separates tokens; a token is one printable
+    symbol that is not an ASCII digit, then decimal digits. The first bad
+    token raises a ParseError on its line: line, the line of the piece's
+    first character, plus the newlines before it. A count is read
     from at most its last 19 digits, in uint64, and only after its
     significant digits are counted, so a count past the bound is rejected
     unconverted.
     """
     cps = _codepoints(piece)
-    chars, kind = np.unique(cps, return_inverse=True)
-    traits = [(chr(c).isspace(), chr(c).isprintable()) for c in chars.tolist()]
-    space, printable = np.array(traits).T
-    solid = ~space[kind]
+    solid = ~_is_space(cps)
     digit = (cps >= ord("0")) & (cps <= ord("9"))
     edges = np.diff(solid.astype(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges == 1)
@@ -237,11 +256,15 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
     values = (cps[pos[low]] - ord("0")).astype(np.uint64)
     np.add.at(counts, token[low], values * _POW10[place[low]])
 
+    # isprintable is asked once per distinct token symbol
+    symbols, which = np.unique(cps[starts], return_inverse=True)
+    printable = np.array([chr(c).isprintable() for c in symbols.tolist()], dtype=bool)
+
     # the first failing token is reported, by the first check it fails
     big = (sig > len(_POW10)) | (counts > np.uint64(MAX_DECODED_LENGTH))
     checks = (
         (bad, "bad run token {!r}"),
-        (~printable[kind[starts]], "unprintable symbol in token {!r}"),
+        (~printable[which], "unprintable symbol in token {!r}"),
         (sig < 1, "run count must be >= 1 in token {!r}"),
         (big, f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}"),
     )
@@ -261,8 +284,8 @@ def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
     tokens with one symbol merge with a warning, once the record is checked
     against the bound; then no merged sum wraps.
     """
-    runs = np.concatenate([_NO_RUNS, *pieces])
-    keep = np.flatnonzero(np.diff(runs[:, 0], prepend=-1))
+    runs = pieces[0] if len(pieces) == 1 else np.concatenate([_NO_RUNS, *pieces])
+    keep = np.flatnonzero(_fresh(runs[:, 0]))
     if len(keep) < len(runs):
         if tokens:
             merged = len(runs) - len(keep)
@@ -277,57 +300,156 @@ def _read_records(
 ) -> list[RunRecord]:
     """Records of a format whose records open with ">name" header lines.
 
-    The input is read in blocks of whole lines, about BLOCK_CHARS characters
-    each. Every line is stripped and put after a "\n", so a header is a
-    "\n>" and a position's line number is the lines before its piece plus
-    the newlines before it. Each body piece between headers becomes runs at
-    once (_token_runs if tokens, else _text_runs), so a record's first bad
-    token raises before the next header is checked and every line-numbered
-    error comes in line order; a record closes through _merge. unique
-    rejects repeated names; empty records are refused last. With name given
-    no line is a header: the whole input is that record's body, and it may
-    be empty.
+    A line ends at "\n", as in a StringIO or a text file read with universal
+    newlines. Every line is stripped (str.strip), and a line that then
+    starts with ">" is a header. The input is read in blocks of whole lines,
+    about BLOCK_CHARS characters each; each block is run-encoded once and
+    laid out on its runs (_block_layout), and only header lines are read as
+    strings, for the name. The kept runs between two headers are a body
+    piece: as text its runs, merged with equal neighbours; as tokens its
+    span of the block, which _token_runs checks and reads at once, so a
+    record's first bad token raises before the next header is checked and
+    every line-numbered error comes in line order. A record closes through
+    _merge. unique rejects repeated names; empty records are refused last.
+    With name given no line is a header: the whole input is that record's
+    body, and it may be empty.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    body_runs = _token_runs if tokens else _text_runs
     headed = name is None
     records: list[RunRecord] = []
     names: set[str] = set()
     pieces: list[np.ndarray] | None = None if headed else []
-    line = 0  # lines before the current piece
-    while lines := stream.readlines(BLOCK_CHARS):
-        block = "\n".join(["", *map(str.strip, lines)])
-        del lines
-        parts = block.split("\n>") if headed else [block]
-        del block
-        for k, body in enumerate(parts):
+    line = 1  # the line the block starts on
+    while block := stream.read(BLOCK_CHARS) + stream.readline():
+        layout = _block_layout(block, headed)
+        bounds = layout.bounds
+        lows, highs, solid = layout.lows.tolist(), layout.highs.tolist(), layout.solid.tolist()
+        if not tokens:
+            runs, cuts = layout.body_runs()
+        for k in range(len(lows)):
             if k:
-                line += 1
                 if pieces is not None:
                     records.append(_merge(name, pieces, tokens))
-                head = body.partition("\n")[0]
-                body = body[len(head) :]
-                name = head.strip()
+                head = highs[k - 1]
+                name = block[bounds[head] + 1 : bounds[lows[k]]].strip()
                 if not name:
-                    raise ParseError("missing record name", line)
+                    raise ParseError("missing record name", line + layout.newlines_before(head))
                 if unique and name in names:
-                    raise ParseError(f"duplicate record name {name!r}", line)
+                    message = f"duplicate record name {name!r}"
+                    raise ParseError(message, line + layout.newlines_before(head))
                 names.add(name)
                 pieces = []
-            newlines = body.count("\n")
-            if len(body) > newlines:
-                if pieces is None:
-                    raise ParseError(before_header, line + len(body) - len(body.lstrip("\n")))
-                pieces.append(body_runs(body, line))
-            line += newlines
-        del parts, body  # so no block outlives its turn
+            if solid[k] == highs[k]:
+                continue
+            if pieces is None:
+                raise ParseError(before_header, line + layout.newlines_before(solid[k]))
+            if tokens:
+                piece = block[bounds[lows[k]] : bounds[highs[k]]]
+                pieces.append(_token_runs(piece, line + layout.newlines_before(lows[k])))
+            else:
+                pieces.append(runs[cuts[k] : cuts[k + 1]])
+        line += layout.newlines_before(len(layout.syms))
+        del block, layout, bounds  # so no block outlives its turn
     if pieces is not None:
         records.append(_merge(name, pieces, tokens))
     for record in records:
         if headed and not len(record.runs):
             raise ParseError(f"empty record {record.name}")
     return records
+
+
+class _BlockLayout(NamedTuple):
+    """A block of whole lines as runs, with its line-end whitespace and headers.
+
+    Run r has codepoint syms[r] and spans characters bounds[r] to
+    bounds[r + 1]. breaks holds the newline runs, and newlines[i] the
+    newline characters before breaks[i] (newlines[-1] those of the block).
+    The runs from gaps[0][i] to gaps[1][i] (exclusive) are a stretch of
+    line-end whitespace. The headers cut the runs into segments: segment k
+    spans the runs from lows[k] to highs[k], and for k > 0 a header line
+    runs from its ">" run, highs[k - 1], to lows[k], its newline run or the
+    run count. A segment's kept runs start at solid[k], which is highs[k]
+    when it has none.
+    """
+
+    syms: np.ndarray
+    bounds: np.ndarray
+    breaks: np.ndarray
+    newlines: np.ndarray
+    gaps: tuple[np.ndarray, np.ndarray]
+    lows: np.ndarray
+    highs: np.ndarray
+    solid: np.ndarray
+
+    def newlines_before(self, run: int) -> int:
+        """The newline characters in the block before a run (or its end, at the run count)."""
+        return int(self.newlines[np.searchsorted(self.breaks, run)])
+
+    def body_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept runs outside header lines as (codepoint, length) rows, equal
+        neighbours merged within a segment, and cuts: segment k owns rows
+        cuts[k] to cuts[k + 1]."""
+        # +1 where a gap or a header line opens and -1 where it closes; no
+        # two gaps touch, but a header line may open where a gap closes and
+        # close inside the next gap
+        mark = np.zeros(len(self.syms) + 1, dtype=np.int8)
+        mark[self.gaps[0]] = 1
+        mark[self.gaps[1]] = -1
+        mark[self.highs[:-1]] += 1
+        mark[self.lows[1:]] -= 1
+        body = np.flatnonzero(np.cumsum(mark[:-1], dtype=np.int8) == 0)
+        syms = self.syms[body].astype(np.int64)
+        fresh = _fresh(syms)
+        opens = np.searchsorted(body, self.lows)
+        fresh[opens[opens < len(body)]] = True
+        firsts = np.flatnonzero(fresh)
+        # a merged run ends where the next begins; its length is a difference
+        # of the body runs' cumulative lengths (reduceat is slow on short runs)
+        reach = np.cumsum(np.diff(self.bounds)[body])
+        lengths = np.diff(reach[np.append(firsts, len(body))[1:] - 1], prepend=0)
+        runs = np.column_stack((syms[firsts], lengths))
+        return runs, np.append(np.searchsorted(firsts, opens), len(firsts))
+
+
+def _block_layout(block: str, headed: bool) -> _BlockLayout:
+    """Run-encode a nonempty block of whole lines and lay out its lines on the runs.
+
+    One comparison of neighbouring codepoints finds the runs; every array
+    after it has one entry per run or fewer. A maximal stretch of whitespace
+    runs (str.isspace) that holds a newline or touches an edge of the block,
+    which is a line's edge too, is what stripping the lines drops; a header
+    is a ">" run after such a stretch or at the block's start. So a stretch
+    is wholly kept or wholly dropped, and a header line starts and ends on
+    run boundaries: no character mask is needed. A segment starts at a line
+    start, so its first kept run is its first that is not whitespace.
+    """
+    cps = _codepoints(block)
+    bounds = _run_bounds(cps)
+    syms = cps[bounds[:-1]]
+    del cps
+    size = len(syms)
+    # the first and the stop run of every maximal whitespace stretch
+    space = np.zeros(size + 2, dtype=bool)
+    space[1:-1] = _is_space(syms)
+    flips = np.flatnonzero(space[1:] != space[:-1])
+    first, stop = flips[0::2], flips[1::2]
+    breaks = np.flatnonzero(syms == ord("\n"))
+    newlines = np.concatenate(([0], np.cumsum(bounds[breaks + 1] - bounds[breaks])))
+    line_end = (first == 0) | (stop == size)
+    line_end[np.searchsorted(first, breaks, side="right") - 1] = True
+    gaps = first[line_end], stop[line_end]
+    heads = ends = np.empty(0, dtype=np.int64)
+    if headed:
+        # the first run of every line's stripped text
+        line_starts = np.concatenate(([0], gaps[1][gaps[1] < size]))
+        heads = line_starts[syms[line_starts] == ord(">")]
+        ends = np.append(breaks, size)[np.searchsorted(breaks, heads)]
+    lows, highs = np.concatenate(([0], ends)), np.append(heads, size)
+    # a segment's first run is its first solid one unless a stretch holds it
+    held = np.append(stop, 0)[np.searchsorted(first, lows, side="right") - 1]
+    solid = np.minimum(np.maximum(held, lows), highs)
+    return _BlockLayout(syms, bounds, breaks, newlines, gaps, lows, highs, solid)
 
 
 def read_rle_records(stream) -> list[RunRecord]:

@@ -183,19 +183,27 @@ def limb_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_total(values: np.ndarray) -> int:
-    """The exact sum of a (2, n) limb array, or of an int64 array as its lo row.
+    """The exact sum of a (2, n) limb array, or of an int64 array as its lo row."""
+    return exact_totals(values, [0])[0] if values.shape[-1] else 0
 
-    hi, and lo's high and low 31-bit pieces, are summed in int64, then
-    composed in Python ints: each piece sum stays below 2^63 while n < 2^32
-    and lo is in [0, 2^62], so an int64 array's total may pass 2^63, and
-    hi's sum is below 2^62 while the total is below 2^124.
+
+def exact_totals(values: np.ndarray, starts) -> list[int]:
+    """exact_total of each part of values, part i from starts[i] to the next start.
+
+    No part may be empty. hi, and lo's high and low 31-bit pieces, are
+    summed per part in int64, one np.add.reduceat each, then composed in
+    Python ints: each piece sum stays below 2^63 while a part is shorter
+    than 2^32 and lo is in [0, 2^62], so an int64 array's total may pass
+    2^63, and hi's sum is below 2^62 while the total is below 2^124.
     """
-    hi, lo = values if values.ndim == 2 else (values[:0], values)
-    return (
-        (int(hi.sum()) << LIMB_BITS)
-        + (int((lo >> HALF_BITS).sum()) << HALF_BITS)
-        + int((lo & HALF_MASK).sum())
-    )
+    if values.ndim == 2:
+        hi, lo = values
+        high = np.add.reduceat(hi, starts).tolist()
+    else:
+        lo, high = values, [0] * len(starts)
+    mid = np.add.reduceat(lo >> HALF_BITS, starts).tolist()
+    low = np.add.reduceat(lo & HALF_MASK, starts).tolist()
+    return [(h << LIMB_BITS) + (m << HALF_BITS) + l for h, m, l in zip(high, mid, low)]
 
 
 def exact_ints(values: np.ndarray) -> list[int]:

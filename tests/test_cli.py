@@ -248,6 +248,7 @@ def test_bench_smoke(capsys):
     assert "doubling sweep" in out
     assert "run-length scaling" in out
     assert "periodic runs=16384" in out and "fibonacci runs=16384" in out
+    assert "fasta ingest" in out and "chars_per_s" in out
     assert "closed form check: ok" in out
 
 

@@ -633,6 +633,28 @@ def test_int64_pair_totals_past_2_63():
     _batch_agrees(engine, 1, 0)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_family_totals_past_2_63_match_each_total(exact):
+    # three records of 60, 60 and 59 runs of about 2^27, on either path;
+    # every cross total passes 2^63, and each column's batched totals, cut
+    # back per record, equal total() of each record and the run walk
+    a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
+    runs = [[b if k % 2 else a, 1 << 27] for k in range(60)]
+    shorter_last = [*runs[:-1], [runs[-1][0], runs[-1][1] - 5]]
+    shorter_first = [[a, (1 << 27) - 3], *runs[1:59]]
+    seqs = [RleSeq(name, rows) for name, rows in zip("XYZ", (runs, shorter_last, shorter_first))]
+    engine = AcsEngine(*seqs, _exact=exact)
+    assert engine.trie.int64 is not exact
+    for j in range(3):
+        column = engine.column(j)
+        totals = engine.totals(j, column)
+        assert totals[j] == 0
+        for i in range(3):
+            if i != j:
+                assert totals[i] == engine.total(i, column) == run_walk_total(seqs[i], seqs[j])
+                assert totals[i] > 1 << 63
+
+
 @settings(max_examples=60)
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=40), min_size=2, max_size=5))
 def test_int64_and_exact_paths_agree_on_families(texts):

@@ -6,7 +6,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rleacs import rle
@@ -314,6 +314,79 @@ def test_streamed_runs_match_groupby_reference(bodies, newline, block_chars):
         else:
             with pytest.raises(ValueError, match="empty record r"):
                 read_fasta_records(io.StringIO(fasta))
+
+
+def test_whitespace_table_is_str_isspace():
+    expected = np.array([chr(c).isspace() for c in range(0x110000)])
+    for dtype in (np.int64, np.uint32):
+        assert (rle._is_space(np.arange(0x110000, dtype=dtype)) == expected).all()
+    assert (rle._is_space(np.arange(256, dtype=np.uint8)) == expected[:256]).all()
+
+
+def _reference_fasta(text):
+    """(name, runs) of each FASTA record by the ingest contract, or its ParseError.
+
+    The text is split on "\n" and each line stripped; a line that then starts
+    with ">" opens a record named by the rest, stripped. Errors with a line
+    come in line order, then the first empty record.
+    """
+    records = []
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line.startswith(">"):
+            if not line[1:].strip():
+                raise ParseError("missing record name", number)
+            records.append((line[1:].strip(), []))
+        elif line:
+            if not records:
+                raise ParseError("sequence data before the first header", number)
+            records[-1][1].append(line)
+    for name, lines in records:
+        if not lines:
+            raise ParseError(f"empty record {name}")
+    return [(name, _reference_runs(lines)) for name, lines in records]
+
+
+# What _BODY_CHARS lacks: a lone "\r" (StringIO leaves it as it is), the
+# separators "\x1c"-"\x1f", NEL, LINE SEPARATOR and the ideographic space,
+# all whitespace to strip(), and ">" anywhere in a line, at its start after
+# whitespace too; plus blank lines and header lines.
+_EDGE_CHARS = st.sampled_from(
+    ["a", "a", "b", "é", ">", " ", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000"]
+)
+_EDGE_LINES = st.lists(
+    st.text(alphabet=_EDGE_CHARS, max_size=10) | st.sampled_from(["", " \r", ">r", "\u3000>s a ", " >"]),
+    max_size=16,
+)
+
+
+@settings(max_examples=300)
+@given(
+    _EDGE_LINES,
+    st.booleans(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.sampled_from([*range(1, 9), 1 << 17]),
+)
+@example([">r", "", "", "a", "\u3000>s", ""], False, "\n", True, 3)
+@example(["", " ", "a\x85>b\r"], True, "\r\n", False, 1)
+def test_ingest_matches_the_line_contract(lines, header_first, newline, newline_last, block_chars):
+    # with blocks of 1-8 characters every line starts and ends a block, a
+    # header or not; with 2^17 the input is one block
+    text = newline.join([">r0", *lines] if header_first else lines) + (newline if newline_last else "")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rle, "BLOCK_CHARS", block_chars)
+        raw = read_text_record(io.StringIO(text), "t")
+        assert raw.runs.tolist() == _reference_runs(text.split("\n"))
+        try:
+            expected = _reference_fasta(text)
+        except ParseError as error:
+            with pytest.raises(ParseError) as caught:
+                read_fasta_records(io.StringIO(text))
+            assert (str(caught.value), caught.value.line) == (str(error), error.line)
+        else:
+            records = read_fasta_records(io.StringIO(text))
+            assert [(r.name, r.runs.tolist()) for r in records] == expected
 
 
 @pytest.mark.parametrize("block_chars", range(1, 9))
