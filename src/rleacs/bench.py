@@ -17,6 +17,10 @@ experiments:
 
 One more row times the layer before them all: reading a long-run FASTA
 text, the one step whose work follows the decoded length.
+
+Every engine row also reports the trie's node and internal node counts and
+the bytes per run of its lifting rows, which cover the internal nodes only:
+the O(N log N) part of the engine's memory, printed with no gate.
 """
 
 from __future__ import annotations
@@ -53,11 +57,18 @@ class BenchRow:
     build_s: float
     query_s: float
     nodes: int
+    internal: int
+    row_bytes: int
     lsum: int
 
     @property
     def total_s(self) -> float:
         return self.build_s + self.query_s
+
+    @property
+    def row_bytes_per_run(self) -> float:
+        """The lifting rows' bytes over the pair's run count (tokens less the two terminators)."""
+        return self.row_bytes / (self.tokens - 2)
 
 
 def synth_pair(
@@ -121,7 +132,7 @@ ADVERSARIAL = {"periodic": periodic_pair, "fibonacci": fibonacci_pair}
 
 def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
     best_build = best_query = float("inf")
-    nodes = lsum = 0
+    nodes = internal = row_bytes = lsum = 0
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
         engine = AcsEngine(first, second)
@@ -132,6 +143,8 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         best_build = min(best_build, t1 - t0)
         best_query = min(best_query, t2 - t1)
         nodes = engine.trie.node_count
+        internal = engine.trie.internal
+        row_bytes = sum(row.nbytes for row in engine.trie.up)
     return BenchRow(
         label=label,
         tokens=len(first.runs) + len(second.runs) + 2,
@@ -139,6 +152,8 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         build_s=best_build,
         query_s=best_query,
         nodes=nodes,
+        internal=internal,
+        row_bytes=row_bytes,
         lsum=lsum,
     )
 
@@ -285,13 +300,14 @@ def format_table(rows: list[BenchRow], with_ratios: bool = True) -> str:
     """Plain text table, one row per measurement."""
     lines = [
         f"{'label':<28} {'tokens':>9} {'decoded':>14} {'build_s':>9} "
-        f"{'query_s':>9} {'nodes':>9} {'ratio':>6}"
+        f"{'query_s':>9} {'nodes':>9} {'internal':>9} {'rows_B/run':>10} {'ratio':>6}"
     ]
     rat = ratios(rows) if with_ratios else [float("nan")] * len(rows)
     for row, r in zip(rows, rat):
         ratio_text = f"{r:.2f}" if with_ratios else "-"
         lines.append(
             f"{row.label:<28} {row.tokens:>9} {row.decoded:>14} "
-            f"{row.build_s:>9.4f} {row.query_s:>9.4f} {row.nodes:>9} {ratio_text:>6}"
+            f"{row.build_s:>9.4f} {row.query_s:>9.4f} {row.nodes:>9} {row.internal:>9} "
+            f"{row.row_bytes_per_run:>10.1f} {ratio_text:>6}"
         )
     return "\n".join(lines)

@@ -145,10 +145,10 @@ def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.
     support), so weight[u] = m * depth[u] and the form reduces to
     weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
     s-block, and the root, has weight 0. Both climbs run in int64, and so
-    does depth[u] + f - g, which stays below 2^63. Within the trie's int64
-    bound the rest is int64 too, every product below 2^62. Past it the
-    sums are limbs, a (2, len(runs)) array: the same value as
-    weight[v] - weight[u] + g * depth[u] + g * (f - g) + g * (g + 1) / 2,
+    does rest = depth[u] + f - g, at most f + d <= D <= 2^62 (see
+    SymbolTrie). Within the trie's int64 bound the rest is int64 too, every
+    product below 2^62. Past it the sums are limbs, a (2, len(runs)) array:
+    the same value as weight[v] - weight[u] + g * rest + g * (g + 1) / 2,
     with g * (g + 1) / 2 the product of its two halves (whichever of g and
     g + 1 is even, halved, times the other) and a limb_carry after each
     addition.
@@ -159,13 +159,13 @@ def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.
     # least g, so neither climb returns -1
     v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
     u = trie.deepest_freq_ancestor(leaves, g, column.freq)
+    rest = trie.str_depth[u] + lengths - g
     if trie.int64:
-        rest = trie.str_depth[u] + lengths - g
         return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
     (v_hi, v_lo), (u_hi, u_lo) = column.weight[:, v], column.weight[:, u]
     hi, lo = limb_carry(v_hi - u_hi, v_lo - u_lo)
     odd = g & 1
-    for a, b in ((g, trie.str_depth[u]), (g, lengths - g), (g >> (1 - odd), (g + 1) >> odd)):
+    for a, b in ((g, rest), (g >> (1 - odd), (g + 1) >> odd)):
         p_hi, p_lo = limb_product(a, b)
         hi, lo = limb_carry(hi + p_hi, lo + p_lo)
     return np.stack((hi, lo))

@@ -30,7 +30,10 @@ the leaves below each node; weight, a running sum that turns "sum of
 ancestor depths over a range of thresholds" queries into two node lookups;
 and max_run, sequence j's longest run of each symbol. Ancestor searches
 climb with binary lifting, one vectorized step per row for a whole batch of
-(leaf, threshold) pairs, so a batch of q queries costs O(q log N).
+(leaf, threshold) pairs, so a batch of q queries costs O(q log N). Every
+climb starts at a leaf's parent and every answer is a proper ancestor of a
+leaf, so the lifting rows, freq and weight cover the internal nodes only;
+the leaves, more than half the nodes, come last and are left out.
 
 The arithmetic is chosen once per build, from the runs: while 4 * M * D <=
 2^62, with M the family's longest run and D its longest record's decoded
@@ -63,18 +66,22 @@ class SymbolTrie:
     """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
     Node 0 is the root, with parent -1; the internal nodes follow, numbered
-    in the order of the first gap each owns, and the leaves come last.
-    leaves[j][i] is the leaf of the suffix after run i + 1 of sequence j.
-    Leaf ids ascend in leaf order: the leaves of one preceding-run symbol
-    form a contiguous block, in suffix order, and the blocks follow symbol
-    order. The build (extract_symbol_tries) takes O(m log m) time at worst
-    for m leaves, when the nearest-smaller searches outrun pointer jumping
-    and fall back on the sparse-table descent. up[k] maps each node to its
-    2^k-th ancestor. Every array is read-only int64. symbols is one more
-    than the family's largest symbol id. One shape serves every sequence's
-    column: swapping which sequence is queried only swaps the order of
-    leaves with equal decoded content, which are siblings, so every parent
-    and depth stays as it is.
+    in the order of the first gap each owns, and the leaves come last:
+    nodes 0 .. internal - 1 are the root and the internal nodes, and
+    internal is node_count minus the family's run count. leaves[j][i] is
+    the leaf of the suffix after run i + 1 of sequence j. Leaf ids ascend
+    in leaf order: the leaves of one preceding-run symbol form a contiguous
+    block, in suffix order, and the blocks follow symbol order. The build
+    (extract_symbol_tries) takes O(m log m) time at worst for m leaves,
+    when the nearest-smaller searches outrun pointer jumping and fall back
+    on the sparse-table descent. up[k] maps each internal node to its 2^k-th
+    ancestor (_lifting_rows); a trie whose internal nodes all hang from the
+    root has no rows, so internal is a field of its own, not read off a
+    row. Every array is read-only int64. symbols is one more than the
+    family's largest symbol id. One shape serves every sequence's column:
+    swapping which sequence is queried only swaps the order of leaves with
+    equal decoded content, which are siblings, so every parent and depth
+    stays as it is.
 
     int64 holds when 4 * M * D <= 2^62, with M the family's longest run and
     D its longest record's decoded length plus 1; its columns' weights, and
@@ -101,6 +108,7 @@ class SymbolTrie:
     str_depth: np.ndarray
     up: tuple[np.ndarray, ...]
     leaves: tuple[np.ndarray, ...]
+    internal: int
     symbols: int
     int64: bool
 
@@ -114,25 +122,34 @@ class SymbolTrie:
         leaves and thresholds are int64 arrays (or broadcast against each
         other); the result has one node per pair. freq, a column's, never
         decreases toward the root, so the qualifying ancestors form a prefix
-        of the root path. The climb starts at the parent, takes every
-        lifting jump that stays strictly below the threshold, from the
-        longest down, one np.where per row, and then steps to the parent;
-        that step leaves the root as -1.
+        of the root path. Every step of the climb lands on an internal
+        node, which is all that freq and the lifting rows cover. The climb
+        starts at the parent, takes every lifting jump that stays strictly
+        below the threshold, from the longest down, one np.where per row,
+        and then steps to the parent, the answer if it qualifies and -1 if
+        not. The start is at most 2^rows levels below the root and the jumps
+        reach 2^rows - 1 of them, so they stop at the shallowest node below
+        the threshold, or one level under the root when the root is below
+        it too. (Past the root the step reads freq[-1], but returns -1
+        either way.)
         """
         thresholds = np.asarray(thresholds, dtype=np.int64)
         v = self.parent[np.asarray(leaves, dtype=np.int64)]
         for row in reversed(self.up):
             a = row[v]
             v = np.where(freq[a] < thresholds, a, v)
-        return np.where(freq[v] >= thresholds, v, self.parent[v])
+        above = self.parent[v]
+        return np.where(freq[v] >= thresholds, v, np.where(freq[above] >= thresholds, above, -1))
 
 
 @dataclass(frozen=True, eq=False)
 class Column:
     """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
-    freq per node and max_run per symbol id, and weight per node in int64
-    or, past the trie's int64 bound, as a (2, node_count) int64 array of
-    limbs, rows hi and lo, weight = hi * 2^62 + lo (exact_ints reads them)."""
+    freq per internal node and max_run per symbol id, and weight per
+    internal node in int64 or, past the trie's int64 bound, as a (2,
+    internal) int64 array of limbs, rows hi and lo, weight = hi * 2^62 + lo
+    (exact_ints reads them). Node v < trie.internal is entry v; the leaves
+    have none, since no climb and no closed form reads them."""
 
     freq: np.ndarray
     weight: np.ndarray
@@ -142,11 +159,14 @@ class Column:
 def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     """up[k][v], the 2^k-th ancestor of v, clamped at the root (node 0).
 
-    The root is its own ancestor, so no row needs a mask. Rows double until
-    the next would map every node to the root and so equal the one after
-    it; it is not kept, since a climb starts at a leaf's parent, at most
-    depth - 1 steps below the root, and the kept rows' jumps sum to at
-    least that.
+    parent is the trie's over its internal nodes, parent[:internal]: their
+    ancestors are internal too, so the rows never index a leaf. The root is
+    its own ancestor, so no row needs a mask. Rows double until the next
+    would map every node to the root and so equal the one after it; it is
+    not kept, since a climb starts at a leaf's parent, an internal node at
+    most 2^rows levels below the root, needs at most 2^rows - 1 jumps, and
+    the kept rows' jumps sum to that. When every internal node hangs from
+    the root there are no rows.
     """
     up = []
     row = np.maximum(parent, 0)
@@ -170,6 +190,10 @@ def limb_carry(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def limb_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * b as limbs (hi, lo), for int64 arrays with entries in [0, 2^62].
+
+    Every factor the engine passes is in range: lengths, depths and the
+    closed form's depth[u] + f - g, at most f + d <= D <= 2^62, since a run
+    and the suffix after it lie in one record (see SymbolTrie).
 
     Each factor splits into 31-bit halves, a = a1 * 2^31 + a0 with a1 <= 2^31.
     The middle sum a1 * b0 + a0 * b1 is below 2^63; its low 31 bits, shifted
@@ -221,16 +245,23 @@ def exact_ints(values: np.ndarray) -> list[int]:
 def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     """The column of one sequence from its (symbol, length) runs and the leaf after each.
 
-    max_run[s] is the sequence's longest run of symbol s, 0 where absent.
-    freq[v] is the largest length of a run of the sequence whose following
-    suffix's leaf lies below v, and weight[v] is weight[parent] + freq[v] *
-    (str_depth[v] - str_depth[parent]), 0 at the root. freq becomes that
-    subtree maximum by one np.maximum.at per lifting row: after row k every
-    node holds the maximum over its descendants fewer than 2^(k+1) levels
-    down. The kept rows stop one short of the all-root row, so a leaf
-    exactly 2^rows levels below the root never reaches it; the root, an
-    ancestor of every node, takes the column's maximum instead. Run lengths
-    are below 2^62, so freq stays int64.
+    Both arrays cover the internal nodes v < trie.internal only (see
+    Column). max_run[s] is the sequence's longest run of symbol s, 0 where
+    absent. freq[v] is the largest length of a run of the sequence whose
+    following suffix's leaf lies below v, and weight[v] is weight[parent] +
+    freq[v] * (str_depth[v] - str_depth[parent]), 0 at the root.
+
+    One np.maximum.at pushes each run's length to its leaf's parent, so
+    every internal node starts with the maximum over its own leaf children.
+    freq becomes the subtree maximum by one np.maximum.at per lifting row:
+    after row k every internal node holds the maximum over its internal
+    descendants fewer than 2^(k+1) levels down, and so over every leaf
+    below those. The kept rows stop one short of the all-root row, so an
+    internal node exactly 2^rows levels below the root never passes its
+    value on to the root; every other node is at most 2^rows - 1 levels
+    above its deepest internal descendant and misses nothing. The root, an
+    ancestor of every node, takes the column's maximum instead. Run
+    lengths are below 2^62, so freq stays int64.
 
     weight is the sum of each node's step freq * (str_depth -
     str_depth[parent]) over its root path, by pointer doubling: after row k
@@ -244,13 +275,14 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     max_run = np.zeros(trie.symbols, dtype=np.int64)
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
     max_run.flags.writeable = False
-    freq = np.zeros(trie.node_count, dtype=np.int64)
-    freq[leaves] = runs[:, 1]
+    freq = np.zeros(trie.internal, dtype=np.int64)
+    np.maximum.at(freq, trie.parent[leaves], runs[:, 1])
     for row in trie.up:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
     freq.flags.writeable = False
-    step = trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)]
+    inner = slice(trie.internal)
+    step = trie.str_depth[inner] - trie.str_depth[np.maximum(trie.parent[inner], 0)]
     if trie.int64:
         weight = freq * step
         for row in trie.up:
@@ -432,6 +464,7 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
     included, so the two can be compared.
     """
     parent, str_depth, leaf_nodes = _compact_trie(blocks.depths, blocks.gaps)
+    internal = len(parent) - len(leaf_nodes)
     parent.flags.writeable = False
     str_depth.flags.writeable = False
     bounds = blocks.bounds
@@ -442,8 +475,9 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
     return SymbolTrie(
         parent=parent,
         str_depth=str_depth,
-        up=_lifting_rows(parent),
+        up=_lifting_rows(parent[:internal]),
         leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
+        internal=internal,
         symbols=blocks.symbols,
         int64=blocks.int64 and not _exact,
     )

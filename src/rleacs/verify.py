@@ -449,27 +449,40 @@ def _exact_checks(
 
 
 def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -> list[str]:
-    """freq never decreases toward the root, weight telescopes, and each leaf
-    holds the length of the run before it if that run is sequence j's, else 0."""
+    """The column covers the internal nodes, freq never decreases toward the
+    root, weight telescopes, and freq is the subtree maximum of the preceding
+    runs: each leaf after a run of sequence j stands for that run's length,
+    every other leaf for 0, and each node takes the largest of its children,
+    children first (a parent is shallower)."""
+    internal = trie.internal
+    if column.freq.shape != (internal,) or column.weight.shape[-1] != internal:
+        return [f"{label}column covers {len(column.freq)} nodes, not the {internal} internal ones"]
     failures = []
     parent = trie.parent.tolist()
     str_depth = trie.str_depth.tolist()
     freq = column.freq.tolist()
     weight = exact_ints(column.weight)
-    for v, p in enumerate(parent):
+    for v, p in enumerate(parent[:internal]):
         if p >= 0 and freq[p] < freq[v]:
             failures.append(f"{label}freq increases from node {p} to {v}")
             break
-    for v, p in enumerate(parent):
+    for v, p in enumerate(parent[:internal]):
         expect = 0 if p < 0 else weight[p] + freq[v] * (str_depth[v] - str_depth[p])
         if weight[v] != expect:
             failures.append(f"{label}weight at node {v} breaks telescoping")
             break
-    leaves = np.concatenate(trie.leaves)
-    expect = np.zeros(trie.node_count, dtype=np.int64)
-    expect[trie.leaves[j]] = runs[:, 1]
-    if not np.array_equal(column.freq[leaves], expect[leaves]):
-        failures.append(f"{label}leaf annotations differ from the preceding runs")
+    best = [0] * len(parent)
+    for leaf, length in zip(trie.leaves[j].tolist(), runs[:, 1].tolist()):
+        best[leaf] = length
+    for v in sorted(range(1, len(parent)), key=str_depth.__getitem__, reverse=True):
+        best[parent[v]] = max(best[parent[v]], best[v])
+    wrong = [v for v in range(internal) if freq[v] != best[v]]
+    if wrong:
+        v = wrong[0]
+        failures.append(
+            f"{label}freq at node {v} is {freq[v]}, not the subtree maximum {best[v]} "
+            "of the preceding runs"
+        )
     return failures
 
 
@@ -512,6 +525,9 @@ def _structural_checks(
     leaves = sorted(set(range(query.node_count)) - set(parent))
     if len(rank_of) != len(with_leaf) or sorted(rank_of) != leaves:
         failures.append("query trie: run leaves are not the trie's leaves")
+        return failures
+    if leaves != list(range(query.internal, query.node_count)):
+        failures.append(f"query trie: the leaves are not the nodes from {query.internal} on")
         return failures
     leaf_ranks = [rank_of[v] for v in leaves]
 
@@ -562,9 +578,9 @@ def check_family(
     Each sequence's column is annotated and answered as dist_matrix does
     it, and every other sequence's total and run sums are matched against
     the brute per-position lengths. With deep, each column is also checked
-    on its own: freq monotone, weight telescoping, leaves holding that
-    sequence's preceding runs. Totals, and with deep columns, are matched
-    against an exact limb rebuild. Engine exceptions are failures.
+    on its own: freq monotone and the subtree maximum of that sequence's
+    preceding runs, weight telescoping. Totals, and with deep columns, are
+    matched against an exact limb rebuild. Engine exceptions are failures.
     """
     seqs = tuple(seqs)
     texts = [decode_ids(seq) for seq in seqs]

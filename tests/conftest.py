@@ -1,3 +1,5 @@
+import numpy as np
+
 from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 
 
@@ -15,3 +17,22 @@ def at_bound(body):
     sym, length = body[0]
     stretched = (sym, length + MAX_DECODED_LENGTH - 1 - sum(n for _, n in body))
     return RleSeq("S", [stretched, *body[1:]])
+
+
+def brute_column(trie, leaves, lengths):
+    """(freq, weight) of every internal node of trie, as Python ints, when the
+    run before each of leaves has the length beside it and every other leaf's
+    run is another sequence's: freq is the largest such length below the node,
+    weight the sum of freq * (str_depth - str_depth[parent]) over its root
+    path. A parent is shallower than its children, so deeper nodes go first."""
+    parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
+    freq = [0] * len(parent)
+    for leaf, length in zip(np.asarray(leaves).tolist(), np.asarray(lengths).tolist()):
+        freq[leaf] = length
+    by_depth = sorted(range(1, len(parent)), key=depth.__getitem__)
+    for v in reversed(by_depth):
+        freq[parent[v]] = max(freq[parent[v]], freq[v])
+    weight = [0] * len(parent)
+    for v in by_depth:
+        weight[v] = weight[parent[v]] + freq[v] * (depth[v] - depth[parent[v]])
+    return freq[: trie.internal], weight[: trie.internal]

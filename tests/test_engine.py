@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_bound, make_pair
+from conftest import at_bound, brute_column, make_pair
 from rleacs.engine import (
     AcsEngine,
     _closed_form,
@@ -79,14 +79,14 @@ def test_run_leaves_follow_each_run():
     assert len(set(leaves)) == len(leaves)
     # each leaf's depth is the decoded length of the suffix after its run,
     # terminator included ("b$", "$" and "bab$", "ab$", "b$", "$"), and its
-    # run's length sits in its own side's freq column
+    # run's length counts in its own side's freq column, as the subtree
+    # maxima of the brute reference, where the other side's leaves stand for 0
     trie = engine.trie
     freq, rev_freq = engine.column(1).freq, engine.column(0).freq
     assert trie.str_depth[forward].tolist() == [2, 1]
     assert trie.str_depth[back].tolist() == [4, 3, 2, 1]
-    assert rev_freq[forward].tolist() == first.runs[:, 1].tolist()
-    assert freq[back].tolist() == second.runs[:, 1].tolist()
-    assert not freq[forward].any() and not rev_freq[back].any()
+    assert rev_freq.tolist() == brute_column(trie, forward, first.runs[:, 1])[0]
+    assert freq.tolist() == brute_column(trie, back, second.runs[:, 1])[0]
 
 
 def _batch_agrees(engine, i, j):
@@ -541,15 +541,15 @@ def test_limb_path_matches_the_run_walk_with_large_runs(seed):
 
 def _path_of(engine):
     """The engine's arithmetic path, checked against both of its columns' weight layouts
-    (one int64 per node, or two int64 limbs per node past the bound) and
-    their values, telescoped in Python ints from the root down."""
+    (one int64 per internal node, or two int64 limbs per internal node past
+    the bound) and their values, telescoped in Python ints from the root down."""
     trie = engine.trie
-    shape = (trie.node_count,) if trie.int64 else (2, trie.node_count)
+    shape = (trie.internal,) if trie.int64 else (2, trie.internal)
     parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
     for column in (engine.column(0), engine.column(1)):
         assert column.weight.dtype == np.int64 and column.weight.shape == shape
-        expect = [0] * trie.node_count
-        for v in np.argsort(trie.str_depth, kind="stable")[1:].tolist():
+        expect = [0] * trie.internal
+        for v in np.argsort(trie.str_depth[: trie.internal], kind="stable")[1:].tolist():
             expect[v] = expect[parent[v]] + int(column.freq[v]) * (depth[v] - depth[parent[v]])
         assert exact_ints(column.weight) == expect
     return trie.int64
@@ -667,8 +667,8 @@ def test_int64_and_exact_paths_agree_on_families(texts):
     assert engine.trie.int64 and not exact.trie.int64
     for j in range(len(seqs)):
         column, exact_column = engine.column(j), exact.column(j)
-        assert column.weight.shape == (engine.trie.node_count,)
-        assert exact_column.weight.shape == (2, engine.trie.node_count)
+        assert column.weight.shape == (engine.trie.internal,)
+        assert exact_column.weight.shape == (2, engine.trie.internal)
         assert column.freq.tolist() == exact_column.freq.tolist()
         assert column.weight.tolist() == exact_ints(exact_column.weight)
         assert column.max_run.tolist() == exact_column.max_run.tolist()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at_bound, make_pair
+from conftest import at_bound, brute_column, make_pair
 from rleacs.oracle import (
     SuffixRef,
     brute_suffix_sort,
@@ -151,8 +151,10 @@ def test_trie_micro_pair():
     assert [rank_of[v] for v in leaves] == [4, 5, 0, 1]
     freq = annotate(query, second_leaves, second.runs).freq
     rev_freq = annotate(query, first_leaves, first.runs).freq
-    assert [freq[v] for v in leaves] == [0, 1, 0, 1]
-    assert [rev_freq[v] for v in leaves] == [2, 0, 1, 0]
+    # the leaves stand for their preceding runs' lengths, Y's in freq and
+    # X's in rev_freq, and the internal nodes hold the subtree maxima
+    assert freq.tolist() == brute_column(query, leaves, [0, 1, 0, 1])[0]
+    assert rev_freq.tolist() == brute_column(query, leaves, [2, 0, 1, 0])[0]
 
 
 def _random_runny_text(rng, n, alphabet):

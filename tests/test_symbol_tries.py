@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_pair
+from conftest import brute_column, make_pair
 from rleacs import bench, symbol_tries
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
-from rleacs.rle import FIRST_SYMBOL_ID
+from rleacs.rle import FIRST_SYMBOL_ID, Alphabet, encode
 from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import (
     JUMP_ROUNDS,
@@ -79,14 +79,15 @@ def test_extract_micro_pair():
         SuffixRef(0, 3),
         SuffixRef(1, 3),
     ]
-    # a leaf's freq is its preceding run's length when that run is Y's,
-    # its rev_freq when it is X's
+    # a leaf stands for its preceding run's length in the forward column
+    # when that run is Y's, in the reverse one when it is X's; the columns
+    # hold the subtree maxima of those values at the root and mid
     leaves = trie_leaves(trie)
     forward, reverse = pair_columns(trie, order)
-    assert [forward.freq[v] for v in leaves] == [0, 1, 0, 1]
-    assert [reverse.freq[v] for v in leaves] == [2, 0, 1, 0]
+    assert forward.freq.tolist() == brute_column(trie, leaves, [0, 1, 0, 1])[0] == [1, 1]
+    assert reverse.freq.tolist() == brute_column(trie, leaves, [2, 0, 1, 0])[0] == [2, 2]
     # root, the a-block's mid node and its two leaves, the two b-leaves
-    assert trie.node_count == 6
+    assert trie.node_count == 6 and trie.internal == 2
     a_x, a_y, b_x, b_y = leaves
     mid = trie.parent[a_x]
     assert trie.str_depth[mid] == 1
@@ -116,9 +117,12 @@ def test_annotate_micro_pair():
     assert column.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
     assert column.freq[0] == 1
     assert column.weight[0] == 0
-    # leaves: type-X leaf freq 0, type-Y leaf freq = its run length
-    assert column.freq[leaves[0]] == 0
-    assert column.freq[leaves[1]] == 1
+    # the leaves have no entries: the type-X leaf stands for 0 and the
+    # type-Y leaf for its run length, and mid holds their maximum
+    assert column.freq.shape == column.weight.shape == (trie.internal,) == (2,)
+    assert (column.freq.tolist(), column.weight.tolist()) == brute_column(
+        trie, leaves, [0, 1, 0, 1]
+    )
 
 
 def test_annotate_no_second_sequence_leaves():
@@ -127,20 +131,26 @@ def test_annotate_no_second_sequence_leaves():
     trie, order, _ = build_query_trie("aba", "a")
     column, reverse = pair_columns(trie, order)
     b_leaf = trie_leaves(trie)[-1]
-    assert reverse.freq[b_leaf] == 1
     assert trie.parent[b_leaf] == 0
-    assert column.freq[b_leaf] == 0 and column.weight[b_leaf] == 0
+    # X's b-run of 1 before b_leaf reaches its parent, the root
+    assert reverse.freq[trie.parent[b_leaf]] == 1
+    # in Y's column b_leaf stands for 0, and the root's 1 is the a-block's Y leaf
+    assert (column.freq.tolist(), column.weight.tolist()) == brute_column(
+        trie, trie.leaves[1], order.seqs[1].runs[:, 1]
+    )
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
 def hand_trie(parent, str_depth, leaves, int64=True):
-    """A one-symbol SymbolTrie from a parent array and depths."""
+    """A one-symbol SymbolTrie from a parent array and depths; the leaves come last."""
     parent = np.array(parent, dtype=np.int64)
+    internal = len(parent) - len(leaves)
     return SymbolTrie(
         parent=parent,
         str_depth=np.array(str_depth, dtype=np.int64),
-        up=_lifting_rows(parent),
+        up=_lifting_rows(parent[:internal]),
         leaves=(np.array(leaves, dtype=np.int64),),
+        internal=internal,
         symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
     )
@@ -165,29 +175,35 @@ def test_annotate_chain_recurrence():
         assert freq[2] == 3
         assert weight[1] == 10  # 5 * (2 - 0)
         assert weight[2] == 25  # 10 + 3 * (7 - 2)
+        assert (freq.tolist(), weight) == brute_column(trie, [3, 4, 5], [3, 2, 5])
         assert column.max_run.tolist() == [0, 0, 5]
+        # a column with no leaves: zeros over the three internal nodes
         rev = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
-        assert rev.freq.tolist() == [0] * 6 and exact_ints(rev.weight) == [0] * 6
+        assert rev.freq.tolist() == [0] * 3 and exact_ints(rev.weight) == [0] * 3
         assert rev.max_run.tolist() == [0, 0, 0]
         # annotation reads the trie and leaves it as it was
         assert trie.parent.tolist() == parent and trie.str_depth.tolist() == str_depth
 
 
 def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
-    # the leaf 4 sits 4 = 2^2 levels below the root, and the two kept lifting
-    # rows reach 3 levels: without the root's own step it would keep only
-    # the shallow leaf's 1, and a climb from that leaf at threshold 5 would
-    # fall off the root
+    # the internal node 4 sits 4 = 2^2 levels below the root, and the two
+    # kept lifting rows reach 3 levels: without the root's own step the
+    # root would keep only the shallow leaf's 1, pushed to it, and a climb
+    # from that leaf at threshold 5 would fall off the root
     # the int64 weights' pointer doubling takes the same two rows
     for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 3, 0], [0, 1, 2, 3, 4, 1], [4, 5], int64)
-        assert len(trie.up) == 2
+        trie = hand_trie([-1, 0, 1, 2, 3, 4, 0], [0, 1, 2, 3, 4, 5, 1], [5, 6], int64)
+        assert trie.internal == 5 and len(trie.up) == 2
         column = annotate(trie, trie.leaves[0], runs_of([5, 1]))
-        assert column.freq.tolist() == [5, 5, 5, 5, 5, 1]
-        assert exact_ints(column.weight) == [0, 5, 10, 15, 20, 1]
-        assert trie.deepest_freq_ancestor([5, 4], [5, 5], column.freq).tolist() == [0, 3]
+        # the leaves' 5 and 1 have moved to the brute reference
+        assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+            trie, [5, 6], [5, 1]
+        )
+        assert column.freq.tolist() == [5, 5, 5, 5, 5]
+        assert exact_ints(column.weight) == [0, 5, 10, 15, 20]
+        assert trie.deepest_freq_ancestor([6, 5], [5, 5], column.freq).tolist() == [0, 4]
         # the same chain with nothing beside it, as first found
-        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], int64)
+        chain = hand_trie([-1, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], [5], int64)
         assert annotate(chain, chain.leaves[0], runs_of([5])).freq.tolist() == [5] * 5
 
 
@@ -195,11 +211,13 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
 def test_limb_column_weights_either_side_of_2_63(run):
     # a limb trie sums its weights in annotate's limb loop whatever their
     # size; both columns' weights pass 2^62, and for run 4 the column's
-    # longest run times the deepest str_depth passes 2^63 as well
+    # longest run times the deepest internal str_depth passes 2^63 as well
+    # (nodes 2 and 3 each hold one leaf, one level deeper)
     deep = (1 << 61) + 3
-    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], int64=False)
+    depths = [0, 1 << 61, deep, deep, deep + 1, deep + 1]
+    trie = hand_trie([-1, 0, 1, 1, 2, 3], depths, [4, 5], int64=False)
     column = annotate(trie, trie.leaves[0], runs_of([run, 1]))
-    assert column.weight.shape == (2, trie.node_count)
+    assert column.weight.shape == (2, trie.internal) == (2, 4)
     hi, lo = column.weight
     assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
     assert exact_ints(column.weight) == [0, run << 61, (run << 61) + 3 * run, (run << 61) + 3]
@@ -215,11 +233,16 @@ def test_annotate_leaves_int64_columns():
     freqs = [column.freq for column in (*columns, *exact_columns)]
     for column in (trie.parent, trie.str_depth, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
+    for column in (trie.parent, trie.str_depth):
         assert len(column) == trie.node_count
+    # the columns and lifting rows cover the internal nodes, the leaves come last
+    assert trie.internal == trie.node_count - sum(len(seq.runs) for seq in order.seqs)
+    for column in (*freqs, *trie.up):
+        assert len(column) == trie.internal
     for column in (column.weight for column in columns):
-        assert column.dtype == np.int64 and column.shape == (trie.node_count,)
+        assert column.dtype == np.int64 and column.shape == (trie.internal,)
     for column in (column.weight for column in exact_columns):
-        assert column.dtype == np.int64 and column.shape == (2, trie.node_count)
+        assert column.dtype == np.int64 and column.shape == (2, trie.internal)
         hi, lo = column
         assert (hi >= 0).all() and (lo >= 0).all() and (lo < 1 << LIMB_BITS).all()
     for int64, exact_column in zip(columns, exact_columns):
@@ -229,9 +252,73 @@ def test_annotate_leaves_int64_columns():
         assert int64.max_run.dtype == np.int64 and len(int64.max_run) == trie.symbols
     for column in trie.leaves:
         assert column.dtype == np.int64
-    # rows double until the next would map every node to the root (node 0)
+    # rows double until the next would map every internal node to the root
+    # (node 0); this pair's internal nodes all hang from the root, so it has
+    # none (test_lifting_rows_stop_before_the_all_root_row has rows)
+    assert trie.up == () and not trie.parent[1 : trie.internal].any()
+
+
+def test_lifting_rows_stop_before_the_all_root_row():
+    # rows double until the next would map every internal node to the root
+    # (node 0); the periodic pair's trie is one deep chain per symbol
+    first, second = bench.periodic_pair(64)
+    trie = AcsEngine(first, second).trie
+    assert trie.internal == trie.node_count - 64
+    assert all(row.shape == (trie.internal,) for row in trie.up)
     top = trie.up[-1]
     assert top.any() and not top[top].any()
+
+
+def test_internal_nodes_without_lifting_rows():
+    # "ab" against itself: the a-block's two leaves meet at "b", one level
+    # under the root, and the b-block's two hang from the root, so every
+    # internal node hangs from the root and there are no rows to read the
+    # internal count from
+    trie, order, _ = build_query_trie("ab", "ab")
+    assert trie.up == () and trie.internal == 2 and trie.node_count == 6
+    for exact in (False, True):
+        if exact:
+            trie = extract_symbol_tries(leaf_blocks(order), _exact=True)
+        sides = ((1, order.seqs[1]), (0, order.seqs[0]))
+        for column, (j, seq) in zip(pair_columns(trie, order), sides):
+            assert column.freq.tolist() == [1, 1]
+            assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+                trie, trie.leaves[j], seq.runs[:, 1]
+            )
+        # a column with no leaves
+        empty = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
+        assert empty.freq.tolist() == [0, 0] and exact_ints(empty.weight) == [0, 0]
+    # each run of X is answered from its leaf's parent: "a" then "b" match
+    # two and one characters
+    engine = AcsEngine(*order.seqs)
+    assert engine.run_sums(0, engine.column(1)) == [2, 1]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_columns_match_the_brute_reference_on_random_families(k, exact):
+    # every internal node's freq is the subtree maximum over the column's
+    # leaves and its weight the root-path sum, on both arithmetic paths
+    rng = random.Random(100 * k + exact)
+    for _ in range(8):
+        # some records lack a symbol that others have
+        texts = [
+            _random_runny_text(rng, rng.randint(1, 60), rng.choice(("ab", "bc", "abc")))
+            for _ in range(k)
+        ]
+        alphabet = Alphabet.for_texts(texts)
+        seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+        engine = AcsEngine(*seqs, _exact=exact)
+        trie = engine.trie
+        assert trie.int64 is not exact
+        assert trie.internal == trie.node_count - sum(seq.run_count for seq in seqs)
+        for j, seq in enumerate(seqs):
+            column = engine.column(j)
+            assert column.freq.shape == (trie.internal,)
+            assert column.weight.shape == ((2,) if exact else ()) + (trie.internal,)
+            assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+                trie, trie.leaves[j], seq.runs[:, 1]
+            )
 
 
 LIMB_EDGES = (0, 1, (1 << 31) - 1, 1 << 31, (1 << 62) - 1, 1 << 62)
@@ -275,7 +362,7 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 def test_trie_is_immutable():
     trie, order, _ = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves", "symbols", "int64")
+    rows = ("up", "leaves", "internal", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
     for column in [*columns, *trie.up, *trie.leaves]:
@@ -396,13 +483,16 @@ def test_structural_invariants(x, y):
     leaves = trie_leaves(t)
     assert len(set(leaves)) == len(leaves)
     assert leaves == sorted(set(range(t.node_count)) - set(t.parent.tolist()))
+    # and they come last, after the internal nodes that the columns cover
+    assert leaves == list(range(t.internal, t.node_count))
 
     parent = t.parent.tolist()
     str_depth = t.str_depth.tolist()
-    for column in pair_columns(t, order):
+    for column, (j, seq) in zip(pair_columns(t, order), ((1, second), (0, first))):
         freq, weight = column.freq.tolist(), column.weight
+        assert (freq, weight.tolist()) == brute_column(t, t.leaves[j], seq.runs[:, 1])
         # freq never decreases toward the root
-        for v in range(t.node_count):
+        for v in range(t.internal):
             p = parent[v]
             if p != -1:
                 assert freq[p] >= freq[v]

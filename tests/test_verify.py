@@ -10,13 +10,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import rleacs.engine
 import rleacs.verify
 from rleacs import symbol_tries
+from rleacs.cli import EXIT_VERIFY, main
 from rleacs.engine import AcsEngine
 from rleacs.rle import Alphabet, encode, parse_rle_text
 from rleacs.suffixes import SuffixOrder, build_suffix_order
 from rleacs.symbol_tries import (
-    _lifting_rows,
     annotate,
     extract_symbol_tries,
     leaf_blocks,
@@ -46,7 +47,8 @@ def column_as_min(trie, leaves, runs):
     column's true support, so every climb stays defined and the fault shows
     as wrong answers, not as a crash. A parent is strictly shallower than
     its children, so nodes by str_depth go parents first. Every engine it
-    serves is on the int64 path, so the weights are int64.
+    serves is on the int64 path, so the weights are int64. Like annotate's,
+    its arrays cover the internal nodes only.
     """
     true = annotate(trie, leaves, runs)
     big = 1 << 62
@@ -62,7 +64,10 @@ def column_as_min(trie, leaves, runs):
     for v in by_depth[1:]:
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
-    return dataclasses.replace(true, freq=best, weight=np.array(weight, dtype=np.int64))
+    inner = slice(trie.internal)
+    return dataclasses.replace(
+        true, freq=best[inner], weight=np.array(weight[inner], dtype=np.int64)
+    )
 
 
 class FreqAsMin(AcsEngine):
@@ -99,7 +104,10 @@ class ShortDoubling(AcsEngine):
     def column(self, j):
         column = super().column(j)
         trie = self.trie
-        weight = column.freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
+        inner = slice(trie.internal)
+        weight = column.freq * (
+            trie.str_depth[inner] - trie.str_depth[np.maximum(trie.parent[inner], 0)]
+        )
         for row in trie.up[:-1]:
             weight += weight[row]
         return dataclasses.replace(column, weight=weight)
@@ -160,8 +168,8 @@ class ShallowerGapLeaf(AcsEngine):
         gaps = [0, *(meet(a, b) for a, b in zip(leaves, leaves[1:])), 0]
         for k, leaf in enumerate(leaves):
             parent[leaf] = min(gaps[k], gaps[k + 1], key=str_depth.__getitem__)
-        parent = np.array(parent, dtype=np.int64)
-        self.trie = dataclasses.replace(self.trie, parent=parent, up=_lifting_rows(parent))
+        # only leaves move, so the lifting rows, over the internal nodes, stay
+        self.trie = dataclasses.replace(self.trie, parent=np.array(parent, dtype=np.int64))
 
 
 class JumpOneShort(AcsEngine):
@@ -174,6 +182,15 @@ class JumpOneShort(AcsEngine):
             mock.patch.object(symbol_tries, "_descend", lambda rows, near, *rest: near),
         ):
             super().__init__(*seqs, _exact=_exact)
+
+
+def annotate_to_grandparent(trie, leaves, runs):
+    """annotate with a planted bug: each run's length is pushed to its leaf's
+    grandparent (the root, for a leaf that hangs from it), not its parent."""
+    parent = trie.parent.copy()
+    below = slice(trie.internal, None)
+    parent[below] = np.maximum(parent[parent[below]], 0)
+    return annotate(dataclasses.replace(trie, parent=parent), leaves, runs)
 
 
 class ExplodingEngine(AcsEngine):
@@ -229,10 +246,11 @@ def test_reverse_column_fault_is_caught():
     assert "reverse lsum" in report.failure
     seqs, _ = parse_rle_text(report.failure_record)
     assert check_pair(seqs[0], seqs[1]) == []
-    # ... and the leaf annotation check catches it on the first pair
+    # ... and the column check against the subtree maxima of the preceding
+    # runs catches it on the first pair
     report = run_verification(seed=5, trials=50, n_max=60, engine_factory=ReverseReadsForward)
     assert report.failure.startswith("trial 0: ")
-    assert "leaf annotations differ from the preceding runs" in report.failure
+    assert "not the subtree maximum" in report.failure
 
 
 def test_family_column_fault_is_caught_and_replayable():
@@ -320,6 +338,21 @@ def test_limb_weight_fault_is_caught_by_the_exact_path(monkeypatch):
     assert check_pair(seqs[0], seqs[1])
     monkeypatch.undo()
     assert check_pair(seqs[0], seqs[1]) == []
+
+
+def test_push_to_the_grandparent_is_caught_by_check_pair_and_verify(monkeypatch, capsys):
+    # the a-block's Y leaf pushes its run to the root, past its parent, which
+    # then holds only the X leaf's 0; the engine and its exact rebuild both
+    # annotate so, so only the column checks see the parent's freq directly
+    monkeypatch.setattr(rleacs.engine, "annotate", annotate_to_grandparent)
+    first, second, _ = make_pair("aab", "ab")
+    failures = check_pair(first, second)
+    wrong = r"^query trie: freq at node \d+ is 0, not the subtree maximum 1"
+    assert any(re.search(wrong, f) for f in failures)
+    assert main(["verify", "--trials", "5", "--n-max", "60", "--seed", "5"]) == EXIT_VERIFY
+    assert "not the subtree maximum" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert check_pair(first, second) == []
 
 
 def test_report_counts_both_paths_and_run_cases():
