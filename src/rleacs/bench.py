@@ -15,8 +15,10 @@ experiments:
 * one giant unary pair whose exact total has a closed form, as an
   end-to-end sanity anchor at decoded length 10^9.
 
-One more row times the layer before them all: reading a long-run FASTA
-text, the one step whose work follows the decoded length.
+Two more rows time the layer before them all, on texts held in memory:
+reading a long-run FASTA text, the one step whose work follows the decoded
+length, and reading a run-length text shaped like a large pair into
+sequences, whose work follows the characters of its tokens.
 
 Every engine row also reports the trie's node and internal node counts and
 the bytes per run of its lifting rows, which cover the internal nodes only:
@@ -25,7 +27,6 @@ the O(N log N) part of the engine's memory, printed with no gate.
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,13 @@ from fractions import Fraction
 import numpy as np
 
 from rleacs.engine import AcsEngine
-from rleacs.rle import FIRST_SYMBOL_ID, RleSeq, read_fasta_records
+from rleacs.rle import (
+    FIRST_SYMBOL_ID,
+    RleSeq,
+    build_text_sequences,
+    read_fasta_records,
+    read_rle_records,
+)
 
 DOUBLING_MIN = 1 << 14
 DOUBLING_MAX = 1 << 17
@@ -47,6 +54,14 @@ INGEST_RECORDS = 2
 INGEST_LENGTH = 10**6
 INGEST_MEAN_RUN = 5000
 FASTA_WIDTH = 60
+# the run-length ingest row: records of RLE_RUNS runs over acgt with counts
+# of mean RLE_MEAN_RUN, RLE_BIG of them near 2^48, RLE_PER_LINE tokens to a
+# line
+RLE_RECORDS = 2
+RLE_RUNS = 1 << 14
+RLE_MEAN_RUN = 8
+RLE_BIG = 8
+RLE_PER_LINE = 16
 
 
 @dataclass(frozen=True)
@@ -263,29 +278,69 @@ def long_run_fasta(seed: int) -> str:
     return "".join(parts)
 
 
-def ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
-    """Best of reps reads of long_run_fasta(seed) by read_fasta_records, from memory."""
-    text = long_run_fasta(seed)
+def run_length_text(seed: int) -> str:
+    """Run-length text of RLE_RECORDS records of RLE_RUNS runs over acgt.
+
+    Neighbouring symbols differ; counts are geometric with mean RLE_MEAN_RUN,
+    and RLE_BIG of each record's are drawn from [2^47, 2^48) instead; each
+    record is written RLE_PER_LINE tokens to a line.
+    """
+    rng = np.random.default_rng(seed)
+    parts = []
+    for k in range(RLE_RECORDS):
+        walk = np.cumsum(rng.integers(1, 4, size=RLE_RUNS)) % 4
+        counts = rng.geometric(1 / RLE_MEAN_RUN, size=RLE_RUNS)
+        counts[rng.choice(RLE_RUNS, RLE_BIG, replace=False)] = rng.integers(
+            1 << 47, 1 << 48, size=RLE_BIG
+        )
+        tokens = [f"{'acgt'[s]}{c}" for s, c in zip(walk.tolist(), counts.tolist())]
+        lines = [" ".join(tokens[i : i + RLE_PER_LINE]) for i in range(0, RLE_RUNS, RLE_PER_LINE)]
+        parts.append(f">r{k}\n" + "\n".join(lines) + "\n")
+    return "".join(parts)
+
+
+def _ingest_row(label: str, text: str, read, reps: int) -> IngestRow:
+    """Best of reps calls of read(text), which returns the text's run arrays."""
     best = float("inf")
     runs = 0
     for _ in range(max(reps, 1)):
-        stream = io.StringIO(text)
         t0 = time.perf_counter()
-        records = read_fasta_records(stream)
+        arrays = read(text)
         best = min(best, time.perf_counter() - t0)
-        runs = sum(len(record.runs) for record in records)
-    label = f"fasta {INGEST_RECORDS}x{INGEST_LENGTH} run~{INGEST_MEAN_RUN}"
+        runs = sum(len(array) for array in arrays)
     return IngestRow(label, chars=len(text), runs=runs, read_s=best)
 
 
-def format_ingest(row: IngestRow) -> str:
-    """Plain text table of the ingest row."""
-    return "\n".join(
-        [
-            f"{'label':<28} {'chars':>9} {'runs':>14} {'read_s':>9} {'chars_per_s':>11}",
-            f"{row.label:<28} {row.chars:>9} {row.runs:>14} {row.read_s:>9.4f} {row.chars_per_s:>11.3g}",
-        ]
-    )
+def ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
+    """Best of reps reads of long_run_fasta(seed) by read_fasta_records, from memory."""
+    label = f"fasta {INGEST_RECORDS}x{INGEST_LENGTH} run~{INGEST_MEAN_RUN}"
+
+    def read(text):
+        return [record.runs for record in read_fasta_records(text)]
+
+    return _ingest_row(label, long_run_fasta(seed), read, reps)
+
+
+def rle_ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
+    """Best of reps reads of run_length_text(seed) into sequences, from memory:
+    read_rle_records, then build_text_sequences."""
+    label = f"rle {RLE_RECORDS}x{RLE_RUNS} runs {RLE_PER_LINE}/line"
+
+    def read(text):
+        return [seq.runs for seq in build_text_sequences(read_rle_records(text))[0]]
+
+    return _ingest_row(label, run_length_text(seed), read, reps)
+
+
+def format_ingest(rows: list[IngestRow]) -> str:
+    """Plain text table of the ingest rows."""
+    lines = [f"{'label':<28} {'chars':>9} {'runs':>14} {'read_s':>9} {'chars_per_s':>11}"]
+    for row in rows:
+        lines.append(
+            f"{row.label:<28} {row.chars:>9} {row.runs:>14} {row.read_s:>9.4f} "
+            f"{row.chars_per_s:>11.3g}"
+        )
+    return "\n".join(lines)
 
 
 def ratios(rows: list[BenchRow]) -> list[float]:

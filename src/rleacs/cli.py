@@ -196,8 +196,15 @@ def cmd_bench(config: RunConfig) -> int:
     print("adversarial inputs for the suffix order")
     print(bench.format_table(bench.adversarial_rows(reps=config.trials), with_ratios=False))
     print()
-    print("fasta ingest (read_fasta_records from memory)")
-    print(bench.format_ingest(bench.ingest_row(config.seed, reps=config.trials)))
+    print(
+        "fasta ingest (read_fasta_records) and run-length ingest "
+        "(read_rle_records, build_text_sequences), from memory"
+    )
+    ingest = [
+        bench.ingest_row(config.seed, reps=config.trials),
+        bench.rle_ingest_row(config.seed, reps=config.trials),
+    ]
+    print(bench.format_ingest(ingest))
     print()
     row, got, want = bench.giant_unary()
     print("giant unary pair (decoded 10^9 vs 10^6)")

@@ -13,11 +13,10 @@ and a record's pieces are merged once.
 
 from __future__ import annotations
 
-import io
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,8 +38,10 @@ _NO_RUNS = np.empty((0, 2), dtype=np.int64)
 _SPACE = np.zeros(0x3002, dtype=bool)
 _SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B)]] = True
 _SPACE[[0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
-# 10^k for the 19 decimal places a uint64 holds in full
-_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+# the last decimal place a uint64 holds in full; a run count's digit at
+# place k weighs 10^k up to it and 0 past it
+_LAST_PLACE = 18
+_PLACE_WEIGHT = np.append(10 ** np.arange(_LAST_PLACE + 1, dtype=np.uint64), np.uint64(0))
 
 
 class ParseError(ValueError):
@@ -165,7 +166,12 @@ def encode(text: str, name: str = "seq", alphabet: Alphabet | None = None) -> Rl
     """
     if not text:
         raise ValueError("empty sequence")
-    return _seq_from_runs(name, _codepoint_runs(text), alphabet)
+    cp_runs = _codepoint_runs(text)
+    if alphabet is None:
+        ids = _own_alphabet(cp_runs[:, 0])[1]
+    else:
+        ids = alphabet.ids(cp_runs[:, 0])
+    return RleSeq(name, np.column_stack((ids, cp_runs[:, 1])))
 
 
 def _codepoints(text: str) -> np.ndarray:
@@ -179,7 +185,7 @@ def _is_space(codepoints: np.ndarray) -> np.ndarray:
     """str.isspace of each codepoint of an integer array."""
     if codepoints.dtype != np.uint8:
         codepoints = np.minimum(codepoints, len(_SPACE) - 1)
-    return _SPACE[codepoints]
+    return _SPACE.take(codepoints)
 
 
 def _fresh(values: np.ndarray) -> np.ndarray:
@@ -201,13 +207,10 @@ def _codepoint_runs(text: str) -> np.ndarray:
     return np.column_stack((cps[bounds[:-1]], np.diff(bounds)))
 
 
-def _seq_from_runs(name: str, cp_runs: np.ndarray, alphabet: Alphabet | None) -> RleSeq:
-    """Map maximal (codepoint, length) runs onto alphabet ids (an own alphabet if None)."""
-    codepoints = cp_runs[:, 0]
-    if alphabet is None:
-        alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
-    runs = np.column_stack((alphabet.ids(codepoints), cp_runs[:, 1]))
-    return RleSeq(name=name, runs=runs)
+def _own_alphabet(codepoints: np.ndarray) -> tuple[Alphabet, np.ndarray]:
+    """The alphabet of the distinct codepoints and the id of each, from one np.unique."""
+    symbols, inverse = np.unique(codepoints, return_inverse=True)
+    return Alphabet.from_symbols(map(chr, symbols.tolist())), inverse + FIRST_SYMBOL_ID
 
 
 def decode(seq: RleSeq, alphabet: Alphabet, limit: int = DEFAULT_DECODE_LIMIT) -> str:
@@ -230,43 +233,62 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
     Whitespace (str.isspace) separates tokens; a token is one printable
     symbol that is not an ASCII digit, then decimal digits. The first bad
     token raises a ParseError on its line: line, the line of the piece's
-    first character, plus the newlines before it. A count is read
-    from at most its last 19 digits, in uint64, and only after its
-    significant digits are counted, so a count past the bound is rejected
-    unconverted.
+    first character, plus the newlines before it.
+
+    Every per-token quantity is a difference of two running sums over the
+    token characters, taken at the token's symbol and at its last
+    character: its digits, its nonzero digits, its nonzero digits past
+    place 18 (a count too long for the bound), and its count, the sum of
+    digit * 10^place over places 0 to 18 in uint64. A token's own count is
+    below 10^19 < 2^64, so the running sum may wrap but the difference is
+    exact; a count past the bound is rejected unconverted.
     """
     cps = _codepoints(piece)
-    solid = ~_is_space(cps)
-    digit = (cps >= ord("0")) & (cps <= ord("9"))
-    edges = np.diff(solid.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
+    solid = np.zeros(len(cps) + 2, dtype=bool)
+    solid[1:-1] = ~_is_space(cps)
+    flips = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    lens = ends - starts
+    at = np.flatnonzero(solid) - 1
+    del solid, flips
+    # token t's characters are at[first[t]] (its symbol) to at[last[t]]
+    last = np.cumsum(lens) - 1
+    first = last - lens + 1
+    place = np.repeat(ends - 1, lens) - at
+    values = cps[at] - cps.dtype.type(ord("0"))
+    del at
+    digit = values < 10
+    values *= digit  # a character that is no digit weighs nothing
+    nonzero = values != 0
+    beyond = nonzero & (place > _LAST_PLACE)
+    weights = _PLACE_WEIGHT[np.minimum(place, _LAST_PLACE + 1, out=place)]
+    del place
+    weights *= values
 
-    stray = solid & ~digit
-    stray[starts] = False
-    bad = digit[starts] | (ends - starts < 2) | np.logical_or.reduceat(stray, starts)
-    # significant digits run from a token's first nonzero digit to its end
-    nonzero = np.append(np.flatnonzero(digit & (cps != ord("0"))), cps.size)
-    sig = ends - nonzero[np.searchsorted(nonzero, starts + 1)]
-    pos = np.flatnonzero(digit)
-    token = np.searchsorted(starts, pos, side="right") - 1
-    place = ends[token] - 1 - pos
-    low = place < len(_POW10)
-    counts = np.zeros(len(starts), dtype=np.uint64)
-    values = (cps[pos[low]] - ord("0")).astype(np.uint64)
-    np.add.at(counts, token[low], values * _POW10[place[low]])
+    def token_sums(per_char: np.ndarray, dtype) -> np.ndarray:
+        running = np.cumsum(per_char, dtype=dtype)
+        return running[last] - running[first]
+
+    digits = token_sums(digit, np.int64)
+    significant = token_sums(nonzero, np.int64)
+    past = token_sums(beyond, np.int64)
+    counts = token_sums(weights, np.uint64)
+    symbols = cps[starts]
 
     # isprintable is asked once per distinct token symbol
-    symbols, which = np.unique(cps[starts], return_inverse=True)
-    printable = np.array([chr(c).isprintable() for c in symbols.tolist()], dtype=bool)
+    unprintable = [c for c in np.unique(symbols).tolist() if not chr(c).isprintable()]
 
-    # the first failing token is reported, by the first check it fails
-    big = (sig > len(_POW10)) | (counts > np.uint64(MAX_DECODED_LENGTH))
+    # the first failing token is reported, by the first check it fails; a
+    # token is bad if its symbol is a digit, it has no count, or a character
+    # after its symbol is no digit
     checks = (
-        (bad, "bad run token {!r}"),
-        (~printable[which], "unprintable symbol in token {!r}"),
-        (sig < 1, "run count must be >= 1 in token {!r}"),
-        (big, f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}"),
+        (digit[first] | (lens < 2) | (digits < lens - 1), "bad run token {!r}"),
+        (np.isin(symbols, unprintable), "unprintable symbol in token {!r}"),
+        (significant < 1, "run count must be >= 1 in token {!r}"),
+        (
+            (past > 0) | (counts > np.uint64(MAX_DECODED_LENGTH)),
+            f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}",
+        ),
     )
     failed = np.logical_or.reduce([mask for mask, _ in checks])
     if failed.any():
@@ -274,7 +296,7 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
         message = next(message for mask, message in checks if mask[k])
         line += piece.count("\n", 0, starts[k])
         raise ParseError(message.format(piece[starts[k] : ends[k]]), line)
-    return np.column_stack((cps[starts], counts.astype(np.int64)))
+    return np.column_stack((symbols, counts.astype(np.int64)))
 
 
 def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
@@ -295,33 +317,51 @@ def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
     return RunRecord(name, runs)
 
 
+def _blocks(source) -> Iterator[str]:
+    """A str or a text stream as blocks of whole lines, about BLOCK_CHARS characters each.
+
+    A block is the next BLOCK_CHARS characters and the rest of the line the
+    last of them ends, as stream.read then stream.readline give it; a str
+    is sliced the same way, so it is never copied whole.
+    """
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            stop = source.find("\n", start + BLOCK_CHARS) + 1 or len(source)
+            yield source[start:stop]
+            start = stop
+    else:
+        while block := source.read(BLOCK_CHARS) + source.readline():
+            yield block
+            del block  # so no block outlives its turn
+
+
 def _read_records(
     stream, tokens: bool, before_header: str = "", unique: bool = False, name: str | None = None
 ) -> list[RunRecord]:
     """Records of a format whose records open with ">name" header lines.
 
-    A line ends at "\n", as in a StringIO or a text file read with universal
-    newlines. Every line is stripped (str.strip), and a line that then
-    starts with ">" is a header. The input is read in blocks of whole lines,
-    about BLOCK_CHARS characters each; each block is run-encoded once and
-    laid out on its runs (_block_layout), and only header lines are read as
-    strings, for the name. The kept runs between two headers are a body
-    piece: as text its runs, merged with equal neighbours; as tokens its
-    span of the block, which _token_runs checks and reads at once, so a
-    record's first bad token raises before the next header is checked and
-    every line-numbered error comes in line order. A record closes through
+    The input is a str or a text stream. A line ends at "\n", as in a str,
+    a StringIO or a text file read with universal newlines. Every line is
+    stripped (str.strip), and a line that then starts with ">" is a header.
+    The input is read in blocks of whole lines (_blocks), about BLOCK_CHARS
+    characters each; each block is run-encoded once and laid out on its
+    runs (_block_layout), and only header lines are read as strings, for
+    the name. The kept runs between two headers are a body piece: as text
+    its runs, merged with equal neighbours; as tokens its span of the
+    block, which _token_runs checks and reads at once, so a record's first
+    bad token raises before the next header is checked and every
+    line-numbered error comes in line order. A record closes through
     _merge. unique rejects repeated names; empty records are refused last.
     With name given no line is a header: the whole input is that record's
     body, and it may be empty.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     headed = name is None
     records: list[RunRecord] = []
     names: set[str] = set()
     pieces: list[np.ndarray] | None = None if headed else []
     line = 1  # the line the block starts on
-    while block := stream.read(BLOCK_CHARS) + stream.readline():
+    for block in _blocks(stream):
         layout = _block_layout(block, headed)
         bounds = layout.bounds
         lows, highs, solid = layout.lows.tolist(), layout.highs.tolist(), layout.solid.tolist()
@@ -492,16 +532,23 @@ def build_text_sequences(
 ) -> tuple[list[RleSeq], Alphabet]:
     """Encode codepoint-run records over one shared alphabet.
 
-    The alphabet comes from the records' distinct run codepoints.
+    Without an alphabet, the alphabet and every id come from the records'
+    distinct run codepoints (_own_alphabet); a given alphabet maps each
+    record's codepoints in turn (Alphabet.ids).
     """
+    ids = None
     if alphabet is None:
         codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
-        alphabet = Alphabet.from_symbols(map(chr, np.unique(codepoints).tolist()))
+        alphabet, ids = _own_alphabet(codepoints)
     seqs = []
+    start = 0
     for name, runs in records:
         if not len(runs):
             raise ValueError(f"empty record {name}")
-        seqs.append(_seq_from_runs(name, runs, alphabet))
+        stop = start + len(runs)
+        symbols = alphabet.ids(runs[:, 0]) if ids is None else ids[start:stop]
+        seqs.append(RleSeq(name, np.column_stack((symbols, runs[:, 1]))))
+        start = stop
     return seqs, alphabet
 
 

@@ -131,13 +131,25 @@ def _token_columns(seqs):
 
 
 def _dense_rank(columns: list[np.ndarray]) -> np.ndarray:
-    """Dense ranks of row tuples; columns[0] is the most significant key."""
+    """Dense ranks of row tuples; columns[0] is the most significant key.
+
+    A column whose span, max - min, is below 2^16 is sorted as uint16
+    offsets from its minimum, which lexsort sorts by radix; a wider column
+    is sorted as it is. The span is taken in Python ints, since a column of
+    signed run lengths can span past int64.
+    """
     n = len(columns[0])
-    idx = np.lexsort(tuple(reversed(columns)))
-    bump = np.zeros(n, dtype=np.int64)
+    keys = []
     for col in columns:
-        sorted_col = col[idx]
-        bump[1:] |= sorted_col[1:] != sorted_col[:-1]
+        low = int(col.min())
+        if int(col.max()) - low < 1 << 16:
+            col = (col - low).astype(np.uint16)
+        keys.append(col)
+    idx = np.lexsort(keys[::-1])
+    bump = np.zeros(n, dtype=np.int64)
+    for key in keys:
+        sorted_key = key[idx]
+        bump[1:] |= sorted_key[1:] != sorted_key[:-1]
     rank = np.empty(n, dtype=np.int64)
     rank[idx] = np.cumsum(bump)
     return rank
@@ -180,16 +192,22 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
 def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     """Sort all run-start suffixes of the sequences into decoded order.
 
-    Tokens are ranked by their sort keys and the token string is
-    suffix-sorted by prefix doubling, whose rounds the order keeps for lcp.
+    Tokens are ranked by their sort keys, (sym, group) folded into one, so
+    rank0 is a dense rank over three keys, each as narrow as its span
+    allows (_dense_rank). The token string is then suffix-sorted by prefix
+    doubling, whose rounds the order keeps for lcp; the last round's ranks
+    are distinct, so the order is their inverse, one scatter.
     Unique terminator tokens stop every comparison at or before a sequence
     boundary, so one token string holds all the sequences safely, and a
     suffix and its shared prefix lie in one sequence, so each sequence gets
     its own prefix sum of run lengths (starts). No lcp is computed here.
     """
     syms, groups, signed, nexts, decoded = _token_columns(seqs)
-    rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
-    order = np.argsort(rounds[-1])
+    # group is 0 or 1, so (sym, group) orders as the one key sym * 2 + group
+    rounds = _prefix_double(_dense_rank([syms * 2 + groups, signed, nexts]))
+    # the last round's ranks are distinct: the order is their inverse
+    order = np.empty(len(syms), dtype=np.int64)
+    order[rounds[-1]] = np.arange(len(syms))
     bounds = token_bounds(seqs)
     ends = np.concatenate([np.cumsum(part) for part in np.split(decoded, bounds[1:-1])])
     starts = ends - decoded

@@ -524,3 +524,148 @@ def test_text_ingest_memory_is_bounded_by_the_block(tmp_path):
             tracemalloc.stop()
     assert seqs[0].content_length == length + len(">x>y")
     assert peak < length // 8
+
+
+def test_str_ingest_memory_is_bounded_by_the_block(tmp_path):
+    # the same input passed as a str: read in slices of whole lines, so
+    # nothing holds a copy of the whole text
+    length = 4_000_000
+    path = tmp_path / "long.fasta"
+    _write_long_runs_fasta(path, length)
+    text = path.read_text(encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rle, "BLOCK_CHARS", 1 << 16)
+        tracemalloc.start()
+        try:
+            seqs, _ = parse_fasta(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sum(s.content_length for s in seqs) == length
+    assert peak < length // 8
+
+
+def _reference_tokens(text):
+    """(name, runs) of each run-length record by the format's contract, or its error.
+
+    The text is split on "\n" and each line stripped; a line that then
+    starts with ">" opens a record named by the rest, stripped, and unique.
+    Any other nonblank line holds tokens split on str.isspace, each checked
+    in turn, in this order: one symbol that is no ASCII digit, then ASCII
+    digits only; a printable symbol; a count of at least 1; a count within
+    MAX_DECODED_LENGTH. Line-numbered errors come in line order. A record
+    whose neighbouring tokens share a symbol is merged when it closes, and
+    then checked against the bound as a sequence; empty records come last.
+    """
+    ascii_digits = set("0123456789")
+    records = []
+    names = set()
+
+    def close():
+        if not records:
+            return
+        name, runs = records[-1]
+        merged = [list(run) for run in runs[:1]]
+        for sym, count in runs[1:]:
+            if sym == merged[-1][0]:
+                merged[-1][1] += count
+            else:
+                merged.append([sym, count])
+        if len(merged) < len(runs) and sum(count for _, count in runs) >= MAX_DECODED_LENGTH:
+            total = sum(count for _, count in runs) + 1
+            raise ValueError(f"{name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}")
+        records[-1] = (name, merged)
+
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line.startswith(">"):
+            close()
+            name = line[1:].strip()
+            if not name:
+                raise ParseError("missing record name", number)
+            if name in names:
+                raise ParseError(f"duplicate record name {name!r}", number)
+            names.add(name)
+            records.append((name, []))
+        elif line:
+            if not records:
+                raise ParseError("run data before the first record header", number)
+            for token in line.split():
+                symbol, digits = token[0], token[1:]
+                if symbol in ascii_digits or not digits or not set(digits) <= ascii_digits:
+                    raise ParseError(f"bad run token {token!r}", number)
+                if not symbol.isprintable():
+                    raise ParseError(f"unprintable symbol in token {token!r}", number)
+                significant = digits.lstrip("0")
+                if not significant:
+                    raise ParseError(f"run count must be >= 1 in token {token!r}", number)
+                if len(significant) > 19 or int(significant) > MAX_DECODED_LENGTH:
+                    message = f"run count exceeds bound {MAX_DECODED_LENGTH} in token {token!r}"
+                    raise ParseError(message, number)
+                records[-1][1].append((ord(symbol), int(significant)))
+    close()
+    for name, runs in records:
+        if not runs:
+            raise ParseError(f"empty record {name}")
+    return records
+
+
+# Symbols: printable ASCII, Latin-1, astral; an ASCII digit; unprintable
+# ones (a control character, a format character, an astral tag).
+_TOKEN_SYMBOLS = st.sampled_from(
+    ["a", "a", "b", "-", "é", "😀", "𝔸", "7", "\x01", "\u200b", "\U000e0001"]
+)
+# Counts: none, zero, leading zeros, 19 and 20 digits, either side of 2^62.
+_TOKEN_COUNTS = st.integers(min_value=1, max_value=10**6).map(str) | st.sampled_from(
+    [
+        "",
+        "0",
+        "000",
+        "007",
+        "0" * 30 + "5",
+        str(10**18),
+        "9" * 19,
+        str(10**19),
+        "9" * 20,
+        str(MAX_DECODED_LENGTH),
+        str(MAX_DECODED_LENGTH + 1),
+        str(MAX_DECODED_LENGTH - 1),
+        "0" + str(MAX_DECODED_LENGTH),
+        str(2**64 + 3),
+        "1x",
+    ]
+)
+_TOKEN = st.builds(str.__add__, _TOKEN_SYMBOLS, _TOKEN_COUNTS)
+# token separators: ASCII blanks, NEL, the ideographic space, a lone "\r"
+_TOKEN_GAPS = st.sampled_from([" ", " ", "\t", "  ", "\x85", "\u3000", "\r"])
+_TOKEN_LINE = st.lists(st.tuples(_TOKEN_GAPS, _TOKEN), max_size=6).map(
+    lambda parts: "".join(gap + token for gap, token in parts)
+) | st.sampled_from(["", " ", ">r", ">s", "> ", " >r x", "\u3000>t"])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_TOKEN_LINE, max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from([*range(1, 9), 1 << 17]),
+)
+@example([">r", "a2 a3\x85b1", "", "\u3000c4"], "\n", 3)
+@example([">r", f"a{MAX_DECODED_LENGTH - 1} a1", ">s", "b1"], "\n", 1 << 17)
+def test_token_reader_matches_the_reference(lines, newline, block_chars):
+    text = newline.join([">r0", *lines]) + newline
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(rle, "BLOCK_CHARS", block_chars)
+        try:
+            expected = _reference_tokens(text)
+        except ValueError as error:
+            with pytest.raises(ValueError) as caught:
+                read_rle_records(text)
+            assert type(caught.value) is type(error)
+            assert (str(caught.value), getattr(caught.value, "line", None)) == (
+                str(error),
+                getattr(error, "line", None),
+            )
+        else:
+            records = read_rle_records(text)
+            assert [(r.name, r.runs.tolist()) for r in records] == expected

@@ -19,7 +19,6 @@ from rleacs.bench import fibonacci_pair, periodic_pair
 from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 from rleacs.suffixes import (
     _dense_rank,
-    _prefix_double,
     _token_columns,
     build_suffix_order,
     token_bounds,
@@ -336,15 +335,81 @@ def test_doubling_on_adversarial_pairs(make):
         assert np.array_equal(order.tokens, brute.tokens)
         assert np.array_equal(order.dlcp, brute.dlcp)
         assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
-    # every one-key round against the two-key dense rank it replaces
+    # rank0 against the four token keys, and every one-key round against
+    # the two-key dense rank it replaces, each by a plain lexsort
     seqs = make(1 << 12)
-    syms, groups, signed, nexts, _ = _token_columns(seqs)
-    rounds = _prefix_double(_dense_rank([syms, groups, signed, nexts]))
+    rounds = build_suffix_order(*seqs).rounds
     assert len(rounds) >= 12
+    syms, groups, signed, nexts, _ = _token_columns(seqs)
+    assert np.array_equal(rounds[0], _lexsort_rank([syms, groups, signed, nexts]))
     for k, (rank, after) in enumerate(zip(rounds, rounds[1:])):
         shifted = np.full(len(rank), -1, dtype=np.int64)
         shifted[: len(rank) - (1 << k)] = rank[1 << k :]
-        assert np.array_equal(after, _dense_rank([rank, shifted]))
+        assert np.array_equal(after, _lexsort_rank([rank.astype(np.int64), shifted]))
+
+
+def _lexsort_rank(columns):
+    """Dense ranks of row tuples by np.lexsort over the columns as given."""
+    idx = np.lexsort(columns[::-1])
+    bump = np.zeros(len(idx), dtype=np.int64)
+    for col in columns:
+        ordered = col[idx]
+        bump[1:] |= ordered[1:] != ordered[:-1]
+    rank = np.empty(len(idx), dtype=np.int64)
+    rank[idx] = np.cumsum(bump)
+    return rank
+
+
+@pytest.mark.parametrize("span", [(1 << 16) - 1, 1 << 16])
+def test_dense_rank_narrows_only_short_spans(span, monkeypatch):
+    # columns spanning 2^16 - 1 are sorted as uint16 offsets, wider ones as
+    # they are; negative entries stand for the terminator ids of families
+    # with k > 2, and a signed column at +-2^62 spans past int64
+    rng = np.random.default_rng(span)
+    n = 4000
+    lexsort = np.lexsort
+    key_dtypes = []
+
+    def spy(keys):
+        key_dtypes.append([key.dtype for key in keys])
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    short, long = np.dtype(np.uint16), np.dtype(np.int64)
+    wide_key = short if span < 1 << 16 else long
+    for low in (0, -3, -(span // 2)):
+        wide = rng.choice([low, low + 1, low + span // 2, low + span], size=n)
+        small = rng.integers(-3, 4, size=n)
+        signed = rng.choice([-(1 << 62), -1, 0, 5, 1 << 62], size=n)
+        for columns, keys in (
+            ([wide, small], [short, wide_key]),
+            ([small, signed, wide], [wide_key, long, short]),
+            ([signed, small], [short, long]),
+        ):
+            key_dtypes.clear()
+            assert np.array_equal(_dense_rank(columns), _lexsort_rank(columns))
+            # lexsort takes the least significant key first
+            assert key_dtypes == [keys, [long] * len(columns)]
+
+
+def test_order_with_symbol_ids_past_2_16_matches_brute():
+    # ids this far apart leave (sym, group) wider than a uint16 offset
+    rng = random.Random(31)
+    ids = [2, 3, 40_000, (1 << 16) + 1, 0x10FFFF]
+    for _ in range(30):
+        def random_runs():
+            runs = []
+            for _ in range(rng.randint(1, 12)):
+                sym = rng.choice([s for s in ids if not runs or s != runs[-1][0]])
+                runs.append((sym, rng.randint(1, 4)))
+            return runs
+
+        first, second = RleSeq("s", random_runs()), RleSeq("t", random_runs())
+        order = build_suffix_order(first, second)
+        brute = brute_suffix_sort(first, second)
+        assert np.array_equal(order.tokens, brute.tokens)
+        assert np.array_equal(order.dlcp, brute.dlcp)
+        assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
 
 
 def _block_neighbor_ranks(order):
