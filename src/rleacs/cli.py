@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,21 +51,32 @@ class RunConfig:
 
 
 def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
-    """Read every input path and encode all records over one shared alphabet."""
+    """Read every input path and encode all records over one shared alphabet.
+
+    Each warning, such as a merge of equal-symbol run tokens, goes to stderr
+    as one "warning: <message>" line, in order, also when an error then ends
+    the read.
+    """
     if not config.paths:
         raise ValueError("no input files given")
     records = []
-    for path in config.paths:
-        # utf-8-sig drops a leading byte-order mark, which is not input
-        with open(path, encoding="utf-8-sig") as fh:
-            if config.format == "rle":
-                records.extend(read_rle_records(fh))
-            elif config.format == "fasta":
-                records.extend(read_fasta_records(fh))
-            else:
-                records.append(read_text_record(fh, Path(path).stem))
-    build = build_rle_sequences if config.format == "rle" else build_text_sequences
-    return build(records)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for path in config.paths:
+                # utf-8-sig drops a leading byte-order mark, which is not input
+                with open(path, encoding="utf-8-sig") as fh:
+                    if config.format == "rle":
+                        records.extend(read_rle_records(fh))
+                    elif config.format == "fasta":
+                        records.extend(read_fasta_records(fh))
+                    else:
+                        records.append(read_text_record(fh, Path(path).stem))
+            build = build_rle_sequences if config.format == "rle" else build_text_sequences
+            return build(records)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def _load_pair(config: RunConfig) -> tuple[RleSeq, RleSeq]:

@@ -2,15 +2,16 @@
 
 The brute functions work on decoded text in quadratic-or-worse time, guarded
 by explicit size budgets so a typo in a caller cannot silently burn minutes;
-the suffix walkers (suffix_compare, suffix_lcp) and run_walk_total step
-through suffixes run by run, so they also reach decoded lengths no oracle
+the run walker behind suffix_compare and suffix_lcp, and run_walk_total,
+step through suffixes run by run, so they also reach decoded lengths no oracle
 could expand. None of these share logic with the fast path; they are trusted
 baselines for testing and for the randomized cross-check harness. The one
 exception is per_position_lengths, which answers every position from an
 engine's own trie, as the check on the engine's per-run closed forms. The
-brute sort and the walkers end each side in its own terminator: id 0 after
-the first sequence, id 1 after the second. reference_dist evaluates the
-distance's definition, four addends, to 80 decimal digits.
+walker ends each side of a pair in its own terminator, id 0 after the first
+sequence and id 1 after the second; the brute sort does the same, and sorts
+a whole family too. reference_dist evaluates the distance's definition, four
+addends, to 80 decimal digits.
 """
 
 from __future__ import annotations
@@ -184,64 +185,40 @@ def suffix_runs(first: RleSeq, second: RleSeq, ref: SuffixRef) -> list[list[int]
     return _run_rows((first, second)[ref.seq], ref.seq)[ref.run - 1 :]
 
 
-def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
-    """Three-way decoded-order comparison of two suffixes, by walking runs.
+def _walk(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> tuple[int, int, int]:
+    """Two suffixes' decoded lcp and the symbol each has right after it, by walking runs.
 
-    Runs are consumed in lockstep with partial remainders, so the cost is
-    linear in runs rather than decoded characters.
+    The runs are compared in lockstep, so the cost is linear in runs rather
+    than decoded characters. Runs are maximal, so the walk ends at the first
+    pair of runs that differ: in symbol, or in length, where the longer
+    run's symbol meets the symbol after the shorter run. A suffix that has
+    run out has -1 after it, below both terminators, so it sorts first.
     """
     runs_a = suffix_runs(first, second, a)
     runs_b = suffix_runs(first, second, b)
-    ia = ib = 0
-    rem_a = rem_b = 0
-    while ia < len(runs_a) and ib < len(runs_b):
-        sym_a, len_a = runs_a[ia]
-        sym_b, len_b = runs_b[ib]
-        if rem_a == 0:
-            rem_a = len_a
-        if rem_b == 0:
-            rem_b = len_b
+    common = 0
+    for k, ((sym_a, len_a), (sym_b, len_b)) in enumerate(zip(runs_a, runs_b)):
         if sym_a != sym_b:
-            return -1 if sym_a < sym_b else 1
-        step = min(rem_a, rem_b)
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ia += 1
-        if rem_b == 0:
-            ib += 1
-    if ia < len(runs_a) or rem_a:
-        return 1
-    if ib < len(runs_b) or rem_b:
-        return -1
-    return 0
+            return common, sym_a, sym_b
+        if len_a != len_b:
+            after_a = sym_a if len_a > len_b else runs_a[k + 1][0]
+            after_b = sym_b if len_b > len_a else runs_b[k + 1][0]
+            return common + min(len_a, len_b), after_a, after_b
+        common += len_a
+    k = min(len(runs_a), len(runs_b))
+    after_a, after_b = (runs[k][0] if k < len(runs) else -1 for runs in (runs_a, runs_b))
+    return common, after_a, after_b
+
+
+def suffix_compare(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
+    """Three-way decoded-order comparison of two suffixes, by walking runs."""
+    _, after_a, after_b = _walk(first, second, a, b)
+    return (after_a > after_b) - (after_a < after_b)
 
 
 def suffix_lcp(first: RleSeq, second: RleSeq, a: SuffixRef, b: SuffixRef) -> int:
     """Decoded longest-common-prefix length of two suffixes, by walking runs."""
-    runs_a = suffix_runs(first, second, a)
-    runs_b = suffix_runs(first, second, b)
-    ia = ib = 0
-    rem_a = rem_b = 0
-    common = 0
-    while ia < len(runs_a) and ib < len(runs_b):
-        sym_a, len_a = runs_a[ia]
-        sym_b, len_b = runs_b[ib]
-        if rem_a == 0:
-            rem_a = len_a
-        if rem_b == 0:
-            rem_b = len_b
-        if sym_a != sym_b:
-            break
-        step = min(rem_a, rem_b)
-        common += step
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ia += 1
-        if rem_b == 0:
-            ib += 1
-    return common
+    return _walk(first, second, a, b)[0]
 
 
 def run_walk_total(first: RleSeq, second: RleSeq) -> int:
@@ -318,17 +295,19 @@ class BruteOrder:
     suffix_lengths: np.ndarray
 
 
-def brute_suffix_sort(
-    first: RleSeq, second: RleSeq, budget: OracleBudget = DEFAULT_BUDGET
-) -> BruteOrder:
-    """Sort all run-start suffixes of the decoded pair by plain string order.
+def brute_suffix_sort(*seqs: RleSeq, budget: OracleBudget = DEFAULT_BUDGET) -> BruteOrder:
+    """Sort all run-start suffixes of the decoded family by plain string order.
 
-    Each side's decoded text ends in its terminator, chr(0) or chr(1).
+    Of k records, symbol id s renders as chr(s + k - 2) and record j's
+    terminator, id j + 2 - k, as chr(j), below every symbol; a pair renders
+    as decode_ids does, ending in chr(0) and chr(1). The budget checks the
+    two longest records.
     """
-    budget.check(first.content_length, second.content_length)
+    budget.check(*sorted([0, *(seq.content_length for seq in seqs)])[-2:])
+    shift = len(seqs) - 2
     entries: list[tuple[str, int]] = []
-    for side, seq in enumerate((first, second)):
-        text = decode_ids(seq) + chr(side)
+    for j, seq in enumerate(seqs):
+        text = "".join(chr(sym + shift) * n for sym, n in seq.runs.tolist()) + chr(j)
         pos = 0
         for length in [*seq.runs[:, 1].tolist(), 1]:
             entries.append((text[pos:], len(entries)))
@@ -338,7 +317,7 @@ def brute_suffix_sort(
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
     suffix_lengths = [len(text) for text, _ in entries]
     return BruteOrder(
-        seqs=(first, second),
+        seqs=seqs,
         tokens=np.array(tokens, dtype=np.int64),
         dlcp=np.array(dlcp, dtype=np.int64),
         suffix_lengths=np.array(suffix_lengths, dtype=np.int64),

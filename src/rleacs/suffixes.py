@@ -15,8 +15,8 @@ The engine builds its query trie straight from the order and drops the
 order once that trie exists. The trie's gaps are the lcps of the leaf pairs
 it needs, taken by SuffixOrder.lcp from the doubling rounds the sort already
 made. The lcp of every pair of rank neighbors (SuffixOrder.dlcp) is built
-only when read, by verify and the tests, and so is the compact trie over all
-suffixes (verify.build_trie).
+only when read, by verify and the tests, which check it against the brute
+sort (oracle.brute_suffix_sort).
 """
 
 from __future__ import annotations

@@ -6,19 +6,22 @@ the brute sort, match-length totals in both directions against the brute
 scan and against a separate reverse build, per-run sums against per-position
 sums, the final run against its closed forms, distance axioms and the
 decimal reference distance (or, for a pair without a distance, its refusal
-by dist and dist_matrix), the structural invariants of the tries, and the
-query trie against the stack sweep's trie (_sweep_compact_trie) over the
-same leaves and gaps, node for node.
+by dist and dist_matrix), and the query trie: node for node against the
+stack sweep's trie (_sweep_compact_trie) over the same leaves and gaps, its
+str_depths against interval mins of the run walker's gaps, and each column
+against brute_column. The brute sort alone checks the suffix order and its
+lcps; no trie over every suffix is built.
 Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
 another has, and checks every ordered pair's total and run sums from the
-one family build against the brute scan, and every column's invariants. Every pair and
-family build is also rebuilt on the exact limb path, and its columns and
-totals compared with the int64 ones; the family's first two records, each
-with its longest run STRETCH longer, give one more pair past the int64
-bound (4 * M * D > 2^62, see SymbolTrie), whose totals are checked against
-the run walker. The first failing check aborts the run and reports its
-inputs in the run-length text format so the case can be replayed.
+one family build against the brute scan, and every column against
+brute_column. Every pair and family build is also rebuilt on the exact limb
+path, and its columns and totals compared with the int64 ones; the family's
+first two records, each with its longest run STRETCH longer, give one more
+pair past the int64 bound (4 * M * D > 2^62, see SymbolTrie), whose totals
+are checked against the run walker. The first failing check aborts the run
+and reports its inputs in the run-length text format so the case can be
+replayed.
 """
 
 from __future__ import annotations
@@ -55,15 +58,6 @@ ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
 FAMILY_EVERY = 4
 STRETCH = 1 << 60
-
-
-@dataclass(frozen=True)
-class Trie:
-    """Compact trie over all run-start suffixes, leaves in suffix order."""
-
-    parent: list[int]
-    str_depth: list[int]
-    leaves: list[int]
 
 
 def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
@@ -109,11 +103,6 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
             parent[last] = node
         last = node
     return parent, str_depth, leaf_nodes
-
-
-def build_trie(order: SuffixOrder) -> Trie:
-    """Compact trie over all the ordered suffixes, from their neighbor lcps."""
-    return Trie(*_sweep_compact_trie(order.suffix_lengths.tolist(), order.dlcp.tolist()))
 
 
 @dataclass(frozen=True)
@@ -294,7 +283,7 @@ def check_pair(
     first, second = engine.seqs
     x_text = decode_ids(first)
     y_text = decode_ids(second)
-    brute_order = brute_suffix_sort(first, second, budget)
+    brute_order = brute_suffix_sort(first, second, budget=budget)
     brute_lengths = brute_match_lengths(x_text, y_text, budget)
     brute_back = brute_match_lengths(y_text, x_text, budget)
     try:
@@ -448,34 +437,36 @@ def _exact_checks(
     return failures
 
 
+def brute_column(trie: SymbolTrie, leaves, lengths) -> tuple[list[int], list[int]]:
+    """(freq, weight) of every internal node of trie, as Python ints, when the
+    run before each of leaves has the length beside it and every other leaf's
+    run is another sequence's: freq is the largest such length below the node,
+    weight the sum of freq * (str_depth - str_depth[parent]) over its root
+    path. A parent is shallower than its children, so deeper nodes go first."""
+    parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
+    freq = [0] * len(parent)
+    for leaf, length in zip(np.asarray(leaves).tolist(), np.asarray(lengths).tolist()):
+        freq[leaf] = length
+    by_depth = sorted(range(1, len(parent)), key=depth.__getitem__)
+    for v in reversed(by_depth):
+        freq[parent[v]] = max(freq[parent[v]], freq[v])
+    weight = [0] * len(parent)
+    for v in by_depth:
+        weight[v] = weight[parent[v]] + freq[v] * (depth[v] - depth[parent[v]])
+    return freq[: trie.internal], weight[: trie.internal]
+
+
 def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -> list[str]:
-    """The column covers the internal nodes, freq never decreases toward the
-    root, weight telescopes, and freq is the subtree maximum of the preceding
-    runs: each leaf after a run of sequence j stands for that run's length,
-    every other leaf for 0, and each node takes the largest of its children,
-    children first (a parent is shallower)."""
+    """The column covers the internal nodes and is brute_column's for sequence
+    j's runs: freq the subtree maximum of the preceding runs, so it never
+    decreases toward the root, and weight its telescoped root-path sum."""
     internal = trie.internal
     if column.freq.shape != (internal,) or column.weight.shape[-1] != internal:
         return [f"{label}column covers {len(column.freq)} nodes, not the {internal} internal ones"]
     failures = []
-    parent = trie.parent.tolist()
-    str_depth = trie.str_depth.tolist()
     freq = column.freq.tolist()
     weight = exact_ints(column.weight)
-    for v, p in enumerate(parent[:internal]):
-        if p >= 0 and freq[p] < freq[v]:
-            failures.append(f"{label}freq increases from node {p} to {v}")
-            break
-    for v, p in enumerate(parent[:internal]):
-        expect = 0 if p < 0 else weight[p] + freq[v] * (str_depth[v] - str_depth[p])
-        if weight[v] != expect:
-            failures.append(f"{label}weight at node {v} breaks telescoping")
-            break
-    best = [0] * len(parent)
-    for leaf, length in zip(trie.leaves[j].tolist(), runs[:, 1].tolist()):
-        best[leaf] = length
-    for v in sorted(range(1, len(parent)), key=str_depth.__getitem__, reverse=True):
-        best[parent[v]] = max(best[parent[v]], best[v])
+    best, telescoped = brute_column(trie, trie.leaves[j], runs[:, 1])
     wrong = [v for v in range(internal) if freq[v] != best[v]]
     if wrong:
         v = wrong[0]
@@ -483,29 +474,21 @@ def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -
             f"{label}freq at node {v} is {freq[v]}, not the subtree maximum {best[v]} "
             "of the preceding runs"
         )
+    wrong = [v for v in range(internal) if weight[v] != telescoped[v]]
+    if wrong:
+        failures.append(f"{label}weight at node {wrong[0]} breaks telescoping")
     return failures
 
 
 def _structural_checks(
     engine: AcsEngine, columns: tuple[Column, Column], order: SuffixOrder
 ) -> list[str]:
-    """Invariants of the main trie and of the pair engine's query trie and two
-    columns, all built on order; the query trie must also be the sweep's over
-    the same leaves and gaps."""
+    """Invariants of the pair engine's query trie and two columns, built on
+    order: the trie is the sweep's over the same leaves and gaps, its leaves
+    are the suffixes that follow a run, in symbol blocks, and its str_depths
+    are the interval mins of the run walker's gaps; each column is
+    brute_column's."""
     failures: list[str] = []
-    trie = build_trie(order)
-
-    failures.extend(
-        _interval_min_mismatches(
-            "main trie",
-            trie.parent,
-            trie.str_depth,
-            trie.leaves,
-            order.suffix_lengths.tolist(),
-            order.dlcp.tolist(),
-        )
-    )
-
     query = engine.trie
     parent = query.parent.tolist()
     str_depth = query.str_depth.tolist()
@@ -552,16 +535,7 @@ def _structural_checks(
     ]
     tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
     depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
-    failures.extend(
-        _interval_min_mismatches(
-            "query trie",
-            parent,
-            str_depth,
-            leaves,
-            depths,
-            gaps,
-        )
-    )
+    failures.extend(_interval_min_mismatches("query trie", parent, str_depth, leaves, depths, gaps))
     return failures
 
 
@@ -578,9 +552,9 @@ def check_family(
     Each sequence's column is annotated and answered as dist_matrix does
     it, and every other sequence's total and run sums are matched against
     the brute per-position lengths. With deep, each column is also checked
-    on its own: freq monotone and the subtree maximum of that sequence's
-    preceding runs, weight telescoping. Totals, and with deep columns, are
-    matched against an exact limb rebuild. Engine exceptions are failures.
+    against brute_column for that sequence's runs. Totals, and with deep
+    columns, are matched against an exact limb rebuild. Engine exceptions
+    are failures.
     """
     seqs = tuple(seqs)
     texts = [decode_ids(seq) for seq in seqs]

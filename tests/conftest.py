@@ -1,5 +1,3 @@
-import numpy as np
-
 from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
 
 
@@ -19,20 +17,12 @@ def at_bound(body):
     return RleSeq("S", [stretched, *body[1:]])
 
 
-def brute_column(trie, leaves, lengths):
-    """(freq, weight) of every internal node of trie, as Python ints, when the
-    run before each of leaves has the length beside it and every other leaf's
-    run is another sequence's: freq is the largest such length below the node,
-    weight the sum of freq * (str_depth - str_depth[parent]) over its root
-    path. A parent is shallower than its children, so deeper nodes go first."""
-    parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
-    freq = [0] * len(parent)
-    for leaf, length in zip(np.asarray(leaves).tolist(), np.asarray(lengths).tolist()):
-        freq[leaf] = length
-    by_depth = sorted(range(1, len(parent)), key=depth.__getitem__)
-    for v in reversed(by_depth):
-        freq[parent[v]] = max(freq[parent[v]], freq[v])
-    weight = [0] * len(parent)
-    for v in by_depth:
-        weight[v] = weight[parent[v]] + freq[v] * (depth[v] - depth[parent[v]])
-    return freq[: trie.internal], weight[: trie.internal]
+def random_runny_text(rng, n, alphabet, max_run):
+    """n characters of alphabet in runs of 1 to max_run, neighbouring runs distinct."""
+    out = []
+    while len(out) < n:
+        ch = rng.choice(alphabet)
+        if out and out[-1] == ch:
+            continue
+        out.extend(ch * rng.randint(1, max_run))
+    return "".join(out[:n])

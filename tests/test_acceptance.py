@@ -79,7 +79,7 @@ def campaign() -> Campaign:
         engine = AcsEngine(first, second)
         columns = (engine.column(0), engine.column(1))
         lsum = engine.total(0, columns[1])
-        brute_order = brute_suffix_sort(first, second, BUDGET)
+        brute_order = brute_suffix_sort(first, second, budget=BUDGET)
         brute_l = brute_match_lengths(x_text, y_text, BUDGET)
         if lsum != sum(brute_l):
             result.lsum_failures.append(trial)

@@ -184,10 +184,12 @@ def test_rle_format_and_line_numbered_errors(tmp_path, capsys):
     merged = tmp_path / "merged.rle"
     token = f"a{(1 << 62) - 1}"
     merged.write_text(f">X\n{token} {token}\n>Y\na1\n", encoding="utf-8")
-    with pytest.warns(UserWarning, match="merged 1 adjacent"):
-        assert main(["acs", str(merged), "--format", "rle"]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "X: decoded length 9223372036854775807 exceeds bound" in err
+    # the merge warning is one plain line, before the error it leads to
+    assert main(["acs", str(merged), "--format", "rle"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "warning: record X: merged 1 adjacent equal-symbol runs\n"
+        f"error: X: decoded length {(1 << 63) - 1} exceeds bound {1 << 62}\n"
+    )
 
 
 def test_text_format_uses_file_stems(tmp_path, capsys):

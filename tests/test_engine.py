@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_bound, brute_column, make_pair
+from conftest import at_bound, make_pair
 from rleacs.engine import (
     AcsEngine,
     _closed_form,
@@ -35,7 +35,7 @@ from rleacs.rle import (
 )
 from rleacs.suffixes import build_suffix_order, token_string
 from rleacs.symbol_tries import exact_ints, extract_symbol_tries, leaf_blocks
-from rleacs.verify import check_pair
+from rleacs.verify import brute_column, check_pair
 
 
 def engine_for(x, y):

@@ -1,15 +1,17 @@
 import os
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at_bound, brute_column, make_pair
+from conftest import at_bound, make_pair, random_runny_text
 from rleacs.oracle import (
     SuffixRef,
     brute_suffix_sort,
+    decode_ids,
     suffix_compare,
     suffix_lcp,
     suffix_refs,
@@ -25,7 +27,7 @@ from rleacs.suffixes import (
     token_string,
 )
 from rleacs.symbol_tries import annotate, extract_symbol_tries, leaf_blocks
-from rleacs.verify import build_trie, random_text
+from rleacs.verify import brute_column, random_text
 
 
 def test_order_micro_pair():
@@ -102,6 +104,25 @@ def test_compare_shorter_run_smaller_when_next_symbol_smaller():
     assert suffix_compare(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == -1
 
 
+@given(
+    st.text(alphabet="abc", min_size=1, max_size=12),
+    st.text(alphabet="abc", min_size=1, max_size=12),
+)
+def test_run_walker_matches_decoded_suffixes(x, y):
+    # every pair of run-start suffixes, each with itself too; a suffix's
+    # decoded text ends in its side's terminator, chr(0) or chr(1)
+    first, second, _ = make_pair(x, y)
+    texts = {}
+    for j, seq in enumerate((first, second)):
+        text = decode_ids(seq) + chr(j)
+        for run, start in enumerate(accumulate(seq.runs[:, 1].tolist(), initial=0), 1):
+            texts[SuffixRef(j, run)] = text[start:]
+    for a, text_a in texts.items():
+        for b, text_b in texts.items():
+            assert suffix_lcp(first, second, a, b) == len(os.path.commonprefix([text_a, text_b]))
+            assert suffix_compare(first, second, a, b) == (text_a > text_b) - (text_a < text_b)
+
+
 def test_lcp_run_walk_cases():
     first, second, _ = make_pair("aab", "ab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 1
@@ -130,15 +151,6 @@ def test_longest_run_table():
 def test_trie_micro_pair():
     first, second, _ = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
-    trie = build_trie(order)
-    assert trie.str_depth[0] == 0
-    assert trie.parent[0] == -1
-    # the two "b..." leaves (ranks 4 and 5) hang off one node at str depth 1,
-    # a child of the root
-    b1, b2 = trie.leaves[4], trie.leaves[5]
-    assert trie.parent[b1] == trie.parent[b2]
-    assert trie.str_depth[trie.parent[b1]] == 1
-    assert trie.parent[trie.parent[b1]] == 0
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
@@ -154,29 +166,6 @@ def test_trie_micro_pair():
     # X's in rev_freq, and the internal nodes hold the subtree maxima
     assert freq.tolist() == brute_column(query, leaves, [0, 1, 0, 1])[0]
     assert rev_freq.tolist() == brute_column(query, leaves, [2, 0, 1, 0])[0]
-
-
-def _random_runny_text(rng, n, alphabet):
-    out = []
-    while len(out) < n:
-        ch = rng.choice(alphabet)
-        if out and out[-1] == ch:
-            continue
-        out.extend(ch * rng.randint(1, 5))
-    return "".join(out[:n])
-
-
-def test_trie_node_count_bound_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        x = _random_runny_text(rng, rng.randint(1, 60), "ab")
-        y = _random_runny_text(rng, rng.randint(1, 60), "abc")
-        first, second, _ = make_pair(x, y)
-        order = build_suffix_order(first, second)
-        trie = build_trie(order)
-        n_suffixes = len(order)
-        assert len(set(trie.leaves)) == n_suffixes
-        assert len(trie.parent) <= 2 * n_suffixes - 1
 
 
 def _assert_order_matches_brute(x, y):
@@ -226,23 +215,6 @@ def test_order_matches_brute_long_runs(x_pairs, y_pairs):
     _assert_order_matches_brute(x, y)
 
 
-def _brute_family_order(seqs):
-    """Decoded sort of a family's run-start suffixes: symbol id s renders as
-    chr(s + k) and sequence j's terminator as chr(j), below every symbol."""
-    k = len(seqs)
-    entries = []
-    for j, seq in enumerate(seqs):
-        text = "".join(chr(sym + k) * n for sym, n in seq.runs.tolist()) + chr(j)
-        pos = 0
-        for n in [*seq.runs[:, 1].tolist(), 1]:
-            entries.append((text[pos:], len(entries)))
-            pos += n
-    entries.sort()
-    texts = [text for text, _ in entries]
-    dlcp = [len(os.path.commonprefix(pair)) for pair in zip(texts, texts[1:])]
-    return [token for _, token in entries], dlcp, [len(text) for text in texts]
-
-
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=25), min_size=1, max_size=5))
 # repeated records tie on content and differ only in their terminators
 @example(["ab", "cab", "ab", "b", "ab"])
@@ -250,10 +222,10 @@ def test_family_order_matches_decoded_sort(texts):
     alphabet = Alphabet.for_texts(texts)
     seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
     order = build_suffix_order(*seqs)
-    tokens, dlcp, lengths = _brute_family_order(seqs)
-    assert order.tokens.tolist() == tokens
-    assert order.dlcp.tolist() == dlcp
-    assert order.suffix_lengths.tolist() == lengths
+    brute = brute_suffix_sort(*seqs)
+    assert np.array_equal(order.tokens, brute.tokens)
+    assert np.array_equal(order.dlcp, brute.dlcp)
+    assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
     # the terminators are j + 2 - k: a pair keeps ids 0 and 1
     k = len(seqs)
     ends = token_bounds(seqs)[1:] - 1
@@ -300,29 +272,6 @@ def test_order_with_huge_runs_agrees_with_run_walk():
         second = at_bound(y_body)
         assert first.content_length == second.content_length == MAX_DECODED_LENGTH - 1
         _assert_order_agrees_with_run_walk(first, second)
-
-
-@given(
-    st.text(alphabet="ab", min_size=1, max_size=40),
-    st.text(alphabet="ab", min_size=1, max_size=40),
-)
-def test_trie_str_depth_is_interval_min(x, y):
-    first, second, _ = make_pair(x, y)
-    order = build_suffix_order(first, second)
-    trie = build_trie(order)
-    # leaf interval of each internal node, recovered from leaf parents upward
-    intervals = {}
-    for rank, leaf in enumerate(trie.leaves):
-        v = leaf
-        while v != -1:
-            lo, hi = intervals.get(v, (rank, rank))
-            intervals[v] = (min(lo, rank), max(hi, rank))
-            v = trie.parent[v]
-    for v, (lo, hi) in intervals.items():
-        if v in trie.leaves:
-            assert trie.str_depth[v] == order.suffix_lengths[lo]
-        elif lo < hi:
-            assert trie.str_depth[v] == min(order.dlcp[lo:hi])
 
 
 @pytest.mark.parametrize("make", [periodic_pair, fibonacci_pair])
@@ -437,7 +386,7 @@ def _assert_block_gaps_are_interval_mins(seqs):
     """Check every in-block gap against the neighbor lcps; returns how many."""
     order = build_suffix_order(*seqs)
     # the neighbor lcps the law reads are the decoded sort's
-    assert order.dlcp.tolist() == _brute_family_order(seqs)[1]
+    assert np.array_equal(order.dlcp, brute_suffix_sort(*seqs).dlcp)
     pairs = np.array(_block_neighbor_ranks(order), dtype=np.int64).reshape(-1, 2)
     gaps = order.lcp(order.tokens[pairs[:, 0]], order.tokens[pairs[:, 1]]).tolist()
     assert gaps == [int(order.dlcp[lo:hi].min()) for lo, hi in pairs.tolist()]
@@ -477,8 +426,8 @@ def test_lcp_of_any_two_suffixes_matches_run_walk():
                 for syms in ([2, 3, 2, 4], [3, 2, 4, 2, 3])
             )
         else:
-            x = _random_runny_text(rng, rng.randint(1, 50), "ab")
-            y = _random_runny_text(rng, rng.randint(1, 50), "abc")
+            x = random_runny_text(rng, rng.randint(1, 50), "ab", 5)
+            y = random_runny_text(rng, rng.randint(1, 50), "abc", 5)
             first, second, _ = make_pair(x, y)
         order = build_suffix_order(first, second)
         refs = suffix_refs(order)

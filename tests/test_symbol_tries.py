@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import brute_column, make_pair
+from conftest import make_pair, random_runny_text
 from rleacs import bench, symbol_tries
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
@@ -31,7 +31,13 @@ from rleacs.symbol_tries import (
     limb_carry,
     limb_product,
 )
-from rleacs.verify import _keyed_shape, _sweep_compact_trie, _sweep_mismatches
+from rleacs.verify import (
+    _keyed_shape,
+    _structural_checks,
+    _sweep_compact_trie,
+    _sweep_mismatches,
+    brute_column,
+)
 
 
 def build_query_trie(x, y):
@@ -303,7 +309,7 @@ def test_columns_match_the_brute_reference_on_random_families(k, exact):
     for _ in range(8):
         # some records lack a symbol that others have
         texts = [
-            _random_runny_text(rng, rng.randint(1, 60), rng.choice(("ab", "bc", "abc")))
+            random_runny_text(rng, rng.randint(1, 60), rng.choice(("ab", "bc", "abc")), 6)
             for _ in range(k)
         ]
         alphabet = Alphabet.for_texts(texts)
@@ -382,8 +388,8 @@ def test_concurrent_directions_match_serial_totals():
     # the forward and reverse directions share one trie; threads that total
     # them at once, switching every few microseconds, must see the serial totals
     rng = random.Random(23)
-    x = _random_runny_text(rng, 3000, "abcd")
-    y = _random_runny_text(rng, 3000, "abcd")
+    x = random_runny_text(rng, 3000, "abcd", 6)
+    y = random_runny_text(rng, 3000, "abcd", 6)
     first, second, _ = make_pair(x, y)
     engine = AcsEngine(first, second)
     views = [(0, engine.column(1)), (1, engine.column(0))] * 2
@@ -440,21 +446,11 @@ def _walk_up_reference(parent, freq, leaf, threshold):
     return answer
 
 
-def _random_runny_text(rng, n, alphabet):
-    out = []
-    while len(out) < n:
-        ch = rng.choice(alphabet)
-        if out and out[-1] == ch:
-            continue
-        out.extend(ch * rng.randint(1, 6))
-    return "".join(out[:n])
-
-
 def test_searches_match_linear_walk_random():
     rng = random.Random(19)
     for _ in range(60):
-        x = _random_runny_text(rng, rng.randint(2, 80), "ab")
-        y = _random_runny_text(rng, rng.randint(2, 80), "ab")
+        x = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
+        y = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
         trie, order, _ = build_query_trie(x, y)
         parent = trie.parent.tolist()
         for column in pair_columns(trie, order):
@@ -471,44 +467,10 @@ def test_searches_match_linear_walk_random():
     st.text(alphabet="ab", min_size=1, max_size=50),
 )
 def test_structural_invariants(x, y):
-    first, second, _ = make_pair(x, y)
-    order = build_suffix_order(first, second)
-    t = extract_symbol_tries(leaf_blocks(order))
-
-    ranks = leaf_ranks(t, order)
-    assert sorted(ranks) == [k for k, ref in enumerate(suffix_refs(order)) if ref.run >= 2]
-    # the two sequence starts have no preceding run, every run a leaf after it
-    assert [len(leaves) for leaves in t.leaves] == [len(first.runs), len(second.runs)]
-    # the run leaves are distinct and are exactly the trie's childless nodes
-    leaves = trie_leaves(t)
-    assert len(set(leaves)) == len(leaves)
-    assert leaves == sorted(set(range(t.node_count)) - set(t.parent.tolist()))
-    # and they come last, after the internal nodes that the columns cover
-    assert leaves == list(range(t.internal, t.node_count))
-
-    parent = t.parent.tolist()
-    str_depth = t.str_depth.tolist()
-    for column, (j, seq) in zip(pair_columns(t, order), ((1, second), (0, first))):
-        freq, weight = column.freq.tolist(), column.weight
-        assert (freq, weight.tolist()) == brute_column(t, t.leaves[j], seq.runs[:, 1])
-        # freq never decreases toward the root
-        for v in range(t.internal):
-            p = parent[v]
-            if p != -1:
-                assert freq[p] >= freq[v]
-        # weight telescopes along every root path
-        for leaf in leaves:
-            v = parent[leaf]
-            total = 0
-            path = []
-            while v != -1:
-                path.append(v)
-                v = parent[v]
-            for node in reversed(path):
-                p = parent[node]
-                if p != -1:
-                    total += freq[node] * (str_depth[node] - str_depth[p])
-                assert weight[node] == total
+    engine = AcsEngine(*make_pair(x, y)[:2])
+    order = build_suffix_order(*engine.seqs)
+    columns = (engine.column(0), engine.column(1))
+    assert _structural_checks(engine, columns, order) == []
 
 
 def assert_sweep_shape(depths, gaps):
@@ -520,6 +482,7 @@ def assert_sweep_shape(depths, gaps):
     # the root first, the leaves last and in leaf order
     assert parent[0] == -1 and str_depth[0] == 0
     assert leaves.tolist() == list(range(len(parent) - len(depths), len(parent)))
+    assert len(parent) <= 2 * len(depths)
     reference = _sweep_compact_trie(depths, gaps)
     assert len(parent) == len(reference[0])
     assert _keyed_shape(parent.tolist(), str_depth.tolist(), leaves.tolist()) == _keyed_shape(
