@@ -1,7 +1,7 @@
 """Average common substring distances computed directly on run-length encoded sequences.
 
 The public surface in one place: sequence codec (`encode`, `decode`,
-`RleSeq`, `Alphabet`, the file parsers), the fast engine (`AcsEngine`,
+`RleSeq`, the file parsers), the fast engine (`AcsEngine`,
 `acs`, `dist`, `dist_matrix`), the brute-force oracle used for
 cross-validation, and the randomized verification entry point.
 """
@@ -23,7 +23,6 @@ from rleacs.oracle import (
     brute_suffix_sort,
 )
 from rleacs.rle import (
-    Alphabet,
     ParseError,
     RleSeq,
     decode,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcsEngine",
     "AcsResult",
-    "Alphabet",
     "DistResult",
     "OracleBudget",
     "ParseError",

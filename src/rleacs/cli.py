@@ -15,7 +15,6 @@ from pathlib import Path
 from rleacs import bench
 from rleacs.engine import acs, dist, dist_matrix
 from rleacs.rle import (
-    Alphabet,
     ParseError,
     RleSeq,
     build_rle_sequences,
@@ -50,8 +49,9 @@ class RunConfig:
     relaxed_names: bool = False
 
 
-def load_sequences(config: RunConfig) -> tuple[list[RleSeq], Alphabet]:
-    """Read every input path and encode all records over one shared alphabet.
+def load_sequences(config: RunConfig) -> tuple[list[RleSeq], str]:
+    """Read every input path and encode all records, with their distinct characters
+    in id order (build_text_sequences).
 
     Each warning, such as a merge of equal-symbol run tokens, goes to stderr
     as one "warning: <message>" line, in order, also when an error then ends

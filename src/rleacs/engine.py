@@ -88,6 +88,8 @@ class AcsEngine:
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
+        if not seqs:
+            raise ValueError("AcsEngine needs at least one sequence")
         self.seqs = seqs
         # the order, rounds and all, is freed once leaf_blocks has read it
         self.trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)), _exact=_exact)
@@ -217,6 +219,11 @@ def dist_value(
         return float((term_y + term_x) / 2)
 
 
+def _check_log_base(log_base: str) -> None:
+    if log_base not in LOG_FUNCTIONS:
+        raise ValueError(f"unknown log base {log_base!r}")
+
+
 @lru_cache(maxsize=1 << 12)
 def _log(log_base: str, length: int) -> Decimal:
     """The log of a sequence length at DIST_DIGITS digits, once per (base, length):
@@ -234,8 +241,7 @@ def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     decoded lengths below 2 make the normalization meaningless, and a pair
     with no common symbol has average match 0, which has no finite distance.
     """
-    if log_base not in LOG_FUNCTIONS:
-        raise ValueError(f"unknown log base {log_base!r}")
+    _check_log_base(log_base)
     engine = AcsEngine(first, second)
     lsum_xy = engine.total(0, engine.column(1))
     return _distance(first, second, lsum_xy, engine.total(1, engine.column(0)), log_base)
@@ -267,8 +273,9 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
     in one batch (AcsEngine.totals), and is dropped; threads workers take
     the columns, so at most that many are alive at once. A failing pair
     raises ValueError naming it; with several, the first in row order,
-    whatever the thread count.
+    whatever the thread count. An unknown log base is refused before the build.
     """
+    _check_log_base(log_base)
     engine = AcsEngine(*seqs)
 
     def against(j: int) -> list[int]:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from rleacs.rle import DEFAULT_DECODE_LIMIT, RleSeq
+from rleacs.rle import RleSeq
 from rleacs.suffixes import SuffixOrder, token_bounds
 
 if TYPE_CHECKING:
@@ -56,17 +56,6 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def decode_ids(seq: RleSeq, limit: int = DEFAULT_DECODE_LIMIT) -> str:
-    """Decoded text with every symbol rendered as chr(internal id).
-
-    Plain string comparison then agrees with internal id order, and with
-    the terminators chr(0) and chr(1) that brute_suffix_sort appends.
-    """
-    if seq.content_length > limit:
-        raise ValueError(f"decode too large: {seq.content_length} > {limit}")
-    return "".join(chr(sym) * length for sym, length in seq.runs.tolist())
-
-
 def _scan_match_lengths(x_text: str, y_text: str) -> list[int]:
     """Character-at-a-time definition, kept as a cross-check for the DP."""
     out = []
@@ -92,8 +81,8 @@ def brute_match_lengths(
     budget.check(len(x_text), len(y_text))
     if not x_text or not y_text:
         return [0] * len(x_text)
-    x = np.frombuffer(x_text.encode("utf-32-le"), dtype=np.uint32)
-    y = np.frombuffer(y_text.encode("utf-32-le"), dtype=np.uint32)
+    x = np.frombuffer(x_text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    y = np.frombuffer(y_text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     lengths = np.zeros(len(x), dtype=np.int64)
     row = np.zeros(len(y), dtype=np.int64)
     for i in range(len(x) - 1, -1, -1):
@@ -298,16 +287,17 @@ class BruteOrder:
 def brute_suffix_sort(*seqs: RleSeq, budget: OracleBudget = DEFAULT_BUDGET) -> BruteOrder:
     """Sort all run-start suffixes of the decoded family by plain string order.
 
-    Of k records, symbol id s renders as chr(s + k - 2) and record j's
-    terminator, id j + 2 - k, as chr(j), below every symbol; a pair renders
-    as decode_ids does, ending in chr(0) and chr(1). The budget checks the
+    Of k records, record j's terminator renders as chr(j), and the symbol
+    of rank r among the family's ids as chr(k + r), above every
+    terminator, so every id an RleSeq admits renders. The budget checks the
     two longest records.
     """
     budget.check(*sorted([0, *(seq.content_length for seq in seqs)])[-2:])
-    shift = len(seqs) - 2
+    ids = np.unique(np.concatenate([seq.runs[:, 0] for seq in seqs])).tolist()
+    glyph = {sym: chr(len(seqs) + r) for r, sym in enumerate(ids)}
     entries: list[tuple[str, int]] = []
     for j, seq in enumerate(seqs):
-        text = "".join(chr(sym + shift) * n for sym, n in seq.runs.tolist()) + chr(j)
+        text = "".join(glyph[sym] * n for sym, n in seq.runs.tolist()) + chr(j)
         pos = 0
         for length in [*seq.runs[:, 1].tolist(), 1]:
             entries.append((text[pos:], len(entries)))

@@ -1,9 +1,11 @@
-"""Run-length encoded sequences, alphabets, and the text formats that carry them.
+"""Run-length encoded sequences and the text formats that carry them.
 
 A sequence's runs are one read-only (N, 2) int64 array: column 0 holds the
-symbol ids, column 1 the run lengths. A sequence carries no terminator; the
-suffix order appends one to each side of a pair when it builds its token
-string. The readers produce arrays of the same shape over raw codepoints
+symbol ids, column 1 the run lengths. A character's id is its codepoint
+plus FIRST_SYMBOL_ID, whatever else is encoded, so ids order as the
+characters do and any two sequences compare. A sequence carries no
+terminator; the suffix order appends one to each side of a pair when it
+builds its token string. The readers produce arrays of the same shape over raw codepoints
 (RunRecord), so no layer between a file and the sort keys walks runs one at
 a time. They read every input in blocks of whole lines (BLOCK_CHARS) and
 run-encode each block once, straight from its raw codepoints; line
@@ -16,13 +18,13 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 # ids below this are left to the terminators the suffix order appends
 FIRST_SYMBOL_ID = 2
-# one id per Unicode codepoint at most; ids index per-symbol tables
+# a character's id is its codepoint plus FIRST_SYMBOL_ID; ids index per-symbol tables
 MAX_SYMBOL_ID = FIRST_SYMBOL_ID + 0x10FFFF
 
 MAX_DECODED_LENGTH = 1 << 62
@@ -33,6 +35,8 @@ DEFAULT_DECODE_LIMIT = 1 << 26
 BLOCK_CHARS = 1 << 17
 
 _NO_RUNS = np.empty((0, 2), dtype=np.int64)
+# added to a (codepoint, length) row, it gives the (symbol id, length) row
+_ID_SHIFT = np.array([FIRST_SYMBOL_ID, 0], dtype=np.int64)
 # str.isspace of every codepoint up to U+3000, the largest for which it
 # holds, and one last entry, False, for every codepoint above
 _SPACE = np.zeros(0x3002, dtype=bool)
@@ -52,47 +56,6 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Injective map between external characters and internal symbol ids.
-
-    Ids start at FIRST_SYMBOL_ID and follow codepoint order, so comparing ids
-    is the same as comparing the characters they stand for. The ids below
-    FIRST_SYMBOL_ID are left to the terminators of the suffix order, which
-    sort below every symbol.
-    """
-
-    to_id: dict[str, int]
-    to_char: dict[int, str]
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[str]) -> "Alphabet":
-        ordered = sorted(set(symbols))
-        to_id = {ch: FIRST_SYMBOL_ID + k for k, ch in enumerate(ordered)}
-        return cls(to_id=to_id, to_char={v: k for k, v in to_id.items()})
-
-    @classmethod
-    def for_texts(cls, texts: Iterable[str]) -> "Alphabet":
-        seen: set[str] = set()
-        for text in texts:
-            seen.update(text)
-        return cls.from_symbols(seen)
-
-    def __len__(self) -> int:
-        return len(self.to_id)
-
-    def ids(self, codepoints: np.ndarray) -> np.ndarray:
-        """Symbol id of every codepoint; ValueError names the first one missing."""
-        # ids follow codepoint order, so id FIRST_SYMBOL_ID + k is known[k]
-        known = np.fromiter(map(ord, sorted(self.to_id)), dtype=np.int64, count=len(self))
-        pos = np.searchsorted(known, codepoints)
-        hit = pos < len(known)
-        hit[hit] = known[pos[hit]] == codepoints[hit]
-        if not hit.all():
-            raise ValueError(f"symbol {chr(codepoints[np.argmin(hit)])!r} not in alphabet")
-        return pos + FIRST_SYMBOL_ID
 
 
 def _content_length(name: str, lengths: np.ndarray) -> int:
@@ -158,20 +121,11 @@ class RleSeq:
         return len(self.runs)
 
 
-def encode(text: str, name: str = "seq", alphabet: Alphabet | None = None) -> RleSeq:
-    """Run-length encode text.
-
-    Sequences that will be compared with each other must share one Alphabet,
-    otherwise their internal ids are not mutually ordered.
-    """
+def encode(text: str, name: str = "seq") -> RleSeq:
+    """Run-length encode text; a symbol's id is its codepoint plus FIRST_SYMBOL_ID."""
     if not text:
         raise ValueError("empty sequence")
-    cp_runs = _codepoint_runs(text)
-    if alphabet is None:
-        ids = _own_alphabet(cp_runs[:, 0])[1]
-    else:
-        ids = alphabet.ids(cp_runs[:, 0])
-    return RleSeq(name, np.column_stack((ids, cp_runs[:, 1])))
+    return RleSeq(name, _codepoint_runs(text) + _ID_SHIFT)
 
 
 def _codepoints(text: str) -> np.ndarray:
@@ -207,21 +161,19 @@ def _codepoint_runs(text: str) -> np.ndarray:
     return np.column_stack((cps[bounds[:-1]], np.diff(bounds)))
 
 
-def _own_alphabet(codepoints: np.ndarray) -> tuple[Alphabet, np.ndarray]:
-    """The alphabet of the distinct codepoints and the id of each, from one np.unique."""
-    symbols, inverse = np.unique(codepoints, return_inverse=True)
-    return Alphabet.from_symbols(map(chr, symbols.tolist())), inverse + FIRST_SYMBOL_ID
+def decode(seq: RleSeq, alphabet=None, limit: int = DEFAULT_DECODE_LIMIT) -> str:
+    """Inverse of encode: id s renders as chr(s - FIRST_SYMBOL_ID), so the text
+    orders its characters as their ids, for every id an RleSeq admits.
 
-
-def decode(seq: RleSeq, alphabet: Alphabet, limit: int = DEFAULT_DECODE_LIMIT) -> str:
-    """Inverse of encode."""
+    alphabet is not read; it stays for callers that still pass one.
+    """
     if seq.content_length > limit:
         raise ValueError(f"decode too large: {seq.content_length} > {limit}")
-    return "".join(alphabet.to_char[sym] * length for sym, length in seq.runs.tolist())
+    return "".join(chr(sym - FIRST_SYMBOL_ID) * n for sym, n in seq.runs.tolist())
 
 
 class RunRecord(NamedTuple):
-    """A parsed record as maximal (codepoint, length) rows, before any alphabet."""
+    """A parsed record as maximal (codepoint, length) rows, before any symbol id."""
 
     name: str
     runs: np.ndarray
@@ -336,9 +288,7 @@ def _blocks(source) -> Iterator[str]:
             del block  # so no block outlives its turn
 
 
-def _read_records(
-    stream, tokens: bool, before_header: str = "", unique: bool = False, name: str | None = None
-) -> list[RunRecord]:
+def _read_records(stream, tokens: bool, name: str | None = None) -> list[RunRecord]:
     """Records of a format whose records open with ">name" header lines.
 
     The input is a str or a text stream. A line ends at "\n", as in a str,
@@ -352,9 +302,9 @@ def _read_records(
     block, which _token_runs checks and reads at once, so a record's first
     bad token raises before the next header is checked and every
     line-numbered error comes in line order. A record closes through
-    _merge. unique rejects repeated names; empty records are refused last.
-    With name given no line is a header: the whole input is that record's
-    body, and it may be empty.
+    _merge. Run-length text (tokens) rejects repeated names; empty records
+    are refused last. With name given no line is a header: the whole input
+    is that record's body, and it may be empty.
     """
     headed = name is None
     records: list[RunRecord] = []
@@ -375,7 +325,7 @@ def _read_records(
                 name = block[bounds[head] + 1 : bounds[lows[k]]].strip()
                 if not name:
                     raise ParseError("missing record name", line + layout.newlines_before(head))
-                if unique and name in names:
+                if tokens and name in names:
                     message = f"duplicate record name {name!r}"
                     raise ParseError(message, line + layout.newlines_before(head))
                 names.add(name)
@@ -383,7 +333,12 @@ def _read_records(
             if solid[k] == highs[k]:
                 continue
             if pieces is None:
-                raise ParseError(before_header, line + layout.newlines_before(solid[k]))
+                message = (
+                    "run data before the first record header"
+                    if tokens
+                    else "sequence data before the first header"
+                )
+                raise ParseError(message, line + layout.newlines_before(solid[k]))
             if tokens:
                 piece = block[bounds[lows[k]] : bounds[highs[k]]]
                 pieces.append(_token_runs(piece, line + layout.newlines_before(lows[k])))
@@ -500,8 +455,7 @@ def read_rle_records(stream) -> list[RunRecord]:
     Names must be unique. Adjacent tokens with the same symbol are merged
     with a warning.
     """
-    before = "run data before the first record header"
-    return _read_records(stream, True, before, unique=True)
+    return _read_records(stream, True)
 
 
 def read_fasta_records(stream) -> list[RunRecord]:
@@ -510,7 +464,7 @@ def read_fasta_records(stream) -> list[RunRecord]:
     Body lines are run-encoded a block at a time, so no record's decoded
     text is held whole.
     """
-    return _read_records(stream, False, "sequence data before the first header")
+    return _read_records(stream, False)
 
 
 def read_text_record(stream, name: str) -> RunRecord:
@@ -518,45 +472,31 @@ def read_text_record(stream, name: str) -> RunRecord:
     return _read_records(stream, False, name=name)[0]
 
 
-def build_rle_sequences(
-    records: list[RunRecord],
-    alphabet: Alphabet | None = None,
-) -> tuple[list[RleSeq], Alphabet]:
+def build_rle_sequences(records: list[RunRecord]) -> tuple[list[RleSeq], str]:
     """build_text_sequences for run-length records, which are codepoint runs like any other."""
-    return build_text_sequences(records, alphabet)
+    return build_text_sequences(records)
 
 
-def build_text_sequences(
-    records: list[RunRecord],
-    alphabet: Alphabet | None = None,
-) -> tuple[list[RleSeq], Alphabet]:
-    """Encode codepoint-run records over one shared alphabet.
-
-    Without an alphabet, the alphabet and every id come from the records'
-    distinct run codepoints (_own_alphabet); a given alphabet maps each
-    record's codepoints in turn (Alphabet.ids).
-    """
-    ids = None
-    if alphabet is None:
-        codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
-        alphabet, ids = _own_alphabet(codepoints)
+def build_text_sequences(records: list[RunRecord]) -> tuple[list[RleSeq], str]:
+    """Encode codepoint-run records, each id its codepoint plus FIRST_SYMBOL_ID,
+    and list the records' distinct characters, in id order, as one str."""
+    codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
+    # with return_inverse np.unique sorts; without it, numpy 2 first imports
+    # numpy.ma to check for a mask, about 1.2 MB of resident memory
+    symbols = "".join(map(chr, np.unique(codepoints, return_inverse=True)[0].tolist()))
     seqs = []
-    start = 0
     for name, runs in records:
         if not len(runs):
             raise ValueError(f"empty record {name}")
-        stop = start + len(runs)
-        symbols = alphabet.ids(runs[:, 0]) if ids is None else ids[start:stop]
-        seqs.append(RleSeq(name, np.column_stack((symbols, runs[:, 1]))))
-        start = stop
-    return seqs, alphabet
+        seqs.append(RleSeq(name, runs + _ID_SHIFT))
+    return seqs, symbols
 
 
-def parse_rle_text(stream) -> tuple[list[RleSeq], Alphabet]:
-    """Parse the run-length text format into sequences plus their alphabet."""
+def parse_rle_text(stream) -> tuple[list[RleSeq], str]:
+    """Parse the run-length text format into sequences plus their distinct characters."""
     return build_rle_sequences(read_rle_records(stream))
 
 
-def parse_fasta(stream) -> tuple[list[RleSeq], Alphabet]:
+def parse_fasta(stream) -> tuple[list[RleSeq], str]:
     """Parse FASTA records and run-length encode each one."""
     return build_text_sequences(read_fasta_records(stream))

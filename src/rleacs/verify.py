@@ -43,14 +43,13 @@ from rleacs.oracle import (
     OracleBudget,
     brute_match_lengths,
     brute_suffix_sort,
-    decode_ids,
     per_position_lengths,
     reference_dist,
     run_walk_total,
     suffix_lcp,
     suffix_refs,
 )
-from rleacs.rle import Alphabet, RleSeq, encode
+from rleacs.rle import FIRST_SYMBOL_ID, RleSeq, decode, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order
 from rleacs.symbol_tries import Column, SymbolTrie, exact_ints, leaf_blocks
 
@@ -168,9 +167,9 @@ def random_text(rng: random.Random, n: int, alphabet_size: int, mean_run: float)
     return "".join(out[:n])
 
 
-def rle_record(seq: RleSeq, alphabet: Alphabet) -> str:
+def rle_record(seq: RleSeq) -> str:
     """Render one sequence in the run-length text format, for replaying."""
-    body = " ".join(f"{alphabet.to_char[sym]}{n}" for sym, n in seq.runs.tolist())
+    body = " ".join(f"{chr(sym - FIRST_SYMBOL_ID)}{n}" for sym, n in seq.runs.tolist())
     return f">{seq.name}\n{body}"
 
 
@@ -281,8 +280,8 @@ def check_pair(
     except Exception as exc:
         return [f"engine build raised {type(exc).__name__}: {exc}"]
     first, second = engine.seqs
-    x_text = decode_ids(first)
-    y_text = decode_ids(second)
+    x_text = decode(first)
+    y_text = decode(second)
     brute_order = brute_suffix_sort(first, second, budget=budget)
     brute_lengths = brute_match_lengths(x_text, y_text, budget)
     brute_back = brute_match_lengths(y_text, x_text, budget)
@@ -557,7 +556,7 @@ def check_family(
     are failures.
     """
     seqs = tuple(seqs)
-    texts = [decode_ids(seq) for seq in seqs]
+    texts = [decode(seq) for seq in seqs]
     failures: list[str] = []
     try:
         engine = engine_factory(*seqs)
@@ -650,9 +649,8 @@ def run_verification(
         mean_run = RUN_LENGTH_MEANS[(trial // len(ALPHABET_SIZES)) % len(RUN_LENGTH_MEANS)]
         x_text = random_text(rng, rng.randint(1, n_max), alphabet_size, mean_run)
         y_text = random_text(rng, rng.randint(1, n_max), alphabet_size, mean_run)
-        alphabet = Alphabet.for_texts([x_text, y_text])
-        first = encode(x_text, f"X{trial}", alphabet)
-        second = encode(y_text, f"Y{trial}", alphabet)
+        first = encode(x_text, f"X{trial}")
+        second = encode(y_text, f"Y{trial}")
         seqs = [first, second]
         failures = check_pair(
             first, second, engine_factory=engine_factory, budget=budget, deep=deep,
@@ -660,8 +658,7 @@ def run_verification(
         )
         if not failures and trial % FAMILY_EVERY == FAMILY_EVERY - 1:
             texts = random_family(family_rng, max(n_max // 4, 1), alphabet_size, mean_run)
-            alphabet = Alphabet.for_texts(texts)
-            seqs = [encode(text, f"F{trial}.{j}", alphabet) for j, text in enumerate(texts)]
+            seqs = [encode(text, f"F{trial}.{j}") for j, text in enumerate(texts)]
             failures = [
                 f"family: {f}"
                 for f in check_family(
@@ -675,7 +672,7 @@ def run_verification(
                     for f in check_run_walk(*seqs, engine_factory=engine_factory, coverage=coverage)
                 ]
         if failures:
-            record = "\n".join(rle_record(seq, alphabet) for seq in seqs)
+            record = "\n".join(map(rle_record, seqs))
             return VerifyReport(
                 passed=trial,
                 total=trials,

@@ -1,12 +1,9 @@
-from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
+from rleacs.rle import MAX_DECODED_LENGTH, RleSeq, encode
 
 
 def make_pair(x_text: str, y_text: str, x_name: str = "X", y_name: str = "Y"):
-    """Encode two texts over one shared alphabet."""
-    alphabet = Alphabet.for_texts([x_text, y_text])
-    first = encode(x_text, x_name, alphabet)
-    second = encode(y_text, y_name, alphabet)
-    return first, second, alphabet
+    """Encode two texts."""
+    return encode(x_text, x_name), encode(y_text, y_name)
 
 
 def at_bound(body):

@@ -25,7 +25,7 @@ from rleacs.oracle import (
     per_position_lengths,
     suffix_refs,
 )
-from rleacs.rle import Alphabet, encode
+from rleacs.rle import encode
 from rleacs.suffixes import build_suffix_order
 from rleacs.verify import ALPHABET_SIZES, RUN_LENGTH_MEANS, _structural_checks, random_text
 
@@ -66,9 +66,8 @@ def campaign() -> Campaign:
         mean = RUN_LENGTH_MEANS[(trial // len(ALPHABET_SIZES)) % len(RUN_LENGTH_MEANS)]
         x_text = random_text(rng, rng.randint(1, N_MAX), sigma, mean)
         y_text = random_text(rng, rng.randint(1, N_MAX), sigma, mean)
-        alphabet = Alphabet.for_texts([x_text, y_text])
-        first = encode(x_text, f"X{trial}", alphabet)
-        second = encode(y_text, f"Y{trial}", alphabet)
+        first = encode(x_text, f"X{trial}")
+        second = encode(y_text, f"Y{trial}")
         result.pairs += 1
 
         # the engine keeps no suffix order; this one is built for the checks
@@ -162,9 +161,8 @@ def test_criterion_1_oracle_equivalence(campaign):
 
 
 def test_criterion_2_worked_micro_example():
-    alphabet = Alphabet.for_texts(["aab", "ab"])
-    first = encode("aab", "X", alphabet)
-    second = encode("ab", "Y", alphabet)
+    first = encode("aab", "X")
+    second = encode("ab", "Y")
     engine = AcsEngine(first, second)
     per_position = per_position_lengths(engine, 0, engine.column(1))
     run_sums = engine.run_sums(0, engine.column(1))
@@ -206,9 +204,8 @@ def test_criterion_4_final_run_closed_forms(campaign):
         mean = RUN_LENGTH_MEANS[trial % len(RUN_LENGTH_MEANS)]
         x_text = random_text(rng, rng.randint(1, 300), sigma, mean)
         y_text = random_text(rng, rng.randint(1, 300), sigma, mean)
-        alphabet = Alphabet.for_texts([x_text, y_text])
-        first = encode(x_text, "X", alphabet)
-        second = encode(y_text, "Y", alphabet)
+        first = encode(x_text, "X")
+        second = encode(y_text, "Y")
         engine = AcsEngine(first, second)
         column = engine.column(1)
         sym, f = first.runs[-1].tolist()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rleacs.engine
 from conftest import at_bound, make_pair
 from rleacs.engine import (
     AcsEngine,
@@ -29,7 +30,6 @@ from rleacs.oracle import (
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
-    Alphabet,
     RleSeq,
     encode,
 )
@@ -39,7 +39,7 @@ from rleacs.verify import brute_column, check_pair
 
 
 def engine_for(x, y):
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     return AcsEngine(first, second), first, second
 
 
@@ -114,7 +114,7 @@ def test_run_sums_batch_matches_single_runs(x, y):
 
 
 def test_acs_micro():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     result = acs(first, second)
     assert result.lsum == 4
     assert result.x == 3
@@ -125,7 +125,7 @@ def test_acs_micro():
 
 
 def test_acs_unary_closed_form():
-    first, second, _ = make_pair("a" * 9, "a" * 3)
+    first, second = make_pair("a" * 9, "a" * 3)
     result = acs(first, second)
     assert result.lsum == 24
     assert result.value == Fraction(8, 3)
@@ -141,7 +141,7 @@ def test_acs_giant_unary_runs():
 
 
 def test_acs_absent_symbol_is_zero():
-    first, second, _ = make_pair("ab", "cd")
+    first, second = make_pair("ab", "cd")
     assert acs(first, second).lsum == 0
 
 
@@ -155,18 +155,18 @@ def test_acs_self_closed_form():
 
 def test_engine_self_pair_matches_closed_form():
     for text in ("ab", "aab", "mississippi", "aaaa"):
-        first, second, _ = make_pair(text, text)
+        first, second = make_pair(text, text)
         assert acs(first, second).value == acs_self(len(text))
 
 
 def test_engine_keeps_the_callers_sequences():
-    first, second, _ = make_pair("aab", "abab")
+    first, second = make_pair("aab", "abab")
     engine = AcsEngine(first, second)
     assert engine.seqs[0] is first and engine.seqs[1] is second
     # one object on both sides: the token string still ends each side in its
     # own terminator, and so do the oracle's walkers
     for text in ("a", "aab", "mississippi", "aaaa"):
-        seq, _, _ = make_pair(text, "a")
+        seq, _ = make_pair(text, "a")
         same = AcsEngine(seq, seq)
         assert same.seqs[0] is same.seqs[1] is seq
         x = seq.content_length
@@ -203,7 +203,7 @@ def test_per_position_cap():
 
 
 def test_dist_micro_frozen():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     result = dist(first, second)
     assert result.log_base == "e"
     assert result.acs_xy == Fraction(4, 3)
@@ -214,7 +214,7 @@ def test_dist_micro_frozen():
 
 
 def test_dist_log_bases():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     natural = dist(first, second, "e").value
     base2 = dist(first, second, "2").value
     base10 = dist(first, second, "10").value
@@ -224,26 +224,44 @@ def test_dist_log_bases():
         dist(first, second, "7")
 
 
+def test_unknown_log_base_refused_before_any_build(monkeypatch):
+    first, second = make_pair("aab", "ab")
+
+    def build(*seqs, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(rleacs.engine, "AcsEngine", build)
+    for call in (lambda: dist(first, second, "3"), lambda: dist_matrix([first, second], "3")):
+        with pytest.raises(ValueError, match="^unknown log base '3'$"):
+            call()
+
+
+def test_engine_needs_a_sequence():
+    for call in (AcsEngine, lambda: dist_matrix([])):
+        with pytest.raises(ValueError, match="^AcsEngine needs at least one sequence$"):
+            call()
+
+
 def test_dist_identity_is_exactly_zero():
     for text in ("ab", "aabba", "xyzzy"):
-        first, second, _ = make_pair(text, text)
+        first, second = make_pair(text, text)
         assert dist(first, second).value == 0.0
 
 
 def test_dist_symmetric_bit_identical():
-    first, second, _ = make_pair("aabbab", "abbba")
+    first, second = make_pair("aabbab", "abbba")
     forward = dist(first, second).value
     backward = dist(second, first).value
     assert forward == backward
 
 
 def test_dist_rejects_degenerate_inputs():
-    first, second, _ = make_pair("a", "ab")
+    first, second = make_pair("a", "ab")
     with pytest.raises(ValueError, match="sequence too short"):
         dist(first, second)
     with pytest.raises(ValueError, match="sequence too short"):
         dist(second, first)
-    first, second, _ = make_pair("ab", "cd")
+    first, second = make_pair("ab", "cd")
     with pytest.raises(ValueError, match="no common substring"):
         dist(first, second)
 
@@ -251,8 +269,7 @@ def test_dist_rejects_degenerate_inputs():
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=30), min_size=2, max_size=5))
 def test_dist_matrix_matches_pair_distances(texts):
     # one family trie, one column per record, against one pair build per cell
-    alphabet = Alphabet.for_texts(texts)
-    seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
     expect = [[0.0] * len(seqs) for _ in seqs]
     first_error = None
     for i in range(len(seqs)):
@@ -353,7 +370,7 @@ def test_total_matches_brute(x, y):
     st.text(alphabet="abcd", min_size=1, max_size=60),
 )
 def test_acs_matches_brute_wider_alphabet(x, y):
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     assert acs(first, second).value == brute_acs(x, y)
 
 
@@ -411,8 +428,8 @@ def test_appending_to_second_never_lowers_total(x, y, extra):
     st.text(alphabet="abc", min_size=2, max_size=40),
 )
 def test_dist_axioms(x, y):
-    first, second, _ = make_pair(x, y)
-    self_first, self_second, _ = make_pair(x, x)
+    first, second = make_pair(x, y)
+    self_first, self_second = make_pair(x, x)
     assert abs(dist(self_first, self_second).value) <= 1e-12
     try:
         forward = dist(first, second).value
@@ -458,7 +475,7 @@ def test_reverse_from_one_build_at_sentinel_ties(x, head, cut):
     if head and head[-1] == tail[0]:
         head += "c" if tail[0] != "c" else "a"
     y = head + tail
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     y_run = sum(1 for q in range(len(head)) if q == 0 or head[q] != head[q - 1]) + 1
     _assert_tie_swaps(first, second, k + 1, y_run)
 
@@ -660,8 +677,7 @@ def test_family_totals_past_2_63_match_each_total(exact):
 def test_int64_and_exact_paths_agree_on_families(texts):
     # one family, built on each path: the same columns, the same batched
     # totals and the same run sums, value for value
-    alphabet = Alphabet.for_texts(texts)
-    seqs = tuple(encode(text, f"s{j}", alphabet) for j, text in enumerate(texts))
+    seqs = tuple(encode(text, f"s{j}") for j, text in enumerate(texts))
     engine = AcsEngine(*seqs)
     exact = AcsEngine(*seqs, _exact=True)
     assert engine.trie.int64 and not exact.trie.int64

@@ -90,7 +90,7 @@ def test_lcp_agrees_with_character_scan(a, b):
 
 
 def test_suffix_sort_micro():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     order = brute_suffix_sort(first, second)
     assert suffix_refs(order) == [
         SuffixRef(0, 3),  # terminator of X
@@ -105,7 +105,7 @@ def test_suffix_sort_micro():
 
 
 def test_suffix_sort_single_run_pair():
-    first, second, _ = make_pair("a", "a")
+    first, second = make_pair("a", "a")
     order = brute_suffix_sort(first, second)
     assert suffix_refs(order) == [
         SuffixRef(0, 2),
@@ -117,7 +117,7 @@ def test_suffix_sort_single_run_pair():
 
 
 def test_suffix_sort_equal_content_interleaves():
-    first, second, _ = make_pair("abab", "abab")
+    first, second = make_pair("abab", "abab")
     order = brute_suffix_sort(first, second)
     # equal decoded suffixes differ only in the final terminator, so each X
     # suffix sits immediately before its Y twin
@@ -129,12 +129,12 @@ def test_suffix_sort_equal_content_interleaves():
 
 
 def test_run_walk_total_micro():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     assert run_walk_total(first, second) == 4
     assert run_walk_total(second, first) == 3
-    first, second, _ = make_pair("a" * 9, "a" * 3)
+    first, second = make_pair("a" * 9, "a" * 3)
     assert run_walk_total(first, second) == 24
-    first, second, _ = make_pair("ab", "cd")
+    first, second = make_pair("ab", "cd")
     assert run_walk_total(first, second) == 0
 
 
@@ -153,6 +153,6 @@ def test_run_walk_total_micro():
 def test_run_walk_total_matches_brute(x_pairs, y_pairs):
     x = "".join(ch * k for ch, k in x_pairs)
     y = "".join(ch * k for ch, k in y_pairs)
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     assert run_walk_total(first, second) == sum(brute_match_lengths(x, y))
     assert run_walk_total(second, first) == sum(brute_match_lengths(y, x))

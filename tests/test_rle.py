@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from rleacs import rle
 from rleacs.engine import acs, dist
-from rleacs.oracle import brute_acs, decode_ids
+from rleacs.oracle import brute_acs
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     MAX_DECODED_LENGTH,
     MAX_SYMBOL_ID,
-    Alphabet,
     ParseError,
     RleSeq,
     build_text_sequences,
@@ -34,9 +33,9 @@ def test_encode_groups_maximal_runs():
     seq = encode("aabbbc")
     assert seq.runs.dtype == np.int64 and seq.runs.shape == (3, 2)
     assert seq.runs.tolist() == [
-        [FIRST_SYMBOL_ID, 2],
-        [FIRST_SYMBOL_ID + 1, 3],
-        [FIRST_SYMBOL_ID + 2, 1],
+        [ord("a") + FIRST_SYMBOL_ID, 2],
+        [ord("b") + FIRST_SYMBOL_ID, 3],
+        [ord("c") + FIRST_SYMBOL_ID, 1],
     ]
 
 
@@ -50,10 +49,11 @@ def test_lengths_count_the_runs_only():
 
 
 def test_alphabet_ids_follow_character_order():
-    alpha = Alphabet.from_symbols("cab")
-    assert alpha.to_id["a"] < alpha.to_id["b"] < alpha.to_id["c"]
-    assert alpha.to_id["a"] == FIRST_SYMBOL_ID
-    assert len(alpha) == 3
+    # a character's id is its codepoint plus FIRST_SYMBOL_ID, whatever else
+    # is encoded, so ids order as characters do up to the last codepoint
+    text = "cab\x00\ud800\U0010ffff"
+    assert encode(text).runs[:, 0].tolist() == [ord(ch) + FIRST_SYMBOL_ID for ch in text]
+    assert encode("\U0010ffff").runs[:, 0].tolist() == [MAX_SYMBOL_ID]
 
 
 def test_empty_text_rejected():
@@ -66,20 +66,34 @@ def test_terminator_codepoints_are_ordinary_symbols():
     # they never meet the terminators the suffix order appends
     x = "\x00\x00a\x01\x01\x01a\x00"
     y = "a\x01\x00\x00a\x01"
-    seqs, alphabet = parse_fasta(io.StringIO(f">x\n{x}\n>y\n{y}\n"))
-    assert alphabet.to_id["\x00"] == FIRST_SYMBOL_ID
-    assert [decode(seq, alphabet) for seq in seqs] == [x, y]
-    assert encode(x, alphabet=alphabet).runs.tolist() == seqs[0].runs.tolist()
+    seqs, symbols = parse_fasta(io.StringIO(f">x\n{x}\n>y\n{y}\n"))
+    assert symbols == "\x00\x01a"
+    assert seqs[0].runs[0, 0] == FIRST_SYMBOL_ID
+    assert [decode(seq) for seq in seqs] == [x, y]
+    assert encode(x).runs.tolist() == seqs[0].runs.tolist()
     assert acs(seqs[0], seqs[1]).value == brute_acs(x, y)
     assert acs(seqs[1], seqs[0]).value == brute_acs(y, x)
     result = dist(seqs[0], seqs[1])
     assert (result.acs_xy, result.acs_yx) == (brute_acs(x, y), brute_acs(y, x))
 
 
-def test_symbol_outside_alphabet_rejected():
-    alpha = Alphabet.from_symbols("ab")
-    with pytest.raises(ValueError, match="not in alphabet"):
-        encode("abc", alphabet=alpha)
+def test_separately_encoded_sequences_compare():
+    # no state is shared between the two encodes, and none is needed
+    assert acs(encode("abb", "x"), encode("bb", "y")).value == 1 == brute_acs("abb", "bb")
+    assert acs(encode("bb", "y"), encode("abb", "x")).value == brute_acs("bb", "abb")
+
+
+# ASCII letters and three characters past them, the last codepoint included
+_TRAP_CHARS = st.sampled_from([*"abAZ", "é", "😀", "\U0010ffff"])
+_TRAP_TEXT = st.text(alphabet=_TRAP_CHARS, min_size=1, max_size=30)
+
+
+@given(_TRAP_TEXT, _TRAP_TEXT)
+@example("\U0010ffffa", "\U0010ffff😀\U0010ffff")
+def test_separately_encoded_texts_match_brute(x, y):
+    first, second = encode(x, "x"), encode(y, "y")
+    assert acs(first, second).value == brute_acs(x, y)
+    assert acs(second, first).value == brute_acs(y, x)
 
 
 def test_invalid_run_sequences_rejected():
@@ -141,46 +155,39 @@ def test_runs_are_read_only():
 
 
 def test_decode_round_trip():
-    alpha = Alphabet.for_texts(["mississippi"])
-    seq = encode("mississippi", "m", alpha)
-    assert decode(seq, alpha) == "mississippi"
+    seq = encode("mississippi", "m")
+    assert decode(seq) == "mississippi"
 
 
 def test_decode_respects_limit():
-    alpha = Alphabet.from_symbols("a")
     seq = RleSeq("big", [(FIRST_SYMBOL_ID, 100)])
     with pytest.raises(ValueError, match="decode too large"):
-        decode(seq, alpha, limit=99)
+        decode(seq, limit=99)
 
 
-def test_decode_ids_orders_like_internal_ids():
-    first, second, _ = make_pair_texts("ab", "b")
-    assert decode_ids(first) == chr(2) + chr(3)
-    assert decode_ids(second) == chr(3)
-    # the terminators, chr(0) and chr(1), sort below every symbol
-    assert decode_ids(first) + chr(0) < decode_ids(first) + chr(2)
-
-
-def make_pair_texts(x_text, y_text):
-    from conftest import make_pair
-
-    return make_pair(x_text, y_text)
+def test_decode_orders_like_internal_ids():
+    # every id an RleSeq admits renders, in id order, the extremes included
+    ids = [FIRST_SYMBOL_ID, 0xD800 + FIRST_SYMBOL_ID, 0x110000, MAX_SYMBOL_ID]
+    texts = [decode(RleSeq("s", [(sym, 2)])) for sym in ids]
+    assert texts == sorted(texts)
+    assert texts == ["\x00\x00", "\ud800\ud800", "\U0010fffe" * 2, "\U0010ffff" * 2]
 
 
 def test_parse_rle_text_basic():
-    seqs, alpha = parse_rle_text(">one\na2 b3\nc1\n>two\nb1 a1\n")
+    seqs, symbols = parse_rle_text(">one\na2 b3\nc1\n>two\nb1 a1\n")
     assert [s.name for s in seqs] == ["one", "two"]
+    assert symbols == "abc"
     one, two = seqs
-    assert decode(one, alpha) == "aabbbc"
-    assert decode(two, alpha) == "ba"
+    assert decode(one) == "aabbbc"
+    assert decode(two) == "ba"
 
 
 def test_parse_rle_text_merges_adjacent_equal_runs():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        seqs, alpha = parse_rle_text(">s\na2 a3 b1\n")
+        seqs, _ = parse_rle_text(">s\na2 a3 b1\n")
     assert any("merged" in str(w.message) for w in caught)
-    assert decode(seqs[0], alpha) == "aaaaab"
+    assert decode(seqs[0]) == "aaaaab"
     assert seqs[0].run_count == 2
     # a merged record meets the bound of any sequence: content 2^62 - 1 at most
     edge = MAX_DECODED_LENGTH - 2
@@ -228,12 +235,12 @@ def test_read_rle_records_rejects_fancy_tokens():
 
 def test_parse_fasta_basic():
     text = ">alpha\nAAT\nTT\n\n>beta\nGG\n"
-    seqs, alpha = parse_fasta(io.StringIO(text))
+    seqs, symbols = parse_fasta(io.StringIO(text))
     assert [s.name for s in seqs] == ["alpha", "beta"]
-    assert decode(seqs[0], alpha) == "AATTT"
-    assert decode(seqs[1], alpha) == "GG"
-    # shared alphabet: 'G' gets an id even though record alpha never uses it
-    assert set(alpha.to_id) == {"A", "T", "G"}
+    assert decode(seqs[0]) == "AATTT"
+    assert decode(seqs[1]) == "GG"
+    # every record's distinct characters, in id order
+    assert symbols == "AGT"
 
 
 def test_parse_fasta_errors():
@@ -252,9 +259,8 @@ def test_parse_fasta_errors():
     )
 )
 def test_encode_decode_round_trip(text):
-    alpha = Alphabet.for_texts([text])
-    seq = encode(text, "t", alpha)
-    assert decode(seq, alpha, limit=len(text)) == text
+    seq = encode(text, "t")
+    assert decode(seq, limit=len(text)) == text
     # maximality: adjacent runs never share a symbol
     syms = seq.runs[:, 0].tolist()
     assert all(a != b for a, b in zip(syms, syms[1:]))
@@ -272,9 +278,9 @@ def test_rle_text_format_round_trip(pairs):
     body = " ".join(f"{ch}{n}" for ch, n in pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        seqs, alpha = parse_rle_text(f">r\n{body}\n")
+        seqs, _ = parse_rle_text(f">r\n{body}\n")
     expect = "".join(ch * n for ch, n in pairs)
-    assert decode(seqs[0], alpha) == expect
+    assert decode(seqs[0]) == expect
 
 
 def _reference_runs(lines):
@@ -464,9 +470,7 @@ def test_ingest_errors_keep_their_order():
         build_text_sequences([empty, read_text_record(io.StringIO("ab\n"), "z")])
     # encode's own messages
     with pytest.raises(ValueError, match="^empty sequence$"):
-        encode("", alphabet=Alphabet.from_symbols("a"))
-    with pytest.raises(ValueError, match="^symbol 'c' not in alphabet$"):
-        encode("abcd", alphabet=Alphabet.from_symbols("ab"))
+        encode("")
 
 
 def _write_long_runs_fasta(path, length):

@@ -11,14 +11,13 @@ from conftest import at_bound, make_pair, random_runny_text
 from rleacs.oracle import (
     SuffixRef,
     brute_suffix_sort,
-    decode_ids,
     suffix_compare,
     suffix_lcp,
     suffix_refs,
     suffix_runs,
 )
 from rleacs.bench import fibonacci_pair, periodic_pair
-from rleacs.rle import MAX_DECODED_LENGTH, Alphabet, RleSeq, encode
+from rleacs.rle import FIRST_SYMBOL_ID, MAX_DECODED_LENGTH, RleSeq, encode
 from rleacs.suffixes import (
     _dense_rank,
     _token_columns,
@@ -31,7 +30,7 @@ from rleacs.verify import brute_column, random_text
 
 
 def test_order_micro_pair():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
     assert suffix_refs(order) == [
         SuffixRef(0, 3),
@@ -46,7 +45,7 @@ def test_order_micro_pair():
 
 
 def test_order_single_symbol_pair():
-    first, second, _ = make_pair("a", "a")
+    first, second = make_pair("a", "a")
     order = build_suffix_order(first, second)
     assert suffix_refs(order) == [
         SuffixRef(0, 2),
@@ -59,7 +58,7 @@ def test_order_single_symbol_pair():
 
 def test_order_counts_run_starts_only():
     # a single 4-long run contributes two suffixes, not four
-    first, second, _ = make_pair("aaaa", "b")
+    first, second = make_pair("aaaa", "b")
     order = build_suffix_order(first, second)
     assert len(order) == 4
     assert sorted(suffix_refs(order)) == [
@@ -75,7 +74,7 @@ def test_order_matches_brute_on_kasai_equality_regression():
     # descent's round 0 compared coarser (symbol, length) pairs in place of
     # token keys, it would count a shared token across this boundary and
     # report dlcp 3 instead of 2.
-    first, second, _ = make_pair("ABBDBBBAD", "ABBAD")
+    first, second = make_pair("ABBDBBBAD", "ABBAD")
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
     assert suffix_refs(fast) == suffix_refs(brute)
@@ -89,7 +88,7 @@ def test_order_matches_brute_on_kasai_equality_regression():
 
 
 def test_compare_decoded_order_cases():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     # "aab<s>" < "ab<s>" by the decoded character at position 2
     assert suffix_compare(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == -1
     # "b<s1>" < "b<s2>" by terminator order
@@ -100,7 +99,7 @@ def test_compare_decoded_order_cases():
 
 def test_compare_shorter_run_smaller_when_next_symbol_smaller():
     # 'A' < 'a', so "aA..." sorts before "aaA..."
-    first, second, _ = make_pair("aA", "aaA")
+    first, second = make_pair("aA", "aaA")
     assert suffix_compare(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == -1
 
 
@@ -111,10 +110,10 @@ def test_compare_shorter_run_smaller_when_next_symbol_smaller():
 def test_run_walker_matches_decoded_suffixes(x, y):
     # every pair of run-start suffixes, each with itself too; a suffix's
     # decoded text ends in its side's terminator, chr(0) or chr(1)
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     texts = {}
     for j, seq in enumerate((first, second)):
-        text = decode_ids(seq) + chr(j)
+        text = (x, y)[j] + chr(j)
         for run, start in enumerate(accumulate(seq.runs[:, 1].tolist(), initial=0), 1):
             texts[SuffixRef(j, run)] = text[start:]
     for a, text_a in texts.items():
@@ -124,23 +123,28 @@ def test_run_walker_matches_decoded_suffixes(x, y):
 
 
 def test_lcp_run_walk_cases():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 1
     a3 = RleSeq("a3", [(2, 3)])
     a5 = RleSeq("a5", [(2, 5)])
     assert suffix_lcp(a3, a5, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
-    first, second, _ = make_pair("aab", "aab")
+    first, second = make_pair("aab", "aab")
     assert suffix_lcp(first, second, SuffixRef(0, 1), SuffixRef(1, 1)) == 3
 
 
 def test_longest_run_table():
-    # ids: a=2, b=3, x=4; a column's table is indexed by symbol id and
-    # covers x, which only the first sequence has
-    first, second, _ = make_pair("x", "ab")
+    # ids are codepoints plus FIRST_SYMBOL_ID; a column's table is indexed
+    # by symbol id and reaches x, which only the first sequence has
+    first, second = make_pair("x", "ab")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
-    assert trie.symbols == 5
-    assert annotate(trie, trie.leaves[1], second.runs).max_run.tolist() == [0, 0, 1, 1, 0]
-    first, second, _ = make_pair("x", "aabbba")
+    assert trie.symbols == ord("x") + FIRST_SYMBOL_ID + 1
+    table = annotate(trie, trie.leaves[1], second.runs).max_run
+    assert len(table) == trie.symbols
+    assert {k: n for k, n in enumerate(table.tolist()) if n} == {
+        ord("a") + FIRST_SYMBOL_ID: 1,
+        ord("b") + FIRST_SYMBOL_ID: 1,
+    }
+    first, second = make_pair("x", "aabbba")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
     table = annotate(trie, trie.leaves[1], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
@@ -149,7 +153,7 @@ def test_longest_run_table():
 
 
 def test_trie_micro_pair():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
@@ -169,7 +173,7 @@ def test_trie_micro_pair():
 
 
 def _assert_order_matches_brute(x, y):
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     fast = build_suffix_order(first, second)
     brute = brute_suffix_sort(first, second)
     assert suffix_refs(fast) == suffix_refs(brute)
@@ -219,8 +223,7 @@ def test_order_matches_brute_long_runs(x_pairs, y_pairs):
 # repeated records tie on content and differ only in their terminators
 @example(["ab", "cab", "ab", "b", "ab"])
 def test_family_order_matches_decoded_sort(texts):
-    alphabet = Alphabet.for_texts(texts)
-    seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
     order = build_suffix_order(*seqs)
     brute = brute_suffix_sort(*seqs)
     assert np.array_equal(order.tokens, brute.tokens)
@@ -402,8 +405,7 @@ def test_block_gaps_are_interval_mins_random_families():
         k = rng.randint(2, 5)
         size = rng.randint(1, 3)
         texts = [random_text(rng, rng.randint(1, 40), size, 2.0) for _ in range(k)]
-        alphabet = Alphabet.for_texts(texts)
-        seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+        seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
         pairs_seen += _assert_block_gaps_are_interval_mins(seqs)
     assert pairs_seen > 1000
 
@@ -428,7 +430,7 @@ def test_lcp_of_any_two_suffixes_matches_run_walk():
         else:
             x = random_runny_text(rng, rng.randint(1, 50), "ab", 5)
             y = random_runny_text(rng, rng.randint(1, 50), "abc", 5)
-            first, second, _ = make_pair(x, y)
+            first, second = make_pair(x, y)
         order = build_suffix_order(first, second)
         refs = suffix_refs(order)
         n = len(order)

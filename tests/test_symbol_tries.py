@@ -14,7 +14,7 @@ from conftest import make_pair, random_runny_text
 from rleacs import bench, symbol_tries
 from rleacs.engine import AcsEngine
 from rleacs.oracle import SuffixRef, suffix_refs
-from rleacs.rle import FIRST_SYMBOL_ID, Alphabet, encode
+from rleacs.rle import FIRST_SYMBOL_ID, encode
 from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import (
     JUMP_ROUNDS,
@@ -41,9 +41,8 @@ from rleacs.verify import (
 
 
 def build_query_trie(x, y):
-    first, second, alpha = make_pair(x, y)
-    order = build_suffix_order(first, second)
-    return extract_symbol_tries(leaf_blocks(order)), order, alpha
+    order = build_suffix_order(*make_pair(x, y))
+    return extract_symbol_tries(leaf_blocks(order)), order
 
 
 def pair_columns(trie, order):
@@ -72,10 +71,9 @@ def leaf_ranks(trie, order):
 
 
 def test_extract_micro_pair():
-    first, second, alpha = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     order = build_suffix_order(first, second)
     trie = extract_symbol_tries(leaf_blocks(order))
-    assert alpha.to_id["a"] < alpha.to_id["b"]
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two terminator suffixes
     refs = suffix_refs(order)
@@ -106,7 +104,7 @@ def test_extract_micro_pair():
 def test_extract_builds_no_neighbor_lcps():
     # the trie's gaps come from order.lcp; dlcp is built only when read, and
     # the build reads nothing else of the order
-    first, second, _ = make_pair("abaab", "bab")
+    first, second = make_pair("abaab", "bab")
     order = build_suffix_order(first, second)
     extract_symbol_tries(leaf_blocks(order))
     assert "dlcp" not in vars(order)
@@ -115,7 +113,7 @@ def test_extract_builds_no_neighbor_lcps():
 
 
 def test_annotate_micro_pair():
-    trie, order, _ = build_query_trie("aab", "ab")
+    trie, order = build_query_trie("aab", "ab")
     column, _ = pair_columns(trie, order)
     leaves = trie_leaves(trie)
     mid = trie.parent[leaves[0]]
@@ -134,7 +132,7 @@ def test_annotate_micro_pair():
 def test_annotate_no_second_sequence_leaves():
     # Y contributes no b-preceded suffix, so the b-block is one X leaf: freq
     # 0 below the root, which carries the a-block's Y leaf
-    trie, order, _ = build_query_trie("aba", "a")
+    trie, order = build_query_trie("aba", "a")
     column, reverse = pair_columns(trie, order)
     b_leaf = trie_leaves(trie)[-1]
     assert trie.parent[b_leaf] == 0
@@ -230,7 +228,7 @@ def test_limb_column_weights_either_side_of_2_63(run):
 
 
 def test_annotate_leaves_int64_columns():
-    trie, order, _ = build_query_trie("aabba", "abab")
+    trie, order = build_query_trie("aabba", "abab")
     # the limb path, forced, on the same order: the same shape, weights in two int64 limbs
     exact = extract_symbol_tries(leaf_blocks(order), _exact=True)
     assert trie.int64 and not exact.int64
@@ -280,7 +278,7 @@ def test_internal_nodes_without_lifting_rows():
     # under the root, and the b-block's two hang from the root, so every
     # internal node hangs from the root and there are no rows to read the
     # internal count from
-    trie, order, _ = build_query_trie("ab", "ab")
+    trie, order = build_query_trie("ab", "ab")
     assert trie.up == () and trie.internal == 2 and trie.node_count == 6
     for exact in (False, True):
         if exact:
@@ -312,8 +310,7 @@ def test_columns_match_the_brute_reference_on_random_families(k, exact):
             random_runny_text(rng, rng.randint(1, 60), rng.choice(("ab", "bc", "abc")), 6)
             for _ in range(k)
         ]
-        alphabet = Alphabet.for_texts(texts)
-        seqs = [encode(text, f"s{j}", alphabet) for j, text in enumerate(texts)]
+        seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
         engine = AcsEngine(*seqs, _exact=exact)
         trie = engine.trie
         assert trie.int64 is not exact
@@ -367,7 +364,7 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 
 def test_trie_is_immutable():
-    trie, order, _ = build_query_trie("aabba", "abab")
+    trie, order = build_query_trie("aabba", "abab")
     rows = ("up", "leaves", "internal", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
@@ -390,7 +387,7 @@ def test_concurrent_directions_match_serial_totals():
     rng = random.Random(23)
     x = random_runny_text(rng, 3000, "abcd", 6)
     y = random_runny_text(rng, 3000, "abcd", 6)
-    first, second, _ = make_pair(x, y)
+    first, second = make_pair(x, y)
     engine = AcsEngine(first, second)
     views = [(0, engine.column(1)), (1, engine.column(0))] * 2
     serial = [engine.total(*view) for view in views]
@@ -417,7 +414,7 @@ def test_concurrent_directions_match_serial_totals():
 
 
 def test_deepest_ancestor_micro():
-    trie, order, _ = build_query_trie("aab", "ab")
+    trie, order = build_query_trie("aab", "ab")
     column, _ = pair_columns(trie, order)
     leaf = trie_leaves(trie)[0]  # X suffix "b<s1>"
     mid = trie.parent[leaf]
@@ -429,7 +426,7 @@ def test_deepest_ancestor_none_without_y_leaves():
     # the b-block has no Y leaf; at threshold 1 the climb ends at the shared
     # root (str_depth 0, weight 0, as a b-only root would have), and above
     # the root's freq there is no qualifying ancestor
-    trie, order, _ = build_query_trie("aba", "a")
+    trie, order = build_query_trie("aba", "a")
     column, _ = pair_columns(trie, order)
     leaf = trie_leaves(trie)[-1]
     assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2], column.freq).tolist() == [0, -1]
@@ -451,7 +448,7 @@ def test_searches_match_linear_walk_random():
     for _ in range(60):
         x = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
         y = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
-        trie, order, _ = build_query_trie(x, y)
+        trie, order = build_query_trie(x, y)
         parent = trie.parent.tolist()
         for column in pair_columns(trie, order):
             freq = column.freq.tolist()
@@ -467,7 +464,7 @@ def test_searches_match_linear_walk_random():
     st.text(alphabet="ab", min_size=1, max_size=50),
 )
 def test_structural_invariants(x, y):
-    engine = AcsEngine(*make_pair(x, y)[:2])
+    engine = AcsEngine(*make_pair(x, y))
     order = build_suffix_order(*engine.seqs)
     columns = (engine.column(0), engine.column(1))
     assert _structural_checks(engine, columns, order) == []

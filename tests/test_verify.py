@@ -9,13 +9,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import rleacs.engine
 import rleacs.verify
 from rleacs import symbol_tries
 from rleacs.cli import EXIT_VERIFY, main
 from rleacs.engine import AcsEngine
-from rleacs.rle import Alphabet, encode, parse_rle_text
+from rleacs.rle import FIRST_SYMBOL_ID, MAX_SYMBOL_ID, RleSeq, encode, parse_rle_text
 from rleacs.suffixes import SuffixOrder, build_suffix_order
 from rleacs.symbol_tries import (
     annotate,
@@ -199,8 +201,7 @@ class ExplodingEngine(AcsEngine):
 
 
 def _family(texts):
-    alphabet = Alphabet.for_texts(texts)
-    return [encode(text, f"F.{j}", alphabet) for j, text in enumerate(texts)], alphabet
+    return [encode(text, f"F.{j}") for j, text in enumerate(texts)]
 
 
 def test_clean_run_passes():
@@ -309,7 +310,7 @@ def test_short_pointer_jumping_is_caught_and_replayable():
 def test_family_run_sums_are_checked_by_position():
     # every total is right, so only the per-run sums against the brute
     # positions can catch it, in families and in pairs
-    seqs, _ = _family(["aabab", "abbba", "aaab"])
+    seqs = _family(["aabab", "abbba", "aaab"])
     failures = check_family(seqs, engine_factory=RunSumsReversed, deep=False)
     assert failures and all(f.startswith("family run sums") for f in failures)
     assert check_family(seqs) == []
@@ -345,7 +346,7 @@ def test_push_to_the_grandparent_is_caught_by_check_pair_and_verify(monkeypatch,
     # then holds only the X leaf's 0; the engine and its exact rebuild both
     # annotate so, so only the column checks see the parent's freq directly
     monkeypatch.setattr(rleacs.engine, "annotate", annotate_to_grandparent)
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     failures = check_pair(first, second)
     wrong = r"^query trie: freq at node \d+ is 0, not the subtree maximum 1"
     assert any(re.search(wrong, f) for f in failures)
@@ -373,15 +374,15 @@ def test_report_counts_both_paths_and_run_cases():
 def test_coverage_counts_pairs_whose_refusal_was_checked():
     coverage = Counter()
     for x_text, y_text in (("aab", "ba"), ("a", "ab"), ("aa", "bb"), ("ab", "b")):
-        first, second, _ = make_pair(x_text, y_text)
+        first, second = make_pair(x_text, y_text)
         assert check_pair(first, second, coverage=coverage) == []
     # "a" and "b" are shorter than 2; "aa" and "bb" share no symbol, so both totals are 0
     assert coverage["refusals"] == 3
 
 
 def test_refusal_checks_catch_a_wrong_refusal(monkeypatch):
-    short = make_pair("a", "ab")[:2]
-    disjoint = make_pair("aa", "bb")[:2]
+    short = make_pair("a", "ab")
+    disjoint = make_pair("aa", "bb")
 
     def unnamed(seqs, *args):
         raise ValueError("no common substring")
@@ -400,7 +401,7 @@ def test_refusal_checks_catch_a_wrong_refusal(monkeypatch):
 def test_stretched_pairs_pass_the_run_walk():
     rng = random.Random(8)
     for size in (2, 4):
-        first, second, _ = make_pair(random_text(rng, 30, size, 2.0), random_text(rng, 30, size, 2.0))
+        first, second = make_pair(random_text(rng, 30, size, 2.0), random_text(rng, 30, size, 2.0))
         first, second = stretched(first), stretched(second)
         assert first.runs[:, 1].max() > STRETCH and second.runs[:, 1].max() > STRETCH
         assert check_run_walk(first, second) == []
@@ -433,13 +434,13 @@ def test_families_hold_a_repeat_and_a_missing_symbol():
 
 
 def test_engine_crash_reported_not_raised():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     failures = check_pair(first, second, engine_factory=ExplodingEngine)
     assert failures == ["engine build raised RuntimeError: boom"]
 
 
 def test_check_pair_clean_on_micro_example():
-    first, second, _ = make_pair("aab", "ab")
+    first, second = make_pair("aab", "ab")
     assert check_pair(first, second) == []
 
 
@@ -461,8 +462,35 @@ def test_random_text_shape():
 
 
 def test_rle_record_round_trip():
-    first, second, alphabet = make_pair("aaabba", "abbb")
-    text = rle_record(first, alphabet) + "\n" + rle_record(second, alphabet)
+    first, second = make_pair("aaabba", "abbb")
+    text = rle_record(first) + "\n" + rle_record(second)
     seqs, _ = parse_rle_text(text)
     assert [s.runs.tolist() for s in seqs] == [first.runs.tolist(), second.runs.tolist()]
     assert [s.name for s in seqs] == ["X", "Y"]
+
+
+# the run-length format's symbols: printable, neither an ASCII digit nor
+# whitespace
+_TOKEN_SYMBOLS = st.characters().filter(
+    lambda ch: ch.isprintable() and not ch.isspace() and ch not in "0123456789"
+)
+
+
+@given(st.text(alphabet=_TOKEN_SYMBOLS, min_size=1, max_size=40))
+@example("é😀ж>a")
+def test_rle_record_replays_ids(text):
+    # a stripped line that starts with ">" is a header, so no record's
+    # first run can be ">"
+    assume(not text.startswith(">"))
+    seq = encode(text, "s")
+    (replayed,), _ = parse_rle_text(rle_record(seq))
+    assert replayed.runs.tolist() == seq.runs.tolist()
+
+
+def test_check_pair_renders_every_id():
+    # the two largest ids, U+10FFFE and U+10FFFF, pass every brute check
+    top = MAX_SYMBOL_ID
+    first = RleSeq("X", [(top, 3), (top - 1, 2), (FIRST_SYMBOL_ID, 1), (top, 1)])
+    second = RleSeq("Y", [(top - 1, 1), (top, 2), (FIRST_SYMBOL_ID, 2)])
+    assert check_pair(first, second) == []
+    assert check_pair(second, first) == []
