@@ -20,6 +20,10 @@ reading a long-run FASTA text, the one step whose work follows the decoded
 length, and reading a run-length text shaped like a large pair into
 sequences, whose work follows the characters of its tokens.
 
+Two family rows time dist_matrix's stages, one build, one column per
+record and its batched totals, then the pairwise distances, on k = 40 and
+k = 160 mutants of one random root (mutant_family), with no gate.
+
 Every engine row also reports the trie's node and internal node counts and
 the bytes per run of its lifting rows, which cover the internal nodes only:
 the O(N log N) part of the engine's memory, printed with no gate.
@@ -33,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rleacs.engine import AcsEngine
+from rleacs.engine import AcsEngine, _distance
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     RleSeq,
@@ -62,6 +66,14 @@ RLE_RUNS = 1 << 14
 RLE_MEAN_RUN = 8
 RLE_BIG = 8
 RLE_PER_LINE = 16
+# the family rows: FAMILY_SIZES records, each a mutant of one root of
+# FAMILY_LENGTH characters over acgt in runs of mean FAMILY_MEAN_RUN, every
+# character substituted, deleted or followed by an insertion with total
+# probability FAMILY_RATE
+FAMILY_SIZES = (40, 160)
+FAMILY_LENGTH = 1000
+FAMILY_MEAN_RUN = 1.5
+FAMILY_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -239,6 +251,90 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     x, m = GIANT_LONG, GIANT_SHORT
     expected = Fraction(m * (x - m) + m * (m + 1) // 2, x)
     return row, Fraction(row.lsum, x), expected
+
+
+def mutant_family(
+    records: int,
+    length: int = FAMILY_LENGTH,
+    seed: int = 42,
+    *,
+    mean_run: float = FAMILY_MEAN_RUN,
+    rate: float = FAMILY_RATE,
+) -> list[RleSeq]:
+    """records independent mutants of one random root of length characters over acgt.
+
+    The root's runs have geometric lengths of mean mean_run, neighbours
+    differing. Each character of a mutant is, with probability rate / 3
+    each, replaced by another symbol, dropped, or followed by one random
+    symbol; the result is run-encoded, so mutations may merge runs.
+    """
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.integers(1, 4, size=length)) % 4
+    root = np.repeat(walk, rng.geometric(1 / mean_run, size=length))[:length]
+    family = []
+    for k in range(records):
+        draw = rng.random(length)
+        chars = root.copy()
+        swap = draw < rate / 3
+        chars[swap] = (chars[swap] + rng.integers(1, 4, size=int(swap.sum()))) % 4
+        keep = (draw < rate / 3) | (draw >= 2 * rate / 3)
+        insert = (draw[keep] >= 2 * rate / 3) & (draw[keep] < rate)
+        text = np.repeat(chars[keep], 1 + insert)
+        # each insertion is the second copy of its character
+        added = np.cumsum(1 + insert)[insert] - 1
+        text[added] = rng.integers(0, 4, size=len(added))
+        starts = np.flatnonzero(np.diff(text, prepend=-1))
+        lengths = np.diff(starts, append=len(text))
+        family.append(RleSeq(f"m{k}", np.column_stack((FIRST_SYMBOL_ID + text[starts], lengths))))
+    return family
+
+
+def family_row(records: int, seed: int = 42, *, reps: int = 1) -> tuple:
+    """dist_matrix's stages on mutant_family(records), one thread, timed apart:
+    (label, runs, build_s, columns_s, totals_s, distances_s).
+
+    Each column is annotated, answers the family in one batch and is
+    dropped, as dist_matrix does, so columns_s and totals_s are sums over
+    the records. Each stage's time is the best of reps passes. The row is a
+    plain tuple: a dataclass here, imported with the CLI by every command,
+    put about 0.1 MB on the resident peak of a FASTA dist.
+    """
+    seqs = mutant_family(records, seed=seed)
+    best = [float("inf")] * 4
+    for _ in range(max(reps, 1)):
+        t0 = time.perf_counter()
+        engine = AcsEngine(*seqs)
+        times = [time.perf_counter() - t0, 0.0, 0.0, 0.0]
+        totals = []
+        for j in range(records):
+            t0 = time.perf_counter()
+            column = engine.column(j)
+            t1 = time.perf_counter()
+            totals.append(engine.totals(j, column))
+            times[1] += t1 - t0
+            times[2] += time.perf_counter() - t1
+        t0 = time.perf_counter()
+        for i in range(records):
+            for j in range(i + 1, records):
+                _distance(seqs[i], seqs[j], totals[j][i], totals[i][j], "e")
+        times[3] = time.perf_counter() - t0
+        best = [min(a, b) for a, b in zip(best, times)]
+    runs = sum(seq.run_count for seq in seqs)
+    return (f"family k={records} {FAMILY_LENGTH} chars", runs, *best)
+
+
+def format_family(rows: list[tuple]) -> str:
+    """Plain text table of family_row's rows."""
+    lines = [
+        f"{'label':<28} {'runs':>9} {'build_s':>9} {'columns_s':>9} "
+        f"{'totals_s':>9} {'distances_s':>11}"
+    ]
+    for label, runs, build, columns, totals, distances in rows:
+        lines.append(
+            f"{label:<28} {runs:>9} {build:>9.4f} {columns:>9.4f} "
+            f"{totals:>9.4f} {distances:>11.4f}"
+        )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

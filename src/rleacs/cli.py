@@ -218,6 +218,10 @@ def cmd_bench(config: RunConfig) -> int:
     ]
     print(bench.format_ingest(ingest))
     print()
+    print("dist_matrix stages on mutant families, one thread (no gate)")
+    families = [bench.family_row(k, config.seed, reps=config.trials) for k in bench.FAMILY_SIZES]
+    print(bench.format_family(families))
+    print()
     row, got, want = bench.giant_unary()
     print("giant unary pair (decoded 10^9 vs 10^6)")
     print(bench.format_table([row], with_ratios=False))

@@ -5,8 +5,10 @@ prefix of X[p:] occurring anywhere in a sequence Y, without ever decoding,
 from one query trie over a family that holds both (the pair for acs and
 dist, every record for dist_matrix) and Y's column of it. Positions are
 processed one run at a time: the answers within a run follow a closed form
-built from two ancestor lookups. Every run of X is answered in one batch,
-two vectorized lifting climbs, and dist_matrix answers every other record
+built from two ancestor lookups. The first is one gather from the column's
+supported table; the second equals it for most runs, and only the rest
+take a vectorized lifting climb, from the first. Every run of X is
+answered in one batch, and dist_matrix answers every run of the family
 against a column in one such batch, so a family of N total runs costs
 O(N log N) per column. All accumulation is exact integer arithmetic: in
 int64 while the family's longest run and longest record prove it exact (see
@@ -75,16 +77,18 @@ class AcsEngine:
     """Every ACS between the sequences of a family, from one query trie over them.
 
     AcsEngine(*seqs) builds the family's trie once and keeps no suffix
-    order; a pair is the family of k = 2. column(j) annotates seqs[j]'s
-    column, which holds all that a query against seqs[j] reads. total(i,
-    column) and run_sums(i, column) score seqs[i] against the column's
-    sequence, and totals(j, column) scores every other sequence against
-    seqs[j] in one batch. A column answers every sequence but its own: a
-    run's self-match needs its own leaf, which no climb visits. Instances
-    keep the caller's sequences, are immutable after construction (the trie
-    and every column are frozen records of read-only arrays) and are safe
-    to query from multiple threads. _exact builds on the limb path whatever
-    the family's runs, so the two paths can be compared.
+    order; a pair is the family of k = 2. Every run's symbol, length and
+    leaf parent are laid out once, record after record, in arrays that
+    every query slices. column(j) annotates seqs[j]'s column, which holds
+    all that a query against seqs[j] reads. total(i, column) and run_sums(i,
+    column) score seqs[i] against the column's sequence, and totals(j,
+    column) scores every other sequence against seqs[j] in one batch. A
+    column answers every sequence but its own: a run's self-match needs its
+    own leaf, which no climb visits. Instances keep the caller's sequences,
+    are immutable after construction (the trie and every column are frozen
+    records of read-only arrays) and are safe to query from multiple
+    threads. _exact builds on the limb path whatever the family's runs, so
+    the two paths can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
@@ -93,10 +97,26 @@ class AcsEngine:
         self.seqs = seqs
         # the order, rounds and all, is freed once leaf_blocks has read it
         self.trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)), _exact=_exact)
+        self._symbols = np.concatenate([seq.runs[:, 0] for seq in seqs])
+        self._lengths = np.concatenate([seq.runs[:, 1] for seq in seqs])
+        self._parents = self.trie.parent[np.concatenate(self.trie.leaves)]
+        # record i's runs are entries starts[i] to starts[i + 1]
+        self._starts = np.cumsum([0] + [seq.run_count for seq in seqs])
 
     def column(self, j: int) -> Column:
         """The column of seqs[j], annotated afresh on each call."""
         return annotate(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+
+    def _sums(self, column: Column, part: slice = slice(None)) -> np.ndarray:
+        """_closed_form of the runs in part of the family's run arrays."""
+        return _closed_form(
+            self.trie, column, self._symbols[part], self._lengths[part], self._parents[part]
+        )
+
+    def _record(self, i: int) -> slice:
+        """The entries of seqs[i]'s runs, i indexing as into seqs."""
+        i = range(len(self.seqs))[i]
+        return slice(self._starts[i], self._starts[i + 1])
 
     def run_sums(self, i: int, column: Column) -> list[int]:
         """Sum of best match lengths over the positions of each run of seqs[i].
@@ -110,61 +130,69 @@ class AcsEngine:
         over h telescopes into two weight lookups, at the deepest ancestors
         with support 1 and min(f, m).
         """
-        return exact_ints(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]))
+        return exact_ints(self._sums(column, self._record(i)))
 
     def total(self, i: int, column: Column) -> int:
         """Sum of best match lengths over every position of seqs[i]."""
-        return exact_total(_closed_form(self.trie, column, self.seqs[i].runs, self.trie.leaves[i]))
+        return exact_total(self._sums(column, self._record(i)))
 
     def totals(self, j: int, column: Column) -> list[int]:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
 
-        The runs of all the other sequences are answered in one batch, one
-        _closed_form call, and summed per sequence in one pass (exact_totals).
+        Every run of the family is answered in one batch, one _closed_form
+        call, and summed per sequence in one pass (exact_totals). seqs[j]'s
+        own runs are answered too, and their total dropped: the column's
+        longest run of each symbol is at least the run's own length, so g =
+        f, and the root qualifies, as for any run.
         """
-        others = [i for i in range(len(self.seqs)) if i != j]
-        totals = [0] * len(self.seqs)
-        if not others:
-            return totals
-        runs = np.concatenate([self.seqs[i].runs for i in others])
-        leaves = np.concatenate([self.trie.leaves[i] for i in others])
-        sums = _closed_form(self.trie, column, runs, leaves)
-        starts = np.cumsum([0] + [self.seqs[i].run_count for i in others[:-1]])
-        for i, total in zip(others, exact_totals(sums, starts)):
-            totals[i] = total
+        totals = exact_totals(self._sums(column), self._starts[:-1])
+        totals[j] = 0
         return totals
 
 
-def _closed_form(trie: SymbolTrie, column: Column, runs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Exact run sums, in the column's weight layout, for the (symbol, length) rows of runs.
+def _closed_form(
+    trie: SymbolTrie,
+    column: Column,
+    symbols: np.ndarray,
+    lengths: np.ndarray,
+    parents: np.ndarray,
+) -> np.ndarray:
+    """Exact run sums, in the column's weight layout, for runs of these symbols and lengths.
 
-    leaves holds the leaf after each run. With m the column's longest run
-    of the run's symbol, g = min(f, m) and v, u the deepest ancestors with
-    support 1 and g, every run sums to
+    parents holds the parent of the leaf after each run. With m the
+    column's longest run of the run's symbol, g = min(f, m) and v, u the
+    deepest ancestors with support 1 and g, every run sums to
     weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
     For f <= m that is the telescoped sum itself. For f > m every node on
     u's root path below the root has freq m (the s-block holds no longer
     support), so weight[u] = m * depth[u] and the form reduces to
     weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
-    s-block, and the root, has weight 0. Both climbs run in int64, and so
-    does rest = depth[u] + f - g, at most f + d <= D <= 2^62 (see
-    SymbolTrie). Within the trie's int64 bound the rest is int64 too, every
-    product below 2^62. Past it the sums are limbs, a (2, len(runs)) array:
-    the same value as weight[v] - weight[u] + g * rest + g * (g + 1) / 2,
-    with g * (g + 1) / 2 the product of its two halves (whichever of g and
-    g + 1 is even, halved, times the other) and a limb_carry after each
-    addition.
+    s-block, and the root, has weight 0, and so does the g = 0 product.
+
+    v is the column's supported entry at the leaf's parent, one gather. u
+    is v wherever freq[v] >= g, and only the other runs climb for it, from
+    v (SymbolTrie.climb): u is an ancestor-or-self of v, since g >= 1
+    there. The root's support is the column's longest run, at least 1 and
+    at least g, so the climb never returns -1. rest = depth[u] + f - g is
+    at most f + d <= D <= 2^62 (see SymbolTrie). Within the trie's int64
+    bound the rest is int64 too, every product below 2^62. Past it the
+    sums are limbs, a (2, len(symbols)) array: the same value as weight[v]
+    - weight[u] + g * rest + g * (g + 1) / 2, with g * (g + 1) / 2 the
+    product of its two halves (whichever of g and g + 1 is even, halved,
+    times the other) and a limb_carry after each addition. Limb weights
+    are gathered one row at a time (np.take along axis 1), several times
+    faster than a 2-D fancy index.
     """
-    lengths = runs[:, 1]
-    g = np.minimum(lengths, column.max_run[runs[:, 0]])
-    # the root's support is the column's longest run, at least 1 and at
-    # least g, so neither climb returns -1
-    v = trie.deepest_freq_ancestor(leaves, 1, column.freq)
-    u = trie.deepest_freq_ancestor(leaves, g, column.freq)
+    g = np.minimum(lengths, column.max_run[symbols])
+    v = column.supported[parents]
+    short = np.flatnonzero(column.freq[v] < g)
+    u = v.copy()
+    u[short] = trie.climb(v[short], g[short], column.freq)
     rest = trie.str_depth[u] + lengths - g
     if trie.int64:
         return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
-    (v_hi, v_lo), (u_hi, u_lo) = column.weight[:, v], column.weight[:, u]
+    v_hi, v_lo = np.take(column.weight, v, axis=1)
+    u_hi, u_lo = np.take(column.weight, u, axis=1)
     hi, lo = limb_carry(v_hi - u_hi, v_lo - u_lo)
     odd = g & 1
     for a, b in ((g, rest), (g >> (1 - odd), (g + 1) >> odd)):
@@ -270,19 +298,33 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
     """All pairwise distances from one query trie over the whole family.
 
     Each sequence's column is annotated once, answers every other sequence
-    in one batch (AcsEngine.totals), and is dropped; threads workers take
-    the columns, so at most that many are alive at once. A failing pair
-    raises ValueError naming it; with several, the first in row order,
-    whatever the thread count. An unknown log base is refused before the build.
+    in one batch (AcsEngine.totals), and is dropped. The calling thread and
+    threads - 1 workers (no more than there are columns) take the columns
+    in turn from one shared iterator, so at most threads columns are alive
+    at once, and threads = 1 starts no thread. A failing pair raises
+    ValueError naming it; with several, the first in row order, whatever
+    the thread count. An unknown log base is refused before the build.
     """
     _check_log_base(log_base)
     engine = AcsEngine(*seqs)
+    totals: list[list[int]] = [[] for _ in seqs]
+    # a range iterator's next() is one call into C, so threads sharing it
+    # under the GIL each take a column no other thread takes
+    columns = iter(range(len(seqs)))
 
-    def against(j: int) -> list[int]:
-        return engine.totals(j, engine.column(j))
+    def work() -> None:
+        for j in columns:
+            totals[j] = engine.totals(j, engine.column(j))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        totals = list(pool.map(against, range(len(seqs))))
+    workers = min(threads, len(seqs)) - 1
+    if workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+            work()
+            for future in futures:
+                future.result()
+    else:
+        work()
     grid = [[0.0] * len(seqs) for _ in seqs]
     for i, j in combinations(range(len(seqs)), 2):
         try:

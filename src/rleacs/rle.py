@@ -228,7 +228,7 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
     symbols = cps[starts]
 
     # isprintable is asked once per distinct token symbol
-    unprintable = [c for c in np.unique(symbols).tolist() if not chr(c).isprintable()]
+    unprintable = [c for c in _distinct(symbols).tolist() if not chr(c).isprintable()]
 
     # the first failing token is reported, by the first check it fails; a
     # token is bad if its symbol is a digit, it has no count, or a character
@@ -447,6 +447,13 @@ def _block_layout(block: str, headed: bool) -> _BlockLayout:
     return _BlockLayout(syms, bounds, breaks, newlines, gaps, lows, highs, solid)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: np.unique's first result."""
+    # with return_inverse np.unique sorts; without it, numpy 2 first imports
+    # numpy.ma to check for a mask, about 1.2 MB of resident memory
+    return np.unique(values, return_inverse=True)[0]
+
+
 def read_rle_records(stream) -> list[RunRecord]:
     """Read the run-length text format into codepoint-run records.
 
@@ -481,9 +488,7 @@ def build_text_sequences(records: list[RunRecord]) -> tuple[list[RleSeq], str]:
     """Encode codepoint-run records, each id its codepoint plus FIRST_SYMBOL_ID,
     and list the records' distinct characters, in id order, as one str."""
     codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
-    # with return_inverse np.unique sorts; without it, numpy 2 first imports
-    # numpy.ma to check for a mask, about 1.2 MB of resident memory
-    symbols = "".join(map(chr, np.unique(codepoints, return_inverse=True)[0].tolist()))
+    symbols = "".join(map(chr, _distinct(codepoints).tolist()))
     seqs = []
     for name, runs in records:
         if not len(runs):

@@ -28,12 +28,15 @@ run of each sequence. The answers against sequence j need one column, built
 by annotate: freq, the largest length of a preceding sequence-j run among
 the leaves below each node; weight, a running sum that turns "sum of
 ancestor depths over a range of thresholds" queries into two node lookups;
-and max_run, sequence j's longest run of each symbol. Ancestor searches
-climb with binary lifting, one vectorized step per row for a whole batch of
-(leaf, threshold) pairs, so a batch of q queries costs O(q log N). Every
-climb starts at a leaf's parent and every answer is a proper ancestor of a
-leaf, so the lifting rows, freq and weight cover the internal nodes only;
-the leaves, more than half the nodes, come last and are left out.
+supported, each node's deepest ancestor-or-self with freq >= 1, so the
+threshold-1 search is one gather; and max_run, sequence j's longest run of
+each symbol. Other ancestor searches climb with binary lifting
+(SymbolTrie.climb), one vectorized step per row for a whole batch of
+(start, threshold) pairs, so a batch of q queries costs O(q log N). Every
+search starts at a leaf's parent or above and every answer is a proper
+ancestor of a leaf, so the lifting rows and the column cover the internal
+nodes only; the leaves, more than half the nodes, come last and are left
+out.
 
 The arithmetic is chosen once per build, from the runs: while 4 * M * D <=
 2^62, with M the family's longest run and D its longest record's decoded
@@ -116,44 +119,52 @@ class SymbolTrie:
     def node_count(self) -> int:
         return len(self.parent)
 
-    def deepest_freq_ancestor(self, leaves, thresholds, freq: np.ndarray) -> np.ndarray:
-        """Deepest proper ancestor of each leaf with freq >= its threshold, or -1.
+    def climb(self, starts: np.ndarray, thresholds, freq: np.ndarray) -> np.ndarray:
+        """Deepest ancestor-or-self of each internal start node with freq >= its threshold, or -1.
 
-        leaves and thresholds are int64 arrays (or broadcast against each
+        starts and thresholds are int64 arrays (or broadcast against each
         other); the result has one node per pair. freq, a column's, never
         decreases toward the root, so the qualifying ancestors form a prefix
-        of the root path. Every step of the climb lands on an internal
-        node, which is all that freq and the lifting rows cover. The climb
-        starts at the parent, takes every lifting jump that stays strictly
-        below the threshold, from the longest down, one np.where per row,
-        and then steps to the parent, the answer if it qualifies and -1 if
-        not. The start is at most 2^rows levels below the root and the jumps
-        reach 2^rows - 1 of them, so they stop at the shallowest node below
-        the threshold, or one level under the root when the root is below
-        it too. (Past the root the step reads freq[-1], but returns -1
-        either way.)
+        of the root path, and a start that qualifies is its own answer.
+        Every step lands on an internal node, which is all that freq and the
+        lifting rows cover. The climb takes every lifting jump that stays
+        strictly below the threshold, from the longest down, one np.where
+        per row, and then steps to the parent, the answer if it qualifies
+        and -1 if not. A start is at most 2^rows levels below the root and
+        the jumps reach 2^rows - 1 of them, so they stop at the shallowest
+        node below the threshold, or one level under the root when the root
+        is below it too. (Past the root the step reads freq[-1], but returns
+        -1 either way.)
         """
         thresholds = np.asarray(thresholds, dtype=np.int64)
-        v = self.parent[np.asarray(leaves, dtype=np.int64)]
+        v = starts
         for row in reversed(self.up):
             a = row[v]
             v = np.where(freq[a] < thresholds, a, v)
         above = self.parent[v]
         return np.where(freq[v] >= thresholds, v, np.where(freq[above] >= thresholds, above, -1))
 
+    def deepest_freq_ancestor(self, leaves, thresholds, freq: np.ndarray) -> np.ndarray:
+        """Deepest proper ancestor of each leaf with freq >= its threshold, or -1:
+        the climb from each leaf's parent."""
+        return self.climb(self.parent[np.asarray(leaves, dtype=np.int64)], thresholds, freq)
+
 
 @dataclass(frozen=True, eq=False)
 class Column:
     """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
-    freq per internal node and max_run per symbol id, and weight per
-    internal node in int64 or, past the trie's int64 bound, as a (2,
+    freq and supported per internal node, max_run per symbol id, and weight
+    per internal node in int64 or, past the trie's int64 bound, as a (2,
     internal) int64 array of limbs, rows hi and lo, weight = hi * 2^62 + lo
-    (exact_ints reads them). Node v < trie.internal is entry v; the leaves
-    have none, since no climb and no closed form reads them."""
+    (exact_ints reads them). supported[v] is v's deepest ancestor-or-self
+    with freq >= 1, the threshold-1 climb's answer from v. Node v <
+    trie.internal is entry v; the leaves have none, since no climb and no
+    closed form reads them."""
 
     freq: np.ndarray
     weight: np.ndarray
     max_run: np.ndarray
+    supported: np.ndarray
 
 
 def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -271,6 +282,14 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     step and partial sum is at most M * D <= 2^60 (see SymbolTrie) and
     they are summed in int64; on a limb trie, _exact ones included, each
     step is a limb_product and each addition is followed by a limb_carry.
+
+    supported is the threshold-1 climb from every internal node at once, by
+    pointer doubling: each node first points to itself where freq >= 1 and
+    to its parent, clamped at the root, where not, and then len(trie.up)
+    rounds of ptr = ptr[ptr] follow each pointer 2^rows steps, at least the
+    node's level (see _lifting_rows). Nodes with freq >= 1 point to
+    themselves, and freq never decreases toward the root, so a pointer stops
+    at the first such node up; the root, with the column's maximum, is one.
     """
     max_run = np.zeros(trie.symbols, dtype=np.int64)
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
@@ -282,7 +301,8 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     freq[0] = freq.max()
     freq.flags.writeable = False
     inner = slice(trie.internal)
-    step = trie.str_depth[inner] - trie.str_depth[np.maximum(trie.parent[inner], 0)]
+    above = np.maximum(trie.parent[inner], 0)
+    step = trie.str_depth[inner] - trie.str_depth[above]
     if trie.int64:
         weight = freq * step
         for row in trie.up:
@@ -293,7 +313,11 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
             hi, lo = limb_carry(hi + hi[row], lo + lo[row])
         weight = np.stack((hi, lo))
     weight.flags.writeable = False
-    return Column(freq, weight, max_run)
+    supported = np.where(freq > 0, np.arange(trie.internal, dtype=np.int64), above)
+    for _ in trie.up:
+        supported = supported[supported]
+    supported.flags.writeable = False
+    return Column(freq, weight, max_run, supported)
 
 
 @dataclass(frozen=True, eq=False)

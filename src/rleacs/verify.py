@@ -9,8 +9,9 @@ decimal reference distance (or, for a pair without a distance, its refusal
 by dist and dist_matrix), and the query trie: node for node against the
 stack sweep's trie (_sweep_compact_trie) over the same leaves and gaps, its
 str_depths against interval mins of the run walker's gaps, and each column
-against brute_column. The brute sort alone checks the suffix order and its
-lcps; no trie over every suffix is built.
+against brute_column, its supported table against a walk up from each
+node. The brute sort alone checks the suffix order and its lcps; no trie
+over every suffix is built.
 Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
 stream of its own, holding a repeated record and one that lacks a symbol
 another has, and checks every ordered pair's total and run sums from the
@@ -429,6 +430,7 @@ def _exact_checks(
         column.freq.tolist() != rebuilt.freq.tolist()
         or exact_ints(column.weight) != exact_ints(rebuilt.weight)
         or column.max_run.tolist() != rebuilt.max_run.tolist()
+        or column.supported.tolist() != rebuilt.supported.tolist()
     ):
         failures.append(f"{label} column {j} differs from the exact path's")
     if engine.totals(j, column) != exact.totals(j, rebuilt):
@@ -458,9 +460,12 @@ def brute_column(trie: SymbolTrie, leaves, lengths) -> tuple[list[int], list[int
 def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -> list[str]:
     """The column covers the internal nodes and is brute_column's for sequence
     j's runs: freq the subtree maximum of the preceding runs, so it never
-    decreases toward the root, and weight its telescoped root-path sum."""
+    decreases toward the root, weight its telescoped root-path sum, and
+    supported at each node the first node with that freq >= 1 on a walk up
+    from it (the root, if none below it is)."""
     internal = trie.internal
-    if column.freq.shape != (internal,) or column.weight.shape[-1] != internal:
+    shapes = (column.freq.shape, column.supported.shape, column.weight.shape[-1:])
+    if shapes != ((internal,),) * 3:
         return [f"{label}column covers {len(column.freq)} nodes, not the {internal} internal ones"]
     failures = []
     freq = column.freq.tolist()
@@ -476,6 +481,20 @@ def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -
     wrong = [v for v in range(internal) if weight[v] != telescoped[v]]
     if wrong:
         failures.append(f"{label}weight at node {wrong[0]} breaks telescoping")
+    parent = trie.parent.tolist()
+    walked = []
+    for v in range(internal):
+        while v and best[v] < 1:
+            v = parent[v]
+        walked.append(v)
+    supported = column.supported.tolist()
+    wrong = [v for v in range(internal) if supported[v] != walked[v]]
+    if wrong:
+        v = wrong[0]
+        failures.append(
+            f"{label}supported at node {v} is {supported[v]}, not {walked[v]}, "
+            "its deepest ancestor-or-self with a preceding run"
+        )
     return failures
 
 

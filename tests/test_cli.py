@@ -254,6 +254,8 @@ def test_bench_smoke(capsys):
     assert "periodic runs=16384" in out and "fibonacci runs=16384" in out
     assert "fasta ingest" in out and "chars_per_s" in out
     assert "run-length ingest" in out and "rle 2x16384 runs 16/line" in out
+    assert "family k=40 1000 chars" in out and "family k=160 1000 chars" in out
+    assert "distances_s" in out
     assert "closed form check: ok" in out
 
 

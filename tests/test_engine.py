@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rleacs.engine
-from conftest import at_bound, make_pair
+from conftest import at_bound, make_pair, random_runny_text
 from rleacs.engine import (
     AcsEngine,
     _closed_form,
@@ -94,10 +97,11 @@ def _batch_agrees(engine, i, j):
     and add up to total and to the column's batched totals."""
     column = engine.column(j)
     sums = engine.run_sums(i, column)
-    runs, leaves = engine.seqs[i].runs, engine.trie.leaves[i]
+    # symbols, lengths and leaf parents
+    arrays = (*engine.seqs[i].runs.T, engine.trie.parent[engine.trie.leaves[i]])
     singles = [
-        exact_ints(_closed_form(engine.trie, column, runs[k : k + 1], leaves[k : k + 1]))[0]
-        for k in range(len(runs))
+        exact_ints(_closed_form(engine.trie, column, *(a[k : k + 1] for a in arrays)))[0]
+        for k in range(engine.seqs[i].run_count)
     ]
     assert sums == singles
     assert sum(sums) == engine.total(i, column) == engine.totals(j, column)[i]
@@ -278,13 +282,81 @@ def test_dist_matrix_matches_pair_distances(texts):
                 expect[i][j] = expect[j][i] = dist(seqs[i], seqs[j]).value
             except ValueError as exc:
                 first_error = first_error or f"pair s{i}/s{j}: {exc}"
-    for threads in (1, 2):
+    for threads in (1, 2, 3, 4):
         if first_error is None:
             assert dist_matrix(seqs, threads=threads) == expect
         else:
             with pytest.raises(ValueError) as caught:
                 dist_matrix(seqs, threads=threads)
             assert str(caught.value) == first_error
+
+
+def test_dist_matrix_on_one_thread_starts_none(monkeypatch):
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(("aab", "abb", "ba"))]
+    expect = dist_matrix(seqs, threads=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(rleacs.engine, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "__init__", refuse)
+    assert dist_matrix(seqs, threads=1) == expect
+
+
+def test_dist_matrix_workers_stop_at_the_column_count(monkeypatch):
+    # the calling thread takes columns too, so k columns need k - 1 workers
+    # at most, however many threads are asked for
+    asked = []
+    pool = rleacs.engine.ThreadPoolExecutor
+
+    def counted(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(rleacs.engine, "ThreadPoolExecutor", counted)
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(("aab", "abb", "ba"))]
+    grids = [dist_matrix(seqs, threads=threads) for threads in (2, 3, 8)]
+    assert grids[0] == grids[1] == grids[2]
+    assert asked == [1, 2, 2]
+
+
+def test_dist_matrix_threads_take_each_column_once(monkeypatch):
+    # more threads than cores, switching every few microseconds, share one
+    # iterator of columns: each column is annotated once and the grid is
+    # the one-thread grid
+    rng = random.Random(31)
+    seqs = [encode(random_runny_text(rng, 300, "acgt", 3), f"s{j}") for j in range(12)]
+    expect = dist_matrix(seqs)
+    taken = []
+    column = AcsEngine.column
+
+    def counted(self, j):
+        taken.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(AcsEngine, "column", counted)
+    got = []
+    runner = threading.Thread(target=lambda: got.append(dist_matrix(seqs, threads=6)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [expect]
+    assert sorted(taken) == list(range(len(seqs)))
+
+
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=30), min_size=1, max_size=5))
+def test_totals_are_each_total_and_zero_at_the_column(texts):
+    # one batch over every run of the family, the column's own included and dropped
+    engine = AcsEngine(*(encode(text, f"s{j}") for j, text in enumerate(texts)))
+    for j in range(len(texts)):
+        column = engine.column(j)
+        expect = [0 if i == j else engine.total(i, column) for i in range(len(texts))]
+        assert engine.totals(j, column) == expect
 
 
 def test_dist_value_formula_layer():

@@ -1,8 +1,12 @@
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -673,3 +677,25 @@ def test_token_reader_matches_the_reference(lines, newline, block_chars):
         else:
             records = read_rle_records(text)
             assert [(r.name, r.runs.tolist()) for r in records] == expected
+
+
+def test_run_length_parse_and_dist_load_no_masked_arrays():
+    # numpy 2's np.unique imports numpy.ma unless asked for an inverse,
+    # about 1.2 MB resident; numpy 1.x loads numpy.ma with numpy itself, so
+    # only the modules a bare import leaves out count
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from rleacs.engine import dist\n"
+        "from rleacs.rle import parse_rle_text\n"
+        "seqs, _ = parse_rle_text('>x\\na3 b2 a1 c4\\n>y\\nb2 a4 c1\\n')\n"
+        "dist(*seqs)\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(rle.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

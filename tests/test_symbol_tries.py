@@ -459,6 +459,34 @@ def test_searches_match_linear_walk_random():
             assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
 
 
+def test_supported_matches_linear_walk_random():
+    # every internal node's threshold-1 answer, against a walk up from it,
+    # in pairs and in families of 3 to 5 records
+    rng = random.Random(29)
+    # a periodic record over a short one: long chains of nodes with freq 0
+    families = [["ab" * 40, "ab" * 2], ["ab" * 40, "ab" * 2, "ba" * 7]]
+    for trial in range(60):
+        k = 2 if trial % 2 else rng.randint(3, 5)
+        families.append([random_runny_text(rng, rng.randint(2, 60), "abc", 5) for _ in range(k)])
+    for texts in families:
+        k = len(texts)
+        engine = AcsEngine(*(encode(text, f"s{j}") for j, text in enumerate(texts)))
+        trie = engine.trie
+        parent = trie.parent.tolist()
+        for j in range(k):
+            column = engine.column(j)
+            freq = column.freq.tolist()
+            walked = []
+            for v in range(trie.internal):
+                while v and freq[v] < 1:
+                    v = parent[v]
+                walked.append(v)
+            assert column.supported.tolist() == walked
+            # the climb from a node answers threshold 1 with its own entry
+            nodes = np.arange(trie.internal, dtype=np.int64)
+            assert trie.climb(nodes, 1, column.freq).tolist() == walked
+
+
 @given(
     st.text(alphabet="ab", min_size=1, max_size=50),
     st.text(alphabet="ab", min_size=1, max_size=50),

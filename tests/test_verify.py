@@ -22,7 +22,6 @@ from rleacs.suffixes import SuffixOrder, build_suffix_order
 from rleacs.symbol_tries import (
     annotate,
     extract_symbol_tries,
-    leaf_blocks,
     limb_product,
 )
 from rleacs.verify import (
@@ -43,32 +42,39 @@ from conftest import make_pair
 
 
 def column_as_min(trie, leaves, runs):
-    """A column whose support is a subtree minimum, not a maximum.
+    """A column whose support is a subtree minimum over every leaf below, a
+    leaf of another record counting 0, not the maximum over the column's own.
 
-    Weights are built from it as annotate would, and the root keeps the
-    column's true support, so every climb stays defined and the fault shows
-    as wrong answers, not as a crash. A parent is strictly shallower than
-    its children, so nodes by str_depth go parents first. Every engine it
-    serves is on the int64 path, so the weights are int64. Like annotate's,
-    its arrays cover the internal nodes only.
+    Weights and the supported table are built from it as annotate would,
+    and the root keeps the column's true support, so every climb stays
+    defined and the fault shows as wrong answers, not as a crash: nearly
+    every run's threshold-1 ancestor is the root. A parent is strictly
+    shallower than its children, so nodes by str_depth go parents first.
+    Every engine it serves is on the int64 path, so the weights are int64.
+    Like annotate's, its arrays cover the internal nodes only.
     """
     true = annotate(trie, leaves, runs)
-    big = 1 << 62
-    best = np.full(trie.node_count, big, dtype=np.int64)
+    best = np.zeros(trie.node_count, dtype=np.int64)
+    best[: trie.internal] = 1 << 62  # above every leaf; each internal node has one below
     best[leaves] = runs[:, 1]
     by_depth = np.argsort(trie.str_depth, kind="stable").tolist()
     for v in by_depth[:0:-1]:
         p = trie.parent[v]
         best[p] = min(best[p], best[v])
-    best[best == big] = 0
     best[0] = true.freq[0]
     weight = [0] * trie.node_count
+    supported = list(range(trie.node_count))
     for v in by_depth[1:]:
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
+        if best[v] < 1:
+            supported[v] = supported[p]
     inner = slice(trie.internal)
     return dataclasses.replace(
-        true, freq=best[inner], weight=np.array(weight[inner], dtype=np.int64)
+        true,
+        freq=best[inner],
+        weight=np.array(weight[inner], dtype=np.int64),
+        supported=np.array(supported[inner], dtype=np.int64),
     )
 
 
@@ -86,6 +92,19 @@ class FamilyMin(AcsEngine):
         if len(self.seqs) > 2:
             return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
         return super().column(j)
+
+
+class SupportedUnclimbed(AcsEngine):
+    """Planted bug: the supported table skips its pointer doubling, so a node
+    without a preceding run below points to its parent, not to its deepest
+    ancestor with one."""
+
+    def column(self, j):
+        column = super().column(j)
+        trie = self.trie
+        own = np.arange(trie.internal, dtype=np.int64)
+        start = np.where(column.freq > 0, own, np.maximum(trie.parent[: trie.internal], 0))
+        return dataclasses.replace(column, supported=start)
 
 
 class ReverseReadsForward(AcsEngine):
@@ -139,10 +158,13 @@ class GapOffByOne(AcsEngine):
     """
 
     def __init__(self, *seqs, _exact=False):
-        self.seqs = seqs
-        order = build_suffix_order(*seqs)
-        fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(order)}
-        self.trie = extract_symbol_tries(leaf_blocks(FirstGapDeeper(**fields)), _exact=_exact)
+        def deeper(*seqs):
+            order = build_suffix_order(*seqs)
+            fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(order)}
+            return FirstGapDeeper(**fields)
+
+        with mock.patch.object(rleacs.engine, "build_suffix_order", deeper):
+            super().__init__(*seqs, _exact=_exact)
 
 
 class ShallowerGapLeaf(AcsEngine):
@@ -153,25 +175,31 @@ class ShallowerGapLeaf(AcsEngine):
     """
 
     def __init__(self, *seqs, _exact=False):
-        super().__init__(*seqs, _exact=_exact)
-        parent = self.trie.parent.tolist()
-        str_depth = self.trie.str_depth.tolist()
-        leaves = np.sort(np.concatenate(self.trie.leaves)).tolist()
+        with mock.patch.object(rleacs.engine, "extract_symbol_tries", leaves_on_shallower_gaps):
+            super().__init__(*seqs, _exact=_exact)
 
-        def path(v):
-            while v >= 0:
-                yield v
-                v = parent[v]
 
-        def meet(a, b):
-            above = set(path(a))
-            return next(v for v in path(b) if v in above)
+def leaves_on_shallower_gaps(blocks, *, _exact=False):
+    """extract_symbol_tries with ShallowerGapLeaf's planted bug."""
+    trie = extract_symbol_tries(blocks, _exact=_exact)
+    parent = trie.parent.tolist()
+    str_depth = trie.str_depth.tolist()
+    leaves = np.sort(np.concatenate(trie.leaves)).tolist()
 
-        gaps = [0, *(meet(a, b) for a, b in zip(leaves, leaves[1:])), 0]
-        for k, leaf in enumerate(leaves):
-            parent[leaf] = min(gaps[k], gaps[k + 1], key=str_depth.__getitem__)
-        # only leaves move, so the lifting rows, over the internal nodes, stay
-        self.trie = dataclasses.replace(self.trie, parent=np.array(parent, dtype=np.int64))
+    def path(v):
+        while v >= 0:
+            yield v
+            v = parent[v]
+
+    def meet(a, b):
+        above = set(path(a))
+        return next(v for v in path(b) if v in above)
+
+    gaps = [0, *(meet(a, b) for a, b in zip(leaves, leaves[1:])), 0]
+    for k, leaf in enumerate(leaves):
+        parent[leaf] = min(gaps[k], gaps[k + 1], key=str_depth.__getitem__)
+    # only leaves move, so the lifting rows, over the internal nodes, stay
+    return dataclasses.replace(trie, parent=np.array(parent, dtype=np.int64))
 
 
 class JumpOneShort(AcsEngine):
@@ -270,6 +298,22 @@ def test_family_column_fault_is_caught_and_replayable():
     assert 3 <= len(seqs) <= 5
     assert check_family(seqs, engine_factory=FamilyMin)
     assert check_family(seqs) == []
+
+
+def test_unclimbed_supported_table_is_caught_and_replayable():
+    # a node with freq 0 has its parent's weight, so a climb start left on
+    # such a node gives the same totals: only the column checks see it
+    shallow = run_verification(
+        seed=5, trials=12, n_max=60, engine_factory=SupportedUnclimbed, deep=False
+    )
+    assert shallow.ok
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=SupportedUnclimbed)
+    assert report.failure.startswith("trial 0: ")
+    assert "raised" not in report.failure
+    assert re.search(r"query trie: supported at node \d+ is \d+, not \d+", report.failure)
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert check_pair(*seqs, engine_factory=SupportedUnclimbed)
+    assert check_pair(*seqs) == []
 
 
 def test_block_gap_fault_is_caught_and_replayable():
