@@ -253,24 +253,19 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     return row, Fraction(row.lsum, x), expected
 
 
-def mutant_family(
-    records: int,
-    length: int = FAMILY_LENGTH,
-    seed: int = 42,
-    *,
-    mean_run: float = FAMILY_MEAN_RUN,
-    rate: float = FAMILY_RATE,
-) -> list[RleSeq]:
-    """records independent mutants of one random root of length characters over acgt.
+def mutant_family(records: int, seed: int = 42) -> list[RleSeq]:
+    """records independent mutants of one random root of FAMILY_LENGTH characters over acgt.
 
-    The root's runs have geometric lengths of mean mean_run, neighbours
-    differing. Each character of a mutant is, with probability rate / 3
-    each, replaced by another symbol, dropped, or followed by one random
-    symbol; the result is run-encoded, so mutations may merge runs.
+    The root's runs have geometric lengths of mean FAMILY_MEAN_RUN,
+    neighbours differing. Each character of a mutant is, with probability
+    FAMILY_RATE / 3 each, replaced by another symbol, dropped, or followed
+    by one random symbol; the result is run-encoded, so mutations may merge
+    runs.
     """
+    length, rate = FAMILY_LENGTH, FAMILY_RATE
     rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.integers(1, 4, size=length)) % 4
-    root = np.repeat(walk, rng.geometric(1 / mean_run, size=length))[:length]
+    root = np.repeat(walk, rng.geometric(1 / FAMILY_MEAN_RUN, size=length))[:length]
     family = []
     for k in range(records):
         draw = rng.random(length)
@@ -295,11 +290,9 @@ def family_row(records: int, seed: int = 42, *, reps: int = 1) -> tuple:
 
     Each column is annotated, answers the family in one batch and is
     dropped, as dist_matrix does, so columns_s and totals_s are sums over
-    the records. Each stage's time is the best of reps passes. The row is a
-    plain tuple: a dataclass here, imported with the CLI by every command,
-    put about 0.1 MB on the resident peak of a FASTA dist.
+    the records. Each stage's time is the best of reps passes.
     """
-    seqs = mutant_family(records, seed=seed)
+    seqs = mutant_family(records, seed)
     best = [float("inf")] * 4
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()

@@ -299,32 +299,29 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
 
     Each sequence's column is annotated once, answers every other sequence
     in one batch (AcsEngine.totals), and is dropped. The calling thread and
-    threads - 1 workers (no more than there are columns) take the columns
-    in turn from one shared iterator, so at most threads columns are alive
-    at once, and threads = 1 starts no thread. A failing pair raises
+    threads - 1 workers (no more than there are columns) each take every
+    threads-th column from its own first one, so at most threads columns are
+    alive at once, and threads = 1 starts no thread. A failing pair raises
     ValueError naming it; with several, the first in row order, whatever
     the thread count. An unknown log base is refused before the build.
     """
     _check_log_base(log_base)
     engine = AcsEngine(*seqs)
     totals: list[list[int]] = [[] for _ in seqs]
-    # a range iterator's next() is one call into C, so threads sharing it
-    # under the GIL each take a column no other thread takes
-    columns = iter(range(len(seqs)))
+    stride = min(threads, len(seqs))
 
-    def work() -> None:
-        for j in columns:
+    def work(first: int) -> None:
+        for j in range(first, len(seqs), stride):
             totals[j] = engine.totals(j, engine.column(j))
 
-    workers = min(threads, len(seqs)) - 1
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work) for _ in range(workers)]
-            work()
+    if stride > 1:
+        with ThreadPoolExecutor(max_workers=stride - 1) as pool:
+            futures = [pool.submit(work, w) for w in range(1, stride)]
+            work(0)
             for future in futures:
                 future.result()
     else:
-        work()
+        work(0)
     grid = [[0.0] * len(seqs) for _ in seqs]
     for i, j in combinations(range(len(seqs)), 2):
         try:

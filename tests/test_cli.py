@@ -1,9 +1,23 @@
 """End-to-end CLI tests: exit codes, report formats, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from rleacs.bench import DOUBLING_MIN, doubling_sweep
-from rleacs.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, format_phylip, main
+from rleacs import cli
+from rleacs.bench import DOUBLING_MAX, DOUBLING_MIN, doubling_sweep
+from rleacs.cli import (
+    BENCH_RUNS_MAX,
+    BENCH_RUNS_MIN,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    format_phylip,
+    main,
+)
 
 
 @pytest.fixture()
@@ -262,6 +276,29 @@ def test_bench_smoke(capsys):
 def test_doubling_sweep_rejects_a_smaller_maximum():
     with pytest.raises(ValueError, match=f"max_tokens >= {DOUBLING_MIN}"):
         doubling_sweep(DOUBLING_MIN - 1)
+
+
+def test_bench_bounds_match_the_doubling_sweep():
+    assert (BENCH_RUNS_MIN, BENCH_RUNS_MAX) == (DOUBLING_MIN, DOUBLING_MAX)
+
+
+def test_commands_other_than_bench_do_not_load_it(tmp_path):
+    # rleacs.bench is about 85 KB of code and docstrings that only the bench
+    # subcommand runs
+    path = tmp_path / "pair.fa"
+    path.write_text(">x\nacgtt\n>y\nacct\n")
+    script = (
+        "import sys\n"
+        "from rleacs.cli import main\n"
+        f"assert main(['dist', {str(path)!r}]) == 0\n"
+        "print('rleacs.bench' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_usage_errors_exit_one(capsys):

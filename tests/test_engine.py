@@ -321,9 +321,9 @@ def test_dist_matrix_workers_stop_at_the_column_count(monkeypatch):
 
 
 def test_dist_matrix_threads_take_each_column_once(monkeypatch):
-    # more threads than cores, switching every few microseconds, share one
-    # iterator of columns: each column is annotated once and the grid is
-    # the one-thread grid
+    # more threads than cores, switching every few microseconds, each take
+    # every threads-th column: each column is annotated once and the grid
+    # is the one-thread grid
     rng = random.Random(31)
     seqs = [encode(random_runny_text(rng, 300, "acgt", 3), f"s{j}") for j in range(12)]
     expect = dist_matrix(seqs)
