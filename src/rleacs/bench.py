@@ -18,7 +18,9 @@ experiments:
 Two more rows time the layer before them all, on texts held in memory:
 reading a long-run FASTA text, the one step whose work follows the decoded
 length, and reading a run-length text shaped like a large pair into
-sequences, whose work follows the characters of its tokens.
+sequences, whose work follows the characters of its tokens. Each also
+reports the tracemalloc peak of one read, the memory ingest holds beyond
+its input.
 
 Two family rows time dist_matrix's stages, one build, one column per
 record and its batched totals, then the pairwise distances, on k = 40 and
@@ -32,6 +34,7 @@ the O(N log N) part of the engine's memory, printed with no gate.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -336,6 +339,7 @@ class IngestRow:
     chars: int
     runs: int
     read_s: float
+    peak_bytes: int  # the tracemalloc peak of one read
 
     @property
     def chars_per_s(self) -> float:
@@ -389,7 +393,8 @@ def run_length_text(seed: int) -> str:
 
 
 def _ingest_row(label: str, text: str, read, reps: int) -> IngestRow:
-    """Best of reps calls of read(text), which returns the text's run arrays."""
+    """Best of reps calls of read(text), which returns the text's run arrays,
+    and the traced peak of one more call, untimed."""
     best = float("inf")
     runs = 0
     for _ in range(max(reps, 1)):
@@ -397,7 +402,13 @@ def _ingest_row(label: str, text: str, read, reps: int) -> IngestRow:
         arrays = read(text)
         best = min(best, time.perf_counter() - t0)
         runs = sum(len(array) for array in arrays)
-    return IngestRow(label, chars=len(text), runs=runs, read_s=best)
+    tracemalloc.start()
+    try:
+        read(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return IngestRow(label, chars=len(text), runs=runs, read_s=best, peak_bytes=peak)
 
 
 def ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
@@ -423,11 +434,14 @@ def rle_ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
 
 def format_ingest(rows: list[IngestRow]) -> str:
     """Plain text table of the ingest rows."""
-    lines = [f"{'label':<28} {'chars':>9} {'runs':>14} {'read_s':>9} {'chars_per_s':>11}"]
+    lines = [
+        f"{'label':<28} {'chars':>9} {'runs':>14} {'read_s':>9} {'chars_per_s':>11} "
+        f"{'peak_MiB':>9}"
+    ]
     for row in rows:
         lines.append(
             f"{row.label:<28} {row.chars:>9} {row.runs:>14} {row.read_s:>9.4f} "
-            f"{row.chars_per_s:>11.3g}"
+            f"{row.chars_per_s:>11.3g} {row.peak_bytes / 2**20:>9.3f}"
         )
     return "\n".join(lines)
 

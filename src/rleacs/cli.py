@@ -22,7 +22,6 @@ from rleacs.rle import (
     read_rle_records,
     read_text_record,
 )
-from rleacs.verify import run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,6 +185,8 @@ def cmd_matrix(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    from rleacs.verify import run_verification
+
     report = run_verification(seed=config.seed, trials=config.trials, n_max=config.n_max)
     if report.ok:
         print(f"{report.passed}/{report.total} ok")

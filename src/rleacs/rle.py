@@ -5,12 +5,16 @@ symbol ids, column 1 the run lengths. A character's id is its codepoint
 plus FIRST_SYMBOL_ID, whatever else is encoded, so ids order as the
 characters do and any two sequences compare. A sequence carries no
 terminator; the suffix order appends one to each side of a pair when it
-builds its token string. The readers produce arrays of the same shape over raw codepoints
-(RunRecord), so no layer between a file and the sort keys walks runs one at
-a time. They read every input in blocks of whole lines (BLOCK_CHARS) and
-run-encode each block once, straight from its raw codepoints; line
-stripping, headers and line numbers are then decided on the block's runs,
-and a record's pieces are merged once.
+builds its token string. The readers produce arrays of the same shape
+over raw codepoints (RunRecord), so no layer between a file and the sort
+keys walks runs one at a time. They read every input in blocks of whole
+lines (BLOCK_CHARS). str.find locates a block's header lines; the text
+between two of them is a body piece. A text piece drops its newlines at C
+level and is run-encoded once, so every array after that pass has one
+entry per true run, not per line-cut run; line stripping is decided on
+those runs, and line numbers come from the newlines counted piece by
+piece. A token piece is read by one numpy tokenizer. A record's pieces are
+merged once.
 """
 
 from __future__ import annotations
@@ -288,6 +292,62 @@ def _blocks(source) -> Iterator[str]:
             del block  # so no block outlives its turn
 
 
+def _header_lines(block: str) -> list[tuple[int, int]]:
+    """Each header line of a block of whole lines as (start, stop): from its
+    first character to its newline, or to the block's end.
+
+    A header line is one whose first character that is not whitespace
+    (str.isspace) is ">". str.find gives the candidates; once a line has had
+    one, the search goes on from its end, so no line is read twice.
+    """
+    lines = []
+    mark = block.find(">")
+    while mark >= 0:
+        start = block.rfind("\n", 0, mark) + 1
+        stop = block.find("\n", mark)
+        if stop < 0:
+            stop = len(block)
+        if not block[start:mark].strip():
+            lines.append((start, stop))
+        mark = block.find(">", stop)
+    return lines
+
+
+def _text_runs(piece: str) -> tuple[np.ndarray, int]:
+    """The runs a piece of whole body lines keeps, as (codepoint, length) rows,
+    and the newlines it holds.
+
+    The newlines are dropped first, at C level, so the one run pass and
+    every array after it follow the runs of the lines joined. Stripping
+    each line then drops exactly the maximal whitespace stretches
+    (str.isspace) [a, b) of the joined text that hold a cut c, a <= c <= b:
+    a cut is where a newline was, or an end of the piece, which is a line's
+    edge too. Only a piece with whitespace runs looks for its newlines.
+    Equal runs a dropped stretch leaves side by side merge when the record
+    closes (_merge).
+    """
+    if piece.isascii():
+        cps = np.frombuffer(piece.encode("ascii").replace(b"\n", b""), dtype=np.uint8)
+    else:
+        cps = _codepoints(piece.replace("\n", ""))
+    bounds = _run_bounds(cps)
+    syms = cps[bounds[:-1]]
+    runs = np.column_stack((syms, np.diff(bounds)))
+    space = _is_space(syms)
+    if space.any():
+        # the first and the stop run of every maximal whitespace stretch
+        flips = np.flatnonzero(np.diff(space, prepend=False, append=False))
+        first, stop = flips[0::2], flips[1::2]
+        breaks = np.flatnonzero(_codepoints(piece) == ord("\n"))
+        cuts = np.concatenate(([0], breaks - np.arange(len(breaks)), [len(cps)]))
+        edge = cuts[np.searchsorted(cuts, bounds[first])] <= bounds[stop]
+        mark = np.zeros(len(syms) + 1, dtype=np.int8)
+        mark[first[edge]] = 1
+        mark[stop[edge]] = -1
+        runs = runs[np.cumsum(mark[:-1], dtype=np.int8) == 0]
+    return runs, len(piece) - len(cps)
+
+
 def _read_records(stream, tokens: bool, name: str | None = None) -> list[RunRecord]:
     """Records of a format whose records open with ">name" header lines.
 
@@ -295,156 +355,64 @@ def _read_records(stream, tokens: bool, name: str | None = None) -> list[RunReco
     a StringIO or a text file read with universal newlines. Every line is
     stripped (str.strip), and a line that then starts with ">" is a header.
     The input is read in blocks of whole lines (_blocks), about BLOCK_CHARS
-    characters each; each block is run-encoded once and laid out on its
-    runs (_block_layout), and only header lines are read as strings, for
-    the name. The kept runs between two headers are a body piece: as text
-    its runs, merged with equal neighbours; as tokens its span of the
-    block, which _token_runs checks and reads at once, so a record's first
-    bad token raises before the next header is checked and every
-    line-numbered error comes in line order. A record closes through
-    _merge. Run-length text (tokens) rejects repeated names; empty records
-    are refused last. With name given no line is a header: the whole input
-    is that record's body, and it may be empty.
+    characters each. str.find finds each block's header lines
+    (_header_lines); the text between two of them is a body piece, and
+    every piece is read whole: as text its kept runs (_text_runs), as
+    tokens by _token_runs, which checks them all at once. So a record's
+    first bad token raises before the next header is checked, and every
+    line-numbered error comes in line order; line numbers come from the
+    newlines counted piece by piece. A record closes through _merge.
+    Run-length text (tokens) rejects repeated names; empty records are
+    refused last. With name given no line is a header: the whole input is
+    that record's body, and it may be empty.
     """
     headed = name is None
     records: list[RunRecord] = []
     names: set[str] = set()
     pieces: list[np.ndarray] | None = None if headed else []
-    line = 1  # the line the block starts on
+    line = 1  # the line of the next character read
     for block in _blocks(stream):
-        layout = _block_layout(block, headed)
-        bounds = layout.bounds
-        lows, highs, solid = layout.lows.tolist(), layout.highs.tolist(), layout.solid.tolist()
-        if not tokens:
-            runs, cuts = layout.body_runs()
-        for k in range(len(lows)):
-            if k:
-                if pieces is not None:
-                    records.append(_merge(name, pieces, tokens))
-                head = highs[k - 1]
-                name = block[bounds[head] + 1 : bounds[lows[k]]].strip()
-                if not name:
-                    raise ParseError("missing record name", line + layout.newlines_before(head))
-                if tokens and name in names:
-                    message = f"duplicate record name {name!r}"
-                    raise ParseError(message, line + layout.newlines_before(head))
-                names.add(name)
-                pieces = []
-            if solid[k] == highs[k]:
-                continue
-            if pieces is None:
+        heads = _header_lines(block) if headed else []
+        start = 0
+        # each header line, then the block's end, closes a body piece
+        for lo, hi in [*heads, (len(block), None)]:
+            piece = block[start:lo]
+            if not piece or piece.isspace():
+                line += piece.count("\n")
+            elif pieces is None:
                 message = (
                     "run data before the first record header"
                     if tokens
                     else "sequence data before the first header"
                 )
-                raise ParseError(message, line + layout.newlines_before(solid[k]))
-            if tokens:
-                piece = block[bounds[lows[k]] : bounds[highs[k]]]
-                pieces.append(_token_runs(piece, line + layout.newlines_before(lows[k])))
+                solid = len(piece) - len(piece.lstrip())
+                raise ParseError(message, line + piece.count("\n", 0, solid))
+            elif tokens:
+                pieces.append(_token_runs(piece, line))
+                line += piece.count("\n")
             else:
-                pieces.append(runs[cuts[k] : cuts[k + 1]])
-        line += layout.newlines_before(len(layout.syms))
-        del block, layout, bounds  # so no block outlives its turn
+                runs, newlines = _text_runs(piece)
+                pieces.append(runs)
+                line += newlines
+            if hi is None:
+                break
+            if pieces is not None:
+                records.append(_merge(name, pieces, tokens))
+            name = block[lo:hi].lstrip()[1:].strip()
+            if not name:
+                raise ParseError("missing record name", line)
+            if tokens and name in names:
+                raise ParseError(f"duplicate record name {name!r}", line)
+            names.add(name)
+            pieces = []
+            start = hi
+        del block, piece  # so no block outlives its turn
     if pieces is not None:
         records.append(_merge(name, pieces, tokens))
     for record in records:
         if headed and not len(record.runs):
             raise ParseError(f"empty record {record.name}")
     return records
-
-
-class _BlockLayout(NamedTuple):
-    """A block of whole lines as runs, with its line-end whitespace and headers.
-
-    Run r has codepoint syms[r] and spans characters bounds[r] to
-    bounds[r + 1]. breaks holds the newline runs, and newlines[i] the
-    newline characters before breaks[i] (newlines[-1] those of the block).
-    The runs from gaps[0][i] to gaps[1][i] (exclusive) are a stretch of
-    line-end whitespace. The headers cut the runs into segments: segment k
-    spans the runs from lows[k] to highs[k], and for k > 0 a header line
-    runs from its ">" run, highs[k - 1], to lows[k], its newline run or the
-    run count. A segment's kept runs start at solid[k], which is highs[k]
-    when it has none.
-    """
-
-    syms: np.ndarray
-    bounds: np.ndarray
-    breaks: np.ndarray
-    newlines: np.ndarray
-    gaps: tuple[np.ndarray, np.ndarray]
-    lows: np.ndarray
-    highs: np.ndarray
-    solid: np.ndarray
-
-    def newlines_before(self, run: int) -> int:
-        """The newline characters in the block before a run (or its end, at the run count)."""
-        return int(self.newlines[np.searchsorted(self.breaks, run)])
-
-    def body_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kept runs outside header lines as (codepoint, length) rows, equal
-        neighbours merged within a segment, and cuts: segment k owns rows
-        cuts[k] to cuts[k + 1]."""
-        # +1 where a gap or a header line opens and -1 where it closes; no
-        # two gaps touch, but a header line may open where a gap closes and
-        # close inside the next gap
-        mark = np.zeros(len(self.syms) + 1, dtype=np.int8)
-        mark[self.gaps[0]] = 1
-        mark[self.gaps[1]] = -1
-        mark[self.highs[:-1]] += 1
-        mark[self.lows[1:]] -= 1
-        body = np.flatnonzero(np.cumsum(mark[:-1], dtype=np.int8) == 0)
-        syms = self.syms[body].astype(np.int64)
-        fresh = _fresh(syms)
-        opens = np.searchsorted(body, self.lows)
-        fresh[opens[opens < len(body)]] = True
-        firsts = np.flatnonzero(fresh)
-        # a merged run ends where the next begins; its length is a difference
-        # of the body runs' cumulative lengths (reduceat is slow on short runs)
-        reach = np.cumsum(np.diff(self.bounds)[body])
-        lengths = np.diff(reach[np.append(firsts, len(body))[1:] - 1], prepend=0)
-        runs = np.column_stack((syms[firsts], lengths))
-        return runs, np.append(np.searchsorted(firsts, opens), len(firsts))
-
-
-def _block_layout(block: str, headed: bool) -> _BlockLayout:
-    """Run-encode a nonempty block of whole lines and lay out its lines on the runs.
-
-    One comparison of neighbouring codepoints finds the runs; every array
-    after it has one entry per run or fewer. A maximal stretch of whitespace
-    runs (str.isspace) that holds a newline or touches an edge of the block,
-    which is a line's edge too, is what stripping the lines drops; a header
-    is a ">" run after such a stretch or at the block's start. So a stretch
-    is wholly kept or wholly dropped, and a header line starts and ends on
-    run boundaries: no character mask is needed. A segment starts at a line
-    start, so its first kept run is its first that is not whitespace.
-    """
-    cps = _codepoints(block)
-    bounds = _run_bounds(cps)
-    syms = cps[bounds[:-1]]
-    del cps
-    size = len(syms)
-    # the first and the stop run of every maximal whitespace stretch
-    space = np.zeros(size + 2, dtype=bool)
-    space[1:-1] = _is_space(syms)
-    flips = np.flatnonzero(space[1:] != space[:-1])
-    first, stop = flips[0::2], flips[1::2]
-    breaks = np.flatnonzero(syms == ord("\n"))
-    newlines = np.concatenate(([0], np.cumsum(bounds[breaks + 1] - bounds[breaks])))
-    line_end = (first == 0) | (stop == size)
-    line_end[np.searchsorted(first, breaks, side="right") - 1] = True
-    gaps = first[line_end], stop[line_end]
-    heads = ends = np.empty(0, dtype=np.int64)
-    if headed:
-        # the first run of every line's stripped text
-        line_starts = np.concatenate(([0], gaps[1][gaps[1] < size]))
-        heads = line_starts[syms[line_starts] == ord(">")]
-        ends = np.append(breaks, size)[np.searchsorted(breaks, heads)]
-    lows, highs = np.concatenate(([0], ends)), np.append(heads, size)
-    # a segment's first run is its first solid one unless a stretch holds it
-    held = np.append(stop, 0)[np.searchsorted(first, lows, side="right") - 1]
-    solid = np.minimum(np.maximum(held, lows), highs)
-    return _BlockLayout(syms, bounds, breaks, newlines, gaps, lows, highs, solid)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -468,7 +436,7 @@ def read_rle_records(stream) -> list[RunRecord]:
 def read_fasta_records(stream) -> list[RunRecord]:
     """Read FASTA records as codepoint runs, folding stripped body lines.
 
-    Body lines are run-encoded a block at a time, so no record's decoded
+    Body pieces are run-encoded a block at a time, so no record's decoded
     text is held whole.
     """
     return _read_records(stream, False)

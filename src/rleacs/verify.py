@@ -169,8 +169,19 @@ def random_text(rng: random.Random, n: int, alphabet_size: int, mean_run: float)
 
 
 def rle_record(seq: RleSeq) -> str:
-    """Render one sequence in the run-length text format, for replaying."""
-    body = " ".join(f"{chr(sym - FIRST_SYMBOL_ID)}{n}" for sym, n in seq.runs.tolist())
+    """Render one sequence in the run-length text format, for replaying.
+
+    ValueError if the format cannot carry the sequence: every symbol must be
+    printable, neither whitespace nor an ASCII digit, and the first must not
+    be ">", which would make the body line a header.
+    """
+    symbols = [chr(sym - FIRST_SYMBOL_ID) for sym in seq.runs[:, 0].tolist()]
+    for ch in dict.fromkeys(symbols):
+        if not ch.isprintable() or ch.isspace() or ch in "0123456789":
+            raise ValueError(f"{seq.name}: symbol {ch!r} has no run-length token")
+    if symbols[0] == ">":
+        raise ValueError(f"{seq.name}: a first symbol '>' would read as a header line")
+    body = " ".join(f"{ch}{n}" for ch, n in zip(symbols, seq.runs[:, 1].tolist()))
     return f">{seq.name}\n{body}"
 
 

@@ -267,6 +267,8 @@ def test_bench_smoke(capsys):
     assert "run-length scaling" in out
     assert "periodic runs=16384" in out and "fibonacci runs=16384" in out
     assert "fasta ingest" in out and "chars_per_s" in out
+    # every ingest row reports the traced peak of one read
+    assert "peak_MiB" in out
     assert "run-length ingest" in out and "rle 2x16384 runs 16/line" in out
     assert "family k=40 1000 chars" in out and "family k=160 1000 chars" in out
     assert "distances_s" in out
@@ -299,6 +301,29 @@ def test_commands_other_than_bench_do_not_load_it(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_dist_and_matrix_load_neither_verify_nor_oracle(tmp_path):
+    # the package imports rleacs.verify and rleacs.oracle on first use of
+    # one of their names, and only cmd_verify uses one
+    path = tmp_path / "trio.fa"
+    path.write_text(">x\nacgtt\n>y\nacct\n>z\naac\n")
+    script = (
+        "import sys\n"
+        "from rleacs.cli import main\n"
+        f"assert main(['dist', '--format', 'text', {str(path)!r}, {str(path)!r}]) == 0\n"
+        f"assert main(['matrix', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in ('rleacs.verify', 'rleacs.oracle') if m in sys.modules))\n"
+        "from rleacs import OracleBudget, brute_acs, check_pair\n"
+        "import rleacs\n"
+        "print(all(hasattr(rleacs, name) for name in rleacs.__all__))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -357,6 +357,21 @@ def _reference_fasta(text):
     return [(name, _reference_runs(lines)) for name, lines in records]
 
 
+def _long_run_lines(seed, records, length):
+    """FASTA text shaped like the ingest workload: records of length characters
+    over acgt in runs of up to 2000, 60 to a line, no whitespace but "\n"."""
+    rng = random.Random(seed)
+    parts = []
+    for k in range(records):
+        body, prev = "", ""
+        while len(body) < length:
+            prev = rng.choice([b for b in "acgt" if b != prev])
+            body += prev * rng.randint(1, 2000)
+        body = body[:length]
+        parts.append(f">r{k}\n" + "".join(body[i : i + 60] + "\n" for i in range(0, length, 60)))
+    return "".join(parts)
+
+
 # What _BODY_CHARS lacks: a lone "\r" (StringIO leaves it as it is), the
 # separators "\x1c"-"\x1f", NEL, LINE SEPARATOR and the ideographic space,
 # all whitespace to strip(), and ">" anywhere in a line, at its start after
@@ -380,6 +395,11 @@ _EDGE_LINES = st.lists(
 )
 @example([">r", "", "", "a", "\u3000>s", ""], False, "\n", True, 3)
 @example(["", " ", "a\x85>b\r"], True, "\r\n", False, 1)
+# shaped like the ingest workload: with 61-character blocks each block is
+# one line, with 64 most are two, with 2^17 the text is one block
+@example(_long_run_lines(1, 3, 20_001).splitlines(), False, "\n", True, 61)
+@example(_long_run_lines(2, 3, 20_002).splitlines(), False, "\n", True, 64)
+@example(_long_run_lines(3, 3, 20_003).splitlines(), False, "\n", True, 1 << 17)
 def test_ingest_matches_the_line_contract(lines, header_first, newline, newline_last, block_chars):
     # with blocks of 1-8 characters every line starts and ends a block, a
     # header or not; with 2^17 the input is one block
@@ -397,6 +417,25 @@ def test_ingest_matches_the_line_contract(lines, header_first, newline, newline_
         else:
             records = read_fasta_records(io.StringIO(text))
             assert [(r.name, r.runs.tolist()) for r in records] == expected
+
+
+@pytest.mark.parametrize("block_chars", [8, 61, 64])
+@pytest.mark.parametrize("indent", ["", " ", "\u3000\t"])
+def test_header_line_at_every_offset_around_a_block_boundary(block_chars, indent, monkeypatch):
+    # a block ends with the line that holds its block_chars-th character;
+    # the body line before the header grows one character at a time, so
+    # the header line starts, and ends, on every side of that boundary
+    monkeypatch.setattr(rle, "BLOCK_CHARS", block_chars)
+    for width in range(max(block_chars - 12, 0), block_chars + 4):
+        body = "".join("ac"[k // 3 % 2] for k in range(width))
+        for tail in ("", " x"):
+            text = f">a\ncc\n{body}\n{indent}>b{tail}\ngg \n\n>c\ng\n"
+            records = read_fasta_records(io.StringIO(text))
+            assert [(r.name, r.runs.tolist()) for r in records] == _reference_fasta(text)
+            # the same shape as run-length text: "a0…01" is one token a1
+            tokens = f">a\nc2\na{'0' * width}1\n{indent}>b{tail}\ng2 \n\n>c\ng1\n"
+            runs = read_rle_records(tokens)
+            assert [(r.name, r.runs.tolist()) for r in runs] == _reference_tokens(tokens)
 
 
 @pytest.mark.parametrize("block_chars", range(1, 9))
@@ -618,10 +657,11 @@ def _reference_tokens(text):
     return records
 
 
-# Symbols: printable ASCII, Latin-1, astral; an ASCII digit; unprintable
+# Symbols: printable ASCII, ">" (a header only at a line's start), Latin-1,
+# astral; an ASCII digit; unprintable
 # ones (a control character, a format character, an astral tag).
 _TOKEN_SYMBOLS = st.sampled_from(
-    ["a", "a", "b", "-", "é", "😀", "𝔸", "7", "\x01", "\u200b", "\U000e0001"]
+    ["a", "a", "b", "-", ">", "é", "😀", "𝔸", "7", "\x01", "\u200b", "\U000e0001"]
 )
 # Counts: none, zero, leading zeros, 19 and 20 digits, either side of 2^62.
 _TOKEN_COUNTS = st.integers(min_value=1, max_value=10**6).map(str) | st.sampled_from(
@@ -659,6 +699,7 @@ _TOKEN_LINE = st.lists(st.tuples(_TOKEN_GAPS, _TOKEN), max_size=6).map(
 )
 @example([">r", "a2 a3\x85b1", "", "\u3000c4"], "\n", 3)
 @example([">r", f"a{MAX_DECODED_LENGTH - 1} a1", ">s", "b1"], "\n", 1 << 17)
+@example(["a1 >2", "b1\t>3 >r", " >s", ">2 a1"], "\n", 4)
 def test_token_reader_matches_the_reference(lines, newline, block_chars):
     text = newline.join([">r0", *lines]) + newline
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():

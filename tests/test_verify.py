@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rleacs.engine
@@ -514,19 +514,33 @@ def test_rle_record_round_trip():
 
 
 # the run-length format's symbols: printable, neither an ASCII digit nor
-# whitespace
+# whitespace; and characters it cannot carry as a symbol
 _TOKEN_SYMBOLS = st.characters().filter(
     lambda ch: ch.isprintable() and not ch.isspace() and ch not in "0123456789"
 )
+_UNCARRIED = st.sampled_from(["7", " ", "\n", "\x85", "\x01", "\ud800"])
 
 
-@given(st.text(alphabet=_TOKEN_SYMBOLS, min_size=1, max_size=40))
+def _carried(text: str) -> bool:
+    """Whether the run-length format can carry text's runs as tokens."""
+    symbols_ok = all(ch.isprintable() and not ch.isspace() and ch not in "0123456789" for ch in text)
+    return symbols_ok and not text.startswith(">")
+
+
+@given(
+    st.text(alphabet=_TOKEN_SYMBOLS, min_size=1, max_size=40)
+    | st.text(alphabet=_TOKEN_SYMBOLS | _UNCARRIED, min_size=1, max_size=40)
+)
 @example("é😀ж>a")
+@example(">ab")
 def test_rle_record_replays_ids(text):
-    # a stripped line that starts with ">" is a header, so no record's
-    # first run can be ">"
-    assume(not text.startswith(">"))
+    # a stripped line that starts with ">" is a header, so a record whose
+    # first run is ">" is refused, as is any symbol that is no token symbol
     seq = encode(text, "s")
+    if not _carried(text):
+        with pytest.raises(ValueError, match="^s: "):
+            rle_record(seq)
+        return
     (replayed,), _ = parse_rle_text(rle_record(seq))
     assert replayed.runs.tolist() == seq.runs.tolist()
 
