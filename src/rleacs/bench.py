@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rleacs.engine import AcsEngine, _distance
+from rleacs.engine import AcsEngine, pair_distance
 from rleacs.rle import (
     FIRST_SYMBOL_ID,
     RleSeq,
@@ -309,10 +309,11 @@ def family_row(records: int, seed: int = 42, *, reps: int = 1) -> tuple:
             totals.append(engine.totals(j, column))
             times[1] += t1 - t0
             times[2] += time.perf_counter() - t1
+        lengths = [seq.content_length for seq in seqs]
         t0 = time.perf_counter()
         for i in range(records):
             for j in range(i + 1, records):
-                _distance(seqs[i], seqs[j], totals[j][i], totals[i][j], "e")
+                pair_distance(lengths[i], lengths[j], totals[j][i], totals[i][j], "e")
         times[3] = time.perf_counter() - t0
         best = [min(a, b) for a, b in zip(best, times)]
     runs = sum(seq.run_count for seq in seqs)

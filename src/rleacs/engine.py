@@ -45,6 +45,11 @@ from rleacs.symbol_tries import (
 
 # natural, binary and common logs in the current decimal context
 LOG_FUNCTIONS = {"e": Decimal.ln, "2": lambda v: v.ln() / Decimal(2).ln(), "10": Decimal.log10}
+# each length's log is an integer, the log scaled by 2^LOG_BITS, from a
+# LOG_DIGITS-digit Decimal (see dist_value)
+LOG_BITS = 200
+LOG_DIGITS = 90
+# digits of dist_value's fallback, when its rounding test fails
 DIST_DIGITS = 40
 
 
@@ -191,9 +196,7 @@ def _closed_form(
     rest = trie.str_depth[u] + lengths - g
     if trie.int64:
         return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
-    v_hi, v_lo = np.take(column.weight, v, axis=1)
-    u_hi, u_lo = np.take(column.weight, u, axis=1)
-    hi, lo = limb_carry(v_hi - u_hi, v_lo - u_lo)
+    hi, lo = limb_carry(*(np.take(column.weight, v, axis=1) - np.take(column.weight, u, axis=1)))
     odd = g & 1
     for a, b in ((g, rest), (g >> (1 - odd), (g + 1) >> odd)):
         p_hi, p_lo = limb_product(a, b)
@@ -229,21 +232,97 @@ def dist_value(
 ) -> float:
     """Distance from the two cross average-match values and the two lengths.
 
-    Evaluated as 1/2 * [log(y) * (1/acs_xy - 1/acs_yy) + log(x) * (1/acs_yx -
-    1/acs_xx)], with acs_xx = (x + 1)/2 and acs_yy = (y + 1)/2. Each
-    reciprocal difference is an exact Fraction, so similar sequences lose
-    nothing to cancellation, and equal averages give exactly 0. Float logs
-    would still be off by an ulp, so the bracket is taken to DIST_DIGITS
-    decimal digits and rounded to a float once. Swapping the arguments swaps
-    the two addends of an exactly rounded sum, so the result is
-    bit-identical under swap.
+    The distance is 1/2 * [log(y) * (1/acs_xy - 1/acs_yy) + log(x) *
+    (1/acs_yx - 1/acs_xx)], with acs_xx = (x + 1)/2 and acs_yy = (y + 1)/2,
+    and the result is that real number correctly rounded to a float.
+
+    Each reciprocal difference (gap) is an exact integer ratio: with acs_xy
+    = p/q, 1/acs_xy - 2/(y + 1) = (q(y + 1) - 2p) / (p(y + 1)), so similar
+    sequences lose nothing to cancellation. Each log is an integer,
+    floor(log(n) * 2^LOG_BITS) from a LOG_DIGITS-digit Decimal, taken once
+    per (base, length), and the true value lies within [-1, +2] of it. The
+    bracket's two ends over those intervals are each one Python int over
+    one denominator, and int / int rounds correctly; when both ends round
+    to the same float, the true value rounds to it too (Ziv's rounding
+    test), and that float is the result. Otherwise the bracket is
+    evaluated once more as DIST_DIGITS-digit Decimals and rounded once;
+    nothing loops. That takes two addends that cancel to about 2^-145 of
+    their size, or a value within about 2^-196 of itself of a float
+    midpoint.
+
+    When x == y the two gaps are added before the log multiplies them, so
+    equal averages (both gaps 0) and x == y with cancelling gaps give
+    exactly 0.0. With x != y the addends cancel exactly only when x and y
+    are powers of one integer (_logs_cancel), and that 0.0 is exact too.
+    Swapping the arguments swaps two addends of an exact integer sum, so
+    the result is bit-identical under swap.
     """
+    return _distance_value(
+        x_len,
+        y_len,
+        acs_xy.numerator,
+        acs_xy.denominator,
+        acs_yx.numerator,
+        acs_yx.denominator,
+        log_base,
+    )
+
+
+def _distance_value(
+    x: int, y: int, p_xy: int, q_xy: int, p_yx: int, q_yx: int, log_base: str
+) -> float:
+    """dist_value of acs_xy = p_xy / q_xy and acs_yx = p_yx / q_yx, in integers."""
+    n_y, d_y = q_xy * (y + 1) - 2 * p_xy, p_xy * (y + 1)
+    n_x, d_x = q_yx * (x + 1) - 2 * p_yx, p_yx * (x + 1)
+    # the bracket is (log(y) * a + log(x) * b) / (d_y * d_x)
+    a, b = n_y * d_x, n_x * d_y
+    if x == y:
+        terms = ((_fixed_log(log_base, x), a + b),)
+    else:
+        terms = ((_fixed_log(log_base, y), a), (_fixed_log(log_base, x), b))
+    low = high = 0
+    for log, n in terms:
+        if n > 0:
+            low += (log - 1) * n
+            high += (log + 2) * n
+        else:
+            low += (log + 2) * n
+            high += (log - 1) * n
+    scale = (d_y * d_x) << (LOG_BITS + 1)
+    value = low / scale
+    if value == high / scale:
+        return value
+    if x != y and _logs_cancel(x, y, a, b):
+        return 0.0
+    return _decimal_distance(x, y, Fraction(p_xy, q_xy), Fraction(p_yx, q_yx), log_base)
+
+
+def _logs_cancel(x: int, y: int, a: int, b: int) -> bool:
+    """Whether log(y) * a + log(x) * b is exactly 0, for lengths x, y >= 2.
+
+    That needs log(y) / log(x) = -b / a = p / q > 0 in lowest terms, so y^q
+    = x^p, and then x = c^q and y = c^p for an integer c >= 2: q and p are
+    below the bit lengths of x and y, and the powers are small exact ints.
+    """
+    if a == 0 or b == 0:
+        return False
+    ratio = Fraction(-b, a)
+    p, q = ratio.numerator, ratio.denominator
+    return 0 < p < y.bit_length() and q < x.bit_length() and y**q == x**p
+
+
+def _decimal_distance(
+    x_len: int, y_len: int, acs_xy: Fraction, acs_yx: Fraction, log_base: str
+) -> float:
+    """The bracket at DIST_DIGITS decimal digits, rounded to a float once:
+    dist_value's fallback when its rounding test fails."""
     gap_y = 1 / acs_xy - 1 / acs_self(y_len)
     gap_x = 1 / acs_yx - 1 / acs_self(x_len)
+    log = LOG_FUNCTIONS[log_base]
     with localcontext() as ctx:
         ctx.prec = DIST_DIGITS
-        term_y = _log(log_base, y_len) * gap_y.numerator / gap_y.denominator
-        term_x = _log(log_base, x_len) * gap_x.numerator / gap_x.denominator
+        term_y = log(Decimal(y_len)) * gap_y.numerator / gap_y.denominator
+        term_x = log(Decimal(x_len)) * gap_x.numerator / gap_x.denominator
         return float((term_y + term_x) / 2)
 
 
@@ -253,12 +332,17 @@ def _check_log_base(log_base: str) -> None:
 
 
 @lru_cache(maxsize=1 << 12)
-def _log(log_base: str, length: int) -> Decimal:
-    """The log of a sequence length at DIST_DIGITS digits, once per (base, length):
-    a matrix of k records takes k of them, not k(k - 1)."""
+def _fixed_log(log_base: str, length: int) -> int:
+    """floor(log(length) * 2^LOG_BITS) from a LOG_DIGITS-digit Decimal, once per
+    (base, length): a matrix of k records takes k of them, not k(k - 1).
+
+    A length is at most 2^62, so the scaled log is below 2^206, 63 digits
+    before the point, and the Decimal's error is below 10^-25 of a unit:
+    the true scaled log lies in [floor - 1, floor + 2] with room to spare.
+    """
     with localcontext() as ctx:
-        ctx.prec = DIST_DIGITS
-        return LOG_FUNCTIONS[log_base](Decimal(length))
+        ctx.prec = LOG_DIGITS
+        return int(LOG_FUNCTIONS[log_base](Decimal(length)) * (1 << LOG_BITS))
 
 
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
@@ -272,16 +356,10 @@ def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:
     _check_log_base(log_base)
     engine = AcsEngine(first, second)
     lsum_xy = engine.total(0, engine.column(1))
-    return _distance(first, second, lsum_xy, engine.total(1, engine.column(0)), log_base)
-
-
-def _distance(first: RleSeq, second: RleSeq, lsum_xy: int, lsum_yx: int, log_base: str) -> DistResult:
+    lsum_yx = engine.total(1, engine.column(0))
     x = first.content_length
     y = second.content_length
-    if x < 2 or y < 2:
-        raise ValueError("sequence too short")
-    if lsum_xy == 0 or lsum_yx == 0:
-        raise ValueError("no common substring")
+    _refuse_degenerate(x, y, lsum_xy, lsum_yx)
     acs_xy = Fraction(lsum_xy, x)
     acs_yx = Fraction(lsum_yx, y)
     return DistResult(
@@ -292,6 +370,20 @@ def _distance(first: RleSeq, second: RleSeq, lsum_xy: int, lsum_yx: int, log_bas
         acs_xx=acs_self(x),
         acs_yy=acs_self(y),
     )
+
+
+def _refuse_degenerate(x: int, y: int, lsum_xy: int, lsum_yx: int) -> None:
+    if x < 2 or y < 2:
+        raise ValueError("sequence too short")
+    if lsum_xy == 0 or lsum_yx == 0:
+        raise ValueError("no common substring")
+
+
+def pair_distance(x: int, y: int, lsum_xy: int, lsum_yx: int, log_base: str) -> float:
+    """dist's value for decoded lengths x, y and cross totals lsum_xy, lsum_yx,
+    with its refusals, and no Fraction: ACS(X,Y) is lsum_xy / x as it stands."""
+    _refuse_degenerate(x, y, lsum_xy, lsum_yx)
+    return _distance_value(x, y, lsum_xy, x, lsum_yx, y, log_base)
 
 
 def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> list[list[float]]:
@@ -322,10 +414,11 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
                 future.result()
     else:
         work(0)
+    lengths = [seq.content_length for seq in seqs]
     grid = [[0.0] * len(seqs) for _ in seqs]
     for i, j in combinations(range(len(seqs)), 2):
         try:
-            value = _distance(seqs[i], seqs[j], totals[j][i], totals[i][j], log_base).value
+            value = pair_distance(lengths[i], lengths[j], totals[j][i], totals[i][j], log_base)
         except ValueError as exc:
             raise ValueError(f"pair {seqs[i].name}/{seqs[j].name}: {exc}") from exc
         grid[i][j] = grid[j][i] = value

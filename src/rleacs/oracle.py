@@ -11,7 +11,7 @@ engine's own trie, as the check on the engine's per-run closed forms. The
 walker ends each side of a pair in its own terminator, id 0 after the first
 sequence and id 1 after the second; the brute sort does the same, and sorts
 a whole family too. reference_dist evaluates the distance's definition, four
-addends, to 80 decimal digits.
+addends, to REFERENCE_DIGITS decimal digits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ if TYPE_CHECKING:
     from rleacs.symbol_tries import Column
 
 DEFAULT_POSITION_CAP = 1_000_000
-REFERENCE_DIGITS = 80
+# with x == y <= 2^62 and the two gaps cancelling but for one unit, a
+# nonzero distance can be 10^-94 of its addends; a reference this precise
+# still rounds it to the correct float
+REFERENCE_DIGITS = 160
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,20 @@ def reference_dist(
             -ly * 2 / (y_len + 1),
         ]
         return sum(terms) / 2, sum(map(abs, terms)) / 2
+
+
+def reference_float(
+    x_len: int, y_len: int, acs_xy: Fraction, acs_yx: Fraction, log_base: str = "e"
+) -> float:
+    """reference_dist's value rounded to a float: the correctly rounded distance.
+
+    A value within the reference's own rounding error of 0, 10^-150 of the
+    addends, is taken for an exact cancellation and reads 0.0. With x == y
+    a nonzero distance stays above 10^-94 of its addends (see
+    REFERENCE_DIGITS).
+    """
+    ref, scale = reference_dist(x_len, y_len, acs_xy, acs_yx, log_base)
+    return 0.0 if abs(ref) <= scale * Decimal(10) ** (10 - REFERENCE_DIGITS) else float(ref)
 
 
 def _lcp(a: str, b: str) -> int:

@@ -49,7 +49,7 @@ summed by the same pointer doubling with a carry after every addition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,6 +105,11 @@ class SymbolTrie:
     such values is then below 2^63 before its carry, and so is every
     intermediate of limb_product. A trie built with _exact is a limb trie
     whatever its runs, so that the two paths can be compared.
+
+    Every column reads two arrays over the internal nodes that do not
+    depend on the column, so they are built once, with the trie: above[v]
+    is v's parent with the root its own, the first lifting row where there
+    is one, and step[v] is str_depth[v] - str_depth[above[v]].
     """
 
     parent: np.ndarray
@@ -114,6 +119,15 @@ class SymbolTrie:
     internal: int
     symbols: int
     int64: bool
+    above: np.ndarray = field(init=False)
+    step: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        above = self.up[0] if self.up else np.zeros(self.internal, dtype=np.int64)
+        step = self.str_depth[: self.internal] - self.str_depth[above]
+        above.flags.writeable = step.flags.writeable = False
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "step", step)
 
     @property
     def node_count(self) -> int:
@@ -300,20 +314,17 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
     freq.flags.writeable = False
-    inner = slice(trie.internal)
-    above = np.maximum(trie.parent[inner], 0)
-    step = trie.str_depth[inner] - trie.str_depth[above]
     if trie.int64:
-        weight = freq * step
+        weight = freq * trie.step
         for row in trie.up:
             weight += weight[row]
     else:
-        hi, lo = limb_product(freq, step)
+        hi, lo = limb_product(freq, trie.step)
         for row in trie.up:
             hi, lo = limb_carry(hi + hi[row], lo + lo[row])
         weight = np.stack((hi, lo))
     weight.flags.writeable = False
-    supported = np.where(freq > 0, np.arange(trie.internal, dtype=np.int64), above)
+    supported = np.where(freq > 0, np.arange(trie.internal, dtype=np.int64), trie.above)
     for _ in trie.up:
         supported = supported[supported]
     supported.flags.writeable = False

@@ -4,9 +4,10 @@ Each trial draws a random pair (alphabet size and run-length mean rotate
 through fixed grids), then checks every layer: suffix order and lcps against
 the brute sort, match-length totals in both directions against the brute
 scan and against a separate reverse build, per-run sums against per-position
-sums, the final run against its closed forms, distance axioms and the
-decimal reference distance (or, for a pair without a distance, its refusal
-by dist and dist_matrix), and the query trie: node for node against the
+sums, the final run against its closed forms, distance axioms (self
+distance exactly 0, swapped distance bit-identical) and the distance as the
+reference rounds it (or, for a pair without a distance, its refusal by dist
+and dist_matrix), and the query trie: node for node against the
 stack sweep's trie (_sweep_compact_trie) over the same leaves and gaps, its
 str_depths against interval mins of the run walker's gaps, and each column
 against brute_column, its supported table against a walk up from each
@@ -31,7 +32,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from string import ascii_lowercase
@@ -45,7 +45,7 @@ from rleacs.oracle import (
     brute_match_lengths,
     brute_suffix_sort,
     per_position_lengths,
-    reference_dist,
+    reference_float,
     run_walk_total,
     suffix_lcp,
     suffix_refs,
@@ -357,7 +357,7 @@ def _compare(
     self_value = Fraction(acs_xx, x_len)
     if self_value != acs_self(x_len):
         failures.append(f"self total {acs_xx} != closed form {x_len * (x_len + 1) // 2}")
-    elif abs(dist_value(x_len, x_len, self_value, self_value)) > 1e-12:
+    elif dist_value(x_len, x_len, self_value, self_value) != 0.0:
         failures.append("self distance not zero")
 
     back = engine.total(1, columns[0])
@@ -378,11 +378,11 @@ def _compare(
         acs_yx = Fraction(back, y_len)
         forward = dist_value(x_len, y_len, acs_xy, acs_yx)
         backward = dist_value(y_len, x_len, acs_yx, acs_xy)
-        if abs(forward - backward) > 1e-12:
+        if forward.hex() != backward.hex():
             failures.append("distance not symmetric")
-        ref, scale = reference_dist(x_len, y_len, acs_xy, acs_yx)
-        if abs(Decimal(forward) - ref) > scale * Decimal(2) ** -52:
-            failures.append(f"distance {forward!r} off the decimal reference {ref:.20e}")
+        ref = reference_float(x_len, y_len, acs_xy, acs_yx)
+        if forward != ref:
+            failures.append(f"distance {forward!r} is not the correctly rounded {ref!r}")
 
     coverage[_path(engine.trie)] += 1
     for i, seq in enumerate(engine.seqs):

@@ -4,6 +4,7 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rleacs.oracle import (
     brute_match_lengths,
     per_position_lengths,
     reference_dist,
+    reference_float,
     run_walk_total,
     suffix_refs,
 )
@@ -407,6 +409,98 @@ def test_dist_value_of_similar_long_sequences(run):
     )
     assert result.value == value
     assert abs(Decimal(value) - ref) <= abs(ref) * Decimal(2) ** -53
+
+
+def _no_fallback(*args):
+    raise AssertionError(f"the rounding test failed for {args}")
+
+
+@settings(max_examples=300)
+@given(
+    lengths,
+    lengths,
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["e", "2", "10"]),
+    st.data(),
+)
+def test_dist_value_is_correctly_rounded(x, y, same, near, log_base, data):
+    # lsums near the self totals, with x == y as often as not, give gaps
+    # that nearly cancel; the others are drawn from their whole range
+    if same:
+        y = x
+    if near:
+        offsets = st.integers(min_value=-(1 << 20), max_value=1 << 20)
+        lsum_xy = min(max(x * (y + 1) // 2 + data.draw(offsets), 1), x * y)
+        lsum_yx = min(max(y * (x + 1) // 2 + data.draw(offsets), 1), x * y)
+    else:
+        lsum_xy = data.draw(st.integers(min_value=1, max_value=x * y))
+        lsum_yx = data.draw(st.integers(min_value=1, max_value=x * y))
+    acs_xy, acs_yx = Fraction(lsum_xy, x), Fraction(lsum_yx, y)
+    with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
+        value = dist_value(x, y, acs_xy, acs_yx, log_base)
+        swapped = dist_value(y, x, acs_yx, acs_xy, log_base)
+    assert value == reference_float(x, y, acs_xy, acs_yx, log_base)
+    assert swapped.hex() == value.hex()
+
+
+def test_dist_value_near_cancelling_gaps_at_the_length_bound():
+    # x == y near 2^62, the gaps cancel to 10^-74 of the addends; 40 decimal
+    # digits of the two products gave 4.855e-91
+    x = 3995083215806926805
+    acs_xy = Fraction(7980344950611107849212185117217217414, x)
+    acs_yx = Fraction(7980344950611107849212185117217217416, x)
+    for args in ((x, x, acs_xy, acs_yx, "2"), (x, x, acs_yx, acs_xy, "2")):
+        with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
+            assert dist_value(*args) == 4.857352647552995e-91 == reference_float(*args)
+
+
+def test_dist_value_falls_back_when_the_rounding_test_fails():
+    # fewer fixed-point log bits widen the bracket until its ends round to
+    # different floats; the Decimal fallback then gives the same float, and
+    # every width that passes the test gives it too
+    cases = [
+        (3, 2, Fraction(4, 3), Fraction(3, 2), "e"),
+        (1 << 40, 999, Fraction(17, 3), Fraction(5, 2), "2"),
+        (10**18, 10**18, Fraction(10**18 - 7, 2), Fraction(10**18 + 5, 2), "10"),
+    ]
+    fallback = rleacs.engine._decimal_distance
+    for case in cases:
+        expect = dist_value(*case)
+        calls = []
+        bits = rleacs.engine.LOG_BITS
+        try:
+            with mock.patch.object(
+                rleacs.engine, "_decimal_distance", lambda *a: calls.append(a) or fallback(*a)
+            ):
+                while not calls:
+                    bits //= 2
+                    assert bits > 0, "the rounding test never failed"
+                    rleacs.engine._fixed_log.cache_clear()
+                    with mock.patch.object(rleacs.engine, "LOG_BITS", bits):
+                        assert dist_value(*case) == expect
+        finally:
+            rleacs.engine._fixed_log.cache_clear()
+        assert len(calls) == 1
+
+
+def test_dist_value_is_exactly_zero_when_the_gaps_cancel():
+    with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
+        for log_base in ("e", "2", "10"):
+            # equal averages: both gaps are 0
+            for x, y in ((2, 2), (7, 13), (MAX_DECODED_LENGTH - 1, 3)):
+                assert dist_value(x, y, acs_self(y), acs_self(x), log_base) == 0.0
+            # x == y and 1/acs_xy - 2/(x + 1) = -(1/acs_yx - 2/(x + 1))
+            for x in (5, 1000, MAX_DECODED_LENGTH - 1):
+                gap = Fraction(1, x * (x + 1))
+                acs_xy = 1 / (2 / Fraction(x + 1) + gap)
+                acs_yx = 1 / (2 / Fraction(x + 1) - gap)
+                assert dist_value(x, x, acs_xy, acs_yx, log_base) == 0.0
+                assert dist_value(x, x, acs_yx, acs_xy, log_base) == 0.0
+        # x = 4 and y = 8: log(8) * 2/45 = log(4) * 1/15, so the two addends
+        # cancel exactly, which no bracket of the logs can show
+        for args in ((4, 8, Fraction(15, 4), Fraction(3)), (8, 4, Fraction(3), Fraction(15, 4))):
+            assert dist_value(*args) == 0.0
 
 
 def test_last_run_closed_forms():

@@ -1,10 +1,12 @@
 """The randomized harness must pass on the real engine and catch planted bugs."""
 
 import dataclasses
+import math
 import random
 import re
 import signal
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -440,6 +442,20 @@ def test_refusal_checks_catch_a_wrong_refusal(monkeypatch):
     ]
     monkeypatch.setattr(rleacs.verify, "dist", lambda first, second: None)
     assert "dist gave a distance, not 'sequence too short'" in check_pair(*short)
+
+
+def test_distance_one_ulp_off_is_caught(monkeypatch):
+    first, second = make_pair("aab", "ab")
+    exact = rleacs.engine.dist_value(3, 2, Fraction(4, 3), Fraction(3, 2))
+
+    def one_ulp_up(*args):
+        return math.nextafter(rleacs.engine.dist_value(*args), math.inf)
+
+    monkeypatch.setattr(rleacs.verify, "dist_value", one_ulp_up)
+    assert check_pair(first, second) == [
+        "self distance not zero",
+        f"distance {math.nextafter(exact, math.inf)!r} is not the correctly rounded {exact!r}",
+    ]
 
 
 def test_stretched_pairs_pass_the_run_walk():
