@@ -45,12 +45,9 @@ from rleacs.symbol_tries import (
 
 # natural, binary and common logs in the current decimal context
 LOG_FUNCTIONS = {"e": Decimal.ln, "2": lambda v: v.ln() / Decimal(2).ln(), "10": Decimal.log10}
-# each length's log is an integer, the log scaled by 2^LOG_BITS, from a
-# LOG_DIGITS-digit Decimal (see dist_value)
+# each length's log is an integer, the log scaled by 2^LOG_BITS (2^(2 *
+# LOG_BITS) when the rounding test fails; see dist_value)
 LOG_BITS = 200
-LOG_DIGITS = 90
-# digits of dist_value's fallback, when its rounding test fails
-DIST_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -239,16 +236,19 @@ def dist_value(
     Each reciprocal difference (gap) is an exact integer ratio: with acs_xy
     = p/q, 1/acs_xy - 2/(y + 1) = (q(y + 1) - 2p) / (p(y + 1)), so similar
     sequences lose nothing to cancellation. Each log is an integer,
-    floor(log(n) * 2^LOG_BITS) from a LOG_DIGITS-digit Decimal, taken once
-    per (base, length), and the true value lies within [-1, +2] of it. The
+    floor(log(n) * 2^P) with P = LOG_BITS, taken once per (base, length)
+    (_fixed_log), and the true scaled log lies within [-1, +2] of it. The
     bracket's two ends over those intervals are each one Python int over
     one denominator, and int / int rounds correctly; when both ends round
     to the same float, the true value rounds to it too (Ziv's rounding
-    test), and that float is the result. Otherwise the bracket is
-    evaluated once more as DIST_DIGITS-digit Decimals and rounded once;
-    nothing loops. That takes two addends that cancel to about 2^-145 of
-    their size, or a value within about 2^-196 of itself of a float
-    midpoint.
+    test), and that float is the result. When they differ, the same bracket
+    is taken once more with 2P-bit logs, and a float both its ends round to
+    is the result. Only one retry is made: if its ends still differ, the
+    result is the bracket's midpoint rounded once, within 2^-2P of the
+    summed absolute gaps of the true value, plus half an ulp. The first
+    test fails only for two addends that cancel to about 2^-145 of their
+    size or a value within about 2^-196 of itself of a float midpoint, and
+    the retry only at about 2^-345 and 2^-396.
 
     When x == y the two gaps are added before the log multiplies them, so
     equal averages (both gaps 0) and x == y with cancelling gaps give
@@ -274,27 +274,35 @@ def _distance_value(
     """dist_value of acs_xy = p_xy / q_xy and acs_yx = p_yx / q_yx, in integers."""
     n_y, d_y = q_xy * (y + 1) - 2 * p_xy, p_xy * (y + 1)
     n_x, d_x = q_yx * (x + 1) - 2 * p_yx, p_yx * (x + 1)
-    # the bracket is (log(y) * a + log(x) * b) / (d_y * d_x)
+    # the bracket is (log(y) * a + log(x) * b) / (2 * d_y * d_x)
     a, b = n_y * d_x, n_x * d_y
-    if x == y:
-        terms = ((_fixed_log(log_base, x), a + b),)
-    else:
-        terms = ((_fixed_log(log_base, y), a), (_fixed_log(log_base, x), b))
-    low = high = 0
-    for log, n in terms:
-        if n > 0:
-            low += (log - 1) * n
-            high += (log + 2) * n
-        else:
-            low += (log + 2) * n
-            high += (log - 1) * n
+    terms = ((x, a + b),) if x == y else ((y, a), (x, b))
+    low, high = _bracket(terms, log_base, LOG_BITS)
     scale = (d_y * d_x) << (LOG_BITS + 1)
     value = low / scale
     if value == high / scale:
         return value
     if x != y and _logs_cancel(x, y, a, b):
         return 0.0
-    return _decimal_distance(x, y, Fraction(p_xy, q_xy), Fraction(p_yx, q_yx), log_base)
+    low, high = _bracket(terms, log_base, 2 * LOG_BITS)
+    scale <<= LOG_BITS
+    value = low / scale
+    return value if value == high / scale else (low + high) / (scale << 1)
+
+
+def _bracket(terms: tuple[tuple[int, int], ...], log_base: str, bits: int) -> tuple[int, int]:
+    """Integer ends of the sum of log(length) * n over terms, the logs
+    scaled by 2^bits, from each floor's interval [floor - 1, floor + 2]."""
+    low = high = 0
+    for length, n in terms:
+        log = _fixed_log(log_base, length, bits)
+        if n > 0:
+            low += (log - 1) * n
+            high += (log + 2) * n
+        else:
+            low += (log + 2) * n
+            high += (log - 1) * n
+    return low, high
 
 
 def _logs_cancel(x: int, y: int, a: int, b: int) -> bool:
@@ -311,38 +319,25 @@ def _logs_cancel(x: int, y: int, a: int, b: int) -> bool:
     return 0 < p < y.bit_length() and q < x.bit_length() and y**q == x**p
 
 
-def _decimal_distance(
-    x_len: int, y_len: int, acs_xy: Fraction, acs_yx: Fraction, log_base: str
-) -> float:
-    """The bracket at DIST_DIGITS decimal digits, rounded to a float once:
-    dist_value's fallback when its rounding test fails."""
-    gap_y = 1 / acs_xy - 1 / acs_self(y_len)
-    gap_x = 1 / acs_yx - 1 / acs_self(x_len)
-    log = LOG_FUNCTIONS[log_base]
-    with localcontext() as ctx:
-        ctx.prec = DIST_DIGITS
-        term_y = log(Decimal(y_len)) * gap_y.numerator / gap_y.denominator
-        term_x = log(Decimal(x_len)) * gap_x.numerator / gap_x.denominator
-        return float((term_y + term_x) / 2)
-
-
 def _check_log_base(log_base: str) -> None:
     if log_base not in LOG_FUNCTIONS:
         raise ValueError(f"unknown log base {log_base!r}")
 
 
 @lru_cache(maxsize=1 << 12)
-def _fixed_log(log_base: str, length: int) -> int:
-    """floor(log(length) * 2^LOG_BITS) from a LOG_DIGITS-digit Decimal, once per
-    (base, length): a matrix of k records takes k of them, not k(k - 1).
+def _fixed_log(log_base: str, length: int, bits: int) -> int:
+    """floor(log(length) * 2^bits), once per (base, length, bits): a matrix
+    of k records takes k of them, not k(k - 1).
 
-    A length is at most 2^62, so the scaled log is below 2^206, 63 digits
-    before the point, and the Decimal's error is below 10^-25 of a unit:
-    the true scaled log lies in [floor - 1, floor + 2] with room to spare.
+    A length is at most 2^62, so the scaled log is below 2^(bits + 6), with
+    at most 0.302 * (bits + 6) + 1 digits before the point. A Decimal of
+    0.3 * bits + 30 digits (90 at bits = 200) leaves it an error below
+    10^-25 of a unit: the true scaled log lies in [floor - 1, floor + 2]
+    with room to spare.
     """
     with localcontext() as ctx:
-        ctx.prec = LOG_DIGITS
-        return int(LOG_FUNCTIONS[log_base](Decimal(length)) * (1 << LOG_BITS))
+        ctx.prec = 3 * bits // 10 + 30
+        return int(LOG_FUNCTIONS[log_base](Decimal(length)) * (1 << bits))
 
 
 def dist(first: RleSeq, second: RleSeq, log_base: str = "e") -> DistResult:

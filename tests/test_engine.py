@@ -381,20 +381,46 @@ def _assert_near_reference(x, y, acs_xy, acs_yx, log_base="e"):
 lengths = st.integers(min_value=2, max_value=MAX_DECODED_LENGTH - 1)
 
 
+def _first_test_only():
+    """Fails a dist_value call whose rounding test fails, as its retry asks
+    for logs at twice LOG_BITS."""
+    fixed_log = rleacs.engine._fixed_log
+
+    def first_only(log_base, length, bits):
+        assert bits == rleacs.engine.LOG_BITS, f"the rounding test failed at length {length}"
+        return fixed_log(log_base, length, bits)
+
+    return mock.patch.object(rleacs.engine, "_fixed_log", first_only)
+
+
 @settings(max_examples=300)
 @given(
     lengths,
     lengths,
-    st.integers(min_value=-(1 << 20), max_value=1 << 20),
-    st.integers(min_value=-(1 << 20), max_value=1 << 20),
+    st.booleans(),
+    st.booleans(),
     st.sampled_from(["e", "2", "10"]),
+    st.data(),
 )
-def test_dist_value_matches_decimal_reference(x, y, dx, dy, log_base):
-    # lsums near the self totals x(y+1)/2 and y(x+1)/2: the four addends
-    # nearly cancel, as they do for similar sequences
-    lsum_xy = min(max(x * (y + 1) // 2 + dx, 1), x * y)
-    lsum_yx = min(max(y * (x + 1) // 2 + dy, 1), x * y)
-    _assert_near_reference(x, y, Fraction(lsum_xy, x), Fraction(lsum_yx, y), log_base)
+def test_dist_value_matches_decimal_reference(x, y, same, near, log_base, data):
+    # lsums near the self totals x(y+1)/2 and y(x+1)/2, with x == y as
+    # often as not: the four addends nearly cancel, as they do for similar
+    # sequences; the others are drawn from their whole range
+    if same:
+        y = x
+    if near:
+        offsets = st.integers(min_value=-(1 << 20), max_value=1 << 20)
+        lsum_xy = min(max(x * (y + 1) // 2 + data.draw(offsets), 1), x * y)
+        lsum_yx = min(max(y * (x + 1) // 2 + data.draw(offsets), 1), x * y)
+    else:
+        lsum_xy = data.draw(st.integers(min_value=1, max_value=x * y))
+        lsum_yx = data.draw(st.integers(min_value=1, max_value=x * y))
+    acs_xy, acs_yx = Fraction(lsum_xy, x), Fraction(lsum_yx, y)
+    with _first_test_only():
+        value = dist_value(x, y, acs_xy, acs_yx, log_base)
+        swapped = dist_value(y, x, acs_yx, acs_xy, log_base)
+    assert value == reference_float(x, y, acs_xy, acs_yx, log_base)
+    assert swapped.hex() == value.hex()
 
 
 @pytest.mark.parametrize("run", [10**6, 1 << 61])
@@ -411,39 +437,6 @@ def test_dist_value_of_similar_long_sequences(run):
     assert abs(Decimal(value) - ref) <= abs(ref) * Decimal(2) ** -53
 
 
-def _no_fallback(*args):
-    raise AssertionError(f"the rounding test failed for {args}")
-
-
-@settings(max_examples=300)
-@given(
-    lengths,
-    lengths,
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from(["e", "2", "10"]),
-    st.data(),
-)
-def test_dist_value_is_correctly_rounded(x, y, same, near, log_base, data):
-    # lsums near the self totals, with x == y as often as not, give gaps
-    # that nearly cancel; the others are drawn from their whole range
-    if same:
-        y = x
-    if near:
-        offsets = st.integers(min_value=-(1 << 20), max_value=1 << 20)
-        lsum_xy = min(max(x * (y + 1) // 2 + data.draw(offsets), 1), x * y)
-        lsum_yx = min(max(y * (x + 1) // 2 + data.draw(offsets), 1), x * y)
-    else:
-        lsum_xy = data.draw(st.integers(min_value=1, max_value=x * y))
-        lsum_yx = data.draw(st.integers(min_value=1, max_value=x * y))
-    acs_xy, acs_yx = Fraction(lsum_xy, x), Fraction(lsum_yx, y)
-    with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
-        value = dist_value(x, y, acs_xy, acs_yx, log_base)
-        swapped = dist_value(y, x, acs_yx, acs_xy, log_base)
-    assert value == reference_float(x, y, acs_xy, acs_yx, log_base)
-    assert swapped.hex() == value.hex()
-
-
 def test_dist_value_near_cancelling_gaps_at_the_length_bound():
     # x == y near 2^62, the gaps cancel to 10^-74 of the addends; 40 decimal
     # digits of the two products gave 4.855e-91
@@ -451,41 +444,48 @@ def test_dist_value_near_cancelling_gaps_at_the_length_bound():
     acs_xy = Fraction(7980344950611107849212185117217217414, x)
     acs_yx = Fraction(7980344950611107849212185117217217416, x)
     for args in ((x, x, acs_xy, acs_yx, "2"), (x, x, acs_yx, acs_xy, "2")):
-        with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
+        with _first_test_only():
             assert dist_value(*args) == 4.857352647552995e-91 == reference_float(*args)
 
 
 def test_dist_value_falls_back_when_the_rounding_test_fails():
     # fewer fixed-point log bits widen the bracket until its ends round to
-    # different floats; the Decimal fallback then gives the same float, and
-    # every width that passes the test gives it too
+    # different floats; the retry at twice the bits then gives the same
+    # float, and so does every width that passes the test. At 1 bit even
+    # the retry's ends differ, and the bracket's midpoint is within 2^-2
+    # of the summed absolute gaps, plus half an ulp
     cases = [
         (3, 2, Fraction(4, 3), Fraction(3, 2), "e"),
         (1 << 40, 999, Fraction(17, 3), Fraction(5, 2), "2"),
         (10**18, 10**18, Fraction(10**18 - 7, 2), Fraction(10**18 + 5, 2), "10"),
     ]
-    fallback = rleacs.engine._decimal_distance
-    for case in cases:
+    fixed_log = rleacs.engine._fixed_log
+    for x, y, acs_xy, acs_yx, log_base in cases:
+        case = (x, y, acs_xy, acs_yx, log_base)
         expect = dist_value(*case)
-        calls = []
+        asked = set()
         bits = rleacs.engine.LOG_BITS
-        try:
-            with mock.patch.object(
-                rleacs.engine, "_decimal_distance", lambda *a: calls.append(a) or fallback(*a)
-            ):
-                while not calls:
-                    bits //= 2
-                    assert bits > 0, "the rounding test never failed"
-                    rleacs.engine._fixed_log.cache_clear()
-                    with mock.patch.object(rleacs.engine, "LOG_BITS", bits):
-                        assert dist_value(*case) == expect
-        finally:
-            rleacs.engine._fixed_log.cache_clear()
-        assert len(calls) == 1
+        with mock.patch.object(
+            rleacs.engine, "_fixed_log", lambda *a: asked.add(a[2]) or fixed_log(*a)
+        ):
+            while 2 * bits not in asked:
+                bits //= 2
+                assert bits > 0, "the rounding test never failed"
+                asked.clear()
+                with mock.patch.object(rleacs.engine, "LOG_BITS", bits):
+                    assert dist_value(*case) == expect
+            asked.clear()
+            with mock.patch.object(rleacs.engine, "LOG_BITS", 1):
+                value = dist_value(*case)
+        assert asked == {1, 2}
+        ref, _ = reference_dist(*case)
+        gaps = abs(1 / acs_xy - 2 / Fraction(y + 1)) + abs(1 / acs_yx - 2 / Fraction(x + 1))
+        error = abs(Fraction(value) - Fraction(ref))
+        assert error <= gaps / 4 + Fraction(math.ulp(value)) / 2 + Fraction(1, 10**100)
 
 
 def test_dist_value_is_exactly_zero_when_the_gaps_cancel():
-    with mock.patch.object(rleacs.engine, "_decimal_distance", _no_fallback):
+    with _first_test_only():
         for log_base in ("e", "2", "10"):
             # equal averages: both gaps are 0
             for x, y in ((2, 2), (7, 13), (MAX_DECODED_LENGTH - 1, 3)):
