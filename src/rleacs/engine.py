@@ -5,16 +5,17 @@ prefix of X[p:] occurring anywhere in a sequence Y, without ever decoding,
 from one query trie over a family that holds both (the pair for acs and
 dist, every record for dist_matrix) and Y's column of it. Positions are
 processed one run at a time: the answers within a run follow a closed form
-built from two ancestor lookups. The first is one gather from the column's
-supported table; the second equals it for most runs, and only the rest
-take a vectorized lifting climb, from the first. Every run of X is
-answered in one batch, and dist_matrix answers every run of the family
-against a column in one such batch, so a family of N total runs costs
-O(N log N) per column. All accumulation is exact integer arithmetic: in
-int64 while the family's longest run and longest record prove it exact (see
-SymbolTrie.int64), in two int64 limbs past that bound, composed into Python
-ints only for the sums handed out; floats appear only in the final distance
-value.
+built from two ancestor lookups from the run's entry of the trie's
+run_parents, the parent of the leaf after it (the trie keeps no leaf). The
+first is one gather from the column's supported table; the second equals it
+for most runs, and only the rest take a vectorized lifting climb, from the
+first. Every run of X is answered in one batch, and dist_matrix answers
+every run of the family against a column in one such batch, so a family of
+N total runs costs O(N log N) per column. All accumulation is exact integer
+arithmetic: in int64 while the family's longest run and longest record
+prove it exact (see SymbolTrie.int64), in two int64 limbs past that bound,
+composed into Python ints only for the sums handed out; floats appear only
+in the final distance value.
 """
 
 from __future__ import annotations
@@ -79,18 +80,18 @@ class AcsEngine:
     """Every ACS between the sequences of a family, from one query trie over them.
 
     AcsEngine(*seqs) builds the family's trie once and keeps no suffix
-    order; a pair is the family of k = 2. Every run's symbol, length and
-    leaf parent are laid out once, record after record, in arrays that
-    every query slices. column(j) annotates seqs[j]'s column, which holds
-    all that a query against seqs[j] reads. total(i, column) and run_sums(i,
-    column) score seqs[i] against the column's sequence, and totals(j,
-    column) scores every other sequence against seqs[j] in one batch. A
-    column answers every sequence but its own: a run's self-match needs its
-    own leaf, which no climb visits. Instances keep the caller's sequences,
-    are immutable after construction (the trie and every column are frozen
-    records of read-only arrays) and are safe to query from multiple
-    threads. _exact builds on the limb path whatever the family's runs, so
-    the two paths can be compared.
+    order; a pair is the family of k = 2. Every run's symbol and length are
+    laid out once, record after record, beside the trie's run_parents, in
+    arrays that every query slices. column(j) annotates seqs[j]'s column,
+    which holds all that a query against seqs[j] reads. total(i, column)
+    and run_sums(i, column) score seqs[i] against the column's sequence,
+    and totals(j, column) scores every other sequence against seqs[j] in
+    one batch. A column answers every sequence but its own: a run's
+    self-match needs its own leaf, which no climb visits. Instances keep
+    the caller's sequences, are immutable after construction (the trie and
+    every column are frozen records of read-only arrays) and are safe to
+    query from multiple threads. _exact builds on the limb path whatever
+    the family's runs, so the two paths can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
@@ -101,22 +102,20 @@ class AcsEngine:
         self.trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)), _exact=_exact)
         self._symbols = np.concatenate([seq.runs[:, 0] for seq in seqs])
         self._lengths = np.concatenate([seq.runs[:, 1] for seq in seqs])
-        self._parents = self.trie.parent[np.concatenate(self.trie.leaves)]
         # record i's runs are entries starts[i] to starts[i + 1]
         self._starts = np.cumsum([0] + [seq.run_count for seq in seqs])
 
     def column(self, j: int) -> Column:
         """The column of seqs[j], annotated afresh on each call."""
-        return annotate(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+        return annotate(self.trie, self.trie.run_parents[self.record(j)], self.seqs[j].runs)
 
     def _sums(self, column: Column, part: slice = slice(None)) -> np.ndarray:
         """_closed_form of the runs in part of the family's run arrays."""
-        return _closed_form(
-            self.trie, column, self._symbols[part], self._lengths[part], self._parents[part]
-        )
+        parents = self.trie.run_parents[part]
+        return _closed_form(self.trie, column, self._symbols[part], self._lengths[part], parents)
 
-    def _record(self, i: int) -> slice:
-        """The entries of seqs[i]'s runs, i indexing as into seqs."""
+    def record(self, i: int) -> slice:
+        """The entries of seqs[i]'s runs in run_parents and the run arrays, i as into seqs."""
         i = range(len(self.seqs))[i]
         return slice(self._starts[i], self._starts[i + 1])
 
@@ -132,11 +131,11 @@ class AcsEngine:
         over h telescopes into two weight lookups, at the deepest ancestors
         with support 1 and min(f, m).
         """
-        return exact_ints(self._sums(column, self._record(i)))
+        return exact_ints(self._sums(column, self.record(i)))
 
     def total(self, i: int, column: Column) -> int:
         """Sum of best match lengths over every position of seqs[i]."""
-        return exact_total(self._sums(column, self._record(i)))
+        return exact_total(self._sums(column, self.record(i)))
 
     def totals(self, j: int, column: Column) -> list[int]:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
@@ -190,9 +189,18 @@ def _closed_form(
     short = np.flatnonzero(column.freq[v] < g)
     u = v.copy()
     u[short] = trie.climb(v[short], g[short], column.freq)
-    rest = trie.str_depth[u] + lengths - g
+    rest = trie.str_depth[u] + lengths
+    rest -= g
     if trie.int64:
-        return column.weight[v] - column.weight[u] + g * (2 * rest + g + 1) // 2
+        # g * (2 * rest + g + 1) // 2 + weight[v] - weight[u], in place
+        rest *= 2
+        rest += g
+        rest += 1
+        rest *= g
+        rest //= 2
+        rest += column.weight[v]
+        rest -= column.weight[u]
+        return rest
     hi, lo = limb_carry(*(np.take(column.weight, v, axis=1) - np.take(column.weight, u, axis=1)))
     odd = g & 1
     for a, b in ((g, rest), (g >> (1 - odd), (g + 1) >> odd)):

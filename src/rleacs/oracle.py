@@ -286,8 +286,8 @@ def per_position_lengths(
     starts = np.cumsum(f) - f
     h = np.repeat(f + starts, f) - np.arange(x)
     m = np.repeat(column.max_run[seq.runs[:, 0]], f)
-    leaves = np.repeat(engine.trie.leaves[i], f)
-    u = engine.trie.deepest_freq_ancestor(leaves, np.minimum(h, m), column.freq)
+    parents = np.repeat(engine.trie.run_parents[engine.record(i)], f)
+    u = engine.trie.climb(parents, np.minimum(h, m), column.freq)
     return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
 

@@ -14,9 +14,10 @@ sum over two sequences could already reach 2^63.
 The engine builds its query trie straight from the order and drops the
 order once that trie exists. The trie's gaps are the lcps of the leaf pairs
 it needs, taken by SuffixOrder.lcp from the doubling rounds the sort already
-made. The lcp of every pair of rank neighbors (SuffixOrder.dlcp) is built
-only when read, by verify and the tests, which check it against the brute
-sort (oracle.brute_suffix_sort).
+made. The lcp of every pair of rank neighbors (SuffixOrder.dlcp) and every
+suffix's decoded length (SuffixOrder.suffix_lengths) are built only when
+read, by verify and the tests, which check them against the brute sort
+(oracle.brute_suffix_sort); the trie reads neither.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ from rleacs.rle import RleSeq
 class SuffixOrder:
     """All run-start suffixes of a family of sequences, sorted by decoded string order.
 
-    tokens[k] is the token index of the suffix at rank k and
-    suffix_lengths[k] its decoded length (terminator included). The rest
-    serves lcp: syms[t] and run_lengths[t] are token t's symbol and run
-    length (1 for a terminator), starts[t] its decoded offset inside its
-    sequence, and rounds the rank arrays of every doubling round
-    (_prefix_double). rounds are int32 below 2^31 tokens; every other array
-    is int64.
+    tokens[k] is the token index of the suffix at rank k. The rest serves
+    lcp: syms[t] and run_lengths[t] are token t's symbol and run length (1
+    for a terminator), starts[t] its decoded offset inside its sequence,
+    and rounds the rank arrays of every doubling round (_prefix_double).
+    rounds are int32 below 2^31 tokens; every other array is int64.
     """
 
     seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
-    suffix_lengths: np.ndarray
     syms: np.ndarray
     run_lengths: np.ndarray
     starts: np.ndarray
@@ -84,6 +82,16 @@ class SuffixOrder:
         read; only verify and the tests read it."""
         return self.lcp(self.tokens[:-1], self.tokens[1:])
 
+    @cached_property
+    def suffix_lengths(self) -> np.ndarray:
+        """suffix_lengths[k], the decoded length of the suffix at rank k
+        (terminator included), built on first read; only verify, the oracle
+        comparison and the tests read it."""
+        bounds = token_bounds(self.seqs)
+        # a sequence ends one past the start of its last token, its terminator
+        seq_end = np.repeat(self.starts[bounds[1:] - 1] + 1, np.diff(bounds))
+        return seq_end[self.tokens] - self.starts[self.tokens]
+
 
 def token_string(*seqs: RleSeq) -> np.ndarray:
     """The k sequences as one int64 array of (symbol, length) tokens.
@@ -100,8 +108,8 @@ def token_bounds(seqs) -> np.ndarray:
     return np.cumsum([0] + [len(seq.runs) + 1 for seq in seqs])
 
 
-def _token_columns(seqs):
-    """The family's token string as per-token sort-key columns.
+def _token_columns(seqs, bounds: np.ndarray):
+    """The family's token string, with its token_bounds, as per-token sort-key columns.
 
     A token's key (sym, group, signed, next_sym) compares two suffixes exactly
     as their decoded strings do whenever the keys differ, given maximal runs:
@@ -119,7 +127,7 @@ def _token_columns(seqs):
     token's decoded length, its run length (1 for a terminator).
     """
     syms, decoded = token_string(*seqs).T
-    ends = token_bounds(seqs)[1:] - 1
+    ends = bounds[1:] - 1
     nexts = np.empty_like(syms)
     nexts[:-1] = syms[1:]
     nexts[ends] = -1
@@ -202,22 +210,19 @@ def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     suffix and its shared prefix lie in one sequence, so each sequence gets
     its own prefix sum of run lengths (starts). No lcp is computed here.
     """
-    syms, groups, signed, nexts, decoded = _token_columns(seqs)
+    bounds = token_bounds(seqs)
+    syms, groups, signed, nexts, decoded = _token_columns(seqs, bounds)
     # group is 0 or 1, so (sym, group) orders as the one key sym * 2 + group
     rounds = _prefix_double(_dense_rank([syms * 2 + groups, signed, nexts]))
     # the last round's ranks are distinct: the order is their inverse
     order = np.empty(len(syms), dtype=np.int64)
     order[rounds[-1]] = np.arange(len(syms))
-    bounds = token_bounds(seqs)
     ends = np.concatenate([np.cumsum(part) for part in np.split(decoded, bounds[1:-1])])
-    starts = ends - decoded
-    seq_end = np.repeat(ends[bounds[1:] - 1], np.diff(bounds))
     return SuffixOrder(
         seqs=seqs,
         tokens=order,
-        suffix_lengths=seq_end[order] - starts[order],
         syms=syms,
         run_lengths=decoded,
-        starts=starts,
+        starts=ends - decoded,
         rounds=tuple(rounds),
     )

@@ -12,31 +12,30 @@ the suffix sort's doubling rounds for all of them (SuffixOrder.lcp); between
 blocks it is 0. No lcp of rank neighbors is built on this path.
 
 The build takes two steps. leaf_blocks reads from the order only what the
-trie needs (leaf tokens, depths, gaps, token bounds, symbol count and
-decoded length), so the order and its rounds can be freed before any node
-array exists. extract_symbol_tries then builds parent and str_depth as
-int64 arrays straight from the depths and gaps: every gap finds its
-previous gap <= it and its next gap < it by JUMP_ROUNDS of pointer jumping,
-then a binary descent over a sparse table of minima for the searches still
-open. An internal node is a run of equal gaps with no smaller gap between
-them; its parent, and a leaf's, follow from the nearest smaller gaps. The
-worst case is O(m log m) for m leaves, with no Python loop over nodes.
+trie needs (leaf tokens, gaps, token bounds, symbol count and the int64
+bound), so the order and its rounds can be freed before any node array
+exists. extract_symbol_tries then builds parent and str_depth as int64
+arrays straight from the gaps: every gap finds its previous gap <= it and
+its next gap < it by JUMP_ROUNDS of pointer jumping, then a binary descent
+over a sparse table of minima for the searches still open. An internal
+node is a run of equal gaps with no smaller gap between them; its parent,
+and a leaf's, follow from the nearest smaller gaps. The worst case is O(m
+log m) for m leaves, with no Python loop over nodes.
 
-extract_symbol_tries returns the trie's shape whole, as one frozen record of
-read-only int64 arrays: parent, depth, lifting rows and the leaf after each
-run of each sequence. The answers against sequence j need one column, built
-by annotate: freq, the largest length of a preceding sequence-j run among
-the leaves below each node; weight, a running sum that turns "sum of
-ancestor depths over a range of thresholds" queries into two node lookups;
-supported, each node's deepest ancestor-or-self with freq >= 1, so the
-threshold-1 search is one gather; and max_run, sequence j's longest run of
-each symbol. Other ancestor searches climb with binary lifting
-(SymbolTrie.climb), one vectorized step per row for a whole batch of
-(start, threshold) pairs, so a batch of q queries costs O(q log N). Every
-search starts at a leaf's parent or above and every answer is a proper
-ancestor of a leaf, so the lifting rows and the column cover the internal
-nodes only; the leaves, more than half the nodes, come last and are left
-out.
+extract_symbol_tries keeps the internal nodes only: no query reads a leaf,
+since every search starts at the parent of the leaf after a run and every
+answer is a proper ancestor of a leaf. It returns one frozen record of
+read-only int64 arrays: parent, depth and lifting rows over the internal
+nodes, and run_parents, the parent of the leaf after each run of the
+family, record after record. The answers against sequence j need one
+column, built by annotate: freq, the largest length of a preceding
+sequence-j run among the leaves below each node; weight, a running sum that
+turns "sum of ancestor depths over a range of thresholds" queries into two
+node lookups; supported, each node's deepest ancestor-or-self with freq >=
+1, so the threshold-1 search is one gather; and max_run, sequence j's
+longest run of each symbol. Other ancestor searches climb with binary
+lifting (SymbolTrie.climb), one vectorized step per row for a whole batch
+of (start, threshold) pairs, so a batch of q queries costs O(q log N).
 
 The arithmetic is chosen once per build, from the runs: while 4 * M * D <=
 2^62, with M the family's longest run and D its longest record's decoded
@@ -68,35 +67,34 @@ JUMP_ROUNDS = 4
 class SymbolTrie:
     """Compact trie over the suffixes that follow a run, blocked by its symbol.
 
-    Node 0 is the root, with parent -1; the internal nodes follow, numbered
-    in the order of the first gap each owns, and the leaves come last:
-    nodes 0 .. internal - 1 are the root and the internal nodes, and
-    internal is node_count minus the family's run count. leaves[j][i] is
-    the leaf of the suffix after run i + 1 of sequence j. Leaf ids ascend
-    in leaf order: the leaves of one preceding-run symbol form a contiguous
-    block, in suffix order, and the blocks follow symbol order. The build
+    Only the root and the internal nodes are kept: node 0 is the root, with
+    parent -1, and the internal nodes follow, numbered in the order of the
+    first gap each owns, so internal is len(parent). A leaf is known by its
+    parent alone: run_parents[r] is the parent of the leaf of the suffix
+    after run r of the family, its records' runs laid out one after
+    another. The leaves of one preceding-run symbol form a contiguous
+    block, in suffix order, and the blocks follow symbol order; node_count
+    counts them as nodes internal onward, in that order. The build
     (extract_symbol_tries) takes O(m log m) time at worst for m leaves,
     when the nearest-smaller searches outrun pointer jumping and fall back
-    on the sparse-table descent. up[k] maps each internal node to its 2^k-th
-    ancestor (_lifting_rows); a trie whose internal nodes all hang from the
-    root has no rows, so internal is a field of its own, not read off a
-    row. Every array is read-only int64. symbols is one more than the
-    family's largest symbol id. One shape serves every sequence's column:
-    swapping which sequence is queried only swaps the order of leaves with
-    equal decoded content, which are siblings, so every parent and depth
-    stays as it is.
+    on the sparse-table descent. up[k] maps each internal node to its
+    2^k-th ancestor (_lifting_rows). Every array is read-only int64.
+    symbols is one more than the family's largest symbol id. One shape
+    serves every sequence's column: swapping which sequence is queried only
+    swaps the order of leaves with equal decoded content, which are
+    siblings, so every parent and depth stays as it is.
 
     int64 holds when 4 * M * D <= 2^62, with M the family's longest run and
     D its longest record's decoded length plus 1; its columns' weights, and
     the run sums answered from them, are then int64, and two int64 limbs
-    otherwise. With f a run's length and d the depth of the leaf after it,
-    f + d <= D, since a run and the suffix after it lie in one record. A
-    weight sums freq <= M times steps that add up to str_depth <= D, so it,
-    and every partial sum of its doubling, is at most M * D; the closed-form
-    product g * (2 * (depth[u] + f - g) + g + 1), with g <= f and depth[u]
-    <= d, is at most M * (2D + 1) <= 4 * M * D; and a run sum, f matches of
-    at most D each, is at most M * D. A record's total can still pass 2^63,
-    so exact_total sums it by 31-bit pieces.
+    otherwise. With f a run's length and d the decoded length of the suffix
+    after it, f + d <= D, since a run and the suffix after it lie in one
+    record. A weight sums freq <= M times steps that add up to str_depth <=
+    D, so it, and every partial sum of its doubling, is at most M * D; the
+    closed-form product g * (2 * (depth[u] + f - g) + g + 1), with g <= f
+    and depth[u] <= d, is at most M * (2D + 1) <= 4 * M * D; and a run sum,
+    f matches of at most D each, is at most M * D. A record's total can
+    still pass 2^63, so exact_total sums it by 31-bit pieces.
 
     Past the bound, lengths and depths are still at most 2^62, so a weight
     is below 2^124 and its hi limb below 2^62; so is every partial sum of
@@ -106,17 +104,16 @@ class SymbolTrie:
     intermediate of limb_product. A trie built with _exact is a limb trie
     whatever its runs, so that the two paths can be compared.
 
-    Every column reads two arrays over the internal nodes that do not
-    depend on the column, so they are built once, with the trie: above[v]
-    is v's parent with the root its own, the first lifting row where there
-    is one, and step[v] is str_depth[v] - str_depth[above[v]].
+    Every column reads two arrays that do not depend on the column, so
+    they are built once, with the trie: above[v] is v's parent with the
+    root its own, the first lifting row where there is one, and step[v] is
+    str_depth[v] - str_depth[above[v]].
     """
 
     parent: np.ndarray
     str_depth: np.ndarray
     up: tuple[np.ndarray, ...]
-    leaves: tuple[np.ndarray, ...]
-    internal: int
+    run_parents: np.ndarray
     symbols: int
     int64: bool
     above: np.ndarray = field(init=False)
@@ -124,14 +121,18 @@ class SymbolTrie:
 
     def __post_init__(self) -> None:
         above = self.up[0] if self.up else np.zeros(self.internal, dtype=np.int64)
-        step = self.str_depth[: self.internal] - self.str_depth[above]
+        step = self.str_depth - self.str_depth[above]
         above.flags.writeable = step.flags.writeable = False
         object.__setattr__(self, "above", above)
         object.__setattr__(self, "step", step)
 
     @property
-    def node_count(self) -> int:
+    def internal(self) -> int:
         return len(self.parent)
+
+    @property
+    def node_count(self) -> int:
+        return self.internal + len(self.run_parents)
 
     def climb(self, starts: np.ndarray, thresholds, freq: np.ndarray) -> np.ndarray:
         """Deepest ancestor-or-self of each internal start node with freq >= its threshold, or -1.
@@ -158,11 +159,6 @@ class SymbolTrie:
         above = self.parent[v]
         return np.where(freq[v] >= thresholds, v, np.where(freq[above] >= thresholds, above, -1))
 
-    def deepest_freq_ancestor(self, leaves, thresholds, freq: np.ndarray) -> np.ndarray:
-        """Deepest proper ancestor of each leaf with freq >= its threshold, or -1:
-        the climb from each leaf's parent."""
-        return self.climb(self.parent[np.asarray(leaves, dtype=np.int64)], thresholds, freq)
-
 
 @dataclass(frozen=True, eq=False)
 class Column:
@@ -171,9 +167,8 @@ class Column:
     per internal node in int64 or, past the trie's int64 bound, as a (2,
     internal) int64 array of limbs, rows hi and lo, weight = hi * 2^62 + lo
     (exact_ints reads them). supported[v] is v's deepest ancestor-or-self
-    with freq >= 1, the threshold-1 climb's answer from v. Node v <
-    trie.internal is entry v; the leaves have none, since no climb and no
-    closed form reads them."""
+    with freq >= 1, the threshold-1 climb's answer from v. Node v is
+    entry v, as in the trie's own arrays."""
 
     freq: np.ndarray
     weight: np.ndarray
@@ -184,8 +179,7 @@ class Column:
 def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
     """up[k][v], the 2^k-th ancestor of v, clamped at the root (node 0).
 
-    parent is the trie's over its internal nodes, parent[:internal]: their
-    ancestors are internal too, so the rows never index a leaf. The root is
+    parent is the trie's, over its root and internal nodes. The root is
     its own ancestor, so no row needs a mask. Rows double until the next
     would map every node to the root and so equal the one after it; it is
     not kept, since a climb starts at a leaf's parent, an internal node at
@@ -267,11 +261,12 @@ def exact_ints(values: np.ndarray) -> list[int]:
     return [(h << LIMB_BITS) + l for h, l in zip(hi, lo)]
 
 
-def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
-    """The column of one sequence from its (symbol, length) runs and the leaf after each.
+def annotate(trie: SymbolTrie, parents: np.ndarray, runs: np.ndarray) -> Column:
+    """The column of one sequence from its (symbol, length) runs and the
+    parent of the leaf after each, the sequence's entries of run_parents.
 
-    Both arrays cover the internal nodes v < trie.internal only (see
-    Column). max_run[s] is the sequence's longest run of symbol s, 0 where
+    freq, weight and supported cover the trie's nodes (see Column).
+    max_run[s] is the sequence's longest run of symbol s, 0 where
     absent. freq[v] is the largest length of a run of the sequence whose
     following suffix's leaf lies below v, and weight[v] is weight[parent] +
     freq[v] * (str_depth[v] - str_depth[parent]), 0 at the root.
@@ -309,7 +304,7 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
     np.maximum.at(max_run, runs[:, 0], runs[:, 1])
     max_run.flags.writeable = False
     freq = np.zeros(trie.internal, dtype=np.int64)
-    np.maximum.at(freq, trie.parent[leaves], runs[:, 1])
+    np.maximum.at(freq, parents, runs[:, 1])
     for row in trie.up:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
@@ -335,19 +330,24 @@ def annotate(trie: SymbolTrie, leaves: np.ndarray, runs: np.ndarray) -> Column:
 class LeafBlocks:
     """All the query trie's build reads of a suffix order (see leaf_blocks).
 
-    tokens[k] is the token whose suffix is leaf k, in leaf order, depths[k]
-    that suffix's decoded length, and gaps[k] the lcp of leaves k and k + 1,
-    0 between blocks; every array is int64. bounds are the family's
-    token_bounds, symbols is one more than its largest symbol id, and int64
-    whether its runs keep int64 exact (4 * M * D <= 2^62, see SymbolTrie).
+    tokens[k] is the token whose suffix is leaf k, in leaf order, and
+    gaps[k] the lcp of leaves k and k + 1, 0 between blocks; every array is
+    int64. bounds are the family's token_bounds, symbols is one more than
+    its largest symbol id, and int64 whether its runs keep int64 exact (4 *
+    M * D <= 2^62, see SymbolTrie).
     """
 
     tokens: np.ndarray
-    depths: np.ndarray
     gaps: np.ndarray
     bounds: np.ndarray
     symbols: int
     int64: bool
+
+    @property
+    def runs(self) -> np.ndarray:
+        """runs[k], the family run that leaf k's suffix follows, as run_parents
+        indexes it: token t of record j follows run t - j - 1."""
+        return self.tokens - np.searchsorted(self.bounds, self.tokens, side="right")
 
 
 def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
@@ -383,12 +383,11 @@ def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = order.lcp(leaf_tokens[inner], leaf_tokens[inner + 1])
-    # M and D of the int64 bound (see SymbolTrie)
-    longest_run = max(int(seq.runs[:, 1].max()) for seq in order.seqs)
+    # M and D of the int64 bound (see SymbolTrie); a terminator's length is 1
+    longest_run = int(order.run_lengths.max())
     longest_record = max(seq.content_length for seq in order.seqs) + 1
     return LeafBlocks(
         tokens=leaf_tokens,
-        depths=order.suffix_lengths[ranks],
         gaps=gaps,
         bounds=bounds,
         symbols=int(order.syms.max()) + 1,
@@ -447,12 +446,13 @@ def _nearest(values: np.ndarray, rows: list[np.ndarray], beyond, step: int) -> n
     return near
 
 
-def _compact_trie(depths: np.ndarray, gaps: np.ndarray):
-    """The compact trie over leaves in order, from their depths and the gaps between them.
+def _compact_trie(gaps: np.ndarray):
+    """The compact trie over leaves in order, from the gaps between them.
 
-    Returns int64 arrays (parent, str_depth, leaf_nodes). Node 0 is the
-    root; the internal nodes follow, in the order of their first gaps; the
-    leaves come last, in leaf order. Each leaf is deeper than both its gaps.
+    Each leaf must be deeper than both its gaps. Returns int64 arrays
+    (parent, str_depth, leaf_parents): parent and str_depth over the root,
+    node 0, and the internal nodes, in the order of their first gaps, and
+    each leaf's parent in leaf order.
 
     An internal node at depth v > 0 owns the gaps of value v with no
     smaller gap between them, and is represented by the first, whose
@@ -487,9 +487,9 @@ def _compact_trie(depths: np.ndarray, gaps: np.ndarray):
     up = np.where(values[left] >= values[right], node[left], node[right])
     # leaf k lies between gaps k - 1 and k; leaf 0 has only gap 0's node
     leaf_up = np.where(values[:-1] >= values[1:], node[:-1], node[1:])
-    parent = np.concatenate(([-1], up, node[:1], leaf_up))
-    str_depth = np.concatenate(([0], gaps[internal], depths))
-    return parent, str_depth, np.arange(len(internal) + 1, len(parent), dtype=np.int64)
+    parent = np.concatenate(([-1], up))
+    str_depth = np.concatenate(([0], gaps[internal]))
+    return parent, str_depth, np.concatenate((node[:1], leaf_up))
 
 
 def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolTrie:
@@ -498,21 +498,17 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
     _exact takes the limb path whatever the runs, annotate's weight sums
     included, so the two can be compared.
     """
-    parent, str_depth, leaf_nodes = _compact_trie(blocks.depths, blocks.gaps)
-    internal = len(parent) - len(leaf_nodes)
-    parent.flags.writeable = False
-    str_depth.flags.writeable = False
-    bounds = blocks.bounds
-    # token t's leaf; the sequence-start slots stay unset and unread
-    leaf_at = np.empty(bounds[-1], dtype=np.int64)
-    leaf_at[blocks.tokens] = leaf_nodes
-    leaf_at.flags.writeable = False
+    parent, str_depth, leaf_parents = _compact_trie(blocks.gaps)
+    # leaf order to the family's run order
+    run_parents = np.empty_like(leaf_parents)
+    run_parents[blocks.runs] = leaf_parents
+    for array in (parent, str_depth, run_parents):
+        array.flags.writeable = False
     return SymbolTrie(
         parent=parent,
         str_depth=str_depth,
-        up=_lifting_rows(parent[:internal]),
-        leaves=tuple(leaf_at[a + 1 : b] for a, b in zip(bounds, bounds[1:])),
-        internal=internal,
+        up=_lifting_rows(parent),
+        run_parents=run_parents,
         symbols=blocks.symbols,
         int64=blocks.int64 and not _exact,
     )

@@ -52,7 +52,7 @@ from rleacs.oracle import (
 )
 from rleacs.rle import FIRST_SYMBOL_ID, RleSeq, decode, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order
-from rleacs.symbol_tries import Column, SymbolTrie, exact_ints, leaf_blocks
+from rleacs.symbol_tries import Column, LeafBlocks, SymbolTrie, exact_ints, leaf_blocks
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -211,9 +211,18 @@ def _keyed_shape(parent: list[int], str_depth: list[int], leaves: list[int]) -> 
     return {keys[v]: keys[p] if p >= 0 else None for v, p in enumerate(parent)}
 
 
-def _sweep_mismatches(label: str, parent, str_depth, leaves, blocks) -> list[str]:
+def _whole_trie(trie: SymbolTrie, blocks: LeafBlocks, depths: list[int]):
+    """(parent, str_depth, leaves) of trie with its leaves, as Python lists:
+    leaf k of blocks, at depth depths[k], is node trie.internal + k, under
+    the run_parents entry of the run its suffix follows."""
+    leaves = list(range(trie.internal, trie.internal + len(depths)))
+    parent = trie.parent.tolist() + trie.run_parents[blocks.runs].tolist()
+    return parent, trie.str_depth.tolist() + depths, leaves
+
+
+def _sweep_mismatches(label: str, parent, str_depth, leaves, depths, gaps) -> list[str]:
     """The trie against the sweep's from the same leaf depths and gaps, node for node."""
-    reference = _sweep_compact_trie(blocks.depths.tolist(), blocks.gaps.tolist())
+    reference = _sweep_compact_trie(depths, gaps)
     if len(parent) != len(reference[0]):
         return [f"{label}: {len(parent)} nodes, the sweep's trie {len(reference[0])}"]
     want = _keyed_shape(*reference)
@@ -229,21 +238,11 @@ def _sweep_mismatches(label: str, parent, str_depth, leaves, blocks) -> list[str
     return []
 
 
-def _interval_min_mismatches(
-    label: str,
-    parent: list[int],
-    str_depth: list[int],
-    leaves: list[int],
-    leaf_depths: list[int],
-    gaps: list[int],
-) -> list[str]:
-    """Check str_depth of every node against the gap array it must summarize."""
+def _interval_min_mismatches(label: str, parent, str_depth, leaves, gaps: list[int]) -> list[str]:
+    """Check str_depth of every internal node against the gap array it must summarize."""
     failures = []
     lo, hi = _leaf_intervals(parent, str_depth, leaves)
     is_leaf = set(leaves)
-    for rank, leaf in enumerate(leaves):
-        if str_depth[leaf] != leaf_depths[rank]:
-            failures.append(f"{label}: leaf {rank} str_depth {str_depth[leaf]} != {leaf_depths[rank]}")
     # The root is synthetic (empty string, depth 0); a subset of suffixes may
     # share a nonzero prefix, so the exact-min law binds only below it.
     spans = [
@@ -449,31 +448,32 @@ def _exact_checks(
     return failures
 
 
-def brute_column(trie: SymbolTrie, leaves, lengths) -> tuple[list[int], list[int]]:
-    """(freq, weight) of every internal node of trie, as Python ints, when the
-    run before each of leaves has the length beside it and every other leaf's
-    run is another sequence's: freq is the largest such length below the node,
-    weight the sum of freq * (str_depth - str_depth[parent]) over its root
-    path. A parent is shallower than its children, so deeper nodes go first."""
+def brute_column(trie: SymbolTrie, parents, lengths) -> tuple[list[int], list[int]]:
+    """(freq, weight) of every node of trie, as Python ints, when the run before
+    a leaf under each of parents has the length beside it and every other
+    leaf's run is another sequence's: freq is the largest such length below the
+    node, weight the sum of freq * (str_depth - str_depth[parent]) over its
+    root path. A parent is shallower than its children, so deeper nodes go first."""
     parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
     freq = [0] * len(parent)
-    for leaf, length in zip(np.asarray(leaves).tolist(), np.asarray(lengths).tolist()):
-        freq[leaf] = length
+    for p, length in zip(np.asarray(parents).tolist(), np.asarray(lengths).tolist()):
+        freq[p] = max(freq[p], length)
     by_depth = sorted(range(1, len(parent)), key=depth.__getitem__)
     for v in reversed(by_depth):
         freq[parent[v]] = max(freq[parent[v]], freq[v])
     weight = [0] * len(parent)
     for v in by_depth:
         weight[v] = weight[parent[v]] + freq[v] * (depth[v] - depth[parent[v]])
-    return freq[: trie.internal], weight[: trie.internal]
+    return freq, weight
 
 
-def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -> list[str]:
-    """The column covers the internal nodes and is brute_column's for sequence
+def _column_checks(label: str, engine: AcsEngine, column: Column, j: int) -> list[str]:
+    """The column covers the trie's nodes and is brute_column's for sequence
     j's runs: freq the subtree maximum of the preceding runs, so it never
     decreases toward the root, weight its telescoped root-path sum, and
     supported at each node the first node with that freq >= 1 on a walk up
     from it (the root, if none below it is)."""
+    trie = engine.trie
     internal = trie.internal
     shapes = (column.freq.shape, column.supported.shape, column.weight.shape[-1:])
     if shapes != ((internal,),) * 3:
@@ -481,7 +481,8 @@ def _column_checks(label: str, trie: SymbolTrie, column: Column, j: int, runs) -
     failures = []
     freq = column.freq.tolist()
     weight = exact_ints(column.weight)
-    best, telescoped = brute_column(trie, trie.leaves[j], runs[:, 1])
+    parents = trie.run_parents[engine.record(j)]
+    best, telescoped = brute_column(trie, parents, engine.seqs[j].runs[:, 1])
     wrong = [v for v in range(internal) if freq[v] != best[v]]
     if wrong:
         v = wrong[0]
@@ -513,58 +514,44 @@ def _structural_checks(
     engine: AcsEngine, columns: tuple[Column, Column], order: SuffixOrder
 ) -> list[str]:
     """Invariants of the pair engine's query trie and two columns, built on
-    order: the trie is the sweep's over the same leaves and gaps, its leaves
-    are the suffixes that follow a run, in symbol blocks, and its str_depths
-    are the interval mins of the run walker's gaps; each column is
-    brute_column's."""
+    order: its leaves are the suffixes that follow a run, in symbol blocks;
+    with each leaf under its run's parent, the trie is the sweep's over the
+    same leaves and gaps, and its str_depths are the interval mins of the
+    run walker's gaps; each column is brute_column's."""
     failures: list[str] = []
-    query = engine.trie
-    parent = query.parent.tolist()
-    str_depth = query.str_depth.tolist()
     refs = suffix_refs(order)
-    # the suffix after run i of sequence j starts at the token after it
-    leaf_at = [v for leaves in query.leaves for v in (-1, *leaves.tolist())]
-    # the sweep, from the same leaves and gaps, gives the same trie
     blocks = leaf_blocks(order)
-    in_order = [leaf_at[t] for t in blocks.tokens.tolist()]
-    failures.extend(_sweep_mismatches("query trie", parent, str_depth, in_order, blocks))
-    tokens = order.tokens.tolist()
-    with_leaf = [k for k, t in enumerate(tokens) if leaf_at[t] >= 0]
-    if with_leaf != [k for k, ref in enumerate(refs) if ref.run >= 2]:
+    rank_of = {t: k for k, t in enumerate(order.tokens.tolist())}
+    leaf_ranks = [rank_of[t] for t in blocks.tokens.tolist()]
+    if sorted(leaf_ranks) != [k for k, ref in enumerate(refs) if ref.run >= 2]:
         failures.append("query trie leaves are not the suffixes that follow a run")
         return failures
-    rank_of = {leaf_at[tokens[k]]: k for k in with_leaf}
-    leaves = sorted(set(range(query.node_count)) - set(parent))
-    if len(rank_of) != len(with_leaf) or sorted(rank_of) != leaves:
-        failures.append("query trie: run leaves are not the trie's leaves")
-        return failures
-    if leaves != list(range(query.internal, query.node_count)):
-        failures.append(f"query trie: the leaves are not the nodes from {query.internal} on")
-        return failures
-    leaf_ranks = [rank_of[v] for v in leaves]
+    runs = tuple(seq.runs.tolist() for seq in engine.seqs)
+    leaf_refs = [refs[k] for k in leaf_ranks]
+    # leaf depths as sums of the runs from the leaf's own on (a suffix ends
+    # in its length-1 terminator)
+    tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
+    depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
+    shape = _whole_trie(engine.trie, blocks, depths)
+    # the sweep, from the same leaves and gaps, gives the same trie
+    failures.extend(_sweep_mismatches("query trie", *shape, depths, blocks.gaps.tolist()))
 
     # the forward column counts the second sequence's runs, the reverse one the first's
-    seq_runs = tuple(seq.runs for seq in engine.seqs)
     for j, prefix in ((1, ""), (0, "reverse ")):
-        failures.extend(_column_checks(f"query trie: {prefix}", query, columns[j], j, seq_runs[j]))
+        failures.extend(_column_checks(f"query trie: {prefix}", engine, columns[j], j))
 
-    runs = tuple(r.tolist() for r in seq_runs)
-    leaf_refs = [refs[k] for k in leaf_ranks]
     preceding = [runs[ref.seq][ref.run - 2] for ref in leaf_refs]
     syms = [sym for sym, _ in preceding]
     if sorted(zip(syms, leaf_ranks)) != list(zip(syms, leaf_ranks)):
         failures.append("query trie: leaves are not in symbol blocks of ascending rank")
 
     # gap lcps recomputed with the run walker inside a block, 0 between
-    # blocks, depths as sums of the runs from the leaf's own on (a suffix
-    # ends in its length-1 terminator), then interval mins
+    # blocks, then interval mins
     gaps = [
         suffix_lcp(*engine.seqs, a, b) if s == t else 0
         for a, b, s, t in zip(leaf_refs, leaf_refs[1:], syms, syms[1:])
     ]
-    tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
-    depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
-    failures.extend(_interval_min_mismatches("query trie", parent, str_depth, leaves, depths, gaps))
+    failures.extend(_interval_min_mismatches("query trie", *shape, gaps))
     return failures
 
 
@@ -596,7 +583,7 @@ def check_family(
         for j, seq in enumerate(seqs):
             column = engine.column(j)
             if deep:
-                failures.extend(_column_checks(f"family column {j}: ", engine.trie, column, j, seq.runs))
+                failures.extend(_column_checks(f"family column {j}: ", engine, column, j))
             failures.extend(_exact_checks("family", engine, exact, j, column, deep))
             for i, total in enumerate(engine.totals(j, column)):
                 if i == j:

@@ -76,20 +76,18 @@ def test_run_leaves_follow_each_run():
     # the token string holds every run and the two terminators; all its
     # suffixes but the two sequence starts follow a run and have a leaf
     assert len(token_string(first, second)) == len(first.runs) + len(second.runs) + 2
-    forward, back = engine.trie.leaves
-    assert (len(forward), len(back)) == (first.run_count, second.run_count)
-    assert forward.dtype == back.dtype == np.int64
-    # every leaf follows exactly one run
-    leaves = np.concatenate((forward, back)).tolist()
-    assert len(set(leaves)) == len(leaves)
-    # each leaf's depth is the decoded length of the suffix after its run,
-    # terminator included ("b$", "$" and "bab$", "ab$", "b$", "$"), and its
-    # run's length counts in its own side's freq column, as the subtree
-    # maxima of the brute reference, where the other side's leaves stand for 0
     trie = engine.trie
+    forward, back = (trie.run_parents[engine.record(i)] for i in (0, 1))
+    assert (len(forward), len(back)) == (first.run_count, second.run_count)
+    assert trie.run_parents.dtype == np.int64
+    # the trie keeps the leaf after each run by its parent, an internal node
+    # shallower than the decoded suffix after the run, terminator included
+    # ("b$", "$" and "bab$", "ab$", "b$", "$"), and the run's length counts
+    # in its own side's freq column, as the subtree maxima of the brute
+    # reference, where the other side's leaves stand for 0
+    assert (trie.str_depth[forward] < [2, 1]).all()
+    assert (trie.str_depth[back] < [4, 3, 2, 1]).all()
     freq, rev_freq = engine.column(1).freq, engine.column(0).freq
-    assert trie.str_depth[forward].tolist() == [2, 1]
-    assert trie.str_depth[back].tolist() == [4, 3, 2, 1]
     assert rev_freq.tolist() == brute_column(trie, forward, first.runs[:, 1])[0]
     assert freq.tolist() == brute_column(trie, back, second.runs[:, 1])[0]
 
@@ -100,7 +98,7 @@ def _batch_agrees(engine, i, j):
     column = engine.column(j)
     sums = engine.run_sums(i, column)
     # symbols, lengths and leaf parents
-    arrays = (*engine.seqs[i].runs.T, engine.trie.parent[engine.trie.leaves[i]])
+    arrays = (*engine.seqs[i].runs.T, engine.trie.run_parents[engine.record(i)])
     singles = [
         exact_ints(_closed_form(engine.trie, column, *(a[k : k + 1] for a in arrays)))[0]
         for k in range(engine.seqs[i].run_count)
@@ -732,7 +730,7 @@ def _path_of(engine):
     for column in (engine.column(0), engine.column(1)):
         assert column.weight.dtype == np.int64 and column.weight.shape == shape
         expect = [0] * trie.internal
-        for v in np.argsort(trie.str_depth[: trie.internal], kind="stable")[1:].tolist():
+        for v in np.argsort(trie.str_depth, kind="stable")[1:].tolist():
             expect[v] = expect[parent[v]] + int(column.freq[v]) * (depth[v] - depth[parent[v]])
         assert exact_ints(column.weight) == expect
     return trie.int64

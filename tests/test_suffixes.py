@@ -138,7 +138,7 @@ def test_longest_run_table():
     first, second = make_pair("x", "ab")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
     assert trie.symbols == ord("x") + FIRST_SYMBOL_ID + 1
-    table = annotate(trie, trie.leaves[1], second.runs).max_run
+    table = annotate(trie, trie.run_parents[first.run_count :], second.runs).max_run
     assert len(table) == trie.symbols
     assert {k: n for k, n in enumerate(table.tolist()) if n} == {
         ord("a") + FIRST_SYMBOL_ID: 1,
@@ -146,7 +146,7 @@ def test_longest_run_table():
     }
     first, second = make_pair("x", "aabbba")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
-    table = annotate(trie, trie.leaves[1], second.runs).max_run
+    table = annotate(trie, trie.run_parents[first.run_count :], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
     assert (table[a_id], table[b_id]) == (2, 3)
     assert table[first.runs[0, 0]] == 0
@@ -158,18 +158,17 @@ def test_trie_micro_pair():
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
-    query = extract_symbol_tries(leaf_blocks(order))
-    first_leaves, second_leaves = query.leaves
-    leaf_at = [-1, *first_leaves.tolist(), -1, *second_leaves.tolist()]
-    rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
-    leaves = np.sort(np.concatenate(query.leaves)).tolist()
-    assert [rank_of[v] for v in leaves] == [4, 5, 0, 1]
-    freq = annotate(query, second_leaves, second.runs).freq
-    rev_freq = annotate(query, first_leaves, first.runs).freq
+    blocks = leaf_blocks(order)
+    query = extract_symbol_tries(blocks)
+    assert np.argsort(order.tokens)[blocks.tokens].tolist() == [4, 5, 0, 1]
+    first_parents, second_parents = np.split(query.run_parents, [first.run_count])
+    freq = annotate(query, second_parents, second.runs).freq
+    rev_freq = annotate(query, first_parents, first.runs).freq
     # the leaves stand for their preceding runs' lengths, Y's in freq and
     # X's in rev_freq, and the internal nodes hold the subtree maxima
-    assert freq.tolist() == brute_column(query, leaves, [0, 1, 0, 1])[0]
-    assert rev_freq.tolist() == brute_column(query, leaves, [2, 0, 1, 0])[0]
+    parents = query.run_parents[blocks.runs]
+    assert freq.tolist() == brute_column(query, parents, [0, 1, 0, 1])[0]
+    assert rev_freq.tolist() == brute_column(query, parents, [2, 0, 1, 0])[0]
 
 
 def _assert_order_matches_brute(x, y):
@@ -292,7 +291,7 @@ def test_doubling_on_adversarial_pairs(make):
     seqs = make(1 << 12)
     rounds = build_suffix_order(*seqs).rounds
     assert len(rounds) >= 12
-    syms, groups, signed, nexts, _ = _token_columns(seqs)
+    syms, groups, signed, nexts, _ = _token_columns(seqs, token_bounds(seqs))
     assert np.array_equal(rounds[0], _lexsort_rank([syms, groups, signed, nexts]))
     for k, (rank, after) in enumerate(zip(rounds, rounds[1:])):
         shifted = np.full(len(rank), -1, dtype=np.int64)

@@ -33,9 +33,11 @@ from rleacs.symbol_tries import (
 )
 from rleacs.verify import (
     _keyed_shape,
+    _leaf_intervals,
     _structural_checks,
     _sweep_compact_trie,
     _sweep_mismatches,
+    _whole_trie,
     brute_column,
 )
 
@@ -45,29 +47,29 @@ def build_query_trie(x, y):
     return extract_symbol_tries(leaf_blocks(order)), order
 
 
+def record_parents(trie, seqs):
+    """trie.run_parents cut into one array per record."""
+    return np.split(trie.run_parents, np.cumsum([seq.run_count for seq in seqs])[:-1])
+
+
 def pair_columns(trie, order):
     """The pair's two columns: (second's, first's), the forward and reverse ones."""
     first, second = (
-        annotate(trie, leaves, seq.runs) for leaves, seq in zip(trie.leaves, order.seqs)
+        annotate(trie, parents, seq.runs)
+        for parents, seq in zip(record_parents(trie, order.seqs), order.seqs)
     )
     return second, first
 
 
-def trie_leaves(trie):
-    """Every leaf, in leaf order: leaf ids ascend in block order."""
-    return np.sort(np.concatenate(trie.leaves)).tolist()
+def leaf_parents(trie, order):
+    """The parent of every leaf, in leaf order."""
+    return trie.run_parents[leaf_blocks(order).runs].tolist()
 
 
-def token_leaves(trie):
-    """The leaf of the suffix at each token, -1 at the sequence starts."""
-    return [v for leaves in trie.leaves for v in (-1, *leaves.tolist())]
-
-
-def leaf_ranks(trie, order):
-    """Suffix-order rank of each trie leaf, in leaf order."""
-    leaf_at = token_leaves(trie)
-    rank_of = {leaf_at[t]: k for k, t in enumerate(order.tokens.tolist()) if leaf_at[t] >= 0}
-    return [rank_of[v] for v in trie_leaves(trie)]
+def leaf_depths(order, blocks):
+    """The decoded length of every leaf's suffix, in leaf order."""
+    rank = np.argsort(order.tokens)
+    return order.suffix_lengths[rank[blocks.tokens]].tolist()
 
 
 def test_extract_micro_pair():
@@ -77,7 +79,8 @@ def test_extract_micro_pair():
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two terminator suffixes
     refs = suffix_refs(order)
-    assert [refs[k] for k in leaf_ranks(trie, order)] == [
+    rank = np.argsort(order.tokens)
+    assert [refs[k] for k in rank[leaf_blocks(order).tokens]] == [
         SuffixRef(0, 2),
         SuffixRef(1, 2),
         SuffixRef(0, 3),
@@ -86,19 +89,19 @@ def test_extract_micro_pair():
     # a leaf stands for its preceding run's length in the forward column
     # when that run is Y's, in the reverse one when it is X's; the columns
     # hold the subtree maxima of those values at the root and mid
-    leaves = trie_leaves(trie)
+    parents = leaf_parents(trie, order)
     forward, reverse = pair_columns(trie, order)
-    assert forward.freq.tolist() == brute_column(trie, leaves, [0, 1, 0, 1])[0] == [1, 1]
-    assert reverse.freq.tolist() == brute_column(trie, leaves, [2, 0, 1, 0])[0] == [2, 2]
+    assert forward.freq.tolist() == brute_column(trie, parents, [0, 1, 0, 1])[0] == [1, 1]
+    assert reverse.freq.tolist() == brute_column(trie, parents, [2, 0, 1, 0])[0] == [2, 2]
     # root, the a-block's mid node and its two leaves, the two b-leaves
     assert trie.node_count == 6 and trie.internal == 2
-    a_x, a_y, b_x, b_y = leaves
-    mid = trie.parent[a_x]
+    a_x, a_y, b_x, b_y = parents
+    mid = a_x
     assert trie.str_depth[mid] == 1
-    assert trie.parent[a_y] == mid
+    assert a_y == mid
     assert trie.parent[mid] == 0
     # the terminator suffixes share no prefix: both hang from the root
-    assert [trie.parent[b_x], trie.parent[b_y]] == [0, 0]
+    assert [b_x, b_y] == [0, 0]
 
 
 def test_extract_builds_no_neighbor_lcps():
@@ -115,8 +118,8 @@ def test_extract_builds_no_neighbor_lcps():
 def test_annotate_micro_pair():
     trie, order = build_query_trie("aab", "ab")
     column, _ = pair_columns(trie, order)
-    leaves = trie_leaves(trie)
-    mid = trie.parent[leaves[0]]
+    parents = leaf_parents(trie, order)
+    mid = parents[0]
     assert column.freq[mid] == 1
     assert column.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
     assert column.freq[0] == 1
@@ -125,7 +128,7 @@ def test_annotate_micro_pair():
     # type-Y leaf for its run length, and mid holds their maximum
     assert column.freq.shape == column.weight.shape == (trie.internal,) == (2,)
     assert (column.freq.tolist(), column.weight.tolist()) == brute_column(
-        trie, leaves, [0, 1, 0, 1]
+        trie, parents, [0, 1, 0, 1]
     )
 
 
@@ -134,27 +137,26 @@ def test_annotate_no_second_sequence_leaves():
     # 0 below the root, which carries the a-block's Y leaf
     trie, order = build_query_trie("aba", "a")
     column, reverse = pair_columns(trie, order)
-    b_leaf = trie_leaves(trie)[-1]
-    assert trie.parent[b_leaf] == 0
-    # X's b-run of 1 before b_leaf reaches its parent, the root
-    assert reverse.freq[trie.parent[b_leaf]] == 1
-    # in Y's column b_leaf stands for 0, and the root's 1 is the a-block's Y leaf
+    b_parent = leaf_parents(trie, order)[-1]
+    assert b_parent == 0
+    # X's b-run of 1 before the b-leaf reaches its parent, the root
+    assert reverse.freq[b_parent] == 1
+    # in Y's column the b-leaf stands for 0, and the root's 1 is the a-block's Y leaf
     assert (column.freq.tolist(), column.weight.tolist()) == brute_column(
-        trie, trie.leaves[1], order.seqs[1].runs[:, 1]
+        trie, record_parents(trie, order.seqs)[1], order.seqs[1].runs[:, 1]
     )
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
-def hand_trie(parent, str_depth, leaves, int64=True):
-    """A one-symbol SymbolTrie from a parent array and depths; the leaves come last."""
+def hand_trie(parent, str_depth, run_parents, int64=True):
+    """A one-symbol SymbolTrie from the internal nodes' parents and depths and
+    the parent of the leaf after each run."""
     parent = np.array(parent, dtype=np.int64)
-    internal = len(parent) - len(leaves)
     return SymbolTrie(
         parent=parent,
         str_depth=np.array(str_depth, dtype=np.int64),
-        up=_lifting_rows(parent[:internal]),
-        leaves=(np.array(leaves, dtype=np.int64),),
-        internal=internal,
+        up=_lifting_rows(parent),
+        run_parents=np.array(run_parents, dtype=np.int64),
         symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
     )
@@ -167,19 +169,19 @@ def runs_of(lengths):
 
 def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
-    # freq(v1) = 5 and freq(v2) = 3; the three leaves follow second-sequence
-    # runs of lengths 3, 2 and 5
+    # freq(v1) = 5 and freq(v2) = 3; the three leaves, two under v2 and one
+    # under v1, follow second-sequence runs of lengths 3, 2 and 5
     # on both arithmetic paths
-    parent, str_depth = [-1, 0, 1, 2, 2, 1], [0, 2, 7, 9, 10, 4]
+    parent, str_depth = [-1, 0, 1], [0, 2, 7]
     for int64 in (True, False):
-        trie = hand_trie(parent, str_depth, [3, 4, 5], int64)
-        column = annotate(trie, trie.leaves[0], runs_of([3, 2, 5]))
+        trie = hand_trie(parent, str_depth, [2, 2, 1], int64)
+        column = annotate(trie, trie.run_parents, runs_of([3, 2, 5]))
         freq, weight = column.freq, exact_ints(column.weight)
         assert freq[1] == 5
         assert freq[2] == 3
         assert weight[1] == 10  # 5 * (2 - 0)
         assert weight[2] == 25  # 10 + 3 * (7 - 2)
-        assert (freq.tolist(), weight) == brute_column(trie, [3, 4, 5], [3, 2, 5])
+        assert (freq.tolist(), weight) == brute_column(trie, [2, 2, 1], [3, 2, 5])
         assert column.max_run.tolist() == [0, 0, 5]
         # a column with no leaves: zeros over the three internal nodes
         rev = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
@@ -193,22 +195,22 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     # the internal node 4 sits 4 = 2^2 levels below the root, and the two
     # kept lifting rows reach 3 levels: without the root's own step the
     # root would keep only the shallow leaf's 1, pushed to it, and a climb
-    # from that leaf at threshold 5 would fall off the root
+    # from that leaf's parent at threshold 5 would fall off the root
     # the int64 weights' pointer doubling takes the same two rows
     for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 3, 4, 0], [0, 1, 2, 3, 4, 5, 1], [5, 6], int64)
+        trie = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 0], int64)
         assert trie.internal == 5 and len(trie.up) == 2
-        column = annotate(trie, trie.leaves[0], runs_of([5, 1]))
+        column = annotate(trie, trie.run_parents, runs_of([5, 1]))
         # the leaves' 5 and 1 have moved to the brute reference
         assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
-            trie, [5, 6], [5, 1]
+            trie, [4, 0], [5, 1]
         )
         assert column.freq.tolist() == [5, 5, 5, 5, 5]
         assert exact_ints(column.weight) == [0, 5, 10, 15, 20]
-        assert trie.deepest_freq_ancestor([6, 5], [5, 5], column.freq).tolist() == [0, 4]
+        assert trie.climb(np.array([0, 4]), [5, 5], column.freq).tolist() == [0, 4]
         # the same chain with nothing beside it, as first found
-        chain = hand_trie([-1, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], [5], int64)
-        assert annotate(chain, chain.leaves[0], runs_of([5])).freq.tolist() == [5] * 5
+        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], int64)
+        assert annotate(chain, chain.run_parents, runs_of([5])).freq.tolist() == [5] * 5
 
 
 @pytest.mark.parametrize("run", [3, 4])
@@ -218,9 +220,8 @@ def test_limb_column_weights_either_side_of_2_63(run):
     # longest run times the deepest internal str_depth passes 2^63 as well
     # (nodes 2 and 3 each hold one leaf, one level deeper)
     deep = (1 << 61) + 3
-    depths = [0, 1 << 61, deep, deep, deep + 1, deep + 1]
-    trie = hand_trie([-1, 0, 1, 1, 2, 3], depths, [4, 5], int64=False)
-    column = annotate(trie, trie.leaves[0], runs_of([run, 1]))
+    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], int64=False)
+    column = annotate(trie, trie.run_parents, runs_of([run, 1]))
     assert column.weight.shape == (2, trie.internal) == (2, 4)
     hi, lo = column.weight
     assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
@@ -235,12 +236,9 @@ def test_annotate_leaves_int64_columns():
     columns = pair_columns(trie, order)
     exact_columns = pair_columns(exact, order)
     freqs = [column.freq for column in (*columns, *exact_columns)]
-    for column in (trie.parent, trie.str_depth, *freqs, *trie.up):
+    for column in (trie.parent, trie.str_depth, trie.run_parents, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
-    for column in (trie.parent, trie.str_depth):
-        assert len(column) == trie.node_count
-    # the columns and lifting rows cover the internal nodes, the leaves come last
-    assert trie.internal == trie.node_count - sum(len(seq.runs) for seq in order.seqs)
+    # the columns and lifting rows cover the trie's nodes, all internal
     for column in (*freqs, *trie.up):
         assert len(column) == trie.internal
     for column in (column.weight for column in columns):
@@ -254,12 +252,10 @@ def test_annotate_leaves_int64_columns():
         assert exact_ints(int64.weight) == int64.weight.tolist() == exact_ints(exact_column.weight)
         assert int64.max_run.tolist() == exact_column.max_run.tolist()
         assert int64.max_run.dtype == np.int64 and len(int64.max_run) == trie.symbols
-    for column in trie.leaves:
-        assert column.dtype == np.int64
     # rows double until the next would map every internal node to the root
     # (node 0); this pair's internal nodes all hang from the root, so it has
     # none (test_lifting_rows_stop_before_the_all_root_row has rows)
-    assert trie.up == () and not trie.parent[1 : trie.internal].any()
+    assert trie.up == () and not trie.parent[1:].any()
 
 
 def test_lifting_rows_stop_before_the_all_root_row():
@@ -284,10 +280,11 @@ def test_internal_nodes_without_lifting_rows():
         if exact:
             trie = extract_symbol_tries(leaf_blocks(order), _exact=True)
         sides = ((1, order.seqs[1]), (0, order.seqs[0]))
+        parents = record_parents(trie, order.seqs)
         for column, (j, seq) in zip(pair_columns(trie, order), sides):
             assert column.freq.tolist() == [1, 1]
             assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
-                trie, trie.leaves[j], seq.runs[:, 1]
+                trie, parents[j], seq.runs[:, 1]
             )
         # a column with no leaves
         empty = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
@@ -320,7 +317,7 @@ def test_columns_match_the_brute_reference_on_random_families(k, exact):
             assert column.freq.shape == (trie.internal,)
             assert column.weight.shape == ((2,) if exact else ()) + (trie.internal,)
             assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
-                trie, trie.leaves[j], seq.runs[:, 1]
+                trie, trie.run_parents[engine.record(j)], seq.runs[:, 1]
             )
 
 
@@ -365,10 +362,10 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 def test_trie_is_immutable():
     trie, order = build_query_trie("aabba", "abab")
-    rows = ("up", "leaves", "internal", "symbols", "int64")
+    rows = ("up", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
     annotations = pair_columns(trie, order)
-    for column in [*columns, *trie.up, *trie.leaves]:
+    for column in [*columns, *trie.up]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 7
     for column in annotations:
@@ -379,6 +376,31 @@ def test_trie_is_immutable():
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
+
+
+def test_trie_holds_no_leaf_rows():
+    # every array of the trie covers the internal nodes, but run_parents,
+    # one entry per run; no array spans the leaves, and the build never
+    # computes the order's suffix lengths
+    orders = []
+
+    def kept(*seqs):
+        orders.append(build_suffix_order(*seqs))
+        return orders[-1]
+
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(("aabbaab", "abab", "bbba"))]
+    with mock.patch("rleacs.engine.build_suffix_order", kept):
+        engine = AcsEngine(*seqs)
+    trie = engine.trie
+    runs = sum(seq.run_count for seq in seqs)
+    assert trie.node_count == trie.internal + runs
+    arrays = {f.name: getattr(trie, f.name) for f in dataclasses.fields(trie)}
+    del arrays["symbols"], arrays["int64"]
+    assert arrays.pop("run_parents").shape == (runs,)
+    for array in (*arrays.pop("up"), *arrays.values()):
+        assert array.shape == (trie.internal,)
+    assert (trie.run_parents < trie.internal).all()
+    assert "suffix_lengths" not in vars(orders[0])
 
 
 def test_concurrent_directions_match_serial_totals():
@@ -416,10 +438,9 @@ def test_concurrent_directions_match_serial_totals():
 def test_deepest_ancestor_micro():
     trie, order = build_query_trie("aab", "ab")
     column, _ = pair_columns(trie, order)
-    leaf = trie_leaves(trie)[0]  # X suffix "b<s1>"
-    mid = trie.parent[leaf]
+    mid = leaf_parents(trie, order)[0]  # above X suffix "b<s1>"
     # root freq is only 1, so threshold 2 has no qualifying ancestor
-    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2], column.freq).tolist() == [mid, -1]
+    assert trie.climb(np.array([mid, mid]), [1, 2], column.freq).tolist() == [mid, -1]
 
 
 def test_deepest_ancestor_none_without_y_leaves():
@@ -428,12 +449,11 @@ def test_deepest_ancestor_none_without_y_leaves():
     # the root's freq there is no qualifying ancestor
     trie, order = build_query_trie("aba", "a")
     column, _ = pair_columns(trie, order)
-    leaf = trie_leaves(trie)[-1]
-    assert trie.deepest_freq_ancestor([leaf, leaf], [1, 2], column.freq).tolist() == [0, -1]
+    above = leaf_parents(trie, order)[-1]
+    assert trie.climb(np.array([above, above]), [1, 2], column.freq).tolist() == [0, -1]
 
 
-def _walk_up_reference(parent, freq, leaf, threshold):
-    v = parent[leaf]
+def _walk_up_reference(parent, freq, v, threshold):
     answer = -1
     while v != -1:
         if freq[v] >= threshold:
@@ -452,10 +472,11 @@ def test_searches_match_linear_walk_random():
         parent = trie.parent.tolist()
         for column in pair_columns(trie, order):
             freq = column.freq.tolist()
-            # thresholds run past the root's freq, where no ancestor qualifies
-            pairs = [(leaf, h) for leaf in trie_leaves(trie) for h in range(0, freq[0] + 3)]
-            leaves, thresholds = (np.array(values, dtype=np.int64) for values in zip(*pairs))
-            got = trie.deepest_freq_ancestor(leaves, thresholds, column.freq).tolist()
+            # from every leaf's parent; thresholds run past the root's freq,
+            # where no ancestor qualifies
+            pairs = [(v, h) for v in leaf_parents(trie, order) for h in range(0, freq[0] + 3)]
+            starts, thresholds = (np.array(values, dtype=np.int64) for values in zip(*pairs))
+            got = trie.climb(starts, thresholds, column.freq).tolist()
             assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
 
 
@@ -498,21 +519,38 @@ def test_structural_invariants(x, y):
     assert _structural_checks(engine, columns, order) == []
 
 
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=30), min_size=2, max_size=4))
+@example(["aab", "ab"])
+def test_run_parents_are_the_sweeps_leaf_parents(texts):
+    # each run's entry is the parent the sweep gives the leaf after it, the
+    # two builds' nodes matched by leaf interval and depth
+    order = build_suffix_order(*(encode(text, f"s{j}") for j, text in enumerate(texts)))
+    blocks = leaf_blocks(order)
+    trie = extract_symbol_tries(blocks)
+    depths = leaf_depths(order, blocks)
+
+    def parent_keys(parent, str_depth, leaves):
+        lo, hi = _leaf_intervals(parent, str_depth, leaves)
+        return [(lo[parent[v]], hi[parent[v]], str_depth[parent[v]]) for v in leaves]
+
+    reference = _sweep_compact_trie(depths, blocks.gaps.tolist())
+    assert parent_keys(*_whole_trie(trie, blocks, depths)) == parent_keys(*reference)
+
+
 def assert_sweep_shape(depths, gaps):
     """The array build over these leaves and gaps is the sweep's trie, node for node."""
-    parent, str_depth, leaves = _compact_trie(
-        np.array(depths, dtype=np.int64), np.array(gaps, dtype=np.int64)
-    )
-    assert parent.dtype == str_depth.dtype == leaves.dtype == np.int64
-    # the root first, the leaves last and in leaf order
+    parent, str_depth, parents = _compact_trie(np.array(gaps, dtype=np.int64))
+    assert parent.dtype == str_depth.dtype == parents.dtype == np.int64
+    # the root first, then the internal nodes; one parent per leaf, in leaf order
     assert parent[0] == -1 and str_depth[0] == 0
-    assert leaves.tolist() == list(range(len(parent) - len(depths), len(parent)))
-    assert len(parent) <= 2 * len(depths)
+    assert len(parents) == len(depths) and parents.max() < len(parent)
+    assert len(parent) <= len(depths)
+    # leaf k is node len(parent) + k
+    leaves = list(range(len(parent), len(parent) + len(depths)))
+    parent, str_depth = parent.tolist() + parents.tolist(), str_depth.tolist() + depths
     reference = _sweep_compact_trie(depths, gaps)
     assert len(parent) == len(reference[0])
-    assert _keyed_shape(parent.tolist(), str_depth.tolist(), leaves.tolist()) == _keyed_shape(
-        *reference
-    )
+    assert _keyed_shape(parent, str_depth, leaves) == _keyed_shape(*reference)
 
 
 @st.composite
@@ -561,9 +599,9 @@ def test_array_build_falls_back_to_the_descent(leaves):
 
 @pytest.mark.parametrize("make", [bench.periodic_pair, bench.fibonacci_pair])
 def test_array_build_matches_the_sweep_on_adversarial_pairs(make):
-    blocks = leaf_blocks(build_suffix_order(*make(1 << 14)))
+    order = build_suffix_order(*make(1 << 14))
+    blocks = leaf_blocks(order)
     trie = extract_symbol_tries(blocks)
-    leaf_at = token_leaves(trie)
-    in_order = [leaf_at[t] for t in blocks.tokens.tolist()]
-    parent, str_depth = trie.parent.tolist(), trie.str_depth.tolist()
-    assert _sweep_mismatches("trie", parent, str_depth, in_order, blocks) == []
+    depths = leaf_depths(order, blocks)
+    shape = _whole_trie(trie, blocks, depths)
+    assert _sweep_mismatches("trie", *shape, depths, blocks.gaps.tolist()) == []

@@ -43,40 +43,42 @@ from rleacs.verify import (
 from conftest import make_pair
 
 
-def column_as_min(trie, leaves, runs):
+def column_as_min(trie, parents, runs):
     """A column whose support is a subtree minimum over every leaf below, a
     leaf of another record counting 0, not the maximum over the column's own.
 
-    Weights and the supported table are built from it as annotate would,
-    and the root keeps the column's true support, so every climb stays
-    defined and the fault shows as wrong answers, not as a crash: nearly
-    every run's threshold-1 ancestor is the root. A parent is strictly
-    shallower than its children, so nodes by str_depth go parents first.
-    Every engine it serves is on the int64 path, so the weights are int64.
-    Like annotate's, its arrays cover the internal nodes only.
+    parents are the column's own runs' entries of trie.run_parents, and a
+    node has a leaf of another record below it wherever run_parents has
+    more entries for it than parents. Weights and the supported table are
+    built from it as annotate would, and the root keeps the column's true
+    support, so every climb stays defined and the fault shows as wrong
+    answers, not as a crash: nearly every run's threshold-1 ancestor is the
+    root. A parent is strictly shallower than its children, so nodes by
+    str_depth go parents first. Every engine it serves is on the int64
+    path, so the weights are int64.
     """
-    true = annotate(trie, leaves, runs)
-    best = np.zeros(trie.node_count, dtype=np.int64)
-    best[: trie.internal] = 1 << 62  # above every leaf; each internal node has one below
-    best[leaves] = runs[:, 1]
+    true = annotate(trie, parents, runs)
+    best = np.full(trie.internal, 1 << 62, dtype=np.int64)  # each node has a leaf below
+    np.minimum.at(best, parents, runs[:, 1])
+    others = np.bincount(trie.run_parents, minlength=trie.internal)
+    best[others > np.bincount(parents, minlength=trie.internal)] = 0
     by_depth = np.argsort(trie.str_depth, kind="stable").tolist()
     for v in by_depth[:0:-1]:
         p = trie.parent[v]
         best[p] = min(best[p], best[v])
     best[0] = true.freq[0]
-    weight = [0] * trie.node_count
-    supported = list(range(trie.node_count))
+    weight = [0] * trie.internal
+    supported = list(range(trie.internal))
     for v in by_depth[1:]:
         p = trie.parent[v]
         weight[v] = weight[p] + int(best[v]) * int(trie.str_depth[v] - trie.str_depth[p])
         if best[v] < 1:
             supported[v] = supported[p]
-    inner = slice(trie.internal)
     return dataclasses.replace(
         true,
-        freq=best[inner],
-        weight=np.array(weight[inner], dtype=np.int64),
-        supported=np.array(supported[inner], dtype=np.int64),
+        freq=best,
+        weight=np.array(weight, dtype=np.int64),
+        supported=np.array(supported, dtype=np.int64),
     )
 
 
@@ -84,7 +86,7 @@ class FreqAsMin(AcsEngine):
     """Planted bug: every column's support is a subtree minimum (column_as_min)."""
 
     def column(self, j):
-        return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+        return column_as_min(self.trie, self.trie.run_parents[self.record(j)], self.seqs[j].runs)
 
 
 class FamilyMin(AcsEngine):
@@ -92,7 +94,8 @@ class FamilyMin(AcsEngine):
 
     def column(self, j):
         if len(self.seqs) > 2:
-            return column_as_min(self.trie, self.trie.leaves[j], self.seqs[j].runs)
+            parents = self.trie.run_parents[self.record(j)]
+            return column_as_min(self.trie, parents, self.seqs[j].runs)
         return super().column(j)
 
 
@@ -105,7 +108,7 @@ class SupportedUnclimbed(AcsEngine):
         column = super().column(j)
         trie = self.trie
         own = np.arange(trie.internal, dtype=np.int64)
-        start = np.where(column.freq > 0, own, np.maximum(trie.parent[: trie.internal], 0))
+        start = np.where(column.freq > 0, own, np.maximum(trie.parent, 0))
         return dataclasses.replace(column, supported=start)
 
 
@@ -127,10 +130,7 @@ class ShortDoubling(AcsEngine):
     def column(self, j):
         column = super().column(j)
         trie = self.trie
-        inner = slice(trie.internal)
-        weight = column.freq * (
-            trie.str_depth[inner] - trie.str_depth[np.maximum(trie.parent[inner], 0)]
-        )
+        weight = column.freq * (trie.str_depth - trie.str_depth[np.maximum(trie.parent, 0)])
         for row in trie.up[:-1]:
             weight += weight[row]
         return dataclasses.replace(column, weight=weight)
@@ -186,7 +186,9 @@ def leaves_on_shallower_gaps(blocks, *, _exact=False):
     trie = extract_symbol_tries(blocks, _exact=_exact)
     parent = trie.parent.tolist()
     str_depth = trie.str_depth.tolist()
-    leaves = np.sort(np.concatenate(trie.leaves)).tolist()
+    runs = blocks.runs
+    # the leaves' parents, in leaf order
+    above = trie.run_parents[runs].tolist()
 
     def path(v):
         while v >= 0:
@@ -194,14 +196,15 @@ def leaves_on_shallower_gaps(blocks, *, _exact=False):
             v = parent[v]
 
     def meet(a, b):
-        above = set(path(a))
-        return next(v for v in path(b) if v in above)
+        on_a = set(path(a))
+        return next(v for v in path(b) if v in on_a)
 
-    gaps = [0, *(meet(a, b) for a, b in zip(leaves, leaves[1:])), 0]
-    for k, leaf in enumerate(leaves):
-        parent[leaf] = min(gaps[k], gaps[k + 1], key=str_depth.__getitem__)
-    # only leaves move, so the lifting rows, over the internal nodes, stay
-    return dataclasses.replace(trie, parent=np.array(parent, dtype=np.int64))
+    # two leaves meet where their parents do
+    gaps = [0, *(meet(a, b) for a, b in zip(above, above[1:])), 0]
+    run_parents = np.empty_like(trie.run_parents)
+    run_parents[runs] = [min(pair, key=str_depth.__getitem__) for pair in zip(gaps, gaps[1:])]
+    # only leaves move, so the internal nodes and their lifting rows stay
+    return dataclasses.replace(trie, run_parents=run_parents)
 
 
 class JumpOneShort(AcsEngine):
@@ -216,13 +219,10 @@ class JumpOneShort(AcsEngine):
             super().__init__(*seqs, _exact=_exact)
 
 
-def annotate_to_grandparent(trie, leaves, runs):
+def annotate_to_grandparent(trie, parents, runs):
     """annotate with a planted bug: each run's length is pushed to its leaf's
     grandparent (the root, for a leaf that hangs from it), not its parent."""
-    parent = trie.parent.copy()
-    below = slice(trie.internal, None)
-    parent[below] = np.maximum(parent[parent[below]], 0)
-    return annotate(dataclasses.replace(trie, parent=parent), leaves, runs)
+    return annotate(trie, np.maximum(trie.parent[parents], 0), runs)
 
 
 class ExplodingEngine(AcsEngine):
