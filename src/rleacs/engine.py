@@ -181,14 +181,16 @@ def _closed_form(
     - weight[u] + g * rest + g * (g + 1) / 2, with g * (g + 1) / 2 the
     product of its two halves (whichever of g and g + 1 is even, halved,
     times the other) and a limb_carry after each addition. Limb weights
-    are gathered one row at a time (np.take along axis 1), several times
-    faster than a 2-D fancy index.
+    are gathered one row at a time (ndarray.take), several times faster
+    than a 2-D fancy index. Each array is dropped after its last read, and
+    the sums are formed in place, so few run-sized arrays are alive at once.
     """
     g = np.minimum(lengths, column.max_run[symbols])
     v = column.supported[parents]
     short = np.flatnonzero(column.freq[v] < g)
     u = v.copy()
     u[short] = trie.climb(v[short], g[short], column.freq)
+    del short
     rest = trie.str_depth[u] + lengths
     rest -= g
     if trie.int64:
@@ -201,12 +203,28 @@ def _closed_form(
         rest += column.weight[v]
         rest -= column.weight[u]
         return rest
-    hi, lo = limb_carry(*(np.take(column.weight, v, axis=1) - np.take(column.weight, u, axis=1)))
+    hi, lo = limb_carry(*(row.take(v) - row.take(u) for row in column.weight))
+    del v, u
+    hi, lo = _add_product(hi, lo, g, rest)
+    del rest
+    # g becomes whichever of g and g + 1 is even, halved; other is the other one
     odd = g & 1
-    for a, b in ((g, rest), (g >> (1 - odd), (g + 1) >> odd)):
-        p_hi, p_lo = limb_product(a, b)
-        hi, lo = limb_carry(hi + p_hi, lo + p_lo)
-    return np.stack((hi, lo))
+    other = g + 1
+    other -= odd
+    g += odd
+    g >>= 1
+    del odd
+    return np.stack(_add_product(hi, lo, g, other))
+
+
+def _add_product(
+    hi: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The limbs (hi, lo) plus a * b, carried; hi and lo are added to in place."""
+    p_hi, p_lo = limb_product(a, b)
+    hi += p_hi
+    lo += p_lo
+    return limb_carry(hi, lo)
 
 
 def acs(first: RleSeq, second: RleSeq) -> AcsResult:

@@ -13,8 +13,8 @@ between two of them is a body piece. A text piece drops its newlines at C
 level and is run-encoded once, so every array after that pass has one
 entry per true run, not per line-cut run; line stripping is decided on
 those runs, and line numbers come from the newlines counted piece by
-piece. A token piece is read by one numpy tokenizer. A record's pieces are
-merged once.
+piece. A token piece's tokens are found by whitespace masks and its counts
+read by one C-level parse. A record's pieces are merged once.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ _ID_SHIFT = np.array([FIRST_SYMBOL_ID, 0], dtype=np.int64)
 _SPACE = np.zeros(0x3002, dtype=bool)
 _SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B)]] = True
 _SPACE[[0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
-# the last decimal place a uint64 holds in full; a run count's digit at
-# place k weighs 10^k up to it and 0 past it
-_LAST_PLACE = 18
-_PLACE_WEIGHT = np.append(10 ** np.arange(_LAST_PLACE + 1, dtype=np.uint64), np.uint64(0))
+# each codepoint's byte in the text the run counts are parsed from: an ASCII
+# digit stays, every other codepoint, the last entry's too, becomes a space
+_COUNT_TEXT = np.full(256, ord(" "), dtype=np.uint8)
+_COUNT_TEXT[ord("0") : ord("9") + 1] = np.arange(ord("0"), ord("9") + 1)
 
 
 class ParseError(ValueError):
@@ -139,11 +139,19 @@ def _codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
+def _lookup(table: np.ndarray, codepoints: np.ndarray) -> np.ndarray:
+    """table's entry at each codepoint of an integer array, its last entry past its end.
+
+    A table has at least 256 entries, so uint8 codepoints need no clipping.
+    """
+    if codepoints.dtype != np.uint8:
+        codepoints = np.minimum(codepoints, len(table) - 1)
+    return table.take(codepoints)
+
+
 def _is_space(codepoints: np.ndarray) -> np.ndarray:
     """str.isspace of each codepoint of an integer array."""
-    if codepoints.dtype != np.uint8:
-        codepoints = np.minimum(codepoints, len(_SPACE) - 1)
-    return _SPACE.take(codepoints)
+    return _lookup(_SPACE, codepoints)
 
 
 def _fresh(values: np.ndarray) -> np.ndarray:
@@ -191,58 +199,45 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
     token raises a ParseError on its line: line, the line of the piece's
     first character, plus the newlines before it.
 
-    Every per-token quantity is a difference of two running sums over the
-    token characters, taken at the token's symbol and at its last
-    character: its digits, its nonzero digits, its nonzero digits past
-    place 18 (a count too long for the bound), and its count, the sum of
-    digit * 10^place over places 0 to 18 in uint64. A token's own count is
-    below 10^19 < 2^64, so the running sum may wrap but the difference is
-    exact; a count past the bound is rejected unconverted.
+    The counts come from one C-level parse (np.fromstring) of the piece's
+    text with every character that is not an ASCII digit made a space
+    (_COUNT_TEXT), where a well-formed token leaves exactly its count. The
+    parse stops before the first misshapen token, one whose symbol is a
+    digit, that has no digits, or that has a character after its symbol
+    that is no digit, so it reads whole digit runs only and never warns.
+    Leading zeros parse away, and a count past int64 saturates at
+    2^63 - 1, so it is still refused against the bound.
     """
     cps = _codepoints(piece)
     solid = np.zeros(len(cps) + 2, dtype=bool)
     solid[1:-1] = ~_is_space(cps)
     flips = np.flatnonzero(solid[1:] != solid[:-1])
     starts, ends = flips[0::2], flips[1::2]
-    lens = ends - starts
-    at = np.flatnonzero(solid) - 1
+    text = _lookup(_COUNT_TEXT, cps)
+    # the characters that are neither digits, nor whitespace, nor a token's symbol
+    stray = text == ord(" ")
+    stray &= solid[1:-1]
+    stray[starts] = False
     del solid, flips
-    # token t's characters are at[first[t]] (its symbol) to at[last[t]]
-    last = np.cumsum(lens) - 1
-    first = last - lens + 1
-    place = np.repeat(ends - 1, lens) - at
-    values = cps[at] - cps.dtype.type(ord("0"))
-    del at
-    digit = values < 10
-    values *= digit  # a character that is no digit weighs nothing
-    nonzero = values != 0
-    beyond = nonzero & (place > _LAST_PLACE)
-    weights = _PLACE_WEIGHT[np.minimum(place, _LAST_PLACE + 1, out=place)]
-    del place
-    weights *= values
-
-    def token_sums(per_char: np.ndarray, dtype) -> np.ndarray:
-        running = np.cumsum(per_char, dtype=dtype)
-        return running[last] - running[first]
-
-    digits = token_sums(digit, np.int64)
-    significant = token_sums(nonzero, np.int64)
-    past = token_sums(beyond, np.int64)
-    counts = token_sums(weights, np.uint64)
+    misshapen = (text[starts] != ord(" ")) | (ends - starts < 2)
+    misshapen[np.searchsorted(starts, np.flatnonzero(stray), "right") - 1] = True
+    parsed = int(np.argmax(misshapen)) if misshapen.any() else len(starts)
+    # the tokens from the first misshapen one on keep count 0; it fails first
+    counts = np.zeros(len(starts), dtype=np.int64)
+    counts[:parsed] = np.fromstring(text.tobytes(), dtype=np.int64, count=parsed, sep=" ")
+    del text, stray
     symbols = cps[starts]
 
     # isprintable is asked once per distinct token symbol
     unprintable = [c for c in _distinct(symbols).tolist() if not chr(c).isprintable()]
 
-    # the first failing token is reported, by the first check it fails; a
-    # token is bad if its symbol is a digit, it has no count, or a character
-    # after its symbol is no digit
+    # the first failing token is reported, by the first check it fails
     checks = (
-        (digit[first] | (lens < 2) | (digits < lens - 1), "bad run token {!r}"),
+        (misshapen, "bad run token {!r}"),
         (np.isin(symbols, unprintable), "unprintable symbol in token {!r}"),
-        (significant < 1, "run count must be >= 1 in token {!r}"),
+        (counts < 1, "run count must be >= 1 in token {!r}"),
         (
-            (past > 0) | (counts > np.uint64(MAX_DECODED_LENGTH)),
+            counts > MAX_DECODED_LENGTH,
             f"run count exceeds bound {MAX_DECODED_LENGTH} in token {{!r}}",
         ),
     )
@@ -252,7 +247,7 @@ def _token_runs(piece: str, line: int) -> np.ndarray:
         message = next(message for mask, message in checks if mask[k])
         line += piece.count("\n", 0, starts[k])
         raise ParseError(message.format(piece[starts[k] : ends[k]]), line)
-    return np.column_stack((symbols, counts.astype(np.int64)))
+    return np.column_stack((symbols, counts))
 
 
 def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
@@ -416,10 +411,10 @@ def _read_records(stream, tokens: bool, name: str | None = None) -> list[RunReco
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending: np.unique's first result."""
-    # with return_inverse np.unique sorts; without it, numpy 2 first imports
-    # numpy.ma to check for a mask, about 1.2 MB of resident memory
-    return np.unique(values, return_inverse=True)[0]
+    """The distinct values of an array of codepoints, ascending, from a presence table."""
+    seen = np.zeros(int(values.max()) + 1 if len(values) else 0, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
 
 
 def read_rle_records(stream) -> list[RunRecord]:

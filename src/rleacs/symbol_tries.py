@@ -221,8 +221,18 @@ def limb_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a1, a0 = a >> HALF_BITS, a & HALF_MASK
     b1, b0 = b >> HALF_BITS, b & HALF_MASK
-    mid = a1 * b0 + a0 * b1
-    return limb_carry(a1 * b1 + (mid >> HALF_BITS), a0 * b0 + ((mid & HALF_MASK) << HALF_BITS))
+    # the partial products are formed in place, so few temporaries are alive at once
+    mid = a1 * b0
+    mid += a0 * b1
+    a1 *= b1
+    a0 *= b0
+    del b1, b0
+    a1 += mid >> HALF_BITS
+    mid &= HALF_MASK
+    mid <<= HALF_BITS
+    a0 += mid
+    del mid
+    return limb_carry(a1, a0)
 
 
 def exact_total(values: np.ndarray) -> int:

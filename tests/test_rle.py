@@ -663,7 +663,8 @@ def _reference_tokens(text):
 _TOKEN_SYMBOLS = st.sampled_from(
     ["a", "a", "b", "-", ">", "é", "😀", "𝔸", "7", "\x01", "\u200b", "\U000e0001"]
 )
-# Counts: none, zero, leading zeros, 19 and 20 digits, either side of 2^62.
+# Counts: none, zero, leading zeros, 19 and 20 digits, either side of 2^62,
+# and either side of int64's end, where the count parse saturates.
 _TOKEN_COUNTS = st.integers(min_value=1, max_value=10**6).map(str) | st.sampled_from(
     [
         "",
@@ -679,13 +680,19 @@ _TOKEN_COUNTS = st.integers(min_value=1, max_value=10**6).map(str) | st.sampled_
         str(MAX_DECODED_LENGTH + 1),
         str(MAX_DECODED_LENGTH - 1),
         "0" + str(MAX_DECODED_LENGTH),
+        str(2**63 - 1),
+        str(2**63),
         str(2**64 + 3),
         "1x",
     ]
 )
 _TOKEN = st.builds(str.__add__, _TOKEN_SYMBOLS, _TOKEN_COUNTS)
-# token separators: ASCII blanks, NEL, the ideographic space, a lone "\r"
-_TOKEN_GAPS = st.sampled_from([" ", " ", "\t", "  ", "\x85", "\u3000", "\r"])
+# token separators: ASCII blanks, NEL, the ideographic space, a lone "\r",
+# and the separators on which str.isspace and C's isspace agree (VT, FF) or
+# differ (the information separators, NBSP, the line separator)
+_TOKEN_GAPS = st.sampled_from(
+    [" ", " ", "\t", "  ", "\x85", "\u3000", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2028"]
+)
 _TOKEN_LINE = st.lists(st.tuples(_TOKEN_GAPS, _TOKEN), max_size=6).map(
     lambda parts: "".join(gap + token for gap, token in parts)
 ) | st.sampled_from(["", " ", ">r", ">s", "> ", " >r x", "\u3000>t"])
@@ -718,6 +725,39 @@ def test_token_reader_matches_the_reference(lines, newline, block_chars):
         else:
             records = read_rle_records(text)
             assert [(r.name, r.runs.tolist()) for r in records] == expected
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (">s\na3 b0000000002\n  c1\n", None),
+        (f">s\n\ta{MAX_DECODED_LENGTH - 1}\n>t\n b{MAX_DECODED_LENGTH - 1} \n", None),
+        (">é\n\u00e92 \U0001f6003\tb1\u3000c9\n\n", None),
+        # the count parse stops before the first misshapen token, here the
+        # first: it reads no count, not the blanks before the token
+        (">s\n   a\n", "^line 2: bad run token 'a'$"),
+        (">s\n\u3000 7é \n", "^line 2: bad run token '7é'$"),
+    ],
+)
+def test_reading_run_length_text_warns_nothing(text, error):
+    # cli.load_sequences prints every warning a read raises, so a warning
+    # from the count parse would change the CLI's output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert read_rle_records(text)
+        else:
+            with pytest.raises(ParseError, match=error):
+                read_rle_records(text)
+
+
+def test_distinct_lists_each_codepoint_once():
+    for values, expected in (
+        (np.array([], dtype=np.int64), []),
+        (np.array([0x10FFFF, 97, 0x10FFFF, 0], dtype=np.uint32), [0, 97, 0x10FFFF]),
+        (np.frombuffer(b"gattaca", dtype=np.uint8), [97, 99, 103, 116]),
+    ):
+        assert rle._distinct(values).tolist() == expected
 
 
 def test_run_length_parse_and_dist_load_no_masked_arrays():
