@@ -28,14 +28,16 @@ k = 160 mutants of one random root (mutant_family), with no gate.
 
 Every engine row also reports the trie's node and internal node counts and
 the bytes per run of its lifting rows, which cover the internal nodes only:
-the O(N log N) part of the engine's memory, printed with no gate.
+the O(N log N) part of the engine's memory, printed with no gate; and
+order_s, the time of the suffix order alone (build_suffix_order) on the
+same pair, timed apart from the build, which it is part of.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +50,7 @@ from rleacs.rle import (
     read_fasta_records,
     read_rle_records,
 )
+from rleacs.suffixes import build_suffix_order
 
 DOUBLING_MIN = 1 << 14
 DOUBLING_MAX = 1 << 17
@@ -86,6 +89,7 @@ class BenchRow:
     decoded: int
     build_s: float
     query_s: float
+    order_s: float
     nodes: int
     internal: int
     row_bytes: int
@@ -161,7 +165,7 @@ ADVERSARIAL = {"periodic": periodic_pair, "fibonacci": fibonacci_pair}
 
 
 def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
-    best_build = best_query = float("inf")
+    best_build = best_query = best_order = float("inf")
     nodes = internal = row_bytes = lsum = 0
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
@@ -175,12 +179,16 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         nodes = engine.trie.node_count
         internal = engine.trie.internal
         row_bytes = sum(row.nbytes for row in engine.trie.up)
+        t0 = time.perf_counter()
+        build_suffix_order(first, second)
+        best_order = min(best_order, time.perf_counter() - t0)
     return BenchRow(
         label=label,
         tokens=len(first.runs) + len(second.runs) + 2,
         decoded=first.content_length + second.content_length,
         build_s=best_build,
         query_s=best_query,
+        order_s=best_order,
         nodes=nodes,
         internal=internal,
         row_bytes=row_bytes,
@@ -189,7 +197,8 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
 
 
 def _round_robin(pairs: dict[str, tuple[RleSeq, RleSeq]], reps: int) -> list[BenchRow]:
-    """One row per labelled pair, each the best of reps repetitions on it.
+    """One row per labelled pair, each the best of reps repetitions on it,
+    with the best order_s of those repetitions.
 
     The repetitions go round all the pairs in turn, so a stretch of slower
     host speed reaches every row alike rather than the rows it happens to
@@ -199,7 +208,10 @@ def _round_robin(pairs: dict[str, tuple[RleSeq, RleSeq]], reps: int) -> list[Ben
         [_measure(label, *pair, 1) for label, pair in pairs.items()]
         for _ in range(max(reps, 1))
     ]
-    return [min(rows, key=lambda row: row.total_s) for rows in zip(*turns)]
+    return [
+        replace(min(rows, key=lambda row: row.total_s), order_s=min(row.order_s for row in rows))
+        for rows in zip(*turns)
+    ]
 
 
 def doubling_sweep(
@@ -459,14 +471,16 @@ def format_table(rows: list[BenchRow], with_ratios: bool = True) -> str:
     """Plain text table, one row per measurement."""
     lines = [
         f"{'label':<28} {'tokens':>9} {'decoded':>14} {'build_s':>9} "
-        f"{'query_s':>9} {'nodes':>9} {'internal':>9} {'rows_B/run':>10} {'ratio':>6}"
+        f"{'query_s':>9} {'order_s':>9} {'nodes':>9} {'internal':>9} {'rows_B/run':>10} "
+        f"{'ratio':>6}"
     ]
     rat = ratios(rows) if with_ratios else [float("nan")] * len(rows)
     for row, r in zip(rows, rat):
         ratio_text = f"{r:.2f}" if with_ratios else "-"
         lines.append(
             f"{row.label:<28} {row.tokens:>9} {row.decoded:>14} "
-            f"{row.build_s:>9.4f} {row.query_s:>9.4f} {row.nodes:>9} {row.internal:>9} "
+            f"{row.build_s:>9.4f} {row.query_s:>9.4f} {row.order_s:>9.4f} "
+            f"{row.nodes:>9} {row.internal:>9} "
             f"{row.row_bytes_per_run:>10.1f} {ratio_text:>6}"
         )
     return "\n".join(lines)

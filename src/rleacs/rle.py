@@ -411,10 +411,20 @@ def _read_records(stream, tokens: bool, name: str | None = None) -> list[RunReco
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an array of codepoints, ascending, from a presence table."""
-    seen = np.zeros(int(values.max()) + 1 if len(values) else 0, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen)
+    """The distinct values of an array of codepoints, ascending.
+
+    A presence table, one bool per codepoint up to the largest, serves while
+    it is no longer than the input or 4 KiB; past that, as for a few
+    characters near U+10FFFF, the values are sorted and each one that
+    differs from the one before is kept.
+    """
+    top = int(values.max()) if len(values) else -1
+    if top < max(len(values), 1 << 12):
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[values] = True
+        return np.flatnonzero(seen)
+    ordered = np.sort(values)
+    return ordered[_fresh(ordered)]
 
 
 def read_rle_records(stream) -> list[RunRecord]:

@@ -11,6 +11,14 @@ fits in int64. Decoded lcps and suffix lengths stay within one sequence (at
 most 2^62), so they come from one int64 prefix sum per sequence; a prefix
 sum over two sequences could already reach 2^63.
 
+Every sort on the way to the order is a value sort (_value_sort): a key of
+n non-negative entries below 2^bits carries each entry's index in its low
+b = n.bit_length() bits, so it needs bits + b <= 63. rank0 folds its three
+key columns into one such key, re-ranking the key so far wherever the next
+bits would not fit; a doubling round's key takes 2b bits, so its sort is a
+value sort for n < 2^21 tokens. Only past 63 bits does the order come from
+np.argsort.
+
 The engine builds its query trie straight from the order and drops the
 order once that trie exists. The trie's gaps are the lcps of the leaf pairs
 it needs, taken by SuffixOrder.lcp from the doubling rounds the sort already
@@ -138,29 +146,85 @@ def _token_columns(seqs, bounds: np.ndarray):
     return syms, groups, signed, nexts, decoded
 
 
+def _value_sort(key: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """key sorted ascending, and the order that sorts it: key[order] is the sorted key.
+
+    key holds n non-negative int64 values below 2^bits, and is consumed.
+    With b = n.bit_length(), index < n < 2^b, so where bits + b <= 63 each
+    entry's index rides in the low b bits of key << b | index: one in-place
+    value sort of that array orders both, equal keys by index, and one mask
+    and one shift part them again. On int64 a value sort takes a fraction
+    of an argsort's time. Past 63 bits the order is np.argsort(key).
+    """
+    n = len(key)
+    b = n.bit_length()
+    if bits + b > 63:
+        order = np.argsort(key)
+        return key[order], order
+    key <<= b
+    key |= np.arange(n)
+    key.sort()
+    order = key & ((1 << b) - 1)
+    key >>= b
+    return key, order
+
+
+def _ranks(sorted_key: np.ndarray, order: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the entries that order sorts into sorted_key, and the largest rank.
+
+    The ranks are written to out, and out is returned; out may be
+    sorted_key itself, which is read in full before out is written.
+    """
+    bump = np.empty_like(out)
+    bump[0] = 0
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=bump[1:])
+    np.cumsum(bump, out=bump)
+    out[order] = bump
+    return out, int(bump[-1])
+
+
 def _dense_rank(columns: list[np.ndarray]) -> np.ndarray:
     """Dense ranks of row tuples; columns[0] is the most significant key.
 
-    A column whose span, max - min, is below 2^16 is sorted as uint16
-    offsets from its minimum, which lexsort sorts by radix; a wider column
-    is sorted as it is. The span is taken in Python ints, since a column of
-    signed run lengths can span past int64.
+    Each column enters as its offset from its minimum, an order-preserving
+    code of span.bit_length() bits, and the codes are folded, most
+    significant first, into one int64 key. The key must leave b =
+    n.bit_length() bits free for _value_sort's index, so a code's bits
+    are shifted in only as far as they fit; then the key so far is replaced
+    by its dense rank, which orders as it does and takes at most b bits,
+    and the code's lower bits follow. A column of signed run lengths near
+    +-2^62 thus enters in two parts around one re-rank, where a dense rank
+    of the column alone would take an argsort. The key's dense rank, by one
+    more value sort, is the tuples'. The span is taken in Python ints; a
+    column may span 2^63 or more, and its offset then wraps in int64, but
+    read as uint64 it is exact.
     """
     n = len(columns[0])
-    keys = []
+    budget = 63 - n.bit_length()
+    key, bits = np.zeros(n, dtype=np.int64), 0
     for col in columns:
         low = int(col.min())
-        if int(col.max()) - low < 1 << 16:
-            col = (col - low).astype(np.uint16)
-        keys.append(col)
-    idx = np.lexsort(keys[::-1])
-    bump = np.zeros(n, dtype=np.int64)
-    for key in keys:
-        sorted_key = key[idx]
-        bump[1:] |= sorted_key[1:] != sorted_key[:-1]
-    rank = np.empty(n, dtype=np.int64)
-    rank[idx] = np.cumsum(bump)
-    return rank
+        width = (int(col.max()) - low).bit_length()
+        offset = (col - low).view(np.uint64)
+        while width:
+            if bits == budget:
+                key, order = _value_sort(key, bits)
+                key, top = _ranks(key, order, out=key)
+                bits = top.bit_length()
+            take = min(width, budget - bits)
+            width -= take
+            if width:
+                # the top take bits go in now, the rest after a re-rank
+                digit = offset >> np.uint64(width)
+                offset &= np.uint64((1 << width) - 1)
+            else:
+                digit, offset = offset, None
+            key <<= take
+            key |= digit.view(np.int64)
+            del digit
+            bits += take
+    key, order = _value_sort(key, bits)
+    return _ranks(key, order, out=key)[0]
 
 
 def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
@@ -168,30 +232,31 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
 
     Round k ranks each suffix by its first 2^k token keys; round 0 is rank0
     and the last round orders all suffixes. Each later round ranks by one
-    int64 key, rank * (n + 1) + shifted + 1, where shifted is the rank 2^(k-1)
-    tokens on, or -1 past the end: with rank < n and shifted + 1 <= n, the
-    key is below n * (n + 1) < 2^63 for any n below 3 * 10^9, and it orders
-    as the pair (rank, shifted) does, so one argsort and a bump where the
-    sorted key changes give the pair's dense ranks (Manber & Myers).
+    int64 key, rank << b | shifted + 1 with b = n.bit_length(), where
+    shifted is the rank 2^(k-1) tokens on, or -1 past the end: rank and
+    shifted + 1 are at most n, below 2^b, so the key orders as the pair
+    (rank, shifted) does, and its dense rank, by _value_sort and a bump
+    where the sorted key changes, is the pair's (Manber & Myers). The key
+    takes 2b bits, so with the index's b it is a value sort for n < 2^21
+    tokens and an argsort above. The largest rank, the end of the bump's
+    running sum, tells when the ranks are distinct.
     rounds <= ceil(log2 N) + 1, so keeping them all, as SuffixOrder does,
     takes O(N * rounds) memory; ranks are below n, so below 2^31 tokens they
     are kept as int32, half that.
     """
     n = len(rank0)
+    b = n.bit_length()
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rounds = [rank0.astype(dtype)]
+    top = int(rank0.max())
     step = 1
-    while int(rounds[-1].max()) != n - 1:
+    while top != n - 1:
         if step > 2 * n:
             raise AssertionError("suffix ranks failed to become distinct")
-        key = rounds[-1].astype(np.int64) * (n + 1)
-        key[: n - step] += rounds[-1][step:] + 1
-        idx = np.argsort(key)
-        sorted_key = key[idx]
-        bump = np.zeros(n, dtype=np.int64)
-        bump[1:] = sorted_key[1:] != sorted_key[:-1]
-        rank = np.empty(n, dtype=dtype)
-        rank[idx] = np.cumsum(bump)
+        key = rounds[-1].astype(np.int64) << b
+        key[: n - step] |= rounds[-1][step:] + 1
+        key, order = _value_sort(key, 2 * b)
+        rank, top = _ranks(key, order, out=np.empty(n, dtype=dtype))
         rounds.append(rank)
         step *= 2
     return rounds
@@ -201,8 +266,8 @@ def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     """Sort all run-start suffixes of the sequences into decoded order.
 
     Tokens are ranked by their sort keys, (sym, group) folded into one, so
-    rank0 is a dense rank over three keys, each as narrow as its span
-    allows (_dense_rank). The token string is then suffix-sorted by prefix
+    rank0 is a dense rank over three keys, folded into one int64 key
+    (_dense_rank). The token string is then suffix-sorted by prefix
     doubling, whose rounds the order keeps for lcp; the last round's ranks
     are distinct, so the order is their inverse, one scatter.
     Unique terminator tokens stop every comparison at or before a sequence

@@ -262,8 +262,9 @@ def test_bench_smoke(capsys):
     assert main(["bench", "--n-max", "16384", "--trials", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "doubling sweep" in out
-    # every engine row reports its internal nodes and lifting-row bytes per run
-    assert "internal" in out and "rows_B/run" in out
+    # every engine row reports its internal nodes, lifting-row bytes per run
+    # and the suffix order's own time
+    assert "internal" in out and "rows_B/run" in out and "order_s" in out
     assert "run-length scaling" in out
     assert "periodic runs=16384" in out and "fibonacci runs=16384" in out
     assert "fasta ingest" in out and "chars_per_s" in out

@@ -38,7 +38,7 @@ from rleacs.rle import (
     RleSeq,
     encode,
 )
-from rleacs.suffixes import build_suffix_order, token_string
+from rleacs.suffixes import _token_columns, build_suffix_order, token_bounds, token_string
 from rleacs.symbol_tries import exact_ints, extract_symbol_tries, leaf_blocks
 from rleacs.verify import brute_column, check_pair
 
@@ -769,6 +769,48 @@ def test_two_symbol_pair_at_the_int64_edge(edge):
     assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
     _batch_agrees(engine, 0, 1)
     _batch_agrees(engine, 1, 0)
+
+
+@pytest.mark.parametrize("y", [1, 5, (1 << 61) + 3, MAX_DECODED_LENGTH - 1])
+def test_unary_pair_at_the_length_bound(y):
+    # X is one run of 2^62 - 1, the longest a sequence holds, so its signed
+    # run length is the largest a rank-0 key takes; for a unary pair
+    # x * ACS(X, Y) is the sum over L <= x of min(L, y)
+    x = MAX_DECODED_LENGTH - 1
+    first = RleSeq("X", [[FIRST_SYMBOL_ID, x]])
+    second = RleSeq("Y", [[FIRST_SYMBOL_ID, y]])
+    assert pair_totals(AcsEngine(first, second)) == (
+        y * (y + 1) // 2 + (x - y) * y,
+        y * (y + 1) // 2,
+    )
+
+
+def test_two_symbol_pairs_at_the_length_bound():
+    # signed run lengths reach -(2^62 - 2), a run before a larger symbol,
+    # and 2^62 - 1, a run before its terminator: a span past int64, which
+    # rank0's fold takes in two parts around a re-rank
+    a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
+    bound = MAX_DECODED_LENGTH - 1
+    pairs = [(RleSeq("X", [[a, bound - 1], [b, 1]]), RleSeq("Y", [[b, bound]]))]
+    signed = _token_columns(pairs[0], token_bounds(pairs[0]))[2]
+    assert (int(signed.min()), int(signed.max())) == (-(bound - 1), bound)
+    rng = random.Random(37)
+    for _ in range(8):
+        first, second = (
+            at_bound(
+                [
+                    [(a, b)[(k + start) % 2], rng.choice([1, 2, 3, 1 << 40, 1 << 59])]
+                    for k in range(rng.randint(1, 6))
+                ]
+            )
+            for start in (0, 1)
+        )
+        pairs.append((first, second))
+    for first, second in pairs:
+        assert pair_totals(AcsEngine(first, second)) == (
+            run_walk_total(first, second),
+            run_walk_total(second, first),
+        )
 
 
 def test_limb_family_with_int64_pairs_matches_pairwise_dist():

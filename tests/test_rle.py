@@ -752,12 +752,31 @@ def test_reading_run_length_text_warns_nothing(text, error):
 
 
 def test_distinct_lists_each_codepoint_once():
+    # a presence table below 4 KiB or the input's length, a sort above
     for values, expected in (
         (np.array([], dtype=np.int64), []),
         (np.array([0x10FFFF, 97, 0x10FFFF, 0], dtype=np.uint32), [0, 97, 0x10FFFF]),
         (np.frombuffer(b"gattaca", dtype=np.uint8), [97, 99, 103, 116]),
+        (np.array([5000, 7, 5000], dtype=np.int64), [7, 5000]),
+        (np.arange(6000, dtype=np.uint32)[::-1] % 5000 + 1000, list(range(1000, 6000))),
+        (np.array([4095, 4095, 0], dtype=np.uint32), [0, 4095]),
     ):
         assert rle._distinct(values).tolist() == expected
+
+
+def test_building_sequences_with_high_codepoints_allocates_little():
+    # a presence table as long as the largest codepoint would take 1.1 MB
+    # for one U+10FFFF; a few characters are sorted instead
+    for high in ("t", "\U0001f600", "\U0010ffff"):
+        records = read_fasta_records(f">a\nacgt{high}acg\n>b\ngattaca\n")
+        tracemalloc.start()
+        try:
+            seqs, symbols = build_text_sequences(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert symbols == "".join(sorted(set("acgt" + high)))
+        assert peak < 32 * 1024
 
 
 def test_run_length_parse_and_dist_load_no_masked_arrays():

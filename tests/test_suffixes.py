@@ -16,11 +16,13 @@ from rleacs.oracle import (
     suffix_refs,
     suffix_runs,
 )
-from rleacs.bench import fibonacci_pair, periodic_pair
+from rleacs import suffixes
+from rleacs.bench import fibonacci_pair, mutant_family, periodic_pair, synth_pair
 from rleacs.rle import FIRST_SYMBOL_ID, MAX_DECODED_LENGTH, RleSeq, encode
 from rleacs.suffixes import (
     _dense_rank,
     _token_columns,
+    _value_sort,
     build_suffix_order,
     token_bounds,
     token_string,
@@ -286,17 +288,9 @@ def test_doubling_on_adversarial_pairs(make):
         assert np.array_equal(order.tokens, brute.tokens)
         assert np.array_equal(order.dlcp, brute.dlcp)
         assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
-    # rank0 against the four token keys, and every one-key round against
-    # the two-key dense rank it replaces, each by a plain lexsort
-    seqs = make(1 << 12)
-    rounds = build_suffix_order(*seqs).rounds
-    assert len(rounds) >= 12
-    syms, groups, signed, nexts, _ = _token_columns(seqs, token_bounds(seqs))
-    assert np.array_equal(rounds[0], _lexsort_rank([syms, groups, signed, nexts]))
-    for k, (rank, after) in enumerate(zip(rounds, rounds[1:])):
-        shifted = np.full(len(rank), -1, dtype=np.int64)
-        shifted[: len(rank) - (1 << k)] = rank[1 << k :]
-        assert np.array_equal(after, _lexsort_rank([rank.astype(np.int64), shifted]))
+    # at 2^12 runs the doubling takes a round per power of two; its rounds
+    # are checked in test_doubling_equals_argsort_doubling
+    assert len(build_suffix_order(*make(1 << 12)).rounds) >= 12
 
 
 def _lexsort_rank(columns):
@@ -311,36 +305,123 @@ def _lexsort_rank(columns):
     return rank
 
 
-@pytest.mark.parametrize("span", [(1 << 16) - 1, 1 << 16])
-def test_dense_rank_narrows_only_short_spans(span, monkeypatch):
-    # columns spanning 2^16 - 1 are sorted as uint16 offsets, wider ones as
-    # they are; negative entries stand for the terminator ids of families
-    # with k > 2, and a signed column at +-2^62 spans past int64
-    rng = np.random.default_rng(span)
+def test_dense_rank_matches_lexsort(monkeypatch):
+    # every column enters as its offset from its minimum, a wide one in
+    # parts around a re-rank; negative entries stand for the terminator ids
+    # of families with k > 2, and a signed column at +-2^62 spans past int64
+    rng = np.random.default_rng(5)
     n = 4000
-    lexsort = np.lexsort
-    key_dtypes = []
-
-    def spy(keys):
-        key_dtypes.append([key.dtype for key in keys])
-        return lexsort(keys)
-
-    monkeypatch.setattr(np, "lexsort", spy)
-    short, long = np.dtype(np.uint16), np.dtype(np.int64)
-    wide_key = short if span < 1 << 16 else long
-    for low in (0, -3, -(span // 2)):
-        wide = rng.choice([low, low + 1, low + span // 2, low + span], size=n)
+    for low in (0, -3, -(1 << 40)):
+        narrow = rng.choice([low, low + 1, low + 7, low + n - 1], size=n)
+        wide = rng.choice([low, low + 1, low + n, low + (1 << 50)], size=n)
         small = rng.integers(-3, 4, size=n)
         signed = rng.choice([-(1 << 62), -1, 0, 5, 1 << 62], size=n)
-        for columns, keys in (
-            ([wide, small], [short, wide_key]),
-            ([small, signed, wide], [wide_key, long, short]),
-            ([signed, small], [short, long]),
+        for columns in (
+            [narrow],
+            [np.full(n, low)],
+            [np.full(n, low), small],
+            [signed],
+            [wide, small],
+            [small, signed, wide],
+            [signed, narrow, signed],
         ):
-            key_dtypes.clear()
             assert np.array_equal(_dense_rank(columns), _lexsort_rank(columns))
-            # lexsort takes the least significant key first
-            assert key_dtypes == [keys, [long] * len(columns)]
+    # three columns of 70,000 values each over 90,000 rows, the index and
+    # the first and third codes 17 bits each, the second code 37: the key
+    # fills its 46 bits with the first code and the second's top 29, is
+    # re-ranked, and takes the second's last 8 bits and the third code
+    sorts = []
+    value_sort = suffixes._value_sort
+
+    def spy(key, bits):
+        sorts.append(bits)
+        return value_sort(key, bits)
+
+    monkeypatch.setattr(suffixes, "_value_sort", spy)
+    n = 90_000
+    columns = [rng.permutation(np.arange(n) % 70_000) for _ in range(3)]
+    columns[1] = columns[1] * 1_000_003 - (1 << 61)
+    assert np.array_equal(_dense_rank(columns), _lexsort_rank(columns))
+    assert sorts == [46, 42]
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 1 << 12])
+def test_value_sort_equals_argsort(n):
+    # keys of bits bits and b = n.bit_length() indices: a value sort up to
+    # bits + b = 63, keys at its top value included, and an argsort past it
+    rng = np.random.default_rng(n)
+    b = n.bit_length()
+    for bits in (0, 1, 20, 63 - b, 64 - b, 63):
+        for key in (
+            rng.integers(0, 1 << bits, size=n, dtype=np.int64),
+            # many ties, and the largest key the width allows
+            rng.choice([0, (1 << bits) - 1], size=n).astype(np.int64),
+        ):
+            sorted_key, order = _value_sort(key.copy(), bits)
+            argsort = np.argsort(key)
+            assert np.array_equal(sorted_key, key[argsort])
+            assert np.array_equal(key[order], sorted_key)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            if bits + b <= 63:
+                # the index rides in the key, so ties keep their index order
+                assert np.array_equal(order, np.argsort(key, kind="stable"))
+
+
+def _argsort_doubling(rank0):
+    """Rounds of prefix doubling with one argsort per round, by the key
+    rank * (n + 1) + shifted + 1."""
+    n = len(rank0)
+    rounds = [rank0]
+    step = 1
+    while rounds[-1].max() != n - 1:
+        key = rounds[-1] * (n + 1)
+        key[: n - step] += rounds[-1][step:] + 1
+        idx = np.argsort(key)
+        bump = np.zeros(n, dtype=np.int64)
+        bump[1:] = key[idx][1:] != key[idx][:-1]
+        rank = np.empty(n, dtype=np.int64)
+        rank[idx] = np.cumsum(bump)
+        rounds.append(rank)
+        step *= 2
+    return rounds
+
+
+@pytest.mark.parametrize("n", [(1 << 21) - 1, 1 << 21])
+def test_doubling_at_the_value_sort_bound(n):
+    # a round's key takes 2b bits and its index b, b = n.bit_length():
+    # 63 bits in all just below 2^21 tokens, where the largest key is
+    # (n - 2) << b | n - 1, and an argsort from 2^21 on. The last two
+    # tokens tie in rank0, and one round puts the last, the shorter
+    # suffix, first
+    rank0 = np.minimum(np.arange(n), n - 2)
+    rounds = suffixes._prefix_double(rank0)
+    assert len(rounds) == 2
+    expected = np.arange(n)
+    expected[-2:] = n - 1, n - 2
+    assert np.array_equal(rounds[1], expected)
+
+
+@pytest.mark.parametrize(
+    "seqs",
+    [
+        synth_pair(1 << 12, 8, 3),
+        synth_pair(3000, 10**9, 4, alphabet_size=50),
+        periodic_pair(1 << 12),
+        fibonacci_pair(1 << 12),
+        mutant_family(12),
+    ],
+    ids=["random", "random-wide", "periodic", "fibonacci", "mutants"],
+)
+def test_doubling_equals_argsort_doubling(seqs):
+    # the rounds and the order, from a rank0 and a doubling that share no
+    # code with the build's value sorts
+    order = build_suffix_order(*seqs)
+    syms, groups, signed, nexts, _ = _token_columns(seqs, token_bounds(seqs))
+    rounds = _argsort_doubling(_lexsort_rank([syms, groups, signed, nexts]))
+    assert len(order.rounds) == len(rounds)
+    for got, want in zip(order.rounds, rounds):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert np.array_equal(order.tokens, np.argsort(rounds[-1]))
 
 
 def test_order_with_symbol_ids_past_2_16_matches_brute():
