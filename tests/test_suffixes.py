@@ -305,6 +305,31 @@ def _lexsort_rank(columns):
     return rank
 
 
+@pytest.mark.parametrize("span", [(1 << 16) - 1, 1 << 16])
+def test_dense_rank_narrows_only_short_spans(span, monkeypatch):
+    # a column spanning 2^16 - 1 enters the key as a 16-bit offset, one
+    # spanning 2^16 as a 17-bit one, each beside the 3 bits of a column
+    # spanning 6, in one value sort; negative entries stand for the
+    # terminator ids of families with k > 2
+    rng = np.random.default_rng(span)
+    n = 4000
+    sorts = []
+    value_sort = suffixes._value_sort
+
+    def spy(key, bits):
+        sorts.append(bits)
+        return value_sort(key, bits)
+
+    monkeypatch.setattr(suffixes, "_value_sort", spy)
+    for low in (0, -3, -(span // 2)):
+        wide = rng.choice([low, low + 1, low + span // 2, low + span], size=n)
+        small = rng.choice([-3, 0, 1, 3], size=n)
+        for columns in ([wide, small], [small, wide]):
+            sorts.clear()
+            assert np.array_equal(_dense_rank(columns), _lexsort_rank(columns))
+            assert sorts == [span.bit_length() + 3]
+
+
 def test_dense_rank_matches_lexsort(monkeypatch):
     # every column enters as its offset from its minimum, a wide one in
     # parts around a re-rank; negative entries stand for the terminator ids
