@@ -416,7 +416,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     A presence table, one bool per codepoint up to the largest, serves while
     it is no longer than the input or 4 KiB; past that, as for a few
     characters near U+10FFFF, the values are sorted and each one that
-    differs from the one before is kept.
+    differs from the one before is kept. The 4 KiB floor keeps ASCII and
+    low-BMP inputs on the table; it is not measured, as no benchmark
+    workload holds a codepoint past ASCII.
     """
     top = int(values.max()) if len(values) else -1
     if top < max(len(values), 1 << 12):
