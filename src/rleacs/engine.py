@@ -163,27 +163,35 @@ def _closed_form(
     parents holds the parent of the leaf after each run. With m the
     column's longest run of the run's symbol, g = min(f, m) and v, u the
     deepest ancestors with support 1 and g, every run sums to
-    weight[v] - weight[u] + g * (2 * (depth[u] + f - g) + g + 1) // 2.
+    weight[v] - weight[u] + g * (depth[u] + f - g) + g * (g + 1) / 2.
     For f <= m that is the telescoped sum itself. For f > m every node on
     u's root path below the root has freq m (the s-block holds no longer
     support), so weight[u] = m * depth[u] and the form reduces to
-    weight[v] + m * f - m * (m - 1) // 2. For m == 0 every node of the
+    weight[v] + m * f - m * (m - 1) / 2. For m == 0 every node of the
     s-block, and the root, has weight 0, and so does the g = 0 product.
 
     v is the column's supported entry at the leaf's parent, one gather. u
     is v wherever freq[v] >= g, and only the other runs climb for it, from
     v (SymbolTrie.climb): u is an ancestor-or-self of v, since g >= 1
     there. The root's support is the column's longest run, at least 1 and
-    at least g, so the climb never returns -1. rest = depth[u] + f - g is
-    at most f + d <= D <= 2^62 (see SymbolTrie). Within the trie's int64
-    bound the rest is int64 too, every product below 2^62. Past it the
-    sums are limbs, a (2, len(symbols)) array: the same value as weight[v]
-    - weight[u] + g * rest + g * (g + 1) / 2, with g * (g + 1) / 2 the
-    product of its two halves (whichever of g and g + 1 is even, halved,
-    times the other) and a limb_carry after each addition. Limb weights
-    are gathered one row at a time (ndarray.take), several times faster
-    than a 2-D fancy index. Each array is dropped after its last read, and
-    the sums are formed in place, so few run-sized arrays are alive at once.
+    at least g, so the climb never returns -1.
+
+    With h = g // 2, g * (depth[u] + f - g) + g * (g + 1) / 2 equals
+    g * (depth[u] + f - h), plus h where g is even: for g = 2h,
+    g * (g + 1) / 2 = g * h + h, and for g = 2h + 1 it is g * (h + 1). So
+    each run takes one product, and its factor depth[u] + f - h is at
+    most f + d <= D <= 2^62 (see SymbolTrie). Within the trie's int64 bound it is
+    formed in int64, the product at most M * D. Past it the sums are limbs,
+    a (2, len(symbols)) array, from one limb_product and two limb_carry
+    calls, every intermediate below 2^63: lo[v] - lo[u] + h lies in (-2^62,
+    2^62 + 2^61), with h <= 2^61, and hi[v] - hi[u] in (-2^62, 2^62); after
+    the first carry lo is in [0, 2^62) and hi at most 2^62, so adding the
+    product's lo, in [0, 2^62), and its hi, below 2^62 as the product is
+    below 2^124, keeps both below 2^63; the second carry leaves the run sum,
+    below 2^124, with hi below 2^62. Limb weights are gathered one row at a
+    time (ndarray.take), several times faster than a 2-D fancy index. Each
+    array is dropped after its last read, and the sums are formed in place,
+    so few run-sized arrays are alive at once.
     """
     g = np.minimum(lengths, column.max_run[symbols])
     v = column.supported[parents]
@@ -191,40 +199,39 @@ def _closed_form(
     u = v.copy()
     u[short] = trie.climb(v[short], g[short], column.freq)
     del short
-    rest = trie.str_depth[u] + lengths
-    rest -= g
+    factor = trie.str_depth[u]
+    factor += lengths
+    half = g >> 1
+    factor -= half
     if trie.int64:
-        # g * (2 * rest + g + 1) // 2 + weight[v] - weight[u], in place
-        rest *= 2
-        rest += g
-        rest += 1
-        rest *= g
-        rest //= 2
-        rest += column.weight[v]
-        rest -= column.weight[u]
-        return rest
-    hi, lo = limb_carry(*(row.take(v) - row.take(u) for row in column.weight))
-    del v, u
-    hi, lo = _add_product(hi, lo, g, rest)
-    del rest
-    # g becomes whichever of g and g + 1 is even, halved; other is the other one
-    odd = g & 1
-    other = g + 1
-    other -= odd
-    g += odd
-    g >>= 1
-    del odd
-    return np.stack(_add_product(hi, lo, g, other))
-
-
-def _add_product(
-    hi: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The limbs (hi, lo) plus a * b, carried; hi and lo are added to in place."""
-    p_hi, p_lo = limb_product(a, b)
+        factor *= g
+        # g becomes (g & 1) - 1, all ones where g is even, so half keeps h there
+        g &= 1
+        g -= 1
+        half &= g
+        factor += half
+        del g, half
+        factor += column.weight[v]
+        factor -= column.weight[u]
+        return factor
+    # as above, but g is still to be multiplied
+    even = g & 1
+    even -= 1
+    half &= even
+    del even
+    w_hi, w_lo = column.weight
+    lo = w_lo.take(v)
+    lo -= w_lo.take(u)
+    lo += half
+    hi = w_hi.take(v)
+    hi -= w_hi.take(u)
+    del v, u, half
+    hi, lo = limb_carry(hi, lo)
+    p_hi, p_lo = limb_product(g, factor)
+    del g, factor
     hi += p_hi
     lo += p_lo
-    return limb_carry(hi, lo)
+    return np.stack(limb_carry(hi, lo))
 
 
 def acs(first: RleSeq, second: RleSeq) -> AcsResult:

@@ -17,7 +17,9 @@ b = n.bit_length() bits, so it needs bits + b <= 63. rank0 folds its three
 key columns into one such key, re-ranking the key so far wherever the next
 bits would not fit; a doubling round's key takes 2b bits, so its sort is a
 value sort for n < 2^21 tokens. Only past 63 bits does the order come from
-np.argsort.
+np.argsort. A run length past 2^30 would widen its whole key column, so
+rank0 reads the signed lengths' order codes (order_codes), which keep their
+order and ties in about 32 bits.
 
 The engine builds its query trie straight from the order and drops the
 order once that trie exists. The trie's gaps are the lcps of the leaf pairs
@@ -36,6 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from rleacs.rle import RleSeq
+
+# values within +-CODE_LIMIT are their own order codes (order_codes)
+CODE_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +151,32 @@ def _token_columns(seqs, bounds: np.ndarray):
     return syms, groups, signed, nexts, decoded
 
 
+def order_codes(values: np.ndarray) -> np.ndarray:
+    """int64 codes with the order and the ties of an int64 array of n entries.
+
+    A value in [-2^30, 2^30] is its own code. The values outside are sorted
+    by value (ndarray.sort), and each gets its position p in that sort, the
+    first among its equals (searchsorted): with L of them below -2^30, one
+    below gets p - L - 2^30, from -2^30 - L to -2^30 - 1, and one above
+    gets p - L + 2^30 + 1, from 2^30 + 1 up. So every code is within
+    +-(2^30 + n), and below 2^30 entries it fits int32. Prefix doubling and
+    the trie's nearest-smaller searches read only the order of their keys
+    (Manber & Myers), so a few giant runs no longer widen every key. An
+    array with no value outside is returned as it is.
+    """
+    if values.min(initial=0) >= -CODE_LIMIT and values.max(initial=0) <= CODE_LIMIT:
+        return values
+    wide = (values < -CODE_LIMIT) | (values > CODE_LIMIT)
+    outside = values[wide]
+    ranked = np.sort(outside)
+    below = int(np.searchsorted(ranked, 0))
+    ranks = np.searchsorted(ranked, outside)
+    ranks += np.where(outside > 0, CODE_LIMIT + 1 - below, -CODE_LIMIT - below)
+    codes = values.copy()
+    codes[wide] = ranks
+    return codes
+
+
 def _value_sort(key: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """key sorted ascending, and the order that sorts it: key[order] is the sorted key.
 
@@ -191,13 +222,13 @@ def _dense_rank(columns: list[np.ndarray]) -> np.ndarray:
     significant first, into one int64 key. The key must leave b =
     n.bit_length() bits free for _value_sort's index, so a code's bits
     are shifted in only as far as they fit; then the key so far is replaced
-    by its dense rank, which orders as it does and takes at most b bits,
-    and the code's lower bits follow. A column of signed run lengths near
-    +-2^62 thus enters in two parts around one re-rank, where a dense rank
-    of the column alone would take an argsort. The key's dense rank, by one
-    more value sort, is the tuples'. The span is taken in Python ints; a
-    column may span 2^63 or more, and its offset then wraps in int64, but
-    read as uint64 it is exact.
+    by its dense rank, which orders as it does and takes at most b bits, and
+    the code's lower bits follow. A column wider than the bits left thus
+    enters in parts around re-ranks, where a dense rank of the column alone
+    would take an argsort. The key's dense rank, by one more value sort, is
+    the tuples'. The span is taken in Python ints; a column may span 2^63 or
+    more, and its offset then wraps in int64, but read as uint64 it is
+    exact.
     """
     n = len(columns[0])
     budget = 63 - n.bit_length()
@@ -265,11 +296,14 @@ def _prefix_double(rank0: np.ndarray) -> list[np.ndarray]:
 def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     """Sort all run-start suffixes of the sequences into decoded order.
 
-    Tokens are ranked by their sort keys, (sym, group) folded into one, so
-    rank0 is a dense rank over three keys, folded into one int64 key
-    (_dense_rank). The token string is then suffix-sorted by prefix
-    doubling, whose rounds the order keeps for lcp; the last round's ranks
-    are distinct, so the order is their inverse, one scatter.
+    Tokens are ranked by their sort keys, (sym, group) folded into one and
+    the signed lengths by their order codes, so rank0 is a dense rank over
+    three keys, folded into one int64 key (_dense_rank); on a pair whose
+    giant runs are few, the codes take about 32 bits, the three keys fit one
+    value sort, and no re-rank is needed. The token string is then
+    suffix-sorted by prefix doubling, whose rounds the order keeps for lcp;
+    the last round's ranks are distinct, so the order is their inverse, one
+    scatter.
     Unique terminator tokens stop every comparison at or before a sequence
     boundary, so one token string holds all the sequences safely, and a
     suffix and its shared prefix lie in one sequence, so each sequence gets
@@ -278,7 +312,7 @@ def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     bounds = token_bounds(seqs)
     syms, groups, signed, nexts, decoded = _token_columns(seqs, bounds)
     # group is 0 or 1, so (sym, group) orders as the one key sym * 2 + group
-    rounds = _prefix_double(_dense_rank([syms * 2 + groups, signed, nexts]))
+    rounds = _prefix_double(_dense_rank([syms * 2 + groups, order_codes(signed), nexts]))
     # the last round's ranks are distinct: the order is their inverse
     order = np.empty(len(syms), dtype=np.int64)
     order[rounds[-1]] = np.arange(len(syms))

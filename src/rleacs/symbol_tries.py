@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rleacs.suffixes import SuffixOrder, token_bounds
+from rleacs.suffixes import CODE_LIMIT, SuffixOrder, order_codes, token_bounds
 
 LIMB_BITS = 62
 LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -91,18 +91,19 @@ class SymbolTrie:
     after it, f + d <= D, since a run and the suffix after it lie in one
     record. A weight sums freq <= M times steps that add up to str_depth <=
     D, so it, and every partial sum of its doubling, is at most M * D; the
-    closed-form product g * (2 * (depth[u] + f - g) + g + 1), with g <= f
-    and depth[u] <= d, is at most M * (2D + 1) <= 4 * M * D; and a run sum,
-    f matches of at most D each, is at most M * D. A record's total can
-    still pass 2^63, so exact_total sums it by 31-bit pieces.
+    closed form's one product g * (depth[u] + f - g // 2), with g <= f and
+    depth[u] <= d, is at most M * D, and with g // 2 and weight[v] added
+    before weight[u] is taken, below 4 * M * D; and a run sum, f matches
+    of at most D each, is at most M * D. A record's total can still pass
+    2^63, so exact_total sums it by 31-bit pieces.
 
     Past the bound, lengths and depths are still at most 2^62, so a weight
     is below 2^124 and its hi limb below 2^62; so is every partial sum of
-    the doubling and every partial sum of a run's closed form, whose terms
-    are all non-negative but the one weight subtracted. The limb sum of two
-    such values is then below 2^63 before its carry, and so is every
-    intermediate of limb_product. A trie built with _exact is a limb trie
-    whatever its runs, so that the two paths can be compared.
+    the doubling. The limb sum of two such values is then below 2^63 before
+    its carry, and so is every intermediate of limb_product; a run's closed
+    form orders its additions to the same end (engine._closed_form). A trie
+    built with _exact is a limb trie whatever its runs, so that the two
+    paths can be compared.
 
     Every column reads two arrays that do not depend on the column, so
     they are built once, with the trie: above[v] is v's parent with the
@@ -406,11 +407,8 @@ def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
 
 
 def _min_rows(gaps: np.ndarray) -> list[np.ndarray]:
-    """rows[k][s] = min(gaps[s : s + 2^k]) for every 2^k <= len(gaps).
-
-    They are int32, half the memory, when every gap fits.
-    """
-    rows = [gaps.astype(np.int32) if gaps.max(initial=0) <= np.iinfo(np.int32).max else gaps]
+    """rows[k][s] = min(gaps[s : s + 2^k]) for every 2^k <= len(gaps), in gaps' dtype."""
+    rows = [gaps]
     width = 1
     while 2 * width <= len(gaps):
         rows.append(np.minimum(rows[-1][:-width], rows[-1][width:]))
@@ -474,17 +472,23 @@ def _compact_trie(gaps: np.ndarray):
     of minima for any still open, so the build is O(m log m) for m leaves
     at worst; the periodic pair sends nearly every next-smaller search to
     the descent.
+
+    Every step but str_depth reads only how gaps compare, so they all run
+    on the gaps' order codes (suffixes.order_codes). Below 2^30 leaves the
+    codes fit int32 however deep the gaps are, so the sparse table is
+    int32, half the memory of int64.
     """
     n = len(gaps)
     # both ends read values[n] = -1, the left one as index -1
-    values = np.append(gaps, -1)
-    rows = _min_rows(gaps)
+    values = np.append(order_codes(gaps), -1)
+    codes = values[:n]
+    rows = _min_rows(codes.astype(np.int32 if n < CODE_LIMIT else np.int64))
     prev = _nearest(values, rows, np.greater, -1)  # the previous gap <= each
     after = _nearest(values, rows, np.greater_equal, 1)  # the next gap < each
     del rows
 
-    root = gaps == 0
-    first = ~root & (values[prev] != gaps)
+    root = codes == 0
+    first = ~root & (values[prev] != codes)
     ends = first | root
     # every other gap of a node links to the equal gap before it
     link = np.where(ends, np.arange(n, dtype=np.int64), prev)

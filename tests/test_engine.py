@@ -39,7 +39,16 @@ from rleacs.rle import (
     encode,
 )
 from rleacs.suffixes import _token_columns, build_suffix_order, token_bounds, token_string
-from rleacs.symbol_tries import exact_ints, extract_symbol_tries, leaf_blocks
+from rleacs.symbol_tries import (
+    LIMB_BITS,
+    LIMB_MASK,
+    Column,
+    SymbolTrie,
+    _lifting_rows,
+    exact_ints,
+    extract_symbol_tries,
+    leaf_blocks,
+)
 from rleacs.verify import brute_column, check_pair
 
 
@@ -734,6 +743,100 @@ def _path_of(engine):
             expect[v] = expect[parent[v]] + int(column.freq[v]) * (depth[v] - depth[parent[v]])
         assert exact_ints(column.weight) == expect
     return trie.int64
+
+
+def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
+    """_closed_form of one run of length f against a longest run m of its
+    symbol, on the chain root - u - v. The leaf's parent v supports itself
+    with freq g - 1, for g = min(f, m), and u, at depth depth_u, has freq g,
+    so the climb stops at u. Weights go in as given, limbs off int64."""
+    g = min(f, m)
+    parent = np.array([-1, 0, 1])
+    trie = SymbolTrie(
+        parent=parent,
+        str_depth=np.array([0, depth_u, depth_u + 1]),
+        up=_lifting_rows(parent),
+        run_parents=np.array([2]),
+        symbols=3,
+        int64=int64,
+    )
+    weights = [0, weight_u, weight_v]
+    if not int64:
+        weights = [[w >> LIMB_BITS for w in weights], [w & LIMB_MASK for w in weights]]
+    column = Column(
+        freq=np.array([g, g, g - 1]),
+        weight=np.array(weights),
+        max_run=np.array([0, 0, m]),
+        supported=np.arange(3),
+    )
+    sums = _closed_form(trie, column, np.array([2]), np.array([f]), np.array([2]))
+    assert sums.shape == (() if int64 else (2,)) + (1,)
+    return exact_ints(sums)[0]
+
+
+def _closed_form_reference(depth_u, f, m, weight_v, weight_u):
+    g = min(f, m)
+    return weight_v - weight_u + g * (depth_u + f - g) + g * (g + 1) // 2
+
+
+# (depth[u], f, m, weight[v], weight[u]) within the int64 bound, 4 * M * D
+# <= 2^62: g even, odd, 1 and f, then M = D = 2^30 with depth[u] + f = D
+# and weight[v] = M * D, g even and odd
+INT64_RUNS = [
+    (5, 7, 4, 9, 2),
+    (5, 7, 3, 9, 2),
+    (5, 7, 1, 9, 9),
+    (5, 6, 9, 9, 2),
+    (0, 1 << 30, 1 << 30, 1 << 60, (1 << 60) - 1),
+    (1, (1 << 30) - 1, 1 << 30, 1 << 60, 0),
+]
+BOUND = MAX_DECODED_LENGTH
+# lengths at the 2^62 bound, so depth[u] + f = D = 2^62: g = f = 2^62 - 1
+# (odd), g = f = 2^62 - 2 (even), and g = 2^61 (even) below f
+LIMB_RUNS = [
+    (1, BOUND - 1, BOUND - 1),
+    (2, BOUND - 2, BOUND - 2),
+    (2, BOUND - 2, 1 << 61),
+]
+# limb weights (weight[v], weight[u]) with lo = 2^62 - 1 on either side, a
+# borrow from hi, and equal weights
+LIMB_WEIGHTS = [
+    ((1 << 122) + BOUND - 1, 0),
+    ((1 << 122) + BOUND - 1, BOUND - 1),
+    (1 << 122, BOUND - 1),
+    ((5 << LIMB_BITS) + BOUND - 1, (5 << LIMB_BITS) + BOUND - 1),
+]
+
+
+@pytest.mark.parametrize("run", INT64_RUNS)
+def test_closed_form_within_the_int64_bound(run):
+    # both arithmetic paths, against Python ints
+    want = _closed_form_reference(*run)
+    assert _one_run_closed_form(*run, int64=True) == want
+    assert _one_run_closed_form(*run, int64=False) == want
+
+
+@pytest.mark.parametrize("weights", LIMB_WEIGHTS)
+@pytest.mark.parametrize("run", LIMB_RUNS)
+def test_closed_form_at_the_length_bound_on_limbs(run, weights):
+    assert _one_run_closed_form(*run, *weights, int64=False) == _closed_form_reference(
+        *run, *weights
+    )
+
+
+def test_closed_form_carries_between_its_limb_additions():
+    # g = f = 2^62 - 2 and depth[u] = 2: the product's lo limb is 2^62 - 2
+    # and g // 2 = 2^61 - 1, so with weight[v]'s lo limb at 2^62 - 1 and
+    # weight[u]'s at 0, the lo additions pass 2^63 unless a carry comes
+    # between them
+    depth_u, f = 2, BOUND - 2
+    half = f // 2
+    product_lo = (f * (depth_u + f - half)) & LIMB_MASK
+    assert product_lo == BOUND - 2 and product_lo + half + BOUND - 1 >= 1 << 63
+    weights = ((1 << 122) + BOUND - 1, 1 << 122)
+    assert _one_run_closed_form(depth_u, f, f, *weights, int64=False) == (
+        _closed_form_reference(depth_u, f, f, *weights)
+    )
 
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])

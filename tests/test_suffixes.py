@@ -20,10 +20,12 @@ from rleacs import suffixes
 from rleacs.bench import fibonacci_pair, mutant_family, periodic_pair, synth_pair
 from rleacs.rle import FIRST_SYMBOL_ID, MAX_DECODED_LENGTH, RleSeq, encode
 from rleacs.suffixes import (
+    CODE_LIMIT,
     _dense_rank,
     _token_columns,
     _value_sort,
     build_suffix_order,
+    order_codes,
     token_bounds,
     token_string,
 )
@@ -390,6 +392,44 @@ def test_value_sort_equals_argsort(n):
             if bits + b <= 63:
                 # the index rides in the key, so ties keep their index order
                 assert np.array_equal(order, np.argsort(key, kind="stable"))
+
+
+CODE_EDGES = [
+    sign * value
+    for sign in (1, -1)
+    for value in (CODE_LIMIT - 1, CODE_LIMIT, CODE_LIMIT + 1, 1 << 62)
+]
+code_values = st.lists(
+    st.one_of(
+        st.integers(-5, 5),
+        st.sampled_from(CODE_EDGES),
+        st.integers(-(1 << 62), 1 << 62),
+    ),
+    max_size=60,
+)
+
+
+@given(code_values)
+@example(CODE_EDGES + CODE_EDGES[::-1] + [0])
+@example([CODE_LIMIT, -CODE_LIMIT, 3, 3])
+def test_order_codes_keep_order_and_ties(values):
+    # the stable argsort of the codes is the values', equal neighbours in
+    # that order stay equal and only they, values within +-2^30 keep their
+    # value, every code fits int32, and an array with nothing past the
+    # limit comes back as it is
+    values = np.array(values, dtype=np.int64)
+    kept = values.copy()
+    codes = order_codes(values)
+    assert np.array_equal(values, kept)
+    assert codes.dtype == np.int64
+    order = np.argsort(values, kind="stable")
+    assert np.array_equal(np.argsort(codes, kind="stable"), order)
+    assert np.array_equal(np.diff(codes[order]) == 0, np.diff(values[order]) == 0)
+    inside = np.abs(values) <= CODE_LIMIT
+    assert np.array_equal(codes[inside], values[inside])
+    assert (np.abs(codes) <= CODE_LIMIT + len(values)).all()
+    assert np.array_equal(codes.astype(np.int32), codes)
+    assert (codes is values) == inside.all()
 
 
 def _argsort_doubling(rank0):

@@ -563,6 +563,13 @@ def leaves_over(draw, gaps):
 
 
 gap_value = st.one_of(st.integers(0, 9), st.integers(0, 1 << 61))
+# gaps at and past the order codes' limit 2^30, int32's 2^31 and the length
+# bound 2^62, between small ones
+WIDE_GAPS = [v + d for v in (1 << 30, 1 << 31, 1 << 62) for d in (-1, 0, 1)]
+wide_gaps = st.lists(
+    st.one_of(st.integers(0, 6), st.sampled_from(WIDE_GAPS), st.integers(0, 1 << 62)),
+    max_size=80,
+)
 steps = st.lists(st.integers(1, 4), max_size=60)
 rising = st.tuples(st.integers(0, 5), steps).map(lambda t: list(accumulate(t[1], initial=t[0]))[1:])
 
@@ -579,6 +586,7 @@ rising = st.tuples(st.integers(0, 5), steps).map(lambda t: list(accumulate(t[1],
             )
         ),
         leaves_over(st.lists(st.integers(0, 6), max_size=80)),
+        leaves_over(wide_gaps),
     )
 )
 @example(([5], []))
@@ -588,10 +596,18 @@ def test_array_build_matches_the_sweep(leaves):
     assert_sweep_shape(*leaves)
 
 
-@given(leaves_over(st.integers(JUMP_ROUNDS + 2, 80).map(lambda n: list(range(1, n + 1)) + [0])))
+@given(
+    leaves_over(
+        st.tuples(
+            st.integers(JUMP_ROUNDS + 2, 80), st.sampled_from([0, (1 << 31) - 40, 1 << 62])
+        ).map(lambda t: list(range(t[1] + 1, t[1] + t[0] + 1)) + [0])
+    )
+)
 def test_array_build_falls_back_to_the_descent(leaves):
     # the final 0's previous gap <= it is one step nearer per jumping round,
-    # so JUMP_ROUNDS cannot reach it and the sparse-table descent must
+    # so JUMP_ROUNDS cannot reach it and the sparse-table descent must; the
+    # rising gaps may start past 2^30, cross 2^31 or sit past 2^62, where
+    # the descent reads their int32 codes
     with mock.patch.object(symbol_tries, "_descend", wraps=symbol_tries._descend) as descend:
         assert_sweep_shape(*leaves)
     assert any(len(call.args[1]) for call in descend.call_args_list)
