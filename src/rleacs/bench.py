@@ -15,22 +15,17 @@ experiments:
 * one giant unary pair whose exact total has a closed form, as an
   end-to-end sanity anchor at decoded length 10^9.
 
-Two more rows time the layer before them all, on texts held in memory:
-reading a long-run FASTA text, the one step whose work follows the decoded
-length, and reading a run-length text shaped like a large pair into
-sequences, whose work follows the characters of its tokens. Each also
-reports the tracemalloc peak of one read, the memory ingest holds beyond
-its input.
+Three more rows time the layer before them all, on texts held in memory,
+with the tracemalloc peak of one read: a long-run FASTA text, whose work
+follows the decoded length; a run-length text shaped like a large pair, and
+a FASTA family of FAMILY_INGEST short records, each read into sequences.
 
 Two family rows time dist_matrix's stages, one build, one column per
 record and its batched totals, then the pairwise distances, on k = 40 and
-k = 160 mutants of one random root (mutant_family), with no gate.
-
-Every engine row also reports the trie's node and internal node counts and
-the bytes per run of its lifting rows, which cover the internal nodes only:
-the O(N log N) part of the engine's memory, printed with no gate; and
-order_s, the time of the suffix order alone (build_suffix_order) on the
-same pair, timed apart from the build, which it is part of.
+k = 160 mutants of one random root (mutant_family), with no gate. Every
+engine row also reports the trie's node and internal node counts, the
+bytes per run of its lifting rows (the O(N log N) part of the engine's
+memory), and order_s, the suffix order's own time (build_suffix_order).
 """
 
 from __future__ import annotations
@@ -77,6 +72,8 @@ RLE_PER_LINE = 16
 # character substituted, deleted or followed by an insertion with total
 # probability FAMILY_RATE
 FAMILY_SIZES = (40, 160)
+# the family ingest row reads this many mutants, as FASTA
+FAMILY_INGEST = 1000
 FAMILY_LENGTH = 1000
 FAMILY_MEAN_RUN = 1.5
 FAMILY_RATE = 0.05
@@ -424,25 +421,28 @@ def _ingest_row(label: str, text: str, read, reps: int) -> IngestRow:
     return IngestRow(label, chars=len(text), runs=runs, read_s=best, peak_bytes=peak)
 
 
-def ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
-    """Best of reps reads of long_run_fasta(seed) by read_fasta_records, from memory."""
-    label = f"fasta {INGEST_RECORDS}x{INGEST_LENGTH} run~{INGEST_MEAN_RUN}"
+def ingest_rows(seed: int = 42, *, reps: int = 2) -> list[IngestRow]:
+    """Best of reps reads, from memory, of long_run_fasta(seed) into records,
+    and of run_length_text(seed) and of mutant_family(FAMILY_INGEST, seed),
+    as FASTA with one line per body, into sequences (build_text_sequences)."""
 
-    def read(text):
-        return [record.runs for record in read_fasta_records(text)]
+    def built(read):
+        return lambda text: [seq.runs for seq in build_text_sequences(read(text))[0]]
 
-    return _ingest_row(label, long_run_fasta(seed), read, reps)
-
-
-def rle_ingest_row(seed: int = 42, *, reps: int = 2) -> IngestRow:
-    """Best of reps reads of run_length_text(seed) into sequences, from memory:
-    read_rle_records, then build_text_sequences."""
-    label = f"rle {RLE_RECORDS}x{RLE_RUNS} runs {RLE_PER_LINE}/line"
-
-    def read(text):
-        return [seq.runs for seq in build_text_sequences(read_rle_records(text))[0]]
-
-    return _ingest_row(label, run_length_text(seed), read, reps)
+    # each symbol id's letter in mutant_family
+    letters = np.frombuffer(b" " * FIRST_SYMBOL_ID + b"acgt", dtype=np.uint8)
+    family = "".join(
+        f">{seq.name}\n{letters[np.repeat(*seq.runs.T)].tobytes().decode()}\n"
+        for seq in mutant_family(FAMILY_INGEST, seed)
+    )
+    fasta = f"fasta {INGEST_RECORDS}x{INGEST_LENGTH} run~{INGEST_MEAN_RUN}"
+    rle = f"rle {RLE_RECORDS}x{RLE_RUNS} runs {RLE_PER_LINE}/line"
+    rows = (
+        (fasta, long_run_fasta(seed), lambda text: [r.runs for r in read_fasta_records(text)]),
+        (rle, run_length_text(seed), built(read_rle_records)),
+        (f"fasta family k={FAMILY_INGEST}", family, built(read_fasta_records)),
+    )
+    return [_ingest_row(label, text, read, reps) for label, text, read in rows]
 
 
 def format_ingest(rows: list[IngestRow]) -> str:

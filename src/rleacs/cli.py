@@ -214,15 +214,9 @@ def cmd_bench(config: RunConfig) -> int:
     print("adversarial inputs for the suffix order")
     print(bench.format_table(bench.adversarial_rows(reps=config.trials), with_ratios=False))
     print()
-    print(
-        "fasta ingest (read_fasta_records) and run-length ingest "
-        "(read_rle_records, build_text_sequences), from memory"
-    )
-    ingest = [
-        bench.ingest_row(config.seed, reps=config.trials),
-        bench.rle_ingest_row(config.seed, reps=config.trials),
-    ]
-    print(bench.format_ingest(ingest))
+    print("fasta ingest, run-length ingest and fasta family ingest from memory (read_*_records,")
+    print("the last two then build_text_sequences)")
+    print(bench.format_ingest(bench.ingest_rows(config.seed, reps=config.trials)))
     print()
     print("dist_matrix stages on mutant families, one thread (no gate)")
     families = [bench.family_row(k, config.seed, reps=config.trials) for k in bench.FAMILY_SIZES]

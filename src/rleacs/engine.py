@@ -1,21 +1,16 @@
 """Average common substring measure and distance over run-length encoded sequences.
 
-The engine computes, for every position p of a sequence X, the longest
-prefix of X[p:] occurring anywhere in a sequence Y, without ever decoding,
-from one query trie over a family that holds both (the pair for acs and
-dist, every record for dist_matrix) and Y's column of it. Positions are
-processed one run at a time: the answers within a run follow a closed form
-built from two ancestor lookups from the run's entry of the trie's
-run_parents, the parent of the leaf after it (the trie keeps no leaf). The
-first is one gather from the column's supported table; the second equals it
-for most runs, and only the rest take a vectorized lifting climb, from the
-first. Every run of X is answered in one batch, and dist_matrix answers
-every run of the family against a column in one such batch, so a family of
-N total runs costs O(N log N) per column. All accumulation is exact integer
-arithmetic: in int64 while the family's longest run and longest record
-prove it exact (see SymbolTrie.int64), in two int64 limbs past that bound,
-composed into Python ints only for the sums handed out; floats appear only
-in the final distance value.
+For every position p of a sequence X the engine finds the longest prefix
+of X[p:] occurring anywhere in a sequence Y, without decoding, from one
+query trie over a family that holds both (the pair for acs and dist, every
+record for dist_matrix) and Y's column of it. A run's positions are
+answered together, by a closed form over two ancestors of the run's entry
+of the trie's run_parents: one gather from the column's supported table,
+and, for the few runs where that falls short, a vectorized lifting climb.
+A column answers every run of the family in one batch, O(N log N) for N
+runs. All accumulation is exact integer arithmetic, in int64 while the
+family's runs prove it exact (see SymbolTrie.int64) and in two int64 limbs
+past that; floats appear only in the final distance value.
 """
 
 from __future__ import annotations
@@ -80,9 +75,9 @@ class AcsEngine:
     """Every ACS between the sequences of a family, from one query trie over them.
 
     AcsEngine(*seqs) builds the family's trie once and keeps no suffix
-    order; a pair is the family of k = 2. Every run's symbol and length are
-    laid out once, record after record, beside the trie's run_parents, in
-    arrays that every query slices. column(j) annotates seqs[j]'s column,
+    order; a pair is the family of k = 2. Of the order it keeps the token
+    layout, which the trie's run_parents and bounds index too and every
+    query slices. column(j) annotates seqs[j]'s column,
     which holds all that a query against seqs[j] reads. total(i, column)
     and run_sums(i, column) score seqs[i] against the column's sequence,
     and totals(j, column) scores every other sequence against seqs[j] in
@@ -98,12 +93,11 @@ class AcsEngine:
         if not seqs:
             raise ValueError("AcsEngine needs at least one sequence")
         self.seqs = seqs
-        # the order, rounds and all, is freed once leaf_blocks has read it
-        self.trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)), _exact=_exact)
-        self._symbols = np.concatenate([seq.runs[:, 0] for seq in seqs])
-        self._lengths = np.concatenate([seq.runs[:, 1] for seq in seqs])
-        # record i's runs are entries starts[i] to starts[i + 1]
-        self._starts = np.cumsum([0] + [seq.run_count for seq in seqs])
+        order = build_suffix_order(*seqs)
+        self._symbols, self._lengths = order.syms, order.run_lengths
+        blocks = leaf_blocks(order)
+        del order  # the order, rounds and all, is freed before the trie is built
+        self.trie = extract_symbol_tries(blocks, _exact=_exact)
 
     def column(self, j: int) -> Column:
         """The column of seqs[j], annotated afresh on each call."""
@@ -115,9 +109,10 @@ class AcsEngine:
         return _closed_form(self.trie, column, self._symbols[part], self._lengths[part], parents)
 
     def record(self, i: int) -> slice:
-        """The entries of seqs[i]'s runs in run_parents and the run arrays, i as into seqs."""
+        """seqs[i]'s tokens but its terminator, its runs' entries of every layout array."""
         i = range(len(self.seqs))[i]
-        return slice(self._starts[i], self._starts[i + 1])
+        bounds = self.trie.bounds
+        return slice(bounds[i], bounds[i + 1] - 1)
 
     def run_sums(self, i: int, column: Column) -> list[int]:
         """Sum of best match lengths over the positions of each run of seqs[i].
@@ -140,13 +135,14 @@ class AcsEngine:
     def totals(self, j: int, column: Column) -> list[int]:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
 
-        Every run of the family is answered in one batch, one _closed_form
-        call, and summed per sequence in one pass (exact_totals). seqs[j]'s
+        Every token of the family is answered in one batch, one _closed_form
+        call, and summed per sequence in one pass (exact_totals); a
+        terminator sums to 0 (see _closed_form). seqs[j]'s
         own runs are answered too, and their total dropped: the column's
         longest run of each symbol is at least the run's own length, so g =
         f, and the root qualifies, as for any run.
         """
-        totals = exact_totals(self._sums(column), self._starts[:-1])
+        totals = exact_totals(self._sums(column), self.trie.bounds[:-1])
         totals[j] = 0
         return totals
 
@@ -169,6 +165,8 @@ def _closed_form(
     support), so weight[u] = m * depth[u] and the form reduces to
     weight[v] + m * f - m * (m - 1) / 2. For m == 0 every node of the
     s-block, and the root, has weight 0, and so does the g = 0 product.
+    That holds for a terminator token too: its id, 1 down to 2 - k, clips
+    to id 0, which no sequence holds, and its run_parents entry is the root.
 
     v is the column's supported entry at the leaf's parent, one gather. u
     is v wherever freq[v] >= g, and only the other runs climb for it, from
@@ -193,7 +191,7 @@ def _closed_form(
     array is dropped after its last read, and the sums are formed in place,
     so few run-sized arrays are alive at once.
     """
-    g = np.minimum(lengths, column.max_run[symbols])
+    g = np.minimum(lengths, column.max_run.take(symbols, mode="clip"))
     v = column.supported[parents]
     short = np.flatnonzero(column.freq[v] < g)
     u = v.copy()

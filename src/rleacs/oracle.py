@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from rleacs.rle import RleSeq
-from rleacs.suffixes import SuffixOrder, token_bounds
+from rleacs.suffixes import SuffixOrder
 
 if TYPE_CHECKING:
     from rleacs.engine import AcsEngine
@@ -174,7 +174,7 @@ class SuffixRef(NamedTuple):
 
 def suffix_refs(order: SuffixOrder | BruteOrder) -> list[SuffixRef]:
     """Each rank's suffix as a (sequence, run) handle; a terminator is the run after the last."""
-    bounds = token_bounds(order.seqs)
+    bounds = order.bounds
     seq = np.searchsorted(bounds, order.tokens, side="right") - 1
     run = order.tokens - bounds[seq] + 1
     return [SuffixRef(j, r) for j, r in zip(seq.tolist(), run.tolist())]
@@ -293,10 +293,12 @@ def per_position_lengths(
 
 @dataclass(frozen=True, eq=False)
 class BruteOrder:
-    """The brute sort's order, its int64 arrays named as SuffixOrder's so the two compare."""
+    """The brute sort's order, its int64 arrays named as SuffixOrder's so the two
+    compare; bounds counts the suffixes it lists before each record's."""
 
     seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
+    bounds: np.ndarray
     dlcp: np.ndarray
     suffix_lengths: np.ndarray
 
@@ -313,12 +315,14 @@ def brute_suffix_sort(*seqs: RleSeq, budget: OracleBudget = DEFAULT_BUDGET) -> B
     ids = np.unique(np.concatenate([seq.runs[:, 0] for seq in seqs])).tolist()
     glyph = {sym: chr(len(seqs) + r) for r, sym in enumerate(ids)}
     entries: list[tuple[str, int]] = []
+    bounds = [0]
     for j, seq in enumerate(seqs):
         text = "".join(glyph[sym] * n for sym, n in seq.runs.tolist()) + chr(j)
         pos = 0
         for length in [*seq.runs[:, 1].tolist(), 1]:
             entries.append((text[pos:], len(entries)))
             pos += length
+        bounds.append(len(entries))
     entries.sort(key=lambda e: e[0])
     tokens = [token for _, token in entries]
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
@@ -326,6 +330,7 @@ def brute_suffix_sort(*seqs: RleSeq, budget: OracleBudget = DEFAULT_BUDGET) -> B
     return BruteOrder(
         seqs=seqs,
         tokens=np.array(tokens, dtype=np.int64),
+        bounds=np.array(bounds, dtype=np.int64),
         dlcp=np.array(dlcp, dtype=np.int64),
         suffix_lengths=np.array(suffix_lengths, dtype=np.int64),
     )

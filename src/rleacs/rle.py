@@ -2,19 +2,17 @@
 
 A sequence's runs are one read-only (N, 2) int64 array: column 0 holds the
 symbol ids, column 1 the run lengths. A character's id is its codepoint
-plus FIRST_SYMBOL_ID, whatever else is encoded, so ids order as the
-characters do and any two sequences compare. A sequence carries no
-terminator; the suffix order appends one to each side of a pair when it
-builds its token string. The readers produce arrays of the same shape
-over raw codepoints (RunRecord), so no layer between a file and the sort
-keys walks runs one at a time. They read every input in blocks of whole
-lines (BLOCK_CHARS). str.find locates a block's header lines; the text
-between two of them is a body piece. A text piece drops its newlines at C
-level and is run-encoded once, so every array after that pass has one
-entry per true run, not per line-cut run; line stripping is decided on
-those runs, and line numbers come from the newlines counted piece by
-piece. A token piece's tokens are found by whitespace masks and its counts
-read by one C-level parse. A record's pieces are merged once.
+plus FIRST_SYMBOL_ID, so ids order as the characters do and any two
+sequences compare. A sequence carries no terminator; the suffix order
+appends one to each. The readers produce (codepoint, length) arrays of the
+same shape (RunRecord), and build_text_sequences lays a file's records out
+as one family array, checked in one pass; each sequence is a view of it.
+Input is read in blocks of whole lines (BLOCK_CHARS). str.find locates a
+block's header lines; the text between two of them is a body piece. A text
+piece drops its newlines at C level and is run-encoded once, so every array
+after that has one entry per true run; line stripping is decided on those
+runs. A token piece's counts are read by one C-level parse. Line numbers
+come from the newlines counted piece by piece.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ DEFAULT_DECODE_LIMIT = 1 << 26
 BLOCK_CHARS = 1 << 17
 
 _NO_RUNS = np.empty((0, 2), dtype=np.int64)
-# added to a (codepoint, length) row, it gives the (symbol id, length) row
-_ID_SHIFT = np.array([FIRST_SYMBOL_ID, 0], dtype=np.int64)
 # str.isspace of every codepoint up to U+3000, the largest for which it
 # holds, and one last entry, False, for every codepoint above
 _SPACE = np.zeros(0x3002, dtype=bool)
@@ -62,18 +58,52 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _content_length(name: str, lengths: np.ndarray) -> int:
-    """Exact sum of positive int64 lengths; ValueError once it reaches the bound.
+def _check_family(names: list[str], runs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each record's decoded length, as uint64, once a family's runs pass RleSeq's checks.
 
-    The bound counts the length-1 terminator the suffix order appends, as
-    does the message. Partial sums up to the first one at 2^62 stay below
-    2^64, so unsigned cumulative sums see it exactly where a later one wraps.
+    runs holds (symbol id, length) int64 rows, record j at rows bounds[j] to
+    bounds[j + 1]. One mask marks every failing row: a length below 1, an id
+    out of range, a symbol repeated inside a record, or a decoded end at the
+    bound; the first failing record raises RleSeq's message for the first
+    check it fails. A record's ends are the family's uint64 cumsum less the
+    sum where it starts: exact mod 2^64, and below 2^64 up to the first at 2^62.
     """
-    partial = np.cumsum(lengths, dtype=np.uint64)
-    if (partial >= np.uint64(MAX_DECODED_LENGTH)).any():
-        total = sum(lengths.tolist()) + 1
-        raise ValueError(f"{name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}")
-    return int(partial[-1])
+    syms, lengths = runs.T
+    starts = bounds[:-1]
+    ends = lengths.view(np.uint64).cumsum()
+    offsets = np.zeros(len(starts), dtype=np.uint64)
+    offsets[starts > 0] = ends[starts[starts > 0] - 1]
+    ends -= np.repeat(offsets, np.diff(bounds))
+    failed = ends >= np.uint64(MAX_DECODED_LENGTH)
+    failed |= lengths < 1
+    failed |= (syms - FIRST_SYMBOL_ID).view(np.uint64) > np.uint64(MAX_SYMBOL_ID - FIRST_SYMBOL_ID)
+    repeated = syms[1:] == syms[:-1]
+    repeated[starts[(starts > 0) & (starts < len(runs))] - 1] = False
+    failed[1:] |= repeated
+    first = np.flatnonzero(bounds[1:] == starts)[:1].tolist()
+    if failed.any():
+        first.append(int(np.searchsorted(bounds, failed.argmax(), "right")) - 1)
+    if first:
+        j = min(first)
+        if bounds[j] == bounds[j + 1]:
+            raise ValueError(f"empty record {names[j]}")
+        syms, lengths = runs[bounds[j] : bounds[j + 1]].T
+        for values, bad, message in (
+            (lengths, lengths < 1, "run length must be >= 1, got {}"),
+            (syms[1:], syms[1:] == syms[:-1], "adjacent runs share symbol id {}"),
+            (syms, syms < FIRST_SYMBOL_ID, f"symbol id {{}} below {FIRST_SYMBOL_ID}"),
+            (syms, syms > MAX_SYMBOL_ID, f"symbol id {{}} above {MAX_SYMBOL_ID}"),
+        ):
+            if bad.any():
+                raise ValueError(f"{names[j]}: " + message.format(values[bad][0]))
+        raise _bound_error(names[j], lengths)
+    return ends[bounds[1:] - 1]
+
+
+def _bound_error(name: str, lengths: np.ndarray) -> ValueError:
+    """A record's error once its length, with its terminator's 1, reaches the bound."""
+    total = sum(lengths.tolist()) + 1
+    return ValueError(f"{name}: decoded length {total} exceeds bound {MAX_DECODED_LENGTH}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +137,10 @@ class RleSeq:
             runs = np.array(rows, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"{self.name}: run exceeds bound {MAX_DECODED_LENGTH}") from None
-        syms, lengths = runs.T
-        for values, bad, message in (
-            (lengths, lengths < 1, "run length must be >= 1, got {}"),
-            (syms[1:], syms[1:] == syms[:-1], "adjacent runs share symbol id {}"),
-            (syms, syms < FIRST_SYMBOL_ID, f"symbol id {{}} below {FIRST_SYMBOL_ID}"),
-            (syms, syms > MAX_SYMBOL_ID, f"symbol id {{}} above {MAX_SYMBOL_ID}"),
-        ):
-            if bad.any():
-                raise ValueError(f"{self.name}: " + message.format(values[bad][0]))
+        (length,) = _check_family([self.name], runs, np.array([0, len(runs)]))
         runs.flags.writeable = False
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "content_length", _content_length(self.name, lengths))
+        object.__setattr__(self, "content_length", int(length))
 
     @property
     def run_count(self) -> int:
@@ -129,7 +151,7 @@ def encode(text: str, name: str = "seq") -> RleSeq:
     """Run-length encode text; a symbol's id is its codepoint plus FIRST_SYMBOL_ID."""
     if not text:
         raise ValueError("empty sequence")
-    return RleSeq(name, _codepoint_runs(text) + _ID_SHIFT)
+    return build_text_sequences([RunRecord(name, _codepoint_runs(text))])[0][0]
 
 
 def _codepoints(text: str) -> np.ndarray:
@@ -263,7 +285,9 @@ def _merge(name: str, pieces: list[np.ndarray], tokens: bool) -> RunRecord:
         if tokens:
             merged = len(runs) - len(keep)
             warnings.warn(f"record {name}: merged {merged} adjacent equal-symbol runs")
-            _content_length(name, runs[:, 1])
+            # a record's ends reach the bound before they can wrap (_check_family)
+            if (np.cumsum(runs[:, 1], dtype=np.uint64) >= np.uint64(MAX_DECODED_LENGTH)).any():
+                raise _bound_error(name, runs[:, 1])
         runs = np.column_stack((runs[keep, 0], np.add.reduceat(runs[:, 1], keep)))
     return RunRecord(name, runs)
 
@@ -461,14 +485,20 @@ def build_rle_sequences(records: list[RunRecord]) -> tuple[list[RleSeq], str]:
 
 def build_text_sequences(records: list[RunRecord]) -> tuple[list[RleSeq], str]:
     """Encode codepoint-run records, each id its codepoint plus FIRST_SYMBOL_ID,
-    and list the records' distinct characters, in id order, as one str."""
-    codepoints = np.concatenate([_NO_RUNS[:, 0], *(record.runs[:, 0] for record in records)])
-    symbols = "".join(map(chr, _distinct(codepoints).tolist()))
-    seqs = []
-    for name, runs in records:
-        if not len(runs):
-            raise ValueError(f"empty record {name}")
-        seqs.append(RleSeq(name, runs + _ID_SHIFT))
+    and list the records' distinct characters, in id order, as one str.
+    The runs are laid out once, as one read-only family array checked in one
+    pass (_check_family), and each sequence is a view of its rows."""
+    names = [record.name for record in records]
+    bounds = np.cumsum([0] + [len(record.runs) for record in records])
+    family = np.concatenate([_NO_RUNS, *(record.runs for record in records)])
+    family[:, 0] += FIRST_SYMBOL_ID
+    lengths = _check_family(names, family, bounds).tolist()
+    family.flags.writeable = False
+    symbols = "".join(map(chr, (_distinct(family[:, 0]) - FIRST_SYMBOL_ID).tolist()))
+    seqs = [object.__new__(RleSeq) for _ in records]
+    for seq, name, lo, hi, n in zip(seqs, names, bounds.tolist(), bounds[1:].tolist(), lengths):
+        # views of checked rows, with no copy and no second check
+        vars(seq).update(name=name, runs=family[lo:hi], content_length=n)
     return seqs, symbols
 
 

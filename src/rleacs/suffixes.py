@@ -1,33 +1,30 @@
 """Suffix ordering of a family of run-length encoded sequences, and the lcp of any two suffixes.
 
-Only suffixes that begin at run boundaries take part. token_string lays the
-k sequences out as one token string, each followed by its own terminator:
-sequence j's runs, then the terminator run (j + 2 - k, 1), so a pair (k = 2)
-ends in ids 0 and 1. A terminator counts as the run after its sequence's
-last. A SuffixOrder maps each rank to the token its suffix starts at. All
-depths and lcp values here are decoded lengths, never run counts. The token
-key columns come straight from the int64 run arrays, and every key and rank
-fits in int64. Decoded lcps and suffix lengths stay within one sequence (at
-most 2^62), so they come from one int64 prefix sum per sequence; a prefix
-sum over two sequences could already reach 2^63.
+Only suffixes that begin at run boundaries take part. build_suffix_order
+lays the k sequences out once, as one token string: sequence j's runs, then
+its terminator run (j + 2 - k, 1), so a pair ends in ids 0 and 1, and a
+terminator counts as the run after its sequence's last. The SuffixOrder
+keeps that layout, its token bounds and each token's decoded offset inside
+its sequence, and the trie and the engine read them there. It maps each
+rank to the token its suffix starts at. Depths and lcps are decoded
+lengths, never run counts, and stay within one sequence (below 2^62), so
+the offsets are one int64 prefix sum over the family that restarts at each
+sequence, exact however far the family's total passes 2^64.
 
 Every sort on the way to the order is a value sort (_value_sort): a key of
 n non-negative entries below 2^bits carries each entry's index in its low
 b = n.bit_length() bits, so it needs bits + b <= 63. rank0 folds its three
 key columns into one such key, re-ranking the key so far wherever the next
 bits would not fit; a doubling round's key takes 2b bits, so its sort is a
-value sort for n < 2^21 tokens. Only past 63 bits does the order come from
-np.argsort. A run length past 2^30 would widen its whole key column, so
-rank0 reads the signed lengths' order codes (order_codes), which keep their
-order and ties in about 32 bits.
+value sort for n < 2^21 tokens, and an argsort past that. rank0 reads the
+signed lengths' order codes (order_codes), so a run past 2^30 does not
+widen its key column.
 
-The engine builds its query trie straight from the order and drops the
-order once that trie exists. The trie's gaps are the lcps of the leaf pairs
-it needs, taken by SuffixOrder.lcp from the doubling rounds the sort already
-made. The lcp of every pair of rank neighbors (SuffixOrder.dlcp) and every
-suffix's decoded length (SuffixOrder.suffix_lengths) are built only when
-read, by verify and the tests, which check them against the brute sort
-(oracle.brute_suffix_sort); the trie reads neither.
+The trie's gaps are lcps taken by SuffixOrder.lcp from the doubling rounds
+the sort already made. The lcp of every pair of rank neighbors
+(SuffixOrder.dlcp) and every suffix's decoded length
+(SuffixOrder.suffix_lengths) are built only when verify and the tests read
+them, to check them against the brute sort (oracle.brute_suffix_sort).
 """
 
 from __future__ import annotations
@@ -47,17 +44,20 @@ CODE_LIMIT = 1 << 30
 class SuffixOrder:
     """All run-start suffixes of a family of sequences, sorted by decoded string order.
 
-    tokens[k] is the token index of the suffix at rank k. The rest serves
-    lcp: syms[t] and run_lengths[t] are token t's symbol and run length (1
-    for a terminator), starts[t] its decoded offset inside its sequence,
-    and rounds the rank arrays of every doubling round (_prefix_double).
-    rounds are int32 below 2^31 tokens; every other array is int64.
+    tokens[k] is the token index of the suffix at rank k. syms[t] and
+    run_lengths[t] are token t's symbol and run length (1 for a
+    terminator), two rows of one (2, tokens) array; bounds[j] is the token
+    where sequence j starts, and bounds[k] the token count. The rest serves
+    lcp: starts[t] is token t's decoded offset inside its sequence, and
+    rounds the rank arrays of every doubling round (_prefix_double). rounds
+    are int32 below 2^31 tokens; every other array is int64.
     """
 
     seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
     syms: np.ndarray
     run_lengths: np.ndarray
+    bounds: np.ndarray
     starts: np.ndarray
     rounds: tuple[np.ndarray, ...]
 
@@ -100,29 +100,14 @@ class SuffixOrder:
         """suffix_lengths[k], the decoded length of the suffix at rank k
         (terminator included), built on first read; only verify, the oracle
         comparison and the tests read it."""
-        bounds = token_bounds(self.seqs)
+        bounds = self.bounds
         # a sequence ends one past the start of its last token, its terminator
         seq_end = np.repeat(self.starts[bounds[1:] - 1] + 1, np.diff(bounds))
         return seq_end[self.tokens] - self.starts[self.tokens]
 
 
-def token_string(*seqs: RleSeq) -> np.ndarray:
-    """The k sequences as one int64 array of (symbol, length) tokens.
-
-    Sequence j's runs, then its terminator run (j + 2 - k, 1), for j = 0..k-1.
-    The terminator ids are unique in the string and below every symbol id.
-    """
-    k = len(seqs)
-    return np.concatenate([np.vstack((seq.runs, (j + 2 - k, 1))) for j, seq in enumerate(seqs)])
-
-
-def token_bounds(seqs) -> np.ndarray:
-    """The token index where each sequence starts, then one past the last: k + 1 indices."""
-    return np.cumsum([0] + [len(seq.runs) + 1 for seq in seqs])
-
-
-def _token_columns(seqs, bounds: np.ndarray):
-    """The family's token string, with its token_bounds, as per-token sort-key columns.
+def _token_columns(syms: np.ndarray, decoded: np.ndarray, bounds: np.ndarray):
+    """The sort-key columns (groups, signed, nexts) of a token string with these bounds.
 
     A token's key (sym, group, signed, next_sym) compares two suffixes exactly
     as their decoded strings do whenever the keys differ, given maximal runs:
@@ -136,10 +121,9 @@ def _token_columns(seqs, bounds: np.ndarray):
     - all else equal: the following symbols get compared directly.
 
     Terminator tokens get signed 0 and next_sym -1; their sym is unique in
-    the token string, so it alone orders them. The fifth column is each
-    token's decoded length, its run length (1 for a terminator).
+    the token string, so it alone orders them. decoded is each token's run
+    length (1 for a terminator).
     """
-    syms, decoded = token_string(*seqs).T
     ends = bounds[1:] - 1
     nexts = np.empty_like(syms)
     nexts[:-1] = syms[1:]
@@ -148,7 +132,7 @@ def _token_columns(seqs, bounds: np.ndarray):
     groups = (nexts > syms).astype(np.int64)
     signed = np.where(groups == 0, decoded, -decoded)
     signed[ends] = 0
-    return syms, groups, signed, nexts, decoded
+    return groups, signed, nexts
 
 
 def order_codes(values: np.ndarray) -> np.ndarray:
@@ -303,25 +287,40 @@ def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     value sort, and no re-rank is needed. The token string is then
     suffix-sorted by prefix doubling, whose rounds the order keeps for lcp;
     the last round's ranks are distinct, so the order is their inverse, one
-    scatter.
-    Unique terminator tokens stop every comparison at or before a sequence
-    boundary, so one token string holds all the sequences safely, and a
-    suffix and its shared prefix lie in one sequence, so each sequence gets
-    its own prefix sum of run lengths (starts). No lcp is computed here.
+    scatter. The layout is built here once, by one concatenation of every
+    sequence's runs and terminator. A unique terminator ends every shared
+    prefix, so one token string holds all the sequences, and lcp reads only
+    each token's offset inside its sequence (starts). No lcp is computed here.
     """
-    bounds = token_bounds(seqs)
-    syms, groups, signed, nexts, decoded = _token_columns(seqs, bounds)
+    k = len(seqs)
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([seq.run_count + 1 for seq in seqs], out=bounds[1:])
+    bounds.flags.writeable = False
+    stops = np.stack((np.arange(2 - k, 2), np.ones(k, dtype=np.int64)))
+    layout = np.concatenate(
+        [part for j, seq in enumerate(seqs) for part in (seq.runs.T, stops[:, j : j + 1])], axis=1
+    )
+    layout.flags.writeable = False
+    syms, decoded = layout
+    groups, signed, nexts = _token_columns(syms, decoded, bounds)
     # group is 0 or 1, so (sym, group) orders as the one key sym * 2 + group
-    rounds = _prefix_double(_dense_rank([syms * 2 + groups, order_codes(signed), nexts]))
+    rank0 = _dense_rank([syms * 2 + groups, order_codes(signed), nexts])
+    del groups, signed, nexts
+    rounds = _prefix_double(rank0)
     # the last round's ranks are distinct: the order is their inverse
     order = np.empty(len(syms), dtype=np.int64)
     order[rounds[-1]] = np.arange(len(syms))
-    ends = np.concatenate([np.cumsum(part) for part in np.split(decoded, bounds[1:-1])])
+    # the step into each sequence takes back the one before: every sum is below 2^62
+    steps = np.zeros(len(syms), dtype=np.int64)
+    steps[1:] = decoded[:-1]
+    steps[bounds[1:-1]] -= np.add.reduceat(decoded, bounds[:-1])[:-1]
+    starts = np.cumsum(steps, out=steps)
     return SuffixOrder(
         seqs=seqs,
         tokens=order,
         syms=syms,
         run_lengths=decoded,
-        starts=ends - decoded,
+        bounds=bounds,
+        starts=starts,
         rounds=tuple(rounds),
     )

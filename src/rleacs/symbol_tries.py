@@ -4,46 +4,31 @@ The paper answers each run of symbol c from a compact trie T_c over the
 suffixes that follow a c-run. Those tries are the root's subtrees in one
 compact trie, built here straight from the suffix order of a family of k
 sequences: its leaves are the ranks whose suffix follows a run (every token
-of the family's token string but the k sequence starts, so a terminator's
-suffix follows its sequence's last run), one contiguous block per
-preceding-run symbol, ranks ascending inside a block. The lcp between two
-neighbors in a block is the lcp of their two suffixes, one descent through
-the suffix sort's doubling rounds for all of them (SuffixOrder.lcp); between
-blocks it is 0. No lcp of rank neighbors is built on this path.
+of the family's token string but the k sequence starts), one contiguous
+block per preceding-run symbol, ranks ascending inside a block. The gap
+between two neighbors in a block is the lcp of their suffixes, one descent
+through the doubling rounds for all of them (SuffixOrder.lcp); between
+blocks it is 0.
 
-The build takes two steps. leaf_blocks reads from the order only what the
-trie needs (leaf tokens, gaps, token bounds, symbol count and the int64
-bound), so the order and its rounds can be freed before any node array
-exists. extract_symbol_tries then builds parent and str_depth as int64
-arrays straight from the gaps: every gap finds its previous gap <= it and
-its next gap < it by JUMP_ROUNDS of pointer jumping, then a binary descent
-over a sparse table of minima for the searches still open. An internal
-node is a run of equal gaps with no smaller gap between them; its parent,
-and a leaf's, follow from the nearest smaller gaps. The worst case is O(m
-log m) for m leaves, with no Python loop over nodes.
+leaf_blocks reads from the order only what the trie needs, so the order
+and its rounds are freed before any node array exists. extract_symbol_tries
+then builds parent and str_depth from the gaps alone: an internal node is a
+run of equal gaps with no smaller gap between them, and its parent, and a
+leaf's, follow from the nearest smaller gaps, found by pointer jumping and
+then a descent over a sparse table of minima; O(m log m) for m leaves, with
+no Python loop over nodes. It keeps the internal nodes only, since every
+search starts at the parent of the leaf after a run, and run_parents, that
+parent for each token of the order's token string.
 
-extract_symbol_tries keeps the internal nodes only: no query reads a leaf,
-since every search starts at the parent of the leaf after a run and every
-answer is a proper ancestor of a leaf. It returns one frozen record of
-read-only int64 arrays: parent, depth and lifting rows over the internal
-nodes, and run_parents, the parent of the leaf after each run of the
-family, record after record. The answers against sequence j need one
-column, built by annotate: freq, the largest length of a preceding
-sequence-j run among the leaves below each node; weight, a running sum that
-turns "sum of ancestor depths over a range of thresholds" queries into two
-node lookups; supported, each node's deepest ancestor-or-self with freq >=
-1, so the threshold-1 search is one gather; and max_run, sequence j's
-longest run of each symbol. Other ancestor searches climb with binary
-lifting (SymbolTrie.climb), one vectorized step per row for a whole batch
-of (start, threshold) pairs, so a batch of q queries costs O(q log N).
-
-The arithmetic is chosen once per build, from the runs: while 4 * M * D <=
-2^62, with M the family's longest run and D its longest record's decoded
-length plus 1 (see SymbolTrie), weights are int64, summed up each root path
-by pointer doubling over the lifting rows. Past it, a weight reaches 2^124,
-so each weight is two int64 limbs, hi * 2^62 + lo with 0 <= lo < 2^62,
-summed by the same pointer doubling with a carry after every addition
-(limb_product, limb_carry). Every step stays a numpy array expression.
+The answers against sequence j need one column, built by annotate: freq,
+the largest length of a preceding sequence-j run among the leaves below
+each node; weight, which turns "sum of ancestor depths over a range of
+thresholds" into two node lookups; supported, each node's deepest
+ancestor-or-self with freq >= 1; and max_run, sequence j's longest run of
+each symbol. Other ancestor searches climb by binary lifting
+(SymbolTrie.climb), so a batch of q queries costs O(q log N). Weights are
+int64 while 4 * M * D <= 2^62 (see SymbolTrie) and two int64 limbs past
+it (limb_product, limb_carry); every step is a numpy array expression.
 """
 
 from __future__ import annotations
@@ -52,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rleacs.suffixes import CODE_LIMIT, SuffixOrder, order_codes, token_bounds
+from rleacs.suffixes import CODE_LIMIT, SuffixOrder, order_codes
 
 LIMB_BITS = 62
 LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -70,19 +55,17 @@ class SymbolTrie:
     Only the root and the internal nodes are kept: node 0 is the root, with
     parent -1, and the internal nodes follow, numbered in the order of the
     first gap each owns, so internal is len(parent). A leaf is known by its
-    parent alone: run_parents[r] is the parent of the leaf of the suffix
-    after run r of the family, its records' runs laid out one after
-    another. The leaves of one preceding-run symbol form a contiguous
-    block, in suffix order, and the blocks follow symbol order; node_count
-    counts them as nodes internal onward, in that order. The build
-    (extract_symbol_tries) takes O(m log m) time at worst for m leaves,
-    when the nearest-smaller searches outrun pointer jumping and fall back
-    on the sparse-table descent. up[k] maps each internal node to its
-    2^k-th ancestor (_lifting_rows). Every array is read-only int64.
-    symbols is one more than the family's largest symbol id. One shape
-    serves every sequence's column: swapping which sequence is queried only
-    swaps the order of leaves with equal decoded content, which are
-    siblings, so every parent and depth stays as it is.
+    parent alone: run_parents[t] is the parent of the leaf of the suffix
+    after token t of the order's token string. bounds are the order's token
+    bounds: record j's runs are entries bounds[j] to bounds[j + 1] - 2, and
+    its terminator's entry, which no leaf follows, is the root. The leaves
+    of one preceding-run symbol form a contiguous block, in suffix order,
+    and the blocks follow symbol order; node_count counts them as nodes
+    internal onward. up[k] maps each internal node to its 2^k-th ancestor
+    (_lifting_rows). Every array is read-only int64. symbols is one more
+    than the family's largest symbol id. One shape serves every sequence's
+    column: swapping which sequence is queried only swaps the order of
+    leaves with equal decoded content, which are siblings.
 
     int64 holds when 4 * M * D <= 2^62, with M the family's longest run and
     D its longest record's decoded length plus 1; its columns' weights, and
@@ -115,6 +98,7 @@ class SymbolTrie:
     str_depth: np.ndarray
     up: tuple[np.ndarray, ...]
     run_parents: np.ndarray
+    bounds: np.ndarray
     symbols: int
     int64: bool
     above: np.ndarray = field(init=False)
@@ -133,7 +117,8 @@ class SymbolTrie:
 
     @property
     def node_count(self) -> int:
-        return self.internal + len(self.run_parents)
+        # every token but the k terminators has a leaf after it
+        return self.internal + len(self.run_parents) - (len(self.bounds) - 1)
 
     def climb(self, starts: np.ndarray, thresholds, freq: np.ndarray) -> np.ndarray:
         """Deepest ancestor-or-self of each internal start node with freq >= its threshold, or -1.
@@ -343,7 +328,7 @@ class LeafBlocks:
 
     tokens[k] is the token whose suffix is leaf k, in leaf order, and
     gaps[k] the lcp of leaves k and k + 1, 0 between blocks; every array is
-    int64. bounds are the family's token_bounds, symbols is one more than
+    int64. bounds are the order's token bounds, symbols is one more than
     its largest symbol id, and int64 whether its runs keep int64 exact (4 *
     M * D <= 2^62, see SymbolTrie).
     """
@@ -354,22 +339,16 @@ class LeafBlocks:
     symbols: int
     int64: bool
 
-    @property
-    def runs(self) -> np.ndarray:
-        """runs[k], the family run that leaf k's suffix follows, as run_parents
-        indexes it: token t of record j follows run t - j - 1."""
-        return self.tokens - np.searchsorted(self.bounds, self.tokens, side="right")
-
 
 def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
     """The query trie's leaves, in blocks by preceding-run symbol, and their gaps.
 
-    The suffix at token t of token_string(*order.seqs) is preceded by the
+    The suffix at token t of the order's token string is preceded by the
     run at token t - 1, except the k sequence starts, which have none. The
     record keeps nothing of the order, so the order, rounds and all, can be
     dropped before the trie's arrays are built.
     """
-    bounds = token_bounds(order.seqs)
+    bounds = order.bounds
     tokens = order.tokens
     is_start = np.zeros(len(tokens), dtype=bool)
     is_start[bounds[:-1]] = True
@@ -513,9 +492,9 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
     included, so the two can be compared.
     """
     parent, str_depth, leaf_parents = _compact_trie(blocks.gaps)
-    # leaf order to the family's run order
-    run_parents = np.empty_like(leaf_parents)
-    run_parents[blocks.runs] = leaf_parents
+    # a leaf's parent goes to the run before its token; a terminator's stays the root
+    run_parents = np.zeros(blocks.bounds[-1], dtype=np.int64)
+    run_parents[blocks.tokens - 1] = leaf_parents
     for array in (parent, str_depth, run_parents):
         array.flags.writeable = False
     return SymbolTrie(
@@ -523,6 +502,7 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
         str_depth=str_depth,
         up=_lifting_rows(parent),
         run_parents=run_parents,
+        bounds=blocks.bounds,
         symbols=blocks.symbols,
         int64=blocks.int64 and not _exact,
     )

@@ -1,29 +1,22 @@
 """Randomized cross-validation of the fast engine against the brute oracle.
 
 Each trial draws a random pair (alphabet size and run-length mean rotate
-through fixed grids), then checks every layer: suffix order and lcps against
-the brute sort, match-length totals in both directions against the brute
-scan and against a separate reverse build, per-run sums against per-position
-sums, the final run against its closed forms, distance axioms (self
-distance exactly 0, swapped distance bit-identical) and the distance as the
-reference rounds it (or, for a pair without a distance, its refusal by dist
-and dist_matrix), and the query trie: node for node against the
-stack sweep's trie (_sweep_compact_trie) over the same leaves and gaps, its
-str_depths against interval mins of the run walker's gaps, and each column
-against brute_column, its supported table against a walk up from each
-node. The brute sort alone checks the suffix order and its lcps; no trie
-over every suffix is built.
-Every FAMILY_EVERY-th trial also draws a family of 3 to 5 records from a
-stream of its own, holding a repeated record and one that lacks a symbol
-another has, and checks every ordered pair's total and run sums from the
-one family build against the brute scan, and every column against
-brute_column. Every pair and family build is also rebuilt on the exact limb
-path, and its columns and totals compared with the int64 ones; the family's
-first two records, each with its longest run STRETCH longer, give one more
-pair past the int64 bound (4 * M * D > 2^62, see SymbolTrie), whose totals
-are checked against the run walker. The first failing check aborts the run
-and reports its inputs in the run-length text format so the case can be
-replayed.
+through fixed grids) and checks every layer: the suffix order and its lcps
+against the brute sort; match-length totals both ways against the brute
+scan and a reverse build; per-run sums against per-position sums; the final
+run against its closed forms; the distance axioms and the distance as the
+reference rounds it, or its refusal; and the query trie, node for node
+against the stack sweep's (_sweep_compact_trie), its str_depths against
+interval mins of the run walker's gaps, each column against brute_column
+and its supported table against a walk up from each node. Every
+FAMILY_EVERY-th trial also draws a family of 3 to 5 records, with a
+repeated record and one that lacks a symbol another has, and checks every
+ordered pair's total and run sums from the one family build, and every
+column. Every build is also rebuilt on the exact limb path and compared;
+the family's first two records, each with its longest run STRETCH longer,
+give one more pair past the int64 bound (4 * M * D > 2^62), checked
+against the run walker. The first failing check aborts the run and reports
+its inputs in the run-length text format, so the case can be replayed.
 """
 
 from __future__ import annotations
@@ -216,7 +209,7 @@ def _whole_trie(trie: SymbolTrie, blocks: LeafBlocks, depths: list[int]):
     leaf k of blocks, at depth depths[k], is node trie.internal + k, under
     the run_parents entry of the run its suffix follows."""
     leaves = list(range(trie.internal, trie.internal + len(depths)))
-    parent = trie.parent.tolist() + trie.run_parents[blocks.runs].tolist()
+    parent = trie.parent.tolist() + trie.run_parents[blocks.tokens - 1].tolist()
     return parent, trie.str_depth.tolist() + depths, leaves
 
 

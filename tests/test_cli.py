@@ -271,6 +271,7 @@ def test_bench_smoke(capsys):
     # every ingest row reports the traced peak of one read
     assert "peak_MiB" in out
     assert "run-length ingest" in out and "rle 2x16384 runs 16/line" in out
+    assert "fasta family ingest" in out and "fasta family k=1000" in out
     assert "family k=40 1000 chars" in out and "family k=160 1000 chars" in out
     assert "distances_s" in out
     assert "closed form check: ok" in out

@@ -37,8 +37,10 @@ from rleacs.rle import (
     MAX_DECODED_LENGTH,
     RleSeq,
     encode,
+    parse_fasta,
+    parse_rle_text,
 )
-from rleacs.suffixes import _token_columns, build_suffix_order, token_bounds, token_string
+from rleacs.suffixes import _token_columns, build_suffix_order
 from rleacs.symbol_tries import (
     LIMB_BITS,
     LIMB_MASK,
@@ -84,7 +86,7 @@ def test_run_leaves_follow_each_run():
     engine, first, second = engine_for("aab", "abab")
     # the token string holds every run and the two terminators; all its
     # suffixes but the two sequence starts follow a run and have a leaf
-    assert len(token_string(first, second)) == len(first.runs) + len(second.runs) + 2
+    assert len(build_suffix_order(first, second)) == len(first.runs) + len(second.runs) + 2
     trie = engine.trie
     forward, back = (trie.run_parents[engine.record(i)] for i in (0, 1))
     assert (len(forward), len(back)) == (first.run_count, second.run_count)
@@ -757,6 +759,7 @@ def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
         str_depth=np.array([0, depth_u, depth_u + 1]),
         up=_lifting_rows(parent),
         run_parents=np.array([2]),
+        bounds=np.array([0, 2]),
         symbols=3,
         int64=int64,
     )
@@ -895,7 +898,8 @@ def test_two_symbol_pairs_at_the_length_bound():
     a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
     bound = MAX_DECODED_LENGTH - 1
     pairs = [(RleSeq("X", [[a, bound - 1], [b, 1]]), RleSeq("Y", [[b, bound]]))]
-    signed = _token_columns(pairs[0], token_bounds(pairs[0]))[2]
+    order = build_suffix_order(*pairs[0])
+    signed = _token_columns(order.syms, order.run_lengths, order.bounds)[1]
     assert (int(signed.min()), int(signed.max())) == (-(bound - 1), bound)
     rng = random.Random(37)
     for _ in range(8):
@@ -1004,3 +1008,36 @@ def test_int64_and_exact_paths_agree_on_families(texts):
                 sums = engine.run_sums(i, column)
                 assert sums == exact.run_sums(i, exact_column)
                 assert sum(sums) == totals[i] == engine.total(i, column)
+
+
+def test_unary_records_whose_family_total_passes_2_64():
+    # five unary records of decoded lengths from 13 * 2^58 up to 2^62 - 1:
+    # each is within the bound, and their total passes 2^64, so one prefix
+    # sum over the family wraps while every record's own offsets stay exact
+    lengths = [13 << 58, 14 << 58, (15 << 58) + 5, MAX_DECODED_LENGTH - 2, MAX_DECODED_LENGTH - 1]
+    assert sum(lengths) > 1 << 64
+    text = "".join(f">u{j}\na{n}\n" for j, n in enumerate(lengths))
+    seqs, _ = parse_rle_text(text)
+    assert [seq.content_length for seq in seqs] == lengths
+    # each token's offset inside its record: the run at 0, the terminator at L
+    assert build_suffix_order(*seqs).starts.tolist() == [v for n in lengths for v in (0, n)]
+    engine = AcsEngine(*seqs)
+    for j, y in enumerate(lengths):
+        # x * ACS(X, Y) of unary records is the sum over L <= x of min(L, y)
+        want = [0 if i == j else min(x, y) * (min(x, y) + 1) // 2 + (x - min(x, y)) * y
+                for i, x in enumerate(lengths)]
+        assert engine.totals(j, engine.column(j)) == want
+    # a sixth record at 2^62 is refused, named, after the five pass
+    message = f"^u5: decoded length {MAX_DECODED_LENGTH + 1} exceeds bound {MAX_DECODED_LENGTH}$"
+    with pytest.raises(ValueError, match=message):
+        parse_rle_text(text + f">u5\na{MAX_DECODED_LENGTH}\n")
+
+
+def test_records_that_meet_on_one_symbol():
+    # record a ends with the symbol record b starts with; equal neighbours
+    # across a record boundary are two records' runs, not one run
+    seqs, _ = parse_fasta(">a\naab\n>b\nbba\n")
+    assert [seq.runs[:, 1].tolist() for seq in seqs] == [[2, 1], [2, 1]]
+    first, second = seqs
+    assert acs(first, second).value == brute_acs("aab", "bba")
+    assert acs(second, first).value == brute_acs("bba", "aab")

@@ -799,3 +799,65 @@ def test_run_length_parse_and_dist_load_no_masked_arrays():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+# a record's planted fault: a record past its bound sums to exactly 2^62
+FAULTS = (None, None, "empty", "zero", "low", "high", "repeat", "bound", "giant")
+
+
+@st.composite
+def faulty_family(draw):
+    """1-6 codepoint-run records over "ab", some with a planted fault; "giant"
+    plants a valid record of a few runs near 2^61, so the family's total
+    can pass 2^64."""
+    records = []
+    for j in range(draw(st.integers(1, 6))):
+        count = draw(st.integers(1, 5))
+        first = draw(st.integers(0, 1))
+        syms = [ord("ab"[(first + i) % 2]) for i in range(count)]
+        lengths = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+        fault = draw(st.sampled_from(FAULTS))
+        at = draw(st.integers(0, count - 1))
+        if fault == "zero":
+            lengths[at] = draw(st.sampled_from([0, -1]))
+        elif fault == "low":
+            syms[at] = draw(st.sampled_from([-FIRST_SYMBOL_ID, -1]))
+        elif fault == "high":
+            syms[at] = draw(st.sampled_from([MAX_SYMBOL_ID - 1, 1 << 40]))
+        elif fault == "repeat" and count > 1:
+            syms[at] = syms[at - 1]
+        elif fault == "bound":
+            lengths[at] += MAX_DECODED_LENGTH - sum(lengths)
+        elif fault == "giant":
+            lengths = [(1 << 61) - length for length in lengths]
+        runs = np.array([*zip(syms, lengths)], dtype=np.int64).reshape(-1, 2)
+        records.append(rle.RunRecord(f"r{j}", runs[:0] if fault == "empty" else runs))
+    return records
+
+
+@settings(max_examples=300)
+@given(faulty_family())
+@example([rle.RunRecord("x", np.array([[97, 1]])), rle.RunRecord("y", np.array([[97, 2]]))])
+@example([rle.RunRecord("x", np.array([[97, 1]])), rle.RunRecord("y", np.array([[97, 2], [98, 0]]))])
+def test_family_check_matches_each_records_own_construction(records):
+    # build_text_sequences checks the whole family in one pass; it must
+    # raise what the per-record constructions raise first, in record order,
+    # and otherwise give the same runs and lengths, as read-only views
+    shift = np.array([FIRST_SYMBOL_ID, 0])
+    expected = []
+    for name, runs in records:
+        try:
+            if not len(runs):
+                raise ValueError(f"empty record {name}")
+            expected.append(RleSeq(name, runs + shift))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                build_text_sequences(records)
+            assert str(raised.value) == str(exc)
+            return
+    seqs, _ = build_text_sequences(records)
+    assert [seq.name for seq in seqs] == [seq.name for seq in expected]
+    for seq, want in zip(seqs, expected):
+        assert seq.runs.dtype == np.int64 and np.array_equal(seq.runs, want.runs)
+        assert seq.content_length == want.content_length
+        assert not seq.runs.flags.writeable

@@ -26,8 +26,6 @@ from rleacs.suffixes import (
     _value_sort,
     build_suffix_order,
     order_codes,
-    token_bounds,
-    token_string,
 )
 from rleacs.symbol_tries import annotate, extract_symbol_tries, leaf_blocks
 from rleacs.verify import brute_column, random_text
@@ -142,7 +140,7 @@ def test_longest_run_table():
     first, second = make_pair("x", "ab")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
     assert trie.symbols == ord("x") + FIRST_SYMBOL_ID + 1
-    table = annotate(trie, trie.run_parents[first.run_count :], second.runs).max_run
+    table = annotate(trie, trie.run_parents[first.run_count + 1 : -1], second.runs).max_run
     assert len(table) == trie.symbols
     assert {k: n for k, n in enumerate(table.tolist()) if n} == {
         ord("a") + FIRST_SYMBOL_ID: 1,
@@ -150,7 +148,7 @@ def test_longest_run_table():
     }
     first, second = make_pair("x", "aabbba")
     trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
-    table = annotate(trie, trie.run_parents[first.run_count :], second.runs).max_run
+    table = annotate(trie, trie.run_parents[first.run_count + 1 : -1], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
     assert (table[a_id], table[b_id]) == (2, 3)
     assert table[first.runs[0, 0]] == 0
@@ -165,12 +163,13 @@ def test_trie_micro_pair():
     blocks = leaf_blocks(order)
     query = extract_symbol_tries(blocks)
     assert np.argsort(order.tokens)[blocks.tokens].tolist() == [4, 5, 0, 1]
-    first_parents, second_parents = np.split(query.run_parents, [first.run_count])
+    first_parents = query.run_parents[: first.run_count]
+    second_parents = query.run_parents[first.run_count + 1 : -1]
     freq = annotate(query, second_parents, second.runs).freq
     rev_freq = annotate(query, first_parents, first.runs).freq
     # the leaves stand for their preceding runs' lengths, Y's in freq and
     # X's in rev_freq, and the internal nodes hold the subtree maxima
-    parents = query.run_parents[blocks.runs]
+    parents = query.run_parents[blocks.tokens - 1]
     assert freq.tolist() == brute_column(query, parents, [0, 1, 0, 1])[0]
     assert rev_freq.tolist() == brute_column(query, parents, [2, 0, 1, 0])[0]
 
@@ -234,8 +233,9 @@ def test_family_order_matches_decoded_sort(texts):
     assert np.array_equal(order.suffix_lengths, brute.suffix_lengths)
     # the terminators are j + 2 - k: a pair keeps ids 0 and 1
     k = len(seqs)
-    ends = token_bounds(seqs)[1:] - 1
-    assert token_string(*seqs)[ends].tolist() == [[j + 2 - k, 1] for j in range(k)]
+    ends = order.bounds[1:] - 1
+    assert order.syms[ends].tolist() == [j + 2 - k for j in range(k)]
+    assert order.run_lengths[ends].tolist() == [1] * k
 
 
 def _assert_order_agrees_with_run_walk(first, second):
@@ -481,7 +481,8 @@ def test_doubling_equals_argsort_doubling(seqs):
     # the rounds and the order, from a rank0 and a doubling that share no
     # code with the build's value sorts
     order = build_suffix_order(*seqs)
-    syms, groups, signed, nexts, _ = _token_columns(seqs, token_bounds(seqs))
+    syms = order.syms
+    groups, signed, nexts = _token_columns(syms, order.run_lengths, order.bounds)
     rounds = _argsort_doubling(_lexsort_rank([syms, groups, signed, nexts]))
     assert len(order.rounds) == len(rounds)
     for got, want in zip(order.rounds, rounds):
@@ -516,8 +517,8 @@ def _block_neighbor_ranks(order):
     sequence starts), stably sorted by that run's symbol, so ranks ascend
     inside each block; a pair is two consecutive leaves of one block.
     """
-    syms = token_string(*order.seqs)[:, 0].tolist()
-    starts = set(token_bounds(order.seqs)[:-1].tolist())
+    syms = order.syms.tolist()
+    starts = set(order.bounds[:-1].tolist())
     tokens = order.tokens.tolist()
     leaves = sorted(
         (k for k, t in enumerate(tokens) if t not in starts),

@@ -48,8 +48,8 @@ def build_query_trie(x, y):
 
 
 def record_parents(trie, seqs):
-    """trie.run_parents cut into one array per record."""
-    return np.split(trie.run_parents, np.cumsum([seq.run_count for seq in seqs])[:-1])
+    """trie.run_parents cut into one array per record, its terminator's entry left out."""
+    return [trie.run_parents[lo : hi - 1] for lo, hi in zip(trie.bounds[:-1], trie.bounds[1:])]
 
 
 def pair_columns(trie, order):
@@ -63,7 +63,7 @@ def pair_columns(trie, order):
 
 def leaf_parents(trie, order):
     """The parent of every leaf, in leaf order."""
-    return trie.run_parents[leaf_blocks(order).runs].tolist()
+    return trie.run_parents[leaf_blocks(order).tokens - 1].tolist()
 
 
 def leaf_depths(order, blocks):
@@ -150,13 +150,15 @@ def test_annotate_no_second_sequence_leaves():
 
 def hand_trie(parent, str_depth, run_parents, int64=True):
     """A one-symbol SymbolTrie from the internal nodes' parents and depths and
-    the parent of the leaf after each run."""
+    the parent of the leaf after each run of its one record, whose
+    terminator's entry is left out."""
     parent = np.array(parent, dtype=np.int64)
     return SymbolTrie(
         parent=parent,
         str_depth=np.array(str_depth, dtype=np.int64),
         up=_lifting_rows(parent),
         run_parents=np.array(run_parents, dtype=np.int64),
+        bounds=np.array([0, len(run_parents) + 1]),
         symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
     )
@@ -380,8 +382,9 @@ def test_trie_is_immutable():
 
 def test_trie_holds_no_leaf_rows():
     # every array of the trie covers the internal nodes, but run_parents,
-    # one entry per run; no array spans the leaves, and the build never
-    # computes the order's suffix lengths
+    # one entry per token (a run or a terminator), and the k + 1 token
+    # bounds; no array spans the leaves, and the build never computes the
+    # order's suffix lengths
     orders = []
 
     def kept(*seqs):
@@ -396,7 +399,8 @@ def test_trie_holds_no_leaf_rows():
     assert trie.node_count == trie.internal + runs
     arrays = {f.name: getattr(trie, f.name) for f in dataclasses.fields(trie)}
     del arrays["symbols"], arrays["int64"]
-    assert arrays.pop("run_parents").shape == (runs,)
+    assert arrays.pop("run_parents").shape == (runs + len(seqs),)
+    assert arrays.pop("bounds").tolist() == [0, 5, 10, 13]
     for array in (*arrays.pop("up"), *arrays.values()):
         assert array.shape == (trie.internal,)
     assert (trie.run_parents < trie.internal).all()

@@ -186,7 +186,7 @@ def leaves_on_shallower_gaps(blocks, *, _exact=False):
     trie = extract_symbol_tries(blocks, _exact=_exact)
     parent = trie.parent.tolist()
     str_depth = trie.str_depth.tolist()
-    runs = blocks.runs
+    runs = blocks.tokens - 1
     # the leaves' parents, in leaf order
     above = trie.run_parents[runs].tolist()
 
@@ -201,7 +201,7 @@ def leaves_on_shallower_gaps(blocks, *, _exact=False):
 
     # two leaves meet where their parents do
     gaps = [0, *(meet(a, b) for a, b in zip(above, above[1:])), 0]
-    run_parents = np.empty_like(trie.run_parents)
+    run_parents = trie.run_parents.copy()
     run_parents[runs] = [min(pair, key=str_depth.__getitem__) for pair in zip(gaps, gaps[1:])]
     # only leaves move, so the internal nodes and their lifting rows stay
     return dataclasses.replace(trie, run_parents=run_parents)
