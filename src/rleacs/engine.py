@@ -3,14 +3,16 @@
 For every position p of a sequence X the engine finds the longest prefix
 of X[p:] occurring anywhere in a sequence Y, without decoding, from one
 query trie over a family that holds both (the pair for acs and dist, every
-record for dist_matrix) and Y's column of it. A run's positions are
-answered together, by a closed form over two ancestors of the run's entry
-of the trie's run_parents: one gather from the column's supported table,
-and, for the few runs where that falls short, a vectorized lifting climb.
-A column answers every run of the family in one batch, O(N log N) for N
-runs. All accumulation is exact integer arithmetic, in int64 while the
-family's runs prove it exact (see SymbolTrie.int64) and in two int64 limbs
-past that; floats appear only in the final distance value.
+record for dist_matrix) and Y's column of it. The trie holds the family's
+token layout too, so the engine keeps only the sequences and the trie. A
+run's positions are answered together, by a closed form over the run's
+layout entries and two ancestors of its entry of the trie's run_parents:
+one gather from the column's supported table, and, for the few runs where
+that falls short, a vectorized lifting climb. A column answers every run
+of the family in one batch, O(N log N) for N runs. All accumulation is
+exact integer arithmetic, in int64 while the family's runs prove it exact
+(see SymbolTrie.int64) and in two int64 limbs past that; floats appear
+only in the final distance value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from itertools import combinations
 import numpy as np
 
 from rleacs.rle import RleSeq
-from rleacs.suffixes import build_suffix_order
 from rleacs.symbol_tries import (
     Column,
     SymbolTrie,
@@ -34,7 +35,6 @@ from rleacs.symbol_tries import (
     exact_total,
     exact_totals,
     extract_symbol_tries,
-    leaf_blocks,
     limb_carry,
     limb_product,
 )
@@ -74,45 +74,29 @@ class DistResult:
 class AcsEngine:
     """Every ACS between the sequences of a family, from one query trie over them.
 
-    AcsEngine(*seqs) builds the family's trie once and keeps no suffix
-    order; a pair is the family of k = 2. Of the order it keeps the token
-    layout, which the trie's run_parents and bounds index too and every
-    query slices. column(j) annotates seqs[j]'s column,
+    AcsEngine(*seqs) builds the family's trie once (extract_symbol_tries);
+    a pair is the family of k = 2. column(j) annotates seqs[j]'s column,
     which holds all that a query against seqs[j] reads. total(i, column)
     and run_sums(i, column) score seqs[i] against the column's sequence,
     and totals(j, column) scores every other sequence against seqs[j] in
     one batch. A column answers every sequence but its own: a run's
     self-match needs its own leaf, which no climb visits. Instances keep
-    the caller's sequences, are immutable after construction (the trie and
-    every column are frozen records of read-only arrays) and are safe to
-    query from multiple threads. _exact builds on the limb path whatever
-    the family's runs, so the two paths can be compared.
+    the caller's sequences and the trie alone, are immutable after
+    construction (the trie and every column are frozen records of
+    read-only arrays) and are safe to query from multiple threads. _exact
+    builds on the limb path whatever the family's runs, so the two paths
+    can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
         if not seqs:
             raise ValueError("AcsEngine needs at least one sequence")
         self.seqs = seqs
-        order = build_suffix_order(*seqs)
-        self._symbols, self._lengths = order.syms, order.run_lengths
-        blocks = leaf_blocks(order)
-        del order  # the order, rounds and all, is freed before the trie is built
-        self.trie = extract_symbol_tries(blocks, _exact=_exact)
+        self.trie = extract_symbol_tries(*seqs, _exact=_exact)
 
     def column(self, j: int) -> Column:
         """The column of seqs[j], annotated afresh on each call."""
-        return annotate(self.trie, self.trie.run_parents[self.record(j)], self.seqs[j].runs)
-
-    def _sums(self, column: Column, part: slice = slice(None)) -> np.ndarray:
-        """_closed_form of the runs in part of the family's run arrays."""
-        parents = self.trie.run_parents[part]
-        return _closed_form(self.trie, column, self._symbols[part], self._lengths[part], parents)
-
-    def record(self, i: int) -> slice:
-        """seqs[i]'s tokens but its terminator, its runs' entries of every layout array."""
-        i = range(len(self.seqs))[i]
-        bounds = self.trie.bounds
-        return slice(bounds[i], bounds[i + 1] - 1)
+        return annotate(self.trie, self.trie.run_parents[self.trie.record(j)], self.seqs[j].runs)
 
     def run_sums(self, i: int, column: Column) -> list[int]:
         """Sum of best match lengths over the positions of each run of seqs[i].
@@ -126,11 +110,11 @@ class AcsEngine:
         over h telescopes into two weight lookups, at the deepest ancestors
         with support 1 and min(f, m).
         """
-        return exact_ints(self._sums(column, self.record(i)))
+        return exact_ints(_closed_form(self.trie, column, self.trie.record(i)))
 
     def total(self, i: int, column: Column) -> int:
         """Sum of best match lengths over every position of seqs[i]."""
-        return exact_total(self._sums(column, self.record(i)))
+        return exact_total(_closed_form(self.trie, column, self.trie.record(i)))
 
     def totals(self, j: int, column: Column) -> list[int]:
         """total(i, column) for every i, from seqs[j]'s column, and 0 at j.
@@ -142,21 +126,15 @@ class AcsEngine:
         longest run of each symbol is at least the run's own length, so g =
         f, and the root qualifies, as for any run.
         """
-        totals = exact_totals(self._sums(column), self.trie.bounds[:-1])
+        totals = exact_totals(_closed_form(self.trie, column), self.trie.bounds[:-1])
         totals[j] = 0
         return totals
 
 
-def _closed_form(
-    trie: SymbolTrie,
-    column: Column,
-    symbols: np.ndarray,
-    lengths: np.ndarray,
-    parents: np.ndarray,
-) -> np.ndarray:
-    """Exact run sums, in the column's weight layout, for runs of these symbols and lengths.
+def _closed_form(trie: SymbolTrie, column: Column, part: slice = slice(None)) -> np.ndarray:
+    """Exact run sums, in the column's weight layout, of the tokens in part of the trie's layout.
 
-    parents holds the parent of the leaf after each run. With m the
+    run_parents holds the parent of the leaf after each run. With m the
     column's longest run of the run's symbol, g = min(f, m) and v, u the
     deepest ancestors with support 1 and g, every run sums to
     weight[v] - weight[u] + g * (depth[u] + f - g) + g * (g + 1) / 2.
@@ -180,8 +158,8 @@ def _closed_form(
     each run takes one product, and its factor depth[u] + f - h is at
     most f + d <= D <= 2^62 (see SymbolTrie). Within the trie's int64 bound it is
     formed in int64, the product at most M * D. Past it the sums are limbs,
-    a (2, len(symbols)) array, from one limb_product and two limb_carry
-    calls, every intermediate below 2^63: lo[v] - lo[u] + h lies in (-2^62,
+    a (2, n) array for the n tokens of part, from one limb_product and two
+    limb_carry calls, every intermediate below 2^63: lo[v] - lo[u] + h lies in (-2^62,
     2^62 + 2^61), with h <= 2^61, and hi[v] - hi[u] in (-2^62, 2^62); after
     the first carry lo is in [0, 2^62) and hi at most 2^62, so adding the
     product's lo, in [0, 2^62), and its hi, below 2^62 as the product is
@@ -191,8 +169,9 @@ def _closed_form(
     array is dropped after its last read, and the sums are formed in place,
     so few run-sized arrays are alive at once.
     """
-    g = np.minimum(lengths, column.max_run.take(symbols, mode="clip"))
-    v = column.supported[parents]
+    lengths = trie.lengths[part]
+    g = np.minimum(lengths, column.max_run.take(trie.syms[part], mode="clip"))
+    v = column.supported[trie.run_parents[part]]
     short = np.flatnonzero(column.freq[v] < g)
     u = v.copy()
     u[short] = trie.climb(v[short], g[short], column.freq)
@@ -421,9 +400,12 @@ def dist_matrix(seqs: list[RleSeq], log_base: str = "e", threads: int = 1) -> li
     threads-th column from its own first one, so at most threads columns are
     alive at once, and threads = 1 starts no thread. A failing pair raises
     ValueError naming it; with several, the first in row order, whatever
-    the thread count. An unknown log base is refused before the build.
+    the thread count. An unknown log base, and threads below 1, are
+    refused before the build.
     """
     _check_log_base(log_base)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
     engine = AcsEngine(*seqs)
     totals: list[list[int]] = [[] for _ in seqs]
     stride = min(threads, len(seqs))

@@ -286,7 +286,7 @@ def per_position_lengths(
     starts = np.cumsum(f) - f
     h = np.repeat(f + starts, f) - np.arange(x)
     m = np.repeat(column.max_run[seq.runs[:, 0]], f)
-    parents = np.repeat(engine.trie.run_parents[engine.record(i)], f)
+    parents = np.repeat(engine.trie.run_parents[engine.trie.record(i)], f)
     u = engine.trie.climb(parents, np.minimum(h, m), column.freq)
     return np.where(h > m, m, h + engine.trie.str_depth[u]).tolist()
 
@@ -296,7 +296,6 @@ class BruteOrder:
     """The brute sort's order, its int64 arrays named as SuffixOrder's so the two
     compare; bounds counts the suffixes it lists before each record's."""
 
-    seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
     bounds: np.ndarray
     dlcp: np.ndarray
@@ -328,7 +327,6 @@ def brute_suffix_sort(*seqs: RleSeq, budget: OracleBudget = DEFAULT_BUDGET) -> B
     dlcp = [_lcp(entries[k - 1][0], entries[k][0]) for k in range(1, len(entries))]
     suffix_lengths = [len(text) for text, _ in entries]
     return BruteOrder(
-        seqs=seqs,
         tokens=np.array(tokens, dtype=np.int64),
         bounds=np.array(bounds, dtype=np.int64),
         dlcp=np.array(dlcp, dtype=np.int64),

@@ -5,11 +5,12 @@ lays the k sequences out once, as one token string: sequence j's runs, then
 its terminator run (j + 2 - k, 1), so a pair ends in ids 0 and 1, and a
 terminator counts as the run after its sequence's last. The SuffixOrder
 keeps that layout, its token bounds and each token's decoded offset inside
-its sequence, and the trie and the engine read them there. It maps each
-rank to the token its suffix starts at. Depths and lcps are decoded
-lengths, never run counts, and stay within one sequence (below 2^62), so
-the offsets are one int64 prefix sum over the family that restarts at each
-sequence, exact however far the family's total passes 2^64.
+its sequence; the query trie keeps the layout and the bounds, and drops
+the rest (symbol_tries.extract_symbol_tries). It maps each rank to the
+token its suffix starts at. Depths and lcps are decoded lengths, never run
+counts, and stay within one sequence (below 2^62), so the offsets are one
+int64 prefix sum over the family that restarts at each sequence, exact
+however far the family's total passes 2^64.
 
 Every sort on the way to the order is a value sort (_value_sort): a key of
 n non-negative entries below 2^bits carries each entry's index in its low
@@ -53,7 +54,6 @@ class SuffixOrder:
     are int32 below 2^31 tokens; every other array is int64.
     """
 
-    seqs: tuple[RleSeq, ...]
     tokens: np.ndarray
     syms: np.ndarray
     run_lengths: np.ndarray
@@ -316,7 +316,6 @@ def build_suffix_order(*seqs: RleSeq) -> SuffixOrder:
     steps[bounds[1:-1]] -= np.add.reduceat(decoded, bounds[:-1])[:-1]
     starts = np.cumsum(steps, out=steps)
     return SuffixOrder(
-        seqs=seqs,
         tokens=order,
         syms=syms,
         run_lengths=decoded,

@@ -10,15 +10,18 @@ between two neighbors in a block is the lcp of their suffixes, one descent
 through the doubling rounds for all of them (SuffixOrder.lcp); between
 blocks it is 0.
 
-leaf_blocks reads from the order only what the trie needs, so the order
-and its rounds are freed before any node array exists. extract_symbol_tries
-then builds parent and str_depth from the gaps alone: an internal node is a
-run of equal gaps with no smaller gap between them, and its parent, and a
+extract_symbol_tries is the one build call, from the family's sequences
+to the trie. It sorts their suffixes (build_suffix_order), reads the
+leaves and gaps (leaf_blocks) and the token layout from the order, and
+drops the order, rounds and all, before any node array exists. It then
+builds parent and str_depth from the gaps alone: an internal node is a run
+of equal gaps with no smaller gap between them, and its parent, and a
 leaf's, follow from the nearest smaller gaps, found by pointer jumping and
 then a descent over a sparse table of minima; O(m log m) for m leaves, with
 no Python loop over nodes. It keeps the internal nodes only, since every
-search starts at the parent of the leaf after a run, and run_parents, that
-parent for each token of the order's token string.
+search starts at the parent of the leaf after a run; run_parents, that
+parent for each token of the token string; and the layout, which every
+query slices.
 
 The answers against sequence j need one column, built by annotate: freq,
 the largest length of a preceding sequence-j run among the leaves below
@@ -37,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rleacs.suffixes import CODE_LIMIT, SuffixOrder, order_codes
+from rleacs.rle import RleSeq
+from rleacs.suffixes import CODE_LIMIT, SuffixOrder, build_suffix_order, order_codes
 
 LIMB_BITS = 62
 LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -56,9 +60,11 @@ class SymbolTrie:
     parent -1, and the internal nodes follow, numbered in the order of the
     first gap each owns, so internal is len(parent). A leaf is known by its
     parent alone: run_parents[t] is the parent of the leaf of the suffix
-    after token t of the order's token string. bounds are the order's token
-    bounds: record j's runs are entries bounds[j] to bounds[j + 1] - 2, and
-    its terminator's entry, which no leaf follows, is the root. The leaves
+    after token t of the family's token string. syms and lengths are the
+    suffix order's token layout, each token's symbol and run length (1 for
+    a terminator), and bounds its token bounds: record j's runs are entries
+    bounds[j] to bounds[j + 1] - 2 (record(j)), and its terminator's
+    run_parents entry, which no leaf follows, is the root. The leaves
     of one preceding-run symbol form a contiguous block, in suffix order,
     and the blocks follow symbol order; node_count counts them as nodes
     internal onward. up[k] maps each internal node to its 2^k-th ancestor
@@ -98,6 +104,8 @@ class SymbolTrie:
     str_depth: np.ndarray
     up: tuple[np.ndarray, ...]
     run_parents: np.ndarray
+    syms: np.ndarray
+    lengths: np.ndarray
     bounds: np.ndarray
     symbols: int
     int64: bool
@@ -119,6 +127,11 @@ class SymbolTrie:
     def node_count(self) -> int:
         # every token but the k terminators has a leaf after it
         return self.internal + len(self.run_parents) - (len(self.bounds) - 1)
+
+    def record(self, i: int) -> slice:
+        """Sequence i's tokens but its terminator: its runs' entries of every layout array."""
+        i = range(len(self.bounds) - 1)[i]
+        return slice(self.bounds[i], self.bounds[i + 1] - 1)
 
     def climb(self, starts: np.ndarray, thresholds, freq: np.ndarray) -> np.ndarray:
         """Deepest ancestor-or-self of each internal start node with freq >= its threshold, or -1.
@@ -322,31 +335,15 @@ def annotate(trie: SymbolTrie, parents: np.ndarray, runs: np.ndarray) -> Column:
     return Column(freq, weight, max_run, supported)
 
 
-@dataclass(frozen=True, eq=False)
-class LeafBlocks:
-    """All the query trie's build reads of a suffix order (see leaf_blocks).
-
-    tokens[k] is the token whose suffix is leaf k, in leaf order, and
-    gaps[k] the lcp of leaves k and k + 1, 0 between blocks; every array is
-    int64. bounds are the order's token bounds, symbols is one more than
-    its largest symbol id, and int64 whether its runs keep int64 exact (4 *
-    M * D <= 2^62, see SymbolTrie).
-    """
-
-    tokens: np.ndarray
-    gaps: np.ndarray
-    bounds: np.ndarray
-    symbols: int
-    int64: bool
-
-
-def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
+def leaf_blocks(order: SuffixOrder) -> tuple[np.ndarray, np.ndarray]:
     """The query trie's leaves, in blocks by preceding-run symbol, and their gaps.
 
-    The suffix at token t of the order's token string is preceded by the
-    run at token t - 1, except the k sequence starts, which have none. The
-    record keeps nothing of the order, so the order, rounds and all, can be
-    dropped before the trie's arrays are built.
+    Returns int64 (tokens, gaps): tokens[k] is the token whose suffix is
+    leaf k, in leaf order, and gaps[k] the lcp of leaves k and k + 1, 0
+    between blocks. The suffix at token t of the order's token string is
+    preceded by the run at token t - 1, except the k sequence starts, which
+    have none. Neither array is a view of the order, so the order, rounds
+    and all, can be dropped before the trie's arrays are built.
     """
     bounds = order.bounds
     tokens = order.tokens
@@ -373,16 +370,7 @@ def leaf_blocks(order: SuffixOrder) -> LeafBlocks:
     inner = np.flatnonzero(syms[1:] == syms[:-1])
     gaps = np.zeros(len(ranks) - 1, dtype=np.int64)
     gaps[inner] = order.lcp(leaf_tokens[inner], leaf_tokens[inner + 1])
-    # M and D of the int64 bound (see SymbolTrie); a terminator's length is 1
-    longest_run = int(order.run_lengths.max())
-    longest_record = max(seq.content_length for seq in order.seqs) + 1
-    return LeafBlocks(
-        tokens=leaf_tokens,
-        gaps=gaps,
-        bounds=bounds,
-        symbols=int(order.syms.max()) + 1,
-        int64=4 * longest_run * longest_record <= 1 << 62,
-    )
+    return leaf_tokens, gaps
 
 
 def _min_rows(gaps: np.ndarray) -> list[np.ndarray]:
@@ -485,16 +473,27 @@ def _compact_trie(gaps: np.ndarray):
     return parent, str_depth, np.concatenate((node[:1], leaf_up))
 
 
-def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolTrie:
-    """Build the query trie's shape from the leaves and gaps of leaf_blocks.
+def extract_symbol_tries(*seqs: RleSeq, _exact: bool = False) -> SymbolTrie:
+    """The query trie of a family of sequences, from their suffix order.
 
-    _exact takes the limb path whatever the runs, annotate's weight sums
-    included, so the two can be compared.
+    Of the order the trie keeps only the token layout (syms, lengths,
+    bounds); the order itself, rounds and all, is freed once leaf_blocks
+    has read it, before any node array is built. _exact takes the limb path
+    whatever the runs, annotate's weight sums included, so the two can be
+    compared.
     """
-    parent, str_depth, leaf_parents = _compact_trie(blocks.gaps)
+    order = build_suffix_order(*seqs)
+    tokens, gaps = leaf_blocks(order)
+    syms, lengths, bounds = order.syms, order.run_lengths, order.bounds
+    # M and D of the int64 bound (see SymbolTrie); a terminator's length is 1
+    longest_run = int(lengths.max())
+    longest_record = max(seq.content_length for seq in seqs) + 1
+    symbols = int(syms.max()) + 1
+    del order
+    parent, str_depth, leaf_parents = _compact_trie(gaps)
     # a leaf's parent goes to the run before its token; a terminator's stays the root
-    run_parents = np.zeros(blocks.bounds[-1], dtype=np.int64)
-    run_parents[blocks.tokens - 1] = leaf_parents
+    run_parents = np.zeros(bounds[-1], dtype=np.int64)
+    run_parents[tokens - 1] = leaf_parents
     for array in (parent, str_depth, run_parents):
         array.flags.writeable = False
     return SymbolTrie(
@@ -502,7 +501,9 @@ def extract_symbol_tries(blocks: LeafBlocks, *, _exact: bool = False) -> SymbolT
         str_depth=str_depth,
         up=_lifting_rows(parent),
         run_parents=run_parents,
-        bounds=blocks.bounds,
-        symbols=blocks.symbols,
-        int64=blocks.int64 and not _exact,
+        syms=syms,
+        lengths=lengths,
+        bounds=bounds,
+        symbols=symbols,
+        int64=not _exact and 4 * longest_run * longest_record <= 1 << 62,
     )

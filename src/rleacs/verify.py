@@ -45,7 +45,7 @@ from rleacs.oracle import (
 )
 from rleacs.rle import FIRST_SYMBOL_ID, RleSeq, decode, encode
 from rleacs.suffixes import SuffixOrder, build_suffix_order
-from rleacs.symbol_tries import Column, LeafBlocks, SymbolTrie, exact_ints, leaf_blocks
+from rleacs.symbol_tries import Column, SymbolTrie, exact_ints, leaf_blocks
 
 ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
@@ -204,12 +204,13 @@ def _keyed_shape(parent: list[int], str_depth: list[int], leaves: list[int]) -> 
     return {keys[v]: keys[p] if p >= 0 else None for v, p in enumerate(parent)}
 
 
-def _whole_trie(trie: SymbolTrie, blocks: LeafBlocks, depths: list[int]):
+def _whole_trie(trie: SymbolTrie, tokens: np.ndarray, depths: list[int]):
     """(parent, str_depth, leaves) of trie with its leaves, as Python lists:
-    leaf k of blocks, at depth depths[k], is node trie.internal + k, under
-    the run_parents entry of the run its suffix follows."""
+    leaf k, the suffix at tokens[k] (leaf_blocks), at depth depths[k], is
+    node trie.internal + k, under the run_parents entry of the run its
+    suffix follows."""
     leaves = list(range(trie.internal, trie.internal + len(depths)))
-    parent = trie.parent.tolist() + trie.run_parents[blocks.tokens - 1].tolist()
+    parent = trie.parent.tolist() + trie.run_parents[tokens - 1].tolist()
     return parent, trie.str_depth.tolist() + depths, leaves
 
 
@@ -474,7 +475,7 @@ def _column_checks(label: str, engine: AcsEngine, column: Column, j: int) -> lis
     failures = []
     freq = column.freq.tolist()
     weight = exact_ints(column.weight)
-    parents = trie.run_parents[engine.record(j)]
+    parents = trie.run_parents[trie.record(j)]
     best, telescoped = brute_column(trie, parents, engine.seqs[j].runs[:, 1])
     wrong = [v for v in range(internal) if freq[v] != best[v]]
     if wrong:
@@ -513,9 +514,9 @@ def _structural_checks(
     run walker's gaps; each column is brute_column's."""
     failures: list[str] = []
     refs = suffix_refs(order)
-    blocks = leaf_blocks(order)
+    tokens, gaps = leaf_blocks(order)
     rank_of = {t: k for k, t in enumerate(order.tokens.tolist())}
-    leaf_ranks = [rank_of[t] for t in blocks.tokens.tolist()]
+    leaf_ranks = [rank_of[t] for t in tokens.tolist()]
     if sorted(leaf_ranks) != [k for k, ref in enumerate(refs) if ref.run >= 2]:
         failures.append("query trie leaves are not the suffixes that follow a run")
         return failures
@@ -525,9 +526,9 @@ def _structural_checks(
     # in its length-1 terminator)
     tails = [list(accumulate((n for _, n in rows[::-1]), initial=1))[::-1] for rows in runs]
     depths = [tails[ref.seq][ref.run - 1] for ref in leaf_refs]
-    shape = _whole_trie(engine.trie, blocks, depths)
+    shape = _whole_trie(engine.trie, tokens, depths)
     # the sweep, from the same leaves and gaps, gives the same trie
-    failures.extend(_sweep_mismatches("query trie", *shape, depths, blocks.gaps.tolist()))
+    failures.extend(_sweep_mismatches("query trie", *shape, depths, gaps.tolist()))
 
     # the forward column counts the second sequence's runs, the reverse one the first's
     for j, prefix in ((1, ""), (0, "reverse ")):

@@ -49,7 +49,6 @@ from rleacs.symbol_tries import (
     _lifting_rows,
     exact_ints,
     extract_symbol_tries,
-    leaf_blocks,
 )
 from rleacs.verify import brute_column, check_pair
 
@@ -88,7 +87,7 @@ def test_run_leaves_follow_each_run():
     # suffixes but the two sequence starts follow a run and have a leaf
     assert len(build_suffix_order(first, second)) == len(first.runs) + len(second.runs) + 2
     trie = engine.trie
-    forward, back = (trie.run_parents[engine.record(i)] for i in (0, 1))
+    forward, back = (trie.run_parents[trie.record(i)] for i in (0, 1))
     assert (len(forward), len(back)) == (first.run_count, second.run_count)
     assert trie.run_parents.dtype == np.int64
     # the trie keeps the leaf after each run by its parent, an internal node
@@ -108,11 +107,11 @@ def _batch_agrees(engine, i, j):
     and add up to total and to the column's batched totals."""
     column = engine.column(j)
     sums = engine.run_sums(i, column)
-    # symbols, lengths and leaf parents
-    arrays = (*engine.seqs[i].runs.T, engine.trie.run_parents[engine.record(i)])
+    runs = engine.trie.record(i)
+    assert runs.stop - runs.start == engine.seqs[i].run_count
     singles = [
-        exact_ints(_closed_form(engine.trie, column, *(a[k : k + 1] for a in arrays)))[0]
-        for k in range(engine.seqs[i].run_count)
+        exact_ints(_closed_form(engine.trie, column, slice(t, t + 1)))[0]
+        for t in range(runs.start, runs.stop)
     ]
     assert sums == singles
     assert sum(sums) == engine.total(i, column) == engine.totals(j, column)[i]
@@ -329,6 +328,13 @@ def test_dist_matrix_workers_stop_at_the_column_count(monkeypatch):
     grids = [dist_matrix(seqs, threads=threads) for threads in (2, 3, 8)]
     assert grids[0] == grids[1] == grids[2]
     assert asked == [1, 2, 2]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_dist_matrix_refuses_fewer_than_one_thread(threads):
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(("aab", "abb", "ba"))]
+    with pytest.raises(ValueError, match=f"^threads must be at least 1, not {threads}$"):
+        dist_matrix(seqs, threads=threads)
 
 
 def test_dist_matrix_threads_take_each_column_once(monkeypatch):
@@ -759,6 +765,8 @@ def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
         str_depth=np.array([0, depth_u, depth_u + 1]),
         up=_lifting_rows(parent),
         run_parents=np.array([2]),
+        syms=np.array([2]),
+        lengths=np.array([f]),
         bounds=np.array([0, 2]),
         symbols=3,
         int64=int64,
@@ -772,7 +780,7 @@ def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
         max_run=np.array([0, 0, m]),
         supported=np.arange(3),
     )
-    sums = _closed_form(trie, column, np.array([2]), np.array([f]), np.array([2]))
+    sums = _closed_form(trie, column)
     assert sums.shape == (() if int64 else (2,)) + (1,)
     return exact_ints(sums)[0]
 
@@ -935,7 +943,7 @@ def test_limb_family_with_int64_pairs_matches_pairwise_dist():
         RleSeq("s2", [[a, 7], [b, 5]]),
     ]
     assert seqs[1].content_length + 1 == 1 << 32
-    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(*seqs)))
+    trie = extract_symbol_tries(*seqs)
     assert not trie.int64
     expect = [[0.0] * 3 for _ in seqs]
     for i in range(3):

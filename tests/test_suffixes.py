@@ -138,7 +138,7 @@ def test_longest_run_table():
     # ids are codepoints plus FIRST_SYMBOL_ID; a column's table is indexed
     # by symbol id and reaches x, which only the first sequence has
     first, second = make_pair("x", "ab")
-    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
+    trie = extract_symbol_tries(first, second)
     assert trie.symbols == ord("x") + FIRST_SYMBOL_ID + 1
     table = annotate(trie, trie.run_parents[first.run_count + 1 : -1], second.runs).max_run
     assert len(table) == trie.symbols
@@ -147,7 +147,7 @@ def test_longest_run_table():
         ord("b") + FIRST_SYMBOL_ID: 1,
     }
     first, second = make_pair("x", "aabbba")
-    trie = extract_symbol_tries(leaf_blocks(build_suffix_order(first, second)))
+    trie = extract_symbol_tries(first, second)
     table = annotate(trie, trie.run_parents[first.run_count + 1 : -1], second.runs).max_run
     a_id, b_id = second.runs[:2, 0].tolist()
     assert (table[a_id], table[b_id]) == (2, 3)
@@ -160,16 +160,16 @@ def test_trie_micro_pair():
     # query trie leaves: the a-block (X suffix "b<s1>", Y suffix "b<s2>"),
     # then the b-block (X and Y terminator suffixes); the whole-X and whole-Y
     # suffixes (ranks 2 and 3) have no preceding run
-    blocks = leaf_blocks(order)
-    query = extract_symbol_tries(blocks)
-    assert np.argsort(order.tokens)[blocks.tokens].tolist() == [4, 5, 0, 1]
+    tokens, _ = leaf_blocks(order)
+    query = extract_symbol_tries(first, second)
+    assert np.argsort(order.tokens)[tokens].tolist() == [4, 5, 0, 1]
     first_parents = query.run_parents[: first.run_count]
     second_parents = query.run_parents[first.run_count + 1 : -1]
     freq = annotate(query, second_parents, second.runs).freq
     rev_freq = annotate(query, first_parents, first.runs).freq
     # the leaves stand for their preceding runs' lengths, Y's in freq and
     # X's in rev_freq, and the internal nodes hold the subtree maxima
-    parents = query.run_parents[blocks.tokens - 1]
+    parents = query.run_parents[tokens - 1]
     assert freq.tolist() == brute_column(query, parents, [0, 1, 0, 1])[0]
     assert rev_freq.tolist() == brute_column(query, parents, [2, 0, 1, 0])[0]
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import threading
+import weakref
 from itertools import accumulate
 from unittest import mock
 
@@ -43,44 +44,44 @@ from rleacs.verify import (
 
 
 def build_query_trie(x, y):
-    order = build_suffix_order(*make_pair(x, y))
-    return extract_symbol_tries(leaf_blocks(order)), order
+    seqs = make_pair(x, y)
+    return extract_symbol_tries(*seqs), seqs
 
 
-def record_parents(trie, seqs):
+def record_parents(trie):
     """trie.run_parents cut into one array per record, its terminator's entry left out."""
-    return [trie.run_parents[lo : hi - 1] for lo, hi in zip(trie.bounds[:-1], trie.bounds[1:])]
+    return [trie.run_parents[trie.record(j)] for j in range(len(trie.bounds) - 1)]
 
 
-def pair_columns(trie, order):
+def pair_columns(trie, seqs):
     """The pair's two columns: (second's, first's), the forward and reverse ones."""
     first, second = (
-        annotate(trie, parents, seq.runs)
-        for parents, seq in zip(record_parents(trie, order.seqs), order.seqs)
+        annotate(trie, parents, seq.runs) for parents, seq in zip(record_parents(trie), seqs)
     )
     return second, first
 
 
-def leaf_parents(trie, order):
+def leaf_parents(trie, seqs):
     """The parent of every leaf, in leaf order."""
-    return trie.run_parents[leaf_blocks(order).tokens - 1].tolist()
+    tokens, _ = leaf_blocks(build_suffix_order(*seqs))
+    return trie.run_parents[tokens - 1].tolist()
 
 
-def leaf_depths(order, blocks):
+def leaf_depths(order, tokens):
     """The decoded length of every leaf's suffix, in leaf order."""
     rank = np.argsort(order.tokens)
-    return order.suffix_lengths[rank[blocks.tokens]].tolist()
+    return order.suffix_lengths[rank[tokens]].tolist()
 
 
 def test_extract_micro_pair():
-    first, second = make_pair("aab", "ab")
-    order = build_suffix_order(first, second)
-    trie = extract_symbol_tries(leaf_blocks(order))
+    seqs = make_pair("aab", "ab")
+    order = build_suffix_order(*seqs)
+    trie = extract_symbol_tries(*seqs)
     # a-block: X suffix "b<s1>" (after an a-run of 2), Y suffix "b<s2>"
     # (a-run of 1); b-block: the two terminator suffixes
     refs = suffix_refs(order)
     rank = np.argsort(order.tokens)
-    assert [refs[k] for k in rank[leaf_blocks(order).tokens]] == [
+    assert [refs[k] for k in rank[leaf_blocks(order)[0]]] == [
         SuffixRef(0, 2),
         SuffixRef(1, 2),
         SuffixRef(0, 3),
@@ -89,8 +90,8 @@ def test_extract_micro_pair():
     # a leaf stands for its preceding run's length in the forward column
     # when that run is Y's, in the reverse one when it is X's; the columns
     # hold the subtree maxima of those values at the root and mid
-    parents = leaf_parents(trie, order)
-    forward, reverse = pair_columns(trie, order)
+    parents = leaf_parents(trie, seqs)
+    forward, reverse = pair_columns(trie, seqs)
     assert forward.freq.tolist() == brute_column(trie, parents, [0, 1, 0, 1])[0] == [1, 1]
     assert reverse.freq.tolist() == brute_column(trie, parents, [2, 0, 1, 0])[0] == [2, 2]
     # root, the a-block's mid node and its two leaves, the two b-leaves
@@ -106,19 +107,19 @@ def test_extract_micro_pair():
 
 def test_extract_builds_no_neighbor_lcps():
     # the trie's gaps come from order.lcp; dlcp is built only when read, and
-    # the build reads nothing else of the order
+    # leaf_blocks reads nothing else of the order
     first, second = make_pair("abaab", "bab")
     order = build_suffix_order(first, second)
-    extract_symbol_tries(leaf_blocks(order))
+    leaf_blocks(order)
     assert "dlcp" not in vars(order)
     assert order.dlcp.tolist() == [0, 0, 1, 2, 0, 1, 1, 2]
     assert "dlcp" in vars(order)
 
 
 def test_annotate_micro_pair():
-    trie, order = build_query_trie("aab", "ab")
-    column, _ = pair_columns(trie, order)
-    parents = leaf_parents(trie, order)
+    trie, seqs = build_query_trie("aab", "ab")
+    column, _ = pair_columns(trie, seqs)
+    parents = leaf_parents(trie, seqs)
     mid = parents[0]
     assert column.freq[mid] == 1
     assert column.weight[mid] == 1  # 0 + freq 1 * (depth 1 - depth 0)
@@ -135,29 +136,31 @@ def test_annotate_micro_pair():
 def test_annotate_no_second_sequence_leaves():
     # Y contributes no b-preceded suffix, so the b-block is one X leaf: freq
     # 0 below the root, which carries the a-block's Y leaf
-    trie, order = build_query_trie("aba", "a")
-    column, reverse = pair_columns(trie, order)
-    b_parent = leaf_parents(trie, order)[-1]
+    trie, seqs = build_query_trie("aba", "a")
+    column, reverse = pair_columns(trie, seqs)
+    b_parent = leaf_parents(trie, seqs)[-1]
     assert b_parent == 0
     # X's b-run of 1 before the b-leaf reaches its parent, the root
     assert reverse.freq[b_parent] == 1
     # in Y's column the b-leaf stands for 0, and the root's 1 is the a-block's Y leaf
     assert (column.freq.tolist(), column.weight.tolist()) == brute_column(
-        trie, record_parents(trie, order.seqs)[1], order.seqs[1].runs[:, 1]
+        trie, record_parents(trie)[1], seqs[1].runs[:, 1]
     )
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
-def hand_trie(parent, str_depth, run_parents, int64=True):
-    """A one-symbol SymbolTrie from the internal nodes' parents and depths and
-    the parent of the leaf after each run of its one record, whose
-    terminator's entry is left out."""
+def hand_trie(parent, str_depth, run_parents, lengths, int64=True):
+    """A one-symbol SymbolTrie from the internal nodes' parents and depths,
+    and the parent of the leaf after each run of its one record and the
+    run's length, the record's terminator's entries left out."""
     parent = np.array(parent, dtype=np.int64)
     return SymbolTrie(
         parent=parent,
         str_depth=np.array(str_depth, dtype=np.int64),
         up=_lifting_rows(parent),
         run_parents=np.array(run_parents, dtype=np.int64),
+        syms=np.full(len(run_parents), FIRST_SYMBOL_ID, dtype=np.int64),
+        lengths=np.array(lengths, dtype=np.int64),
         bounds=np.array([0, len(run_parents) + 1]),
         symbols=FIRST_SYMBOL_ID + 1,
         int64=int64,
@@ -176,8 +179,8 @@ def test_annotate_chain_recurrence():
     # on both arithmetic paths
     parent, str_depth = [-1, 0, 1], [0, 2, 7]
     for int64 in (True, False):
-        trie = hand_trie(parent, str_depth, [2, 2, 1], int64)
-        column = annotate(trie, trie.run_parents, runs_of([3, 2, 5]))
+        trie = hand_trie(parent, str_depth, [2, 2, 1], [3, 2, 5], int64)
+        column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
         freq, weight = column.freq, exact_ints(column.weight)
         assert freq[1] == 5
         assert freq[2] == 3
@@ -200,9 +203,9 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     # from that leaf's parent at threshold 5 would fall off the root
     # the int64 weights' pointer doubling takes the same two rows
     for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 0], int64)
+        trie = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 0], [5, 1], int64)
         assert trie.internal == 5 and len(trie.up) == 2
-        column = annotate(trie, trie.run_parents, runs_of([5, 1]))
+        column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
         # the leaves' 5 and 1 have moved to the brute reference
         assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
             trie, [4, 0], [5, 1]
@@ -211,8 +214,8 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
         assert exact_ints(column.weight) == [0, 5, 10, 15, 20]
         assert trie.climb(np.array([0, 4]), [5, 5], column.freq).tolist() == [0, 4]
         # the same chain with nothing beside it, as first found
-        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], int64)
-        assert annotate(chain, chain.run_parents, runs_of([5])).freq.tolist() == [5] * 5
+        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], [5], int64)
+        assert annotate(chain, chain.run_parents, runs_of(chain.lengths)).freq.tolist() == [5] * 5
 
 
 @pytest.mark.parametrize("run", [3, 4])
@@ -222,8 +225,8 @@ def test_limb_column_weights_either_side_of_2_63(run):
     # longest run times the deepest internal str_depth passes 2^63 as well
     # (nodes 2 and 3 each hold one leaf, one level deeper)
     deep = (1 << 61) + 3
-    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], int64=False)
-    column = annotate(trie, trie.run_parents, runs_of([run, 1]))
+    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], [run, 1], int64=False)
+    column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
     assert column.weight.shape == (2, trie.internal) == (2, 4)
     hi, lo = column.weight
     assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
@@ -231,12 +234,12 @@ def test_limb_column_weights_either_side_of_2_63(run):
 
 
 def test_annotate_leaves_int64_columns():
-    trie, order = build_query_trie("aabba", "abab")
-    # the limb path, forced, on the same order: the same shape, weights in two int64 limbs
-    exact = extract_symbol_tries(leaf_blocks(order), _exact=True)
+    trie, seqs = build_query_trie("aabba", "abab")
+    # the limb path, forced, on the same pair: the same shape, weights in two int64 limbs
+    exact = extract_symbol_tries(*seqs, _exact=True)
     assert trie.int64 and not exact.int64
-    columns = pair_columns(trie, order)
-    exact_columns = pair_columns(exact, order)
+    columns = pair_columns(trie, seqs)
+    exact_columns = pair_columns(exact, seqs)
     freqs = [column.freq for column in (*columns, *exact_columns)]
     for column in (trie.parent, trie.str_depth, trie.run_parents, *freqs, *trie.up):
         assert isinstance(column, np.ndarray) and column.dtype == np.int64
@@ -276,14 +279,14 @@ def test_internal_nodes_without_lifting_rows():
     # under the root, and the b-block's two hang from the root, so every
     # internal node hangs from the root and there are no rows to read the
     # internal count from
-    trie, order = build_query_trie("ab", "ab")
+    trie, seqs = build_query_trie("ab", "ab")
     assert trie.up == () and trie.internal == 2 and trie.node_count == 6
     for exact in (False, True):
         if exact:
-            trie = extract_symbol_tries(leaf_blocks(order), _exact=True)
-        sides = ((1, order.seqs[1]), (0, order.seqs[0]))
-        parents = record_parents(trie, order.seqs)
-        for column, (j, seq) in zip(pair_columns(trie, order), sides):
+            trie = extract_symbol_tries(*seqs, _exact=True)
+        sides = ((1, seqs[1]), (0, seqs[0]))
+        parents = record_parents(trie)
+        for column, (j, seq) in zip(pair_columns(trie, seqs), sides):
             assert column.freq.tolist() == [1, 1]
             assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
                 trie, parents[j], seq.runs[:, 1]
@@ -293,7 +296,7 @@ def test_internal_nodes_without_lifting_rows():
         assert empty.freq.tolist() == [0, 0] and exact_ints(empty.weight) == [0, 0]
     # each run of X is answered from its leaf's parent: "a" then "b" match
     # two and one characters
-    engine = AcsEngine(*order.seqs)
+    engine = AcsEngine(*seqs)
     assert engine.run_sums(0, engine.column(1)) == [2, 1]
 
 
@@ -319,7 +322,7 @@ def test_columns_match_the_brute_reference_on_random_families(k, exact):
             assert column.freq.shape == (trie.internal,)
             assert column.weight.shape == ((2,) if exact else ()) + (trie.internal,)
             assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
-                trie, trie.run_parents[engine.record(j)], seq.runs[:, 1]
+                trie, trie.run_parents[trie.record(j)], seq.runs[:, 1]
             )
 
 
@@ -363,10 +366,10 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 
 def test_trie_is_immutable():
-    trie, order = build_query_trie("aabba", "abab")
+    trie, seqs = build_query_trie("aabba", "abab")
     rows = ("up", "symbols", "int64")
     columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
-    annotations = pair_columns(trie, order)
+    annotations = pair_columns(trie, seqs)
     for column in [*columns, *trie.up]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 7
@@ -381,10 +384,10 @@ def test_trie_is_immutable():
 
 
 def test_trie_holds_no_leaf_rows():
-    # every array of the trie covers the internal nodes, but run_parents,
-    # one entry per token (a run or a terminator), and the k + 1 token
-    # bounds; no array spans the leaves, and the build never computes the
-    # order's suffix lengths
+    # every array of the trie covers the internal nodes, but run_parents
+    # and the layout rows, one entry per token (a run or a terminator), and
+    # the k + 1 token bounds; no array spans the leaves, and the build never
+    # computes the order's suffix lengths
     orders = []
 
     def kept(*seqs):
@@ -392,19 +395,53 @@ def test_trie_holds_no_leaf_rows():
         return orders[-1]
 
     seqs = [encode(text, f"s{j}") for j, text in enumerate(("aabbaab", "abab", "bbba"))]
-    with mock.patch("rleacs.engine.build_suffix_order", kept):
+    with mock.patch("rleacs.symbol_tries.build_suffix_order", kept):
         engine = AcsEngine(*seqs)
     trie = engine.trie
     runs = sum(seq.run_count for seq in seqs)
     assert trie.node_count == trie.internal + runs
     arrays = {f.name: getattr(trie, f.name) for f in dataclasses.fields(trie)}
     del arrays["symbols"], arrays["int64"]
-    assert arrays.pop("run_parents").shape == (runs + len(seqs),)
+    for name in ("run_parents", "syms", "lengths"):
+        assert arrays.pop(name).shape == (runs + len(seqs),)
     assert arrays.pop("bounds").tolist() == [0, 5, 10, 13]
     for array in (*arrays.pop("up"), *arrays.values()):
         assert array.shape == (trie.internal,)
     assert (trie.run_parents < trie.internal).all()
     assert "suffix_lengths" not in vars(orders[0])
+
+
+def test_build_frees_the_order_and_keeps_its_layout():
+    # the suffix order, rounds and all, is dead before the trie's first node
+    # array is built; the trie holds the order's layout rows, not copies,
+    # and the engine holds only the sequences and the trie
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(("aabbaab", "abab", "bbba"))]
+    orders, layouts, alive = [], [], []
+
+    def kept(*seqs):
+        order = build_suffix_order(*seqs)
+        orders.append(weakref.ref(order))
+        layouts.append(order.syms.base)
+        return order
+
+    def compact(gaps):
+        alive.append(orders[-1]() is not None)
+        return _compact_trie(gaps)
+
+    with (
+        mock.patch.object(symbol_tries, "build_suffix_order", kept),
+        mock.patch.object(symbol_tries, "_compact_trie", compact),
+    ):
+        engine = AcsEngine(*seqs)
+    assert alive == [False]
+    assert set(vars(engine)) == {"seqs", "trie"}
+    trie = engine.trie
+    for row in (trie.syms, trie.lengths):
+        assert not row.flags.writeable
+        assert np.shares_memory(row, layouts[0])
+    k = len(seqs)
+    for i in range(k):
+        assert trie.record(i) == trie.record(i - k)
 
 
 def test_concurrent_directions_match_serial_totals():
@@ -440,9 +477,9 @@ def test_concurrent_directions_match_serial_totals():
 
 
 def test_deepest_ancestor_micro():
-    trie, order = build_query_trie("aab", "ab")
-    column, _ = pair_columns(trie, order)
-    mid = leaf_parents(trie, order)[0]  # above X suffix "b<s1>"
+    trie, seqs = build_query_trie("aab", "ab")
+    column, _ = pair_columns(trie, seqs)
+    mid = leaf_parents(trie, seqs)[0]  # above X suffix "b<s1>"
     # root freq is only 1, so threshold 2 has no qualifying ancestor
     assert trie.climb(np.array([mid, mid]), [1, 2], column.freq).tolist() == [mid, -1]
 
@@ -451,9 +488,9 @@ def test_deepest_ancestor_none_without_y_leaves():
     # the b-block has no Y leaf; at threshold 1 the climb ends at the shared
     # root (str_depth 0, weight 0, as a b-only root would have), and above
     # the root's freq there is no qualifying ancestor
-    trie, order = build_query_trie("aba", "a")
-    column, _ = pair_columns(trie, order)
-    above = leaf_parents(trie, order)[-1]
+    trie, seqs = build_query_trie("aba", "a")
+    column, _ = pair_columns(trie, seqs)
+    above = leaf_parents(trie, seqs)[-1]
     assert trie.climb(np.array([above, above]), [1, 2], column.freq).tolist() == [0, -1]
 
 
@@ -472,13 +509,13 @@ def test_searches_match_linear_walk_random():
     for _ in range(60):
         x = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
         y = random_runny_text(rng, rng.randint(2, 80), "ab", 6)
-        trie, order = build_query_trie(x, y)
+        trie, seqs = build_query_trie(x, y)
         parent = trie.parent.tolist()
-        for column in pair_columns(trie, order):
+        for column in pair_columns(trie, seqs):
             freq = column.freq.tolist()
             # from every leaf's parent; thresholds run past the root's freq,
             # where no ancestor qualifies
-            pairs = [(v, h) for v in leaf_parents(trie, order) for h in range(0, freq[0] + 3)]
+            pairs = [(v, h) for v in leaf_parents(trie, seqs) for h in range(0, freq[0] + 3)]
             starts, thresholds = (np.array(values, dtype=np.int64) for values in zip(*pairs))
             got = trie.climb(starts, thresholds, column.freq).tolist()
             assert got == [_walk_up_reference(parent, freq, *pair) for pair in pairs]
@@ -528,17 +565,18 @@ def test_structural_invariants(x, y):
 def test_run_parents_are_the_sweeps_leaf_parents(texts):
     # each run's entry is the parent the sweep gives the leaf after it, the
     # two builds' nodes matched by leaf interval and depth
-    order = build_suffix_order(*(encode(text, f"s{j}") for j, text in enumerate(texts)))
-    blocks = leaf_blocks(order)
-    trie = extract_symbol_tries(blocks)
-    depths = leaf_depths(order, blocks)
+    seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
+    order = build_suffix_order(*seqs)
+    tokens, gaps = leaf_blocks(order)
+    trie = extract_symbol_tries(*seqs)
+    depths = leaf_depths(order, tokens)
 
     def parent_keys(parent, str_depth, leaves):
         lo, hi = _leaf_intervals(parent, str_depth, leaves)
         return [(lo[parent[v]], hi[parent[v]], str_depth[parent[v]]) for v in leaves]
 
-    reference = _sweep_compact_trie(depths, blocks.gaps.tolist())
-    assert parent_keys(*_whole_trie(trie, blocks, depths)) == parent_keys(*reference)
+    reference = _sweep_compact_trie(depths, gaps.tolist())
+    assert parent_keys(*_whole_trie(trie, tokens, depths)) == parent_keys(*reference)
 
 
 def assert_sweep_shape(depths, gaps):
@@ -619,9 +657,10 @@ def test_array_build_falls_back_to_the_descent(leaves):
 
 @pytest.mark.parametrize("make", [bench.periodic_pair, bench.fibonacci_pair])
 def test_array_build_matches_the_sweep_on_adversarial_pairs(make):
-    order = build_suffix_order(*make(1 << 14))
-    blocks = leaf_blocks(order)
-    trie = extract_symbol_tries(blocks)
-    depths = leaf_depths(order, blocks)
-    shape = _whole_trie(trie, blocks, depths)
-    assert _sweep_mismatches("trie", *shape, depths, blocks.gaps.tolist()) == []
+    seqs = make(1 << 14)
+    order = build_suffix_order(*seqs)
+    tokens, gaps = leaf_blocks(order)
+    trie = extract_symbol_tries(*seqs)
+    depths = leaf_depths(order, tokens)
+    shape = _whole_trie(trie, tokens, depths)
+    assert _sweep_mismatches("trie", *shape, depths, gaps.tolist()) == []

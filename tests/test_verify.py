@@ -24,6 +24,7 @@ from rleacs.suffixes import SuffixOrder, build_suffix_order
 from rleacs.symbol_tries import (
     annotate,
     extract_symbol_tries,
+    leaf_blocks,
     limb_product,
 )
 from rleacs.verify import (
@@ -86,7 +87,8 @@ class FreqAsMin(AcsEngine):
     """Planted bug: every column's support is a subtree minimum (column_as_min)."""
 
     def column(self, j):
-        return column_as_min(self.trie, self.trie.run_parents[self.record(j)], self.seqs[j].runs)
+        parents = self.trie.run_parents[self.trie.record(j)]
+        return column_as_min(self.trie, parents, self.seqs[j].runs)
 
 
 class FamilyMin(AcsEngine):
@@ -94,7 +96,7 @@ class FamilyMin(AcsEngine):
 
     def column(self, j):
         if len(self.seqs) > 2:
-            parents = self.trie.run_parents[self.record(j)]
+            parents = self.trie.run_parents[self.trie.record(j)]
             return column_as_min(self.trie, parents, self.seqs[j].runs)
         return super().column(j)
 
@@ -165,7 +167,7 @@ class GapOffByOne(AcsEngine):
             fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(order)}
             return FirstGapDeeper(**fields)
 
-        with mock.patch.object(rleacs.engine, "build_suffix_order", deeper):
+        with mock.patch.object(symbol_tries, "build_suffix_order", deeper):
             super().__init__(*seqs, _exact=_exact)
 
 
@@ -181,12 +183,13 @@ class ShallowerGapLeaf(AcsEngine):
             super().__init__(*seqs, _exact=_exact)
 
 
-def leaves_on_shallower_gaps(blocks, *, _exact=False):
+def leaves_on_shallower_gaps(*seqs, _exact=False):
     """extract_symbol_tries with ShallowerGapLeaf's planted bug."""
-    trie = extract_symbol_tries(blocks, _exact=_exact)
+    trie = extract_symbol_tries(*seqs, _exact=_exact)
     parent = trie.parent.tolist()
     str_depth = trie.str_depth.tolist()
-    runs = blocks.tokens - 1
+    tokens, _ = leaf_blocks(build_suffix_order(*seqs))
+    runs = tokens - 1
     # the leaves' parents, in leaf order
     above = trie.run_parents[runs].tolist()
 
