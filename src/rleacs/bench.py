@@ -2,7 +2,7 @@
 
 Sequences are built directly at the token level, so the decoded length can be
 pushed far past anything that could be materialized (run lengths up to 10^9)
-while the engine's work stays proportional to the number of runs. Four
+while the engine's work stays proportional to the number of runs. Five
 experiments:
 
 * a doubling sweep over the total run count, reporting the time ratio per
@@ -13,7 +13,9 @@ experiments:
   lengths, whose prefix doubling takes many more rounds than a random
   pair's;
 * one giant unary pair whose exact total has a closed form, as an
-  end-to-end sanity anchor at decoded length 10^9.
+  end-to-end sanity anchor at decoded length 10^9;
+* the pair of run_length_text, whose giant runs put it past the int64
+  bound, so its trie flags limb runs (see symbol_tries.SymbolTrie).
 
 Three more rows time the layer before them all, on texts held in memory,
 with the tracemalloc peak of one read: a long-run FASTA text, whose work
@@ -25,7 +27,8 @@ record and its batched totals, then the pairwise distances, on k = 40 and
 k = 160 mutants of one random root (mutant_family), with no gate. Every
 engine row also reports the trie's node and internal node counts, the
 bytes per run of its lifting rows (the O(N log N) part of the engine's
-memory), and order_s, the suffix order's own time (build_suffix_order).
+memory), order_s, the suffix order's own time (build_suffix_order), and
+limbs, the number of tokens the trie answers on limbs.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ class BenchRow:
     nodes: int
     internal: int
     row_bytes: int
+    limbs: int
     lsum: int
 
     @property
@@ -163,7 +167,7 @@ ADVERSARIAL = {"periodic": periodic_pair, "fibonacci": fibonacci_pair}
 
 def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
     best_build = best_query = best_order = float("inf")
-    nodes = internal = row_bytes = lsum = 0
+    nodes = internal = row_bytes = limbs = lsum = 0
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
         engine = AcsEngine(first, second)
@@ -176,6 +180,7 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         nodes = engine.trie.node_count
         internal = engine.trie.internal
         row_bytes = sum(row.nbytes for row in engine.trie.up)
+        limbs = len(engine.trie.limb_runs)
         t0 = time.perf_counter()
         build_suffix_order(first, second)
         best_order = min(best_order, time.perf_counter() - t0)
@@ -189,6 +194,7 @@ def _measure(label: str, first: RleSeq, second: RleSeq, reps: int) -> BenchRow:
         nodes=nodes,
         internal=internal,
         row_bytes=row_bytes,
+        limbs=limbs,
         lsum=lsum,
     )
 
@@ -263,6 +269,12 @@ def giant_unary(reps: int = 1) -> tuple[BenchRow, Fraction, Fraction]:
     x, m = GIANT_LONG, GIANT_SHORT
     expected = Fraction(m * (x - m) + m * (m + 1) // 2, x)
     return row, Fraction(row.lsum, x), expected
+
+
+def limb_pair_row(seed: int = 42, *, reps: int = 1) -> BenchRow:
+    """The engine on the two records of run_length_text(seed), past the int64 bound."""
+    first, second = build_text_sequences(read_rle_records(run_length_text(seed)))[0]
+    return _measure(f"rle pair {RLE_RECORDS}x{RLE_RUNS}", first, second, reps)
 
 
 def mutant_family(records: int, seed: int = 42) -> list[RleSeq]:
@@ -472,7 +484,7 @@ def format_table(rows: list[BenchRow], with_ratios: bool = True) -> str:
     lines = [
         f"{'label':<28} {'tokens':>9} {'decoded':>14} {'build_s':>9} "
         f"{'query_s':>9} {'order_s':>9} {'nodes':>9} {'internal':>9} {'rows_B/run':>10} "
-        f"{'ratio':>6}"
+        f"{'limbs':>6} {'ratio':>6}"
     ]
     rat = ratios(rows) if with_ratios else [float("nan")] * len(rows)
     for row, r in zip(rows, rat):
@@ -481,6 +493,6 @@ def format_table(rows: list[BenchRow], with_ratios: bool = True) -> str:
             f"{row.label:<28} {row.tokens:>9} {row.decoded:>14} "
             f"{row.build_s:>9.4f} {row.query_s:>9.4f} {row.order_s:>9.4f} "
             f"{row.nodes:>9} {row.internal:>9} "
-            f"{row.row_bytes_per_run:>10.1f} {ratio_text:>6}"
+            f"{row.row_bytes_per_run:>10.1f} {row.limbs:>6} {ratio_text:>6}"
         )
     return "\n".join(lines)

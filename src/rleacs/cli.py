@@ -222,6 +222,10 @@ def cmd_bench(config: RunConfig) -> int:
     families = [bench.family_row(k, config.seed, reps=config.trials) for k in bench.FAMILY_SIZES]
     print(bench.format_family(families))
     print()
+    print("run-length pair past the int64 bound (limbs: its tokens answered on limbs)")
+    limb_row = bench.limb_pair_row(config.seed, reps=config.trials)
+    print(bench.format_table([limb_row], with_ratios=False))
+    print()
     row, got, want = bench.giant_unary()
     print("giant unary pair (decoded 10^9 vs 10^6)")
     print(bench.format_table([row], with_ratios=False))

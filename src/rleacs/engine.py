@@ -10,9 +10,9 @@ layout entries and two ancestors of its entry of the trie's run_parents:
 one gather from the column's supported table, and, for the few runs where
 that falls short, a vectorized lifting climb. A column answers every run
 of the family in one batch, O(N log N) for N runs. All accumulation is
-exact integer arithmetic, in int64 while the family's runs prove it exact
-(see SymbolTrie.int64) and in two int64 limbs past that; floats appear
-only in the final distance value.
+exact integer arithmetic: int64 for every run, and two int64 limbs for the
+few runs whose sums the trie cannot prove below 2^62 (see SymbolTrie);
+floats appear only in the final distance value.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class AcsEngine:
     the caller's sequences and the trie alone, are immutable after
     construction (the trie and every column are frozen records of
     read-only arrays) and are safe to query from multiple threads. _exact
-    builds on the limb path whatever the family's runs, so the two paths
-    can be compared.
+    answers every run on limbs, whatever the family's runs, so the two
+    arithmetics can be compared.
     """
 
     def __init__(self, *seqs: RleSeq, _exact: bool = False) -> None:
@@ -156,18 +156,17 @@ def _closed_form(trie: SymbolTrie, column: Column, part: slice = slice(None)) ->
     g * (depth[u] + f - h), plus h where g is even: for g = 2h,
     g * (g + 1) / 2 = g * h + h, and for g = 2h + 1 it is g * (h + 1). So
     each run takes one product, and its factor depth[u] + f - h is at
-    most f + d <= D <= 2^62 (see SymbolTrie). Within the trie's int64 bound it is
-    formed in int64, the product at most M * D. Past it the sums are limbs,
-    a (2, n) array for the n tokens of part, from one limb_product and two
-    limb_carry calls, every intermediate below 2^63: lo[v] - lo[u] + h lies in (-2^62,
-    2^62 + 2^61), with h <= 2^61, and hi[v] - hi[u] in (-2^62, 2^62); after
-    the first carry lo is in [0, 2^62) and hi at most 2^62, so adding the
-    product's lo, in [0, 2^62), and its hi, below 2^62 as the product is
-    below 2^124, keeps both below 2^63; the second carry leaves the run sum,
-    below 2^124, with hi below 2^62. Limb weights are gathered one row at a
-    time (ndarray.take), several times faster than a 2-D fancy index. Each
-    array is dropped after its last read, and the sums are formed in place,
-    so few run-sized arrays are alive at once.
+    most f + d <= D <= 2^62 (see SymbolTrie).
+
+    Every token of part is answered in int64 from the column's int64
+    weights. Each step is a ring operation, so each sum is exact mod 2^64,
+    and exact for every run that SymbolTrie's bounds prove below 2^62: each
+    run within the trie's int64 bound, and each but the trie's limb runs
+    past it. Then, only where part holds a limb run, those runs alone are
+    recomputed on limbs (_limb_sums), and the result is a (2, n) limb array
+    for the n tokens of part, with hi 0 at every other token. Otherwise it
+    is the int64 array. The int64 form works in place, so few run-sized
+    arrays are alive at once.
     """
     lengths = trie.lengths[part]
     g = np.minimum(lengths, column.max_run.take(trie.syms[part], mode="clip"))
@@ -180,23 +179,51 @@ def _closed_form(trie: SymbolTrie, column: Column, part: slice = slice(None)) ->
     factor += lengths
     half = g >> 1
     factor -= half
-    if trie.int64:
-        factor *= g
-        # g becomes (g & 1) - 1, all ones where g is even, so half keeps h there
-        g &= 1
-        g -= 1
-        half &= g
-        factor += half
-        del g, half
-        factor += column.weight[v]
-        factor -= column.weight[u]
-        return factor
-    # as above, but g is still to be multiplied
+    held = None
+    if trie.limb_runs.size:
+        start, stop, _ = part.indices(len(trie.lengths))
+        first, last = trie.limb_runs.searchsorted((start, stop))
+        at = trie.limb_runs[first:last] - start
+        if at.size:
+            held = at, g[at], factor[at], half[at], v[at], u[at]
+    factor *= g
+    # g becomes (g & 1) - 1, all ones where g is even, so half keeps h there
+    g &= 1
+    g -= 1
+    half &= g
+    factor += half
+    del g, half
+    factor += column.weight[v]
+    factor -= column.weight[u]
+    return factor if held is None else _limb_sums(trie, column, factor, *held)
+
+
+def _limb_sums(trie: SymbolTrie, column: Column, sums, at, g, factor, half, v, u) -> np.ndarray:
+    """sums, _closed_form's int64 run sums, as limbs, with the runs at
+    positions at recomputed from the column's exact limb weights.
+
+    g, factor (depth[u] + f - h), half (h), v and u are those runs' own,
+    taken before the int64 form; v and u lie in the trie's limb_nodes, as
+    ancestors-or-self of a limb run's run_parents entry, and are read by
+    their position there. The run sums take one limb_product and two
+    limb_carry calls, every intermediate below 2^63: lo[v] - lo[u] + h lies
+    in (-2^62, 2^62 + 2^61), with h <= 2^61, and hi[v] - hi[u] in (-2^62,
+    2^62); after the first carry lo is in [0, 2^62) and hi at most 2^62, so
+    adding the product's lo, in [0, 2^62), and its hi, below 2^62 as the
+    product is below 2^124, keeps both below 2^63; the second carry leaves
+    the run sum, below 2^124, with hi below 2^62. Every other run sum is
+    below 2^62 (see SymbolTrie), so it is its own lo limb, with hi 0.
+    Limb weights are gathered one row at a time (ndarray.take), several
+    times faster than a 2-D fancy index.
+    """
+    v = trie.limb_nodes.searchsorted(v)
+    u = trie.limb_nodes.searchsorted(u)
+    # as in _closed_form, but g is still to be multiplied
     even = g & 1
     even -= 1
     half &= even
     del even
-    w_hi, w_lo = column.weight
+    w_hi, w_lo = column.limb_weight
     lo = w_lo.take(v)
     lo -= w_lo.take(u)
     lo += half
@@ -208,7 +235,10 @@ def _closed_form(trie: SymbolTrie, column: Column, part: slice = slice(None)) ->
     del g, factor
     hi += p_hi
     lo += p_lo
-    return np.stack(limb_carry(hi, lo))
+    limbs = np.zeros((2, len(sums)), dtype=np.int64)
+    limbs[1] = sums
+    limbs[:, at] = limb_carry(hi, lo)
+    return limbs
 
 
 def acs(first: RleSeq, second: RleSeq) -> AcsResult:

@@ -30,8 +30,11 @@ thresholds" into two node lookups; supported, each node's deepest
 ancestor-or-self with freq >= 1; and max_run, sequence j's longest run of
 each symbol. Other ancestor searches climb by binary lifting
 (SymbolTrie.climb), so a batch of q queries costs O(q log N). Weights are
-int64 while 4 * M * D <= 2^62 (see SymbolTrie) and two int64 limbs past
-it (limb_product, limb_carry); every step is a numpy array expression.
+int64, exact mod 2^64, and exact outright while 4 * M * D <= 2^62; past
+that bound the few runs whose sums may not fit int64 (limb_runs, see
+SymbolTrie) also read exact weights in two int64 limbs (limb_product,
+limb_carry) over the ancestors of their leaves alone. Every step is a
+numpy array expression.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ HALF_MASK = (1 << HALF_BITS) - 1
 # rounds of pointer jumping before the trie build's open nearest-smaller
 # searches fall back on the sparse-table descent
 JUMP_ROUNDS = 4
+# a trie's limb runs, and a column's limb weights, where it has none
+NO_RUNS = np.zeros(0, dtype=np.int64)
+NO_LIMBS = np.zeros((2, 0), dtype=np.int64)
+NO_RUNS.flags.writeable = NO_LIMBS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,26 +80,45 @@ class SymbolTrie:
     column: swapping which sequence is queried only swaps the order of
     leaves with equal decoded content, which are siblings.
 
-    int64 holds when 4 * M * D <= 2^62, with M the family's longest run and
-    D its longest record's decoded length plus 1; its columns' weights, and
-    the run sums answered from them, are then int64, and two int64 limbs
-    otherwise. With f a run's length and d the decoded length of the suffix
-    after it, f + d <= D, since a run and the suffix after it lie in one
-    record. A weight sums freq <= M times steps that add up to str_depth <=
-    D, so it, and every partial sum of its doubling, is at most M * D; the
-    closed form's one product g * (depth[u] + f - g // 2), with g <= f and
-    depth[u] <= d, is at most M * D, and with g // 2 and weight[v] added
-    before weight[u] is taken, below 4 * M * D; and a run sum, f matches
-    of at most D each, is at most M * D. A record's total can still pass
-    2^63, so exact_total sums it by 31-bit pieces.
+    Columns are int64. Their weights, and every run sum answered from
+    them, are exact mod 2^64: past 2^63 the sums wrap, and every step after
+    them is a ring operation. A run sum R below 2^63 is then exact
+    outright. Two bounds prove that for a run of length f, with p its
+    run_parents entry and d the decoded length of the suffix after it:
 
-    Past the bound, lengths and depths are still at most 2^62, so a weight
-    is below 2^124 and its hi limb below 2^62; so is every partial sum of
-    the doubling. The limb sum of two such values is then below 2^63 before
-    its carry, and so is every intermediate of limb_product; a run's closed
-    form orders its additions to the same end (engine._closed_form). A trie
-    built with _exact is a limb trie whatever its runs, so that the two
-    paths can be compared.
+    - The build's: 4 * M * D <= 2^62, with M the family's longest run and
+      D its longest record's decoded length plus 1. f + d <= D, since a run
+      and the suffix after it lie in one record. A weight sums freq <= M
+      times steps that add up to str_depth <= D, so it, and every partial
+      sum of its doubling, is at most M * D; the closed form's one product
+      g * (depth[u] + f - g // 2), with g <= f and depth[u] <= d, is at most
+      M * D, and with g // 2 and weight[v] added before weight[u] is taken,
+      below 4 * M * D; and R, f matches of at most D each, is at most
+      M * D. Every run of the family then fits, and no limb set is built.
+    - The run's: depth[p] + f < 2^31. With v, u and g = min(f, m) as in
+      engine._closed_form, R = weight[v] - weight[u] + g * (depth[u] + f -
+      g) + g * (g + 1) / 2. u is v's deepest ancestor-or-self with freq >=
+      g, so every node below u down to v has freq < g, and weight[v] -
+      weight[u] <= g * (depth[v] - depth[u]). So R <= g * (depth[v] + f) <=
+      f * (depth[p] + f) < 2^62, v being an ancestor-or-self of p.
+
+    Past the build's bound, limb_runs holds the tokens that fail the run's
+    test (limb_tokens), and limb_nodes the ancestors-or-self of their
+    run_parents entries, ascending, the root among them; limb_up holds the
+    lifting rows over limb_nodes, each entry a position in limb_nodes. A
+    column then also holds exact limb weights over limb_nodes, and those
+    runs alone are answered on limbs. Within the bound all three are empty.
+    A trie built with _exact flags every token, so limb_nodes is every
+    internal node and every run is answered on limbs, and the two
+    arithmetics can be compared.
+
+    Lengths and depths are at most 2^62, so an exact weight is below 2^124
+    and its hi limb below 2^62; so is every partial sum of the doubling.
+    The limb sum of two such values is then below 2^63 before its carry,
+    and so is every intermediate of limb_product; a run's limb closed form
+    orders its additions to the same end (engine._closed_form). A record's
+    total can pass 2^63 on either arithmetic, so exact_total sums it by
+    31-bit pieces.
 
     Every column reads two arrays that do not depend on the column, so
     they are built once, with the trie: above[v] is v's parent with the
@@ -108,9 +134,11 @@ class SymbolTrie:
     lengths: np.ndarray
     bounds: np.ndarray
     symbols: int
-    int64: bool
+    limb_runs: np.ndarray
     above: np.ndarray = field(init=False)
     step: np.ndarray = field(init=False)
+    limb_nodes: np.ndarray = field(init=False)
+    limb_up: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         above = self.up[0] if self.up else np.zeros(self.internal, dtype=np.int64)
@@ -118,6 +146,12 @@ class SymbolTrie:
         above.flags.writeable = step.flags.writeable = False
         object.__setattr__(self, "above", above)
         object.__setattr__(self, "step", step)
+        limb_nodes, limb_up = self.limb_runs, ()
+        if self.limb_runs.size:
+            parents = self.run_parents[self.limb_runs]
+            limb_nodes, limb_up = _ancestor_closure(parents, self.up, self.internal)
+        object.__setattr__(self, "limb_nodes", limb_nodes)
+        object.__setattr__(self, "limb_up", limb_up)
 
     @property
     def internal(self) -> int:
@@ -162,17 +196,49 @@ class SymbolTrie:
 @dataclass(frozen=True, eq=False)
 class Column:
     """One sequence's annotation of a SymbolTrie (see annotate): read-only int64
-    freq and supported per internal node, max_run per symbol id, and weight
-    per internal node in int64 or, past the trie's int64 bound, as a (2,
-    internal) int64 array of limbs, rows hi and lo, weight = hi * 2^62 + lo
-    (exact_ints reads them). supported[v] is v's deepest ancestor-or-self
-    with freq >= 1, the threshold-1 climb's answer from v. Node v is
-    entry v, as in the trie's own arrays."""
+    freq, weight and supported per internal node, max_run per symbol id, and
+    limb_weight, the exact weights of the trie's limb_nodes as a (2,
+    len(limb_nodes)) int64 array of limbs, rows hi and lo, weight = hi *
+    2^62 + lo (exact_ints reads them). weight is exact mod 2^64, and
+    exact within the trie's int64 bound (see SymbolTrie). supported[v] is
+    v's deepest ancestor-or-self with freq >= 1, the threshold-1 climb's
+    answer from v. Node v is entry v, as in the trie's own arrays, and
+    limb_nodes[i] is limb_weight's column i."""
 
     freq: np.ndarray
     weight: np.ndarray
+    limb_weight: np.ndarray
     max_run: np.ndarray
     supported: np.ndarray
+
+
+def limb_tokens(str_depth: np.ndarray, run_parents: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The tokens that fail the run's test of SymbolTrie, depth[p] + f < 2^31,
+    ascending: those whose run sums int64 may not hold."""
+    reach = str_depth[run_parents]
+    reach += lengths
+    return np.flatnonzero(reach >= 1 << HALF_BITS)
+
+
+def _ancestor_closure(nodes: np.ndarray, up: tuple[np.ndarray, ...], internal: int):
+    """The ancestors-or-self of internal nodes, ascending, and the lifting rows over them.
+
+    After row k of up every node within 2^(k+1) - 1 levels above one of
+    nodes is marked. The rows reach 2^rows - 1 levels, and only the root
+    may lie further (see _lifting_rows), so it is marked from the start.
+    The set is closed under every row, so each row maps it into itself,
+    renumbered by position in the set.
+    """
+    marked = np.zeros(internal, dtype=bool)
+    marked[0] = True
+    marked[nodes] = True
+    for row in up:
+        marked[row[marked]] = True
+    closure = np.flatnonzero(marked)
+    rows = tuple(np.searchsorted(closure, row[closure]) for row in up)
+    for array in (closure, *rows):
+        array.flags.writeable = False
+    return closure, rows
 
 
 def _lifting_rows(parent: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -296,10 +362,11 @@ def annotate(trie: SymbolTrie, parents: np.ndarray, runs: np.ndarray) -> Column:
     str_depth[parent]) over its root path, by pointer doubling: after row k
     every node holds its steps over the 2^(k+1) nodes up from it, and the
     root's step is 0, so clamping at the root adds nothing, and rows that
-    reach every node's depth give the whole path. On an int64 trie every
-    step and partial sum is at most M * D <= 2^60 (see SymbolTrie) and
-    they are summed in int64; on a limb trie, _exact ones included, each
-    step is a limb_product and each addition is followed by a limb_carry.
+    reach every node's depth give the whole path. Every step and partial
+    sum is taken in int64, so past 2^63 it wraps and the weights are exact
+    mod 2^64; within the trie's int64 bound each is at most M * D <= 2^60
+    and exact (see SymbolTrie). Where the trie has limb nodes, the same
+    doubling over them alone gives their exact weights (_limb_weights).
 
     supported is the threshold-1 climb from every internal node at once, by
     pointer doubling: each node first points to itself where freq >= 1 and
@@ -318,21 +385,33 @@ def annotate(trie: SymbolTrie, parents: np.ndarray, runs: np.ndarray) -> Column:
         np.maximum.at(freq, row, freq)
     freq[0] = freq.max()
     freq.flags.writeable = False
-    if trie.int64:
-        weight = freq * trie.step
-        for row in trie.up:
-            weight += weight[row]
-    else:
-        hi, lo = limb_product(freq, trie.step)
-        for row in trie.up:
-            hi, lo = limb_carry(hi + hi[row], lo + lo[row])
-        weight = np.stack((hi, lo))
+    weight = freq * trie.step
+    for row in trie.up:
+        weight += weight[row]
     weight.flags.writeable = False
+    limb_weight = _limb_weights(trie, freq) if trie.limb_nodes.size else NO_LIMBS
     supported = np.where(freq > 0, np.arange(trie.internal, dtype=np.int64), trie.above)
     for _ in trie.up:
         supported = supported[supported]
     supported.flags.writeable = False
-    return Column(freq, weight, max_run, supported)
+    return Column(freq, weight, limb_weight, max_run, supported)
+
+
+def _limb_weights(trie: SymbolTrie, freq: np.ndarray) -> np.ndarray:
+    """The exact weights of trie.limb_nodes, as limbs, from the column's freq.
+
+    annotate's pointer doubling over limb_nodes and limb_up alone, each step
+    a limb_product and each addition followed by a limb_carry. limb_nodes
+    holds every ancestor of each of its nodes, so each node's root path
+    lies inside it.
+    """
+    nodes = trie.limb_nodes
+    hi, lo = limb_product(freq[nodes], trie.step[nodes])
+    for row in trie.limb_up:
+        hi, lo = limb_carry(hi + hi[row], lo + lo[row])
+    weight = np.stack((hi, lo))
+    weight.flags.writeable = False
+    return weight
 
 
 def leaf_blocks(order: SuffixOrder) -> tuple[np.ndarray, np.ndarray]:
@@ -478,9 +557,10 @@ def extract_symbol_tries(*seqs: RleSeq, _exact: bool = False) -> SymbolTrie:
 
     Of the order the trie keeps only the token layout (syms, lengths,
     bounds); the order itself, rounds and all, is freed once leaf_blocks
-    has read it, before any node array is built. _exact takes the limb path
-    whatever the runs, annotate's weight sums included, so the two can be
-    compared.
+    has read it, before any node array is built. Past the int64 bound the
+    trie flags the runs that fail the run's test as limb runs (see
+    SymbolTrie); _exact flags every token, so that every run sum and every
+    weight is also taken on limbs, and the two arithmetics can be compared.
     """
     order = build_suffix_order(*seqs)
     tokens, gaps = leaf_blocks(order)
@@ -496,6 +576,13 @@ def extract_symbol_tries(*seqs: RleSeq, _exact: bool = False) -> SymbolTrie:
     run_parents[tokens - 1] = leaf_parents
     for array in (parent, str_depth, run_parents):
         array.flags.writeable = False
+    if _exact:
+        limb_runs = np.arange(len(run_parents))
+    elif 4 * longest_run * longest_record > 1 << 62:
+        limb_runs = limb_tokens(str_depth, run_parents, lengths)
+    else:
+        limb_runs = NO_RUNS
+    limb_runs.flags.writeable = False
     return SymbolTrie(
         parent=parent,
         str_depth=str_depth,
@@ -505,5 +592,5 @@ def extract_symbol_tries(*seqs: RleSeq, _exact: bool = False) -> SymbolTrie:
         lengths=lengths,
         bounds=bounds,
         symbols=symbols,
-        int64=not _exact and 4 * longest_run * longest_record <= 1 << 62,
+        limb_runs=limb_runs,
     )

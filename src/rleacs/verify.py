@@ -12,11 +12,13 @@ and its supported table against a walk up from each node. Every
 FAMILY_EVERY-th trial also draws a family of 3 to 5 records, with a
 repeated record and one that lacks a symbol another has, and checks every
 ordered pair's total and run sums from the one family build, and every
-column. Every build is also rebuilt on the exact limb path and compared;
-the family's first two records, each with its longest run STRETCH longer,
-give one more pair past the int64 bound (4 * M * D > 2^62), checked
-against the run walker. The first failing check aborts the run and reports
-its inputs in the run-length text format, so the case can be replayed.
+column. Every build is also rebuilt with every run on limbs (_exact) and
+compared; the family's first two records, each with its longest run
+STRETCH longer and one tail added to both (stretched), give one more pair
+past the int64 bound (4 * M * D > 2^62), whose limb runs and int64 runs
+are checked against the run walker. The first failing check aborts the
+run and reports its inputs in the run-length text format, so the case can
+be replayed.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ ALPHABET_SIZES = (2, 4, 20)
 RUN_LENGTH_MEANS = (1.5, 4.0, 32.0)
 FAMILY_EVERY = 4
 STRETCH = 1 << 60
+# y and z, which no random text holds, in TAIL_RUN and STRETCH copies
+TAIL_RUN = 8
+STRETCH_TAIL = np.array(
+    [[FIRST_SYMBOL_ID + ord("y"), TAIL_RUN], [FIRST_SYMBOL_ID + ord("z"), STRETCH]]
+)
 
 
 def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
@@ -102,13 +109,15 @@ def _sweep_compact_trie(leaf_depths: list[int], gaps: list[int]):
 class VerifyReport:
     """Trials passed, the first failure, and what the checks covered.
 
-    int64_builds counts the pair and family builds that took the int64 path,
-    each matched against an exact limb rebuild; exact_builds those past the
-    bound. runs_over_m and runs_without_m count the runs of the checked pair
-    directions with f > m > 0 and with m == 0, m the other sequence's
-    longest run of their symbol. refusals counts the pairs without a
-    distance (a side shorter than 2, or no common symbol) whose refusal by
-    dist and dist_matrix was checked; every other pair's distance is.
+    int64_builds counts the pair and family builds with no limb runs, each
+    matched against a rebuild with every run on limbs; limb_builds those
+    with limb runs (see SymbolTrie), and runs_on_limbs their limb runs,
+    every one of which the checks answer. runs_over_m and runs_without_m
+    count the runs of the checked pair directions with f > m > 0 and with
+    m == 0, m the other sequence's longest run of their symbol. refusals
+    counts the pairs without a distance (a side shorter than 2, or no
+    common symbol) whose refusal by dist and dist_matrix was checked; every
+    other pair's distance is.
     """
 
     passed: int
@@ -116,9 +125,10 @@ class VerifyReport:
     failure: str | None = None
     failure_record: str | None = None
     int64_builds: int = 0
-    exact_builds: int = 0
+    limb_builds: int = 0
     runs_over_m: int = 0
     runs_without_m: int = 0
+    runs_on_limbs: int = 0
     refusals: int = 0
 
     @property
@@ -129,8 +139,9 @@ class VerifyReport:
     def coverage(self) -> str:
         return (
             f"builds: {self.int64_builds} int64, each matched by an exact rebuild, "
-            f"{self.exact_builds} exact; runs: {self.runs_over_m} with f > m > 0, "
-            f"{self.runs_without_m} with m == 0; distance: {self.refusals} "
+            f"{self.limb_builds} with limb runs; runs: {self.runs_over_m} with f > m > 0, "
+            f"{self.runs_without_m} with m == 0, {self.runs_on_limbs} on limbs; "
+            f"distance: {self.refusals} "
             "refusals checked (a side shorter than 2 or no common substring)"
         )
 
@@ -271,10 +282,10 @@ def check_pair(
     the reverse direction, answered from the same build, is checked by its
     total and run sums against the brute scan and by its total against
     engine_factory(second, first). Both columns' totals, and with deep the
-    columns themselves, are matched against an exact limb rebuild. A pair
-    without a distance must be refused by dist and dist_matrix with the
-    reason. coverage, if given, counts the build's path, the run cases and
-    the refusals (see VerifyReport).
+    columns themselves, are matched against a rebuild with every run on
+    limbs. A pair without a distance must be refused by dist and
+    dist_matrix with the reason. coverage, if given, counts the build and
+    its limb runs, the run cases and the refusals (see VerifyReport).
 
     A crash inside the engine under test is itself a finding, so engine
     exceptions are reported as failures rather than raised. Oracle budget
@@ -377,7 +388,7 @@ def _compare(
         if forward != ref:
             failures.append(f"distance {forward!r} is not the correctly rounded {ref!r}")
 
-    coverage[_path(engine.trie)] += 1
+    _count_build(coverage, engine.trie)
     for i, seq in enumerate(engine.seqs):
         m = columns[1 - i].max_run[seq.runs[:, 0]]
         coverage["runs_over_m"] += int(((seq.runs[:, 1] > m) & (m > 0)).sum())
@@ -416,23 +427,29 @@ def _refusal_checks(first: RleSeq, second: RleSeq) -> list[str]:
     return failures
 
 
-def _path(trie: SymbolTrie) -> str:
-    return "int64_builds" if trie.int64 else "exact_builds"
+def _count_build(coverage: Counter, trie: SymbolTrie) -> None:
+    limb_runs = len(trie.limb_runs)
+    coverage["limb_builds" if limb_runs else "int64_builds"] += 1
+    coverage["runs_on_limbs"] += limb_runs
 
 
 def _exact_checks(
     label: str, engine: AcsEngine, exact: AcsEngine, j: int, column: Column, deep: bool
 ) -> list[str]:
-    """The totals against seqs[j], and with deep its column, against the limb rebuild's.
+    """The totals against seqs[j], and with deep its column, against those
+    of exact, the same family with every run on limbs.
 
-    The weights are compared by value, through exact_ints, since the two
-    paths lay them out differently.
+    exact's limb weights cover every internal node. The column's int64
+    weights must equal them mod 2^64, and its limb weights must equal them
+    at its trie's limb nodes.
     """
     failures = []
     rebuilt = exact.column(j)
+    weights = exact_ints(rebuilt.limb_weight) if deep else []
     if deep and (
         column.freq.tolist() != rebuilt.freq.tolist()
-        or exact_ints(column.weight) != exact_ints(rebuilt.weight)
+        or column.weight.view(np.uint64).tolist() != [w % (1 << 64) for w in weights]
+        or exact_ints(column.limb_weight) != [weights[v] for v in engine.trie.limb_nodes.tolist()]
         or column.max_run.tolist() != rebuilt.max_run.tolist()
         or column.supported.tolist() != rebuilt.supported.tolist()
     ):
@@ -464,17 +481,17 @@ def brute_column(trie: SymbolTrie, parents, lengths) -> tuple[list[int], list[in
 def _column_checks(label: str, engine: AcsEngine, column: Column, j: int) -> list[str]:
     """The column covers the trie's nodes and is brute_column's for sequence
     j's runs: freq the subtree maximum of the preceding runs, so it never
-    decreases toward the root, weight its telescoped root-path sum, and
+    decreases toward the root, weight its telescoped root-path sum (mod
+    2^64, and outright on the trie's limb nodes, see Column), and
     supported at each node the first node with that freq >= 1 on a walk up
     from it (the root, if none below it is)."""
     trie = engine.trie
     internal = trie.internal
-    shapes = (column.freq.shape, column.supported.shape, column.weight.shape[-1:])
-    if shapes != ((internal,),) * 3:
+    shapes = (column.freq.shape, column.supported.shape, column.weight.shape)
+    if shapes != ((internal,),) * 3 or column.limb_weight.shape != (2, len(trie.limb_nodes)):
         return [f"{label}column covers {len(column.freq)} nodes, not the {internal} internal ones"]
     failures = []
     freq = column.freq.tolist()
-    weight = exact_ints(column.weight)
     parents = trie.run_parents[trie.record(j)]
     best, telescoped = brute_column(trie, parents, engine.seqs[j].runs[:, 1])
     wrong = [v for v in range(internal) if freq[v] != best[v]]
@@ -484,7 +501,11 @@ def _column_checks(label: str, engine: AcsEngine, column: Column, j: int) -> lis
             f"{label}freq at node {v} is {freq[v]}, not the subtree maximum {best[v]} "
             "of the preceding runs"
         )
-    wrong = [v for v in range(internal) if weight[v] != telescoped[v]]
+    # int64 weights are exact mod 2^64, limb weights outright
+    weight = column.weight.view(np.uint64).tolist()
+    wrong = [v for v in range(internal) if weight[v] != telescoped[v] % (1 << 64)]
+    limb_weight = exact_ints(column.limb_weight)
+    wrong += [v for v, w in zip(trie.limb_nodes.tolist(), limb_weight) if w != telescoped[v]]
     if wrong:
         failures.append(f"{label}weight at node {wrong[0]} breaks telescoping")
     parent = trie.parent.tolist()
@@ -563,8 +584,8 @@ def check_family(
     it, and every other sequence's total and run sums are matched against
     the brute per-position lengths. With deep, each column is also checked
     against brute_column for that sequence's runs. Totals, and with deep
-    columns, are matched against an exact limb rebuild. Engine exceptions
-    are failures.
+    columns, are matched against a rebuild with every run on limbs. Engine
+    exceptions are failures.
     """
     seqs = tuple(seqs)
     texts = [decode(seq) for seq in seqs]
@@ -573,7 +594,7 @@ def check_family(
         engine = engine_factory(*seqs)
         exact = AcsEngine(*seqs, _exact=True)
         if coverage is not None:
-            coverage[_path(engine.trie)] += 1
+            _count_build(coverage, engine.trie)
         for j, seq in enumerate(seqs):
             column = engine.column(j)
             if deep:
@@ -607,10 +628,17 @@ def random_family(rng: random.Random, n_max: int, alphabet_size: int, mean_run: 
 
 
 def stretched(seq: RleSeq) -> RleSeq:
-    """seq with its longest run STRETCH longer."""
+    """seq with its longest run STRETCH longer, then STRETCH_TAIL.
+
+    Two stretched records end alike, so each one's run of TAIL_RUN y's
+    matches TAIL_RUN + STRETCH characters of the other's at its last
+    position, and its sum, 8 * STRETCH + 36 = 2^63 + 36, passes int64 though
+    the run is short: only the depth of the node above its leaf flags it as
+    a limb run (see SymbolTrie).
+    """
     runs = seq.runs.copy()
     runs[runs[:, 1].argmax(), 1] += STRETCH
-    return RleSeq(seq.name, runs)
+    return RleSeq(seq.name, np.concatenate((runs, STRETCH_TAIL)))
 
 
 def check_run_walk(
@@ -627,7 +655,7 @@ def check_run_walk(
     except Exception as exc:
         return [f"engine raised {type(exc).__name__}: {exc}"]
     if coverage is not None:
-        coverage[_path(engine.trie)] += 1
+        _count_build(coverage, engine.trie)
     walks = (run_walk_total(first, second), run_walk_total(second, first))
     return [
         f"{prefix}lsum {got} != run walk {want}"

@@ -1,4 +1,5 @@
 from rleacs.rle import MAX_DECODED_LENGTH, RleSeq, encode
+from rleacs.symbol_tries import exact_ints
 
 
 def make_pair(x_text: str, y_text: str, x_name: str = "X", y_name: str = "Y"):
@@ -23,3 +24,14 @@ def random_runny_text(rng, n, alphabet, max_run):
             continue
         out.extend(ch * rng.randint(1, max_run))
     return "".join(out[:n])
+
+
+def column_weights(trie, column):
+    """The column's weights as Python ints: its int64 weights, each replaced
+    by its exact limb weight at the trie's limb nodes, which it must equal
+    mod 2^64."""
+    weight = column.weight.tolist()
+    for v, exact in zip(trie.limb_nodes.tolist(), exact_ints(column.limb_weight)):
+        assert (exact - weight[v]) % (1 << 64) == 0
+        weight[v] = exact
+    return weight

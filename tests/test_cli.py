@@ -252,7 +252,12 @@ def test_verify_reports_coverage_on_stderr(capsys):
     assert main(["verify", "--trials", "4", "--n-max", "60", "--seed", "5"]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out == "4/4 ok\n"
-    assert captured.err.startswith("builds: 5 int64, each matched by an exact rebuild, 1 exact; ")
+    assert captured.err.startswith(
+        "builds: 5 int64, each matched by an exact rebuild, 1 with limb runs; "
+    )
+    # the stretched pair's limb runs: each record's stretched run, its tail
+    # of STRETCH z's and the y-run before it, whose sum passes 2^63
+    assert ", 42 with m == 0, 6 on limbs; " in captured.err
     assert captured.err.endswith(
         "; distance: 0 refusals checked (a side shorter than 2 or no common substring)\n"
     )
@@ -274,6 +279,13 @@ def test_bench_smoke(capsys):
     assert "fasta family ingest" in out and "fasta family k=1000" in out
     assert "family k=40 1000 chars" in out and "family k=160 1000 chars" in out
     assert "distances_s" in out
+    # the run-length pair is past the int64 bound, and its trie flags
+    # limb runs; the unary pair fits int64 and flags none
+    lines = out.splitlines()
+    assert "limbs" in lines[lines.index("giant unary pair (decoded 10^9 vs 10^6)") + 1]
+    pair = next(line for line in lines if line.startswith("rle pair 2x16384 "))
+    unary = next(line for line in lines if line.startswith("unary 1e9 vs 1e6 "))
+    assert int(pair.split()[-2]) > 0 and int(unary.split()[-2]) == 0
     assert "closed form check: ok" in out
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rleacs.engine
-from conftest import at_bound, make_pair, random_runny_text
+from conftest import at_bound, column_weights, make_pair, random_runny_text
 from rleacs.engine import (
     AcsEngine,
     _closed_form,
@@ -41,6 +41,7 @@ from rleacs.rle import (
     parse_rle_text,
 )
 from rleacs.suffixes import _token_columns, build_suffix_order
+from rleacs import symbol_tries
 from rleacs.symbol_tries import (
     LIMB_BITS,
     LIMB_MASK,
@@ -731,33 +732,48 @@ def test_limb_path_matches_the_run_walk_with_large_runs(seed):
 
     first, second = draw(pool), draw(pool[:2])
     engine = AcsEngine(first, second)
-    assert not _path_of(engine)
+    assert _limb_run_count(engine)
     assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
     _batch_agrees(engine, 0, 1)
     _batch_agrees(engine, 1, 0)
 
 
-def _path_of(engine):
-    """The engine's arithmetic path, checked against both of its columns' weight layouts
-    (one int64 per internal node, or two int64 limbs per internal node past
-    the bound) and their values, telescoped in Python ints from the root down."""
+def _limb_run_count(engine):
+    """The number of the engine's limb runs, after checking both of its
+    columns' weight layouts (one int64 per internal node, and two int64
+    limbs per limb node) and their values against the root-path sums,
+    telescoped in Python ints from the root down: mod 2^64 for the int64
+    weights, and outright for the limb weights."""
     trie = engine.trie
-    shape = (trie.internal,) if trie.int64 else (2, trie.internal)
     parent, depth = trie.parent.tolist(), trie.str_depth.tolist()
     for column in (engine.column(0), engine.column(1)):
-        assert column.weight.dtype == np.int64 and column.weight.shape == shape
+        assert column.weight.dtype == np.int64 and column.weight.shape == (trie.internal,)
+        assert column.limb_weight.shape == (2, len(trie.limb_nodes))
         expect = [0] * trie.internal
         for v in np.argsort(trie.str_depth, kind="stable")[1:].tolist():
             expect[v] = expect[parent[v]] + int(column.freq[v]) * (depth[v] - depth[parent[v]])
-        assert exact_ints(column.weight) == expect
-    return trie.int64
+        weight = column_weights(trie, column)
+        assert [w % (1 << 64) for w in weight] == [w % (1 << 64) for w in expect]
+        assert [weight[v] - expect[v] for v in trie.limb_nodes.tolist()] == [0] * len(
+            trie.limb_nodes
+        )
+    return len(trie.limb_runs)
 
 
-def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
+def _built_past_the_bound(*seqs):
+    """An engine over seqs, and whether its build took the run's test, which
+    it takes only past the int64 bound (4 * M * D > 2^62)."""
+    with mock.patch.object(symbol_tries, "limb_tokens", wraps=symbol_tries.limb_tokens) as test:
+        engine = AcsEngine(*seqs)
+    return engine, test.called
+
+
+def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, limbs):
     """_closed_form of one run of length f against a longest run m of its
     symbol, on the chain root - u - v. The leaf's parent v supports itself
     with freq g - 1, for g = min(f, m), and u, at depth depth_u, has freq g,
-    so the climb stops at u. Weights go in as given, limbs off int64."""
+    so the climb stops at u. Weights go in as given: mod 2^64 as int64, and
+    with limbs, as limbs too, with the run a limb run."""
     g = min(f, m)
     parent = np.array([-1, 0, 1])
     trie = SymbolTrie(
@@ -769,19 +785,20 @@ def _one_run_closed_form(depth_u, f, m, weight_v, weight_u, int64):
         lengths=np.array([f]),
         bounds=np.array([0, 2]),
         symbols=3,
-        int64=int64,
+        limb_runs=np.arange(int(limbs)),
     )
     weights = [0, weight_u, weight_v]
-    if not int64:
-        weights = [[w >> LIMB_BITS for w in weights], [w & LIMB_MASK for w in weights]]
     column = Column(
         freq=np.array([g, g, g - 1]),
-        weight=np.array(weights),
+        weight=np.array([w % (1 << 64) for w in weights], dtype=np.uint64).view(np.int64),
+        limb_weight=np.array(
+            [[w >> LIMB_BITS for w in weights], [w & LIMB_MASK for w in weights]]
+        )[:, trie.limb_nodes],
         max_run=np.array([0, 0, m]),
         supported=np.arange(3),
     )
     sums = _closed_form(trie, column)
-    assert sums.shape == (() if int64 else (2,)) + (1,)
+    assert sums.shape == ((2,) if limbs else ()) + (1,)
     return exact_ints(sums)[0]
 
 
@@ -821,16 +838,16 @@ LIMB_WEIGHTS = [
 
 @pytest.mark.parametrize("run", INT64_RUNS)
 def test_closed_form_within_the_int64_bound(run):
-    # both arithmetic paths, against Python ints
+    # on int64 alone and as a limb run, against Python ints
     want = _closed_form_reference(*run)
-    assert _one_run_closed_form(*run, int64=True) == want
-    assert _one_run_closed_form(*run, int64=False) == want
+    assert _one_run_closed_form(*run, limbs=False) == want
+    assert _one_run_closed_form(*run, limbs=True) == want
 
 
 @pytest.mark.parametrize("weights", LIMB_WEIGHTS)
 @pytest.mark.parametrize("run", LIMB_RUNS)
 def test_closed_form_at_the_length_bound_on_limbs(run, weights):
-    assert _one_run_closed_form(*run, *weights, int64=False) == _closed_form_reference(
+    assert _one_run_closed_form(*run, *weights, limbs=True) == _closed_form_reference(
         *run, *weights
     )
 
@@ -845,7 +862,7 @@ def test_closed_form_carries_between_its_limb_additions():
     product_lo = (f * (depth_u + f - half)) & LIMB_MASK
     assert product_lo == BOUND - 2 and product_lo + half + BOUND - 1 >= 1 << 63
     weights = ((1 << 122) + BOUND - 1, 1 << 122)
-    assert _one_run_closed_form(depth_u, f, f, *weights, int64=False) == (
+    assert _one_run_closed_form(depth_u, f, f, *weights, limbs=True) == (
         _closed_form_reference(depth_u, f, f, *weights)
     )
 
@@ -854,13 +871,16 @@ def test_closed_form_carries_between_its_limb_additions():
 def test_unary_pair_at_the_int64_edge(edge):
     # a unary pair's longest record is its longest run, so D = M + 1: at
     # edge 0, D = 2^30 and M * D = 2^60 - 2^30, the largest that fits
-    # 4 * M * D <= 2^62; D one shorter takes int64 too and one longer limbs
+    # 4 * M * D <= 2^62; D one shorter fits too, and one longer takes the
+    # run's test, which every run passes: its leaf hangs from the root, and
+    # f < 2^31
     short = 5
     long = (1 << 30) - 1 + edge
     first = RleSeq("X", [[FIRST_SYMBOL_ID, long]])
     second = RleSeq("Y", [[FIRST_SYMBOL_ID, short]])
-    engine = AcsEngine(first, second)
-    assert _path_of(engine) == (edge <= 0)
+    engine, tested = _built_past_the_bound(first, second)
+    assert tested == (edge > 0)
+    assert _limb_run_count(engine) == 0
     assert pair_totals(engine) == (
         short * (short + 1) // 2 + (long - short) * short,
         short * (short + 1) // 2,
@@ -870,7 +890,8 @@ def test_unary_pair_at_the_int64_edge(edge):
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_two_symbol_pair_at_the_int64_edge(edge):
     # M = 2^29 and D = 2^31 + edge: M * D = 2^60 at edge 0, so 4 * M * D
-    # is exactly 2^62 and int64; D one shorter takes int64 and one longer limbs
+    # is exactly 2^62 and every run fits; D one shorter fits too, and one
+    # longer takes the run's test, which every run passes
     a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
     top = 1 << 29
     body = [[a, top], [b, 3], [a, top], [b, 2], [a, top], [b, 1], [a, 9], [b, 2]]
@@ -878,8 +899,9 @@ def test_two_symbol_pair_at_the_int64_edge(edge):
     first = RleSeq("X", [*body, [a, (1 << 31) - 1 + edge - sum(n for _, n in body)]])
     assert max(int(seq.runs[:, 1].max()) for seq in (first, second)) == top
     assert first.content_length + 1 == (1 << 31) + edge
-    engine = AcsEngine(first, second)
-    assert _path_of(engine) == (edge <= 0)
+    engine, tested = _built_past_the_bound(first, second)
+    assert tested == (edge > 0)
+    assert _limb_run_count(engine) == 0
     assert pair_totals(engine) == (run_walk_total(first, second), run_walk_total(second, first))
     _batch_agrees(engine, 0, 1)
     _batch_agrees(engine, 1, 0)
@@ -930,9 +952,10 @@ def test_two_symbol_pairs_at_the_length_bound():
 
 def test_limb_family_with_int64_pairs_matches_pairwise_dist():
     # s0 holds the longest run, M = 2^29, and s1 the longest record, D =
-    # 2^32: the family, and the pair s0/s1, are past 4 * M * D <= 2^62, while
-    # the pairs with s2 take int64; the matrix's limb columns give the
-    # distances that each pair's own build gives
+    # 2^32: the family, and the pair s0/s1, are past 4 * M * D <= 2^62, and
+    # s1's runs repeat, so its suffixes share prefixes past 2^31 and flag
+    # limb runs, while the pairs with s2 fit int64; the matrix's mixed
+    # columns give the distances that each pair's own build gives
     a, b = FIRST_SYMBOL_ID, FIRST_SYMBOL_ID + 1
     step = 1 << 27
     s1_runs = [[b if k % 2 else a, step] for k in range(32)]
@@ -943,12 +966,11 @@ def test_limb_family_with_int64_pairs_matches_pairwise_dist():
         RleSeq("s2", [[a, 7], [b, 5]]),
     ]
     assert seqs[1].content_length + 1 == 1 << 32
-    trie = extract_symbol_tries(*seqs)
-    assert not trie.int64
+    assert extract_symbol_tries(*seqs).limb_runs.size
     expect = [[0.0] * 3 for _ in seqs]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert _path_of(AcsEngine(seqs[i], seqs[j])) == (j == 2)
+            assert (_limb_run_count(AcsEngine(seqs[i], seqs[j])) == 0) == (j == 2)
             expect[i][j] = expect[j][i] = dist(seqs[i], seqs[j]).value
     assert dist_matrix(seqs) == expect
 
@@ -963,12 +985,65 @@ def test_int64_pair_totals_past_2_63():
     runs[-1][1] -= 5
     second = RleSeq("Y", runs)
     engine = AcsEngine(first, second)
-    assert engine.trie.int64
+    assert engine.trie.limb_runs.size == 0
     totals = pair_totals(engine)
     assert totals == (run_walk_total(first, second), run_walk_total(second, first))
     assert min(totals) > 1 << 63
     _batch_agrees(engine, 0, 1)
     _batch_agrees(engine, 1, 0)
+
+
+def test_wrapped_weights_outside_the_queried_runs():
+    # Y's a-runs of 2^40 and 3 each precede b^(2^25) then c, so the a-block
+    # node at depth 2^25 + 1 has freq 2^40 and weight about 2^65, which
+    # int64 wraps; X's c- and d-runs never read it, and none is a limb run,
+    # so X's sums come back int64, and exact
+    a, b, c, d = (FIRST_SYMBOL_ID + k for k in range(4))
+    second = RleSeq("Y", [[a, 1 << 40], [b, 1 << 25], [c, 1], [a, 3], [b, 1 << 25], [c, 2]])
+    first = RleSeq("X", [[c, 2], [d, 1], [c, 1], [d, 4]])
+    engine = AcsEngine(first, second)
+    trie, column = engine.trie, engine.column(1)
+    assert trie.limb_runs.size and not np.isin(trie.limb_runs, np.arange(4)).any()
+    exact = dict(zip(trie.limb_nodes.tolist(), exact_ints(column.limb_weight)))
+    wrapped = [v for v, w in exact.items() if w >= 1 << 63]
+    assert wrapped and all(column.weight[v] != exact[v] for v in wrapped)
+    assert _closed_form(trie, column, trie.record(0)).shape == (4,)
+    assert engine.total(0, column) == run_walk_total(first, second)
+    assert engine.total(1, engine.column(0)) == run_walk_total(second, first)
+    _batch_agrees(engine, 0, 1)
+
+
+GIANTS = st.sampled_from([(1 << 31) - 1, 1 << 31, 1 << 40, (1 << 59) + 1, 1 << 60])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text(alphabet="abc", min_size=1, max_size=30),
+    st.text(alphabet="abc", min_size=1, max_size=30),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 29), GIANTS), max_size=3),
+)
+def test_mixed_engine_equals_every_run_on_limbs(x, y, giants):
+    # giant runs put the pair past the int64 bound and flag limb runs: the
+    # engine's columns, run sums and totals equal those of the same pair
+    # with every run on limbs, and the run walk's
+    seqs = [encode(x, "X"), encode(y, "Y")]
+    for side, index, length in giants:
+        runs = seqs[side].runs.copy()
+        runs[index % len(runs), 1] = length
+        seqs[side] = RleSeq(seqs[side].name, runs)
+    engine = AcsEngine(*seqs)
+    exact = AcsEngine(*seqs, _exact=True)
+    assert exact.trie.limb_nodes.tolist() == list(range(exact.trie.internal))
+    for j in (0, 1):
+        column, exact_column = engine.column(j), exact.column(j)
+        assert column.weight.tolist() == exact_column.weight.tolist()
+        weights = exact_ints(exact_column.limb_weight)
+        limb_nodes = engine.trie.limb_nodes.tolist()
+        assert exact_ints(column.limb_weight) == [weights[v] for v in limb_nodes]
+        i = 1 - j
+        assert engine.run_sums(i, column) == exact.run_sums(i, exact_column)
+        assert engine.totals(j, column) == exact.totals(j, exact_column)
+        assert engine.total(i, column) == run_walk_total(seqs[i], seqs[j])
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -982,7 +1057,7 @@ def test_family_totals_past_2_63_match_each_total(exact):
     shorter_first = [[a, (1 << 27) - 3], *runs[1:59]]
     seqs = [RleSeq(name, rows) for name, rows in zip("XYZ", (runs, shorter_last, shorter_first))]
     engine = AcsEngine(*seqs, _exact=exact)
-    assert engine.trie.int64 is not exact
+    assert (engine.trie.limb_runs.size > 0) == exact
     for j in range(3):
         column = engine.column(j)
         totals = engine.totals(j, column)
@@ -1001,13 +1076,14 @@ def test_int64_and_exact_paths_agree_on_families(texts):
     seqs = tuple(encode(text, f"s{j}") for j, text in enumerate(texts))
     engine = AcsEngine(*seqs)
     exact = AcsEngine(*seqs, _exact=True)
-    assert engine.trie.int64 and not exact.trie.int64
+    assert engine.trie.limb_runs.size == 0
+    assert exact.trie.limb_runs.size == len(exact.trie.run_parents)
     for j in range(len(seqs)):
         column, exact_column = engine.column(j), exact.column(j)
-        assert column.weight.shape == (engine.trie.internal,)
-        assert exact_column.weight.shape == (2, engine.trie.internal)
+        assert column.weight.shape == exact_column.weight.shape == (engine.trie.internal,)
+        assert exact_column.limb_weight.shape == (2, engine.trie.internal)
         assert column.freq.tolist() == exact_column.freq.tolist()
-        assert column.weight.tolist() == exact_ints(exact_column.weight)
+        assert column.weight.tolist() == exact_ints(exact_column.limb_weight)
         assert column.max_run.tolist() == exact_column.max_run.tolist()
         totals = engine.totals(j, column)
         assert totals == exact.totals(j, exact_column)

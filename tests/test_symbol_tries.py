@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_pair, random_runny_text
+from conftest import column_weights, make_pair, random_runny_text
 from rleacs import bench, symbol_tries
-from rleacs.engine import AcsEngine
+from rleacs.engine import AcsEngine, _closed_form
 from rleacs.oracle import SuffixRef, suffix_refs
 from rleacs.rle import FIRST_SYMBOL_ID, encode
 from rleacs.suffixes import build_suffix_order
@@ -31,6 +31,7 @@ from rleacs.symbol_tries import (
     leaf_blocks,
     limb_carry,
     limb_product,
+    limb_tokens,
 )
 from rleacs.verify import (
     _keyed_shape,
@@ -149,21 +150,27 @@ def test_annotate_no_second_sequence_leaves():
     assert column.freq[0] == 1 and column.weight[0] == 0
 
 
-def hand_trie(parent, str_depth, run_parents, lengths, int64=True):
+def hand_trie(parent, str_depth, run_parents, lengths, exact=False):
     """A one-symbol SymbolTrie from the internal nodes' parents and depths,
     and the parent of the leaf after each run of its one record and the
-    run's length, the record's terminator's entries left out."""
+    run's length, the record's terminator's entries left out. Its limb runs
+    are those the run's test flags (limb_tokens), or every run with exact."""
     parent = np.array(parent, dtype=np.int64)
+    str_depth = np.array(str_depth, dtype=np.int64)
+    run_parents = np.array(run_parents, dtype=np.int64)
+    lengths = np.array(lengths, dtype=np.int64)
     return SymbolTrie(
         parent=parent,
-        str_depth=np.array(str_depth, dtype=np.int64),
+        str_depth=str_depth,
         up=_lifting_rows(parent),
-        run_parents=np.array(run_parents, dtype=np.int64),
+        run_parents=run_parents,
         syms=np.full(len(run_parents), FIRST_SYMBOL_ID, dtype=np.int64),
-        lengths=np.array(lengths, dtype=np.int64),
+        lengths=lengths,
         bounds=np.array([0, len(run_parents) + 1]),
         symbols=FIRST_SYMBOL_ID + 1,
-        int64=int64,
+        limb_runs=(
+            np.arange(len(run_parents)) if exact else limb_tokens(str_depth, run_parents, lengths)
+        ),
     )
 
 
@@ -176,12 +183,13 @@ def test_annotate_chain_recurrence():
     # hand-built chain: root -> v1(str 2) -> v2(str 7) with leaves giving
     # freq(v1) = 5 and freq(v2) = 3; the three leaves, two under v2 and one
     # under v1, follow second-sequence runs of lengths 3, 2 and 5
-    # on both arithmetic paths
+    # on int64 alone and with every node's limb weights too
     parent, str_depth = [-1, 0, 1], [0, 2, 7]
-    for int64 in (True, False):
-        trie = hand_trie(parent, str_depth, [2, 2, 1], [3, 2, 5], int64)
+    for exact in (False, True):
+        trie = hand_trie(parent, str_depth, [2, 2, 1], [3, 2, 5], exact)
+        assert trie.limb_nodes.tolist() == ([0, 1, 2] if exact else [])
         column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
-        freq, weight = column.freq, exact_ints(column.weight)
+        freq, weight = column.freq, column_weights(trie, column)
         assert freq[1] == 5
         assert freq[2] == 3
         assert weight[1] == 10  # 5 * (2 - 0)
@@ -190,7 +198,7 @@ def test_annotate_chain_recurrence():
         assert column.max_run.tolist() == [0, 0, 5]
         # a column with no leaves: zeros over the three internal nodes
         rev = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
-        assert rev.freq.tolist() == [0] * 3 and exact_ints(rev.weight) == [0] * 3
+        assert rev.freq.tolist() == [0] * 3 and column_weights(trie, rev) == [0] * 3
         assert rev.max_run.tolist() == [0, 0, 0]
         # annotation reads the trie and leaves it as it was
         assert trie.parent.tolist() == parent and trie.str_depth.tolist() == str_depth
@@ -201,43 +209,79 @@ def test_annotate_root_holds_the_column_maximum_at_power_of_two_depth():
     # kept lifting rows reach 3 levels: without the root's own step the
     # root would keep only the shallow leaf's 1, pushed to it, and a climb
     # from that leaf's parent at threshold 5 would fall off the root
-    # the int64 weights' pointer doubling takes the same two rows
-    for int64 in (True, False):
-        trie = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 0], [5, 1], int64)
-        assert trie.internal == 5 and len(trie.up) == 2
+    # the weights' pointer doubling, on int64 and on limbs, takes the same two rows
+    for exact in (False, True):
+        trie = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4, 0], [5, 1], exact)
+        assert trie.internal == 5 and len(trie.up) == 2 and len(trie.limb_up) == 2 * exact
         column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
         # the leaves' 5 and 1 have moved to the brute reference
-        assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+        assert (column.freq.tolist(), column_weights(trie, column)) == brute_column(
             trie, [4, 0], [5, 1]
         )
         assert column.freq.tolist() == [5, 5, 5, 5, 5]
-        assert exact_ints(column.weight) == [0, 5, 10, 15, 20]
+        assert column_weights(trie, column) == [0, 5, 10, 15, 20]
         assert trie.climb(np.array([0, 4]), [5, 5], column.freq).tolist() == [0, 4]
         # the same chain with nothing beside it, as first found
-        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], [5], int64)
+        chain = hand_trie([-1, 0, 1, 2, 3], [0, 1, 2, 3, 4], [4], [5], exact)
         assert annotate(chain, chain.run_parents, runs_of(chain.lengths)).freq.tolist() == [5] * 5
 
 
 @pytest.mark.parametrize("run", [3, 4])
 def test_limb_column_weights_either_side_of_2_63(run):
-    # a limb trie sums its weights in annotate's limb loop whatever their
-    # size; both columns' weights pass 2^62, and for run 4 the column's
-    # longest run times the deepest internal str_depth passes 2^63 as well
-    # (nodes 2 and 3 each hold one leaf, one level deeper)
+    # both runs' leaves hang below 2^61, so the run's test flags both and
+    # every node is a limb node, summed in annotate's limb loop; both
+    # columns' weights pass 2^62, and for run 4 the column's longest run
+    # times the deepest internal str_depth passes 2^63 as well, where the
+    # int64 weights wrap (nodes 2 and 3 each hold one leaf, one level deeper)
     deep = (1 << 61) + 3
-    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], [run, 1], int64=False)
+    trie = hand_trie([-1, 0, 1, 1], [0, 1 << 61, deep, deep], [2, 3], [run, 1])
+    assert trie.limb_runs.tolist() == [0, 1] and trie.limb_nodes.tolist() == [0, 1, 2, 3]
     column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
-    assert column.weight.shape == (2, trie.internal) == (2, 4)
-    hi, lo = column.weight
+    assert column.limb_weight.shape == (2, trie.internal) == (2, 4)
+    hi, lo = column.limb_weight
     assert ((lo >= 0) & (lo < 1 << LIMB_BITS)).all()
-    assert exact_ints(column.weight) == [0, run << 61, (run << 61) + 3 * run, (run << 61) + 3]
+    want = [0, run << 61, (run << 61) + 3 * run, (run << 61) + 3]
+    assert exact_ints(column.limb_weight) == column_weights(trie, column) == want
+    assert (max(want) >= 1 << 63) == (run == 4)
+
+
+# (depth[p], f, flagged) at the edges of the run's test: depth[p] + f =
+# 2^31 - 1 passes it and 2^31 fails it, with the leaf on the root and deeper
+LIMB_TEST_EDGES = [
+    (0, (1 << 31) - 1, False),
+    (0, 1 << 31, True),
+    (1 << 30, (1 << 30) - 1, False),
+    (1 << 30, 1 << 30, True),
+]
+
+
+@pytest.mark.parametrize("depth, f, flagged", LIMB_TEST_EDGES)
+def test_limb_test_at_its_edges(depth, f, flagged):
+    # a run of length f whose leaf hangs from p, the root at depth 0 and
+    # else the one internal node, and a run of 1 under the root; the test
+    # flags the first exactly when depth[p] + f >= 2^31, and only then is
+    # part of the closed form's answer a limb array
+    parent, str_depth, p = ([-1], [0], 0) if depth == 0 else ([-1, 0], [0, depth], 1)
+    trie = hand_trie(parent, str_depth, [p, 0], [f, 1])
+    assert trie.limb_runs.tolist() == ([0] if flagged else [])
+    assert trie.limb_nodes.tolist() == (list(range(p + 1)) if flagged else [])
+    column = annotate(trie, trie.run_parents, runs_of(trie.lengths))
+    sums = _closed_form(trie, column)
+    assert sums.shape == ((2,) if flagged else ()) + (2,)
+    assert _closed_form(trie, column, slice(1, 2)).shape == (1,)
+    # the column's own runs: g = f and u = v = p, so the first sums
+    # f * depth + f * (f + 1) / 2, and the second 1
+    assert exact_ints(sums) == [f * depth + f * (f + 1) // 2, 1]
 
 
 def test_annotate_leaves_int64_columns():
     trie, seqs = build_query_trie("aabba", "abab")
-    # the limb path, forced, on the same pair: the same shape, weights in two int64 limbs
+    # every run flagged on the same pair: the same shape and int64 columns,
+    # and limb weights of every internal node besides
     exact = extract_symbol_tries(*seqs, _exact=True)
-    assert trie.int64 and not exact.int64
+    assert trie.limb_runs.size == trie.limb_nodes.size == 0 and trie.limb_up == ()
+    assert exact.limb_runs.tolist() == list(range(len(exact.run_parents)))
+    assert exact.limb_nodes.tolist() == list(range(exact.internal))
     columns = pair_columns(trie, seqs)
     exact_columns = pair_columns(exact, seqs)
     freqs = [column.freq for column in (*columns, *exact_columns)]
@@ -246,15 +290,18 @@ def test_annotate_leaves_int64_columns():
     # the columns and lifting rows cover the trie's nodes, all internal
     for column in (*freqs, *trie.up):
         assert len(column) == trie.internal
-    for column in (column.weight for column in columns):
-        assert column.dtype == np.int64 and column.shape == (trie.internal,)
-    for column in (column.weight for column in exact_columns):
+    for column in (*columns, *exact_columns):
+        assert column.weight.dtype == np.int64 and column.weight.shape == (trie.internal,)
+    for column in columns:
+        assert column.limb_weight.shape == (2, 0)
+    for column in (column.limb_weight for column in exact_columns):
         assert column.dtype == np.int64 and column.shape == (2, trie.internal)
         hi, lo = column
         assert (hi >= 0).all() and (lo >= 0).all() and (lo < 1 << LIMB_BITS).all()
     for int64, exact_column in zip(columns, exact_columns):
         assert int64.freq.tolist() == exact_column.freq.tolist()
-        assert exact_ints(int64.weight) == int64.weight.tolist() == exact_ints(exact_column.weight)
+        assert int64.weight.tolist() == exact_column.weight.tolist()
+        assert int64.weight.tolist() == exact_ints(exact_column.limb_weight)
         assert int64.max_run.tolist() == exact_column.max_run.tolist()
         assert int64.max_run.dtype == np.int64 and len(int64.max_run) == trie.symbols
     # rows double until the next would map every internal node to the root
@@ -288,12 +335,12 @@ def test_internal_nodes_without_lifting_rows():
         parents = record_parents(trie)
         for column, (j, seq) in zip(pair_columns(trie, seqs), sides):
             assert column.freq.tolist() == [1, 1]
-            assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+            assert (column.freq.tolist(), column_weights(trie, column)) == brute_column(
                 trie, parents[j], seq.runs[:, 1]
             )
         # a column with no leaves
         empty = annotate(trie, np.array([], dtype=np.int64), runs_of([]))
-        assert empty.freq.tolist() == [0, 0] and exact_ints(empty.weight) == [0, 0]
+        assert empty.freq.tolist() == [0, 0] and column_weights(trie, empty) == [0, 0]
     # each run of X is answered from its leaf's parent: "a" then "b" match
     # two and one characters
     engine = AcsEngine(*seqs)
@@ -304,7 +351,7 @@ def test_internal_nodes_without_lifting_rows():
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_columns_match_the_brute_reference_on_random_families(k, exact):
     # every internal node's freq is the subtree maximum over the column's
-    # leaves and its weight the root-path sum, on both arithmetic paths
+    # leaves and its weight the root-path sum, with every run on limbs or none
     rng = random.Random(100 * k + exact)
     for _ in range(8):
         # some records lack a symbol that others have
@@ -315,13 +362,13 @@ def test_columns_match_the_brute_reference_on_random_families(k, exact):
         seqs = [encode(text, f"s{j}") for j, text in enumerate(texts)]
         engine = AcsEngine(*seqs, _exact=exact)
         trie = engine.trie
-        assert trie.int64 is not exact
+        assert len(trie.limb_nodes) == (trie.internal if exact else 0)
         assert trie.internal == trie.node_count - sum(seq.run_count for seq in seqs)
         for j, seq in enumerate(seqs):
             column = engine.column(j)
-            assert column.freq.shape == (trie.internal,)
-            assert column.weight.shape == ((2,) if exact else ()) + (trie.internal,)
-            assert (column.freq.tolist(), exact_ints(column.weight)) == brute_column(
+            assert column.freq.shape == column.weight.shape == (trie.internal,)
+            assert column.limb_weight.shape == (2, len(trie.limb_nodes))
+            assert (column.freq.tolist(), column_weights(trie, column)) == brute_column(
                 trie, trie.run_parents[trie.record(j)], seq.runs[:, 1]
             )
 
@@ -367,17 +414,23 @@ def test_limb_carry_adds_and_subtracts_exactly(a_hi, a_lo, b_hi, b_lo):
 
 def test_trie_is_immutable():
     trie, seqs = build_query_trie("aabba", "abab")
-    rows = ("up", "symbols", "int64")
-    columns = [getattr(trie, f.name) for f in dataclasses.fields(trie) if f.name not in rows]
-    annotations = pair_columns(trie, seqs)
-    for column in [*columns, *trie.up]:
+    exact = extract_symbol_tries(*seqs, _exact=True)
+    rows = ("up", "limb_up", "symbols")
+    columns = [
+        getattr(record, f.name)
+        for record in (trie, exact)
+        for f in dataclasses.fields(record)
+        if f.name not in rows
+    ]
+    annotations = [*pair_columns(trie, seqs), *pair_columns(exact, seqs)]
+    for column in [*columns, *trie.up, *exact.limb_up]:
         with pytest.raises(ValueError, match="read-only"):
-            column[0] = 7
+            column[..., :1] = 7
     for column in annotations:
-        for array in (column.freq, column.weight, column.max_run):
+        for array in (column.freq, column.weight, column.limb_weight, column.max_run):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 7
-    for record in (trie, *annotations):
+                array[..., :1] = 7
+    for record in (trie, exact, *annotations):
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
@@ -401,7 +454,10 @@ def test_trie_holds_no_leaf_rows():
     runs = sum(seq.run_count for seq in seqs)
     assert trie.node_count == trie.internal + runs
     arrays = {f.name: getattr(trie, f.name) for f in dataclasses.fields(trie)}
-    del arrays["symbols"], arrays["int64"]
+    del arrays["symbols"]
+    # within the int64 bound the trie flags no run
+    assert arrays.pop("limb_runs").size == arrays.pop("limb_nodes").size == 0
+    assert arrays.pop("limb_up") == ()
     for name in ("run_parents", "syms", "lengths"):
         assert arrays.pop(name).shape == (runs + len(seqs),)
     assert arrays.pop("bounds").tolist() == [0, 5, 10, 13]

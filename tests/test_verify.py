@@ -210,6 +210,20 @@ def leaves_on_shallower_gaps(*seqs, _exact=False):
     return dataclasses.replace(trie, run_parents=run_parents)
 
 
+def limb_tokens_by_length(str_depth, run_parents, lengths):
+    """limb_tokens with a planted bug: the run's test reads f alone, not
+    depth[p] + f, so a short run above a deep node stays on int64."""
+    return np.flatnonzero(lengths >= 1 << 31)
+
+
+class LimbTestByLength(AcsEngine):
+    """Planted bug: the trie flags its limb runs by limb_tokens_by_length."""
+
+    def __init__(self, *seqs, _exact=False):
+        with mock.patch.object(symbol_tries, "limb_tokens", limb_tokens_by_length):
+            super().__init__(*seqs, _exact=_exact)
+
+
 class JumpOneShort(AcsEngine):
     """Planted bug: the trie build's pointer jumping stops one round early, and
     the nearest-smaller searches it leaves open get no descent."""
@@ -390,6 +404,21 @@ def test_limb_weight_fault_is_caught_by_the_exact_path(monkeypatch):
     assert check_pair(seqs[0], seqs[1]) == []
 
 
+def test_limb_test_without_the_depth_term_is_caught_by_the_run_walk():
+    # the first family trial's stretched pair: each record's y-run, read by
+    # its length of 8 alone, stays on int64, where its sum, 2^63 + 36,
+    # wraps, and each total comes out 2^64 short
+    report = run_verification(seed=5, trials=50, n_max=60, engine_factory=LimbTestByLength)
+    assert not report.ok
+    assert report.failure.startswith(f"trial {FAMILY_EVERY - 1}: stretched pair: lsum ")
+    shorts = re.findall(r"lsum (\d+) != run walk (\d+)", report.failure)
+    assert len(shorts) == 2 and all(int(b) - int(a) == 1 << 64 for a, b in shorts)
+    seqs, _ = parse_rle_text(report.failure_record)
+    assert [seq.runs[-2:].tolist() for seq in seqs] == [rleacs.verify.STRETCH_TAIL.tolist()] * 2
+    assert check_run_walk(*seqs, engine_factory=LimbTestByLength)
+    assert check_run_walk(*seqs) == []
+
+
 def test_push_to_the_grandparent_is_caught_by_check_pair_and_verify(monkeypatch, capsys):
     # the a-block's Y leaf pushes its run to the root, past its parent, which
     # then holds only the X leaf's 0; the engine and its exact rebuild both
@@ -409,11 +438,15 @@ def test_report_counts_both_paths_and_run_cases():
     trials = 2 * FAMILY_EVERY
     report = run_verification(seed=3, trials=trials, n_max=60)
     assert report.ok
-    # every pair and family build on the int64 path, one stretched pair per family exact
+    # every pair and family build within the int64 bound, and one stretched
+    # pair per family past it, with limb runs
     assert report.int64_builds == trials + 2
-    assert report.exact_builds == 2
+    assert report.limb_builds == 2
     assert report.runs_over_m > 0 and report.runs_without_m > 0
-    assert "2 exact" in report.coverage
+    # each stretched record's stretched run, y-run and z-run, at least
+    assert report.runs_on_limbs >= 2 * 2 * 3
+    assert "2 with limb runs" in report.coverage
+    assert f"{report.runs_on_limbs} on limbs; " in report.coverage
     assert report.refusals == 1
     assert report.coverage.endswith(
         "distance: 1 refusals checked (a side shorter than 2 or no common substring)"
